@@ -2,6 +2,7 @@
 //! `BENCH_functional.json` (see `docs/perf.md` for how to read it).
 //!
 //! ```bash
+//! taskset -c 0 cargo run --release -p edgenn-bench --bin bench_functional -- run
 //! cargo run --release -p edgenn-bench --bin bench_functional -- run
 //! cargo run -p edgenn-bench --bin bench_functional -- run --smoke --out /tmp/b.json
 //! cargo run -p edgenn-bench --bin bench_functional -- validate BENCH_functional.json
@@ -43,20 +44,28 @@ fn run(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown run flag {other:?}")),
         }
     }
-    let report = measure(iters);
-    validate(&report)?;
-    for row in &report.models {
+    let measured = measure(iters);
+    validate(&measured)?;
+    for row in &measured.models {
         println!(
-            "{:<12} {:<5} reference {:>10.1} ns  hybrid {:>10.1} ns  batch {:>10.1} ns  \
-             speedup {:>5.2}x",
+            "{:<12} {:<5} {} cores  reference {:>10.1} ns  hybrid {:>10.1} ns  \
+             batch {:>10.1} ns  speedup {:>5.2}x",
             row.model,
             row.precision.to_string(),
+            row.cores,
             row.reference_ns,
             row.hybrid_ns,
             row.batch_ns,
             row.speedup
         );
     }
+    // The file keeps one row set per core count: rows another core count
+    // recorded there (with the same iteration budget) survive this run.
+    let report = match load(&out) {
+        Ok(older) => measured.merged_over(&older),
+        Err(_) => measured,
+    };
+    validate(&report)?;
     let text = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
     std::fs::write(&out, text + "\n").map_err(|e| format!("{out}: {e}"))?;
     println!("wrote {out}");

@@ -10,7 +10,9 @@
 //! gated in CI: absolute times are machine-specific, so the gate
 //! compares the **hybrid/reference ratio** (engine overhead relative to
 //! raw kernel cost on the same machine) against the committed baseline,
-//! with a configurable slack.
+//! with a configurable slack. The ratio still depends on how many cores
+//! the engine's workers get, so every row records its core count and
+//! the gate only compares rows taken at the same one.
 
 use edgenn_core::plan::{ExecutionConfig, Precision};
 use edgenn_core::runtime::functional::Executor;
@@ -33,10 +35,11 @@ use serde::{Deserialize, Serialize};
 /// uncompiled single-threaded reference — `speedup` measures the full
 /// stack, not just the engine — and adds the per-row
 /// `nodes_pre`/`nodes_post` compiler deltas plus the `packed_bytes` and
-/// `int8_gated` counters. The vendored serde derive has no field
-/// defaults, so an older file fails to parse and must be regenerated
-/// with `run`.
-pub const SCHEMA: &str = "edgenn-bench-functional/v4";
+/// `int8_gated` counters; `v5` adds the per-row `cores` field (the core
+/// count the row was measured on) so one file can hold a baseline per
+/// core count. The vendored serde derive has no field defaults, so an
+/// older file fails to parse and must be regenerated with `run`.
+pub const SCHEMA: &str = "edgenn-bench-functional/v5";
 
 /// Engine-overhead counters mirrored from the last measured run.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -75,6 +78,11 @@ pub struct ModelRow {
     /// the paper-relevant question — does quantized hybrid execution
     /// beat the f32 baseline — not whether it beats a quantized one.
     pub precision: Precision,
+    /// Cores the process could run on when this row was measured
+    /// (`available_parallelism`, which honours a `taskset` affinity
+    /// mask). The engine spawns one worker per core beyond the driver,
+    /// so rows from different core counts are different baselines.
+    pub cores: usize,
     /// Best-of-N ns/iter of the reference single-threaded `graph.forward`.
     pub reference_ns: f64,
     /// Best-of-N ns/iter of the hybrid functional engine (warm session).
@@ -107,8 +115,36 @@ pub struct BenchReport {
     pub schema: String,
     /// Timed iterations per measurement.
     pub iters: u32,
-    /// Per-model rows, one per [`ModelKind`].
+    /// Per-model rows: one per [`ModelKind`] and precision for each core
+    /// count measured.
     pub models: Vec<ModelRow>,
+}
+
+impl BenchReport {
+    /// `self` with the rows of `older` that were measured on core counts
+    /// `self` did not measure — how one file accumulates a baseline per
+    /// core count. Rows are only carried over between reports of equal
+    /// `iters`, so every row of a file shares one measurement budget.
+    #[must_use]
+    pub fn merged_over(mut self, older: &BenchReport) -> BenchReport {
+        if older.schema == self.schema && older.iters == self.iters {
+            let mut rows: Vec<ModelRow> = older
+                .models
+                .iter()
+                .filter(|old| self.models.iter().all(|new| new.cores != old.cores))
+                .cloned()
+                .collect();
+            rows.append(&mut self.models);
+            self.models = rows;
+        }
+        self
+    }
+}
+
+/// Cores this process may run on — the figure rows are keyed by.
+#[must_use]
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Best (minimum) per-iteration time. The minimum is the standard
@@ -147,6 +183,7 @@ pub fn measure(iters: u32) -> BenchReport {
     flight::disable();
     let platform = jetson_agx_xavier();
     let runtime = Runtime::new(&platform);
+    let cores = host_cores();
     let mut models = Vec::new();
     for kind in ModelKind::ALL {
         // Compile before tuning: the tuner plans over the rewritten DAG,
@@ -233,6 +270,7 @@ pub fn measure(iters: u32) -> BenchReport {
             models.push(ModelRow {
                 model: kind.name().to_string(),
                 precision: *precision,
+                cores,
                 reference_ns,
                 hybrid_ns,
                 flight_ns: off_on[pi][1] * 1e9,
@@ -278,9 +316,21 @@ pub fn validate(report: &BenchReport) -> Result<(), String> {
     if report.models.is_empty() {
         return Err("no model rows".to_string());
     }
-    for row in &report.models {
+    for (i, row) in report.models.iter().enumerate() {
         if row.model.is_empty() {
             return Err("empty model name".to_string());
+        }
+        if row.cores == 0 {
+            return Err(format!("{}: cores must be positive", row.model));
+        }
+        if report.models[..i]
+            .iter()
+            .any(|r| r.model == row.model && r.precision == row.precision && r.cores == row.cores)
+        {
+            return Err(format!(
+                "{} ({}, {} cores): duplicate row",
+                row.model, row.precision, row.cores
+            ));
         }
         for (field, value) in [
             ("reference_ns", row.reference_ns),
@@ -335,21 +385,39 @@ pub fn validate(report: &BenchReport) -> Result<(), String> {
 /// load. The larger models are the meaningful regression detectors.
 pub const GATE_NOISE_FLOOR_NS: f64 = 20_000.0;
 
-/// Gates `measured` against `baseline`: for every model present in both,
-/// the hybrid/reference ratio (machine-independent engine overhead) must
-/// not exceed the baseline's ratio by more than `slack` (0.25 = 25%).
-/// Models whose baseline reference time sits under
-/// [`GATE_NOISE_FLOOR_NS`] are skipped as too noise-dominated to gate.
+/// Gates `measured` against `baseline`: for every model present in both
+/// at the same precision and core count, the hybrid/reference ratio
+/// (machine-independent engine overhead) must not exceed the baseline's
+/// ratio by more than `slack` (0.25 = 25%). Models whose baseline
+/// reference time sits under [`GATE_NOISE_FLOOR_NS`] are skipped as too
+/// noise-dominated to gate.
 ///
 /// # Errors
-/// Returns a description of every regressed model.
+/// Refuses a measurement taken on a core count the baseline has no rows
+/// for (the ratio of a two-core run says nothing about a one-core
+/// baseline); otherwise returns a description of every regressed model.
 pub fn gate(measured: &BenchReport, baseline: &BenchReport, slack: f64) -> Result<(), String> {
+    let mut unknown: Vec<usize> = measured
+        .models
+        .iter()
+        .map(|m| m.cores)
+        .filter(|&cores| baseline.models.iter().all(|b| b.cores != cores))
+        .collect();
+    unknown.sort_unstable();
+    unknown.dedup();
+    if !unknown.is_empty() {
+        return Err(format!(
+            "the baseline has no rows measured on {unknown:?} cores; record them \
+             with `bench_functional run` on such a host (or under `taskset`) \
+             before gating"
+        ));
+    }
     let mut failures = Vec::new();
     for new in &measured.models {
         let Some(old) = baseline
             .models
             .iter()
-            .find(|m| m.model == new.model && m.precision == new.precision)
+            .find(|m| m.model == new.model && m.precision == new.precision && m.cores == new.cores)
         else {
             continue; // model/precision added since the baseline: nothing to gate
         };
@@ -360,10 +428,11 @@ pub fn gate(measured: &BenchReport, baseline: &BenchReport, slack: f64) -> Resul
         let old_ratio = old.hybrid_ns / old.reference_ns;
         if new_ratio > old_ratio * (1.0 + slack) {
             failures.push(format!(
-                "{} ({}): hybrid/reference ratio {new_ratio:.3} exceeds baseline \
-                 {old_ratio:.3} by more than {:.0}%",
+                "{} ({}, {} cores): hybrid/reference ratio {new_ratio:.3} exceeds \
+                 baseline {old_ratio:.3} by more than {:.0}%",
                 new.model,
                 new.precision,
+                new.cores,
                 slack * 100.0
             ));
         }
@@ -438,6 +507,7 @@ mod tests {
         ModelRow {
             model: model.to_string(),
             precision: Precision::F32,
+            cores: 1,
             reference_ns,
             hybrid_ns,
             flight_ns: hybrid_ns * 1.02,
@@ -498,6 +568,71 @@ mod tests {
         assert!(gate(&bad, &baseline, 0.25)
             .unwrap_err()
             .contains("resnet18"));
+    }
+
+    fn on_cores(mut r: ModelRow, cores: usize) -> ModelRow {
+        r.cores = cores;
+        r
+    }
+
+    #[test]
+    fn gate_compares_rows_at_the_same_core_count_only() {
+        let baseline = report(vec![
+            row("resnet18", 50_000.0, 50_000.0),               // 1 core: 1.0
+            on_cores(row("resnet18", 50_000.0, 100_000.0), 2), // 2 cores: 2.0
+        ]);
+        // 2.2 is within 25% of the two-core baseline...
+        let two = report(vec![on_cores(row("resnet18", 50_000.0, 110_000.0), 2)]);
+        assert_eq!(gate(&two, &baseline, 0.25), Ok(()));
+        // ...but not of the one-core baseline.
+        let one = report(vec![row("resnet18", 50_000.0, 110_000.0)]);
+        let err = gate(&one, &baseline, 0.25).unwrap_err();
+        assert!(err.contains("1 cores"), "{err}");
+    }
+
+    #[test]
+    fn gate_refuses_a_core_count_the_baseline_lacks() {
+        let baseline = report(vec![row("resnet18", 50_000.0, 50_000.0)]);
+        let measured = report(vec![on_cores(row("resnet18", 50_000.0, 50_000.0), 4)]);
+        let err = gate(&measured, &baseline, 0.25).unwrap_err();
+        assert!(err.contains("[4] cores"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_zero_cores_and_duplicate_rows() {
+        let r = report(vec![on_cores(row("fcnn", 4000.0, 2000.0), 0)]);
+        assert!(validate(&r).unwrap_err().contains("cores"));
+        let r = report(vec![
+            row("fcnn", 4000.0, 2000.0),
+            row("fcnn", 4000.0, 2100.0),
+        ]);
+        assert!(validate(&r).unwrap_err().contains("duplicate"));
+        let r = report(vec![
+            row("fcnn", 4000.0, 2000.0),
+            on_cores(row("fcnn", 4000.0, 2100.0), 2),
+        ]);
+        assert_eq!(validate(&r), Ok(()));
+    }
+
+    #[test]
+    fn merging_keeps_other_core_counts_and_replaces_this_one() {
+        let older = report(vec![
+            row("vgg16", 50_000.0, 40_000.0),
+            on_cores(row("vgg16", 50_000.0, 90_000.0), 2),
+        ]);
+        let newer = report(vec![on_cores(row("vgg16", 50_000.0, 45_000.0), 2)]);
+        let merged = newer.merged_over(&older);
+        assert_eq!(validate(&merged), Ok(()));
+        assert_eq!(merged.models.len(), 2);
+        let two = merged.models.iter().find(|m| m.cores == 2).unwrap();
+        assert_eq!(
+            two.hybrid_ns, 45_000.0,
+            "this run's rows replace its core count"
+        );
+        // Reports of a different measurement budget are never mixed.
+        let mut smoke = report(vec![on_cores(row("vgg16", 50_000.0, 45_000.0), 2)]);
+        smoke.iters = 16;
+        assert_eq!(smoke.merged_over(&older).models.len(), 1);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 # 8. functional bench  (smoke runs on one core and on two cores +
 #                       schema check + per-core-count regression gate)
 # 9. fault storm       (seeded Monte-Carlo resilience smoke, 100% survival)
-# 10. siege            (seeded multi-tenant serving gate: faults armed,
-#                       100% survival of admitted work, EC07x checker-clean)
+# 10. serving          (seeded virtual-time siege with faults armed, then a
+#                       300 ms wall-clock serve: 100% survival of admitted
+#                       work, EC07x checker-clean, queue bound held)
 # 11. flight recorder  (profile two models, validate Perfetto output,
 #                       recorder-overhead gate at <=5%)
 set -eu
@@ -161,20 +162,24 @@ mkdir -p "$STORM_DIR"
     --out "$STORM_DIR/storm-apu.json"
 echo "    storm summary archived in $STORM_DIR/"
 
-echo "==> siege: seeded multi-tenant serving gate (2 tenants x 2 models, faults on)"
-# The deterministic load generator drives the serving front end (admission
-# control, bounded queue, weighted-fair batching, SLO degradation) in
-# virtual time with fault injection armed. The gate requires 100% survival
-# of admitted requests, zero lost requests, every completed output bitwise
-# identical to its reference, the queue bound respected, and the full
-# admission log replaying clean through the EC07x checker tier. The CLI
-# exits non-zero on any violation; the report (including the event log)
-# is archived for forensics.
+echo "==> serving: seeded siege (2 tenants x 2 models, faults on), then wall-clock serve"
+# One dispatcher (admission control, bounded pending set, weighted-fair
+# batching, SLO degradation) runs on two clocks, and both are gated. The
+# deterministic siege drives it in virtual time with fault injection
+# armed; `serve --check` drives it from real client threads for 300 ms.
+# Each gate requires 100% survival of admitted requests, zero lost
+# requests, every completed output bitwise identical to its reference,
+# the queue bound respected, and the full admission log replaying clean
+# through the EC07x checker tier. The CLI exits non-zero on any
+# violation; the reports (including the event logs) are archived for
+# forensics.
 SIEGE_DIR=target/siege
 mkdir -p "$SIEGE_DIR"
 ./target/release/edgenn siege --seed 42 --duration-us 60000 \
     --out "$SIEGE_DIR/siege-jetson.json"
-echo "    siege report archived in $SIEGE_DIR/"
+./target/release/edgenn serve --seed 42 --duration-ms 300 --check \
+    --out "$SIEGE_DIR/serve-jetson.json"
+echo "    siege and serve reports archived in $SIEGE_DIR/"
 
 echo "==> flight recorder: profile two models, perfetto traces, overhead gate"
 # `edgenn profile` runs the functional engine with the flight recorder

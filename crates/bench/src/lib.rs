@@ -1,12 +1,13 @@
 //! # edgenn-bench
 //!
 //! The benchmark harness that regenerates **every table and figure** of
-//! the EdgeNN paper's evaluation (Section V). Each experiment lives in
-//! [`experiments`] and has a matching binary (`fig06_edge_cpus`,
-//! `fig08_ablation`, …, `tab1_hybrid_layer_improvement`) that prints the
-//! paper's reported values next to the reproduction's measured values.
+//! the EdgeNN paper's evaluation (Section V). Each experiment is a
+//! function in [`experiments`] (`fig06_edge_cpu_speedups`,
+//! `fig08_ablation`, …, `tab1_hybrid_layer_improvement`) whose report
+//! prints the paper's reported values next to the reproduction's
+//! measured values.
 //!
-//! Run everything at once:
+//! One binary runs them all:
 //!
 //! ```bash
 //! cargo run --release -p edgenn-bench --bin all_experiments

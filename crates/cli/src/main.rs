@@ -168,16 +168,16 @@ STORM:
 
 SERVE / SIEGE:
     The multi-tenant serving front-end (edgenn-serve): per-tenant
-    token-bucket admission with in-flight caps, a bounded ingress queue,
+    token-bucket admission with in-flight caps, a bounded pending set,
     weighted-fair dynamic batching into Executor::batch_execute, and an
     SLO guard that degrades hybrid -> single-processor -> int8 before it
     sheds. Every decision is a typed event in the admission log
-    (docs/serving.md).
-    serve  runs the real-time loop against the wall clock for
-           --duration-ms; --check replays the log through the EC07x
-           admission-log checker afterwards.
+    (docs/serving.md). Both commands drive the same dispatcher.
+    serve  runs it against the wall clock for --duration-ms; --check
+           replays the log through the EC07x admission-log checker
+           afterwards.
     siege  is the deterministic gate: a seeded closed+open-loop load
-           generator in virtual time with the PR 4 fault injector armed
+           generator in virtual time with the fault injector armed
            (disable with --no-faults). Formed batches execute for real
            and must reproduce the fault-free reference bitwise; the
            admission log always replays through the EC07x checker. Exit
@@ -1354,15 +1354,6 @@ fn storm_run(
     })
 }
 
-/// Percentile over a sorted latency sample (nearest-rank).
-fn percentile_us(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((sorted.len() as f64) * p).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Runs the functional engine under the flight recorder and reports the
 /// measured timeline next to the analytic prediction.
 fn cmd_profile(options: &Options) -> Result<(), String> {
@@ -1724,8 +1715,8 @@ fn cmd_storm(options: &Options) -> Result<(), String> {
         total_runs += runs;
         total_survived += survived;
         latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let p50 = percentile_us(&latencies, 0.50);
-        let p99 = percentile_us(&latencies, 0.99);
+        let p50 = edgenn_obs::percentile(&latencies, 0.50).unwrap_or(f64::NAN);
+        let p99 = edgenn_obs::percentile(&latencies, 0.99).unwrap_or(f64::NAN);
 
         if !json_wanted {
             println!(
@@ -1968,9 +1959,9 @@ fn serve_epilogue(
     Err(message)
 }
 
-/// The wall-clock serving loop: seeded clients push through admission
-/// into the bounded queue; the dispatcher batches weighted-fair and
-/// executes for real.
+/// The wall-clock serving loop: seeded client threads feed the shared
+/// dispatcher (admission, bounded pending set, weighted-fair batching,
+/// SLO guard), and each batch executes for real.
 fn cmd_serve(options: &Options) -> Result<(), String> {
     options.ensure_known(&[
         "seed",

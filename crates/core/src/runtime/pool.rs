@@ -56,17 +56,11 @@ pub enum JoinError {
 /// Each lost worker still occupies a core until its job finishes.
 static LOST_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
-/// Cached `available_parallelism` probe; `usize::MAX` means "re-probe".
-static CACHED_PARALLELISM: AtomicUsize = AtomicUsize::new(usize::MAX);
-
-/// Records that a watchdog gave up on a hung worker: the cached core
-/// probe is invalidated and one core is debited from
-/// [`Pool::default_workers`]. The engine's process-wide pool is sized
-/// once, before any hang, so for it the debit is a report
-/// ([`lost_workers`]), not a change to its worker count.
+/// Records that a watchdog gave up on a hung worker. This is a report
+/// ([`lost_workers`]): the engine's process-wide pool is sized once,
+/// before any hang, and never respawns, so its worker count stays.
 pub fn note_worker_lost() {
     LOST_WORKERS.fetch_add(1, Ordering::Relaxed);
-    CACHED_PARALLELISM.store(usize::MAX, Ordering::Relaxed);
     flight::instant(flight::SpanKind::WorkerLoss, flight::NO_NODE, 0);
 }
 
@@ -74,7 +68,6 @@ pub fn note_worker_lost() {
 /// (its job eventually completed and the core is free again).
 pub fn note_worker_recovered() {
     let _ = LOST_WORKERS.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
-    CACHED_PARALLELISM.store(usize::MAX, Ordering::Relaxed);
 }
 
 /// Workers currently written off as hung.
@@ -84,15 +77,14 @@ pub fn lost_workers() -> usize {
 
 /// Ledger of workers written off as hung.
 ///
-/// A debit is process-visible immediately ([`lost_workers`],
-/// [`Pool::default_workers`]): a hung thread occupies a core no matter
-/// whose session it served. A timed-out join leaves its debited account
-/// in the abandoned task cell, and the worker settles it the moment the
-/// job finally finishes — the core is credited back exactly when it is
-/// free again, not when some session ends. Without the settle, a single
-/// transient hang would depress the worker budget for the rest of the
-/// process, and two sessions racing watchdog expiries would permanently
-/// cross-debit each other.
+/// A debit is process-visible immediately ([`lost_workers`]): a hung
+/// thread occupies a core no matter whose session it served. A
+/// timed-out join leaves its debited account in the abandoned task
+/// cell, and the worker settles it the moment the job finally finishes
+/// — the core is credited back exactly when it is free again, not when
+/// some session ends. Without the settle, a single transient hang would
+/// stay on the report for the rest of the process, and two sessions
+/// racing watchdog expiries would permanently cross-debit each other.
 ///
 /// Settling is idempotent and also runs on drop, so a job that panics
 /// or a cell dropped unrun cannot leak a debit.
@@ -107,7 +99,7 @@ impl LossAccount {
         Self::default()
     }
 
-    /// Writes one worker off: debits the process-wide budget
+    /// Writes one worker off: debits the process-wide count
     /// ([`note_worker_lost`]) and remembers the debit for settlement.
     pub fn debit(&self) {
         self.debits.fetch_add(1, Ordering::Relaxed);
@@ -282,23 +274,11 @@ impl<'env, T> Pool<'env, T> {
     /// avoids futile context switches on a core the driver already
     /// saturates.
     ///
-    /// The core count is probed once and cached:
-    /// `available_parallelism` re-reads cgroup quota files on every call
-    /// on Linux, which costs more than an entire small-model inference.
-    /// Workers a watchdog has written off ([`note_worker_lost`]) are
-    /// debited from the answer and invalidate the cache. The engine reads
-    /// this once, when it spawns its process-wide pool, and never spawns
-    /// replacements; after that the debit only shows up here and in
-    /// [`lost_workers`].
+    /// The engine reads this once, when it spawns its process-wide pool
+    /// (`available_parallelism` re-reads cgroup quota files on every call
+    /// on Linux, so it is not a per-request probe).
     pub fn default_workers() -> usize {
-        let mut cores = CACHED_PARALLELISM.load(Ordering::Relaxed);
-        if cores == usize::MAX {
-            cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-            CACHED_PARALLELISM.store(cores, Ordering::Relaxed);
-        }
-        cores
-            .saturating_sub(1)
-            .saturating_sub(LOST_WORKERS.load(Ordering::Relaxed))
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) - 1
     }
 
     fn lock(&self) -> MutexGuard<'_, QueueState<'env, T>> {
@@ -649,40 +629,19 @@ mod tests {
 
     #[test]
     fn default_workers_leaves_the_driver_a_core() {
-        let _serial = workers_lock();
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        assert_eq!(
-            Pool::<()>::default_workers(),
-            (cores - 1).saturating_sub(lost_workers())
-        );
-    }
-
-    #[test]
-    fn watchdog_losses_debit_default_workers_and_invalidate_the_cache() {
-        let _serial = workers_lock();
-        let before = Pool::<()>::default_workers();
-        note_worker_lost();
-        assert_eq!(
-            Pool::<()>::default_workers(),
-            before.saturating_sub(1),
-            "a lost worker's core must not be re-spawned onto"
-        );
-        note_worker_recovered();
-        assert_eq!(Pool::<()>::default_workers(), before);
-        // Recovering below zero is a no-op, not an underflow.
-        note_worker_recovered();
-        assert_eq!(Pool::<()>::default_workers(), before);
+        assert_eq!(Pool::<()>::default_workers(), cores - 1);
     }
 
     #[test]
     fn concurrent_session_watchdogs_settle_without_cross_debit() {
         let _serial = workers_lock();
-        let before = Pool::<()>::default_workers();
+        let before = lost_workers();
         // Two abandoned jobs race to finish: each holds its own ledger.
-        // While both hangs are live the shared budget reflects both (a
+        // While both hangs are live the shared count reflects both (a
         // hung thread occupies a core no matter whose it is); once each
-        // job finishes and settles, the budget returns to baseline — no
-        // transient loss may permanently debit another session's budget.
+        // job finishes and settles, the count returns to baseline — no
+        // transient loss may permanently debit another session.
         let phase = std::sync::Barrier::new(3);
         std::thread::scope(|scope| {
             scope.spawn(|| {
@@ -703,16 +662,16 @@ mod tests {
             });
             phase.wait();
             assert_eq!(
-                Pool::<()>::default_workers(),
-                before.saturating_sub(2),
-                "both live hangs must depress the shared budget"
+                lost_workers(),
+                before + 2,
+                "both live hangs must show in the shared count"
             );
             phase.wait();
         });
         assert_eq!(
-            Pool::<()>::default_workers(),
+            lost_workers(),
             before,
-            "settled ledgers must restore the budget exactly"
+            "settled ledgers must restore the count exactly"
         );
     }
 

@@ -904,15 +904,6 @@ pub struct ProfileSummary {
     pub stages: Vec<StageStat>,
 }
 
-/// Exact percentile of a sorted sample set (nearest-rank).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (q * sorted.len() as f64).ceil().max(1.0) as usize;
-    sorted[rank.min(sorted.len()) - 1]
-}
-
 impl ProfileSummary {
     /// Builds the summary from drained records. `dropped` is the delta
     /// of [`dropped_records`] over the window being summarized.
@@ -946,8 +937,8 @@ impl ProfileSummary {
                 stage: kind.name(),
                 count: durations.len() as u64,
                 total_us: durations.iter().sum(),
-                p50_us: percentile(durations, 0.50),
-                p99_us: percentile(durations, 0.99),
+                p50_us: crate::percentile(durations, 0.50).unwrap_or(0.0),
+                p99_us: crate::percentile(durations, 0.99).unwrap_or(0.0),
                 max_us: *durations.last().unwrap_or(&0.0),
             });
         }
@@ -1499,15 +1490,6 @@ mod tests {
         assert_eq!(entries[0]["dur"], 10);
         assert_eq!(entries[1]["ph"], "i");
         assert_eq!(entries[1]["args"]["arg"], 64);
-    }
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let sorted = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&sorted, 0.50), 2.0);
-        assert_eq!(percentile(&sorted, 0.99), 4.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(percentile(&[7.0], 0.99), 7.0);
     }
 
     #[test]

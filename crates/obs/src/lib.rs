@@ -48,5 +48,5 @@ mod sink;
 pub use flight::{
     BlackBox, NodeProfile, OpenSpan, ProfileSummary, SpanKind, SpanRecord, StageStat,
 };
-pub use metrics::{HistogramSnapshot, Labels, MetricsRegistry};
+pub use metrics::{percentile, HistogramSnapshot, Labels, MetricsRegistry};
 pub use sink::{CounterSample, EventSink, NullSink, Recorder, SinkEvent};

@@ -157,6 +157,16 @@ impl Histogram {
     }
 }
 
+/// Exact nearest-rank percentile of an ascending-sorted sample: the
+/// smallest value with at least `q` of the sample at or below it.
+/// `None` when the sample is empty; each caller picks its own empty
+/// value.
+pub fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
+    let last = sorted.len().checked_sub(1)?;
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    Some(sorted[rank.saturating_sub(1).min(last)])
+}
+
 /// Point-in-time summary of one histogram.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
@@ -382,6 +392,15 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentiles_are_nearest_rank() {
+        let sorted = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile(&sorted, 0.50), Some(2.0));
+        assert_eq!(percentile(&sorted, 0.99), Some(4.0));
+        assert_eq!(percentile(&[], 0.5), None);
+        assert_eq!(percentile(&[7.0], 0.99), Some(7.0));
+    }
 
     #[test]
     fn counters_accumulate_under_labels() {

@@ -19,7 +19,7 @@ pub enum RejectReason {
     RateLimited,
     /// The tenant already has its maximum admitted requests in flight.
     InFlightCap,
-    /// The bounded ingress queue is at capacity (global backpressure).
+    /// The bounded pending set is at capacity (global backpressure).
     QueueFull,
     /// Queue-wait estimate plus the fastest plan variant's predicted
     /// latency already exceeds the request's deadline.

@@ -1,47 +1,38 @@
 //! `edgenn serve`: the real-time serving loop.
 //!
-//! Where [`crate::siege`] drives the pipeline in virtual time to gate
-//! it, this module runs the same pipeline against the wall clock:
-//! seeded client threads push requests through admission into the
-//! bounded condvar-parked ingress queue ([`crate::queue`]), and a
-//! dispatcher thread parks on the queue with the batcher's next
-//! max-delay expiry as its deadline, forms weighted-fair batches, runs
-//! the SLO guard, and executes each batch for real through
-//! `Executor::batch_execute` with a bitwise check against the
-//! fault-free reference.
+//! The same dispatcher (`crate::dispatch`) that [`crate::siege`] drives
+//! in virtual time runs here against the wall clock. This module owns
+//! only the threads: seeded client threads generate each tenant's
+//! arrivals and hand them to `Dispatcher::arrive`, and the calling
+//! thread dispatches — it parks
+//! on a condvar until a batch is ready or the batcher's next max-delay
+//! expiry, forms and guards the batch under the lock, executes it
+//! outside the lock through `Executor::batch_execute` with a bitwise
+//! check against the fault-free reference, and completes it under the
+//! lock again. The clock is read inside the lock, so the log is in time
+//! order, and its t = 0 is the end of set-up.
 //!
-//! Two intentional differences from the siege:
-//!
-//! * Service-time estimates are **measured**, not analytic: the hybrid
-//!   rung is warmed once per model at startup and an EWMA tracks each
-//!   rung thereafter (other rungs are seeded from the analytic ratio).
-//!   Wall-clock SLO math against tiny twins needs wall-clock costs.
-//! * The pending story is two-stage — ingress queue then batcher, each
-//!   bounded by `queue_capacity` (combined outstanding is therefore at
-//!   most twice the configured bound). `Enqueued` is logged at batcher
-//!   insertion, which keeps the EC07x fairness replay exact.
+//! One intentional difference from the siege: service-time estimates
+//! are **measured**, not analytic. The hybrid rung is warmed once per
+//! model at set-up (other rungs start from the analytic ratio) and an
+//! EWMA tracks each rung as batches execute. Wall-clock SLO math against
+//! tiny twins needs wall-clock costs.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use edgenn_core::runtime::functional::Executor;
 use edgenn_nn::models::ModelKind;
-use edgenn_obs::flight::{self, SpanKind};
-use edgenn_obs::{EventSink, Recorder, SinkEvent};
+use edgenn_obs::Recorder;
 use edgenn_sim::Platform;
-use edgenn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::admission::{AdmissionController, TenantConfig};
-use crate::batcher::{BatchPolicy, Batcher, PlanVariant, Request};
-use crate::events::{AdmissionLog, RejectReason, ServeEvent, ServeEventKind};
-use crate::queue::{BoundedQueue, PushError};
-use crate::siege::{
-    batch_factor, build_targets, decide_batch, BatchDecision, LoadMode, ModelStats, SiegeReport,
-    TenantLoad, TenantStats,
-};
+use crate::admission::TenantConfig;
+use crate::batcher::BatchPolicy;
+use crate::dispatch::{batch_factor, Dispatcher};
+use crate::siege::{LoadMode, SiegeReport, TenantLoad};
 
 /// A real-time serving scenario.
 #[derive(Debug, Clone)]
@@ -55,7 +46,9 @@ pub struct ServeConfig {
     pub tenants: Vec<TenantLoad>,
     /// The model catalog.
     pub models: Vec<ModelKind>,
-    /// Bound on the ingress queue AND the batcher pending set.
+    /// Bound on admitted requests not yet formed into a batch (the
+    /// batcher's pending set); arrivals beyond it are rejected with
+    /// `queue_full`.
     pub queue_capacity: usize,
     /// Dynamic-batching policy.
     pub policy: BatchPolicy,
@@ -106,44 +99,26 @@ impl ServeConfig {
     }
 }
 
-/// Shared wall-clock state between clients and the dispatcher.
-struct Shared<'a> {
-    queue: BoundedQueue<Request>,
-    admission: Mutex<AdmissionController>,
-    log: Mutex<AdmissionLog>,
-    next_req: AtomicU64,
-    stop: AtomicBool,
-    observer: Option<&'a Recorder>,
+const POISONED: &str = "a serving thread panicked while holding the dispatcher";
+
+fn lock<'d, 'a>(state: &'d Mutex<Dispatcher<'a>>) -> MutexGuard<'d, Dispatcher<'a>> {
+    state.lock().expect(POISONED)
 }
 
-impl Shared<'_> {
-    fn push_log(&self, t_us: f64, kind: ServeEventKind) {
-        self.log
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(t_us, kind);
-    }
-
-    fn sink(&self, decision: &'static str, tenant: usize, t_us: f64) {
-        if let Some(obs) = self.observer {
-            obs.emit(SinkEvent::Serve {
-                decision,
-                tenant: tenant as u32,
-                t_us,
-            });
-        }
-    }
+/// Microseconds since `t0`: the log's clock.
+fn micros_since(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1e6
 }
 
 /// One client thread: generates this tenant's arrivals against the
-/// wall clock, runs admission, and pushes into the ingress queue.
-#[allow(clippy::too_many_arguments)]
+/// wall clock until the dispatcher closes the door.
 fn client_loop(
-    shared: &Shared<'_>,
     config: &ServeConfig,
     tenant: usize,
+    state: &Mutex<Dispatcher<'_>>,
+    work: &Condvar,
+    closed: &AtomicBool,
     t0: Instant,
-    hybrid_preds: &[f64],
 ) {
     let load = &config.tenants[tenant];
     let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0xC11E + tenant as u64 * 7919));
@@ -155,9 +130,6 @@ fn client_loop(
         } => (think_us.max(100.0) / concurrency.max(1) as f64, true),
     };
     loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            return;
-        }
         let gap_us = if think {
             mean_gap_us
         } else {
@@ -165,95 +137,83 @@ fn client_loop(
             -(1.0 - u).ln() * mean_gap_us
         };
         std::thread::sleep(Duration::from_micros(gap_us.clamp(50.0, 100_000.0) as u64));
-        if shared.stop.load(Ordering::Relaxed) {
-            return;
-        }
-        let now = t0.elapsed().as_secs_f64() * 1e6;
         let model = if load.models.is_empty() {
             rng.gen_range(0..config.models.len())
         } else {
             load.models[rng.gen_range(0..load.models.len())]
         };
-        let id = shared.next_req.fetch_add(1, Ordering::Relaxed);
-        shared.push_log(
-            now,
-            ServeEventKind::Arrived {
-                req: id,
-                tenant,
-                model,
-            },
-        );
-        let decision = {
-            let mut admission = shared
-                .admission
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            admission.admit(tenant, now)
-        };
-        match decision {
-            Err((reason, retry)) => {
-                shared.push_log(
-                    now,
-                    ServeEventKind::Rejected {
-                        req: id,
-                        tenant,
-                        reason,
-                        retry_after_us: retry,
-                    },
-                );
-                shared.sink("rejected", tenant, now);
-                flight::instant(SpanKind::Admission, tenant as u32, 0);
-            }
-            Ok(()) => {
-                let req = Request {
-                    id,
-                    tenant,
-                    model,
-                    arrival_us: now,
-                    deadline_us: load.slo_us.map(|s| now + s),
-                };
-                // The log lock is held across the queue push so the
-                // dispatcher cannot record this request's `Enqueued`
-                // before its `Admitted`: the EC07x lifecycle replay
-                // requires admitted -> enqueued order per request.
-                let pushed = {
-                    let mut log = shared
-                        .log
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let pushed = shared.queue.try_push(req, hybrid_preds[model]);
-                    if pushed.is_ok() {
-                        log.push(now, ServeEventKind::Admitted { req: id, tenant });
-                    }
-                    pushed
-                };
-                match pushed {
-                    Ok(()) => {
-                        shared.sink("admitted", tenant, now);
-                        flight::instant(SpanKind::Admission, tenant as u32, 1);
-                    }
-                    Err(PushError::Full { retry_after_us }) => {
-                        shared
-                            .admission
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .release(tenant);
-                        shared.push_log(
-                            now,
-                            ServeEventKind::Rejected {
-                                req: id,
-                                tenant,
-                                reason: RejectReason::QueueFull,
-                                retry_after_us,
-                            },
-                        );
-                        shared.sink("rejected", tenant, now);
-                        flight::instant(SpanKind::Admission, tenant as u32, 0);
-                    }
-                    Err(PushError::Closed) => return,
-                }
-            }
+        let mut dispatcher = lock(state);
+        // Once the dispatcher has closed the door and drained, no
+        // request may be admitted behind it.
+        if closed.load(Ordering::Relaxed) {
+            return;
         }
+        if dispatcher.arrive(micros_since(t0), tenant, model).is_ok() {
+            work.notify_one();
+        }
+    }
+}
+
+/// Measures the hybrid rung once per model and rescales each model's
+/// analytic estimates to it.
+fn warm_estimates(dispatcher: &mut Dispatcher<'_>) -> Result<(), String> {
+    let mut measured = Vec::new();
+    for target in dispatcher.targets() {
+        let exec = Executor::new(&target.tiny).map_err(|e| e.to_string())?;
+        let start = Instant::now();
+        exec.execute(&target.variants[0].tiny_plan, &target.inputs[0])
+            .map_err(|e| format!("{} warm-up: {e}", target.kind))?;
+        measured.push(micros_since(start));
+    }
+    for (row, hybrid_us) in dispatcher.estimates_mut().iter_mut().zip(measured) {
+        let hybrid_pred = row[0];
+        for est in row.iter_mut() {
+            *est = hybrid_us * (*est / hybrid_pred);
+        }
+    }
+    Ok(())
+}
+
+/// The dispatcher thread: closes the door at the end of the run, then
+/// drains. Batches are formed and completed under the lock and executed
+/// outside it.
+fn dispatch_loop(
+    state: &Mutex<Dispatcher<'_>>,
+    work: &Condvar,
+    closed: &AtomicBool,
+    t0: Instant,
+    end_us: f64,
+) {
+    let mut dispatcher = lock(state);
+    loop {
+        let now_us = micros_since(t0);
+        if now_us >= end_us {
+            closed.store(true, Ordering::Relaxed);
+        }
+        if let Some(job) = dispatcher.form(now_us) {
+            if job.keep.is_empty() {
+                continue;
+            }
+            drop(dispatcher);
+            let start = Instant::now();
+            let verdicts = job.execute(None);
+            let per_req_us = micros_since(start) / batch_factor(job.keep.len());
+            dispatcher = lock(state);
+            let est = &mut dispatcher.estimates_mut()[job.model][job.rung];
+            *est = 0.7 * *est + 0.3 * per_req_us;
+            dispatcher.complete(micros_since(t0), &job, verdicts);
+            continue;
+        }
+        if closed.load(Ordering::Relaxed) && dispatcher.pending() == 0 {
+            return;
+        }
+        let park_us = dispatcher
+            .next_expiry()
+            .map_or(1_000.0, |e| (e - now_us).clamp(50.0, 5_000.0));
+        dispatcher = work
+            .wait_timeout(dispatcher, Duration::from_micros(park_us as u64))
+            .expect(POISONED)
+            .0;
     }
 }
 
@@ -269,369 +229,36 @@ pub fn run_server(
     config: &ServeConfig,
     observer: Option<&Recorder>,
 ) -> Result<SiegeReport, String> {
-    if config.tenants.is_empty() {
-        return Err("serve needs at least one tenant".to_string());
-    }
-    if config.models.is_empty() {
-        return Err("serve needs at least one model".to_string());
-    }
-    for load in &config.tenants {
-        if let Some(&bad) = load.models.iter().find(|&&m| m >= config.models.len()) {
-            return Err(format!(
-                "tenant {} references model index {bad} outside the catalog",
-                load.tenant.name
-            ));
-        }
-    }
-    let targets = build_targets(&config.models, &config.platform, config.seed)?;
-    let tenant_configs: Vec<TenantConfig> =
-        config.tenants.iter().map(|l| l.tenant.clone()).collect();
-    let weights: Vec<f64> = tenant_configs.iter().map(|t| t.weight).collect();
-
-    // Warm the hybrid rung once per model for a measured wall-clock
-    // estimate; other rungs start from the analytic ratio and converge
-    // by EWMA as batches execute.
-    let mut est: Vec<Vec<f64>> = Vec::with_capacity(targets.len());
-    for target in &targets {
-        let exec = Executor::new(&target.tiny).map_err(|e| e.to_string())?;
-        let warm_start = Instant::now();
-        exec.execute(&target.variants[0].tiny_plan, &target.inputs[0])
-            .map_err(|e| format!("{} warm-up: {e}", target.kind))?;
-        let hybrid_us = warm_start.elapsed().as_secs_f64() * 1e6;
-        let hybrid_pred = target.variants[0].predicted_us;
-        est.push(
-            target
-                .variants
-                .iter()
-                .map(|v| hybrid_us * (v.predicted_us / hybrid_pred))
-                .collect(),
-        );
-    }
-    let hybrid_ests: Vec<f64> = est.iter().map(|e| e[0]).collect();
-
-    let shared = Shared {
-        queue: BoundedQueue::new(config.queue_capacity),
-        admission: Mutex::new(AdmissionController::new(&tenant_configs, 0.0)),
-        log: Mutex::new(AdmissionLog::default()),
-        next_req: AtomicU64::new(0),
-        stop: AtomicBool::new(false),
+    let mut dispatcher = Dispatcher::new(
+        &config.tenants,
+        &config.models,
+        &config.platform,
+        config.seed,
+        config.queue_capacity,
+        config.policy,
         observer,
-    };
+    )?;
+    warm_estimates(&mut dispatcher)?;
+    let state = Mutex::new(dispatcher);
+    let work = Condvar::new();
+    // Only read and written under the dispatcher lock, which orders it.
+    let closed = AtomicBool::new(false);
     let t0 = Instant::now();
-    let mut bitwise_failures: Vec<String> = Vec::new();
-    let mut batches = 0usize;
-    let mut degraded_batches = 0usize;
-    let mut high_water_batcher = 0usize;
-
     std::thread::scope(|scope| {
         for tenant in 0..config.tenants.len() {
-            let shared = &shared;
-            let hybrid_ests = &hybrid_ests;
-            scope.spawn(move || client_loop(shared, config, tenant, t0, hybrid_ests));
+            let (state, work, closed) = (&state, &work, &closed);
+            scope.spawn(move || client_loop(config, tenant, state, work, closed, t0));
         }
-
-        // The dispatcher runs inline on this thread: park on the queue
-        // bounded by the batcher's next expiry, batch, guard, execute.
-        let mut batcher = Batcher::new(
-            config.policy,
-            config.queue_capacity,
-            &weights,
-            config.models.len(),
-        );
-        let mut next_batch = 0u64;
-        let deadline = t0 + Duration::from_millis(config.duration_ms);
-        loop {
-            let now_us = t0.elapsed().as_secs_f64() * 1e6;
-            if Instant::now() >= deadline && !shared.stop.load(Ordering::Relaxed) {
-                shared.stop.store(true, Ordering::Relaxed);
-                shared.queue.close();
-            }
-            let stopping = shared.stop.load(Ordering::Relaxed);
-            let park = batcher
-                .next_expiry()
-                .map_or(1_000.0, |e| (e - now_us).clamp(50.0, 5_000.0));
-            if batcher.depth() < config.queue_capacity {
-                if let Some(req) = shared.queue.pop_wait(Duration::from_micros(park as u64)) {
-                    let t = t0.elapsed().as_secs_f64() * 1e6;
-                    let (id, tenant, model) = (req.id, req.tenant, req.model);
-                    let depth = batcher
-                        .push(req, t)
-                        .expect("dispatcher checked batcher capacity");
-                    shared.push_log(
-                        t,
-                        ServeEventKind::Enqueued {
-                            req: id,
-                            tenant,
-                            model,
-                            depth,
-                        },
-                    );
-                }
-            } else {
-                std::thread::sleep(Duration::from_micros(park as u64));
-            }
-            let now_us = t0.elapsed().as_secs_f64() * 1e6;
-            while let Some(model) = batcher.ready(now_us) {
-                let span = flight::begin(SpanKind::BatchForm, model as u32);
-                let batch = batcher.form(model, now_us);
-                let batch_id = next_batch;
-                next_batch += 1;
-                batches += 1;
-                let preds = est[model].clone();
-                let BatchDecision {
-                    chosen,
-                    keep,
-                    shed,
-                    forced,
-                } = decide_batch(now_us, &batch.members, &preds);
-                let target = &targets[model];
-                let variant = target.variants[chosen].variant;
-                shared.push_log(
-                    now_us,
-                    ServeEventKind::BatchFormed {
-                        batch: batch_id,
-                        model,
-                        variant,
-                        members: batch.members.iter().map(|m| m.id).collect(),
-                        oldest_wait_us: batch.oldest_wait_us,
-                        vtime: batch.vtime.clone(),
-                        backlogged: batch.backlogged.clone(),
-                    },
-                );
-                if chosen != 0 {
-                    degraded_batches += 1;
-                    for m in keep.iter().filter(|m| forced.contains(&m.id)) {
-                        shared.push_log(
-                            now_us,
-                            ServeEventKind::Degraded {
-                                req: m.id,
-                                tenant: m.tenant,
-                                batch: batch_id,
-                                from: PlanVariant::Hybrid,
-                                to: variant,
-                            },
-                        );
-                        shared.sink("degraded", m.tenant, now_us);
-                        flight::instant(SpanKind::Degrade, m.tenant as u32, m.id);
-                    }
-                }
-                for m in &shed {
-                    shared.push_log(
-                        now_us,
-                        ServeEventKind::Shed {
-                            req: m.id,
-                            tenant: m.tenant,
-                            reason: RejectReason::DeadlineUnmeetable,
-                        },
-                    );
-                    shared.sink("shed", m.tenant, now_us);
-                    flight::instant(SpanKind::Shed, m.tenant as u32, m.id);
-                    shared
-                        .admission
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .release(m.tenant);
-                }
-                flight::end(span);
-                if keep.is_empty() {
-                    continue;
-                }
-                let inputs: Vec<Tensor> = keep
-                    .iter()
-                    .map(|m| target.inputs[(m.id % target.inputs.len() as u64) as usize].clone())
-                    .collect();
-                let exec_start = Instant::now();
-                let result = Executor::new(&target.tiny)
-                    .map_err(|e| e.to_string())
-                    .and_then(|exec| {
-                        exec.batch_execute(&target.variants[chosen].tiny_plan, &inputs)
-                            .map_err(|e| e.to_string())
-                    });
-                let service_us = exec_start.elapsed().as_secs_f64() * 1e6;
-                // EWMA the measured per-request cost into the estimate.
-                let per_req = service_us / batch_factor(keep.len());
-                est[model][chosen] = 0.7 * est[model][chosen] + 0.3 * per_req;
-                shared.sink("batch_dispatched", keep[0].tenant, now_us);
-                let done_us = t0.elapsed().as_secs_f64() * 1e6;
-                match result {
-                    Ok(outcomes) => {
-                        for (m, outcome) in keep.iter().zip(outcomes.iter()) {
-                            let slot = (m.id % target.inputs.len() as u64) as usize;
-                            let ok = outcome.output.approx_eq(&target.refs[chosen][slot], 0.0);
-                            shared
-                                .admission
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                .release(m.tenant);
-                            if ok {
-                                shared.push_log(
-                                    done_us,
-                                    ServeEventKind::Completed {
-                                        req: m.id,
-                                        tenant: m.tenant,
-                                        batch: batch_id,
-                                        latency_us: done_us - m.arrival_us,
-                                        deadline_us: m.deadline_us,
-                                        degraded: chosen != 0,
-                                    },
-                                );
-                                shared.sink("completed", m.tenant, done_us);
-                            } else {
-                                bitwise_failures.push(format!(
-                                    "{} batch {batch_id} req {}: output diverged from the \
-                                     fault-free {} reference",
-                                    target.kind,
-                                    m.id,
-                                    variant.name()
-                                ));
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        for m in &keep {
-                            shared
-                                .admission
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                .release(m.tenant);
-                        }
-                        bitwise_failures.push(format!("{} batch {batch_id}: {e}", target.kind));
-                    }
-                }
-            }
-            high_water_batcher = high_water_batcher.max(batcher.high_water());
-            if stopping && shared.queue.is_empty() && batcher.depth() == 0 {
-                break;
-            }
-        }
+        dispatch_loop(&state, &work, &closed, t0, config.duration_ms as f64 * 1e3);
     });
-
-    let log = shared
-        .log
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let high_water = shared.queue.high_water().max(high_water_batcher);
-    Ok(report_from_log(
-        config,
-        &targets,
-        log,
-        bitwise_failures,
-        batches,
-        degraded_batches,
-        high_water,
-        &weights,
-    ))
-}
-
-/// Derives the shared report shape from a wall-clock admission log.
-#[allow(clippy::too_many_arguments)]
-fn report_from_log(
-    config: &ServeConfig,
-    targets: &[crate::siege::ModelTarget],
-    log: AdmissionLog,
-    bitwise_failures: Vec<String>,
-    batches: usize,
-    degraded_batches: usize,
-    high_water: usize,
-    weights: &[f64],
-) -> SiegeReport {
-    let n = config.tenants.len();
-    let mut arrived = vec![0usize; n];
-    let mut admitted = vec![0usize; n];
-    let mut rejected = vec![0usize; n];
-    let mut shed = vec![0usize; n];
-    let mut completed = vec![0usize; n];
-    let mut degraded = vec![0usize; n];
-    let mut latencies: Vec<Vec<f64>> = vec![Vec::new(); n];
-    for ServeEvent { kind, .. } in &log.events {
-        match kind {
-            ServeEventKind::Arrived { tenant, .. } => arrived[*tenant] += 1,
-            ServeEventKind::Admitted { tenant, .. } => admitted[*tenant] += 1,
-            ServeEventKind::Rejected { tenant, .. } => rejected[*tenant] += 1,
-            ServeEventKind::Shed { tenant, .. } => shed[*tenant] += 1,
-            ServeEventKind::Degraded { tenant, .. } => degraded[*tenant] += 1,
-            ServeEventKind::Completed {
-                tenant, latency_us, ..
-            } => {
-                completed[*tenant] += 1;
-                latencies[*tenant].push(*latency_us);
-            }
-            _ => {}
-        }
-    }
-    let duration_s = (config.duration_ms as f64 / 1e3).max(1e-9);
-    let tenants: Vec<TenantStats> = (0..n)
-        .map(|t| TenantStats {
-            name: config.tenants[t].tenant.name.clone(),
-            weight: weights[t],
-            arrived: arrived[t],
-            admitted: admitted[t],
-            rejected: rejected[t],
-            shed: shed[t],
-            completed: completed[t],
-            failed: admitted[t]
-                .saturating_sub(shed[t])
-                .saturating_sub(completed[t]),
-            degraded: degraded[t],
-            p50_us: crate::siege::percentile_us(&latencies[t], 0.50),
-            p99_us: crate::siege::percentile_us(&latencies[t], 0.99),
-            p999_us: crate::siege::percentile_us(&latencies[t], 0.999),
-            goodput_rps: completed[t] as f64 / duration_s,
-        })
-        .collect();
-    let admitted_total: usize = admitted.iter().sum();
-    let shed_total: usize = shed.iter().sum();
-    let completed_total: usize = completed.iter().sum();
-    let servable = admitted_total.saturating_sub(shed_total);
-    let normalized: Vec<f64> = tenants
-        .iter()
-        .filter(|t| t.completed > 0)
-        .map(|t| t.goodput_rps / t.weight)
-        .collect();
-    SiegeReport {
-        models: targets
-            .iter()
-            .map(|t| ModelStats {
-                name: t.kind.to_string(),
-                variants: t
-                    .variants
-                    .iter()
-                    .map(|v| (v.variant.name().to_string(), v.predicted_us))
-                    .collect(),
-            })
-            .collect(),
-        tenants,
-        batches,
-        degraded_batches,
-        survival: if servable == 0 {
-            1.0
-        } else {
-            completed_total as f64 / servable as f64
-        },
-        shed_rate: if admitted_total == 0 {
-            0.0
-        } else {
-            shed_total as f64 / admitted_total as f64
-        },
-        fairness_spread: if normalized.len() < 2 {
-            1.0
-        } else {
-            normalized.iter().copied().fold(f64::MIN, f64::max)
-                / normalized.iter().copied().fold(f64::MAX, f64::min)
-        },
-        high_water,
-        queue_capacity: config.queue_capacity,
-        max_batch: config.policy.max_batch,
-        weights: weights.to_vec(),
-        lost: servable.saturating_sub(completed_total),
-        bitwise_failures,
-        log,
-    }
+    let dispatcher = state.into_inner().expect(POISONED);
+    Ok(dispatcher.report(config.duration_ms as f64 / 1e3))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::{RejectReason, ServeEventKind};
 
     #[test]
     fn short_realtime_session_serves_and_accounts() {
@@ -648,5 +275,57 @@ mod tests {
         assert!(admitted > 0, "the session admitted work: {report:?}");
         assert!((report.survival - 1.0).abs() < 1e-12);
         assert!(report.high_water <= report.queue_capacity);
+    }
+
+    #[test]
+    fn queue_capacity_bounds_admitted_but_unbatched_requests() {
+        let mut cfg = ServeConfig::demo(1, 300);
+        cfg.queue_capacity = 1;
+        let report = run_server(&cfg, None).unwrap();
+        let (mut unbatched, mut worst) = (0usize, 0usize);
+        for event in &report.log.events {
+            match &event.kind {
+                ServeEventKind::Admitted { .. } => unbatched += 1,
+                ServeEventKind::BatchFormed { members, .. } => unbatched -= members.len(),
+                _ => {}
+            }
+            worst = worst.max(unbatched);
+        }
+        assert!(worst <= 1, "{worst} admitted requests waited unbatched");
+        assert!(report.gate_clean(), "{:?}", report.tenants);
+    }
+
+    #[test]
+    fn unmeetable_slo_is_refused_at_admission_not_shed() {
+        // A zero SLO sits below every rung's estimate: the feasibility
+        // check must refuse each such request before it is admitted.
+        let mut cfg = ServeConfig::demo(5, 150);
+        cfg.models = vec![ModelKind::Fcnn];
+        cfg.tenants[1].slo_us = Some(0.0);
+        let report = run_server(&cfg, None).unwrap();
+        let tight = &report.tenants[1];
+        let refused = report
+            .log
+            .events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    ServeEventKind::Rejected {
+                        tenant: 1,
+                        reason: RejectReason::DeadlineUnmeetable,
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert!(tight.arrived > 0, "{tight:?}");
+        assert_eq!(refused, tight.arrived, "{tight:?}");
+        assert_eq!((tight.admitted, tight.shed), (0, 0));
+        assert!(
+            report.tenants[0].completed > 0,
+            "the other tenant is served"
+        );
+        assert!(report.gate_clean(), "{:?}", report.tenants);
     }
 }

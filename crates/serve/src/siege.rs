@@ -1,18 +1,20 @@
 //! `edgenn siege`: the deterministic, fault-injected load gate.
 //!
 //! A seeded closed+open-loop multi-tenant load generator drives the
-//! full serving pipeline — admission, bounded pending set, weighted-
-//! fair dynamic batching, SLO degradation — in **virtual time**: every
-//! arrival gap, model pick, and fault plan comes from the seed, and the
-//! engine is a single resource whose service time is the tuner's
-//! analytic prediction scaled by batch size. The same `(config, seed)`
-//! therefore always produces the identical admission log, which is what
-//! lets the EC07x checker verify every decision after the fact and CI
-//! diff runs across machines.
+//! serving pipeline — the same dispatcher (`crate::dispatch`) that
+//! `edgenn serve` runs — in **virtual time**. This module owns only the
+//! event heap, the arrival generators and the closed-loop reissue:
+//! every arrival gap, model pick, and fault plan comes from the seed,
+//! and the engine is a single resource whose service time is the
+//! tuner's analytic prediction scaled by batch size (the dispatcher's
+//! estimate table stays at those predictions). The same
+//! `(config, seed)` therefore always produces the identical admission
+//! log, which is what lets the EC07x checker verify every decision
+//! after the fact and CI diff runs across machines.
 //!
 //! What is *not* simulated: every formed batch also executes **for
 //! real** on a tiny-scale twin of its model through
-//! `Executor::batch_execute`, with the PR 4 fault injector armed from a
+//! `Executor::batch_execute`, with the fault injector armed from a
 //! per-batch seed, and each output must reproduce the fault-free
 //! reference **bitwise** (`approx_eq(_, 0.0)`). Survival is counted
 //! over admitted requests: every one must either complete bitwise-
@@ -21,33 +23,22 @@
 //!
 //! Service-time model: a batch of `n` requests occupies the engine for
 //! `predicted_us * (1 + 0.9 (n-1))` — near-linear cost with a 10%
-//! coalescing saving per extra member, the pool-amortization benefit
-//! `batch_execute` measures in `bench_serve`.
+//! coalescing saving per extra member.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use edgenn_core::plan::{ExecutionConfig, ExecutionPlan};
-use edgenn_core::runtime::functional::{self, Executor, FaultInjector};
-use edgenn_core::runtime::Runtime;
-use edgenn_core::tuner::Tuner;
-use edgenn_nn::graph::Graph;
-use edgenn_nn::models::{build, ModelKind, ModelScale};
-use edgenn_obs::flight::{self, SpanKind};
-use edgenn_obs::{EventSink, Recorder, SinkEvent};
-use edgenn_sim::{FaultPlan, Platform};
-use edgenn_tensor::Tensor;
+use edgenn_nn::models::ModelKind;
+use edgenn_obs::Recorder;
+use edgenn_sim::Platform;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::{Map, Value};
 
-use crate::admission::{AdmissionController, TenantConfig};
-use crate::batcher::{BatchPolicy, Batcher, PlanVariant, Request};
-use crate::events::{AdmissionLog, RejectReason, ServeEventKind};
-
-/// How many distinct input tensors each model's request stream cycles
-/// through (slot = request id mod pool).
-const INPUT_POOL: usize = 4;
+use crate::admission::TenantConfig;
+use crate::batcher::BatchPolicy;
+use crate::dispatch::Dispatcher;
+use crate::events::AdmissionLog;
 
 /// How one tenant generates load.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -338,189 +329,6 @@ impl SiegeReport {
     }
 }
 
-/// One executable rung of a model's plan ladder.
-pub(crate) struct VariantTarget {
-    pub(crate) variant: PlanVariant,
-    pub(crate) tiny_plan: ExecutionPlan,
-    /// Paper-scale analytic latency: the SLO-math currency.
-    pub(crate) predicted_us: f64,
-}
-
-/// One catalog model: tiny functional twin, plan ladder, input pool,
-/// and per-(variant, slot) fault-free references.
-pub(crate) struct ModelTarget {
-    pub(crate) kind: ModelKind,
-    pub(crate) tiny: Graph,
-    pub(crate) variants: Vec<VariantTarget>,
-    pub(crate) inputs: Vec<Tensor>,
-    pub(crate) refs: Vec<Vec<Tensor>>,
-}
-
-fn make_variant(
-    runtime: &Runtime<'_>,
-    paper: &Graph,
-    tiny: &Graph,
-    config: ExecutionConfig,
-    variant: PlanVariant,
-) -> Result<VariantTarget, String> {
-    let tuner = Tuner::new(paper, runtime).map_err(|e| e.to_string())?;
-    let plan = tuner
-        .plan(paper, runtime, config)
-        .map_err(|e| e.to_string())?;
-    let predicted_us = runtime
-        .simulate(paper, &plan)
-        .map_err(|e| e.to_string())?
-        .total_us;
-    let tiny_tuner = Tuner::new(tiny, runtime).map_err(|e| e.to_string())?;
-    let tiny_plan = tiny_tuner
-        .plan(tiny, runtime, config)
-        .map_err(|e| e.to_string())?;
-    Ok(VariantTarget {
-        variant,
-        tiny_plan,
-        predicted_us,
-    })
-}
-
-pub(crate) fn build_targets(
-    models: &[ModelKind],
-    platform: &Platform,
-    seed: u64,
-) -> Result<Vec<ModelTarget>, String> {
-    let runtime = Runtime::new(platform);
-    let has_gpu = platform.has_gpu();
-    let mut targets = Vec::with_capacity(models.len());
-    for (ordinal, kind) in models.iter().enumerate() {
-        let paper = build(*kind, ModelScale::Paper);
-        let tiny = build(*kind, ModelScale::Tiny);
-        let mut variants = Vec::new();
-        let hybrid_cfg = if has_gpu {
-            ExecutionConfig::edgenn()
-        } else {
-            ExecutionConfig::cpu_only()
-        };
-        variants.push(make_variant(
-            &runtime,
-            &paper,
-            &tiny,
-            hybrid_cfg,
-            PlanVariant::Hybrid,
-        )?);
-        if has_gpu {
-            // Single-processor rung: whichever of GPU-only / CPU-only
-            // the analytic model prices faster for this model.
-            let gpu = make_variant(
-                &runtime,
-                &paper,
-                &tiny,
-                ExecutionConfig::baseline_gpu(),
-                PlanVariant::Single,
-            )?;
-            let cpu = make_variant(
-                &runtime,
-                &paper,
-                &tiny,
-                ExecutionConfig::cpu_only(),
-                PlanVariant::Single,
-            )?;
-            variants.push(if gpu.predicted_us <= cpu.predicted_us {
-                gpu
-            } else {
-                cpu
-            });
-            // Int8 rung: only where the model's layers make
-            // quantization worthwhile (tiny shapes often do not).
-            if tiny.nodes().iter().any(|n| n.layer().int8_worthwhile()) {
-                variants.push(make_variant(
-                    &runtime,
-                    &paper,
-                    &tiny,
-                    ExecutionConfig::edgenn_int8(),
-                    PlanVariant::Int8,
-                )?);
-            }
-        }
-        let inputs: Vec<Tensor> = (0..INPUT_POOL)
-            .map(|slot| {
-                Tensor::random(
-                    tiny.input_shape().dims(),
-                    1.0,
-                    seed.wrapping_add((ordinal as u64) << 32)
-                        .wrapping_add(slot as u64),
-                )
-            })
-            .collect();
-        let mut refs = Vec::with_capacity(variants.len());
-        for vt in &variants {
-            let mut per_slot = Vec::with_capacity(INPUT_POOL);
-            for input in &inputs {
-                let outcome = functional::execute(&tiny, &vt.tiny_plan, input)
-                    .map_err(|e| format!("{kind} reference: {e}"))?;
-                per_slot.push(outcome.output);
-            }
-            refs.push(per_slot);
-        }
-        targets.push(ModelTarget {
-            kind: *kind,
-            tiny,
-            variants,
-            inputs,
-            refs,
-        });
-    }
-    Ok(targets)
-}
-
-/// Batch service-time scaling: near-linear with a 10% coalescing
-/// saving per member past the first.
-pub(crate) fn batch_factor(n: usize) -> f64 {
-    1.0 + 0.9 * (n as f64 - 1.0)
-}
-
-/// The SLO guard's per-batch decision.
-pub(crate) struct BatchDecision {
-    /// Ladder index of the rung the batch runs (0 = hybrid).
-    pub(crate) chosen: usize,
-    /// Members riding the batch.
-    pub(crate) keep: Vec<Request>,
-    /// Members no rung could save (shed with `deadline_unmeetable`).
-    pub(crate) shed: Vec<Request>,
-    /// Ids of kept members whose deadline the hybrid rung would miss —
-    /// the requests that forced the downgrade.
-    pub(crate) forced: Vec<u64>,
-}
-
-/// Decides which ladder rung a batch runs: the best-quality rung
-/// meeting every surviving deadline, shedding only members even the
-/// fastest rung cannot save. `preds` is the per-rung service estimate
-/// in ladder (quality) order, hybrid first.
-pub(crate) fn decide_batch(now: f64, members: &[Request], preds: &[f64]) -> BatchDecision {
-    let factor = batch_factor(members.len());
-    let fits = |variant: usize, m: &Request| {
-        m.deadline_us
-            .is_none_or(|d| now + preds[variant] * factor <= d)
-    };
-    let fastest = (0..preds.len())
-        .min_by(|&a, &b| preds[a].total_cmp(&preds[b]))
-        .expect("ladder non-empty");
-    let (keep, shed): (Vec<Request>, Vec<Request>) =
-        members.iter().cloned().partition(|m| fits(fastest, m));
-    let chosen = (0..preds.len())
-        .find(|&v| keep.iter().all(|m| fits(v, m)))
-        .unwrap_or(fastest);
-    let forced = if chosen == 0 {
-        Vec::new()
-    } else {
-        keep.iter().filter(|m| !fits(0, m)).map(|m| m.id).collect()
-    };
-    BatchDecision {
-        chosen,
-        keep,
-        shed,
-        forced,
-    }
-}
-
 /// Virtual-time event kinds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Ev {
@@ -556,368 +364,45 @@ impl Ord for QEv {
     }
 }
 
-/// Per-tenant mutable run state.
-struct TenantRun {
-    rng: StdRng,
-    latencies: Vec<f64>,
-    arrived: usize,
-    admitted: usize,
-    rejected: usize,
-    shed: usize,
-    completed: usize,
-    failed: usize,
-    degraded: usize,
-}
-
-/// A dispatched batch occupying the engine until `finish`.
-struct InFlight {
-    done: Vec<(Request, bool)>,
-    batch: u64,
-    degraded: bool,
-}
-
-struct Sim<'a> {
-    cfg: &'a SiegeConfig,
-    targets: Vec<ModelTarget>,
-    admission: AdmissionController,
-    batcher: Batcher,
-    log: AdmissionLog,
+/// The virtual-time event heap.
+#[derive(Default)]
+struct Agenda {
     heap: BinaryHeap<Reverse<QEv>>,
     seq: u64,
-    next_req: u64,
-    next_batch: u64,
-    engine_free_at: f64,
-    inflight: Option<InFlight>,
-    runs: Vec<TenantRun>,
-    bitwise_failures: Vec<String>,
-    batches: usize,
-    degraded_batches: usize,
-    observer: Option<&'a Recorder>,
 }
 
-impl Sim<'_> {
+impl Agenda {
     fn schedule(&mut self, t: f64, ev: Ev) {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Reverse(QEv { t, seq, ev }));
     }
 
-    fn sink(&self, decision: &'static str, tenant: usize, t_us: f64) {
-        if let Some(obs) = self.observer {
-            obs.emit(SinkEvent::Serve {
-                decision,
-                tenant: tenant as u32,
-                t_us,
-            });
+    /// Schedules `tenant`'s next arrival at `t` unless it falls past the
+    /// arrival horizon.
+    fn arrival(&mut self, t: f64, tenant: usize, horizon_us: f64) {
+        if t <= horizon_us {
+            self.schedule(t, Ev::Arrival { tenant });
         }
     }
 
-    /// Exponential inter-arrival gap (us) for an open-loop tenant.
-    fn poisson_gap(rng: &mut StdRng, rate_rps: f64) -> f64 {
-        let u: f64 = rng.gen_range(0.0..1.0);
-        -(1.0 - u).ln() * 1e6 / rate_rps.max(1e-9)
-    }
-
-    fn reject(&mut self, now: f64, id: u64, tenant: usize, reason: RejectReason, retry: f64) {
-        self.log.push(
-            now,
-            ServeEventKind::Rejected {
-                req: id,
-                tenant,
-                reason,
-                retry_after_us: retry,
-            },
-        );
-        self.sink("rejected", tenant, now);
-        flight::instant(SpanKind::Admission, tenant as u32, 0);
-        self.runs[tenant].rejected += 1;
-    }
-
-    /// Processes one request arrival; returns `(admitted, retry_hint)`.
-    fn handle_arrival(&mut self, now: f64, tenant: usize) -> (bool, f64) {
-        let load = &self.cfg.tenants[tenant];
-        let model = {
-            let rng = &mut self.runs[tenant].rng;
-            if load.models.is_empty() {
-                rng.gen_range(0..self.targets.len())
-            } else {
-                load.models[rng.gen_range(0..load.models.len())]
-            }
-        };
-        let id = self.next_req;
-        self.next_req += 1;
-        self.runs[tenant].arrived += 1;
-        let deadline = load.slo_us.map(|s| now + s);
-        self.log.push(
-            now,
-            ServeEventKind::Arrived {
-                req: id,
-                tenant,
-                model,
-            },
-        );
-
-        let target = &self.targets[model];
-        let hybrid_pred = target.variants[0].predicted_us;
-        let fastest_pred = target
-            .variants
-            .iter()
-            .map(|v| v.predicted_us)
-            .fold(f64::INFINITY, f64::min);
-        let depth = self.batcher.depth();
-
-        // Decision order (the checker replays the same order):
-        // queue bound, then deadline feasibility, then per-tenant
-        // rate/in-flight. A full queue never charges the token bucket.
-        if depth >= self.cfg.queue_capacity {
-            let hint = hybrid_pred * depth as f64;
-            self.reject(now, id, tenant, RejectReason::QueueFull, hint);
-            return (false, hint);
-        }
-        let est_wait = (self.engine_free_at - now).max(0.0) + hybrid_pred * depth as f64;
-        let unmeetable = deadline.is_some_and(|d| now + est_wait + fastest_pred > d);
-        if unmeetable {
-            self.reject(now, id, tenant, RejectReason::DeadlineUnmeetable, est_wait);
-            return (false, est_wait);
-        }
-        if let Err((reason, retry)) = self.admission.admit(tenant, now) {
-            self.reject(now, id, tenant, reason, retry);
-            return (false, retry);
-        }
-        self.log
-            .push(now, ServeEventKind::Admitted { req: id, tenant });
-        self.sink("admitted", tenant, now);
-        flight::instant(SpanKind::Admission, tenant as u32, 1);
-        self.runs[tenant].admitted += 1;
-        let req = Request {
-            id,
-            tenant,
-            model,
-            arrival_us: now,
-            deadline_us: deadline,
-        };
-        let depth = self
-            .batcher
-            .push(req, now)
-            .expect("depth checked against capacity above");
-        self.log.push(
-            now,
-            ServeEventKind::Enqueued {
-                req: id,
-                tenant,
-                model,
-                depth,
-            },
-        );
-        (true, 0.0)
-    }
-
-    /// Dispatches ready batches while the engine is free; otherwise
-    /// parks a timer on the batcher's next max-delay expiry.
-    fn try_dispatch(&mut self, now: f64) {
-        while self.inflight.is_none() {
-            let Some(model) = self.batcher.ready(now) else {
-                if self.batcher.depth() > 0 {
-                    if let Some(expiry) = self.batcher.next_expiry() {
-                        self.schedule(expiry.max(now), Ev::BatchTimer);
-                    }
-                }
-                return;
-            };
-            self.dispatch(now, model);
+    /// A closed-loop tenant issues its next request `think_us` after a
+    /// response (or shed); open-loop tenants do not wait for responses.
+    fn reissue(&mut self, now: f64, tenant: usize, config: &SiegeConfig) {
+        if let LoadMode::Closed { think_us, .. } = config.tenants[tenant].mode {
+            self.arrival(now + think_us.max(1.0), tenant, config.duration_us);
         }
     }
 
-    fn dispatch(&mut self, now: f64, model: usize) {
-        let span = flight::begin(SpanKind::BatchForm, model as u32);
-        let batch = self.batcher.form(model, now);
-        let batch_id = self.next_batch;
-        self.next_batch += 1;
-
-        let preds: Vec<f64> = self.targets[model]
-            .variants
-            .iter()
-            .map(|v| v.predicted_us)
-            .collect();
-        let BatchDecision {
-            chosen,
-            keep,
-            shed,
-            forced,
-        } = decide_batch(now, &batch.members, &preds);
-        let variant = self.targets[model].variants[chosen].variant;
-        let degraded = chosen != 0;
-
-        self.log.push(
-            now,
-            ServeEventKind::BatchFormed {
-                batch: batch_id,
-                model,
-                variant,
-                members: batch.members.iter().map(|m| m.id).collect(),
-                oldest_wait_us: batch.oldest_wait_us,
-                vtime: batch.vtime.clone(),
-                backlogged: batch.backlogged.clone(),
-            },
-        );
-        self.batches += 1;
-        if degraded {
-            self.degraded_batches += 1;
-            for m in keep.iter().filter(|m| forced.contains(&m.id)) {
-                self.log.push(
-                    now,
-                    ServeEventKind::Degraded {
-                        req: m.id,
-                        tenant: m.tenant,
-                        batch: batch_id,
-                        from: PlanVariant::Hybrid,
-                        to: variant,
-                    },
-                );
-                self.sink("degraded", m.tenant, now);
-                flight::instant(SpanKind::Degrade, m.tenant as u32, m.id);
-                self.runs[m.tenant].degraded += 1;
-            }
-        }
-        for m in &shed {
-            self.log.push(
-                now,
-                ServeEventKind::Shed {
-                    req: m.id,
-                    tenant: m.tenant,
-                    reason: RejectReason::DeadlineUnmeetable,
-                },
-            );
-            self.sink("shed", m.tenant, now);
-            flight::instant(SpanKind::Shed, m.tenant as u32, m.id);
-            self.admission.release(m.tenant);
-            self.runs[m.tenant].shed += 1;
-            self.reissue_closed(now, m.tenant);
-        }
-        flight::end(span);
-        if keep.is_empty() {
-            return;
-        }
-
-        // The real execution: tiny twin, per-batch fault plan, bitwise
-        // gate against the fault-free reference.
-        let target = &self.targets[model];
-        let inputs: Vec<Tensor> = keep
-            .iter()
-            .map(|m| target.inputs[(m.id % INPUT_POOL as u64) as usize].clone())
-            .collect();
-        let done: Vec<(Request, bool)> = match Executor::new(&target.tiny) {
-            Ok(exec) => {
-                let exec = if self.cfg.faults {
-                    let plan = FaultPlan::from_seed(
-                        self.cfg
-                            .seed
-                            .wrapping_add(batch_id.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                        target.tiny.len(),
-                    );
-                    exec.with_faults(FaultInjector::from_plan(
-                        &plan,
-                        target.tiny.len(),
-                        self.cfg.max_retries,
-                    ))
-                } else {
-                    exec
-                };
-                match exec.batch_execute(&target.variants[chosen].tiny_plan, &inputs) {
-                    Ok(outcomes) => keep
-                        .iter()
-                        .zip(outcomes.iter())
-                        .map(|(m, outcome)| {
-                            let slot = (m.id % INPUT_POOL as u64) as usize;
-                            let ok = outcome.output.approx_eq(&target.refs[chosen][slot], 0.0);
-                            if !ok {
-                                self.bitwise_failures.push(format!(
-                                    "{} batch {batch_id} req {}: output diverged from the \
-                                     fault-free {} reference",
-                                    target.kind,
-                                    m.id,
-                                    variant.name()
-                                ));
-                            }
-                            (m.clone(), ok)
-                        })
-                        .collect(),
-                    Err(e) => {
-                        self.bitwise_failures.push(format!(
-                            "{} batch {batch_id}: functional execution failed: {e}",
-                            target.kind
-                        ));
-                        keep.iter().map(|m| (m.clone(), false)).collect()
-                    }
-                }
-            }
-            Err(e) => {
-                self.bitwise_failures
-                    .push(format!("{} executor: {e}", target.kind));
-                keep.iter().map(|m| (m.clone(), false)).collect()
-            }
-        };
-
-        let service_us = preds[chosen] * batch_factor(done.len());
-        self.engine_free_at = now + service_us;
-        self.inflight = Some(InFlight {
-            done,
-            batch: batch_id,
-            degraded,
-        });
-        self.sink("batch_dispatched", keep[0].tenant, now);
-        self.schedule(self.engine_free_at, Ev::EngineFree);
-    }
-
-    /// A closed-loop tenant issues its next request after `think_us`.
-    fn reissue_closed(&mut self, now: f64, tenant: usize) {
-        if let LoadMode::Closed { think_us, .. } = self.cfg.tenants[tenant].mode {
-            let next = now + think_us.max(1.0);
-            if next <= self.cfg.duration_us {
-                self.schedule(next, Ev::Arrival { tenant });
-            }
-        }
-    }
-
-    fn complete(&mut self, now: f64) {
-        let Some(fl) = self.inflight.take() else {
-            return;
-        };
-        for (req, ok) in fl.done {
-            self.admission.release(req.tenant);
-            if ok {
-                let latency = now - req.arrival_us;
-                self.log.push(
-                    now,
-                    ServeEventKind::Completed {
-                        req: req.id,
-                        tenant: req.tenant,
-                        batch: fl.batch,
-                        latency_us: latency,
-                        deadline_us: req.deadline_us,
-                        degraded: fl.degraded,
-                    },
-                );
-                self.sink("completed", req.tenant, now);
-                self.runs[req.tenant].completed += 1;
-                self.runs[req.tenant].latencies.push(latency);
-            } else {
-                self.runs[req.tenant].failed += 1;
-            }
-            self.reissue_closed(now, req.tenant);
-        }
+    fn pop(&mut self) -> Option<(f64, Ev)> {
+        self.heap.pop().map(|Reverse(q)| (q.t, q.ev))
     }
 }
 
-/// Nearest-rank percentile over an unsorted latency sample.
-pub(crate) fn percentile_us(latencies: &[f64], p: f64) -> f64 {
-    if latencies.is_empty() {
-        return f64::NAN;
-    }
-    let mut sorted = latencies.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((sorted.len() as f64) * p).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+/// Exponential inter-arrival gap (us) for an open-loop tenant.
+fn poisson_gap(rng: &mut StdRng, rate_rps: f64) -> f64 {
+    let u: f64 = rng.gen_range(0.0..1.0);
+    -(1.0 - u).ln() * 1e6 / rate_rps.max(1e-9)
 }
 
 /// Runs one deterministic siege. Same config (including seed), same
@@ -933,192 +418,99 @@ pub(crate) fn percentile_us(latencies: &[f64], p: f64) -> f64 {
 /// errored, so the gate can print per-tenant evidence before exiting
 /// non-zero.
 pub fn run_siege(config: &SiegeConfig, observer: Option<&Recorder>) -> Result<SiegeReport, String> {
-    if config.tenants.is_empty() {
-        return Err("siege needs at least one tenant".to_string());
-    }
-    if config.models.is_empty() {
-        return Err("siege needs at least one model".to_string());
-    }
-    for load in &config.tenants {
-        if let Some(&bad) = load.models.iter().find(|&&m| m >= config.models.len()) {
-            return Err(format!(
-                "tenant {} references model index {bad} outside the catalog",
-                load.tenant.name
-            ));
-        }
-    }
-    let targets = build_targets(&config.models, &config.platform, config.seed)?;
-    let tenant_configs: Vec<TenantConfig> =
-        config.tenants.iter().map(|l| l.tenant.clone()).collect();
-    let weights: Vec<f64> = tenant_configs.iter().map(|t| t.weight).collect();
-    let mut sim = Sim {
-        cfg: config,
-        admission: AdmissionController::new(&tenant_configs, 0.0),
-        batcher: Batcher::new(
-            config.policy,
-            config.queue_capacity,
-            &weights,
-            config.models.len(),
-        ),
-        targets,
-        log: AdmissionLog::default(),
-        heap: BinaryHeap::new(),
-        seq: 0,
-        next_req: 0,
-        next_batch: 0,
-        engine_free_at: 0.0,
-        inflight: None,
-        runs: (0..config.tenants.len())
-            .map(|t| TenantRun {
-                rng: StdRng::seed_from_u64(config.seed.wrapping_add(0x51E6 + t as u64 * 7919)),
-                latencies: Vec::new(),
-                arrived: 0,
-                admitted: 0,
-                rejected: 0,
-                shed: 0,
-                completed: 0,
-                failed: 0,
-                degraded: 0,
-            })
-            .collect(),
-        bitwise_failures: Vec::new(),
-        batches: 0,
-        degraded_batches: 0,
+    let mut dispatcher = Dispatcher::new(
+        &config.tenants,
+        &config.models,
+        &config.platform,
+        config.seed,
+        config.queue_capacity,
+        config.policy,
         observer,
-    };
-
-    // Seed the arrival processes.
+    )?;
+    let faults = config.faults.then_some((config.seed, config.max_retries));
+    let horizon = config.duration_us;
+    let mut rngs: Vec<StdRng> = (0..config.tenants.len())
+        .map(|t| StdRng::seed_from_u64(config.seed.wrapping_add(0x51E6 + t as u64 * 7919)))
+        .collect();
+    let mut agenda = Agenda::default();
     for (t, load) in config.tenants.iter().enumerate() {
         match load.mode {
             LoadMode::Open { rate_rps } => {
-                let gap = Sim::poisson_gap(&mut sim.runs[t].rng, rate_rps);
-                if gap <= config.duration_us {
-                    sim.schedule(gap, Ev::Arrival { tenant: t });
-                }
+                agenda.arrival(poisson_gap(&mut rngs[t], rate_rps), t, horizon);
             }
             LoadMode::Closed { concurrency, .. } => {
                 for k in 0..concurrency {
-                    sim.schedule(k as f64 * 1.0, Ev::Arrival { tenant: t });
+                    agenda.schedule(k as f64 * 1.0, Ev::Arrival { tenant: t });
                 }
             }
         }
     }
 
-    // The virtual-time main loop: arrivals, batch timers, engine
-    // completions — until everything drains.
-    while let Some(Reverse(qe)) = sim.heap.pop() {
-        let now = qe.t;
-        match qe.ev {
+    // The engine is one resource: at most one job in flight, finishing
+    // at its estimated `done_us`.
+    let mut inflight = None;
+    while let Some((now, ev)) = agenda.pop() {
+        match ev {
             Ev::Arrival { tenant } => {
-                let (admitted, retry_hint) = sim.handle_arrival(now, tenant);
-                match sim.cfg.tenants[tenant].mode {
+                let load = &config.tenants[tenant];
+                let rng = &mut rngs[tenant];
+                let model = if load.models.is_empty() {
+                    rng.gen_range(0..config.models.len())
+                } else {
+                    load.models[rng.gen_range(0..load.models.len())]
+                };
+                let admitted = dispatcher.arrive(now, tenant, model);
+                match load.mode {
                     LoadMode::Open { rate_rps } => {
-                        let gap = Sim::poisson_gap(&mut sim.runs[tenant].rng, rate_rps);
-                        let next = now + gap;
-                        if next <= sim.cfg.duration_us {
-                            sim.schedule(next, Ev::Arrival { tenant });
-                        }
+                        agenda.arrival(now + poisson_gap(rng, rate_rps), tenant, horizon);
                     }
+                    // A refused closed-loop client retries at the hinted
+                    // backoff; an admitted one reissues at completion (or
+                    // shed) plus think time.
                     LoadMode::Closed { .. } => {
-                        if !admitted {
-                            // A refused closed-loop client retries at the
-                            // hinted backoff; an admitted one reissues at
-                            // completion (or shed) plus think time.
-                            let next = now + retry_hint.clamp(1.0, 50_000.0);
-                            if next <= sim.cfg.duration_us {
-                                sim.schedule(next, Ev::Arrival { tenant });
-                            }
+                        if let Err(retry) = admitted {
+                            agenda.arrival(now + retry.clamp(1.0, 50_000.0), tenant, horizon);
                         }
                     }
                 }
             }
-            Ev::EngineFree => sim.complete(now),
+            Ev::EngineFree => {
+                if let Some((job, verdicts)) = inflight.take() {
+                    dispatcher.complete(now, &job, verdicts);
+                    for m in &job.keep {
+                        agenda.reissue(now, m.tenant, config);
+                    }
+                }
+            }
             Ev::BatchTimer => {}
         }
-        sim.try_dispatch(now);
+        // Dispatch ready batches while the engine is free; otherwise
+        // park a timer on the batcher's next max-delay expiry.
+        while inflight.is_none() {
+            let Some(job) = dispatcher.form(now) else {
+                if let Some(expiry) = dispatcher.next_expiry() {
+                    agenda.schedule(expiry.max(now), Ev::BatchTimer);
+                }
+                break;
+            };
+            for m in &job.shed {
+                agenda.reissue(now, m.tenant, config);
+            }
+            if job.keep.is_empty() {
+                continue;
+            }
+            let verdicts = job.execute(faults);
+            agenda.schedule(job.done_us, Ev::EngineFree);
+            inflight = Some((job, verdicts));
+        }
     }
-
-    // Assemble the report.
-    let duration_s = (config.duration_us / 1e6).max(1e-9);
-    let tenants: Vec<TenantStats> = config
-        .tenants
-        .iter()
-        .zip(sim.runs.iter())
-        .map(|(load, run)| TenantStats {
-            name: load.tenant.name.clone(),
-            weight: load.tenant.weight,
-            arrived: run.arrived,
-            admitted: run.admitted,
-            rejected: run.rejected,
-            shed: run.shed,
-            completed: run.completed,
-            failed: run.failed,
-            degraded: run.degraded,
-            p50_us: percentile_us(&run.latencies, 0.50),
-            p99_us: percentile_us(&run.latencies, 0.99),
-            p999_us: percentile_us(&run.latencies, 0.999),
-            goodput_rps: run.completed as f64 / duration_s,
-        })
-        .collect();
-    let admitted: usize = tenants.iter().map(|t| t.admitted).sum();
-    let shed: usize = tenants.iter().map(|t| t.shed).sum();
-    let completed: usize = tenants.iter().map(|t| t.completed).sum();
-    let servable = admitted.saturating_sub(shed);
-    let survival = if servable == 0 {
-        1.0
-    } else {
-        completed as f64 / servable as f64
-    };
-    let shed_rate = if admitted == 0 {
-        0.0
-    } else {
-        shed as f64 / admitted as f64
-    };
-    let normalized: Vec<f64> = tenants
-        .iter()
-        .filter(|t| t.completed > 0)
-        .map(|t| t.goodput_rps / t.weight)
-        .collect();
-    let fairness_spread = if normalized.len() < 2 {
-        1.0
-    } else {
-        let max = normalized.iter().copied().fold(f64::MIN, f64::max);
-        let min = normalized.iter().copied().fold(f64::MAX, f64::min);
-        max / min
-    };
-    let models = sim
-        .targets
-        .iter()
-        .map(|t| ModelStats {
-            name: t.kind.to_string(),
-            variants: t
-                .variants
-                .iter()
-                .map(|v| (v.variant.name().to_string(), v.predicted_us))
-                .collect(),
-        })
-        .collect();
-    Ok(SiegeReport {
-        tenants,
-        models,
-        batches: sim.batches,
-        degraded_batches: sim.degraded_batches,
-        survival,
-        shed_rate,
-        fairness_spread,
-        high_water: sim.batcher.high_water(),
-        queue_capacity: config.queue_capacity,
-        max_batch: config.policy.max_batch,
-        weights,
-        lost: servable.saturating_sub(completed),
-        bitwise_failures: sim.bitwise_failures,
-        log: sim.log,
-    })
+    Ok(dispatcher.report(config.duration_us / 1e6))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::{RejectReason, ServeEventKind};
 
     fn quick_config(seed: u64) -> SiegeConfig {
         let mut cfg = SiegeConfig::ci(seed);

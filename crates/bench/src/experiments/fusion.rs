@@ -7,7 +7,7 @@
 use edgenn_core::prelude::*;
 use edgenn_core::runtime::Runtime;
 use edgenn_core::Result;
-use edgenn_nn::graph::fuse_relu;
+use edgenn_nn::graph::{compile, CompileOptions};
 
 use crate::experiments::Lab;
 use crate::report::{Comparison, ExperimentReport};
@@ -22,9 +22,14 @@ pub fn ablation_fusion(lab: &Lab) -> Result<ExperimentReport> {
     let mut lenet_gain = 0.0;
     let mut vgg_gain = 0.0;
 
+    let fuse_only = CompileOptions {
+        fuse: true,
+        prepack_f32: false,
+        ..CompileOptions::prepack_only()
+    };
     for kind in ModelKind::ALL {
         let graph = lab.model(kind);
-        let fused = fuse_relu(&graph)?;
+        let (fused, _) = compile(&graph, &fuse_only)?;
 
         let run = |g: &edgenn_nn::graph::Graph| -> Result<f64> {
             let tuner = Tuner::new(g, &runtime)?;

@@ -24,6 +24,5 @@ pub mod calibrate;
 pub mod experiments;
 pub mod functional_bench;
 pub mod report;
-pub mod timing;
 
 pub use report::{Comparison, ExperimentReport};

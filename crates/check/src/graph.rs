@@ -265,10 +265,15 @@ mod tests {
 
     #[test]
     fn legal_fusions_pass() {
-        use edgenn_nn::graph::fuse_relu;
+        use edgenn_nn::graph::{compile, CompileOptions};
         use edgenn_nn::models::{build, ModelKind, ModelScale};
         let g = build(ModelKind::AlexNet, ModelScale::Tiny);
-        let fused = fuse_relu(&g).unwrap();
+        let fuse_only = CompileOptions {
+            fuse: true,
+            prepack_f32: false,
+            ..CompileOptions::prepack_only()
+        };
+        let (fused, _) = compile(&g, &fuse_only).unwrap();
         assert!(check_graph(&fused).is_empty());
     }
 

@@ -1557,12 +1557,12 @@ fn write_profile_trace(
     t0_ns: u64,
     graph: &edgenn_nn::graph::Graph,
 ) -> Result<(), String> {
-    use edgenn_obs::flight;
+    use edgenn_obs::{chrome, flight};
 
     let path = options.value("perfetto").expect("caller checked");
     let mut entries = edgenn_sim::chrome_trace_entries(predicted_events, &[]);
-    entries.push(process_name_entry(1, "simulated (analytic model)"));
-    entries.push(process_name_entry(3, "measured (flight recorder)"));
+    entries.push(chrome::process_name(1, "simulated (analytic model)"));
+    entries.push(chrome::process_name(3, "measured (flight recorder)"));
     let name_of = |n: u32| {
         graph.nodes().get(n as usize).map_or_else(
             || format!("n{n}"),
@@ -1592,18 +1592,6 @@ fn write_profile_trace(
         measured_spans
     );
     Ok(())
-}
-
-/// Chrome-trace metadata row labelling a process track.
-fn process_name_entry(pid: u64, name: &str) -> serde_json::Value {
-    let mut args = serde_json::Map::new();
-    args.insert("name", serde_json::Value::from(name));
-    let mut m = serde_json::Map::new();
-    m.insert("name", serde_json::Value::from("process_name"));
-    m.insert("ph", serde_json::Value::from("M"));
-    m.insert("pid", serde_json::Value::from(pid as f64));
-    m.insert("args", serde_json::Value::Object(args));
-    serde_json::Value::Object(m)
 }
 
 fn cmd_storm(options: &Options) -> Result<(), String> {

@@ -7,6 +7,7 @@ pub mod pool;
 pub mod resilience;
 pub mod sched_explore;
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use edgenn_nn::graph::{Graph, NodeId, Segment};
@@ -24,7 +25,7 @@ use crate::metrics::{InferenceReport, LayerTiming};
 use crate::plan::{Assignment, ExecutionPlan, HybridMode, MemoryPolicy};
 use crate::runtime::resilience::{FaultCtx, RecoveryEvent, ResilienceConfig, ResilientOutcome};
 use crate::{CoreError, Result};
-use edgenn_sim::{FaultClock, FaultKind, FaultPlan};
+use edgenn_sim::{FaultKind, FaultPlan};
 
 /// Maps a layer class to the simulator's operation class.
 pub fn op_class(class: LayerClass) -> OpClass {
@@ -218,14 +219,94 @@ impl<'a> Runtime<'a> {
         Ok((t_cpu, t_gpu))
     }
 
-    /// Simulates one inference under `plan`, producing the full report.
+    /// Simulates one inference under `plan`, producing the full report:
+    /// [`Runtime::simulate_with_faults`] under an empty fault plan and
+    /// the default resilience config.
     ///
     /// # Errors
     /// Fails on plan/graph mismatches, missing GPU, or workload errors.
     pub fn simulate(&self, graph: &Graph, plan: &ExecutionPlan) -> Result<InferenceReport> {
+        self.simulate_with_faults(
+            graph,
+            plan,
+            &FaultPlan::none(),
+            &ResilienceConfig::default(),
+        )
+        .map(|outcome| outcome.report)
+    }
+
+    /// Simulates one inference under `plan` while the environment
+    /// misbehaves per `faults`, recovering per `cfg`: failed kernels are
+    /// retried with exponential backoff and re-placed on the CPU on
+    /// exhaustion (a permanent loss re-tunes the remaining suffix to the
+    /// CPU-only plan), a burning deadline budget degrades the suffix to
+    /// a single-processor plan, and OOM pressure shrinks the footprint
+    /// (explicit → managed arrays) before execution.
+    ///
+    /// # Errors
+    /// Fails on plan/graph mismatches, workload errors, or a fault that
+    /// defeats every recovery path ([`CoreError::Unrecoverable`]).
+    pub fn simulate_with_faults(
+        &self,
+        graph: &Graph,
+        plan: &ExecutionPlan,
+        faults: &FaultPlan,
+        cfg: &ResilienceConfig,
+    ) -> Result<ResilientOutcome> {
         plan.validate(graph)?;
+        let mut ctx = FaultCtx::new(faults.clone(), *cfg);
+
+        // OOM pressure is a planning-time fault: if a co-tenant's
+        // reservation squeezes the plan's footprint out of DRAM, shrink
+        // it by converting explicit two-copy arrays to managed
+        // single-copy arrays (skipping input-split co-run outputs, whose
+        // semantics prescribe an explicit merge — EC012).
+        let mut effective = Cow::Borrowed(plan);
+        let reserved = ctx.clock.reserved_bytes(self.platform.dram_bytes);
+        if reserved > 0 && self.platform.dram_bytes > 0 {
+            self.emit(SinkEvent::Fault {
+                category: "faults_injected",
+                kind: FaultKind::OomPressure.to_string(),
+                label: format!("{reserved} bytes reserved"),
+                t_us: 0.0,
+            });
+            let budget = self.platform.dram_bytes - reserved;
+            let fp = crate::footprint::footprint(graph, &effective)?;
+            if fp.peak_bytes > budget {
+                // Under the pure AllExplicit policy the per-node alloc is
+                // ignored, so the shrink must also move the plan to the
+                // semantic-aware policy for the node conversions to bind.
+                let shrunk = effective.to_mut();
+                if shrunk.config.memory_policy != MemoryPolicy::AllManaged {
+                    for node_plan in &mut shrunk.nodes {
+                        node_plan.output_alloc =
+                            if matches!(node_plan.assignment, Assignment::SplitInput { .. }) {
+                                AllocStrategy::Explicit
+                            } else {
+                                AllocStrategy::Managed
+                            };
+                    }
+                    shrunk.config.memory_policy = MemoryPolicy::SemanticAware;
+                }
+                ctx.log.events.push(RecoveryEvent {
+                    t_us: 0.0,
+                    node: 0,
+                    cause: RecoveryCause::OomPressure,
+                    action: RecoveryAction::ShrinkFootprint,
+                    attempt: 0,
+                });
+                let shrunk = crate::footprint::footprint(graph, &effective)?;
+                if shrunk.peak_bytes > budget {
+                    return Err(CoreError::Unrecoverable {
+                        node: 0,
+                        kind: FaultKind::OomPressure,
+                    });
+                }
+            }
+        }
+
         let mut timeline = self.new_timeline();
-        let layers = self.run_request(graph, plan, &mut timeline, 0)?;
+        let (layers, ctx) = self.run_request_at(graph, &effective, &mut timeline, 0, 0.0, ctx)?;
         let total_us = timeline.makespan_us();
         self.emit(SinkEvent::Request {
             latency_us: total_us,
@@ -263,172 +344,9 @@ impl<'a> Runtime<'a> {
                 report.platform
             );
         }
-        Ok(report)
-    }
-
-    /// Simulates one inference under `plan` while the environment
-    /// misbehaves per `faults`, recovering per `cfg`: failed kernels are
-    /// retried with exponential backoff and re-placed on the CPU on
-    /// exhaustion (a permanent loss re-tunes the remaining suffix to the
-    /// CPU-only plan), a burning deadline budget degrades the suffix to
-    /// a single-processor plan, and OOM pressure shrinks the footprint
-    /// (explicit → managed arrays) before execution. With an empty fault
-    /// plan and no deadline this is step-for-step identical to
-    /// [`Runtime::simulate`].
-    ///
-    /// # Errors
-    /// Fails on plan/graph mismatches, workload errors, or a fault that
-    /// defeats every recovery path ([`CoreError::Unrecoverable`]).
-    pub fn simulate_with_faults(
-        &self,
-        graph: &Graph,
-        plan: &ExecutionPlan,
-        faults: &FaultPlan,
-        cfg: &ResilienceConfig,
-    ) -> Result<ResilientOutcome> {
-        plan.validate(graph)?;
-        let mut clock = FaultClock::new(faults.clone());
-        let mut log = crate::runtime::resilience::RecoveryLog {
-            max_attempts: cfg.max_retries,
-            ..Default::default()
-        };
-
-        // OOM pressure is a planning-time fault: if a co-tenant's
-        // reservation squeezes the plan's footprint out of DRAM, shrink
-        // it by converting explicit two-copy arrays to managed
-        // single-copy arrays (skipping input-split co-run outputs, whose
-        // semantics prescribe an explicit merge — EC012).
-        let mut effective = plan.clone();
-        let reserved = clock.reserved_bytes(self.platform.dram_bytes);
-        if reserved > 0 && self.platform.dram_bytes > 0 {
-            self.emit(SinkEvent::Fault {
-                category: "faults_injected",
-                kind: FaultKind::OomPressure.to_string(),
-                label: format!("{reserved} bytes reserved"),
-                t_us: 0.0,
-            });
-            let budget = self.platform.dram_bytes - reserved;
-            let fp = crate::footprint::footprint(graph, &effective)?;
-            if fp.peak_bytes > budget {
-                // Under the pure AllExplicit policy the per-node alloc is
-                // ignored, so the shrink must also move the plan to the
-                // semantic-aware policy for the node conversions to bind.
-                if effective.config.memory_policy != MemoryPolicy::AllManaged {
-                    for node_plan in &mut effective.nodes {
-                        node_plan.output_alloc =
-                            if matches!(node_plan.assignment, Assignment::SplitInput { .. }) {
-                                AllocStrategy::Explicit
-                            } else {
-                                AllocStrategy::Managed
-                            };
-                    }
-                    effective.config.memory_policy = MemoryPolicy::SemanticAware;
-                }
-                log.events.push(RecoveryEvent {
-                    t_us: 0.0,
-                    node: 0,
-                    cause: RecoveryCause::OomPressure,
-                    action: RecoveryAction::ShrinkFootprint,
-                    attempt: 0,
-                });
-                let shrunk = crate::footprint::footprint(graph, &effective)?;
-                if shrunk.peak_bytes > budget {
-                    return Err(CoreError::Unrecoverable {
-                        node: 0,
-                        kind: FaultKind::OomPressure,
-                    });
-                }
-            }
-        }
-
-        // Degraded plans are tuned up front so a mid-run switch is a
-        // lookup, not a re-tune under fire. The CPU-only plan is the
-        // re-tuned suffix after a permanent GPU loss; the deadline
-        // degradation switches a hybrid plan to the fastest
-        // single-processor plan (GPU-only where a GPU exists).
-        let cpu_plan = self.degraded_plan(graph, &effective, HybridMode::CpuOnly)?;
-        let degraded_plan = if self.platform.gpu.is_some() {
-            self.degraded_plan(graph, &effective, HybridMode::GpuOnly)?
-        } else {
-            cpu_plan.clone()
-        };
-
-        let ctx = FaultCtx {
-            clock,
-            cfg: *cfg,
-            log,
-            cpu_plan,
-            degraded_plan,
-            gpu_lost: false,
-            degraded: false,
-        };
-
-        let structure = graph.structure()?;
-        let mut timeline = self.new_timeline();
-        let mut sim = Sim {
-            runtime: self,
-            graph,
-            plan: &effective,
-            timeline: &mut timeline,
-            ready: vec![0.0; graph.len()],
-            loc: vec![Loc::Host; graph.len()],
-            layers: Vec::with_capacity(graph.len()),
-            jitter: StdRng::seed_from_u64(effective.config.jitter_seed),
-            faults: Some(ctx),
-        };
-        for segment in structure.segments() {
-            match segment {
-                Segment::Chain(nodes) => {
-                    for &id in nodes {
-                        sim.exec_node(id, false)?;
-                    }
-                }
-                Segment::Parallel { branches, join } => {
-                    sim.exec_parallel(branches, *join)?;
-                }
-            }
-        }
-        sim.read_back_output(graph.output_id())?;
-        let layers = sim.layers;
-        let mut ctx = sim.faults.take().expect("fault context survives the run");
-        ctx.log.faults_injected = ctx.clock.injected();
-        ctx.log.gpu_lost = ctx.gpu_lost;
-
-        let total_us = timeline.makespan_us();
-        self.emit(SinkEvent::Request {
-            latency_us: total_us,
-        });
-        let energy = self.platform.power.energy(&timeline);
-        let report = InferenceReport {
-            model: graph.name().to_string(),
-            platform: self.platform.name.clone(),
-            total_us,
-            summary: timeline.summary(),
-            energy,
-            layers,
-            events: timeline.events().to_vec(),
-            decisions: Vec::new(),
-        };
-        if let Some(sink) = &self.observer {
-            report.audit(sink.as_ref());
-        }
-        #[cfg(debug_assertions)]
-        {
-            let caps = edgenn_sim::trace::LinkCaps::from_platform(self.platform);
-            let violations: Vec<_> = edgenn_sim::trace::check_trace(&report.events, Some(&caps))
-                .into_iter()
-                .filter(|v| v.kind != edgenn_sim::trace::TraceViolationKind::AggregateBandwidth)
-                .collect();
-            debug_assert!(
-                violations.is_empty(),
-                "resilient runtime produced a racy trace for '{}' on '{}': {violations:?}",
-                report.model,
-                report.platform
-            );
-        }
         Ok(ResilientOutcome {
             report,
-            recovery: ctx.log,
+            recovery: ctx.into_log(),
         })
     }
 
@@ -447,50 +365,23 @@ impl<'a> Runtime<'a> {
     }
 
     /// Simulates a back-to-back stream of `requests` inferences sharing
-    /// one plan (a deployed service's steady state). Requests are queued
-    /// at t = 0; the per-processor clocks carry across requests, so a plan
-    /// that leaves one processor idle lets the next request start on it —
-    /// request-level pipelining in the spirit of DART (the paper's reference \[88\]), which the
-    /// paper cites as the multi-DNN scheduling line of work.
+    /// one plan (a deployed service's steady state): the one-model case
+    /// of [`Runtime::simulate_workload`]. The per-processor clocks carry
+    /// across requests, so a plan that leaves one processor idle lets the
+    /// next request start on it — request-level pipelining in the spirit
+    /// of DART (the paper's reference \[88\]), which the paper cites as
+    /// the multi-DNN scheduling line of work.
     ///
     /// # Errors
-    /// Fails on plan/graph mismatches, missing GPU, or workload errors.
+    /// Fails on plan/graph mismatches, missing GPU, workload errors, or
+    /// zero requests.
     pub fn simulate_stream(
         &self,
         graph: &Graph,
         plan: &ExecutionPlan,
         requests: usize,
     ) -> Result<StreamReport> {
-        plan.validate(graph)?;
-        if requests == 0 {
-            return Err(CoreError::Internal {
-                reason: "stream of zero requests".to_string(),
-            });
-        }
-        let mut timeline = self.new_timeline();
-        let mut finish_times = Vec::with_capacity(requests);
-        for request in 0..requests {
-            let layers = self.run_request(graph, plan, &mut timeline, request as u64)?;
-            let finished = layers
-                .iter()
-                .map(|l| l.end_us)
-                .fold(0.0f64, f64::max)
-                .max(timeline.makespan_us());
-            let started = layers.iter().map(|l| l.start_us).fold(finished, f64::min);
-            self.emit(SinkEvent::Request {
-                latency_us: finished - started,
-            });
-            finish_times.push(finished);
-        }
-        let total_us = timeline.makespan_us();
-        let energy = self.platform.power.energy(&timeline);
-        Ok(StreamReport {
-            requests,
-            total_us,
-            finish_times_us: finish_times,
-            throughput_per_s: requests as f64 * 1e6 / total_us,
-            energy,
-        })
+        self.simulate_workload(&vec![(graph, plan); requests])
     }
 
     /// Simulates a mixed multi-DNN workload: each job is one inference of
@@ -513,7 +404,14 @@ impl<'a> Runtime<'a> {
         let mut timeline = self.new_timeline();
         let mut finish_times = Vec::with_capacity(jobs.len());
         for (request, (graph, plan)) in jobs.iter().enumerate() {
-            let layers = self.run_request(graph, plan, &mut timeline, request as u64)?;
+            let (layers, _) = self.run_request_at(
+                graph,
+                plan,
+                &mut timeline,
+                request as u64,
+                0.0,
+                FaultCtx::default(),
+            )?;
             let finished = layers
                 .iter()
                 .map(|l| l.end_us)
@@ -566,8 +464,14 @@ impl<'a> Runtime<'a> {
             // Exponential inter-arrival via inverse transform sampling.
             let u: f64 = rng.gen_range(f64::EPSILON..1.0);
             arrival += -mean_gap_us * u.ln();
-            let layers =
-                self.run_request_at(graph, plan, &mut timeline, request as u64, arrival)?;
+            let (layers, _) = self.run_request_at(
+                graph,
+                plan,
+                &mut timeline,
+                request as u64,
+                arrival,
+                FaultCtx::default(),
+            )?;
             let finished = layers.iter().map(|l| l.end_us).fold(arrival, f64::max);
             self.emit(SinkEvent::Request {
                 latency_us: finished - arrival,
@@ -591,19 +495,10 @@ impl<'a> Runtime<'a> {
         })
     }
 
-    /// Runs one request's DAG against a (possibly shared) timeline.
-    fn run_request(
-        &self,
-        graph: &Graph,
-        plan: &ExecutionPlan,
-        timeline: &mut Timeline,
-        request: u64,
-    ) -> Result<Vec<LayerTiming>> {
-        self.run_request_at(graph, plan, timeline, request, 0.0)
-    }
-
-    /// Like [`Runtime::run_request`] but with an explicit arrival time:
-    /// no node of this request may start before `arrival_us`.
+    /// Runs request number `request` of `graph` under `plan` against a
+    /// (possibly shared) timeline: no node starts before `arrival_us`,
+    /// and `faults` perturbs and recovers the run. Returns the per-layer
+    /// timings and the fault state the run left behind.
     fn run_request_at(
         &self,
         graph: &Graph,
@@ -611,8 +506,8 @@ impl<'a> Runtime<'a> {
         timeline: &mut Timeline,
         request: u64,
         arrival_us: f64,
-    ) -> Result<Vec<LayerTiming>> {
-        let structure = graph.structure()?;
+        faults: FaultCtx,
+    ) -> Result<(Vec<LayerTiming>, FaultCtx)> {
         let mut sim = Sim {
             runtime: self,
             graph,
@@ -622,9 +517,9 @@ impl<'a> Runtime<'a> {
             loc: vec![Loc::Host; graph.len()],
             layers: Vec::with_capacity(graph.len()),
             jitter: StdRng::seed_from_u64(plan.config.jitter_seed.wrapping_add(request)),
-            faults: None,
+            faults,
         };
-        for segment in structure.segments() {
+        for segment in graph.structure()?.segments() {
             match segment {
                 Segment::Chain(nodes) => {
                     for &id in nodes {
@@ -637,7 +532,7 @@ impl<'a> Runtime<'a> {
             }
         }
         sim.read_back_output(graph.output_id())?;
-        Ok(sim.layers)
+        Ok((sim.layers, sim.faults))
     }
 }
 
@@ -698,6 +593,15 @@ impl StreamReport {
     }
 }
 
+/// How a kernel launch with retries ended.
+enum Launch {
+    /// The kernel ran; it ends at this time.
+    Done(f64),
+    /// The retry budget ran out and the fallback is logged; the last
+    /// failed attempt ends at this time.
+    Exhausted(f64),
+}
+
 /// Mutable state of one simulation run.
 struct Sim<'a, 'p> {
     runtime: &'a Runtime<'p>,
@@ -710,9 +614,10 @@ struct Sim<'a, 'p> {
     loc: Vec<Loc>,
     layers: Vec<LayerTiming>,
     jitter: StdRng,
-    /// Fault-injection state; `None` keeps the run on the exact
-    /// fault-free path (no extra RNG draws, no timing perturbation).
-    faults: Option<FaultCtx>,
+    /// Fault-injection state. An empty fault plan leaves every window
+    /// factor at exactly 1 and fails no launch, so it draws nothing and
+    /// perturbs no timing.
+    faults: FaultCtx,
 }
 
 impl Sim<'_, '_> {
@@ -730,104 +635,43 @@ impl Sim<'_, '_> {
     }
 
     /// The effective assignment of a node, honouring a mid-run suffix
-    /// switch to a degraded plan (GPU loss or deadline degradation).
+    /// switch to a degraded plan (GPU loss, then deadline degradation).
     fn assignment_of(&self, id: NodeId) -> Assignment {
-        if let Some(f) = &self.faults {
-            if f.gpu_lost {
-                return f.cpu_plan.nodes[id.index()].assignment;
+        let f = &self.faults;
+        let plan = f.cpu_plan.as_ref().or(f.degraded_plan.as_ref());
+        plan.unwrap_or(self.plan).nodes[id.index()].assignment
+    }
+
+    /// Multiplier from the active `kind` windows at `t`: on attainable
+    /// memory bandwidth for [`FaultKind::BandwidthDegradation`], on the
+    /// compute roofline for [`FaultKind::ThermalThrottle`], and (≥ 1) on
+    /// managed-page migration time for [`FaultKind::MigrationStall`].
+    fn fault_window(&mut self, kind: FaultKind, t: f64) -> f64 {
+        let clock = &mut self.faults.clock;
+        let before = clock.injected();
+        let factor = match kind {
+            FaultKind::BandwidthDegradation => clock.bandwidth_factor_at(t),
+            FaultKind::ThermalThrottle => clock.compute_factor_at(t),
+            FaultKind::MigrationStall => clock.stall_factor_at(t),
+            FaultKind::TransientKernel | FaultKind::OomPressure => {
+                unreachable!("{kind} is not a time-window fault")
             }
-            if f.degraded {
-                return f.degraded_plan.nodes[id.index()].assignment;
-            }
-        }
-        self.plan.nodes[id.index()].assignment
-    }
-
-    /// Multiplier on attainable memory bandwidth from active
-    /// degradation windows (1 on the fault-free path).
-    fn fault_bw_factor(&mut self, t: f64) -> f64 {
-        let Some(f) = &mut self.faults else {
-            return 1.0;
         };
-        let before = f.clock.injected();
-        let factor = f.clock.bandwidth_factor_at(t);
-        if f.clock.injected() > before {
+        if clock.injected() > before {
             self.runtime.emit(SinkEvent::Fault {
                 category: "faults_injected",
-                kind: FaultKind::BandwidthDegradation.to_string(),
+                kind: kind.to_string(),
                 label: String::new(),
                 t_us: t,
             });
         }
         factor
-    }
-
-    /// Multiplier on the compute roofline from active thermal windows.
-    fn fault_compute_factor(&mut self, t: f64) -> f64 {
-        let Some(f) = &mut self.faults else {
-            return 1.0;
-        };
-        let before = f.clock.injected();
-        let factor = f.clock.compute_factor_at(t);
-        if f.clock.injected() > before {
-            self.runtime.emit(SinkEvent::Fault {
-                category: "faults_injected",
-                kind: FaultKind::ThermalThrottle.to_string(),
-                label: String::new(),
-                t_us: t,
-            });
-        }
-        factor
-    }
-
-    /// Multiplier (≥ 1) on managed-page migration time from active
-    /// stall windows.
-    fn fault_stall_factor(&mut self, t: f64) -> f64 {
-        let Some(f) = &mut self.faults else {
-            return 1.0;
-        };
-        let before = f.clock.injected();
-        let factor = f.clock.stall_factor_at(t);
-        if f.clock.injected() > before {
-            self.runtime.emit(SinkEvent::Fault {
-                category: "faults_injected",
-                kind: FaultKind::MigrationStall.to_string(),
-                label: String::new(),
-                t_us: t,
-            });
-        }
-        factor
-    }
-
-    /// Consumes one planned failure of `id`'s kernel, if any remains.
-    fn fault_should_fail(&mut self, id: NodeId, name: &str, t: f64) -> bool {
-        let Some(f) = &mut self.faults else {
-            return false;
-        };
-        if f.clock.should_fail_kernel(id.index()) {
-            self.runtime.emit(SinkEvent::Fault {
-                category: "faults_injected",
-                kind: FaultKind::TransientKernel.to_string(),
-                label: name.to_string(),
-                t_us: t,
-            });
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The retry budget per failed kernel (0 without fault injection).
-    fn fault_retry_budget(&self) -> u32 {
-        self.faults.as_ref().map_or(0, |f| f.cfg.max_retries)
     }
 
     /// Records a retry decision after failed attempt `attempt` and
     /// returns the backoff gap to wait before re-launching.
     fn fault_log_retry(&mut self, id: NodeId, name: &str, t: f64, attempt: u32) -> f64 {
-        let Some(f) = &mut self.faults else {
-            return 0.0;
-        };
+        let f = &mut self.faults;
         f.log.retries += 1;
         f.log.events.push(RecoveryEvent {
             t_us: t,
@@ -846,25 +690,27 @@ impl Sim<'_, '_> {
     }
 
     /// Records a GPU→CPU fallback; a permanent failure marks the GPU
-    /// lost so the remaining suffix re-tunes to the CPU-only plan.
-    fn fault_log_fallback(&mut self, id: NodeId, name: &str, t: f64, attempt: u32) {
-        let Some(f) = &mut self.faults else { return };
-        let permanent = f.clock.is_permanent(id.index());
+    /// lost by tuning the CPU-only plan the remaining suffix runs.
+    fn fault_log_fallback(&mut self, id: NodeId, name: &str, t: f64, attempt: u32) -> Result<()> {
+        let permanent = self.faults.clock.is_permanent(id.index());
         let cause = if permanent {
             RecoveryCause::PermanentKernel
         } else {
             RecoveryCause::TransientKernel
         };
-        f.log.fallbacks += 1;
-        f.log.events.push(RecoveryEvent {
+        self.faults.log.fallbacks += 1;
+        self.faults.log.events.push(RecoveryEvent {
             t_us: t,
             node: id.index(),
             cause,
             action: RecoveryAction::FallbackToCpu,
             attempt,
         });
-        if permanent {
-            f.gpu_lost = true;
+        if permanent && self.faults.cpu_plan.is_none() {
+            let plan = self
+                .runtime
+                .degraded_plan(self.graph, self.plan, HybridMode::CpuOnly)?;
+            self.faults.cpu_plan = Some(plan);
         }
         self.runtime.emit(SinkEvent::Fault {
             category: "fallbacks",
@@ -872,35 +718,44 @@ impl Sim<'_, '_> {
             label: name.to_string(),
             t_us: t,
         });
+        Ok(())
     }
 
-    /// Degrades the remaining suffix to the single-processor plan when
-    /// the deadline budget is burning (at most once per run).
-    fn maybe_degrade_for_deadline(&mut self, id: NodeId, now: f64) {
-        let Some(f) = &mut self.faults else { return };
-        if f.degraded || f.gpu_lost {
-            return;
+    /// Degrades the remaining suffix to the single-processor plan (the
+    /// GPU-only plan where a GPU exists) when the deadline budget is
+    /// burning, at most once per run and never after a GPU loss.
+    fn maybe_degrade_for_deadline(&mut self, id: NodeId, now: f64) -> Result<()> {
+        let f = &self.faults;
+        let burning = f
+            .cfg
+            .deadline_us
+            .is_some_and(|deadline| now > deadline * f.cfg.deadline_degrade_fraction);
+        if !burning || f.degraded_plan.is_some() || f.cpu_plan.is_some() {
+            return Ok(());
         }
-        let Some(deadline) = f.cfg.deadline_us else {
-            return;
+        let hybrid = if self.runtime.platform.gpu.is_some() {
+            HybridMode::GpuOnly
+        } else {
+            HybridMode::CpuOnly
         };
-        if now > deadline * f.cfg.deadline_degrade_fraction {
-            f.degraded = true;
-            f.log.deadline_degradations += 1;
-            f.log.events.push(RecoveryEvent {
-                t_us: now,
-                node: id.index(),
-                cause: RecoveryCause::DeadlineOverrun,
-                action: RecoveryAction::DegradeToSingleProcessor,
-                attempt: 0,
-            });
-            self.runtime.emit(SinkEvent::Fault {
-                category: "deadline_degradations",
-                kind: RecoveryCause::DeadlineOverrun.to_string(),
-                label: String::new(),
-                t_us: now,
-            });
-        }
+        let plan = self.runtime.degraded_plan(self.graph, self.plan, hybrid)?;
+        let f = &mut self.faults;
+        f.degraded_plan = Some(plan);
+        f.log.deadline_degradations += 1;
+        f.log.events.push(RecoveryEvent {
+            t_us: now,
+            node: id.index(),
+            cause: RecoveryCause::DeadlineOverrun,
+            action: RecoveryAction::DegradeToSingleProcessor,
+            attempt: 0,
+        });
+        self.runtime.emit(SinkEvent::Fault {
+            category: "deadline_degradations",
+            kind: RecoveryCause::DeadlineOverrun.to_string(),
+            label: String::new(),
+            t_us: now,
+        });
+        Ok(())
     }
 
     /// Allocation strategy of a node's output under the active policy.
@@ -939,7 +794,8 @@ impl Sim<'_, '_> {
         let end = match self.alloc_of(id) {
             AllocStrategy::Explicit => {
                 // A bandwidth-degradation window stretches the DMA.
-                let dur = memory.copy_time_us(bytes) / self.fault_bw_factor(at);
+                let dur = memory.copy_time_us(bytes)
+                    / self.fault_window(FaultKind::BandwidthDegradation, at);
                 self.timeline
                     .schedule_bus(TraceKind::Copy, at, dur, bytes, Some(proc), label)
             }
@@ -951,7 +807,8 @@ impl Sim<'_, '_> {
                         .iter()
                         .any(|s| self.plan.nodes[s.index()].prefetch_inputs);
                 // A stall window multiplies the page-migration time.
-                let dur = memory.migration_time_us(bytes, prefetched) * self.fault_stall_factor(at);
+                let dur = memory.migration_time_us(bytes, prefetched)
+                    * self.fault_window(FaultKind::MigrationStall, at);
                 self.timeline
                     .schedule_bus(TraceKind::Migration, at, dur, bytes, Some(proc), label)
             }
@@ -960,38 +817,151 @@ impl Sim<'_, '_> {
         end.max(at)
     }
 
-    /// Executes one node per its plan. `corun_context` marks nodes inside
-    /// a fork-join region whose branches run on both processors (memory
-    /// contention applies).
+    /// Makes every input of `id` accessible to `proc`, starting at `at`;
+    /// returns when the last one is.
+    fn stage_inputs(&mut self, id: NodeId, proc: ProcessorKind, at: f64) -> f64 {
+        let graph = self.graph;
+        let node = graph.nodes().get(id.index()).expect("validated");
+        node.inputs()
+            .iter()
+            .fold(at, |ready, input| self.make_available(*input, proc, ready))
+    }
+
+    /// One host-orchestrated boundary transfer of `bytes` for the GPU
+    /// (`dir` is `h2d` or `d2h`), starting at `at` and scaled by the
+    /// round-trip fraction: an explicit copy under the naive policy, an
+    /// on-demand page-fault storm for managed arrays otherwise. Charges
+    /// its time to `timing` and returns when the data is in place.
+    fn host_transfer(&mut self, timing: &mut LayerTiming, dir: &str, bytes: u64, at: f64) -> f64 {
+        let memory = &self.runtime.platform.memory;
+        let (kind, dur) = if self.config().memory_policy == MemoryPolicy::AllExplicit {
+            (TraceKind::Copy, memory.copy_time_us(bytes))
+        } else {
+            (TraceKind::Migration, memory.migration_time_us(bytes, false))
+        };
+        let dur = self.config().host_roundtrip_fraction * dur;
+        if dur <= 0.0 {
+            return at;
+        }
+        timing.memory_us += dur;
+        self.timeline.schedule_bus(
+            kind,
+            at,
+            dur,
+            bytes,
+            Some(ProcessorKind::Gpu),
+            format!("{} {dir}", timing.name),
+        )
+    }
+
+    /// Launches `id`'s kernel on `proc` at `ready`, pricing each attempt
+    /// with `attempt_us`; `part` tags a co-run share's trace labels. An
+    /// injected failure (GPU launches only) occupies the processor for
+    /// the attempt, then retries after an exponential backoff; once the
+    /// retry budget is spent the fallback is logged and the caller
+    /// re-places the work.
+    fn launch(
+        &mut self,
+        id: NodeId,
+        proc: ProcessorKind,
+        name: &str,
+        part: &str,
+        mut ready: f64,
+        mut attempt_us: impl FnMut(&mut Self, ProcessorKind, f64) -> f64,
+    ) -> Result<Launch> {
+        let label = |status: &str| match (part, status) {
+            ("", "") => name.to_string(),
+            (tag, "") | ("", tag) => format!("{name} [{tag}]"),
+            (part, status) => format!("{name} [{part} {status}]"),
+        };
+        let mut failed_attempts = 0u32;
+        loop {
+            let duration = attempt_us(self, proc, ready);
+            // A failing launch consumes one planned failure of the kernel.
+            if proc == ProcessorKind::Cpu || !self.faults.clock.should_fail_kernel(id.index()) {
+                let end =
+                    self.timeline
+                        .schedule(proc, TraceKind::Kernel, ready, duration, label(""));
+                return Ok(Launch::Done(end));
+            }
+            self.runtime.emit(SinkEvent::Fault {
+                category: "faults_injected",
+                kind: FaultKind::TransientKernel.to_string(),
+                label: name.to_string(),
+                t_us: ready,
+            });
+            failed_attempts += 1;
+            let fail_end = self.timeline.schedule(
+                proc,
+                TraceKind::Kernel,
+                ready,
+                duration,
+                label(&format!("attempt {failed_attempts} failed")),
+            );
+            if failed_attempts > self.faults.cfg.max_retries {
+                self.fault_log_fallback(id, name, fail_end, failed_attempts)?;
+                return Ok(Launch::Exhausted(fail_end));
+            }
+            ready = fail_end + self.fault_log_retry(id, name, fail_end, failed_attempts);
+        }
+    }
+
+    /// Executes one node per its plan and records its timing.
+    /// `corun_context` marks nodes inside a fork-join region whose
+    /// branches run on both processors (memory contention applies).
     fn exec_node(&mut self, id: NodeId, corun_context: bool) -> Result<()> {
-        let node = self.graph.node(id)?;
+        let graph = self.graph;
+        let node = graph.node(id)?;
         if node.layer().class() == LayerClass::Input {
             // The host writes the input tensor when the request arrives
             // (the vector is pre-seeded with the arrival time).
             self.loc[id.index()] = Loc::Host;
             return Ok(());
         }
-        let now = node
+        let start = node
             .inputs()
             .iter()
             .map(|i| self.ready[i.index()])
             .fold(0.0, f64::max);
-        self.maybe_degrade_for_deadline(id, now);
-        match self.assignment_of(id) {
-            Assignment::Gpu => self.exec_solo(id, ProcessorKind::Gpu, corun_context),
-            Assignment::Cpu => self.exec_solo(id, ProcessorKind::Cpu, corun_context),
-            Assignment::Split { cpu_fraction } => self.exec_split(id, cpu_fraction, false),
-            Assignment::SplitInput { cpu_fraction } => self.exec_split(id, cpu_fraction, true),
-        }
+        self.maybe_degrade_for_deadline(id, start)?;
+        let mut timing = LayerTiming {
+            node: id.index(),
+            name: node.layer().name().to_string(),
+            class_tag: node.layer().class().tag().to_string(),
+            assignment: self.assignment_of(id),
+            start_us: start,
+            end_us: start,
+            kernel_us: 0.0,
+            memory_us: 0.0,
+        };
+        match timing.assignment {
+            Assignment::Gpu => self.exec_solo(id, ProcessorKind::Gpu, corun_context, &mut timing),
+            Assignment::Cpu => self.exec_solo(id, ProcessorKind::Cpu, corun_context, &mut timing),
+            Assignment::Split { cpu_fraction } => {
+                self.exec_split(id, cpu_fraction, false, &mut timing)
+            }
+            Assignment::SplitInput { cpu_fraction } => {
+                self.exec_split(id, cpu_fraction, true, &mut timing)
+            }
+        }?;
+        // A permanent failure inside this node switches the suffix plan
+        // from this node on.
+        timing.assignment = self.assignment_of(id);
+        self.ready[id.index()] = timing.end_us;
+        self.layers.push(timing);
+        Ok(())
     }
 
     /// Whole layer on one processor.
-    fn exec_solo(&mut self, id: NodeId, proc: ProcessorKind, corun: bool) -> Result<()> {
-        let spec = self.runtime.spec(proc)?.clone();
-        let memory = self.runtime.platform.memory.clone();
-        let node = self.graph.node(id)?;
-        let name = node.layer().name().to_string();
-        let class = node.layer().class();
+    fn exec_solo(
+        &mut self,
+        id: NodeId,
+        proc: ProcessorKind,
+        corun: bool,
+        timing: &mut LayerTiming,
+    ) -> Result<()> {
+        let platform = self.runtime.platform;
+        let spec = self.runtime.spec(proc)?;
         let desc = kernel_desc(self.graph, id)?;
         let naive = self.config().memory_policy == MemoryPolicy::AllExplicit;
         // The original host-orchestrated program with managed arrays: the
@@ -1000,47 +970,16 @@ impl Sim<'_, '_> {
         // bounces the pages over PCIe — the paper's Section IV-B claim
         // that unified memory "brings no benefit for the discrete
         // architecture".
-        let managed_bounce =
-            self.config().memory_policy == MemoryPolicy::AllManaged && !memory.is_unified();
+        let managed_bounce = self.config().memory_policy == MemoryPolicy::AllManaged
+            && !platform.memory.is_unified();
+        let host_roundtrip = naive || managed_bounce;
 
-        let inputs: Vec<NodeId> = node.inputs().to_vec();
-        let mut ready = inputs
-            .iter()
-            .map(|i| self.ready[i.index()])
-            .fold(0.0, f64::max);
-        let start = ready;
-        let mut memory_us = 0.0;
-
-        if naive || managed_bounce {
-            // Host-orchestrated boundary before a GPU kernel: an explicit
-            // H2D copy, or an on-demand page-fault storm for managed
-            // arrays on PCIe (scaled by the roundtrip fraction).
-            if proc == ProcessorKind::Gpu {
-                let (kind, dur) = if naive {
-                    (TraceKind::Copy, memory.copy_time_us(desc.bytes_in))
-                } else {
-                    (
-                        TraceKind::Migration,
-                        memory.migration_time_us(desc.bytes_in, false),
-                    )
-                };
-                let dur = self.config().host_roundtrip_fraction * dur;
-                if dur > 0.0 {
-                    memory_us += dur;
-                    ready = self.timeline.schedule_bus(
-                        kind,
-                        ready,
-                        dur,
-                        desc.bytes_in,
-                        Some(proc),
-                        format!("{name} h2d"),
-                    );
-                }
-            }
-        } else {
-            for input in &inputs {
-                ready = self.make_available(*input, proc, ready).max(ready);
-            }
+        let mut ready = timing.start_us;
+        if !host_roundtrip {
+            ready = self.stage_inputs(id, proc, ready);
+        } else if proc == ProcessorKind::Gpu {
+            // Host-orchestrated boundary before a GPU kernel.
+            ready = self.host_transfer(timing, "h2d", desc.bytes_in, ready);
         }
 
         // The zero-copy access penalty is a GPU-side effect (managed pages
@@ -1051,151 +990,83 @@ impl Sim<'_, '_> {
             self.bandwidth_factor(id)
         };
         let contention = if corun {
-            memory.corun_contention_factor
+            platform.memory.corun_contention_factor
         } else {
             1.0
         };
-        // Kernel launch with recovery: an injected failure occupies the
-        // processor for the attempt, then either retries after an
-        // exponential backoff or — once the budget is exhausted —
-        // re-places the work on the CPU.
-        let mut proc = proc;
-        let mut spec = spec;
-        let mut kernel_us = 0.0;
-        let mut failed_attempts = 0u32;
-        let mut end = loop {
-            let ctx = ExecutionContext {
-                bandwidth_factor: if proc == ProcessorKind::Cpu {
-                    1.0
-                } else {
-                    policy_bw
-                } * self.fault_bw_factor(ready),
-                contention_factor: contention,
-                compute_factor: self.fault_compute_factor(ready),
+        let mut attempt_us = |sim: &mut Self, on: ProcessorKind, t: f64| {
+            let (spec, bw) = match on {
+                ProcessorKind::Cpu => (&platform.cpu, 1.0),
+                ProcessorKind::Gpu => (spec, policy_bw),
             };
-            let duration = self.jittered(spec.kernel_time_us(&desc, &ctx));
-            kernel_us += duration;
-            if proc == ProcessorKind::Cpu || !self.fault_should_fail(id, &name, ready) {
-                break self.timeline.schedule(
+            let ctx = ExecutionContext {
+                bandwidth_factor: bw * sim.fault_window(FaultKind::BandwidthDegradation, t),
+                contention_factor: contention,
+                compute_factor: sim.fault_window(FaultKind::ThermalThrottle, t),
+            };
+            let duration = sim.jittered(spec.kernel_time_us(&desc, &ctx));
+            timing.kernel_us += duration;
+            duration
+        };
+        let mut proc = proc;
+        let mut end = match self.launch(id, proc, &timing.name, "", ready, &mut attempt_us)? {
+            Launch::Done(end) => end,
+            Launch::Exhausted(fail_end) => {
+                // Re-place the work on the CPU after the failed attempt.
+                proc = ProcessorKind::Cpu;
+                let ready = if host_roundtrip {
+                    fail_end
+                } else {
+                    self.stage_inputs(id, proc, fail_end)
+                };
+                let duration = attempt_us(self, proc, ready);
+                self.timeline.schedule(
                     proc,
                     TraceKind::Kernel,
                     ready,
                     duration,
-                    name.clone(),
-                );
-            }
-            failed_attempts += 1;
-            let fail_end = self.timeline.schedule(
-                proc,
-                TraceKind::Kernel,
-                ready,
-                duration,
-                format!("{name} [attempt {failed_attempts} failed]"),
-            );
-            if failed_attempts <= self.fault_retry_budget() {
-                let backoff = self.fault_log_retry(id, &name, fail_end, failed_attempts);
-                ready = fail_end + backoff;
-            } else {
-                self.fault_log_fallback(id, &name, fail_end, failed_attempts);
-                proc = ProcessorKind::Cpu;
-                spec = self.runtime.spec(ProcessorKind::Cpu)?.clone();
-                ready = fail_end;
-                if !(naive || managed_bounce) {
-                    for input in &inputs {
-                        ready = self
-                            .make_available(*input, ProcessorKind::Cpu, ready)
-                            .max(ready);
-                    }
-                }
+                    timing.name.clone(),
+                )
             }
         };
 
-        if (naive || managed_bounce) && proc == ProcessorKind::Gpu {
+        if host_roundtrip && proc == ProcessorKind::Gpu {
             // ... and the host reads the output after it.
-            let (kind, dur) = if naive {
-                (TraceKind::Copy, memory.copy_time_us(desc.bytes_out))
-            } else {
-                (
-                    TraceKind::Migration,
-                    memory.migration_time_us(desc.bytes_out, false),
-                )
-            };
-            let dur = self.config().host_roundtrip_fraction * dur;
-            if dur > 0.0 {
-                memory_us += dur;
-                end = self.timeline.schedule_bus(
-                    kind,
-                    end,
-                    dur,
-                    desc.bytes_out,
-                    Some(proc),
-                    format!("{name} d2h"),
-                );
-            }
+            end = self.host_transfer(timing, "d2h", desc.bytes_out, end);
             self.loc[id.index()] = Loc::Both;
         } else {
             self.loc[id.index()] = Loc::of(proc);
         }
-
-        self.ready[id.index()] = end;
-        self.layers.push(LayerTiming {
-            node: id.index(),
-            name,
-            class_tag: class.tag().to_string(),
-            assignment: self.assignment_of(id),
-            start_us: start,
-            end_us: end,
-            kernel_us,
-            memory_us,
-        });
+        timing.end_us = end;
         Ok(())
     }
 
     /// Intra-kernel co-run: CPU computes `p` of the units, GPU the rest.
     /// `by_input` selects the input-channel split (full-size partial sums
     /// merged by addition) instead of the output-unit split.
-    fn exec_split(&mut self, id: NodeId, p_cpu: f64, by_input: bool) -> Result<()> {
-        let gpu = self.runtime.spec(ProcessorKind::Gpu)?.clone();
-        let cpu = self.runtime.platform.cpu.clone();
-        let memory = self.runtime.platform.memory.clone();
-        let node = self.graph.node(id)?;
-        let name = node.layer().name().to_string();
-        let class = node.layer().class();
+    fn exec_split(
+        &mut self,
+        id: NodeId,
+        p_cpu: f64,
+        by_input: bool,
+        timing: &mut LayerTiming,
+    ) -> Result<()> {
+        let platform = self.runtime.platform;
+        let gpu = self.runtime.spec(ProcessorKind::Gpu)?;
+        let (cpu, memory) = (&platform.cpu, &platform.memory);
         let desc = kernel_desc(self.graph, id)?;
         let naive = self.config().memory_policy == MemoryPolicy::AllExplicit;
-
-        let inputs: Vec<NodeId> = node.inputs().to_vec();
-        let mut ready = inputs
-            .iter()
-            .map(|i| self.ready[i.index()])
-            .fold(0.0, f64::max);
-        let start = ready;
-        let mut memory_us = 0.0;
 
         // Both processors need the inputs. Under zero-copy this is free
         // (the whole point of fine-grained co-running on unified memory);
         // under the naive policy the GPU side re-uploads.
+        let mut ready = timing.start_us;
         if naive {
-            let dur = self.config().host_roundtrip_fraction * memory.copy_time_us(desc.bytes_in);
-            if dur > 0.0 {
-                memory_us += dur;
-                ready = self.timeline.schedule_bus(
-                    TraceKind::Copy,
-                    ready,
-                    dur,
-                    desc.bytes_in,
-                    Some(ProcessorKind::Gpu),
-                    format!("{name} h2d"),
-                );
-            }
+            ready = self.host_transfer(timing, "h2d", desc.bytes_in, ready);
         } else {
-            for input in &inputs {
-                ready = self
-                    .make_available(*input, ProcessorKind::Cpu, ready)
-                    .max(ready);
-                ready = self
-                    .make_available(*input, ProcessorKind::Gpu, ready)
-                    .max(ready);
+            for &input in self.graph.node(id)?.inputs() {
+                ready = self.make_available(input, ProcessorKind::Cpu, ready);
+                ready = self.make_available(input, ProcessorKind::Gpu, ready);
             }
         }
 
@@ -1204,8 +1075,8 @@ impl Sim<'_, '_> {
         } else {
             self.bandwidth_factor(id)
         };
-        let window_bw = self.fault_bw_factor(ready);
-        let window_compute = self.fault_compute_factor(ready);
+        let window_bw = self.fault_window(FaultKind::BandwidthDegradation, ready);
+        let window_compute = self.fault_window(FaultKind::ThermalThrottle, ready);
         let cpu_ctx = ExecutionContext {
             // Zero-copy penalty is GPU-side only, but a degradation
             // window squeezes the shared DRAM for both processors.
@@ -1232,52 +1103,40 @@ impl Sim<'_, '_> {
             TraceKind::Kernel,
             ready,
             t_cpu,
-            format!("{name} [cpu part]"),
+            format!("{} [cpu part]", timing.name),
         );
-        // GPU share with recovery: a failed launch retries with backoff;
-        // exhaustion re-executes the GPU's share on the CPU after its
-        // own part (recovery changes *where*, never *what*).
-        let mut gpu_ready = ready;
-        let mut failed_attempts = 0u32;
+        // GPU share with recovery: exhaustion re-executes the GPU's share
+        // on the CPU after its own part (recovery changes *where*, never
+        // *what*).
         let mut t_gpu_total = 0.0;
-        let gpu_end = loop {
-            let t_gpu = self.jittered(gpu.kernel_time_us(&gpu_desc, &gpu_ctx));
+        let gpu_attempt_us = |sim: &mut Self, _: ProcessorKind, _: f64| {
+            let t_gpu = sim.jittered(gpu.kernel_time_us(&gpu_desc, &gpu_ctx));
             t_gpu_total += t_gpu;
-            if !self.fault_should_fail(id, &name, gpu_ready) {
-                break self.timeline.schedule(
-                    ProcessorKind::Gpu,
-                    TraceKind::Kernel,
-                    gpu_ready,
-                    t_gpu,
-                    format!("{name} [gpu part]"),
-                );
-            }
-            failed_attempts += 1;
-            let fail_end = self.timeline.schedule(
-                ProcessorKind::Gpu,
-                TraceKind::Kernel,
-                gpu_ready,
-                t_gpu,
-                format!("{name} [gpu part attempt {failed_attempts} failed]"),
-            );
-            if failed_attempts <= self.fault_retry_budget() {
-                let backoff = self.fault_log_retry(id, &name, fail_end, failed_attempts);
-                gpu_ready = fail_end + backoff;
-            } else {
-                self.fault_log_fallback(id, &name, fail_end, failed_attempts);
+            t_gpu
+        };
+        let gpu_end = match self.launch(
+            id,
+            ProcessorKind::Gpu,
+            &timing.name,
+            "gpu part",
+            ready,
+            gpu_attempt_us,
+        )? {
+            Launch::Done(end) => end,
+            Launch::Exhausted(fail_end) => {
                 let t = self.jittered(cpu.kernel_time_us(&gpu_desc, &cpu_ctx));
                 t_gpu_total += t;
-                break self.timeline.schedule(
+                self.timeline.schedule(
                     ProcessorKind::Cpu,
                     TraceKind::Kernel,
                     cpu_end.max(fail_end),
                     t,
-                    format!("{name} [gpu share on cpu]"),
-                );
+                    format!("{} [gpu share on cpu]", timing.name),
+                )
             }
         };
         let mut end = cpu_end.max(gpu_end);
-        let kernel_us = t_cpu.max(t_gpu_total);
+        timing.kernel_us = t_cpu.max(t_gpu_total);
 
         // Merge the CPU part into the canonical output array. An
         // input-channel split produces a full-size partial sum on each
@@ -1291,14 +1150,14 @@ impl Sim<'_, '_> {
         match self.alloc_of(id) {
             AllocStrategy::Explicit => {
                 let dur = memory.copy_time_us(merge_bytes);
-                memory_us += dur;
+                timing.memory_us += dur;
                 end = self.timeline.schedule_bus(
                     TraceKind::Copy,
                     end,
                     dur,
                     merge_bytes,
                     Some(ProcessorKind::Gpu),
-                    format!("{name} merge"),
+                    format!("{} merge", timing.name),
                 );
             }
             AllocStrategy::Managed => {
@@ -1312,14 +1171,14 @@ impl Sim<'_, '_> {
                     merge_bytes.min(128 << 10)
                 };
                 let dur = memory.thrash_time_us(boundary);
-                memory_us += dur;
+                timing.memory_us += dur;
                 end = self.timeline.schedule_bus(
                     TraceKind::Thrash,
                     end,
                     dur,
                     boundary,
                     None,
-                    format!("{name} boundary pages"),
+                    format!("{} boundary pages", timing.name),
                 );
             }
         }
@@ -1333,17 +1192,7 @@ impl Sim<'_, '_> {
         } else {
             Loc::Device
         };
-        self.ready[id.index()] = end;
-        self.layers.push(LayerTiming {
-            node: id.index(),
-            name,
-            class_tag: class.tag().to_string(),
-            assignment: self.assignment_of(id),
-            start_us: start,
-            end_us: end,
-            kernel_us,
-            memory_us,
-        });
+        timing.end_us = end;
         Ok(())
     }
 
@@ -1430,6 +1279,14 @@ mod tests {
             config,
             nodes: vec![NodePlan::gpu_explicit(); graph.len()],
         }
+    }
+
+    /// The tuner's EdgeNN plan for `graph`.
+    fn tuned(graph: &Graph, runtime: &Runtime<'_>) -> ExecutionPlan {
+        let tuner = crate::tuner::Tuner::new(graph, runtime).unwrap();
+        tuner
+            .plan(graph, runtime, ExecutionConfig::edgenn())
+            .unwrap()
     }
 
     fn cpu_plan(graph: &Graph, config: ExecutionConfig) -> ExecutionPlan {
@@ -1578,12 +1435,7 @@ mod tests {
         let platform = jetson_agx_xavier();
         let runtime = Runtime::new(&platform);
         let graph = build(ModelKind::AlexNet, ModelScale::Paper);
-        let plan = {
-            let tuner = crate::tuner::Tuner::new(&graph, &runtime).unwrap();
-            tuner
-                .plan(&graph, &runtime, ExecutionConfig::edgenn())
-                .unwrap()
-        };
+        let plan = tuned(&graph, &runtime);
         let single = runtime.simulate(&graph, &plan).unwrap();
         let stream = runtime.simulate_stream(&graph, &plan, 8).unwrap();
         assert_eq!(stream.requests, 8);
@@ -1604,12 +1456,7 @@ mod tests {
         let platform = jetson_agx_xavier();
         let runtime = Runtime::new(&platform);
         let graph = build(ModelKind::SqueezeNet, ModelScale::Paper);
-        let plan = {
-            let tuner = crate::tuner::Tuner::new(&graph, &runtime).unwrap();
-            tuner
-                .plan(&graph, &runtime, ExecutionConfig::edgenn())
-                .unwrap()
-        };
+        let plan = tuned(&graph, &runtime);
         let single = runtime.simulate(&graph, &plan).unwrap();
         let capacity = 1e6 / single.total_us; // requests/s the device sustains
 
@@ -1641,16 +1488,10 @@ mod tests {
     fn mixed_workload_runs_and_sjf_beats_fifo_on_mean_completion() {
         let platform = jetson_agx_xavier();
         let runtime = Runtime::new(&platform);
-        let tuner_plan = |graph: &Graph| {
-            let tuner = crate::tuner::Tuner::new(graph, &runtime).unwrap();
-            tuner
-                .plan(graph, &runtime, ExecutionConfig::edgenn())
-                .unwrap()
-        };
         let vgg = build(ModelKind::Vgg16, ModelScale::Paper);
         let lenet = build(ModelKind::LeNet, ModelScale::Paper);
-        let vgg_plan = tuner_plan(&vgg);
-        let lenet_plan = tuner_plan(&lenet);
+        let vgg_plan = tuned(&vgg, &runtime);
+        let lenet_plan = tuned(&lenet, &runtime);
 
         // FIFO with the heavy job first vs shortest-job-first.
         let fifo = runtime
@@ -1704,16 +1545,6 @@ mod tests {
         assert!(sum_kernels <= report.total_us + 1e-6);
     }
 
-    /// First non-input node index in the GPU plan (fault anchor).
-    fn first_kernel_node(graph: &Graph) -> usize {
-        graph
-            .topo_order()
-            .into_iter()
-            .find(|id| graph.node(*id).unwrap().layer().class() != LayerClass::Input)
-            .unwrap()
-            .index()
-    }
-
     #[test]
     fn empty_fault_plan_is_bitwise_identical_to_plain_simulate() {
         let platform = jetson_agx_xavier();
@@ -1736,15 +1567,50 @@ mod tests {
         );
     }
 
+    /// Asserts that the layers executed before node `switch` ran
+    /// `before`'s assignments, that `switch` and every later layer ran
+    /// `after`'s, and that the switch changed at least one of them.
+    fn assert_suffix_switch(
+        report: &InferenceReport,
+        switch: usize,
+        before: &ExecutionPlan,
+        after: &ExecutionPlan,
+    ) {
+        let at = report
+            .layers
+            .iter()
+            .position(|l| l.node == switch)
+            .expect("the switch node ran");
+        assert!(at > 0, "the switch should land mid-run");
+        for layer in &report.layers[..at] {
+            assert_eq!(
+                layer.assignment, before.nodes[layer.node].assignment,
+                "{}",
+                layer.name
+            );
+        }
+        for layer in &report.layers[at..] {
+            assert_eq!(
+                layer.assignment, after.nodes[layer.node].assignment,
+                "{}",
+                layer.name
+            );
+        }
+        assert!(report.layers[at..]
+            .iter()
+            .any(|l| l.assignment != before.nodes[l.node].assignment));
+    }
+
     #[test]
     fn analytic_permanent_failure_exhausts_retries_then_falls_back() {
         let platform = jetson_agx_xavier();
         let runtime = Runtime::new(&platform);
         let graph = build(ModelKind::LeNet, ModelScale::Paper);
         let plan = gpu_plan(&graph, ExecutionConfig::baseline_gpu());
+        let lost = graph.len() / 2;
         let mut faults = FaultPlan::none();
         faults.kernel_faults.push(edgenn_sim::KernelFault {
-            node: first_kernel_node(&graph),
+            node: lost,
             fail_count: u32::MAX,
         });
         let cfg = ResilienceConfig::default();
@@ -1754,6 +1620,10 @@ mod tests {
         assert_eq!(outcome.recovery.retries, u64::from(cfg.max_retries));
         assert_eq!(outcome.recovery.fallbacks, 1);
         assert!(outcome.recovery.gpu_lost, "permanent loss re-tunes to CPU");
+        let cpu_only = runtime
+            .degraded_plan(&graph, &plan, HybridMode::CpuOnly)
+            .unwrap();
+        assert_suffix_switch(&outcome.report, lost, &plan, &cpu_only);
         let clean = runtime.simulate(&graph, &plan).unwrap();
         assert!(
             outcome.report.total_us > clean.total_us,
@@ -1769,7 +1639,7 @@ mod tests {
         let plan = gpu_plan(&graph, ExecutionConfig::baseline_gpu());
         let mut faults = FaultPlan::none();
         faults.kernel_faults.push(edgenn_sim::KernelFault {
-            node: first_kernel_node(&graph),
+            node: graph.len() / 2,
             fail_count: 1,
         });
         let outcome = runtime
@@ -1786,12 +1656,7 @@ mod tests {
         let platform = jetson_agx_xavier();
         let runtime = Runtime::new(&platform);
         let graph = build(ModelKind::ResNet18, ModelScale::Paper);
-        let plan = {
-            let tuner = crate::tuner::Tuner::new(&graph, &runtime).unwrap();
-            tuner
-                .plan(&graph, &runtime, ExecutionConfig::edgenn())
-                .unwrap()
-        };
+        let plan = tuned(&graph, &runtime);
         let cfg = ResilienceConfig {
             deadline_us: Some(1.0), // burns immediately
             ..ResilienceConfig::default()
@@ -1800,11 +1665,17 @@ mod tests {
             .simulate_with_faults(&graph, &plan, &FaultPlan::none(), &cfg)
             .unwrap();
         assert_eq!(outcome.recovery.deadline_degradations, 1);
-        assert!(outcome
+        let switch = outcome
             .recovery
             .events
             .iter()
-            .any(|e| e.action == RecoveryAction::DegradeToSingleProcessor));
+            .find(|e| e.action == RecoveryAction::DegradeToSingleProcessor)
+            .expect("the deadline burns")
+            .node;
+        let gpu_only = runtime
+            .degraded_plan(&graph, &plan, HybridMode::GpuOnly)
+            .unwrap();
+        assert_suffix_switch(&outcome.report, switch, &plan, &gpu_only);
     }
 
     #[test]
@@ -1812,12 +1683,7 @@ mod tests {
         let platform = jetson_agx_xavier();
         let runtime = Runtime::new(&platform);
         let graph = build(ModelKind::SqueezeNet, ModelScale::Paper);
-        let plan = {
-            let tuner = crate::tuner::Tuner::new(&graph, &runtime).unwrap();
-            tuner
-                .plan(&graph, &runtime, ExecutionConfig::edgenn())
-                .unwrap()
-        };
+        let plan = tuned(&graph, &runtime);
         let cfg = ResilienceConfig::default();
         for seed in 0..12u64 {
             let faults = FaultPlan::from_seed(seed, graph.len());

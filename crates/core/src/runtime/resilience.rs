@@ -12,20 +12,24 @@
 //! - [`ResilientOutcome`] — the report plus its recovery log;
 //! - the crate-private `FaultCtx` the simulation loop threads through.
 //!
+//! Every analytic run goes through this machinery: a fault-free run is a
+//! run under [`FaultPlan::none`] and the default config.
+//!
 //! The recovery state machine (see `docs/resilience.md`): a failed GPU
 //! kernel launch is retried with exponential backoff up to
 //! `max_retries` times; exhaustion re-places the work on the CPU, and a
 //! permanent failure additionally re-tunes the remaining plan suffix to
 //! a CPU-only plan. A burning deadline budget switches the remaining
-//! suffix to a single-processor plan. OOM pressure is handled before
-//! execution by shrinking the footprint (explicit → managed arrays).
+//! suffix to a single-processor plan. Both suffix plans are tuned at the
+//! switch. OOM pressure is handled before execution by shrinking the
+//! footprint (explicit → managed arrays).
 
 use serde::Serialize;
 
 use crate::error::{RecoveryAction, RecoveryCause};
 use crate::metrics::InferenceReport;
 use crate::plan::ExecutionPlan;
-use edgenn_sim::FaultClock;
+use edgenn_sim::{FaultClock, FaultPlan};
 
 /// Policy knobs for the resilience layer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -123,9 +127,11 @@ pub struct ResilientOutcome {
 }
 
 /// Per-run fault state the simulation loop threads through: the ticking
-/// clock, the policy, the accounting, and the degraded plans prepared
-/// up front so a mid-run switch is a pointer swap, not a re-tune under
-/// fire.
+/// clock, the policy, the accounting, and the suffix plans a mid-run
+/// switch installs. A suffix plan is tuned at its switch, so a run that
+/// never switches tunes nothing; tuning is deterministic, emits no
+/// events and costs no simulated time, so when it happens does not
+/// change the report.
 pub(crate) struct FaultCtx {
     /// The seeded fault source.
     pub clock: FaultClock,
@@ -133,15 +139,44 @@ pub(crate) struct FaultCtx {
     pub cfg: ResilienceConfig,
     /// Accounting.
     pub log: RecoveryLog,
-    /// CPU-only plan: the re-tuned suffix applied after a permanent GPU
-    /// loss.
-    pub cpu_plan: ExecutionPlan,
-    /// Single-processor plan applied when the deadline budget burns.
-    pub degraded_plan: ExecutionPlan,
-    /// Set once a permanent kernel failure removes the GPU.
-    pub gpu_lost: bool,
-    /// Set once the deadline monitor degrades the run.
-    pub degraded: bool,
+    /// CPU-only plan, set once a permanent kernel failure removes the
+    /// GPU; it runs the remaining suffix.
+    pub cpu_plan: Option<ExecutionPlan>,
+    /// Single-processor plan, set once the deadline monitor degrades the
+    /// run; it runs the remaining suffix unless the GPU is lost.
+    pub degraded_plan: Option<ExecutionPlan>,
+}
+
+impl FaultCtx {
+    /// Fresh state for one run of `plan` under `cfg`.
+    pub fn new(plan: FaultPlan, cfg: ResilienceConfig) -> Self {
+        Self {
+            clock: FaultClock::new(plan),
+            cfg,
+            log: RecoveryLog {
+                max_attempts: cfg.max_retries,
+                ..RecoveryLog::default()
+            },
+            cpu_plan: None,
+            degraded_plan: None,
+        }
+    }
+
+    /// Closes the run's accounting.
+    pub fn into_log(self) -> RecoveryLog {
+        RecoveryLog {
+            faults_injected: self.clock.injected(),
+            gpu_lost: self.cpu_plan.is_some(),
+            ..self.log
+        }
+    }
+}
+
+/// The fault-free state: an empty fault plan under the default config.
+impl Default for FaultCtx {
+    fn default() -> Self {
+        Self::new(FaultPlan::none(), ResilienceConfig::default())
+    }
 }
 
 #[cfg(test)]

@@ -174,11 +174,8 @@ fn simulation_time_positive_and_layers_ordered() {
             assert!(event.end_us <= report.total_us + 1e-6);
             assert!(event.duration_us() >= -1e-9);
         }
-        assert!(
-            edgenn_sim::trace::validate_events(&report.events).is_ok(),
-            "{:?}",
-            edgenn_sim::trace::validate_events(&report.events)
-        );
+        let violations = edgenn_sim::trace::check_trace(&report.events, None);
+        assert!(violations.is_empty(), "{violations:?}");
     }
 }
 

@@ -280,8 +280,7 @@ fn pass_identity_elim(graph: &Graph) -> Result<(Graph, usize)> {
 
 /// Folds a ReLU into its sole-consumer producer's epilogue.
 ///
-/// This is the generalized successor of the ad-hoc `fuse_relu` pass: it
-/// handles any producer with a fused epilogue — conv and dense clamp in
+/// It handles any producer with a fused epilogue — conv and dense clamp in
 /// the GEMM write-back, residual adds clamp in the same elementwise loop,
 /// and everything else falls back to an in-place clamp on the partial
 /// (still one fewer node, dispatch, and intermediate).

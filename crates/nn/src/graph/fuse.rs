@@ -11,16 +11,15 @@
 //! them) and declares `deferred_epilogue_relu`, so the executor clamps
 //! exactly once after merging the CPU and GPU halves.
 //!
-//! Since PR 9 this is a thin wrapper over the graph compiler's fusion
-//! pass (`graph::compile`); it remains exported for the ablation bench
-//! and for callers that want fusion without the full pass pipeline.
+//! The graph compiler's `fuse-activations` pass (`graph::compile`)
+//! produces these nodes; run it alone by turning every other pass and
+//! the prepacking off in `CompileOptions`.
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use edgenn_tensor::{QuantParams, Shape, Tensor};
 
-use crate::graph::Graph;
 use crate::layer::{Layer, LayerClass};
 use crate::{Result, Workload};
 
@@ -147,29 +146,27 @@ impl Layer for FusedRelu {
     }
 }
 
-/// Folds every ReLU whose producer has no other consumer into that
-/// producer, returning the optimized graph.
-///
-/// The pass preserves semantics exactly (tests assert bit-level output
-/// agreement) and the fork-join structure: a ReLU acting as a fork node
-/// (multiple consumers) is left alone.
-///
-/// # Errors
-/// Propagates graph-construction failures.
-pub fn fuse_relu(graph: &Graph) -> Result<Graph> {
-    crate::graph::compile::pass_fuse_activations(graph).map(|(g, _)| g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::{compile, CompileOptions, Graph};
     use crate::models::{build, ModelKind, ModelScale};
+
+    /// The compiler with only its fusion pass on and no prepacking.
+    fn fuse_only(graph: &Graph) -> Graph {
+        let options = CompileOptions {
+            fuse: true,
+            prepack_f32: false,
+            ..CompileOptions::prepack_only()
+        };
+        compile(graph, &options).unwrap().0
+    }
 
     #[test]
     fn fusion_preserves_outputs_for_all_models() {
         for kind in ModelKind::ALL {
             let graph = build(kind, ModelScale::Tiny);
-            let fused = fuse_relu(&graph).unwrap();
+            let fused = fuse_only(&graph);
             assert!(
                 fused.len() < graph.len(),
                 "{kind}: fusion should remove nodes"
@@ -191,7 +188,7 @@ mod tests {
         // the dropout/norm interleavings don't block them because the ReLU
         // directly follows its conv/fc producer in our builder.
         let graph = build(ModelKind::AlexNet, ModelScale::Paper);
-        let fused = fuse_relu(&graph).unwrap();
+        let fused = fuse_only(&graph);
         let removed = graph.len() - fused.len();
         assert_eq!(removed, 7, "AlexNet has 7 fusible ReLUs");
         assert!(fused
@@ -206,7 +203,7 @@ mod tests {
         // squeeze conv makes the fused node the fork — the fork-join
         // structure must survive intact.
         let graph = build(ModelKind::SqueezeNet, ModelScale::Paper);
-        let fused = fuse_relu(&graph).unwrap();
+        let fused = fuse_only(&graph);
         assert!(
             fused
                 .nodes()
@@ -266,7 +263,7 @@ mod tests {
     #[test]
     fn fusion_reduces_flop_double_counting_but_keeps_totals_close() {
         let graph = build(ModelKind::Vgg16, ModelScale::Paper);
-        let fused = fuse_relu(&graph).unwrap();
+        let fused = fuse_only(&graph);
         let ratio = fused.total_flops() as f64 / graph.total_flops() as f64;
         assert!(
             (0.99..=1.01).contains(&ratio),

@@ -15,7 +15,7 @@ use crate::{NnError, Result};
 
 pub use calibrate::calibrate;
 pub use compile::{compile, CompileOptions, CompileReport, PassDelta, PASS_NAMES};
-pub use fuse::{fuse_relu, FusedRelu};
+pub use fuse::FusedRelu;
 pub use structure::{decompose, Segment, Structure};
 
 /// Identifier of a node within one [`Graph`].

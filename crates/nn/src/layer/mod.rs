@@ -185,9 +185,9 @@ pub trait Layer: Send + Sync {
         false
     }
 
-    /// True for a rectified-linear activation — the marker the fusion
-    /// pass ([`crate::graph::fuse_relu`]) uses to fold a ReLU into its
-    /// producer.
+    /// True for a rectified-linear activation — the marker the
+    /// compiler's fusion pass ([`crate::graph::compile`]) uses to fold a
+    /// ReLU into its producer.
     fn is_relu(&self) -> bool {
         false
     }

@@ -1094,43 +1094,26 @@ pub fn chrome_entries(
     t0_ns: u64,
     name_of: &dyn Fn(u32) -> String,
 ) -> Vec<Value> {
-    let mut out = Vec::with_capacity(records.len());
-    for rec in records {
-        let mut entry = Map::new();
-        let label = if rec.node == NO_NODE {
-            rec.kind.name().to_string()
-        } else {
-            format!("{} {}", rec.kind.name(), name_of(rec.node))
-        };
-        entry.insert("name".to_string(), Value::String(label));
-        entry.insert(
-            "cat".to_string(),
-            Value::String(rec.kind.name().to_string()),
-        );
-        entry.insert("pid".to_string(), Value::Number(pid as f64));
-        entry.insert("tid".to_string(), Value::Number(f64::from(rec.worker)));
-        let ts = rec.start_ns.saturating_sub(t0_ns) as f64 / 1e3;
-        entry.insert("ts".to_string(), Value::Number(ts));
-        if rec.kind.is_instant() {
-            entry.insert("ph".to_string(), Value::String("i".to_string()));
-            entry.insert("s".to_string(), Value::String("t".to_string()));
-        } else {
-            entry.insert("ph".to_string(), Value::String("X".to_string()));
-            entry.insert(
-                "dur".to_string(),
-                Value::Number(rec.duration_us().max(0.001)),
-            );
-        }
-        let mut args = Map::new();
-        args.insert("id".to_string(), Value::Number(rec.id as f64));
-        args.insert("parent".to_string(), Value::Number(rec.parent as f64));
-        if rec.arg != 0 {
-            args.insert("arg".to_string(), Value::Number(rec.arg as f64));
-        }
-        entry.insert("args".to_string(), Value::Object(args));
-        out.push(Value::Object(entry));
-    }
-    out
+    records
+        .iter()
+        .map(|rec| {
+            let label = if rec.node == NO_NODE {
+                rec.kind.name().to_string()
+            } else {
+                format!("{} {}", rec.kind.name(), name_of(rec.node))
+            };
+            let ts = rec.start_ns.saturating_sub(t0_ns) as f64 / 1e3;
+            let dur = (!rec.kind.is_instant()).then(|| rec.duration_us().max(0.001));
+            let mut args = Map::new();
+            args.insert("id", Value::Number(rec.id as f64));
+            args.insert("parent", Value::Number(rec.parent as f64));
+            if rec.arg != 0 {
+                args.insert("arg", Value::Number(rec.arg as f64));
+            }
+            let cat = rec.kind.name().to_string();
+            crate::chrome::event(label, cat, ts, dur, pid, u64::from(rec.worker), args)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1235,9 +1218,22 @@ mod tests {
     /// cannot race each other's capacity observations.
     const TEST_RING_RECORDS: usize = 2 * BASE_RING_RECORDS;
 
+    /// Held by the tests that fill rings or assert on the process-wide
+    /// drop counter: threads share ring ordinals, so one test
+    /// overfilling a ring would show up as another's drops.
+    static RING_FILL: Mutex<()> = Mutex::new(());
+
+    /// [`recording`], mutually exclusive with the other ring fillers.
+    fn recording_exclusive<R>(f: impl FnOnce() -> R) -> R {
+        let _guard = RING_FILL
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        recording(f)
+    }
+
     #[test]
     fn ring_wrap_counts_drops_instead_of_failing() {
-        recording(|| {
+        recording_exclusive(|| {
             reserve(TEST_RING_RECORDS);
             let capacity = retained_records_per_ring() as u64;
             let dropped_before = dropped_records();
@@ -1257,13 +1253,17 @@ mod tests {
 
     #[test]
     fn reserve_grows_rings_and_keeps_marker_windows_intact() {
-        recording(|| {
+        recording_exclusive(|| {
             reserve(TEST_RING_RECORDS);
             assert!(retained_records_per_ring() >= TEST_RING_RECORDS);
             // Growth is monotone: asking for less never shrinks.
             let before = retained_records_per_ring();
             reserve(1);
             assert_eq!(retained_records_per_ring(), before);
+            // Growing publishes empty rings, so the window below cannot
+            // land on a ring an earlier test already wrapped.
+            reserve(2 * before);
+            assert_eq!(retained_records_per_ring(), 2 * before);
             // A window larger than the base capacity survives a drain
             // whole: the VGG regression this sizing fixes showed up as
             // thousands of dropped records per request.
@@ -1504,7 +1504,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_never_produce_torn_records() {
-        recording(|| {
+        recording_exclusive(|| {
             let marker = mark();
             std::thread::scope(|s| {
                 for t in 0..4u64 {

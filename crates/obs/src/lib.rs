@@ -23,6 +23,8 @@
 //!    fixed-size span records written from the functional engine's hot
 //!    paths, with drain/merge into per-request profiles, fault black
 //!    boxes, and Perfetto export (see `docs/profiling.md`).
+//! 5. [`chrome`] — the Chrome trace-event entries every trace export
+//!    above is built from.
 //!
 //! Zero external dependencies: std plus the workspace's vendored
 //! `serde`/`serde_json` only, so offline builds keep working.
@@ -41,6 +43,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod chrome;
 pub mod flight;
 mod metrics;
 mod sink;

@@ -2,7 +2,7 @@
 //! platform did, used by tests, reports, and the adaptive tuner's
 //! feedback loop.
 
-use edgenn_obs::CounterSample;
+use edgenn_obs::{chrome, CounterSample};
 use serde::{Deserialize, Serialize};
 
 use crate::processor::ProcessorKind;
@@ -148,44 +148,6 @@ pub fn interval_union_us(spans: &[(f64, f64)]) -> f64 {
         total += ce - cs;
     }
     total
-}
-
-/// Validates structural invariants of a trace: every event has
-/// non-negative duration, and no two *kernels* assigned to the same
-/// processor overlap in time (a core cannot run two kernels at once).
-/// Memory-traffic events occupy the interconnect, not a core — their
-/// `processor` field is attribution for accounting — so they may overlap
-/// each other and the kernels freely (DMA engines run alongside compute).
-///
-/// # Errors
-/// Returns a description of the first violation found.
-pub fn validate_events(events: &[TraceEvent]) -> Result<(), String> {
-    for event in events {
-        if event.end_us < event.start_us {
-            return Err(format!(
-                "event '{}' has negative duration ({} -> {})",
-                event.label, event.start_us, event.end_us
-            ));
-        }
-    }
-    for proc in [ProcessorKind::Cpu, ProcessorKind::Gpu] {
-        let mut spans: Vec<(f64, f64, &str)> = events
-            .iter()
-            .filter(|e| e.kind == TraceKind::Kernel && e.processor == Some(proc))
-            .map(|e| (e.start_us, e.end_us, e.label.as_str()))
-            .collect();
-        spans.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-        for pair in spans.windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            if b.0 < a.1 - 1e-9 {
-                return Err(format!(
-                    "{proc} events overlap: '{}' [{}, {}] and '{}' [{}, {}]",
-                    a.2, a.0, a.1, b.2, b.0, b.1
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 // --- Happens-before race detection -----------------------------------
@@ -523,43 +485,26 @@ pub fn check_trace(events: &[TraceEvent], caps: Option<&LinkCaps>) -> Vec<TraceV
 const PAGE_BYTES: f64 = 4096.0;
 
 fn span_entry(event: &TraceEvent) -> serde_json::Value {
-    let track = match event.processor {
-        Some(ProcessorKind::Cpu) => "CPU",
-        Some(ProcessorKind::Gpu) => "GPU",
-        None => "Bus",
-    };
-    let tid = match event.processor {
-        Some(ProcessorKind::Cpu) => 1u64,
-        Some(ProcessorKind::Gpu) => 2,
-        None => 3,
+    let (track, tid) = match event.processor {
+        Some(ProcessorKind::Cpu) => ("CPU", 1),
+        Some(ProcessorKind::Gpu) => ("GPU", 2),
+        None => ("Bus", 3),
     };
     let mut args = serde_json::Map::new();
     args.insert("track", serde_json::Value::from(track));
     if event.bytes > 0 {
         args.insert("bytes", serde_json::Value::from(event.bytes as f64));
     }
-    let mut m = serde_json::Map::new();
-    m.insert("name", serde_json::Value::from(event.label.as_str()));
-    m.insert("cat", serde_json::Value::from(event.kind.to_string()));
-    m.insert("ph", serde_json::Value::from("X"));
-    m.insert("ts", serde_json::Value::from(event.start_us));
-    m.insert("dur", serde_json::Value::from(event.duration_us()));
-    m.insert("pid", serde_json::Value::from(1.0));
-    m.insert("tid", serde_json::Value::from(tid as f64));
-    m.insert("args", serde_json::Value::Object(args));
-    serde_json::Value::Object(m)
-}
-
-fn counter_entry(track: &str, ts: f64, value: f64, pid: u64) -> serde_json::Value {
-    let mut args = serde_json::Map::new();
-    args.insert("value", serde_json::Value::from(value));
-    let mut m = serde_json::Map::new();
-    m.insert("name", serde_json::Value::from(track));
-    m.insert("ph", serde_json::Value::from("C"));
-    m.insert("ts", serde_json::Value::from(ts));
-    m.insert("pid", serde_json::Value::from(pid as f64));
-    m.insert("args", serde_json::Value::Object(args));
-    serde_json::Value::Object(m)
+    let (name, cat) = (event.label.clone(), event.kind.to_string());
+    chrome::event(
+        name,
+        cat,
+        event.start_us,
+        Some(event.duration_us()),
+        1,
+        tid,
+        args,
+    )
 }
 
 /// Instantaneous interconnect bandwidth (GB/s) as a step function:
@@ -576,19 +521,7 @@ fn bandwidth_samples(events: &[TraceEvent]) -> Vec<(f64, f64)> {
             deltas.push((e.end_us, -gbps));
         }
     }
-    deltas.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-    let mut samples = Vec::new();
-    let mut level = 0.0;
-    let mut i = 0;
-    while i < deltas.len() {
-        let t = deltas[i].0;
-        while i < deltas.len() && deltas[i].0 == t {
-            level += deltas[i].1;
-            i += 1;
-        }
-        samples.push((t, level.max(0.0)));
-    }
-    samples
+    step_samples(deltas)
 }
 
 /// Outstanding managed pages over time: migrations page data in, a
@@ -610,6 +543,12 @@ fn managed_page_samples(events: &[TraceEvent]) -> Vec<(f64, f64)> {
             _ => {}
         }
     }
+    step_samples(deltas)
+}
+
+/// Sweeps `(t, delta)` change points into a step function: one `(t,
+/// level)` sample per distinct time, the level clamped at zero.
+fn step_samples(mut deltas: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
     deltas.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
     let mut samples = Vec::new();
     let mut level = 0.0;
@@ -662,13 +601,13 @@ pub fn chrome_trace_entries(
         entries.push(span_entry(event));
     }
     for (ts, gbps) in bandwidth_samples(events) {
-        entries.push(counter_entry("bandwidth_gbps", ts, gbps, 1));
+        entries.push(chrome::counter("bandwidth_gbps", ts, gbps, 1));
     }
     for (ts, pages) in managed_page_samples(events) {
-        entries.push(counter_entry("managed_pages_outstanding", ts, pages, 1));
+        entries.push(chrome::counter("managed_pages_outstanding", ts, pages, 1));
     }
     for sample in extra {
-        entries.push(counter_entry(&sample.track, sample.t_us, sample.value, 2));
+        entries.push(chrome::counter(&sample.track, sample.t_us, sample.value, 2));
     }
     entries
 }
@@ -785,48 +724,6 @@ mod tests {
         let back: TraceEvent = serde_json::from_str(&json).unwrap();
         assert_eq!(back, e);
         assert_eq!(back.duration_us(), 1.0);
-    }
-
-    #[test]
-    fn validation_accepts_serial_and_rejects_overlap() {
-        let ok = vec![
-            TraceEvent {
-                kind: TraceKind::Kernel,
-                processor: Some(ProcessorKind::Gpu),
-                start_us: 0.0,
-                end_us: 5.0,
-                label: "a".into(),
-                bytes: 0,
-            },
-            TraceEvent {
-                kind: TraceKind::Kernel,
-                processor: Some(ProcessorKind::Gpu),
-                start_us: 5.0,
-                end_us: 9.0,
-                label: "b".into(),
-                bytes: 0,
-            },
-            TraceEvent {
-                kind: TraceKind::Kernel,
-                processor: Some(ProcessorKind::Cpu),
-                start_us: 1.0,
-                end_us: 8.0,
-                label: "c".into(),
-                bytes: 0,
-            },
-        ];
-        assert!(
-            validate_events(&ok).is_ok(),
-            "cross-processor overlap is fine"
-        );
-
-        let mut bad = ok.clone();
-        bad[1].start_us = 4.0; // overlaps event 'a' on the GPU
-        assert!(validate_events(&bad).is_err());
-
-        let mut negative = ok;
-        negative[0].end_us = -1.0;
-        assert!(validate_events(&negative).is_err());
     }
 
     #[test]

@@ -29,8 +29,8 @@ fn tuned_hybrid_execution_is_lossless_for_all_models() {
 
 /// The paper's central claim (Figure 8): EdgeNN improves on direct GPU
 /// execution for every benchmark, and each single design alone also helps.
-/// Every report's event stream must also pass the trace validator (no
-/// negative durations, no same-processor overlaps).
+/// Every report's event stream must also pass the happens-before trace
+/// checker (no malformed intervals, no kernels sharing a core).
 #[test]
 fn edgenn_improves_every_benchmark_at_paper_scale() {
     let jetson = platforms::jetson_agx_xavier();
@@ -42,8 +42,11 @@ fn edgenn_improves_every_benchmark_at_paper_scale() {
             .infer(&graph)
             .unwrap();
         for report in [&baseline, &full, &memory_only] {
-            edgenn_sim::trace::validate_events(&report.events)
-                .unwrap_or_else(|e| panic!("{kind}: invalid trace: {e}"));
+            let violations = edgenn_sim::trace::check_trace(&report.events, None);
+            assert!(
+                violations.is_empty(),
+                "{kind}: invalid trace: {violations:?}"
+            );
         }
         assert!(full.total_us < baseline.total_us, "{kind}: EdgeNN must win");
         assert!(
@@ -218,7 +221,7 @@ fn observability_spans_the_stack() {
         .unwrap()
         .with_decisions(decisions);
 
-    edgenn_sim::trace::validate_events(&report.events).unwrap();
+    assert!(edgenn_sim::trace::check_trace(&report.events, None).is_empty());
 
     // Decision provenance is attached and serializes with the report.
     assert_eq!(report.decisions.len(), graph.len() - 1);

@@ -5,7 +5,8 @@
 # 1. formatting        (cargo fmt --check)
 # 2. lints             (cargo clippy, warnings are errors)
 # 3. tier-1            (release build + root-package tests)
-# 4. full test suite   (every workspace crate)
+# 4. full test suite   (every workspace crate, then the kernel crates again
+#                       pinned to the portable and AVX2 kernel variants)
 # 5. graph compiler    (edgenn compile over every model x platform:
 #                       per-pass deltas, EC06x rewrite legality, tier A+B)
 # 6. static checker    (edgenn check over every bundled model x platform)
@@ -34,6 +35,13 @@ cargo test -q
 
 echo "==> full workspace tests"
 cargo test --workspace -q
+# Every dispatched kernel (GEMM sweeps, conv gathers, int8 microtile,
+# quantize-and-pad) runs at the widest variant the host has; on an
+# AVX-512 host the narrower ones would otherwise never run. Re-run the
+# kernel crates' tests pinned to each narrower variant (EDGENN_SIMD
+# falls back to the widest safe one on hosts without it).
+EDGENN_SIMD=portable cargo test -q -p edgenn-tensor -p edgenn-nn
+EDGENN_SIMD=avx2 cargo test -q -p edgenn-tensor -p edgenn-nn
 
 echo "==> edgenn compile: rewrite legality (EC06x) on every model x platform"
 # The graph compiler's per-pass node/edge deltas are archived as JSON;

@@ -165,7 +165,7 @@ impl Layer for Dense {
         validate_range(&self.name, &range, self.out_features)?;
         let qw = self
             .qweight
-            .get_or_init(|| QuantizedWeights::from_weight(self.weight.get()));
+            .get_or_init(|| QuantizedWeights::from_weight(self.weight.get(), 1));
         let act = self.act_quant.get().copied().unwrap_or_else(|| {
             let (lo, hi) = min_max(inputs[0].as_slice());
             QuantParams::from_min_max(lo, hi)
@@ -218,8 +218,8 @@ impl Layer for Dense {
             }
             let qw = self
                 .qweight
-                .get_or_init(|| QuantizedWeights::from_weight(self.weight.get()));
-            (qw.awide.len() * 2
+                .get_or_init(|| QuantizedWeights::from_weight(self.weight.get(), 1));
+            (qw.awide.len() * 4
                 + qw.q.as_slice().len()
                 + qw.scales.len() * 4
                 + qw.row_sums.len() * 4) as u64

@@ -12,8 +12,8 @@
 //!   with batch size 1 (the paper's setting) never needs strided views, so
 //!   we keep the representation simple and cache-friendly.
 //! - The crate is deliberately free of external math dependencies: GEMM and
-//!   im2col are implemented here, which keeps the reproduction
-//!   self-contained per the build rules.
+//!   the convolution lowering are implemented here, which keeps the
+//!   reproduction self-contained per the build rules.
 //!
 //! ```
 //! use edgenn_tensor::Tensor;
@@ -43,14 +43,14 @@ pub use gemm::{
     naive_gemm, Epilogue,
 };
 pub use im2col::{
-    col2im_shape, im2col, im2col_into, im2col_into_i8, im2col_into_panels_i16, Conv2dGeometry,
+    col2im_shape, conv_gemm_into, conv_gemm_scratch_elems, conv_qgemm_into,
+    conv_qgemm_scratch_elems, im2col, Conv2dGeometry,
 };
 pub use quant::{
-    dot_i8, min_max, qgemm_pack_a, qgemm_pack_bytes, qgemm_panel_elems, qgemm_requant_into,
-    qgemm_requant_prepacked_into, quantize_into, quantize_into_panels_i16, row_sums, QTensor,
-    QuantParams, Quantization, Requant,
+    dot_i8, min_max, qgemm_pack_a, qgemm_pack_bytes, qgemm_requant_into, quantize_into, row_sums,
+    QTensor, QuantParams, Quantization, Requant,
 };
-pub use scratch::{scratch_stats, with_scratch, with_scratch_i16, with_scratch_i8, ScratchStats};
+pub use scratch::{scratch_stats, with_scratch, with_scratch_i32, with_scratch_i8, ScratchStats};
 pub use shape::Shape;
 pub use simd::{kernel_arch, KernelArch};
 pub use tensor::Tensor;

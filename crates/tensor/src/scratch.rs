@@ -1,9 +1,9 @@
 //! Reusable scratch buffers for kernel lowering.
 //!
-//! The conv hot path materializes two large temporaries per layer — the
-//! im2col patch matrix and the packed-B panels inside the tiled GEMM.
+//! The conv hot path materializes two temporaries per layer — the padded
+//! input map and the GEMM's packed B panels gathered from it.
 //! Allocating them per layer dominated steady-state inference cost, so
-//! both now come from a per-thread arena: a stack of `Vec<f32>` buffers
+//! both come from a per-thread arena: a stack of `Vec<f32>` buffers
 //! that grow to the largest request they have served and are then reused
 //! forever. After the first pass over a model, a thread performs **zero
 //! heap allocations per conv layer**.
@@ -50,16 +50,16 @@ thread_local! {
     /// always meets the same buffer at the same depth and stops growing
     /// after the first pass.
     static ARENA: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
-    /// Parallel stack for int8 buffers (quantized im2col matrices and
-    /// packed int8 GEMM panels). Safe Rust cannot reinterpret an f32
+    /// Parallel stack for int8 buffers (the quantized input vector of
+    /// an int8 dense layer). Safe Rust cannot reinterpret an f32
     /// buffer as bytes without `unsafe`, so the quantized path gets its
     /// own arena; both report into the same global byte counters.
     static ARENA_I8: RefCell<Vec<Vec<i8>>> = const { RefCell::new(Vec::new()) };
-    /// Stack for i16 buffers: the int8 GEMM widens both operands to i16
-    /// during packing so the microkernel's inner loops lower to the
-    /// widening multiply-accumulate idiom (`pmaddwd` on x86) without a
-    /// per-iteration sign-extension of the i8 codes.
-    static ARENA_I16: RefCell<Vec<Vec<i16>>> = const { RefCell::new(Vec::new()) };
+    /// Stack for i32 buffers: the int8 GEMM packs its operands as pair
+    /// words (two codes widened to i16 in one i32) so the microkernel's
+    /// inner loops lower to the widening multiply-accumulate idiom
+    /// (`pmaddwd` on x86) without a per-iteration sign-extension.
+    static ARENA_I32: RefCell<Vec<Vec<i32>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Monotonic counters describing arena behaviour since process start.
@@ -158,33 +158,33 @@ pub fn with_scratch_i8<R>(len: usize, f: impl FnOnce(&mut [i8]) -> R) -> R {
     result
 }
 
-/// [`with_scratch`] for i16 buffers (`len` elements, counted as
-/// `2 * len` bytes in the shared counters). Used by the int8 GEMM for
-/// its widened operand panels.
-pub fn with_scratch_i16<R>(len: usize, f: impl FnOnce(&mut [i16]) -> R) -> R {
-    let mut buf = ARENA_I16
+/// [`with_scratch`] for i32 buffers (`len` elements, counted as
+/// `4 * len` bytes in the shared counters). Used by the int8 kernels for
+/// their pair-word operands.
+pub fn with_scratch_i32<R>(len: usize, f: impl FnOnce(&mut [i32]) -> R) -> R {
+    let mut buf = ARENA_I32
         .with(|arena| arena.borrow_mut().pop())
         .unwrap_or_default();
     let had_capacity = buf.capacity();
     buf.clear();
-    buf.resize(len + SCRATCH_ALIGN / 2, 0);
-    let pad = align_pad(buf.as_ptr() as usize, 2);
+    buf.resize(len + SCRATCH_ALIGN / 4, 0);
+    let pad = align_pad(buf.as_ptr() as usize, 4);
     ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
     let grew = buf.capacity() > had_capacity;
     if grew {
-        FRESH_BYTES.fetch_add((len * 2) as u64, Ordering::Relaxed);
+        FRESH_BYTES.fetch_add((len * 4) as u64, Ordering::Relaxed);
     } else {
-        REUSED_BYTES.fetch_add((len * 2) as u64, Ordering::Relaxed);
+        REUSED_BYTES.fetch_add((len * 4) as u64, Ordering::Relaxed);
     }
     if grew && flight::enabled() {
         flight::instant(
             flight::SpanKind::ArenaMiss,
             flight::NO_NODE,
-            (len * 2) as u64,
+            (len * 4) as u64,
         );
     }
     let result = f(&mut buf[pad..pad + len]);
-    ARENA_I16.with(|arena| arena.borrow_mut().push(buf));
+    ARENA_I32.with(|arena| arena.borrow_mut().push(buf));
     result
 }
 
@@ -257,7 +257,7 @@ mod tests {
                 assert_eq!(buf.as_ptr() as usize % SCRATCH_ALIGN, 0);
                 assert_eq!(buf.len(), 33);
             });
-            with_scratch_i16(77, |buf| {
+            with_scratch_i32(77, |buf| {
                 assert_eq!(buf.as_ptr() as usize % SCRATCH_ALIGN, 0);
                 assert_eq!(buf.len(), 77);
             });

@@ -15,7 +15,9 @@
 # 8. functional bench  (smoke runs on one core and on two cores +
 #                       schema check + per-core-count regression gate)
 # 9. fault storm       (seeded Monte-Carlo resilience smoke, 100% survival,
-#                       on the APU and on the Jetson under a deadline)
+#                       on the APU, twice, with byte-identical summaries,
+#                       and on the Jetson under a deadline that must
+#                       degrade at least one run)
 # 10. serving          (seeded virtual-time siege with faults armed, then a
 #                       300 ms wall-clock serve: 100% survival of admitted
 #                       work, EC07x checker-clean, queue bound held)
@@ -160,20 +162,33 @@ fi
     target/BENCH_functional_smoke.json BENCH_functional.json --slack 0.25
 ./target/release/bench_functional drops target/BENCH_functional_smoke.json
 
-echo "==> fault storm: seeded resilience smoke (6 models x APU, 6 models x Jetson with a deadline)"
+echo "==> fault storm: seeded resilience smoke (6 models x APU twice, 6 models x Jetson with a deadline)"
 # Every run injects a seeded random fault plan; the gate requires 100%
 # survival (no panics, checker-clean recovery traces including the
 # EC04x codes, and functional output bitwise identical to the
 # fault-free reference). The CLI exits non-zero below 100% survival.
-# The APU storm never burns a deadline, so the Jetson storm runs under
-# a 5 ms budget: 100 of its 150 runs switch their remaining suffix to
-# the single-processor plan, which CI would otherwise never execute.
+# `--replay-seed` re-runs one round from its seed alone, so the storm
+# must be deterministic: the APU storm runs twice and the two summaries
+# must be byte-identical. The APU storm never burns a deadline, so the
+# Jetson storm runs under a 5 ms budget: 100 of its 150 runs switch
+# their remaining suffix to the single-processor plan, which CI would
+# otherwise never execute; the stage fails when no run degrades.
 STORM_DIR=target/storm
 mkdir -p "$STORM_DIR"
 ./target/release/edgenn storm --platform apu --seed 42 --runs 25 \
     --out "$STORM_DIR/storm-apu.json"
+./target/release/edgenn storm --platform apu --seed 42 --runs 25 \
+    --out "$STORM_DIR/storm-apu-again.json"
+if ! cmp "$STORM_DIR/storm-apu.json" "$STORM_DIR/storm-apu-again.json"; then
+    echo "the APU storm is not deterministic: its two summaries differ"
+    exit 1
+fi
 ./target/release/edgenn storm --platform jetson --seed 42 --runs 25 \
     --deadline-us 5000 --out "$STORM_DIR/storm-jetson-deadline.json"
+if ! grep -q '"deadline_degradations": [1-9]' "$STORM_DIR/storm-jetson-deadline.json"; then
+    echo "the Jetson deadline storm degraded no run: the suffix switch went untested"
+    exit 1
+fi
 echo "    storm summaries archived in $STORM_DIR/"
 
 echo "==> serving: seeded siege (2 tenants x 2 models, faults on), then wall-clock serve"

@@ -387,9 +387,11 @@ mod tests {
         let outcome = edgenn_core::runtime::functional::execute(&graph, &plan, &input).unwrap();
         assert!(outcome.engine.profile.is_some());
         let records = flight::drain_since(&marker);
+        // Other tests' runs record into the same process-wide rings; the
+        // root this thread recorded is this run's.
         let root = records
             .iter()
-            .find(|r| r.kind == SpanKind::Request)
+            .find(|r| r.kind == SpanKind::Request && r.worker == flight::worker_ordinal())
             .expect("the run records a request root span");
         let slice = flight::causal_slice(&records, root.id);
         assert!(slice.len() > 10, "real run produced {} spans", slice.len());

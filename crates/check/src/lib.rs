@@ -29,6 +29,10 @@
 //!   replays an `edgenn-serve` run's typed decision log and verifies
 //!   the request lifecycle, the exact weighted-fair pick order, the
 //!   bounded queue, deadline accounting, and admission arithmetic.
+//! - **Fault storm — [`storm`]**: seeded Monte-Carlo rounds that gate
+//!   each faulted analytic run on tier C and `EC04x`, then rerun it on
+//!   the model's `edgenn_serve::Twin` and demand the fault-free output
+//!   bit for bit.
 //!
 //! Every diagnostic carries a stable `EC0xx` code ([`codes`]), a
 //! [`Severity`], and a [`Span`] pointing at the node, event, or scope
@@ -46,6 +50,7 @@ pub mod plan;
 pub mod recovery;
 pub mod report;
 pub mod serve;
+pub mod storm;
 pub mod trace;
 
 use edgenn_obs::{EventSink, SinkEvent};
@@ -63,6 +68,7 @@ pub use plan::{check_config, check_plan, check_profile};
 pub use recovery::check_recovery;
 pub use report::check_report;
 pub use serve::{check_admission_log, ServeCheckParams};
+pub use storm::{run_storm, StormConfig, StormReport};
 pub use trace::check_trace_events;
 
 /// How bad a diagnostic is.

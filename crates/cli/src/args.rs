@@ -45,6 +45,15 @@ impl Options {
             .and_then(|(_, v)| v.as_deref())
     }
 
+    /// Parses `--key`'s value, when the flag carries one.
+    pub fn parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let parse = |v: &str| v.parse().map_err(|e| format!("--{key}: {e}"));
+        self.value(key).map(parse).transpose()
+    }
+
     /// True when `--key` was passed (with or without a value).
     pub fn has(&self, key: &str) -> bool {
         self.flags.iter().any(|(k, _)| k == key)
@@ -137,6 +146,23 @@ pub fn resolve_config(options: &Options) -> Result<ExecutionConfig, String> {
     Ok(config)
 }
 
+/// [`resolve_config`] for a command that runs on any platform: on a
+/// GPU-less one, where hybrid configs cannot plan, the CPU-only preset
+/// stands in at the requested precision. Both flags are checked either
+/// way.
+pub fn resolve_config_on(
+    options: &Options,
+    platform: &Platform,
+) -> Result<ExecutionConfig, String> {
+    let requested = resolve_config(options)?;
+    if platform.has_gpu() {
+        return Ok(requested);
+    }
+    let mut config = ExecutionConfig::cpu_only();
+    config.precision = requested.precision;
+    Ok(config)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,6 +181,15 @@ mod tests {
         assert!(o.has("json"));
         assert!(!o.has("quiet"));
         assert_eq!(o.value("trace"), Some("t.json"));
+    }
+
+    #[test]
+    fn parsed_values_name_their_flag_on_error() {
+        let o = opts(&["--seed", "7", "--runs", "x"]);
+        assert_eq!(o.parsed::<u64>("seed"), Ok(Some(7)));
+        assert_eq!(o.parsed::<u64>("absent"), Ok(None));
+        let err = o.parsed::<usize>("runs").unwrap_err();
+        assert!(err.starts_with("--runs: invalid digit"), "{err}");
     }
 
     #[test]
@@ -204,6 +239,24 @@ mod tests {
             resolve_config(&opts(&[])).unwrap().precision,
             Precision::F32,
             "precision defaults to f32"
+        );
+    }
+
+    #[test]
+    fn gpu_less_platforms_plan_cpu_only_at_the_requested_precision() {
+        use edgenn_core::plan::HybridMode;
+        let rpi = parse_platform("rpi").unwrap();
+        let config = resolve_config_on(&opts(&["--precision", "int8"]), &rpi).unwrap();
+        assert_eq!(config.hybrid, HybridMode::CpuOnly);
+        assert_eq!(config.precision, Precision::Int8);
+        let err = resolve_config_on(&opts(&["--config", "nonsense"]), &rpi).unwrap_err();
+        assert!(err.contains("'nonsense'"), "{err}");
+        let jetson = parse_platform("jetson").unwrap();
+        let config = resolve_config_on(&opts(&["--config", "baseline"]), &jetson).unwrap();
+        assert_eq!(
+            config.hybrid,
+            HybridMode::GpuOnly,
+            "a GPU keeps the request"
         );
     }
 

@@ -27,7 +27,7 @@ use edgenn_core::runtime::Runtime;
 use edgenn_nn::graph::{compile, CompileOptions, CompileReport};
 use edgenn_nn::models::{build, ModelScale};
 use edgenn_obs::{EventSink, Labels, ProfileSummary, Recorder, SinkEvent};
-use edgenn_sim::trace::to_chrome_trace_with_counters;
+use edgenn_sim::chrome_trace_entries;
 use edgenn_sim::Platform;
 
 const USAGE: &str = "\
@@ -276,8 +276,9 @@ impl<'o> ObsOutputs<'o> {
             .as_ref()
             .map(edgenn_obs::Recorder::counter_samples)
             .unwrap_or_default();
-        std::fs::write(path, to_chrome_trace_with_counters(events, &extra))
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        let entries = serde_json::Value::Array(chrome_trace_entries(events, &extra));
+        let json = serde_json::to_string_pretty(&entries).map_err(|e| e.to_string())?;
+        std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("chrome trace written to {path} (load in Perfetto or chrome://tracing)");
         Ok(())
     }
@@ -921,17 +922,7 @@ fn cmd_compile(options: &Options) -> Result<(), String> {
         m.insert("passes", serde_json::Value::Array(passes));
         m.insert("check", check.to_json());
         m.insert("clean", serde_json::Value::from(check.is_clean()));
-        let text = serde_json::to_string_pretty(&serde_json::Value::Object(m))
-            .map_err(|e| e.to_string())?;
-        if let Some(path) = options.value("out") {
-            std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
-            if !options.has("json") {
-                eprintln!("compile report written to {path}");
-            }
-        }
-        if options.has("json") {
-            println!("{text}");
-        }
+        emit_summary(options, "compile report", &serde_json::Value::Object(m))?;
     } else {
         println!(
             "{} ({}) — compiled in {} iteration(s): {} -> {} nodes, {} -> {} edges",
@@ -1160,198 +1151,9 @@ fn parse_faults(spec: &str, nodes: usize) -> Result<edgenn_sim::FaultPlan, Strin
 /// Builds the resilience policy from `--max-retries` / `--deadline-us`.
 fn resilience_config(options: &Options) -> Result<ResilienceConfig, String> {
     let mut cfg = ResilienceConfig::default();
-    if let Some(v) = options.value("max-retries") {
-        cfg.max_retries = v.parse().map_err(|e| format!("--max-retries: {e}"))?;
-    }
-    if let Some(v) = options.value("deadline-us") {
-        cfg.deadline_us = Some(v.parse().map_err(|e| format!("--deadline-us: {e}"))?);
-    }
+    cfg.max_retries = options.parsed("max-retries")?.unwrap_or(cfg.max_retries);
+    cfg.deadline_us = options.parsed("deadline-us")?;
     Ok(cfg)
-}
-
-/// One surviving storm round: the degraded analytic latency plus its
-/// recovery accounting.
-struct StormRun {
-    total_us: f64,
-    recovery: edgenn_core::runtime::resilience::RecoveryLog,
-}
-
-/// Per-model inputs a storm round runs against: the paper-scale graph
-/// and plan for the analytic path, and a tiny-scale functional twin
-/// with its fault-free reference output for the bitwise-identity gate.
-struct StormTarget<'a> {
-    graph: &'a edgenn_nn::graph::Graph,
-    plan: &'a ExecutionPlan,
-    tiny: &'a edgenn_nn::graph::Graph,
-    tiny_plan: &'a ExecutionPlan,
-    input: &'a edgenn_tensor::Tensor,
-    reference: &'a edgenn_tensor::Tensor,
-}
-
-/// The owned per-model pieces a storm round borrows (see
-/// [`StormTarget`]): paper-scale graph and plan for the analytic path,
-/// tiny twin with its fault-free reference for the bitwise gate.
-struct StormSetup {
-    graph: edgenn_nn::graph::Graph,
-    plan: ExecutionPlan,
-    clean_us: f64,
-    tiny: edgenn_nn::graph::Graph,
-    tiny_plan: ExecutionPlan,
-    input: edgenn_tensor::Tensor,
-    reference: edgenn_tensor::Tensor,
-}
-
-impl StormSetup {
-    fn target(&self) -> StormTarget<'_> {
-        StormTarget {
-            graph: &self.graph,
-            plan: &self.plan,
-            tiny: &self.tiny,
-            tiny_plan: &self.tiny_plan,
-            input: &self.input,
-            reference: &self.reference,
-        }
-    }
-}
-
-/// Plans one model at both scales and computes the fault-free
-/// functional reference the storm's bitwise gate compares against.
-fn storm_setup(
-    kind: ModelKind,
-    runtime: &Runtime<'_>,
-    config: ExecutionConfig,
-    seed: u64,
-) -> Result<StormSetup, String> {
-    let graph = build(kind, ModelScale::Paper);
-    let tuner = Tuner::new(&graph, runtime).map_err(|e| e.to_string())?;
-    let plan = tuner
-        .plan(&graph, runtime, config)
-        .map_err(|e| e.to_string())?;
-    let clean_us = runtime
-        .simulate(&graph, &plan)
-        .map_err(|e| e.to_string())?
-        .total_us;
-
-    let tiny = build(kind, ModelScale::Tiny);
-    let tiny_tuner = Tuner::new(&tiny, runtime).map_err(|e| e.to_string())?;
-    let tiny_plan = tiny_tuner
-        .plan(&tiny, runtime, config)
-        .map_err(|e| e.to_string())?;
-    let input = edgenn_tensor::Tensor::random(tiny.input_shape().dims(), 1.0, seed);
-    let reference = edgenn_core::runtime::functional::execute(&tiny, &tiny_plan, &input)
-        .map_err(|e| e.to_string())?
-        .output;
-    Ok(StormSetup {
-        graph,
-        plan,
-        clean_us,
-        tiny,
-        tiny_plan,
-        input,
-        reference,
-    })
-}
-
-/// Verbosely re-runs exactly one storm round — the seed usually pasted
-/// from a summary's `failed_seeds` — and exits with its outcome.
-fn storm_replay(
-    kinds: &[ModelKind],
-    platform: &Platform,
-    runtime: &Runtime<'_>,
-    config: ExecutionConfig,
-    rcfg: &ResilienceConfig,
-    base_seed: u64,
-    replay_seed: u64,
-) -> Result<(), String> {
-    println!(
-        "storm replay: seed {replay_seed} on {}, retry budget {}",
-        platform.name, rcfg.max_retries
-    );
-    let mut failures: Vec<String> = Vec::new();
-    for kind in kinds {
-        let setup = storm_setup(*kind, runtime, config, base_seed)?;
-        let target = setup.target();
-        match storm_run(&target, platform, runtime, replay_seed, rcfg) {
-            Ok(run) => println!(
-                "{:<12} ok: {:.3} ms degraded ({:.3} ms clean), {} fault(s), {} retr(y/ies), \
-                 {} fallback(s), {} deadline degradation(s)",
-                kind.name(),
-                run.total_us / 1e3,
-                setup.clean_us / 1e3,
-                run.recovery.faults_injected,
-                run.recovery.retries,
-                run.recovery.fallbacks,
-                run.recovery.deadline_degradations,
-            ),
-            Err(why) => {
-                println!("{:<12} FAILED: {why}", kind.name());
-                failures.push(format!("{} seed {replay_seed}: {why}", kind.name()));
-            }
-        }
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("replay failed:\n  {}", failures.join("\n  ")))
-    }
-}
-
-/// Executes one seeded storm round: analytic fault injection gated by
-/// the checker (trace races, report accounting, EC04x recovery log),
-/// then a functional execution that must reproduce the fault-free
-/// output bit for bit.
-fn storm_run(
-    target: &StormTarget<'_>,
-    platform: &Platform,
-    runtime: &Runtime<'_>,
-    run_seed: u64,
-    rcfg: &ResilienceConfig,
-) -> Result<StormRun, String> {
-    let faults = edgenn_sim::FaultPlan::from_seed(run_seed, target.graph.len());
-    let outcome = runtime
-        .simulate_with_faults(target.graph, target.plan, &faults, rcfg)
-        .map_err(|e| format!("analytic: {e}"))?;
-
-    let mut check = edgenn_check::CheckReport::default();
-    check.extend(edgenn_check::check_trace_events(
-        &outcome.report.events,
-        platform,
-    ));
-    check.extend(edgenn_check::check_report(&outcome.report));
-    check.extend(edgenn_check::check_recovery(&outcome.recovery));
-    if !check.is_clean() {
-        let codes: Vec<&str> = check
-            .diagnostics
-            .iter()
-            .filter(|d| d.severity == edgenn_check::Severity::Error)
-            .map(|d| d.code)
-            .collect();
-        return Err(format!(
-            "checker: {} error(s): {}",
-            check.error_count(),
-            codes.join(" ")
-        ));
-    }
-
-    let tiny_faults = edgenn_sim::FaultPlan::from_seed(run_seed, target.tiny.len());
-    let injector = edgenn_core::runtime::functional::FaultInjector::from_plan(
-        &tiny_faults,
-        target.tiny.len(),
-        rcfg.max_retries,
-    );
-    let functional = edgenn_core::runtime::functional::Executor::new(target.tiny)
-        .map_err(|e| e.to_string())?
-        .with_faults(injector)
-        .execute(target.tiny_plan, target.input)
-        .map_err(|e| format!("functional: {e}"))?;
-    if !functional.output.approx_eq(target.reference, 0.0) {
-        return Err("functional output diverged from the fault-free reference".to_string());
-    }
-
-    Ok(StormRun {
-        total_us: outcome.report.total_us,
-        recovery: outcome.recovery,
-    })
 }
 
 /// Runs the functional engine under the flight recorder and reports the
@@ -1560,7 +1362,7 @@ fn write_profile_trace(
     use edgenn_obs::{chrome, flight};
 
     let path = options.value("perfetto").expect("caller checked");
-    let mut entries = edgenn_sim::chrome_trace_entries(predicted_events, &[]);
+    let mut entries = chrome_trace_entries(predicted_events, &[]);
     entries.push(chrome::process_name(1, "simulated (analytic model)"));
     entries.push(chrome::process_name(3, "measured (flight recorder)"));
     let name_of = |n: u32| {
@@ -1594,6 +1396,8 @@ fn write_profile_trace(
     Ok(())
 }
 
+/// The seeded fault storm (`edgenn_check::storm`): flag parsing and
+/// rendering only.
 fn cmd_storm(options: &Options) -> Result<(), String> {
     options.ensure_known(&[
         "model",
@@ -1610,209 +1414,102 @@ fn cmd_storm(options: &Options) -> Result<(), String> {
         "out",
     ])?;
     let platform = parse_platform(options.value("platform").unwrap_or("jetson"))?;
-    let config = if platform.has_gpu() {
-        args::resolve_config(options)?
-    } else {
-        // Hybrid configs cannot plan without a GPU; a CPU-only storm
-        // still exercises the window and OOM fault classes.
-        ExecutionConfig::cpu_only()
+    // A CPU-only storm still exercises the window and OOM fault classes.
+    let config = args::resolve_config_on(options, &platform)?;
+    let cfg = edgenn_check::StormConfig {
+        platform,
+        models: match options.value("model") {
+            None | Some("all") => ModelKind::ALL.to_vec(),
+            Some(name) => vec![parse_model(name)?],
+        },
+        config,
+        seed: options.parsed("seed")?.unwrap_or(42),
+        runs: options.parsed("runs")?.unwrap_or(100),
+        resilience: resilience_config(options)?,
+        inject_failure: options.parsed("inject-failure")?,
     };
-    let seed: u64 = options
-        .value("seed")
-        .unwrap_or("42")
-        .parse()
-        .map_err(|e| format!("--seed: {e}"))?;
-    let runs: usize = options
-        .value("runs")
-        .unwrap_or("100")
-        .parse()
-        .map_err(|e| format!("--runs: {e}"))?;
-    if runs == 0 {
-        return Err("--runs must be at least 1".to_string());
+    let (name, max_retries) = (&cfg.platform.name, cfg.resilience.max_retries);
+    if let Some(seed) = options.parsed::<u64>("replay-seed")? {
+        println!("storm replay: seed {seed} on {name}, retry budget {max_retries}");
+        let report = edgenn_check::storm::replay(&cfg, seed)?;
+        for m in &report.models {
+            match m.failures.first() {
+                None => println!(
+                    "{:<12} ok: {:.3} ms degraded ({:.3} ms clean), {} fault(s), {} retr(y/ies), \
+                     {} fallback(s), {} deadline degradation(s)",
+                    m.model,
+                    m.p50_degraded_us.unwrap_or(f64::NAN) / 1e3,
+                    m.clean_us / 1e3,
+                    m.faults_injected,
+                    m.retries,
+                    m.fallbacks,
+                    m.deadline_degradations,
+                ),
+                Some(failure) => {
+                    let (_, why) = failure.split_once(": ").unwrap_or_default();
+                    println!("{:<12} FAILED: {why}", m.model);
+                }
+            }
+        }
+        let failures: Vec<String> = report.models.into_iter().flat_map(|m| m.failures).collect();
+        if failures.is_empty() {
+            return Ok(());
+        }
+        return Err(format!("replay failed:\n  {}", failures.join("\n  ")));
     }
-    let rcfg = resilience_config(options)?;
-    let inject: Option<usize> = match options.value("inject-failure") {
-        Some(v) => Some(v.parse().map_err(|e| format!("--inject-failure: {e}"))?),
-        None => None,
-    };
-    let kinds: Vec<ModelKind> = match options.value("model") {
-        None | Some("all") => ModelKind::ALL.to_vec(),
-        Some(name) => vec![parse_model(name)?],
-    };
 
-    let runtime = Runtime::new(&platform);
-    if let Some(v) = options.value("replay-seed") {
-        let replay: u64 = v.parse().map_err(|e| format!("--replay-seed: {e}"))?;
-        return storm_replay(&kinds, &platform, &runtime, config, &rcfg, seed, replay);
-    }
+    let report = edgenn_check::run_storm(&cfg)?;
     let json_wanted = options.has("json");
     if !json_wanted {
         println!(
-            "fault storm: {runs} run(s)/model on {}, base seed {seed}, retry budget {}",
-            platform.name, rcfg.max_retries
+            "fault storm: {} run(s)/model on {name}, base seed {}, retry budget {max_retries}",
+            cfg.runs, cfg.seed
         );
         println!(
             "{:<12} {:>9} {:>9} {:>11} {:>11} {:>8} {:>10}",
             "model", "survived", "injected", "clean ms", "p99 ms", "retries", "fallbacks"
         );
-    }
-
-    let mut model_values = Vec::new();
-    let mut total_runs = 0usize;
-    let mut total_survived = 0usize;
-    let mut first_failures: Vec<String> = Vec::new();
-    for kind in kinds {
-        let setup = storm_setup(kind, &runtime, config, seed)?;
-        let clean_us = setup.clean_us;
-        let target = setup.target();
-
-        let mut latencies: Vec<f64> = Vec::with_capacity(runs);
-        let mut survived = 0usize;
-        let (mut injected, mut retries, mut fallbacks, mut degradations) = (0u64, 0u64, 0u64, 0u64);
-        let mut failures: Vec<String> = Vec::new();
-        let mut failed_seeds: Vec<u64> = Vec::new();
-        let mut degraded_seeds: Vec<u64> = Vec::new();
-        for i in 0..runs {
-            let run_seed = seed.wrapping_add(i as u64);
-            if inject == Some(i) {
-                failures.push(format!(
-                    "{} seed {run_seed}: forced failure (--inject-failure {i})",
-                    kind.name()
-                ));
-                failed_seeds.push(run_seed);
-                continue;
-            }
-            match storm_run(&target, &platform, &runtime, run_seed, &rcfg) {
-                Ok(run) => {
-                    survived += 1;
-                    latencies.push(run.total_us);
-                    injected += run.recovery.faults_injected;
-                    retries += run.recovery.retries;
-                    fallbacks += run.recovery.fallbacks;
-                    degradations += run.recovery.deadline_degradations;
-                    if run.recovery.deadline_degradations > 0 {
-                        degraded_seeds.push(run_seed);
-                    }
-                }
-                Err(why) => {
-                    failures.push(format!("{} seed {run_seed}: {why}", kind.name()));
-                    failed_seeds.push(run_seed);
-                }
-            }
-        }
-        total_runs += runs;
-        total_survived += survived;
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let p50 = edgenn_obs::percentile(&latencies, 0.50).unwrap_or(f64::NAN);
-        let p99 = edgenn_obs::percentile(&latencies, 0.99).unwrap_or(f64::NAN);
-
-        if !json_wanted {
+        for m in &report.models {
             println!(
                 "{:<12} {:>6}/{:<2} {:>9} {:>11.3} {:>11.3} {:>8} {:>10}",
-                kind.name(),
-                survived,
-                runs,
-                injected,
-                clean_us / 1e3,
-                p99 / 1e3,
-                retries,
-                fallbacks
+                m.model,
+                m.survived,
+                m.runs,
+                m.faults_injected,
+                m.clean_us / 1e3,
+                m.p99_degraded_us.unwrap_or(f64::NAN) / 1e3,
+                m.retries,
+                m.fallbacks
             );
         }
-        first_failures.extend(failures.iter().take(3).cloned());
-
-        let mut m = serde_json::Map::new();
-        m.insert("model", serde_json::Value::from(kind.name()));
-        m.insert("runs", serde_json::Value::from(runs as u64));
-        m.insert("survived", serde_json::Value::from(survived as u64));
-        m.insert(
-            "survival_rate",
-            serde_json::Value::from(survived as f64 / runs as f64),
-        );
-        m.insert("clean_us", serde_json::Value::from(clean_us));
-        m.insert("p50_degraded_us", serde_json::Value::from(p50));
-        m.insert("p99_degraded_us", serde_json::Value::from(p99));
-        m.insert("faults_injected", serde_json::Value::from(injected));
-        m.insert("retries", serde_json::Value::from(retries));
-        m.insert("fallbacks", serde_json::Value::from(fallbacks));
-        m.insert(
-            "deadline_degradations",
-            serde_json::Value::from(degradations),
-        );
-        m.insert(
-            "failures",
-            serde_json::to_value(&failures).map_err(|e| e.to_string())?,
-        );
-        // Seeds are the replay currency: paste any of these into
-        // `edgenn storm --replay-seed N` to reproduce the round.
-        m.insert(
-            "failed_seeds",
-            serde_json::Value::Array(
-                failed_seeds
-                    .iter()
-                    .map(|s| serde_json::Value::from(*s))
-                    .collect(),
-            ),
-        );
-        m.insert(
-            "degraded_seeds",
-            serde_json::Value::Array(
-                degraded_seeds
-                    .iter()
-                    .map(|s| serde_json::Value::from(*s))
-                    .collect(),
-            ),
-        );
-        model_values.push(serde_json::Value::Object(m));
     }
+    let summary = serde_json::to_value(&report).map_err(|e| e.to_string())?;
+    emit_summary(options, "storm summary", &summary)?;
+    if !json_wanted {
+        println!(
+            "survival: {}/{} ({:.1}%)",
+            report.total_survived,
+            report.total_runs,
+            report.survival_rate * 100.0
+        );
+    }
+    report.gate()
+}
 
-    let survival_rate = total_survived as f64 / total_runs as f64;
-    let mut top = serde_json::Map::new();
-    top.insert("platform", serde_json::Value::from(platform.name.as_str()));
-    top.insert("seed", serde_json::Value::from(seed));
-    top.insert("runs_per_model", serde_json::Value::from(runs as u64));
-    top.insert("max_retries", serde_json::Value::from(rcfg.max_retries));
-    top.insert("total_runs", serde_json::Value::from(total_runs as u64));
-    top.insert(
-        "total_survived",
-        serde_json::Value::from(total_survived as u64),
-    );
-    top.insert("survival_rate", serde_json::Value::from(survival_rate));
-    top.insert("models", serde_json::Value::Array(model_values));
-    let summary = serde_json::Value::Object(top);
-
+/// Writes `summary` to `--out`, naming the file on stderr as `what`
+/// unless `--json` is set, and prints it to stdout under `--json`.
+fn emit_summary(options: &Options, what: &str, summary: &serde_json::Value) -> Result<(), String> {
+    let text = serde_json::to_string_pretty(summary).map_err(|e| e.to_string())?;
     if let Some(path) = options.value("out") {
-        let text = serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?;
-        std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
-        if !json_wanted {
-            eprintln!("storm summary written to {path}");
+        std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
+        if !options.has("json") {
+            eprintln!("{what} written to {path}");
         }
     }
-    if json_wanted {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?
-        );
-    } else {
-        println!(
-            "survival: {total_survived}/{total_runs} ({:.1}%)",
-            survival_rate * 100.0
-        );
+    if options.has("json") {
+        println!("{text}");
     }
-
-    if total_survived == total_runs {
-        Ok(())
-    } else {
-        let mut message = format!(
-            "storm failed: {total_survived}/{total_runs} run(s) survived on {}",
-            platform.name
-        );
-        for failure in first_failures.iter().take(10) {
-            message.push_str("\n  ");
-            message.push_str(failure);
-        }
-        Err(message)
-    }
+    Ok(())
 }
 
 /// Renders the shared serve/siege report: per-tenant outcome and tail
@@ -1900,19 +1597,7 @@ fn serve_epilogue(
         summary.insert("checker".to_string(), check.to_json());
     }
     let summary = serde_json::Value::Object(summary);
-    if let Some(path) = options.value("out") {
-        let text = serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?;
-        std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
-        if !options.has("json") {
-            eprintln!("{command} report written to {path}");
-        }
-    }
-    if options.has("json") {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?
-        );
-    }
+    emit_summary(options, &format!("{command} report"), &summary)?;
     let checker_errors = check.map_or(0, edgenn_check::CheckReport::error_count);
     if report.gate_clean() && checker_errors == 0 {
         return Ok(());
@@ -1962,29 +1647,19 @@ fn cmd_serve(options: &Options) -> Result<(), String> {
         "json",
         "out",
     ])?;
-    let seed: u64 = options
-        .value("seed")
-        .unwrap_or("42")
-        .parse()
-        .map_err(|e| format!("--seed: {e}"))?;
-    let duration_ms: u64 = options
-        .value("duration-ms")
-        .unwrap_or("1000")
-        .parse()
-        .map_err(|e| format!("--duration-ms: {e}"))?;
+    let seed = options.parsed("seed")?.unwrap_or(42);
+    let duration_ms = options.parsed("duration-ms")?.unwrap_or(1000);
     let mut cfg = edgenn_serve::ServeConfig::demo(seed, duration_ms);
     if let Some(v) = options.value("platform") {
         cfg.platform = parse_platform(v)?;
     }
-    if let Some(v) = options.value("queue-capacity") {
-        cfg.queue_capacity = v.parse().map_err(|e| format!("--queue-capacity: {e}"))?;
-    }
-    if let Some(v) = options.value("max-batch") {
-        cfg.policy.max_batch = v.parse().map_err(|e| format!("--max-batch: {e}"))?;
-    }
-    if let Some(v) = options.value("max-delay-us") {
-        cfg.policy.max_delay_us = v.parse().map_err(|e| format!("--max-delay-us: {e}"))?;
-    }
+    cfg.queue_capacity = options
+        .parsed("queue-capacity")?
+        .unwrap_or(cfg.queue_capacity);
+    cfg.policy.max_batch = options.parsed("max-batch")?.unwrap_or(cfg.policy.max_batch);
+    cfg.policy.max_delay_us = options
+        .parsed("max-delay-us")?
+        .unwrap_or(cfg.policy.max_delay_us);
     let recorder = Recorder::new();
     let report = edgenn_serve::run_server(&cfg, Some(&recorder))?;
     let check = if options.has("check") {
@@ -2036,33 +1711,21 @@ fn cmd_siege(options: &Options) -> Result<(), String> {
         "json",
         "out",
     ])?;
-    let seed: u64 = options
-        .value("seed")
-        .unwrap_or("42")
-        .parse()
-        .map_err(|e| format!("--seed: {e}"))?;
+    let seed = options.parsed("seed")?.unwrap_or(42);
     let mut cfg = edgenn_serve::SiegeConfig::ci(seed);
-    if let Some(v) = options.value("duration-us") {
-        cfg.duration_us = v.parse().map_err(|e| format!("--duration-us: {e}"))?;
-    }
+    cfg.duration_us = options.parsed("duration-us")?.unwrap_or(cfg.duration_us);
     if let Some(v) = options.value("platform") {
         cfg.platform = parse_platform(v)?;
     }
-    if let Some(v) = options.value("queue-capacity") {
-        cfg.queue_capacity = v.parse().map_err(|e| format!("--queue-capacity: {e}"))?;
-    }
-    if let Some(v) = options.value("max-batch") {
-        cfg.policy.max_batch = v.parse().map_err(|e| format!("--max-batch: {e}"))?;
-    }
-    if let Some(v) = options.value("max-delay-us") {
-        cfg.policy.max_delay_us = v.parse().map_err(|e| format!("--max-delay-us: {e}"))?;
-    }
-    if options.has("no-faults") {
-        cfg.faults = false;
-    }
-    if let Some(v) = options.value("max-retries") {
-        cfg.max_retries = v.parse().map_err(|e| format!("--max-retries: {e}"))?;
-    }
+    cfg.queue_capacity = options
+        .parsed("queue-capacity")?
+        .unwrap_or(cfg.queue_capacity);
+    cfg.policy.max_batch = options.parsed("max-batch")?.unwrap_or(cfg.policy.max_batch);
+    cfg.policy.max_delay_us = options
+        .parsed("max-delay-us")?
+        .unwrap_or(cfg.policy.max_delay_us);
+    cfg.faults &= !options.has("no-faults");
+    cfg.max_retries = options.parsed("max-retries")?.unwrap_or(cfg.max_retries);
     let recorder = Recorder::new();
     let report = edgenn_serve::run_siege(&cfg, Some(&recorder))?;
     let check = serve_check(&report);

@@ -297,6 +297,20 @@ fn storm_surfaces_the_seed_of_a_forced_failure_and_replays_it() {
 }
 
 #[test]
+fn storm_checks_config_and_precision_on_a_gpu_less_platform() {
+    for (extra, bad) in [
+        ("--precision bogus --config nonsense", "'nonsense'"),
+        ("--precision bogus", "'bogus'"),
+    ] {
+        let args = format!("storm --platform rpi --model lenet --runs 2 {extra}");
+        let out = edgenn(&args.split(' ').collect::<Vec<_>>());
+        assert!(!out.status.success(), "{args} was accepted");
+        let text = String::from_utf8(out.stderr).unwrap();
+        assert!(text.contains(bad), "{args}: expected {bad} in:\n{text}");
+    }
+}
+
+#[test]
 fn inspect_prints_per_layer_table() {
     let out = edgenn(&["inspect", "--model", "vgg"]);
     assert!(out.status.success());

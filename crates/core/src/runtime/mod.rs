@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use edgenn_nn::graph::{Graph, NodeId, Segment};
 use edgenn_nn::layer::LayerClass;
-use edgenn_obs::{EventSink, SinkEvent};
+use edgenn_obs::{percentile, EventSink, SinkEvent};
 use edgenn_sim::processor::ExecutionContext;
 use edgenn_sim::{
     AllocStrategy, KernelDesc, OpClass, Platform, ProcessorKind, ProcessorSpec, Timeline, TraceKind,
@@ -481,8 +481,8 @@ impl<'a> Runtime<'a> {
         let total_us = timeline.makespan_us();
         let energy = self.platform.power.energy(&timeline);
         let mut sorted = latencies.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let pct = |q: f64| sorted[(((sorted.len() - 1) as f64) * q).round() as usize];
+        sorted.sort_by(f64::total_cmp);
+        let pct = |q| percentile(&sorted, q).expect("at least one request");
         Ok(OpenLoopReport {
             requests,
             offered_rate_per_s: rate_per_s,
@@ -536,7 +536,8 @@ impl<'a> Runtime<'a> {
     }
 }
 
-/// Result of an open-loop (Poisson-arrival) stream simulation.
+/// Result of an open-loop (Poisson-arrival) stream simulation. Its
+/// percentiles are nearest-rank ([`edgenn_obs::percentile`]).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct OpenLoopReport {
     /// Number of requests simulated.

@@ -60,6 +60,10 @@ pub enum PlanVariant {
 }
 
 impl PlanVariant {
+    /// The ladder in quality order: a model's rung `i` runs `LADDER[i]`.
+    pub const LADDER: [PlanVariant; 3] =
+        [PlanVariant::Hybrid, PlanVariant::Single, PlanVariant::Int8];
+
     /// Stable snake-case name (JSON, events, docs).
     pub fn name(self) -> &'static str {
         match self {

@@ -16,166 +16,55 @@
 //!    `Enqueued` share an instant and the pending set is the only bound.
 //! 2. [`Dispatcher::form`] — closes a ready batch and runs the SLO guard
 //!    ([`decide_batch`]) over the per-(model, rung) service estimates.
-//! 3. [`Job::execute`] — the batch runs for real on the model's Tiny
-//!    twin, with an optional per-batch fault plan, and each output is
-//!    checked bitwise against the fault-free reference.
+//! 3. [`Job::execute`] — the batch runs for real on the model's
+//!    [`Twin`], with an optional per-batch fault plan, and each output
+//!    is checked bitwise against the fault-free reference.
 //! 4. [`Dispatcher::complete`] — logs completions, records divergences
 //!    and releases admission slots.
 //! 5. [`Dispatcher::report`] — derives the [`SiegeReport`] from the log.
 
 use std::sync::Arc;
 
-use edgenn_core::plan::{ExecutionConfig, ExecutionPlan};
-use edgenn_core::runtime::functional::{self, Executor, FaultInjector};
+use edgenn_core::plan::ExecutionConfig;
 use edgenn_core::runtime::Runtime;
-use edgenn_core::tuner::Tuner;
-use edgenn_nn::graph::Graph;
-use edgenn_nn::models::{build, ModelKind, ModelScale};
+use edgenn_nn::models::ModelKind;
 use edgenn_obs::flight::{self, SpanKind};
 use edgenn_obs::{percentile, EventSink, Recorder, SinkEvent};
-use edgenn_sim::{FaultPlan, Platform};
-use edgenn_tensor::Tensor;
+use edgenn_sim::Platform;
 
 use crate::admission::{AdmissionController, TenantConfig};
 use crate::batcher::{BatchPolicy, Batcher, PlanVariant, Request};
 use crate::events::{AdmissionLog, RejectReason, ServeEvent, ServeEventKind};
 use crate::siege::{ModelStats, SiegeReport, TenantLoad, TenantStats};
+use crate::twin::Twin;
 
 /// How many distinct input tensors each model's request stream cycles
 /// through (slot = request id mod pool).
 const INPUT_POOL: usize = 4;
 
-/// One executable rung of a model's plan ladder.
-pub(crate) struct VariantTarget {
-    variant: PlanVariant,
-    pub(crate) tiny_plan: ExecutionPlan,
-    /// Paper-scale analytic latency: the SLO-math currency.
-    predicted_us: f64,
-}
-
-/// One catalog model: tiny functional twin, plan ladder, input pool,
-/// and per-(variant, slot) fault-free references.
-pub(crate) struct ModelTarget {
-    pub(crate) kind: ModelKind,
-    pub(crate) tiny: Graph,
-    pub(crate) variants: Vec<VariantTarget>,
-    pub(crate) inputs: Vec<Tensor>,
-    refs: Vec<Vec<Tensor>>,
-}
-
-fn make_variant(
-    runtime: &Runtime<'_>,
-    paper: &Graph,
-    tiny: &Graph,
-    config: ExecutionConfig,
-    variant: PlanVariant,
-) -> Result<VariantTarget, String> {
-    let tuner = Tuner::new(paper, runtime).map_err(|e| e.to_string())?;
-    let plan = tuner
-        .plan(paper, runtime, config)
-        .map_err(|e| e.to_string())?;
-    let predicted_us = runtime
-        .simulate(paper, &plan)
-        .map_err(|e| e.to_string())?
-        .total_us;
-    let tiny_tuner = Tuner::new(tiny, runtime).map_err(|e| e.to_string())?;
-    let tiny_plan = tiny_tuner
-        .plan(tiny, runtime, config)
-        .map_err(|e| e.to_string())?;
-    Ok(VariantTarget {
-        variant,
-        tiny_plan,
-        predicted_us,
-    })
-}
-
-fn build_targets(
-    models: &[ModelKind],
-    platform: &Platform,
-    seed: u64,
-) -> Result<Vec<ModelTarget>, String> {
-    let runtime = Runtime::new(platform);
-    let has_gpu = platform.has_gpu();
-    let mut targets = Vec::with_capacity(models.len());
-    for (ordinal, kind) in models.iter().enumerate() {
-        let paper = build(*kind, ModelScale::Paper);
-        let tiny = build(*kind, ModelScale::Tiny);
-        let mut variants = Vec::new();
-        let hybrid_cfg = if has_gpu {
-            ExecutionConfig::edgenn()
-        } else {
-            ExecutionConfig::cpu_only()
-        };
-        variants.push(make_variant(
-            &runtime,
-            &paper,
-            &tiny,
-            hybrid_cfg,
-            PlanVariant::Hybrid,
-        )?);
-        if has_gpu {
-            // Single-processor rung: whichever of GPU-only / CPU-only
-            // the analytic model prices faster for this model.
-            let gpu = make_variant(
-                &runtime,
-                &paper,
-                &tiny,
-                ExecutionConfig::baseline_gpu(),
-                PlanVariant::Single,
-            )?;
-            let cpu = make_variant(
-                &runtime,
-                &paper,
-                &tiny,
-                ExecutionConfig::cpu_only(),
-                PlanVariant::Single,
-            )?;
-            variants.push(if gpu.predicted_us <= cpu.predicted_us {
-                gpu
-            } else {
-                cpu
-            });
-            // Int8 rung: only where the model's layers make
-            // quantization worthwhile (tiny shapes often do not).
-            if tiny.nodes().iter().any(|n| n.layer().int8_worthwhile()) {
-                variants.push(make_variant(
-                    &runtime,
-                    &paper,
-                    &tiny,
-                    ExecutionConfig::edgenn_int8(),
-                    PlanVariant::Int8,
-                )?);
-            }
-        }
-        let inputs: Vec<Tensor> = (0..INPUT_POOL)
-            .map(|slot| {
-                Tensor::random(
-                    tiny.input_shape().dims(),
-                    1.0,
-                    seed.wrapping_add((ordinal as u64) << 32)
-                        .wrapping_add(slot as u64),
-                )
-            })
-            .collect();
-        let mut refs = Vec::with_capacity(variants.len());
-        for vt in &variants {
-            let mut per_slot = Vec::with_capacity(INPUT_POOL);
-            for input in &inputs {
-                let outcome = functional::execute(&tiny, &vt.tiny_plan, input)
-                    .map_err(|e| format!("{kind} reference: {e}"))?;
-                per_slot.push(outcome.output);
-            }
-            refs.push(per_slot);
-        }
-        targets.push(ModelTarget {
-            kind: *kind,
-            tiny,
-            variants,
-            inputs,
-            refs,
-        });
+/// The serving plan ladder of `kind`, in quality order: rung `i` runs
+/// [`PlanVariant::LADDER`]`[i]`, and input slot `s` is drawn from
+/// `seed + s`. A GPU-less platform gets one CPU-only rung. Otherwise
+/// the hybrid plan comes first, then whichever of GPU-only and CPU-only
+/// the analytic model prices faster, then int8 where the model's layers
+/// make quantization worthwhile (Tiny shapes often do not).
+fn ladder(kind: ModelKind, runtime: &Runtime<'_>, seed: u64) -> edgenn_core::Result<Twin> {
+    let seeds: Vec<u64> = (0..INPUT_POOL as u64)
+        .map(|i| seed.wrapping_add(i))
+        .collect();
+    let mut twin = Twin::new(kind, &seeds);
+    if !runtime.platform().has_gpu() {
+        twin.push(runtime, &[ExecutionConfig::cpu_only()])?;
+        return Ok(twin);
     }
-    Ok(targets)
+    twin.push(runtime, &[ExecutionConfig::edgenn()])?;
+    let single = [ExecutionConfig::baseline_gpu(), ExecutionConfig::cpu_only()];
+    twin.push(runtime, &single)?;
+    let nodes = twin.tiny.nodes();
+    if nodes.iter().any(|n| n.layer().int8_worthwhile()) {
+        twin.push(runtime, &[ExecutionConfig::edgenn_int8()])?;
+    }
+    Ok(twin)
 }
 
 /// Batch service-time scaling: near-linear with a 10% coalescing
@@ -243,63 +132,34 @@ pub(crate) struct Job {
     /// When the engine is estimated to be free again: formation time
     /// plus the rung's estimate scaled by [`batch_factor`].
     pub(crate) done_us: f64,
-    target: Arc<ModelTarget>,
+    twin: Arc<Twin>,
 }
 
 impl Job {
-    /// Runs the kept members on the model's Tiny twin. With
-    /// `faults = Some((seed, max_retries))` a fault plan derived from
-    /// `seed` and the batch id is armed. Returns one bitwise verdict per
-    /// kept member, or why the batch could not run.
+    /// Runs the kept members on the model's twin, each on input slot
+    /// `id mod INPUT_POOL`. With `faults = Some((seed, max_retries))` a
+    /// fault plan derived from `seed` and the batch id is armed. Returns
+    /// one bitwise verdict per kept member, or why the batch could not
+    /// run.
     ///
     /// # Errors
     /// The executor could not be built or the batch failed to run.
     pub(crate) fn execute(&self, faults: Option<(u64, u32)>) -> Result<Vec<bool>, String> {
-        let target = &*self.target;
         let slot = |m: &Request| (m.id % INPUT_POOL as u64) as usize;
-        let inputs: Vec<Tensor> = self
-            .keep
-            .iter()
-            .map(|m| target.inputs[slot(m)].clone())
-            .collect();
-        let mut exec =
-            Executor::new(&target.tiny).map_err(|e| format!("{} executor: {e}", target.kind))?;
-        if let Some((seed, max_retries)) = faults {
-            let plan = FaultPlan::from_seed(
-                seed.wrapping_add(self.batch.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                target.tiny.len(),
-            );
-            exec = exec.with_faults(FaultInjector::from_plan(
-                &plan,
-                target.tiny.len(),
-                max_retries,
-            ));
-        }
-        let outcomes = exec
-            .batch_execute(&target.variants[self.rung].tiny_plan, &inputs)
-            .map_err(|e| {
-                format!(
-                    "{} batch {}: functional execution failed: {e}",
-                    target.kind, self.batch
-                )
-            })?;
-        Ok(self
-            .keep
-            .iter()
-            .zip(&outcomes)
-            .map(|(m, outcome)| {
-                outcome
-                    .output
-                    .approx_eq(&target.refs[self.rung][slot(m)], 0.0)
-            })
-            .collect())
+        let slots: Vec<usize> = self.keep.iter().map(slot).collect();
+        let salt = self.batch.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let faults = faults.map(|(seed, max_retries)| (seed.wrapping_add(salt), max_retries));
+        let (kind, batch) = (self.twin.kind, self.batch);
+        self.twin
+            .run(self.rung, &slots, faults)
+            .map_err(|e| format!("{kind} batch {batch}: functional execution failed: {e}"))
     }
 }
 
 /// The serving pipeline's state, shared by `run_siege` and `run_server`.
 pub(crate) struct Dispatcher<'a> {
     loads: Vec<TenantLoad>,
-    targets: Vec<Arc<ModelTarget>>,
+    twins: Vec<Arc<Twin>>,
     /// Per-(model, rung) service-time estimate (us per request),
     /// seeded with the analytic predictions.
     est: Vec<Vec<f64>>,
@@ -344,16 +204,24 @@ impl<'a> Dispatcher<'a> {
                 ));
             }
         }
-        let targets = build_targets(models, platform, seed)?;
+        let runtime = Runtime::new(platform);
+        let twins = models
+            .iter()
+            .enumerate()
+            .map(|(ordinal, &kind)| {
+                let base = seed.wrapping_add((ordinal as u64) << 32);
+                ladder(kind, &runtime, base).map_err(|e| format!("{kind}: {e}"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let tenants: Vec<TenantConfig> = loads.iter().map(|l| l.tenant.clone()).collect();
         let weights: Vec<f64> = tenants.iter().map(|t| t.weight).collect();
         Ok(Dispatcher {
             loads: loads.to_vec(),
-            est: targets
+            est: twins
                 .iter()
-                .map(|t| t.variants.iter().map(|v| v.predicted_us).collect())
+                .map(|t| t.rungs.iter().map(|r| r.predicted_us).collect())
                 .collect(),
-            targets: targets.into_iter().map(Arc::new).collect(),
+            twins: twins.into_iter().map(Arc::new).collect(),
             admission: AdmissionController::new(&tenants, 0.0),
             batcher: Batcher::new(policy, queue_capacity, &weights, models.len()),
             log: AdmissionLog::default(),
@@ -365,9 +233,9 @@ impl<'a> Dispatcher<'a> {
         })
     }
 
-    /// The catalog's models, in ordinal order.
-    pub(crate) fn targets(&self) -> &[Arc<ModelTarget>] {
-        &self.targets
+    /// The catalog's twins, in model ordinal order.
+    pub(crate) fn twins(&self) -> &[Arc<Twin>] {
+        &self.twins
     }
 
     /// The per-(model, rung) service-time estimates the SLO guard reads.
@@ -481,7 +349,7 @@ impl<'a> Dispatcher<'a> {
             shed,
             forced,
         } = decide_batch(now_us, &batch.members, &self.est[model]);
-        let variant = self.targets[model].variants[chosen].variant;
+        let variant = PlanVariant::LADDER[chosen];
         self.log.push(
             now_us,
             ServeEventKind::BatchFormed {
@@ -536,7 +404,7 @@ impl<'a> Dispatcher<'a> {
             keep,
             shed,
             done_us,
-            target: Arc::clone(&self.targets[model]),
+            twin: Arc::clone(&self.twins[model]),
         })
     }
 
@@ -567,10 +435,10 @@ impl<'a> Dispatcher<'a> {
                 }
                 Some(false) => self.bitwise_failures.push(format!(
                     "{} batch {} req {}: output diverged from the fault-free {} reference",
-                    job.target.kind,
+                    job.twin.kind,
                     job.batch,
                     m.id,
-                    job.target.variants[job.rung].variant.name()
+                    PlanVariant::LADDER[job.rung].name()
                 )),
                 // The whole batch failed; its reason is recorded above.
                 None => {}
@@ -587,17 +455,7 @@ impl<'a> Dispatcher<'a> {
             .map(|l| TenantStats {
                 name: l.tenant.name.clone(),
                 weight: l.tenant.weight,
-                arrived: 0,
-                admitted: 0,
-                rejected: 0,
-                shed: 0,
-                completed: 0,
-                failed: 0,
-                degraded: 0,
-                p50_us: f64::NAN,
-                p99_us: f64::NAN,
-                p999_us: f64::NAN,
-                goodput_rps: 0.0,
+                ..TenantStats::default()
             })
             .collect();
         let mut latencies: Vec<Vec<f64>> = vec![Vec::new(); tenants.len()];
@@ -645,14 +503,15 @@ impl<'a> Dispatcher<'a> {
             .collect();
         SiegeReport {
             models: self
-                .targets
+                .twins
                 .iter()
                 .map(|t| ModelStats {
                     name: t.kind.to_string(),
                     variants: t
-                        .variants
+                        .rungs
                         .iter()
-                        .map(|v| (v.variant.name().to_string(), v.predicted_us))
+                        .zip(PlanVariant::LADDER)
+                        .map(|(r, v)| (v.name().to_string(), r.predicted_us))
                         .collect(),
                 })
                 .collect(),

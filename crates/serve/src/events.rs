@@ -194,20 +194,17 @@ impl ServeEvent {
     /// JSON form (archived by `edgenn siege --out`).
     pub fn to_value(&self) -> Value {
         let mut m = Map::new();
-        m.insert("t_us".to_string(), Value::Number(self.t_us));
-        m.insert(
-            "event".to_string(),
-            Value::String(self.kind.name().to_string()),
-        );
+        m.insert("t_us", Value::from(self.t_us));
+        m.insert("event", Value::from(self.kind.name()));
         match &self.kind {
             ServeEventKind::Arrived { req, tenant, model } => {
-                m.insert("req".to_string(), Value::Number(*req as f64));
-                m.insert("tenant".to_string(), Value::Number(*tenant as f64));
-                m.insert("model".to_string(), Value::Number(*model as f64));
+                m.insert("req", Value::from(*req));
+                m.insert("tenant", Value::from(*tenant));
+                m.insert("model", Value::from(*model));
             }
             ServeEventKind::Admitted { req, tenant } => {
-                m.insert("req".to_string(), Value::Number(*req as f64));
-                m.insert("tenant".to_string(), Value::Number(*tenant as f64));
+                m.insert("req", Value::from(*req));
+                m.insert("tenant", Value::from(*tenant));
             }
             ServeEventKind::Rejected {
                 req,
@@ -215,10 +212,10 @@ impl ServeEvent {
                 reason,
                 retry_after_us,
             } => {
-                m.insert("req".to_string(), Value::Number(*req as f64));
-                m.insert("tenant".to_string(), Value::Number(*tenant as f64));
-                m.insert("reason".to_string(), Value::String(reason.name().into()));
-                m.insert("retry_after_us".to_string(), Value::Number(*retry_after_us));
+                m.insert("req", Value::from(*req));
+                m.insert("tenant", Value::from(*tenant));
+                m.insert("reason", Value::from(reason.name()));
+                m.insert("retry_after_us", Value::from(*retry_after_us));
             }
             ServeEventKind::Enqueued {
                 req,
@@ -226,10 +223,10 @@ impl ServeEvent {
                 model,
                 depth,
             } => {
-                m.insert("req".to_string(), Value::Number(*req as f64));
-                m.insert("tenant".to_string(), Value::Number(*tenant as f64));
-                m.insert("model".to_string(), Value::Number(*model as f64));
-                m.insert("depth".to_string(), Value::Number(*depth as f64));
+                m.insert("req", Value::from(*req));
+                m.insert("tenant", Value::from(*tenant));
+                m.insert("model", Value::from(*model));
+                m.insert("depth", Value::from(*depth));
             }
             ServeEventKind::BatchFormed {
                 batch,
@@ -240,26 +237,21 @@ impl ServeEvent {
                 vtime,
                 backlogged,
             } => {
-                m.insert("batch".to_string(), Value::Number(*batch as f64));
-                m.insert("model".to_string(), Value::Number(*model as f64));
-                m.insert("variant".to_string(), Value::String(variant.name().into()));
+                m.insert("batch", Value::from(*batch));
+                m.insert("model", Value::from(*model));
+                m.insert("variant", Value::from(variant.name()));
                 m.insert(
-                    "members".to_string(),
-                    Value::Array(members.iter().map(|r| Value::Number(*r as f64)).collect()),
+                    "members",
+                    Value::Array(members.iter().map(|r| Value::from(*r)).collect()),
                 );
-                m.insert("oldest_wait_us".to_string(), Value::Number(*oldest_wait_us));
+                m.insert("oldest_wait_us", Value::from(*oldest_wait_us));
                 m.insert(
-                    "vtime".to_string(),
-                    Value::Array(vtime.iter().map(|v| Value::Number(*v)).collect()),
+                    "vtime",
+                    Value::Array(vtime.iter().map(|v| Value::from(*v)).collect()),
                 );
                 m.insert(
-                    "backlogged".to_string(),
-                    Value::Array(
-                        backlogged
-                            .iter()
-                            .map(|t| Value::Number(*t as f64))
-                            .collect(),
-                    ),
+                    "backlogged",
+                    Value::Array(backlogged.iter().map(|t| Value::from(*t)).collect()),
                 );
             }
             ServeEventKind::Degraded {
@@ -269,20 +261,20 @@ impl ServeEvent {
                 from,
                 to,
             } => {
-                m.insert("req".to_string(), Value::Number(*req as f64));
-                m.insert("tenant".to_string(), Value::Number(*tenant as f64));
-                m.insert("batch".to_string(), Value::Number(*batch as f64));
-                m.insert("from".to_string(), Value::String(from.name().into()));
-                m.insert("to".to_string(), Value::String(to.name().into()));
+                m.insert("req", Value::from(*req));
+                m.insert("tenant", Value::from(*tenant));
+                m.insert("batch", Value::from(*batch));
+                m.insert("from", Value::from(from.name()));
+                m.insert("to", Value::from(to.name()));
             }
             ServeEventKind::Shed {
                 req,
                 tenant,
                 reason,
             } => {
-                m.insert("req".to_string(), Value::Number(*req as f64));
-                m.insert("tenant".to_string(), Value::Number(*tenant as f64));
-                m.insert("reason".to_string(), Value::String(reason.name().into()));
+                m.insert("req", Value::from(*req));
+                m.insert("tenant", Value::from(*tenant));
+                m.insert("reason", Value::from(reason.name()));
             }
             ServeEventKind::Completed {
                 req,
@@ -292,14 +284,14 @@ impl ServeEvent {
                 deadline_us,
                 degraded,
             } => {
-                m.insert("req".to_string(), Value::Number(*req as f64));
-                m.insert("tenant".to_string(), Value::Number(*tenant as f64));
-                m.insert("batch".to_string(), Value::Number(*batch as f64));
-                m.insert("latency_us".to_string(), Value::Number(*latency_us));
+                m.insert("req", Value::from(*req));
+                m.insert("tenant", Value::from(*tenant));
+                m.insert("batch", Value::from(*batch));
+                m.insert("latency_us", Value::from(*latency_us));
                 if let Some(d) = deadline_us {
-                    m.insert("deadline_us".to_string(), Value::Number(*d));
+                    m.insert("deadline_us", Value::from(*d));
                 }
-                m.insert("degraded".to_string(), Value::Bool(*degraded));
+                m.insert("degraded", Value::Bool(*degraded));
             }
         }
         Value::Object(m)

@@ -39,7 +39,9 @@
 //! [`siege::run_siege`] is the gate: a seeded, deterministic
 //! closed+open-loop load generator in virtual time whose formed batches
 //! execute for real (tiny-scale graphs, fault injection active) and
-//! must reproduce the fault-free reference bitwise.
+//! must reproduce the fault-free reference bitwise. Those runs and
+//! their references live in one [`twin::Twin`] per model, which the
+//! fault storm in `edgenn-check` reruns its rounds on too.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -50,6 +52,7 @@ mod dispatch;
 pub mod events;
 pub mod server;
 pub mod siege;
+pub mod twin;
 
 pub use admission::{AdmissionController, TenantConfig, TokenBucket};
 pub use batcher::{Batch, BatchPolicy, Batcher, PlanVariant, Request};
@@ -58,3 +61,4 @@ pub use server::{run_server, ServeConfig};
 pub use siege::{
     run_siege, LoadMode, ModelStats, SiegeConfig, SiegeReport, TenantLoad, TenantStats,
 };
+pub use twin::{Rung, Twin};

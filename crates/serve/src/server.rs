@@ -158,11 +158,11 @@ fn client_loop(
 /// analytic estimates to it.
 fn warm_estimates(dispatcher: &mut Dispatcher<'_>) -> Result<(), String> {
     let mut measured = Vec::new();
-    for target in dispatcher.targets() {
-        let exec = Executor::new(&target.tiny).map_err(|e| e.to_string())?;
+    for twin in dispatcher.twins() {
+        let exec = Executor::new(&twin.tiny).map_err(|e| e.to_string())?;
         let start = Instant::now();
-        exec.execute(&target.variants[0].tiny_plan, &target.inputs[0])
-            .map_err(|e| format!("{} warm-up: {e}", target.kind))?;
+        exec.execute(&twin.rungs[0].tiny_plan, &twin.inputs[0])
+            .map_err(|e| format!("{} warm-up: {e}", twin.kind))?;
         measured.push(micros_since(start));
     }
     for (row, hybrid_us) in dispatcher.estimates_mut().iter_mut().zip(measured) {

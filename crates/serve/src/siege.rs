@@ -13,7 +13,7 @@
 //! after the fact and CI diff runs across machines.
 //!
 //! What is *not* simulated: every formed batch also executes **for
-//! real** on a tiny-scale twin of its model through
+//! real** on its model's [`crate::Twin`] through
 //! `Executor::batch_execute`, with the fault injector armed from a
 //! per-batch seed, and each output must reproduce the fault-free
 //! reference **bitwise** (`approx_eq(_, 0.0)`). Survival is counted
@@ -33,7 +33,7 @@ use edgenn_obs::Recorder;
 use edgenn_sim::Platform;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde_json::{Map, Value};
+use serde_json::Value;
 
 use crate::admission::TenantConfig;
 use crate::batcher::BatchPolicy;
@@ -150,7 +150,7 @@ impl SiegeConfig {
 }
 
 /// One plan variant's per-tenant outcome counters and latency tails.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantStats {
     /// Tenant display name.
     pub name: String,
@@ -239,94 +239,61 @@ impl SiegeReport {
 
     /// JSON form (archived under `target/siege/` by CI).
     pub fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert(
-            "tenants".to_string(),
-            Value::Array(
-                self.tenants
-                    .iter()
-                    .map(|t| {
-                        let mut o = Map::new();
-                        o.insert("name".to_string(), Value::String(t.name.clone()));
-                        o.insert("weight".to_string(), Value::Number(t.weight));
-                        o.insert("arrived".to_string(), Value::Number(t.arrived as f64));
-                        o.insert("admitted".to_string(), Value::Number(t.admitted as f64));
-                        o.insert("rejected".to_string(), Value::Number(t.rejected as f64));
-                        o.insert("shed".to_string(), Value::Number(t.shed as f64));
-                        o.insert("completed".to_string(), Value::Number(t.completed as f64));
-                        o.insert("failed".to_string(), Value::Number(t.failed as f64));
-                        o.insert("degraded".to_string(), Value::Number(t.degraded as f64));
-                        o.insert("p50_us".to_string(), Value::Number(t.p50_us));
-                        o.insert("p99_us".to_string(), Value::Number(t.p99_us));
-                        o.insert("p999_us".to_string(), Value::Number(t.p999_us));
-                        o.insert("goodput_rps".to_string(), Value::Number(t.goodput_rps));
-                        Value::Object(o)
-                    })
-                    .collect(),
-            ),
-        );
-        m.insert(
-            "models".to_string(),
-            Value::Array(
-                self.models
-                    .iter()
-                    .map(|md| {
-                        let mut o = Map::new();
-                        o.insert("name".to_string(), Value::String(md.name.clone()));
-                        o.insert(
-                            "variants".to_string(),
-                            Value::Array(
-                                md.variants
-                                    .iter()
-                                    .map(|(name, pred)| {
-                                        let mut v = Map::new();
-                                        v.insert(
-                                            "variant".to_string(),
-                                            Value::String(name.clone()),
-                                        );
-                                        v.insert("predicted_us".to_string(), Value::Number(*pred));
-                                        Value::Object(v)
-                                    })
-                                    .collect(),
-                            ),
-                        );
-                        Value::Object(o)
-                    })
-                    .collect(),
-            ),
-        );
-        m.insert("batches".to_string(), Value::Number(self.batches as f64));
-        m.insert(
-            "degraded_batches".to_string(),
-            Value::Number(self.degraded_batches as f64),
-        );
-        m.insert("survival".to_string(), Value::Number(self.survival));
-        m.insert("shed_rate".to_string(), Value::Number(self.shed_rate));
-        m.insert(
-            "fairness_spread".to_string(),
-            Value::Number(self.fairness_spread),
-        );
-        m.insert(
-            "high_water".to_string(),
-            Value::Number(self.high_water as f64),
-        );
-        m.insert(
-            "queue_capacity".to_string(),
-            Value::Number(self.queue_capacity as f64),
-        );
-        m.insert("lost".to_string(), Value::Number(self.lost as f64));
-        m.insert(
-            "bitwise_failures".to_string(),
-            Value::Array(
-                self.bitwise_failures
-                    .iter()
-                    .map(|s| Value::String(s.clone()))
-                    .collect(),
-            ),
-        );
-        m.insert("events".to_string(), self.log.to_value());
-        Value::Object(m)
+        let tenants = self.tenants.iter().map(|t| {
+            object([
+                ("name", t.name.as_str().into()),
+                ("weight", t.weight.into()),
+                ("arrived", t.arrived.into()),
+                ("admitted", t.admitted.into()),
+                ("rejected", t.rejected.into()),
+                ("shed", t.shed.into()),
+                ("completed", t.completed.into()),
+                ("failed", t.failed.into()),
+                ("degraded", t.degraded.into()),
+                ("p50_us", t.p50_us.into()),
+                ("p99_us", t.p99_us.into()),
+                ("p999_us", t.p999_us.into()),
+                ("goodput_rps", t.goodput_rps.into()),
+            ])
+        });
+        let models = self.models.iter().map(|md| {
+            let variants = md.variants.iter().map(|(name, pred)| {
+                object([
+                    ("variant", name.as_str().into()),
+                    ("predicted_us", (*pred).into()),
+                ])
+            });
+            object([
+                ("name", md.name.as_str().into()),
+                ("variants", variants.collect::<Vec<_>>().into()),
+            ])
+        });
+        let failures = self.bitwise_failures.iter().map(|s| s.as_str().into());
+        object([
+            ("tenants", tenants.collect::<Vec<_>>().into()),
+            ("models", models.collect::<Vec<_>>().into()),
+            ("batches", self.batches.into()),
+            ("degraded_batches", self.degraded_batches.into()),
+            ("survival", self.survival.into()),
+            ("shed_rate", self.shed_rate.into()),
+            ("fairness_spread", self.fairness_spread.into()),
+            ("high_water", self.high_water.into()),
+            ("queue_capacity", self.queue_capacity.into()),
+            ("lost", self.lost.into()),
+            ("bitwise_failures", failures.collect::<Vec<_>>().into()),
+            ("events", self.log.to_value()),
+        ])
     }
+}
+
+/// A JSON object with `fields` in order.
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 /// Virtual-time event kinds.

@@ -564,33 +564,18 @@ fn step_samples(mut deltas: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
     samples
 }
 
-/// Serializes events into the Chrome trace-event format (the JSON array
-/// flavor), loadable in `chrome://tracing` or Perfetto. Kernels appear on
-/// a "CPU" or "GPU" track, bus activity (copies, migrations, thrash,
-/// syncs) on a "Bus" track. Byte-moving events additionally feed two
-/// `"ph":"C"` counter tracks: instantaneous interconnect bandwidth and
-/// outstanding managed pages.
-pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
-    to_chrome_trace_with_counters(events, &[])
-}
-
-/// Like [`to_chrome_trace`], with additional counter tracks appended
-/// from `extra` samples (e.g. the tuner's per-node EMA evolution,
-/// collected through an `edgenn_obs::Recorder`). Extra counters render
-/// on their own process row (`pid` 2) so they group separately from the
-/// simulated hardware.
-pub fn to_chrome_trace_with_counters(events: &[TraceEvent], extra: &[CounterSample]) -> String {
-    let entries = chrome_trace_entries(events, extra);
-    serde_json::to_string_pretty(&serde_json::Value::Array(entries))
-        .expect("trace events are serializable")
-}
-
-/// The raw Chrome trace-event entries for a simulated timeline, before
-/// serialization: spans on `pid` 1, extra counters on `pid` 2. Callers
-/// that want one trace file holding the simulated timeline *next to*
-/// something else (a measured flight recording, another simulation)
-/// append their own entries under a distinct `pid` and serialize the
-/// combined array themselves.
+/// A simulated timeline as Chrome trace-event entries (the JSON array
+/// flavor once serialized), loadable in `chrome://tracing` or Perfetto.
+/// Kernels appear on a "CPU" or "GPU" track, bus activity (copies,
+/// migrations, thrash, syncs) on a "Bus" track, all on `pid` 1.
+/// Byte-moving events additionally feed two `"ph":"C"` counter tracks
+/// on `pid` 1: instantaneous interconnect bandwidth and outstanding
+/// managed pages. Each `extra` sample (e.g. the tuner's per-node EMA
+/// evolution, collected through an `edgenn_obs::Recorder`) becomes a
+/// counter on `pid` 2, so it groups apart from the simulated hardware.
+/// A caller that wants one trace file holding the timeline next to
+/// something else (a measured flight recording) appends its own entries
+/// under another `pid` before serializing the array.
 #[must_use]
 pub fn chrome_trace_entries(
     events: &[TraceEvent],
@@ -746,9 +731,7 @@ mod tests {
                 bytes: 0,
             },
         ];
-        let json = to_chrome_trace(&events);
-        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let arr = parsed.as_array().unwrap();
+        let arr = chrome_trace_entries(&events, &[]);
         assert_eq!(arr.len(), 2);
         assert_eq!(arr[0]["name"], "conv1");
         assert_eq!(arr[0]["tid"], 2);
@@ -776,9 +759,7 @@ mod tests {
                 bytes: 8192, // 2 pages
             },
         ];
-        let json = to_chrome_trace(&events);
-        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let arr = parsed.as_array().unwrap();
+        let arr = chrome_trace_entries(&events, &[]);
         let counters: Vec<&serde_json::Value> = arr.iter().filter(|e| e["ph"] == "C").collect();
         assert!(!counters.is_empty());
         let bw_on: Vec<&&serde_json::Value> = counters
@@ -809,9 +790,7 @@ mod tests {
                 value: 110.0,
             },
         ];
-        let json = to_chrome_trace_with_counters(&[], &extra);
-        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let arr = parsed.as_array().unwrap();
+        let arr = chrome_trace_entries(&[], &extra);
         assert_eq!(arr.len(), 2);
         assert_eq!(arr[0]["ph"], "C");
         assert_eq!(arr[0]["name"], "ema_cpu_us/conv1");

@@ -12,8 +12,8 @@
 
 use edgenn_core::prelude::*;
 use edgenn_core::runtime::Runtime;
+use edgenn_sim::chrome_trace_entries;
 use edgenn_sim::platforms;
-use edgenn_sim::trace::to_chrome_trace;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let jetson = platforms::jetson_agx_xavier();
@@ -79,7 +79,8 @@ open-loop latency under Poisson arrivals (capacity ~{capacity:.1} req/s):"
     let plan = tuner.plan(&graph, &runtime, ExecutionConfig::edgenn())?;
     let report = runtime.simulate(&graph, &plan)?;
     let path = std::env::temp_dir().join("edgenn_squeezenet_trace.json");
-    std::fs::write(&path, to_chrome_trace(&report.events))?;
+    let entries = serde_json::Value::Array(chrome_trace_entries(&report.events, &[]));
+    std::fs::write(&path, serde_json::to_string_pretty(&entries)?)?;
     println!(
         "\nschedule trace ({} events) written to {} — load it in chrome://tracing",
         report.events.len(),

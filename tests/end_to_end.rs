@@ -248,7 +248,8 @@ fn observability_spans_the_stack() {
     assert!(samples.iter().any(|s| s.track.starts_with("ema_")));
 
     // The exported trace carries both span and counter entries.
-    let trace = edgenn_sim::trace::to_chrome_trace_with_counters(&report.events, &samples);
+    let entries = edgenn_sim::chrome_trace_entries(&report.events, &samples);
+    let trace = serde_json::to_string_pretty(&serde_json::Value::Array(entries)).unwrap();
     assert!(trace.contains("\"ph\": \"X\""));
     assert!(trace.contains("\"ph\": \"C\""));
     assert!(trace.contains("bandwidth_gbps"));

@@ -11,7 +11,8 @@
 #                       per-pass deltas, EC06x rewrite legality, tier A+B)
 # 6. static checker    (edgenn check over every bundled model x platform)
 # 7. tier-D analyzer   (edgenn analyze over the same 36 combos: ownership
-#                       proof, schedule explorer, measured<=certified gate)
+#                       proof, schedule explorer, measured slots ==
+#                       certified slots and measured arena <= certified)
 # 8. functional bench  (smoke runs on one core and on two cores +
 #                       schema check + per-core-count regression gate)
 # 9. fault storm       (seeded Monte-Carlo resilience smoke, 100% survival,
@@ -96,14 +97,17 @@ done
 echo "    36/36 clean; reports archived in $CHECK_DIR/"
 
 echo "==> edgenn analyze: tier-D ownership + explorer + conformance, 72 combos"
-# The analyzer proves the zero-copy/write-once contracts on the lowered
-# buffer schedule (EC05x), exhaustively explores the worker pool's
-# interleavings, and — with --functional — gates the engine's measured
-# slot/arena high-water marks against the statically certified bound.
-# Both precisions run: the int8 kernels acquire i8/i16 scratch the f32
-# path never touches, and the certified bound must dominate either way.
-# The CLI exits non-zero on any diagnostic, explorer violation, or
-# measured > certified.
+# The analyzer proves the zero-copy/write-once contracts on the buffer
+# schedule lowered from the engine's own program (EC05x), exhaustively
+# explores the worker pool's interleavings, and — with --functional —
+# gates the engine's measured high-water marks against the statically
+# certified bound. The engine holds every slot to session end, so its
+# measured slot bytes must equal the certified slots exactly (a lowering
+# that adds or drops a node the engine writes fails here); its measured
+# arena must stay at or under the certified arena. Both precisions run:
+# the int8 kernels acquire i8/i16 scratch the f32 path never touches,
+# and the certified bound must dominate either way. The CLI exits
+# non-zero on any diagnostic, explorer violation, or conformance failure.
 ANALYZE_DIR=target/analyze
 mkdir -p "$ANALYZE_DIR"
 for model in fcnn lenet alexnet vgg squeezenet resnet; do

@@ -196,7 +196,7 @@ pub fn registry() -> &'static [CodeInfo] {
             title: "undecomposable structure",
             severity: Warning,
             lenient: false,
-            remediation: "Restructure nested forks into the flat fork-join family, or accept single-processor plans.",
+            remediation: "Restructure nested forks and dead-end branches into the flat fork-join family; the planners, the simulator and the engine all reject any other graph.",
         },
         CodeInfo {
             code: PLAN_SIZE_MISMATCH,

@@ -19,12 +19,12 @@
 //!   verifies *measured* timelines: [`flight`] replays recorded flight
 //!   spans from the functional engine and re-checks the occupancy and
 //!   causal-ordering invariants against what actually ran.
-//! - **Tier D — [`ownership`]**: an abstract interpreter over
-//!   `(graph, plan)` proving the zero-copy dataflow contract statically
-//!   (write-once slots, no cross-branch races, no use-after-move, LIFO
-//!   arena discipline) and deriving a certified peak-memory bound the
-//!   functional engine's measured high-water marks must stay under
-//!   (`EC05x`).
+//! - **Tier D — [`ownership`]**: an abstract interpreter over the
+//!   schedule the functional engine executes for `(graph, plan)`,
+//!   proving the zero-copy dataflow contract statically (write-once
+//!   slots, no cross-branch races, no use-after-move, LIFO arena
+//!   discipline) and deriving a certified peak-memory bound the engine's
+//!   measured high-water marks must meet (`EC05x`).
 //! - **Serving tier — [`serve`]**: admission-log legality (`EC07x`) —
 //!   replays an `edgenn-serve` run's typed decision log and verifies
 //!   the request lifecycle, the exact weighted-fair pick order, the

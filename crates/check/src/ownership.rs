@@ -8,108 +8,35 @@
 //! released before their node completes — has so far been established
 //! only by runtime tests and the tier-C trace detector. This module
 //! proves it *statically*: [`derive_schedule`] lowers a `(graph, plan)`
-//! pair into the exact sequence of slot/arena operations the engine
-//! would perform, and [`analyze_schedule`] abstract-interprets that
-//! schedule, emitting `EC05x` diagnostics for every contract violation
-//! and deriving a **certified peak-memory bound** ([`PeakBound`]).
+//! pair into the sequence of slot/arena operations the engine executes
+//! ([`Program::lower`], over the same [`Program`] the engine runs), and
+//! [`analyze_schedule`] abstract-interprets that schedule, emitting
+//! `EC05x` diagnostics for every contract violation and deriving a
+//! **certified peak-memory bound** ([`PeakBound`]).
 //!
 //! The bound is engine-true, not merely analytic: the engine holds every
 //! slot until session end, so the certified slot component equals the
 //! sum of non-input output sizes, and the measured
-//! `EngineStats::slot_bytes` of a fault-free run must never exceed it
-//! (the conformance suite checks all 36 model × platform combos). The
-//! arena component sums each node's [`Layer::scratch_bytes`] bound —
-//! byte-accurate across element widths, so it covers the int8 path's
-//! i8/i16 acquisitions as well as the f32 path — doubled for split
+//! `EngineStats::slot_bytes` of a fault-free run must equal it (the
+//! conformance suite checks all 36 model × platform combos in both
+//! precisions). The arena component sums the schedule's
+//! [`Op::ArenaAcquire`] bounds — each node's [`Layer::scratch_bytes`],
+//! byte-accurate across element widths so it covers the int8 path's
+//! i8/i16 acquisitions as well as the f32 path, doubled for split
 //! assignments, whose two role computations may land on two threads
 //! with two arenas.
 //!
 //! [`Layer::scratch_bytes`]: edgenn_nn::layer::Layer::scratch_bytes
 
-use edgenn_core::plan::{Assignment, ExecutionPlan};
-use edgenn_nn::graph::{Graph, NodeId, Segment};
-use edgenn_nn::layer::LayerClass;
+use edgenn_core::plan::ExecutionPlan;
+use edgenn_core::schedule::{liveness_peak, Program};
+use edgenn_nn::graph::Graph;
 use edgenn_sim::platforms::Platform;
-use edgenn_tensor::Shape;
 use serde::Serialize;
 
 use crate::{codes, Diagnostic, Span};
 
-/// One abstract operation of the lowered engine schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum Op {
-    /// Node `node` reads the tensor in `slot` by reference.
-    Read {
-        /// The consuming node.
-        node: usize,
-        /// The slot read.
-        slot: usize,
-    },
-    /// Node `node` moves its freshly computed tensor into `slot`.
-    Write {
-        /// The producing node.
-        node: usize,
-        /// The slot written (the engine always uses the node's own).
-        slot: usize,
-    },
-    /// Node `node` merges split partials in place into `target`'s
-    /// pending buffer (before the buffer becomes the `Write`).
-    Merge {
-        /// The split node performing the merge.
-        node: usize,
-        /// The pending slot the partials merge into.
-        target: usize,
-    },
-    /// Node `node` acquires `bytes` of scratch-arena capacity (the
-    /// static bound over all its role computations).
-    ArenaAcquire {
-        /// The owning node.
-        node: usize,
-        /// Certified acquisition bound in bytes.
-        bytes: u64,
-    },
-    /// Node `node` returns its scratch buffers to the arena (LIFO).
-    ArenaRelease {
-        /// The owning node.
-        node: usize,
-    },
-    /// The session moves the tensor out of `slot` (the output handoff).
-    MoveOut {
-        /// The slot whose value moves out.
-        slot: usize,
-    },
-}
-
-/// A region of the schedule: sequential ops, or fork-join branches whose
-/// op lists run concurrently on pool workers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Region {
-    /// Ops executed in order on one thread.
-    Serial(Vec<Op>),
-    /// Per-branch op lists with no cross-branch ordering.
-    Parallel(Vec<Vec<Op>>),
-}
-
-/// The lowered schedule of one `(graph, plan)` pair.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Schedule {
-    /// Regions in execution order.
-    pub regions: Vec<Region>,
-}
-
-impl Schedule {
-    /// Total op count across all regions.
-    #[must_use]
-    pub fn op_count(&self) -> usize {
-        self.regions
-            .iter()
-            .map(|r| match r {
-                Region::Serial(ops) => ops.len(),
-                Region::Parallel(branches) => branches.iter().map(Vec::len).sum(),
-            })
-            .sum()
-    }
-}
+pub use edgenn_core::schedule::{Op, Region, Schedule};
 
 /// Ownership and lifetime of one slot-resident buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -143,15 +70,17 @@ pub struct PeakBound {
     pub partial_bytes: u64,
     /// Total certified bound (sum of the components).
     pub total_bytes: u64,
-    /// What a liveness-freeing engine would peak at instead (slots freed
-    /// after their last read) — the reclaimable-potential headroom for
-    /// ROADMAP's weight-cache eviction, reported but not gated.
+    /// What a liveness-freeing engine would peak at instead: node by
+    /// node in run order, each node's output allocated while its inputs
+    /// are still live, and each slot freed once its last reader has run
+    /// (the output held to session end). The reclaimable-potential
+    /// headroom, reported but not gated.
     pub liveness_peak_bytes: u64,
 }
 
 /// The tier-D verdict: diagnostics, per-buffer liveness, and the
 /// certified bound.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct OwnershipReport {
     /// All `EC05x` findings.
     pub diagnostics: Vec<Diagnostic>,
@@ -219,128 +148,15 @@ fn slot_bytes(graph: &Graph, slot: usize) -> u64 {
         .map_or(0, |n| (n.output_shape().num_elements() * 4) as u64)
 }
 
-/// The plan's assignment for `node` (plain CPU when the plan is shorter
-/// than the graph — tier B flags the size mismatch separately).
-fn assignment(plan: &ExecutionPlan, node: usize) -> Assignment {
-    plan.nodes
-        .get(node)
-        .map_or(Assignment::Cpu, |p| p.assignment)
-}
-
-/// Whether `node` is planned as an intra-kernel split (two role
-/// computations, an in-place merge, and potentially two arenas).
-fn is_split(plan: &ExecutionPlan, node: usize) -> bool {
-    matches!(
-        assignment(plan, node),
-        Assignment::Split { .. } | Assignment::SplitInput { .. }
-    )
-}
-
-/// Certified scratch-arena bytes for one execution of `node` (already
-/// multiplied by the role count for split assignments).
-fn arena_bound(graph: &Graph, plan: &ExecutionPlan, id: NodeId) -> u64 {
-    let Ok(node) = graph.node(id) else { return 0 };
-    let shapes: Vec<&Shape> = node
-        .inputs()
-        .iter()
-        .filter_map(|i| graph.nodes().get(i.index()))
-        .map(edgenn_nn::graph::Node::output_shape)
-        .collect();
-    if shapes.len() != node.inputs().len() {
-        return 0; // dangling input edge; tier A diagnoses it
-    }
-    // `scratch_bytes` is the byte-accurate bound across every execution
-    // path *and precision* (the int8 kernels' widened i16 packing can
-    // exceed the f32 path's elems x 4), so one certified bound holds for
-    // plans of either precision.
-    let per_role = node.layer().scratch_bytes(&shapes).unwrap_or(0);
-    let roles = if is_split(plan, id.index()) { 2 } else { 1 };
-    per_role * roles
-}
-
-/// Lowers one node into the op sequence the engine performs for it.
-fn lower_node(graph: &Graph, plan: &ExecutionPlan, id: NodeId, ops: &mut Vec<Op>) {
-    let Ok(node) = graph.node(id) else { return };
-    if node.layer().class() == LayerClass::Input {
-        return; // resolved as the borrowed input; no slot write
-    }
-    let idx = id.index();
-    for input in node.inputs() {
-        ops.push(Op::Read {
-            node: idx,
-            slot: input.index(),
-        });
-    }
-    let arena = arena_bound(graph, plan, id);
-    if arena > 0 {
-        ops.push(Op::ArenaAcquire {
-            node: idx,
-            bytes: arena,
-        });
-        ops.push(Op::ArenaRelease { node: idx });
-    }
-    if is_split(plan, idx) {
-        ops.push(Op::Merge {
-            node: idx,
-            target: idx,
-        });
-    }
-    ops.push(Op::Write {
-        node: idx,
-        slot: idx,
-    });
-}
-
-/// Lowers `(graph, plan)` into the schedule the functional engine would
-/// execute: the fork-join decomposition drives region structure, and an
-/// undecomposable graph falls back to serial node order (what a
-/// single-threaded interpreter would do — the abstract contract is the
-/// same).
+/// Lowers `(graph, plan)` into the schedule the functional engine
+/// executes ([`Program::lower`]). A graph the engine rejects (outside the
+/// fork-join family) lowers to the empty schedule; [`check_ownership`]
+/// reports it as EC006.
 #[must_use]
 pub fn derive_schedule(graph: &Graph, plan: &ExecutionPlan) -> Schedule {
-    let mut regions = Vec::new();
-    if graph.is_empty() {
-        return Schedule { regions };
-    }
-    match graph.structure() {
-        Ok(structure) => {
-            for segment in structure.segments() {
-                match segment {
-                    Segment::Chain(nodes) => {
-                        let mut ops = Vec::new();
-                        for &id in nodes {
-                            lower_node(graph, plan, id, &mut ops);
-                        }
-                        regions.push(Region::Serial(ops));
-                    }
-                    Segment::Parallel { branches, .. } => {
-                        let lowered: Vec<Vec<Op>> = branches
-                            .iter()
-                            .map(|branch| {
-                                let mut ops = Vec::new();
-                                for &id in branch {
-                                    lower_node(graph, plan, id, &mut ops);
-                                }
-                                ops
-                            })
-                            .collect();
-                        regions.push(Region::Parallel(lowered));
-                    }
-                }
-            }
-        }
-        Err(_) => {
-            let mut ops = Vec::new();
-            for id in graph.topo_order() {
-                lower_node(graph, plan, id, &mut ops);
-            }
-            regions.push(Region::Serial(ops));
-        }
-    }
-    regions.push(Region::Serial(vec![Op::MoveOut {
-        slot: graph.output_id().index(),
-    }]));
-    Schedule { regions }
+    Program::new(graph)
+        .map(|program| program.lower(plan))
+        .unwrap_or_default()
 }
 
 /// Abstract slot state.
@@ -506,10 +322,11 @@ impl Interp {
 /// Interprets `schedule` against the zero-copy contract, returning the
 /// full tier-D report. Pass the schedule from [`derive_schedule`] for
 /// the engine's real behaviour, or a mutated one to test the verifier.
+/// The schedule's ops already carry `plan`'s arena and split sizes.
 #[must_use]
 pub fn analyze_schedule(
     graph: &Graph,
-    plan: &ExecutionPlan,
+    _plan: &ExecutionPlan,
     platform: &Platform,
     schedule: &Schedule,
 ) -> OwnershipReport {
@@ -523,23 +340,14 @@ pub fn analyze_schedule(
     };
 
     for region in &schedule.regions {
-        match region {
-            Region::Serial(ops) => {
-                for &op in ops {
-                    interp.step(op);
-                }
-            }
-            Region::Parallel(branches) => {
-                check_branch_isolation(&mut interp, branches);
-                // Branches are data-disjoint when isolation holds, so
-                // interpreting them in branch order is equivalent to any
-                // interleaving.
-                for branch in branches {
-                    for &op in branch {
-                        interp.step(op);
-                    }
-                }
-            }
+        if let Region::Parallel(branches) = region {
+            check_branch_isolation(&mut interp, branches);
+        }
+        // Branches are data-disjoint when isolation holds, so
+        // interpreting them in branch order is equivalent to any
+        // interleaving.
+        for &op in region.ops() {
+            interp.step(op);
         }
     }
 
@@ -586,7 +394,7 @@ pub fn analyze_schedule(
         });
     }
 
-    let bound = certify_bound(graph, plan, &lives);
+    let bound = certify_bound(graph, schedule, &lives);
     let mut diagnostics = interp.diagnostics;
     if platform.dram_bytes > 0 && bound.total_bytes > platform.dram_bytes {
         diagnostics.push(Diagnostic::new(
@@ -653,50 +461,27 @@ fn check_branch_isolation(interp: &mut Interp, branches: &[Vec<Op>]) {
     }
 }
 
-/// Peak concurrent slot bytes if every buffer were freed right after its
-/// last read (the output held to session end): an interval sweep over
-/// the recorded lifetimes.
-fn liveness_slot_peak(lives: &[BufferLife]) -> u64 {
-    // (+bytes at born, -bytes after last_read); the output never ends.
-    let mut events: Vec<(usize, i64)> = Vec::new();
-    for life in lives {
-        events.push((life.born, i64::try_from(life.bytes).unwrap_or(i64::MAX)));
-        if !life.is_output {
-            events.push((
-                life.last_read.max(life.born) + 1,
-                -i64::try_from(life.bytes).unwrap_or(i64::MAX),
-            ));
-        }
-    }
-    events.sort_unstable();
-    let mut live = 0i64;
-    let mut peak = 0i64;
-    for (_, delta) in events {
-        live += delta;
-        peak = peak.max(live);
-    }
-    u64::try_from(peak).unwrap_or(0)
-}
-
-/// Builds the certified peak-memory decomposition.
-fn certify_bound(graph: &Graph, plan: &ExecutionPlan, lives: &[BufferLife]) -> PeakBound {
-    let input_bytes = graph
-        .nodes()
-        .first()
-        .map_or(0, |n| (n.output_shape().num_elements() * 4) as u64);
+/// Builds the certified peak-memory decomposition from the schedule's
+/// ops and the slot lives they produced.
+fn certify_bound(graph: &Graph, schedule: &Schedule, lives: &[BufferLife]) -> PeakBound {
+    let input_bytes = slot_bytes(graph, 0);
     let weight_bytes = graph.param_bytes();
     let slot_total: u64 = lives.iter().map(|l| l.bytes).sum();
     let mut arena_bytes = 0u64;
     let mut partial_bytes = 0u64;
-    for id in graph.topo_order() {
-        arena_bytes += arena_bound(graph, plan, id);
-        if is_split(plan, id.index()) {
+    for op in schedule.ops() {
+        match *op {
+            Op::ArenaAcquire { bytes, .. } => arena_bytes += bytes,
             // Before the merge lands in the slot, both partials are
             // live: bounded by twice the output (input-split partials
             // are each full size), of which one becomes the slot.
-            partial_bytes = partial_bytes.max(slot_bytes(graph, id.index()));
+            Op::Merge { node, .. } => partial_bytes = partial_bytes.max(slot_bytes(graph, node)),
+            _ => {}
         }
     }
+    // The borrowed input is counted above, for the whole session.
+    let output = graph.output_id().index();
+    let slot_peak = liveness_peak(schedule, &[], |slot| slot_bytes(graph, slot), output);
     let total_bytes = input_bytes + weight_bytes + slot_total + arena_bytes + partial_bytes;
     PeakBound {
         input_bytes,
@@ -705,26 +490,37 @@ fn certify_bound(graph: &Graph, plan: &ExecutionPlan, lives: &[BufferLife]) -> P
         arena_bytes,
         partial_bytes,
         total_bytes,
-        liveness_peak_bytes: input_bytes + weight_bytes + liveness_slot_peak(lives),
+        liveness_peak_bytes: input_bytes + weight_bytes + slot_peak,
     }
 }
 
 /// Runs the full tier-D analysis: lowers the engine schedule for
-/// `(graph, plan)` and interprets it against the target `platform`.
+/// `(graph, plan)` and interprets it against the target `platform`. A
+/// graph the engine rejects has no schedule to prove: the report carries
+/// EC006 and no lives.
 #[must_use]
 pub fn check_ownership(
     graph: &Graph,
     plan: &ExecutionPlan,
     platform: &Platform,
 ) -> OwnershipReport {
-    let schedule = derive_schedule(graph, plan);
-    analyze_schedule(graph, plan, platform, &schedule)
+    match Program::new(graph) {
+        Ok(program) => analyze_schedule(graph, plan, platform, &program.lower(plan)),
+        Err(e) => OwnershipReport {
+            diagnostics: vec![Diagnostic::new(
+                codes::UNDECOMPOSABLE,
+                Span::Global,
+                format!("the engine cannot run this graph: {e}"),
+            )],
+            ..OwnershipReport::default()
+        },
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edgenn_core::plan::{ExecutionConfig, NodePlan};
+    use edgenn_core::plan::{Assignment, ExecutionConfig, NodePlan};
     use edgenn_core::runtime::Runtime;
     use edgenn_core::tuner::Tuner;
     use edgenn_nn::models::{build, ModelKind, ModelScale};
@@ -786,98 +582,51 @@ mod tests {
         assert_eq!(b, 2 * a, "each split role brings its own arena");
     }
 
-    #[test]
-    fn arena_bound_is_byte_accurate_across_element_widths() {
-        // The certified arena component uses `Layer::scratch_bytes` —
-        // byte-accurate across precisions — so it must dominate the
-        // f32-only `scratch_elems x 4` figure, and strictly exceed it
-        // for models with dense layers (the f32 mat-vec touches no
-        // arena, but the int8 path quantizes its input into scratch).
-        let platform = jetson_agx_xavier();
-        for kind in ModelKind::ALL {
-            let graph = build(kind, ModelScale::Tiny);
-            let plan = ExecutionPlan {
-                config: ExecutionConfig::edgenn_int8(),
-                nodes: vec![
-                    NodePlan {
-                        assignment: Assignment::Cpu,
-                        ..NodePlan::gpu_explicit()
-                    };
-                    graph.len()
-                ],
-            };
-            let report = check_ownership(&graph, &plan, &platform);
-            let f32_only: u64 = graph
-                .topo_order()
-                .map(|id| {
-                    let node = graph.node(id).unwrap();
-                    let shapes: Vec<&Shape> = node
-                        .inputs()
-                        .iter()
-                        .map(|i| graph.node(*i).unwrap().output_shape())
-                        .collect();
-                    node.layer().scratch_elems(&shapes).unwrap_or(0) * 4
-                })
-                .sum();
-            assert!(
-                report.bound.arena_bytes >= f32_only,
-                "{kind}: byte-accurate bound {} must dominate the f32-only {}",
-                report.bound.arena_bytes,
-                f32_only
-            );
-            let has_fc = graph
-                .nodes()
-                .iter()
-                .any(|n| n.layer().class() == LayerClass::Fc);
-            if has_fc {
-                assert!(
-                    report.bound.arena_bytes > f32_only,
-                    "{kind}: dense layers must widen the bound beyond f32-only {f32_only}"
-                );
-            }
-        }
+    /// input -> relu -> relu over `[4]` floats, or, with `orphan`, an
+    /// input feeding two relus that never rejoin; planned on the GPU.
+    fn relus(orphan: bool) -> (Graph, ExecutionPlan) {
+        use edgenn_nn::graph::{Node, NodeId};
+        use edgenn_nn::layer::{InputLayer, Relu};
+        use std::sync::Arc;
+        let shape = edgenn_tensor::Shape::new(&[4]);
+        let relu = |name, input| Node::new(Arc::new(Relu::new(name)), vec![input], shape.clone());
+        let input = Node::new(
+            Arc::new(InputLayer::new(shape.clone())),
+            vec![],
+            shape.clone(),
+        );
+        let b_input = if orphan { NodeId(0) } else { NodeId(1) };
+        let nodes = vec![input, relu("a", NodeId(0)), relu("b", b_input)];
+        let plan = ExecutionPlan {
+            config: ExecutionConfig::edgenn(),
+            nodes: vec![NodePlan::gpu_explicit(); nodes.len()],
+        };
+        (Graph::from_parts("relus", nodes, NodeId(2)), plan)
     }
 
     #[test]
-    fn undecomposable_graph_falls_back_to_serial_order() {
-        use edgenn_nn::graph::Node;
-        use edgenn_nn::layer::{InputLayer, Relu};
-        use std::sync::Arc;
-        // input feeding two relus that never rejoin: decompose rejects
-        // it (dead-end branch); the serial fallback still finds the
-        // unread slot (EC055) and the missing output is fine (node 2 is
-        // the declared output and is produced).
-        let shape = Shape::new(&[4]);
-        let nodes = vec![
-            Node::new(
-                Arc::new(InputLayer::new(shape.clone())),
-                vec![],
-                shape.clone(),
-            ),
-            Node::new(Arc::new(Relu::new("a")), vec![NodeId(0)], shape.clone()),
-            Node::new(Arc::new(Relu::new("b")), vec![NodeId(0)], shape.clone()),
-        ];
-        let graph = Graph::from_parts("forked", nodes, NodeId(2));
-        let plan = ExecutionPlan {
-            config: ExecutionConfig::cpu_only(),
-            nodes: vec![
-                NodePlan {
-                    assignment: Assignment::Cpu,
-                    ..NodePlan::gpu_explicit()
-                };
-                graph.len()
-            ],
-        };
+    fn liveness_keeps_a_node_inputs_live_while_its_output_is_allocated() {
+        // The second relu holds the first relu's 16 bytes and its own
+        // 16 at once, on top of the 16-byte borrowed input.
+        let (graph, plan) = relus(false);
         let report = check_ownership(&graph, &plan, &jetson_agx_xavier());
         assert!(report.is_clean(), "{:?}", report.diagnostics);
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.code == codes::DEAD_WRITE),
-            "node 1's unread slot must warn: {:?}",
-            report.diagnostics
-        );
+        assert_eq!(report.bound.input_bytes, 16);
+        assert_eq!(report.bound.liveness_peak_bytes, 48);
+    }
+
+    #[test]
+    fn undecomposable_graph_reports_ec006_and_derives_no_lives() {
+        // input feeding two relus that never rejoin: decompose rejects
+        // it (dead-end branch), and so do the engine and the planners,
+        // so tier D has no schedule to prove.
+        let (graph, plan) = relus(true);
+        let report = check_ownership(&graph, &plan, &jetson_agx_xavier());
+        let found: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();
+        assert_eq!(found, [codes::UNDECOMPOSABLE], "{:?}", report.diagnostics);
+        assert!(report.lives.is_empty());
+        assert_eq!(report.ops, 0);
+        assert_eq!(derive_schedule(&graph, &plan), Schedule::default());
     }
 
     #[test]

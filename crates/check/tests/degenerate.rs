@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use edgenn_check::{check_graph, check_ownership, check_plan, codes, Severity};
 use edgenn_core::plan::{Assignment, ExecutionConfig, ExecutionPlan, NodePlan};
+use edgenn_core::runtime::functional::Executor;
 use edgenn_nn::graph::{Graph, Node, NodeId};
 use edgenn_nn::layer::{InputLayer, Relu};
 use edgenn_sim::platforms::{jetson_agx_xavier, raspberry_pi_4};
@@ -82,7 +83,7 @@ fn input_only_graph_flags_the_unproduced_output() {
 }
 
 #[test]
-fn disconnected_component_is_dead_in_tier_a_and_unread_in_tier_d() {
+fn disconnected_component_is_dead_in_tier_a_and_undecomposable_in_tier_d() {
     let shape = Shape::new(&[8]);
     // 0:input -> 1:relu(out)   2:relu reads the input but nobody reads 2.
     let nodes = vec![
@@ -104,21 +105,22 @@ fn disconnected_component_is_dead_in_tier_a_and_unread_in_tier_d() {
         "tier A must flag the orphan: {tier_a:?}"
     );
 
+    // The orphan's branch dead-ends: the engine refuses the graph, so
+    // tier D has no schedule to prove.
+    assert!(Executor::new(&graph).is_err());
     let report = check_ownership(&graph, &plan, &platform);
-    let ec055: Vec<_> = report
+    let ec006: Vec<_> = report
         .diagnostics
         .iter()
-        .filter(|d| d.code == codes::DEAD_WRITE)
+        .filter(|d| d.code == codes::UNDECOMPOSABLE)
         .collect();
     assert!(
-        !ec055.is_empty(),
-        "tier D must flag the orphan's unread slot: {:?}",
+        !ec006.is_empty(),
+        "tier D must report the undecomposable graph: {:?}",
         report.diagnostics
     );
-    assert!(ec055.iter().all(|d| d.severity == Severity::Warning));
-    // The orphan still executes, so its buffer still counts toward the
-    // certified bound and the liveness table.
-    assert_eq!(report.lives.len(), 2);
+    assert!(ec006.iter().all(|d| d.severity == Severity::Warning));
+    assert!(report.lives.is_empty());
 }
 
 #[test]

@@ -111,8 +111,8 @@ CHECK:
 
 ANALYZE:
     Runs the edgenn-check tier-D ownership/liveness analyzer: the plan is
-    lowered into the exact slot/arena operation schedule the functional
-    engine would execute, abstract-interpreted against the zero-copy
+    lowered into the slot/arena operation schedule the functional engine
+    executes, abstract-interpreted against the zero-copy
     contract (EC050-EC059, see docs/diagnostics.md), and a certified
     peak-memory bound is derived and checked against the platform's DRAM.
     The worker-pool schedule explorer then exhaustively enumerates every
@@ -120,10 +120,11 @@ ANALYZE:
     bounded preemptions), asserting the pool contract on each.
     --json        machine-readable report (liveness table, bound, explorer)
     --functional  also execute the model through the real functional
-                  engine and gate measured slot/arena bytes against the
-                  certified bound (measured must never exceed certified)
+                  engine and gate measured bytes against the certified
+                  bound (slots must equal certified, arena must not
+                  exceed it)
     Exit status is non-zero on any EC05x error, explorer violation, or
-    measured-exceeds-certified conformance failure.
+    conformance failure.
 
 FAULTS:
     --faults takes either a bare integer (a seed for a reproducible random
@@ -1003,8 +1004,9 @@ fn cmd_analyze(options: &Options) -> Result<(), String> {
         }
     }
 
-    // Optional conformance gate: the real engine's measured high-water
-    // marks must stay under the certified bound.
+    // Optional conformance gate: the engine holds every slot to session
+    // end, so measured slots must equal the certified slots, and the
+    // measured arena must stay under the certified arena.
     let functional = if options.has("functional") {
         let input = edgenn_tensor::Tensor::random(graph.input_shape().dims(), 1.0, 7);
         let outcome = edgenn_core::runtime::functional::execute(&graph, &plan, &input)
@@ -1012,7 +1014,7 @@ fn cmd_analyze(options: &Options) -> Result<(), String> {
         let measured_slot = outcome.engine.slot_bytes;
         let measured_arena = outcome.engine.arena_fresh_bytes;
         let conforms =
-            measured_slot <= report.bound.slot_bytes && measured_arena <= report.bound.arena_bytes;
+            measured_slot == report.bound.slot_bytes && measured_arena <= report.bound.arena_bytes;
         Some((measured_slot, measured_arena, conforms))
     } else {
         None
@@ -1108,9 +1110,9 @@ fn cmd_analyze(options: &Options) -> Result<(), String> {
                 arena,
                 report.bound.arena_bytes,
                 if conforms {
-                    "measured \u{2264} certified"
+                    "slots = certified, arena \u{2264} certified"
                 } else {
-                    "MEASURED EXCEEDS CERTIFIED"
+                    "MEASURED DOES NOT CONFORM"
                 }
             );
         }
@@ -1132,7 +1134,7 @@ fn cmd_analyze(options: &Options) -> Result<(), String> {
             if measured_conforms {
                 String::new()
             } else {
-                ", measured footprint exceeded the certified bound".to_string()
+                ", measured bytes do not conform to the certified bound".to_string()
             }
         ))
     }

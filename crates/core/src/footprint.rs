@@ -5,14 +5,17 @@
 //! the CPU and the GPU separately" (Section IV-B) — while a managed array
 //! exists once in unified memory. On a 32 GB Xavier that rarely binds,
 //! but on smaller boards (and for VGG-scale activations) the distinction
-//! matters; this module computes peak memory under a plan via liveness
-//! analysis over the topological order.
+//! matters; this module computes peak memory under a plan with the
+//! node-level liveness sweep ([`liveness_peak`]) over the lowered engine
+//! schedule ([`Program::lower`]), the sweep tier D's liveness peak uses
+//! too.
 
 use edgenn_nn::graph::{Graph, NodeId};
 use edgenn_sim::AllocStrategy;
 use serde::{Deserialize, Serialize};
 
 use crate::plan::{ExecutionPlan, MemoryPolicy, Precision};
+use crate::schedule::{liveness_peak, Program};
 use crate::Result;
 
 /// Peak-memory breakdown of one plan.
@@ -73,23 +76,16 @@ fn int8_sidecar_bytes(graph: &Graph, id: NodeId) -> Result<u64> {
 
 /// Computes the peak memory footprint of executing `plan` over `graph`.
 ///
-/// Liveness: a node's output array is allocated when the node executes
-/// and freed after its last consumer executes (the network output lives
-/// to the end). Weights are resident throughout.
+/// Liveness: a node's output array is allocated when the node executes,
+/// while its inputs are still live, and freed after its last consumer
+/// executes (the network output lives to the end). Weights are resident
+/// throughout.
 ///
 /// # Errors
-/// Fails on plan/graph mismatches.
+/// Fails on plan/graph mismatches and on graphs outside the fork-join
+/// family the engine runs.
 pub fn footprint(graph: &Graph, plan: &ExecutionPlan) -> Result<Footprint> {
     plan.validate(graph)?;
-    if graph.is_empty() {
-        // No nodes, no arrays: the empty footprint, not an index panic on
-        // the missing output node.
-        return Ok(Footprint {
-            weight_bytes: 0,
-            peak_activation_bytes: 0,
-            peak_bytes: 0,
-        });
-    }
     let mut weight_bytes = graph.param_bytes();
     if plan.config.precision == Precision::Int8 {
         for id in graph.topo_order() {
@@ -97,42 +93,26 @@ pub fn footprint(graph: &Graph, plan: &ExecutionPlan) -> Result<Footprint> {
         }
     }
 
-    // Last consumer of each node's output.
-    let mut last_use: Vec<usize> = (0..graph.len()).collect();
-    for id in graph.topo_order() {
-        let node = graph.node(id)?;
-        for input in node.inputs() {
-            last_use[input.index()] = last_use[input.index()].max(id.index());
-        }
-    }
-    let output = graph.output_id().index();
-    last_use[output] = graph.len(); // the result is read back at the end
-
-    let strategy_of = |id: NodeId| -> AllocStrategy {
-        match plan.config.memory_policy {
-            MemoryPolicy::AllExplicit => AllocStrategy::Explicit,
-            MemoryPolicy::AllManaged => AllocStrategy::Managed,
-            MemoryPolicy::SemanticAware => plan.nodes[id.index()].output_alloc,
-        }
-    };
-
-    let mut live = 0u64;
-    let mut peak = 0u64;
-    for id in graph.topo_order() {
-        let node = graph.node(id)?;
-        live += array_bytes(node.output_shape().num_elements(), strategy_of(id));
-        peak = peak.max(live);
-        // Free arrays whose last consumer is this node.
-        for (idx, &last) in last_use.iter().enumerate() {
-            if last == id.index() && idx != id.index() {
-                let freed = graph.node(NodeId(idx))?;
-                live = live.saturating_sub(array_bytes(
-                    freed.output_shape().num_elements(),
-                    strategy_of(NodeId(idx)),
-                ));
-            }
-        }
-    }
+    let sizes: Vec<u64> = graph
+        .nodes()
+        .iter()
+        .zip(&plan.nodes)
+        .map(|(node, node_plan)| {
+            let strategy = match plan.config.memory_policy {
+                MemoryPolicy::AllExplicit => AllocStrategy::Explicit,
+                MemoryPolicy::AllManaged => AllocStrategy::Managed,
+                MemoryPolicy::SemanticAware => node_plan.output_alloc,
+            };
+            array_bytes(node.output_shape().num_elements(), strategy)
+        })
+        .collect();
+    // The engine borrows the network input; here it is an array like
+    // any other, live until its last reader has run. The empty graph has
+    // no input array and no output array.
+    let schedule = Program::new(graph)?.lower(plan);
+    let (input, output) = (graph.input_id().index(), graph.output_id().index());
+    let bytes = |node: usize| sizes.get(node).copied().unwrap_or(0);
+    let peak = liveness_peak(&schedule, &[input], bytes, output);
 
     Ok(Footprint {
         weight_bytes,

@@ -16,7 +16,8 @@
 //!    optimum (Equations 1-4), enumerates branch assignments, and adapts
 //!    from execution feedback.
 //!
-//! The [`runtime`] executes a tuned [`plan::ExecutionPlan`] in two modes:
+//! The [`runtime`] executes a tuned [`plan::ExecutionPlan`] in two modes,
+//! both walking the graph's one lowered [`schedule::Program`]:
 //! *analytic* (timing on the `edgenn-sim` device models — used for every
 //! paper experiment) and *functional* (real tensor arithmetic with actual
 //! multi-threaded partition/merge — used to prove the hybrid execution is
@@ -45,6 +46,7 @@ pub mod partition;
 pub mod pipeline;
 pub mod plan;
 pub mod runtime;
+pub mod schedule;
 pub mod semantics;
 pub mod tuner;
 

@@ -20,8 +20,8 @@
 //!   Splits and forks whose handed-off work is below the measured co-run
 //!   cutoff stay on the calling thread.
 //!   Pooled jobs are `'static` closures over an `Arc`-shared session
-//!   (the graph's `Arc` layers, structure, plan assignments, output
-//!   slots, counters and fault injector), so no `unsafe` is needed.
+//!   (the graph's [`Program`], plan assignments, output slots, counters
+//!   and fault injector), so no `unsafe` is needed.
 //!   [`Executor::batch_execute`] shares one session (and the layers'
 //!   warm scratch arenas) across a whole batch.
 //! - **Zero-copy dataflow**: node outputs live in [`OnceLock`] slots
@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use edgenn_nn::graph::{Graph, NodeId, Segment, Structure};
+use edgenn_nn::graph::{Graph, NodeId, Segment};
 use edgenn_nn::layer::{Layer, LayerClass};
 use edgenn_obs::{flight, EventSink, ProfileSummary, SinkEvent};
 use edgenn_sim::FaultPlan;
@@ -46,6 +46,7 @@ use edgenn_tensor::{scratch_stats, Shape, Tensor};
 
 use crate::plan::{Assignment, ExecutionPlan, Precision};
 use crate::runtime::pool::{self, JoinError, Pool, ShutdownGuard, Tally, TaskHandle};
+use crate::schedule::Program;
 use crate::{CoreError, Result};
 
 /// What a pooled task yields: `Some` for split partials, `None` for
@@ -104,19 +105,10 @@ fn shared_pool() -> &'static Pool<'static, TaskResult> {
 /// vary by an order of magnitude across hosts (a busy single-core CI
 /// runner vs an eight-core edge board), so the cutoff is **measured
 /// once per process** at first [`Executor`] construction instead of
-/// hard-coded. Setting `EDGENN_CORUN_CUTOFF=<flops>` skips the
-/// measurement and uses the given value verbatim.
+/// hard-coded.
 fn corun_cutoff() -> u64 {
     static CUTOFF: OnceLock<u64> = OnceLock::new();
-    *CUTOFF.get_or_init(|| {
-        cutoff_override(std::env::var("EDGENN_CORUN_CUTOFF").ok().as_deref())
-            .unwrap_or_else(measure_corun_cutoff)
-    })
-}
-
-/// Parses the `EDGENN_CORUN_CUTOFF` override (a plain flop count).
-fn cutoff_override(var: Option<&str>) -> Option<u64> {
-    var?.trim().parse().ok().filter(|&n| n > 0)
+    *CUTOFF.get_or_init(measure_corun_cutoff)
 }
 
 /// Measures the pool-handoff round trip and the single-core flop rate,
@@ -379,9 +371,9 @@ pub struct FunctionalOutcome {
     /// The network output.
     pub output: Tensor,
     /// Number of layers executed as partition+merge splits. Splits above
-    /// the measured co-run cutoff (see [`Executor::with_corun_cutoff`])
-    /// co-run on two threads; smaller ones compute both shares on the
-    /// driver (the handoff would cost more than the layer).
+    /// the measured co-run cutoff co-run on two threads; smaller ones
+    /// compute both shares on the driver (the handoff would cost more
+    /// than the layer).
     pub corun_layers: usize,
     /// Number of layers executed wholly by the CPU-role worker.
     pub cpu_layers: usize,
@@ -402,101 +394,13 @@ pub struct FunctionalOutcome {
     pub recovery: FaultCounts,
 }
 
-/// The graph as the engine runs it, shared by `Arc` with pooled jobs so
-/// they can be `'static`. Built once per [`Executor`] — and the serving
-/// layer builds one per batch — so it is kept flat: the graph's own
-/// `Arc` layers, plus every node's input edges and output dims copied
-/// into two arrays, node `i`'s share delimited by `bounds[i]..bounds[i + 1]`.
-struct Program {
-    layers: Vec<Arc<dyn Layer>>,
-    edges: Vec<NodeId>,
-    dims: Vec<usize>,
-    bounds: Vec<(usize, usize)>,
-    structure: Structure,
-    /// Per segment, the flops a fork would hand to the pool: every
-    /// non-empty branch but the last, which the driver runs itself (0 for
-    /// a chain).
-    fork_flops: Vec<u64>,
-}
-
-impl Program {
-    fn new(graph: &Graph) -> Result<Self> {
-        let nodes = graph.nodes();
-        let mut layers = Vec::with_capacity(nodes.len());
-        let mut edges = Vec::with_capacity(nodes.iter().map(|n| n.inputs().len()).sum());
-        let mut dims = Vec::with_capacity(nodes.iter().map(|n| n.output_shape().rank()).sum());
-        let mut bounds = Vec::with_capacity(nodes.len() + 1);
-        for node in nodes {
-            bounds.push((edges.len(), dims.len()));
-            layers.push(node.layer_arc());
-            edges.extend_from_slice(node.inputs());
-            dims.extend_from_slice(node.output_shape().dims());
-        }
-        bounds.push((edges.len(), dims.len()));
-        let structure = graph.structure()?;
-        let fork_flops = structure
-            .segments()
-            .iter()
-            .map(|segment| {
-                let Segment::Parallel { branches, .. } = segment else {
-                    return 0;
-                };
-                let mut real = branches.iter().filter(|b| !b.is_empty());
-                real.next_back(); // the driver's own branch
-                real.flatten().map(|&id| node_flops(graph, id)).sum()
-            })
-            .collect();
-        Ok(Self {
-            layers,
-            edges,
-            dims,
-            bounds,
-            structure,
-            fork_flops,
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    fn inputs(&self, id: NodeId) -> &[NodeId] {
-        &self.edges[self.bounds[id.index()].0..self.bounds[id.index() + 1].0]
-    }
-
-    fn dims(&self, id: NodeId) -> &[usize] {
-        &self.dims[self.bounds[id.index()].1..self.bounds[id.index() + 1].1]
-    }
-
-    /// The branches of segment `seg` (empty for a chain).
-    fn branches(&self, seg: usize) -> &[Vec<NodeId>] {
-        match &self.structure.segments()[seg] {
-            Segment::Parallel { branches, .. } => branches,
-            Segment::Chain(_) => &[],
-        }
-    }
-}
-
-/// Flops of node `id` (0 when its workload is unknown).
-fn node_flops(graph: &Graph, id: NodeId) -> u64 {
-    let Ok(node) = graph.node(id) else { return 0 };
-    let shapes: Option<Vec<&Shape>> = node
-        .inputs()
-        .iter()
-        .map(|&i| graph.node(i).ok().map(edgenn_nn::graph::Node::output_shape))
-        .collect();
-    shapes
-        .and_then(|shapes| node.layer().workload(&shapes).ok())
-        .map_or(0, |w| w.flops)
-}
-
 /// One `run_session`'s state, shared by `Arc` with its pooled jobs. A
 /// job the watchdog abandoned may hold it past the session's end.
 struct Session {
     program: Arc<Program>,
     assignments: Vec<Assignment>,
     int8: bool,
-    /// Node output slots, `program.len()` per input of the batch.
+    /// Node output slots, one per program node per input of the batch.
     slots: Vec<OnceLock<Tensor>>,
     corun: AtomicUsize,
     cpu: AtomicUsize,
@@ -511,7 +415,7 @@ struct Session {
 
 /// A reusable functional execution session for one graph.
 ///
-/// Construction resolves the graph's fork-join structure once;
+/// Construction lowers the graph once into its [`Program`];
 /// [`Executor::execute`] then runs any plan/input against it, and
 /// [`Executor::batch_execute`] amortizes session setup and scratch-arena
 /// warm-up across a batch of inputs. Every executor submits to the one
@@ -542,7 +446,7 @@ impl std::fmt::Debug for Executor<'_> {
 }
 
 impl<'g> Executor<'g> {
-    /// Prepares an executor for `graph` (resolves its segment structure).
+    /// Prepares an executor for `graph` (builds its [`Program`]).
     ///
     /// # Errors
     /// Fails when the graph has no valid fork-join decomposition.
@@ -565,11 +469,11 @@ impl<'g> Executor<'g> {
         })
     }
 
-    /// Overrides the measured co-run cutoff (flops) for this executor —
-    /// mainly for tests and benchmarks that must force or forbid pool
-    /// handoffs regardless of the host's measured break-even point.
-    #[must_use]
-    pub fn with_corun_cutoff(mut self, flops: u64) -> Self {
+    /// Overrides the measured co-run cutoff (flops) for this executor,
+    /// for tests that must force or forbid pool handoffs regardless of
+    /// the host's measured break-even point.
+    #[cfg(test)]
+    fn with_corun_cutoff(mut self, flops: u64) -> Self {
         self.corun_cutoff = flops;
         self
     }
@@ -660,7 +564,7 @@ impl<'g> Executor<'g> {
                 }
             });
         }
-        let len = self.program.len();
+        let len = self.graph.len();
         let mut session = Arc::new(Session {
             program: Arc::clone(&self.program),
             assignments: plan.nodes.iter().map(|n| n.assignment).collect(),
@@ -813,7 +717,7 @@ impl<'a> Ctx<'a> {
     }
 
     fn layer(self, id: NodeId) -> &'a dyn Layer {
-        &*self.session.program.layers[id.index()]
+        self.session.program.layer(id)
     }
 
     fn inputs(self, id: NodeId) -> &'a [NodeId] {
@@ -868,14 +772,14 @@ fn run_one(ctx: Ctx<'_>) -> Result<RunCounters> {
 
     let run: Result<usize> = flight::with_parent(root.id(), || {
         let mut parallel_regions = 0usize;
-        for (seg, segment) in session.program.structure.segments().iter().enumerate() {
+        for (seg, segment) in session.program.segments().iter().enumerate() {
             match segment {
                 Segment::Chain(nodes) => run_branch(ctx, nodes)?,
                 Segment::Parallel { branches, .. } => {
                     // Like a split, a fork co-runs only when the work it
                     // hands off clears the cutoff.
                     let forked = branches.iter().filter(|b| !b.is_empty()).count() >= 2
-                        && session.program.fork_flops[seg] >= session.corun_cutoff;
+                        && session.program.fork_flops(seg) >= session.corun_cutoff;
                     match ctx.pool {
                         Some(pool) if forked => {
                             parallel_regions += 1;
@@ -2041,15 +1945,6 @@ mod tests {
                 .any(|r| r.kind == flight::SpanKind::Fallback && r.node == node_tag),
             "black box contains the failing node's fallback span"
         );
-    }
-
-    #[test]
-    fn cutoff_override_parses_and_validates() {
-        assert_eq!(cutoff_override(Some("12345")), Some(12_345));
-        assert_eq!(cutoff_override(Some(" 65536 ")), Some(65_536));
-        assert_eq!(cutoff_override(Some("0")), None, "zero would gate nothing");
-        assert_eq!(cutoff_override(Some("not-a-number")), None);
-        assert_eq!(cutoff_override(None), None);
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::error::{RecoveryAction, RecoveryCause};
 use crate::metrics::{InferenceReport, LayerTiming};
 use crate::plan::{Assignment, ExecutionPlan, HybridMode, MemoryPolicy};
 use crate::runtime::resilience::{FaultCtx, RecoveryEvent, ResilienceConfig, ResilientOutcome};
+use crate::schedule::Program;
 use crate::{CoreError, Result};
 use edgenn_sim::{FaultKind, FaultPlan};
 
@@ -254,6 +255,7 @@ impl<'a> Runtime<'a> {
         cfg: &ResilienceConfig,
     ) -> Result<ResilientOutcome> {
         plan.validate(graph)?;
+        let program = Program::new(graph)?;
         let mut ctx = FaultCtx::new(faults.clone(), *cfg);
 
         // OOM pressure is a planning-time fault: if a co-tenant's
@@ -306,7 +308,8 @@ impl<'a> Runtime<'a> {
         }
 
         let mut timeline = self.new_timeline();
-        let (layers, ctx) = self.run_request_at(graph, &effective, &mut timeline, 0, 0.0, ctx)?;
+        let (layers, ctx) =
+            self.run_request_at((graph, &program), &effective, &mut timeline, 0, 0.0, ctx)?;
         let total_us = timeline.makespan_us();
         self.emit(SinkEvent::Request {
             latency_us: total_us,
@@ -403,15 +406,22 @@ impl<'a> Runtime<'a> {
         }
         let mut timeline = self.new_timeline();
         let mut finish_times = Vec::with_capacity(jobs.len());
-        for (request, (graph, plan)) in jobs.iter().enumerate() {
+        let mut last: Option<(&Graph, Program)> = None;
+        for (request, &(graph, plan)) in jobs.iter().enumerate() {
+            // Consecutive jobs of one graph (a stream) share its program.
+            let program = match last.take() {
+                Some((previous, program)) if std::ptr::eq(previous, graph) => program,
+                _ => Program::new(graph)?,
+            };
             let (layers, _) = self.run_request_at(
-                graph,
+                (graph, &program),
                 plan,
                 &mut timeline,
                 request as u64,
                 0.0,
                 FaultCtx::default(),
             )?;
+            last = Some((graph, program));
             let finished = layers
                 .iter()
                 .map(|l| l.end_us)
@@ -455,6 +465,7 @@ impl<'a> Runtime<'a> {
                 reason: format!("invalid open-loop stream: rate {rate_per_s}, {requests} requests"),
             });
         }
+        let program = Program::new(graph)?;
         let mut rng = StdRng::seed_from_u64(seed);
         let mean_gap_us = 1e6 / rate_per_s;
         let mut timeline = self.new_timeline();
@@ -465,7 +476,7 @@ impl<'a> Runtime<'a> {
             let u: f64 = rng.gen_range(f64::EPSILON..1.0);
             arrival += -mean_gap_us * u.ln();
             let (layers, _) = self.run_request_at(
-                graph,
+                (graph, &program),
                 plan,
                 &mut timeline,
                 request as u64,
@@ -496,12 +507,13 @@ impl<'a> Runtime<'a> {
     }
 
     /// Runs request number `request` of `graph` under `plan` against a
-    /// (possibly shared) timeline: no node starts before `arrival_us`,
-    /// and `faults` perturbs and recovers the run. Returns the per-layer
-    /// timings and the fault state the run left behind.
+    /// (possibly shared) timeline, walking the segments of `graph`'s
+    /// `program`: no node starts before `arrival_us`, and `faults`
+    /// perturbs and recovers the run. Returns the per-layer timings and
+    /// the fault state the run left behind.
     fn run_request_at(
         &self,
-        graph: &Graph,
+        (graph, program): (&Graph, &Program),
         plan: &ExecutionPlan,
         timeline: &mut Timeline,
         request: u64,
@@ -519,7 +531,7 @@ impl<'a> Runtime<'a> {
             jitter: StdRng::seed_from_u64(plan.config.jitter_seed.wrapping_add(request)),
             faults,
         };
-        for segment in graph.structure()?.segments() {
+        for segment in program.segments() {
             match segment {
                 Segment::Chain(nodes) => {
                     for &id in nodes {

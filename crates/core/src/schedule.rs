@@ -1,0 +1,379 @@
+//! The lowered schedule: a graph as the engine runs it, and the slot and
+//! arena operations that run performs under a plan.
+//!
+//! A [`Program`] resolves a graph's fork-join [`Segment`]s once. The
+//! functional engine executes its segments, the analytic simulator and
+//! the tuner walk them, and [`Program::lower`] turns them and a plan into
+//! the [`Schedule`] of ops the engine performs, which the `edgenn-check`
+//! tier-D interpreter proves. [`liveness_peak`] is the one node-level
+//! liveness sweep over that schedule, shared by [`crate::footprint`] and
+//! tier D.
+
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
+use edgenn_nn::graph::{Graph, NodeId, Segment, Structure};
+use edgenn_nn::layer::{Layer, LayerClass};
+use edgenn_tensor::Shape;
+use serde::Serialize;
+
+use crate::plan::ExecutionPlan;
+use crate::runtime::kernel_desc;
+use crate::Result;
+
+/// The graph as the engine runs it, shared by `Arc` with the engine's
+/// pooled jobs so they can be `'static`. Each consumer builds it once per
+/// graph — the engine once per executor, and the serving layer builds one
+/// executor per batch — so it is kept flat: the graph's own `Arc` layers,
+/// plus every node's input edges and output dims copied into two arrays,
+/// node `i`'s share delimited by `bounds[i]..bounds[i + 1]`.
+pub struct Program {
+    layers: Vec<Arc<dyn Layer>>,
+    edges: Vec<NodeId>,
+    dims: Vec<usize>,
+    bounds: Vec<(usize, usize)>,
+    output: NodeId,
+    structure: Structure,
+    /// Per segment, the flops a fork would hand to the pool: every
+    /// non-empty branch but the last, which the driver runs itself (0 for
+    /// a chain).
+    fork_flops: Vec<u64>,
+}
+
+impl Program {
+    /// Resolves `graph`'s fork-join structure and copies its layers,
+    /// edges and dims.
+    ///
+    /// # Errors
+    /// Fails when the graph has no valid fork-join decomposition.
+    pub fn new(graph: &Graph) -> Result<Self> {
+        let nodes = graph.nodes();
+        let mut layers = Vec::with_capacity(nodes.len());
+        let mut edges = Vec::with_capacity(nodes.iter().map(|n| n.inputs().len()).sum());
+        let mut dims = Vec::with_capacity(nodes.iter().map(|n| n.output_shape().rank()).sum());
+        let mut bounds = Vec::with_capacity(nodes.len() + 1);
+        for node in nodes {
+            bounds.push((edges.len(), dims.len()));
+            layers.push(node.layer_arc());
+            edges.extend_from_slice(node.inputs());
+            dims.extend_from_slice(node.output_shape().dims());
+        }
+        bounds.push((edges.len(), dims.len()));
+        let structure = graph.structure()?;
+        let fork_flops = structure
+            .segments()
+            .iter()
+            .map(|segment| {
+                let Segment::Parallel { branches, .. } = segment else {
+                    return 0;
+                };
+                let mut real = branches.iter().filter(|b| !b.is_empty());
+                real.next_back(); // the driver's own branch
+                real.flatten()
+                    .map(|&id| kernel_desc(graph, id).map_or(0, |d| d.flops))
+                    .sum()
+            })
+            .collect();
+        Ok(Self {
+            layers,
+            edges,
+            dims,
+            bounds,
+            output: graph.output_id(),
+            structure,
+            fork_flops,
+        })
+    }
+
+    pub(crate) fn layer(&self, id: NodeId) -> &dyn Layer {
+        &*self.layers[id.index()]
+    }
+
+    pub(crate) fn inputs(&self, id: NodeId) -> &[NodeId] {
+        &self.edges[self.bounds[id.index()].0..self.bounds[id.index() + 1].0]
+    }
+
+    pub(crate) fn dims(&self, id: NodeId) -> &[usize] {
+        &self.dims[self.bounds[id.index()].1..self.bounds[id.index() + 1].1]
+    }
+
+    /// The fork-join segments in execution order.
+    pub(crate) fn segments(&self) -> &[Segment] {
+        self.structure.segments()
+    }
+
+    /// The branches of segment `seg` (empty for a chain).
+    pub(crate) fn branches(&self, seg: usize) -> &[Vec<NodeId>] {
+        match &self.segments()[seg] {
+            Segment::Parallel { branches, .. } => branches,
+            Segment::Chain(_) => &[],
+        }
+    }
+
+    pub(crate) fn fork_flops(&self, seg: usize) -> u64 {
+        self.fork_flops[seg]
+    }
+
+    /// Lowers this program under `plan` into the ops the engine performs:
+    /// a region per segment, keeping a fork-join region's branches apart
+    /// (the engine may run them on different threads), then the output
+    /// handoff.
+    pub fn lower(&self, plan: &ExecutionPlan) -> Schedule {
+        if self.layers.is_empty() {
+            return Schedule::default();
+        }
+        let lower = |nodes: &[NodeId]| {
+            let mut ops = Vec::new();
+            for &id in nodes {
+                self.lower_node(plan, id, &mut ops);
+            }
+            ops
+        };
+        let mut regions: Vec<Region> = self
+            .segments()
+            .iter()
+            .map(|segment| match segment {
+                Segment::Chain(nodes) => Region::Serial(lower(nodes)),
+                Segment::Parallel { branches, .. } => {
+                    Region::Parallel(branches.iter().map(|b| lower(b)).collect())
+                }
+            })
+            .collect();
+        let slot = self.output.index();
+        regions.push(Region::Serial(vec![Op::MoveOut { slot }]));
+        Schedule { regions }
+    }
+
+    /// Lowers one node into the ops the engine performs for it; the input
+    /// pseudo-node is the borrowed network input and performs none.
+    fn lower_node(&self, plan: &ExecutionPlan, id: NodeId, ops: &mut Vec<Op>) {
+        let layer = self.layer(id);
+        if layer.class() == LayerClass::Input {
+            return;
+        }
+        let node = id.index();
+        let inputs = self.inputs(id);
+        ops.extend(inputs.iter().map(|i| Op::Read {
+            node,
+            slot: i.index(),
+        }));
+        // Split assignments run two role computations, maybe on two
+        // threads with two arenas, and merge them in place.
+        let split = plan
+            .nodes
+            .get(node)
+            .is_some_and(|p| p.assignment.is_corun());
+        // `scratch_bytes` is the byte-accurate bound across every execution
+        // path *and precision* (the int8 kernels' widened i16 packing can
+        // exceed the f32 path's elems x 4), so one certified bound holds for
+        // plans of either precision. A dangling input edge (tier A
+        // diagnoses it) bounds nothing.
+        let shapes: Vec<Shape> = inputs
+            .iter()
+            .filter(|i| i.index() < self.layers.len())
+            .map(|&i| Shape::new(self.dims(i)))
+            .collect();
+        let shapes: Vec<&Shape> = shapes.iter().collect();
+        let arena = if shapes.len() == inputs.len() {
+            layer.scratch_bytes(&shapes).unwrap_or(0) * if split { 2 } else { 1 }
+        } else {
+            0
+        };
+        if arena > 0 {
+            ops.push(Op::ArenaAcquire { node, bytes: arena });
+            ops.push(Op::ArenaRelease { node });
+        }
+        if split {
+            ops.push(Op::Merge { node, target: node });
+        }
+        ops.push(Op::Write { node, slot: node });
+    }
+}
+
+/// One abstract operation of the lowered engine schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum Op {
+    /// Node `node` reads the tensor in `slot` by reference.
+    Read {
+        /// The consuming node.
+        node: usize,
+        /// The slot read.
+        slot: usize,
+    },
+    /// Node `node` moves its freshly computed tensor into `slot`.
+    Write {
+        /// The producing node.
+        node: usize,
+        /// The slot written (the engine always uses the node's own).
+        slot: usize,
+    },
+    /// Node `node` merges split partials in place into `target`'s
+    /// pending buffer (before the buffer becomes the `Write`).
+    Merge {
+        /// The split node performing the merge.
+        node: usize,
+        /// The pending slot the partials merge into.
+        target: usize,
+    },
+    /// Node `node` acquires `bytes` of scratch-arena capacity (the
+    /// static bound over all its role computations).
+    ArenaAcquire {
+        /// The owning node.
+        node: usize,
+        /// Certified acquisition bound in bytes.
+        bytes: u64,
+    },
+    /// Node `node` returns its scratch buffers to the arena (LIFO).
+    ArenaRelease {
+        /// The owning node.
+        node: usize,
+    },
+    /// The session moves the tensor out of `slot` (the output handoff).
+    MoveOut {
+        /// The slot whose value moves out.
+        slot: usize,
+    },
+}
+
+/// A region of the schedule: sequential ops, or fork-join branches whose
+/// op lists run concurrently on pool workers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Region {
+    /// Ops executed in order on one thread.
+    Serial(Vec<Op>),
+    /// Per-branch op lists with no cross-branch ordering.
+    Parallel(Vec<Vec<Op>>),
+}
+
+impl Region {
+    /// The region's ops, branch by branch for a fork-join region.
+    pub fn ops(&self) -> impl Iterator<Item = &Op> {
+        let (serial, branches) = match self {
+            Region::Serial(ops) => (ops.as_slice(), &[][..]),
+            Region::Parallel(branches) => (&[][..], branches.as_slice()),
+        };
+        serial.iter().chain(branches.iter().flatten())
+    }
+}
+
+/// The lowered schedule of one `(graph, plan)` pair.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Schedule {
+    /// Regions in execution order.
+    pub regions: Vec<Region>,
+}
+
+impl Schedule {
+    /// Every op in run order, branch by branch within a region.
+    pub fn ops(&self) -> impl Iterator<Item = &Op> {
+        self.regions.iter().flat_map(Region::ops)
+    }
+
+    /// Total op count across all regions.
+    #[must_use]
+    pub fn op_count(&self) -> usize {
+        self.ops().count()
+    }
+}
+
+/// Peak live bytes over `schedule`, node by node: each `Write` allocates
+/// its slot while every slot its node read is still live, then frees each
+/// slot that node was the last to read. The `live_in` slots are live
+/// before the first op; `keep` (the network output) and slots nobody
+/// reads stay live to the end.
+pub fn liveness_peak(
+    schedule: &Schedule,
+    live_in: &[usize],
+    bytes: impl Fn(usize) -> u64,
+    keep: usize,
+) -> u64 {
+    let mut last_read = HashMap::new();
+    for (at, op) in schedule.ops().enumerate() {
+        if let Op::Read { slot, .. } = *op {
+            last_read.insert(slot, at);
+        }
+    }
+    let mut held: HashSet<usize> = live_in.iter().copied().collect();
+    let mut live: u64 = held.iter().map(|&slot| bytes(slot)).sum();
+    let mut peak = live;
+    let mut dying = Vec::new();
+    for (at, op) in schedule.ops().enumerate() {
+        match *op {
+            Op::Read { slot, .. } if last_read[&slot] == at => dying.push(slot),
+            Op::Write { slot, .. } => {
+                live += bytes(slot);
+                held.insert(slot);
+                peak = peak.max(live);
+                for slot in dying.drain(..) {
+                    if slot != keep && held.remove(&slot) {
+                        live -= bytes(slot);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    peak
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::{Assignment, ExecutionConfig, NodePlan};
+    use edgenn_nn::models::{build, ModelKind, ModelScale};
+
+    #[test]
+    fn arena_bound_is_byte_accurate_across_element_widths() {
+        // The certified arena component uses `Layer::scratch_bytes` —
+        // byte-accurate across precisions — so it must dominate the
+        // f32-only `scratch_elems x 4` figure, and strictly exceed it
+        // for models with dense layers (the f32 mat-vec touches no
+        // arena, but the int8 path quantizes its input into scratch).
+        for kind in ModelKind::ALL {
+            let graph = build(kind, ModelScale::Tiny);
+            let plan = ExecutionPlan {
+                config: ExecutionConfig::edgenn_int8(),
+                nodes: vec![
+                    NodePlan {
+                        assignment: Assignment::Cpu,
+                        ..NodePlan::gpu_explicit()
+                    };
+                    graph.len()
+                ],
+            };
+            // The certified arena component: every acquisition's bound.
+            let arena: u64 = (Program::new(&graph).unwrap().lower(&plan).ops())
+                .map(|op| match *op {
+                    Op::ArenaAcquire { bytes, .. } => bytes,
+                    _ => 0,
+                })
+                .sum();
+            let f32_only: u64 = graph
+                .topo_order()
+                .map(|id| {
+                    let node = graph.node(id).unwrap();
+                    let shapes: Vec<&Shape> = node
+                        .inputs()
+                        .iter()
+                        .map(|i| graph.node(*i).unwrap().output_shape())
+                        .collect();
+                    node.layer().scratch_elems(&shapes).unwrap_or(0) * 4
+                })
+                .sum();
+            assert!(
+                arena >= f32_only,
+                "{kind}: byte-accurate bound {arena} must dominate the f32-only {f32_only}"
+            );
+            let has_fc = graph
+                .nodes()
+                .iter()
+                .any(|n| n.layer().class() == LayerClass::Fc);
+            if has_fc {
+                assert!(
+                    arena > f32_only,
+                    "{kind}: dense layers must widen the bound beyond f32-only {f32_only}"
+                );
+            }
+        }
+    }
+}

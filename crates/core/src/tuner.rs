@@ -3,7 +3,8 @@
 //!
 //! The tuner:
 //! 1. partitions the network into sub-tasks by layers and builds the DAG
-//!    (delegated to `edgenn-nn`'s graph structure decomposition);
+//!    (the fork-join segments of the graph's [`Program`], which the
+//!    engine and the simulator walk too);
 //! 2. **profiles** each sub-task on both processors ("we first use the CPU
 //!    and the GPU to calculate the whole layer separately and record
 //!    their execution time");
@@ -30,6 +31,7 @@ use crate::plan::{
     Assignment, ExecutionConfig, ExecutionPlan, HybridMode, MemoryPolicy, NodePlan, TuneObjective,
 };
 use crate::runtime::{kernel_desc, Runtime};
+use crate::schedule::Program;
 use crate::semantics::{decide, refine_by_cost, ArrayRole};
 use crate::Result;
 
@@ -190,17 +192,24 @@ impl Tuner {
     /// Returns [`crate::CoreError::PlanMismatch`] when the statistics do
     /// not cover `graph` exactly.
     pub fn from_stats(graph: &Graph, stats: Vec<NodeStats>) -> Result<Self> {
-        if stats.len() != graph.len() {
-            return Err(crate::CoreError::PlanMismatch {
-                reason: format!(
-                    "statistics cover {} nodes, graph '{}' has {}",
-                    stats.len(),
-                    graph.name(),
-                    graph.len()
-                ),
-            });
+        let tuner = Self { stats, alpha: 0.4 };
+        tuner.check_covers(graph)?;
+        Ok(tuner)
+    }
+
+    /// Fails unless the statistics cover `graph` node for node.
+    fn check_covers(&self, graph: &Graph) -> Result<()> {
+        if self.stats.len() == graph.len() {
+            return Ok(());
         }
-        Ok(Self { stats, alpha: 0.4 })
+        Err(crate::CoreError::PlanMismatch {
+            reason: format!(
+                "tuner statistics cover {} nodes, graph '{}' has {}",
+                self.stats.len(),
+                graph.name(),
+                graph.len()
+            ),
+        })
     }
 
     /// Folds one more profiling run into the statistics. `jitter` and
@@ -217,16 +226,7 @@ impl Tuner {
         jitter: f64,
         seed: u64,
     ) -> Result<()> {
-        if self.stats.len() != graph.len() {
-            return Err(crate::CoreError::PlanMismatch {
-                reason: format!(
-                    "tuner statistics cover {} nodes, graph '{}' has {}",
-                    self.stats.len(),
-                    graph.name(),
-                    graph.len()
-                ),
-            });
-        }
+        self.check_covers(graph)?;
         let mut rng = StdRng::seed_from_u64(seed);
         for id in graph.topo_order() {
             let (mut t_cpu, mut t_gpu) = runtime.node_times(graph, id)?;
@@ -273,16 +273,7 @@ impl Tuner {
         runtime: &Runtime<'_>,
         config: ExecutionConfig,
     ) -> Result<ExecutionPlan> {
-        if self.stats.len() != graph.len() {
-            return Err(crate::CoreError::PlanMismatch {
-                reason: format!(
-                    "tuner statistics cover {} nodes, graph '{}' has {}",
-                    self.stats.len(),
-                    graph.name(),
-                    graph.len()
-                ),
-            });
-        }
+        self.check_covers(graph)?;
         let platform = runtime.platform();
         let default_assignment = match config.hybrid {
             HybridMode::CpuOnly => Assignment::Cpu,
@@ -298,7 +289,7 @@ impl Tuner {
         ];
 
         // --- Hybrid-execution decisions -------------------------------
-        let structure = graph.structure()?;
+        let program = Program::new(graph)?;
         let allow_intra = platform.has_gpu()
             && matches!(
                 config.hybrid,
@@ -310,15 +301,14 @@ impl Tuner {
                 HybridMode::InterKernelOnly | HybridMode::InterAndIntra
             );
 
-        let mut first_chain = true;
-        for segment in structure.segments() {
+        for (seg, segment) in program.segments().iter().enumerate() {
             match segment {
                 Segment::Chain(chain) => {
                     if allow_intra {
                         // The first chain starts at the input node (data on
                         // the host); later chains start at a join, where the
                         // processors have just synchronized.
-                        let start = if first_chain {
+                        let start = if seg == 0 {
                             ChainStart::Host
                         } else {
                             ChainStart::Synced
@@ -326,58 +316,38 @@ impl Tuner {
                         let _ =
                             self.decide_chain(graph, runtime, &config, chain, start, &mut nodes)?;
                     }
-                    first_chain = false;
                 }
                 Segment::Parallel { branches, .. } => {
-                    match (allow_inter, allow_intra) {
-                        (true, true) => {
-                            // The fine-grained adaptive choice: evaluate the
-                            // inter-kernel assignment (whole branches to
-                            // processors) against the intra-kernel treatment
-                            // (branches sequential, each layer splittable)
-                            // and keep the cheaper region plan.
-                            let mut intra_nodes = nodes.clone();
-                            let mut intra_cost = 0.0;
-                            for branch in branches {
-                                intra_cost += self.decide_chain(
-                                    graph,
-                                    runtime,
-                                    &config,
-                                    branch,
-                                    ChainStart::Synced,
-                                    &mut intra_nodes,
-                                )?;
-                            }
-                            let mut inter_nodes = nodes.clone();
-                            let inter_cost = self.decide_branches(
+                    // The fine-grained adaptive choice: evaluate the
+                    // inter-kernel assignment (whole branches to
+                    // processors) against the intra-kernel treatment
+                    // (branches sequential, each layer splittable) and
+                    // keep the cheaper region plan.
+                    let inter = allow_inter.then(|| nodes.clone());
+                    let mut intra_cost = 0.0;
+                    if allow_intra {
+                        for branch in branches {
+                            intra_cost += self.decide_chain(
                                 graph,
+                                runtime,
                                 &config,
-                                branches,
-                                &mut inter_nodes,
-                                platform,
-                            );
-                            nodes = if inter_cost < intra_cost {
-                                inter_nodes
-                            } else {
-                                intra_nodes
-                            };
+                                branch,
+                                ChainStart::Synced,
+                                &mut nodes,
+                            )?;
                         }
-                        (true, false) => {
-                            self.decide_branches(graph, &config, branches, &mut nodes, platform);
+                    }
+                    if let Some(mut inter_nodes) = inter {
+                        let inter_cost = self.decide_branches(
+                            graph,
+                            &config,
+                            branches,
+                            &mut inter_nodes,
+                            platform,
+                        );
+                        if !allow_intra || inter_cost < intra_cost {
+                            nodes = inter_nodes;
                         }
-                        (false, true) => {
-                            for branch in branches {
-                                self.decide_chain(
-                                    graph,
-                                    runtime,
-                                    &config,
-                                    branch,
-                                    ChainStart::Synced,
-                                    &mut nodes,
-                                )?;
-                            }
-                        }
-                        (false, false) => {}
                     }
                 }
             }
@@ -392,7 +362,7 @@ impl Tuner {
                 }
             }
             MemoryPolicy::SemanticAware => {
-                self.decide_memory(graph, runtime, &structure, &mut nodes)?;
+                self.decide_memory(graph, runtime, &program, &mut nodes)?;
             }
         }
 
@@ -415,11 +385,7 @@ impl Tuner {
         plan: &ExecutionPlan,
     ) -> Result<Vec<NodeExplanation>> {
         plan.validate(graph)?;
-        if self.stats.len() != graph.len() {
-            return Err(crate::CoreError::PlanMismatch {
-                reason: "statistics do not cover the graph".to_string(),
-            });
-        }
+        self.check_covers(graph)?;
         let has_gpu = runtime.platform().has_gpu();
         let mut rows = Vec::with_capacity(graph.len().saturating_sub(1));
         for id in graph.topo_order().skip(1) {
@@ -960,18 +926,14 @@ impl Tuner {
         &self,
         graph: &Graph,
         runtime: &Runtime<'_>,
-        structure: &edgenn_nn::graph::Structure,
+        program: &Program,
         nodes: &mut [NodePlan],
     ) -> Result<()> {
         // Branch-boundary nodes: last node of each non-empty branch.
         let mut branch_tail = vec![false; graph.len()];
-        for segment in structure.segments() {
-            if let Segment::Parallel { branches, .. } = segment {
-                for branch in branches {
-                    if let Some(&tail) = branch.last() {
-                        branch_tail[tail.index()] = true;
-                    }
-                }
+        for seg in 0..program.segments().len() {
+            for tail in program.branches(seg).iter().filter_map(|b| b.last()) {
+                branch_tail[tail.index()] = true;
             }
         }
 

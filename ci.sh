@@ -6,7 +6,8 @@
 # 2. lints             (cargo clippy, warnings are errors)
 # 3. tier-1            (release build + root-package tests)
 # 4. full test suite   (every workspace crate, then the kernel crates again
-#                       pinned to the portable and AVX2 kernel variants)
+#                       pinned to the portable and AVX2 kernel variants,
+#                       then the benchmark's self-tests in perfbench/)
 # 5. graph compiler    (edgenn compile over every model x platform:
 #                       per-pass deltas, EC06x rewrite legality, tier A+B)
 # 6. static checker    (edgenn check over every bundled model x platform)
@@ -45,6 +46,11 @@ cargo test --workspace -q
 # falls back to the widest safe one on hosts without it).
 EDGENN_SIMD=portable cargo test -q -p edgenn-tensor -p edgenn-nn
 EDGENN_SIMD=avx2 cargo test -q -p edgenn-tensor -p edgenn-nn
+# perfbench/ is a workspace of its own, built against the crates through
+# path dependencies, so the workspace build above never compiles it. Its
+# self-tests run here, so a change to the crates' public API that the
+# benchmark uses fails CI instead of the benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> edgenn compile: rewrite legality (EC06x) on every model x platform"
 # The graph compiler's per-pass node/edge deltas are archived as JSON;

@@ -287,7 +287,7 @@ mod tests {
             rec(3, 2, SpanKind::QueueWait, 1, 12, 30),
             rec(4, 2, SpanKind::TaskRun, 1, 30, 60),
             rec(7, 2, SpanKind::Merge, 0, 80, 88),
-            rec(8, 2, SpanKind::ArenaHit, 0, 21, 21),
+            rec(8, 2, SpanKind::ArenaMiss, 0, 21, 21),
         ];
         let diags = check_flight_records(&records);
         assert!(diags.is_empty(), "{diags:?}");

@@ -53,7 +53,6 @@ pub mod serve;
 pub mod storm;
 pub mod trace;
 
-use edgenn_obs::{EventSink, SinkEvent};
 use serde::Serialize;
 
 pub use codes::{code_info, registry, CodeInfo};
@@ -269,20 +268,6 @@ impl CheckReport {
         m.insert("clean", serde_json::Value::from(self.is_clean()));
         serde_json::Value::Object(m)
     }
-
-    /// Mirrors every finding into an observability sink as
-    /// [`SinkEvent::Diagnostic`] events, so recorded sessions carry the
-    /// verifier's verdict next to the trace it judged.
-    pub fn emit_into(&self, sink: &dyn EventSink) {
-        for d in &self.diagnostics {
-            sink.emit(SinkEvent::Diagnostic {
-                code: d.code.to_string(),
-                severity: d.severity.to_string(),
-                span: d.span.to_string(),
-                message: d.message.clone(),
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -363,25 +348,5 @@ mod tests {
         let clean = CheckReport::default();
         assert!(clean.render_table().contains("check clean"));
         assert_eq!(clean.to_json()["clean"], true);
-    }
-
-    #[test]
-    fn emit_into_mirrors_to_sink() {
-        let rec = edgenn_obs::Recorder::new();
-        let r = CheckReport::new(vec![Diagnostic::new(
-            codes::ORDERING_HAZARD,
-            Span::Events(0, 1),
-            "hazard",
-        )]);
-        r.emit_into(&rec);
-        let events = rec.events();
-        assert_eq!(events.len(), 1);
-        match &events[0] {
-            SinkEvent::Diagnostic { code, severity, .. } => {
-                assert_eq!(code, "EC023");
-                assert_eq!(severity, "error");
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
     }
 }

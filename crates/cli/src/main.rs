@@ -392,7 +392,7 @@ fn required_graph(options: &Options) -> Result<LoadedModel, String> {
 /// Mirrors a compile report into the recorder as `CompilerPass` events
 /// (one per pass, aggregated across fixpoint iterations, plus one for
 /// the prepack stage), so compiler work shows up in exported metrics
-/// next to the engine counters.
+/// next to the simulator's counters.
 fn emit_compiler_events(rec: &Recorder, report: &CompileReport) {
     let mut totals: Vec<(&'static str, u64, u64)> = Vec::new();
     for p in &report.passes {
@@ -1662,8 +1662,7 @@ fn cmd_serve(options: &Options) -> Result<(), String> {
     cfg.policy.max_delay_us = options
         .parsed("max-delay-us")?
         .unwrap_or(cfg.policy.max_delay_us);
-    let recorder = Recorder::new();
-    let report = edgenn_serve::run_server(&cfg, Some(&recorder))?;
+    let report = edgenn_serve::run_server(&cfg, None)?;
     let check = if options.has("check") {
         Some(serve_check(&report))
     } else {
@@ -1728,8 +1727,7 @@ fn cmd_siege(options: &Options) -> Result<(), String> {
         .unwrap_or(cfg.policy.max_delay_us);
     cfg.faults &= !options.has("no-faults");
     cfg.max_retries = options.parsed("max-retries")?.unwrap_or(cfg.max_retries);
-    let recorder = Recorder::new();
-    let report = edgenn_serve::run_siege(&cfg, Some(&recorder))?;
+    let report = edgenn_serve::run_siege(&cfg, None)?;
     let check = serve_check(&report);
     if !options.has("json") {
         println!(

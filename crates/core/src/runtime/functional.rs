@@ -30,9 +30,9 @@
 //!   it; branch workers read the shared slots directly instead of
 //!   cloning a snapshot; split merges append/add in place instead of
 //!   concat-then-reshape copies.
-//! - **Engine observability**: every run reports [`EngineStats`] and,
-//!   when an observer is attached, emits `SinkEvent::EngineCounter`
-//!   events so traces show pool and arena behaviour next to the kernels.
+//! - **Engine observability**: every run reports its pool and arena
+//!   behaviour in [`EngineStats`], and writes node spans to the flight
+//!   recorder when it is enabled.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -40,7 +40,7 @@ use std::time::Duration;
 
 use edgenn_nn::graph::{Graph, NodeId, Segment};
 use edgenn_nn::layer::{Layer, LayerClass};
-use edgenn_obs::{flight, EventSink, ProfileSummary, SinkEvent};
+use edgenn_obs::{flight, ProfileSummary};
 use edgenn_sim::FaultPlan;
 use edgenn_tensor::{scratch_stats, Shape, Tensor};
 
@@ -426,7 +426,6 @@ struct Session {
 pub struct Executor<'g> {
     graph: &'g Graph,
     program: Arc<Program>,
-    observer: Option<Arc<dyn EventSink>>,
     faults: Option<Arc<FaultInjector>>,
     corun_cutoff: u64,
     /// One-shot guard for the int8 calibration pass (see `run_session`).
@@ -438,7 +437,6 @@ impl std::fmt::Debug for Executor<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
             .field("graph", &self.graph.name())
-            .field("observer", &self.observer.is_some())
             .field("faults", &self.faults.is_some())
             .field("corun_cutoff", &self.corun_cutoff)
             .finish()
@@ -461,7 +459,6 @@ impl<'g> Executor<'g> {
         Ok(Self {
             graph,
             program: Arc::new(Program::new(graph)?),
-            observer: None,
             faults: None,
             corun_cutoff: corun_cutoff(),
             calibrated: std::sync::Once::new(),
@@ -475,13 +472,6 @@ impl<'g> Executor<'g> {
     #[cfg(test)]
     fn with_corun_cutoff(mut self, flops: u64) -> Self {
         self.corun_cutoff = flops;
-        self
-    }
-
-    /// Mirrors engine counters of every run into `observer`.
-    #[must_use]
-    pub fn with_observer(mut self, observer: Arc<dyn EventSink>) -> Self {
-        self.observer = Some(observer);
         self
     }
 
@@ -607,7 +597,7 @@ impl<'g> Executor<'g> {
                 .ok_or_else(|| CoreError::Internal {
                     reason: "output never computed".to_string(),
                 })?;
-                let outcome = FunctionalOutcome {
+                Ok(FunctionalOutcome {
                     output,
                     corun_layers: counters.corun,
                     cpu_layers: counters.cpu,
@@ -616,55 +606,9 @@ impl<'g> Executor<'g> {
                     parallel_regions: counters.parallel_regions,
                     engine: counters.engine,
                     recovery: counters.recovery,
-                };
-                self.emit_engine_counters(&outcome);
-                Ok(outcome)
+                })
             })
             .collect()
-    }
-
-    fn emit_engine_counters(&self, outcome: &FunctionalOutcome) {
-        let Some(observer) = &self.observer else {
-            return;
-        };
-        let engine = &outcome.engine;
-        observer.emit(SinkEvent::EngineCounter {
-            name: "int8_layers",
-            value: outcome.int8_layers as f64,
-        });
-        observer.emit(SinkEvent::EngineCounter {
-            name: "int8_gated_layers",
-            value: outcome.int8_gated as f64,
-        });
-        for (name, value) in [
-            ("pool_tasks", engine.pool_tasks as f64),
-            ("pool_inline_tasks", engine.inline_tasks as f64),
-            ("pool_queue_wait_ns", engine.queue_wait_ns as f64),
-            ("arena_fresh_bytes", engine.arena_fresh_bytes as f64),
-            ("arena_reused_bytes", engine.arena_reused_bytes as f64),
-            ("slot_bytes", engine.slot_bytes as f64),
-        ] {
-            observer.emit(SinkEvent::EngineCounter { name, value });
-        }
-        // Mirror the flight recorder's per-request profile: ring drops
-        // as counters (so an incomplete profile is visible in JSON and
-        // Prometheus exposition), stage totals as histogram samples.
-        if let Some(profile) = &engine.profile {
-            observer.emit(SinkEvent::EngineCounter {
-                name: "flight_records",
-                value: profile.span_count as f64,
-            });
-            observer.emit(SinkEvent::EngineCounter {
-                name: "flight_dropped_records",
-                value: profile.dropped as f64,
-            });
-            for stage in &profile.stages {
-                observer.emit(SinkEvent::Stage {
-                    stage: stage.stage,
-                    duration_us: stage.total_us,
-                });
-            }
-        }
     }
 }
 
@@ -1253,7 +1197,6 @@ mod tests {
     use crate::runtime::Runtime;
     use crate::tuner::Tuner;
     use edgenn_nn::models::{build, ModelKind, ModelScale};
-    use edgenn_obs::Recorder;
     use edgenn_sim::platforms::jetson_agx_xavier;
 
     fn edgenn_plan(graph: &Graph) -> ExecutionPlan {
@@ -1332,32 +1275,19 @@ mod tests {
     }
 
     #[test]
-    fn engine_counters_reach_the_observer() {
+    fn forked_branches_count_as_pool_tasks() {
         let graph = build(ModelKind::SqueezeNet, ModelScale::Tiny);
         let plan = edgenn_plan(&graph);
-        let recorder = Recorder::new();
         // Cutoff 0: the fire modules fork on any host.
-        let executor = Executor::new(&graph)
-            .unwrap()
-            .with_corun_cutoff(0)
-            .with_observer(Arc::new(recorder.clone()));
+        let executor = Executor::new(&graph).unwrap().with_corun_cutoff(0);
         let input = Tensor::random(graph.input_shape().dims(), 1.0, 5);
         let outcome = executor.execute(&plan, &input).unwrap();
         assert!(outcome.parallel_regions > 0, "fire modules should fork");
-        let metrics = recorder.metrics();
-        let tasks = metrics
-            .counter_value("edgenn_engine_pool_tasks_total")
-            .unwrap_or(0.0)
-            + metrics
-                .counter_value("edgenn_engine_pool_inline_tasks_total")
-                .unwrap_or(0.0);
         assert!(
-            tasks > 0.0,
-            "forked branches must run as pool tasks (worker or inline)"
+            outcome.engine.pool_tasks + outcome.engine.inline_tasks > 0,
+            "forked branches must run as pool tasks (worker or inline): {:?}",
+            outcome.engine
         );
-        assert!(metrics
-            .counter_value("edgenn_engine_arena_fresh_bytes_total")
-            .is_some());
     }
 
     #[test]
@@ -2033,7 +1963,7 @@ mod tests {
     }
 
     #[test]
-    fn int8_layer_count_reaches_the_observer() {
+    fn int8_plan_counts_its_quantized_layers() {
         let graph = build(ModelKind::LeNet, ModelScale::Tiny);
         let plan = {
             let platform = jetson_agx_xavier();
@@ -2043,18 +1973,9 @@ mod tests {
                 .plan(&graph, &runtime, ExecutionConfig::edgenn_int8())
                 .unwrap()
         };
-        let recorder = Recorder::new();
-        let executor = Executor::new(&graph)
-            .unwrap()
-            .with_observer(Arc::new(recorder.clone()));
         let input = Tensor::random(graph.input_shape().dims(), 1.0, 5);
-        let outcome = executor.execute(&plan, &input).unwrap();
+        let outcome = execute(&graph, &plan, &input).unwrap();
         assert!(outcome.int8_layers > 0);
-        let metrics = recorder.metrics();
-        assert_eq!(
-            metrics.counter_value("edgenn_engine_int8_layers_total"),
-            Some(outcome.int8_layers as f64)
-        );
     }
 
     #[test]

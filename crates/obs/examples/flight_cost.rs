@@ -2,7 +2,7 @@ fn main() {
     edgenn_obs::flight::enable();
     // warm
     for _ in 0..1000 {
-        edgenn_obs::flight::instant(edgenn_obs::SpanKind::ArenaHit, 1, 0);
+        edgenn_obs::flight::instant(edgenn_obs::SpanKind::ArenaMiss, 1, 0);
     }
     let n = 1_000_000u64;
     let t = std::time::Instant::now();
@@ -13,7 +13,7 @@ fn main() {
     let span_ns = t.elapsed().as_nanos() as f64 / n as f64;
     let t = std::time::Instant::now();
     for _ in 0..n {
-        edgenn_obs::flight::instant(edgenn_obs::SpanKind::ArenaHit, 1, 0);
+        edgenn_obs::flight::instant(edgenn_obs::SpanKind::ArenaMiss, 1, 0);
     }
     let inst_ns = t.elapsed().as_nanos() as f64 / n as f64;
     let t = std::time::Instant::now();

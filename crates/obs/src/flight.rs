@@ -89,8 +89,6 @@ pub enum SpanKind {
     QueueWait,
     /// A pooled task body running on a worker (or inline on the driver).
     TaskRun,
-    /// Instant: a scratch-arena acquisition served from reused capacity.
-    ArenaHit,
     /// Instant: a scratch-arena acquisition that had to grow (allocate).
     ArenaMiss,
     /// Instant: the resilience layer retried a faulted kernel.
@@ -99,24 +97,11 @@ pub enum SpanKind {
     Fallback,
     /// Instant: the pool lost a worker mid-run.
     WorkerLoss,
-    /// Instant: an admission-control decision on an incoming serve
-    /// request (`arg` = 1 admitted, 0 rejected).
-    Admission,
-    /// Dynamic-batcher coalescing window: from the moment a batch's
-    /// first request becomes eligible to the batch dispatch (`arg` =
-    /// batch size).
-    BatchForm,
-    /// Instant: the SLO guard degraded a request's plan
-    /// (hybrid→single-processor or f32→int8) to protect its deadline.
-    Degrade,
-    /// Instant: the SLO guard shed a request that degradation could
-    /// not save.
-    Shed,
 }
 
 impl SpanKind {
     /// Every kind, in code order (used by docs-sync and exhaustive tests).
-    pub const ALL: [SpanKind; 16] = [
+    pub const ALL: [SpanKind; 11] = [
         SpanKind::Request,
         SpanKind::Node,
         SpanKind::Pack,
@@ -124,37 +109,15 @@ impl SpanKind {
         SpanKind::Merge,
         SpanKind::QueueWait,
         SpanKind::TaskRun,
-        SpanKind::ArenaHit,
         SpanKind::ArenaMiss,
         SpanKind::Retry,
         SpanKind::Fallback,
         SpanKind::WorkerLoss,
-        SpanKind::Admission,
-        SpanKind::BatchForm,
-        SpanKind::Degrade,
-        SpanKind::Shed,
     ];
 
     /// Stable wire code (1-based; 0 means "empty slot").
     fn code(self) -> u64 {
-        match self {
-            SpanKind::Request => 1,
-            SpanKind::Node => 2,
-            SpanKind::Pack => 3,
-            SpanKind::Compute => 4,
-            SpanKind::Merge => 5,
-            SpanKind::QueueWait => 6,
-            SpanKind::TaskRun => 7,
-            SpanKind::ArenaHit => 8,
-            SpanKind::ArenaMiss => 9,
-            SpanKind::Retry => 10,
-            SpanKind::Fallback => 11,
-            SpanKind::WorkerLoss => 12,
-            SpanKind::Admission => 13,
-            SpanKind::BatchForm => 14,
-            SpanKind::Degrade => 15,
-            SpanKind::Shed => 16,
-        }
+        self as u64 + 1
     }
 
     fn from_code(code: u64) -> Option<SpanKind> {
@@ -171,15 +134,10 @@ impl SpanKind {
             SpanKind::Merge => "merge",
             SpanKind::QueueWait => "queue_wait",
             SpanKind::TaskRun => "task_run",
-            SpanKind::ArenaHit => "arena_hit",
             SpanKind::ArenaMiss => "arena_miss",
             SpanKind::Retry => "retry",
             SpanKind::Fallback => "fallback",
             SpanKind::WorkerLoss => "worker_loss",
-            SpanKind::Admission => "admission",
-            SpanKind::BatchForm => "batch_form",
-            SpanKind::Degrade => "degrade",
-            SpanKind::Shed => "shed",
         }
     }
 
@@ -187,14 +145,7 @@ impl SpanKind {
     pub fn is_instant(self) -> bool {
         matches!(
             self,
-            SpanKind::ArenaHit
-                | SpanKind::ArenaMiss
-                | SpanKind::Retry
-                | SpanKind::Fallback
-                | SpanKind::WorkerLoss
-                | SpanKind::Admission
-                | SpanKind::Degrade
-                | SpanKind::Shed
+            SpanKind::ArenaMiss | SpanKind::Retry | SpanKind::Fallback | SpanKind::WorkerLoss
         )
     }
 }
@@ -1148,8 +1099,6 @@ pub struct NodeProfile {
     pub merge_us: f64,
     /// Time this node's pooled tasks waited in the queue.
     pub queue_wait_us: f64,
-    /// Arena acquisitions served from reused capacity.
-    pub arena_hits: u64,
     /// Arena acquisitions that had to allocate.
     pub arena_misses: u64,
     /// Resilience retries attributed to this node.
@@ -1170,10 +1119,6 @@ impl NodeProfile {
         map.insert(
             "queue_wait_us".to_string(),
             Value::Number(self.queue_wait_us),
-        );
-        map.insert(
-            "arena_hits".to_string(),
-            Value::Number(self.arena_hits as f64),
         );
         map.insert(
             "arena_misses".to_string(),
@@ -1229,17 +1174,10 @@ pub fn node_profiles(records: &[SpanRecord]) -> Vec<NodeProfile> {
             SpanKind::Compute => entry.compute_us += rec.duration_us(),
             SpanKind::Merge => entry.merge_us += rec.duration_us(),
             SpanKind::QueueWait => entry.queue_wait_us += rec.duration_us(),
-            SpanKind::ArenaHit => entry.arena_hits += 1,
             SpanKind::ArenaMiss => entry.arena_misses += 1,
             SpanKind::Retry => entry.retries += 1,
             SpanKind::Fallback => entry.fallbacks += 1,
-            SpanKind::Request
-            | SpanKind::TaskRun
-            | SpanKind::WorkerLoss
-            | SpanKind::Admission
-            | SpanKind::BatchForm
-            | SpanKind::Degrade
-            | SpanKind::Shed => {}
+            SpanKind::Request | SpanKind::TaskRun | SpanKind::WorkerLoss => {}
         }
     }
     by_node.into_values().collect()
@@ -1293,18 +1231,26 @@ mod tests {
 
     #[test]
     fn docs_list_every_stage() {
-        // Same doc-sync contract as the diagnostics registry: the stage
-        // table in docs/profiling.md must name every SpanKind, so a new
-        // kind cannot land without its documentation row.
+        // Same doc-sync contract as the diagnostics registry: the first
+        // column of the stage table in docs/profiling.md is exactly
+        // SpanKind::ALL in code order, so a kind can neither land
+        // without its documentation row nor leave one behind.
         let docs = include_str!("../../../docs/profiling.md");
-        for kind in SpanKind::ALL {
-            assert!(
-                docs.contains(&format!("`{}`", kind.name())),
-                "stage {:?} ({}) missing from docs/profiling.md",
-                kind,
-                kind.name()
-            );
-        }
+        let (_, after) = docs
+            .split_once("### Stages (`SpanKind`)")
+            .expect("docs/profiling.md has a stage table");
+        let rows: Vec<&str> = after
+            .lines()
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .skip(2) // header and separator
+            .map(|l| l.split('|').nth(1).unwrap_or_default().trim())
+            .collect();
+        let kinds: Vec<String> = SpanKind::ALL
+            .iter()
+            .map(|k| format!("`{}`", k.name()))
+            .collect();
+        assert_eq!(rows, kinds, "docs/profiling.md stage table");
     }
 
     #[test]
@@ -1543,7 +1489,7 @@ mod tests {
             mk(SpanKind::Node, 1, 0, 10_000),
             mk(SpanKind::Pack, 1, 0, 2_000),
             mk(SpanKind::Compute, 1, 2_000, 9_000),
-            mk(SpanKind::ArenaHit, 1, 100, 100),
+            mk(SpanKind::ArenaMiss, 1, 100, 100),
             mk(SpanKind::Retry, 1, 200, 200),
             mk(SpanKind::Node, 2, 10_000, 12_000),
             mk(SpanKind::QueueWait, 2, 9_500, 10_000),
@@ -1555,7 +1501,7 @@ mod tests {
         assert!((n1.wall_us - 10.0).abs() < 1e-9);
         assert!((n1.pack_us - 2.0).abs() < 1e-9);
         assert!((n1.compute_us - 7.0).abs() < 1e-9);
-        assert_eq!(n1.arena_hits, 1);
+        assert_eq!(n1.arena_misses, 1);
         assert_eq!(n1.retries, 1);
         let n2 = &profiles[1];
         assert!((n2.queue_wait_us - 0.5).abs() < 1e-9);

@@ -58,19 +58,6 @@ pub enum SinkEvent {
         /// End-to-end latency of the request (us).
         latency_us: f64,
     },
-    /// One engine-level counter from the functional execution core:
-    /// worker-pool task accounting and scratch-arena allocation behaviour.
-    /// Aggregated into `edgenn_engine_<name>_total` counters so traces
-    /// and `explain` output show how much overhead the engine itself
-    /// added to a run.
-    EngineCounter {
-        /// Counter name ("pool_tasks", "pool_inline_tasks",
-        /// "pool_queue_wait_ns", "arena_fresh_bytes",
-        /// "arena_reused_bytes").
-        name: &'static str,
-        /// Amount to add to the running total.
-        value: f64,
-    },
     /// One fault-injection or recovery occurrence from the resilience
     /// layer. Aggregated into `edgenn_<category>_total` counters
     /// (`faults_injected`, `retries`, `fallbacks`,
@@ -86,18 +73,6 @@ pub enum SinkEvent {
         label: String,
         /// When it happened (us, simulated clock).
         t_us: f64,
-    },
-    /// One stage-duration sample from the flight recorder's drained
-    /// profile (node wall time, pack/compute/merge phases, queue wait).
-    /// The engine emits one sample per stage per request — the request's
-    /// total time in that stage — aggregated into
-    /// `edgenn_stage_<stage>_us` histograms so the continuous profiler's
-    /// p50/p99 ride in the standard exposition.
-    Stage {
-        /// Stage name (a `flight::SpanKind::name()`).
-        stage: &'static str,
-        /// Time the request spent in this stage (us, wall clock).
-        duration_us: f64,
     },
     /// One graph-compiler pass summary (`edgenn_nn::graph::compile`):
     /// how often the pass rewrote anything, how many nodes it removed,
@@ -122,7 +97,7 @@ pub enum SinkEvent {
     /// control, SLO degradation, load shedding, batch dispatch, or a
     /// completion. Aggregated into `edgenn_serve_<decision>_total`
     /// counters so overload behaviour rides in the standard exposition
-    /// next to the engine and resilience counters.
+    /// next to the resilience counters.
     Serve {
         /// Decision name ("admitted", "rejected", "degraded", "shed",
         /// "batch_dispatched", "completed").
@@ -131,19 +106,6 @@ pub enum SinkEvent {
         tenant: u32,
         /// When it happened (us; virtual clock under `edgenn siege`).
         t_us: f64,
-    },
-    /// One static-analysis finding from the `edgenn-check` verifier,
-    /// mirrored into the session so recorded runs carry the checker's
-    /// verdict next to the trace it judged.
-    Diagnostic {
-        /// Stable `EC0xx` code.
-        code: String,
-        /// `"error"` or `"warning"`.
-        severity: String,
-        /// Rendered source span (`n3`, `e3/e4`, `-`).
-        span: String,
-        /// Human-readable description.
-        message: String,
     },
 }
 
@@ -331,17 +293,9 @@ impl Recorder {
                 self.metrics
                     .observe("edgenn_request_latency_us", *latency_us);
             }
-            SinkEvent::EngineCounter { name, value } => {
-                self.metrics
-                    .inc_counter(&format!("edgenn_engine_{name}_total"), *value);
-            }
             SinkEvent::Fault { category, .. } => {
                 self.metrics
                     .inc_counter(&format!("edgenn_{category}_total"), 1.0);
-            }
-            SinkEvent::Stage { stage, duration_us } => {
-                self.metrics
-                    .observe(&format!("edgenn_stage_{stage}_us"), *duration_us);
             }
             SinkEvent::CompilerPass {
                 applied,
@@ -363,11 +317,6 @@ impl Recorder {
             SinkEvent::Serve { decision, .. } => {
                 self.metrics
                     .inc_counter(&format!("edgenn_serve_{decision}_total"), 1.0);
-            }
-            SinkEvent::Diagnostic { severity, .. } => {
-                self.metrics.inc_counter("edgenn_diagnostics_total", 1.0);
-                self.metrics
-                    .inc_counter(&format!("edgenn_diagnostics_{severity}_total"), 1.0);
             }
         }
     }
@@ -504,46 +453,6 @@ mod tests {
             .any(|c| c["name"] == "edgenn_recorder_dropped_events_total" && c["value"] == 3));
         let text = rec.metrics().to_prometheus_text();
         assert!(text.contains("edgenn_recorder_dropped_events_total 3"));
-    }
-
-    #[test]
-    fn stage_samples_feed_per_stage_histograms() {
-        let rec = Recorder::new();
-        for duration in [10.0, 20.0, 40.0] {
-            rec.emit(SinkEvent::Stage {
-                stage: "compute",
-                duration_us: duration,
-            });
-        }
-        let snap = rec
-            .metrics()
-            .histogram_snapshot("edgenn_stage_compute_us")
-            .unwrap();
-        assert_eq!(snap.count, 3);
-        assert_eq!(snap.max, 40.0);
-    }
-
-    #[test]
-    fn engine_counters_accumulate() {
-        let rec = Recorder::new();
-        rec.emit(SinkEvent::EngineCounter {
-            name: "pool_tasks",
-            value: 3.0,
-        });
-        rec.emit(SinkEvent::EngineCounter {
-            name: "pool_tasks",
-            value: 2.0,
-        });
-        rec.emit(SinkEvent::EngineCounter {
-            name: "arena_reused_bytes",
-            value: 4096.0,
-        });
-        let m = rec.metrics();
-        assert_eq!(m.counter_value("edgenn_engine_pool_tasks_total"), Some(5.0));
-        assert_eq!(
-            m.counter_value("edgenn_engine_arena_reused_bytes_total"),
-            Some(4096.0)
-        );
     }
 
     #[test]

@@ -28,7 +28,6 @@ use std::sync::Arc;
 use edgenn_core::plan::ExecutionConfig;
 use edgenn_core::runtime::Runtime;
 use edgenn_nn::models::ModelKind;
-use edgenn_obs::flight::{self, SpanKind};
 use edgenn_obs::{percentile, EventSink, Recorder, SinkEvent};
 use edgenn_sim::Platform;
 
@@ -304,13 +303,11 @@ impl<'a> Dispatcher<'a> {
                 },
             );
             self.sink("rejected", tenant, now_us);
-            flight::instant(SpanKind::Admission, tenant as u32, 0);
             return Err(retry_after_us);
         }
         self.log
             .push(now_us, ServeEventKind::Admitted { req: id, tenant });
         self.sink("admitted", tenant, now_us);
-        flight::instant(SpanKind::Admission, tenant as u32, 1);
         let req = Request {
             id,
             tenant,
@@ -339,7 +336,6 @@ impl<'a> Dispatcher<'a> {
     /// shedding (and releasing) only members no rung can save.
     pub(crate) fn form(&mut self, now_us: f64) -> Option<Job> {
         let model = self.batcher.ready(now_us)?;
-        let span = flight::begin(SpanKind::BatchForm, model as u32);
         let batch = self.batcher.form(model, now_us);
         let id = self.next_batch;
         self.next_batch += 1;
@@ -375,7 +371,6 @@ impl<'a> Dispatcher<'a> {
                     },
                 );
                 self.sink("degraded", m.tenant, now_us);
-                flight::instant(SpanKind::Degrade, m.tenant as u32, m.id);
             }
         }
         for m in &shed {
@@ -388,10 +383,8 @@ impl<'a> Dispatcher<'a> {
                 },
             );
             self.sink("shed", m.tenant, now_us);
-            flight::instant(SpanKind::Shed, m.tenant as u32, m.id);
             self.admission.release(m.tenant);
         }
-        flight::end(span);
         let done_us = now_us + self.est[model][chosen] * batch_factor(keep.len());
         if let Some(first) = keep.first() {
             self.busy_until = done_us;

@@ -29,9 +29,8 @@
 //!    request is shed (typed) only when no ladder variant can save it.
 //!
 //! Every decision lands as a typed [`events::ServeEvent`] in the
-//! admission log, as a `SinkEvent::Serve` in the obs registry, and as
-//! an `admission`/`batch_form`/`degrade`/`shed` stage in the flight
-//! recorder.
+//! admission log, and as a `SinkEvent::Serve` in the obs registry when
+//! the caller passes a recorder.
 //!
 //! The pipeline exists once, as the crate-private dispatcher in
 //! `dispatch.rs`; each entry point only drives it on a clock.

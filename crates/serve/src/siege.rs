@@ -376,8 +376,7 @@ fn poisson_gap(rng: &mut StdRng, rate_rps: f64) -> f64 {
 /// admission log — bit for bit.
 ///
 /// Decisions stream into `observer` (when given) as
-/// `SinkEvent::Serve` counters and into the flight recorder as
-/// `admission` / `batch_form` / `degrade` / `shed` stages.
+/// `SinkEvent::Serve` counters.
 ///
 /// # Errors
 /// Fails on scenario construction problems (empty tenant/model lists,

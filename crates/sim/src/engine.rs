@@ -86,11 +86,6 @@ impl Timeline {
         }
     }
 
-    /// Attaches (or replaces) the observer sink.
-    pub fn set_sink(&mut self, sink: Arc<dyn EventSink>) {
-        self.sink = Some(sink);
-    }
-
     fn emit(&self, event: SinkEvent) {
         if let Some(sink) = &self.sink {
             sink.emit(event);

@@ -39,7 +39,7 @@ cargo test -q
 
 echo "==> full workspace tests"
 cargo test --workspace -q
-# Every dispatched kernel (GEMM sweeps, conv gathers, int8 microtile,
+# Every dispatched kernel (GEMM sweeps with their int8 microtiles,
 # quantize-and-pad) runs at the widest variant the host has; on an
 # AVX-512 host the narrower ones would otherwise never run. Re-run the
 # kernel crates' tests pinned to each narrower variant (EDGENN_SIMD

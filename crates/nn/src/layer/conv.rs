@@ -1,6 +1,7 @@
 //! 2-D convolution as an implicit GEMM: the input is copied once into a
-//! padded map and the GEMM's packed B panels are gathered straight from
-//! it ([`edgenn_tensor::conv_gemm_into`], [`edgenn_tensor::conv_qgemm_into`]).
+//! padded map, laid out so that the GEMM reads every patch-matrix row
+//! straight from it ([`edgenn_tensor::conv_gemm_into`],
+//! [`edgenn_tensor::conv_qgemm_into`]).
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -356,8 +357,8 @@ impl Layer for Conv2d {
         let g = self.geometry(inputs[0])?;
         // The worst f32 path is `forward_partial_inputs` over all
         // channels: the gathered weight columns, with the kernel's padded
-        // map and B panels nested inside. The other paths acquire only
-        // the kernel's share, so this dominates every f32 path.
+        // map and tap-offset table nested inside. The other paths acquire
+        // only the kernel's share, so this dominates every f32 path.
         let gathered_w = self.out_channels * self.in_channels * self.kernel * self.kernel;
         Ok((gathered_w + conv_gemm_scratch_elems(&g)) as u64)
     }
@@ -365,7 +366,7 @@ impl Layer for Conv2d {
     fn scratch_bytes(&self, inputs: &[&Shape]) -> Result<u64> {
         // Whichever precision's peak is larger bounds the arena: the f32
         // paths acquire `scratch_elems * 4` bytes; the int8 path holds
-        // the quantized pair map and the pair-word B panels (4 bytes per
+        // the quantized pair map and its tap-offset table (4 bytes per
         // word) at once (A is prepacked at init, outside the arena).
         let f32_bytes = self.scratch_elems(inputs)? * 4;
         let g = self.geometry(inputs[0])?;
@@ -547,17 +548,19 @@ mod tests {
     #[test]
     fn scratch_bound_dominates_every_execution_path() {
         use edgenn_tensor::{conv_gemm_scratch_elems, conv_qgemm_scratch_elems};
-        // Padded (the kernels build a map) and unpadded (the f32 kernel
-        // reads the input in place) geometries.
+        // Padded (the kernels build a map), stride-2 (a map of four
+        // phase planes per channel) and unpadded (the f32 kernel reads
+        // the input in place) geometries.
         for (conv, shape) in [
             (Conv2d::new("c", 6, 5, 3, 1, 1, 21), Shape::new(&[6, 7, 7])),
+            (Conv2d::new("c", 3, 8, 3, 2, 1, 21), Shape::new(&[3, 9, 9])),
             (Conv2d::new("c", 3, 8, 1, 1, 0, 21), Shape::new(&[3, 5, 5])),
         ] {
             let g = conv.geometry(&shape).unwrap();
             let elems = conv.scratch_elems(&[&shape]).unwrap();
             let bytes = conv.scratch_bytes(&[&shape]).unwrap();
-            // forward / forward_partial (f32): the padded map and the B
-            // panels, held at once.
+            // forward / forward_partial (f32): the padded map and the
+            // tap-offset table, held at once.
             let kernel = conv_gemm_scratch_elems(&g) as u64;
             assert!(elems >= kernel);
             // forward_partial_inputs additionally gathers weight columns
@@ -565,7 +568,7 @@ mod tests {
             let taps = (conv.in_channels * conv.kernel * conv.kernel) as u64;
             assert!(elems >= conv.out_channels as u64 * taps + kernel);
             assert!(bytes >= 4 * elems);
-            // forward_partial_int8: the pair map and pair-word panels.
+            // forward_partial_int8: the pair map and its tap table.
             assert!(bytes >= 4 * conv_qgemm_scratch_elems(&g) as u64);
         }
         // Layers without arena use must report zero.

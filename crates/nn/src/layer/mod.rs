@@ -312,8 +312,9 @@ pub trait Layer: Send + Sync {
         Ok(w.input_bytes + w.weight_bytes)
     }
 
-    /// Upper bound on the scratch-arena floats one forward call over this
-    /// layer may acquire ([`edgenn_tensor::with_scratch`]), across every
+    /// Upper bound on the 4-byte scratch-arena elements one forward call
+    /// over this layer may acquire ([`edgenn_tensor::with_scratch`],
+    /// [`edgenn_tensor::with_scratch_i32`]), across every
     /// execution path (full forward, output-channel partial, input-channel
     /// partial). The tier-D ownership analyzer certifies peak arena growth
     /// from this; the bound must be sound (never undercount) but may

@@ -3,16 +3,18 @@
 //! Convolutions in `edgenn-nn` lower to this GEMM as an implicit GEMM
 //! ([`crate::conv_gemm_into`]), so this is the hot loop of the functional
 //! execution path. The fast path is a cache-blocked kernel in the BLIS
-//! style: the right-hand matrix sits in full-depth panels of `NR`
-//! contiguous columns, and an `MR x NR` register-tiled microkernel sweeps
-//! them in `KC`-deep slabs, accumulating into local arrays that LLVM keeps
-//! in vector registers. [`gemm_into_fused`] packs B into those panels; the
-//! conv lowering gathers them straight from its padded input map; both
-//! then run the one sweep. Every loop is over fixed-size safe slices, so
-//! the whole kernel auto-vectorizes without `unsafe` — and the same safe
-//! body is re-instantiated under `#[target_feature]` by [`crate::simd`],
-//! which picks the widest variant (AVX2+FMA, AVX-512) the CPU supports
-//! once per process.
+//! style: an `MR x NR` register-tiled microkernel sweeps the output in
+//! `NR`-column panels and `KC`-deep reduction slabs, accumulating into
+//! local arrays that LLVM keeps in vector registers. B is never packed
+//! into panels: the sweep reads each panel row in place, `NR` contiguous
+//! elements at `b[taps[r] + base]`, through a table of reduction-row
+//! offsets and a [`Grid`] that places the panels and drops the columns
+//! no output owns. [`gemm_into_fused`] hands it B row-major (a copy with
+//! read slack); the conv lowering hands it a padded input map. Every loop
+//! is over fixed-size safe slices, so the whole kernel auto-vectorizes
+//! without `unsafe` — and the same safe body is re-instantiated under
+//! `#[target_feature]` by [`crate::simd`], which picks the widest variant
+//! (AVX2+FMA, AVX-512) the CPU supports once per process.
 //!
 //! Epilogues (bias add, bias+ReLU, elementwise add) run *inside* the
 //! microkernel's write-back loop via [`Epilogue`], while the output tile
@@ -24,13 +26,13 @@
 
 use edgenn_obs::flight;
 
-use crate::scratch::with_scratch;
+use crate::scratch::{with_scratch, with_scratch_i32};
 use crate::{Result, Tensor, TensorError};
 
 /// Rows of the register microtile (output rows accumulated at once).
 const MR: usize = 4;
 /// Columns of the register microtile (one panel width; two f32x8 lanes).
-/// The conv gathers share this panel width with the int8 kernel.
+/// The int8 kernel shares this panel width and the [`Grid`] with it.
 const NR: usize = crate::quant::NR;
 /// Reduction-dimension block: one panel slab is `KC x NR` = 16 KiB.
 const KC: usize = 256;
@@ -171,16 +173,17 @@ pub fn naive_gemm(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Scratch-arena floats [`gemm_into`] acquires for a `(m, k) x (k, n)`
-/// product: B packed into full-depth `NR`-column panels — the static
-/// bound the tier-D ownership analyzer certifies against measured arena
-/// growth.
+/// Scratch-arena elements (4 bytes each) [`gemm_into`] acquires for a
+/// `(m, k) x (k, n)` product: a copy of B followed by `NR` floats of read
+/// slack, and the `k`-entry row-offset table the sweep reads it through —
+/// the static bound the tier-D ownership analyzer certifies against
+/// measured arena growth.
 #[must_use]
 pub fn gemm_pack_elems(m: usize, k: usize, n: usize) -> usize {
     if m == 0 || n == 0 || k == 0 {
         return 0;
     }
-    n.div_ceil(NR) * NR * k
+    k * n + NR + k
 }
 
 /// Raw blocked GEMM on slices: accumulates `a * b` into `out`, which must
@@ -253,36 +256,252 @@ pub fn gemm_into_fused(
     // the sweep must be a closure-free straight line so it inlines whole
     // into the `#[target_feature]` wrappers and re-vectorizes (a closure
     // would monomorphize once, at baseline width, and the hot loops with
-    // it).
+    // it). B is copied only to give the last panel's reads their slack.
     let phases = Phases::start();
-    let elems = gemm_pack_elems(m, k, n);
-    with_scratch(elems, |packed| {
-        pack_b_panels(b, packed, k, n);
-        let phases = phases.packed();
-        crate::simd::gemm_sweep_dispatch(a, packed, out, m, k, n, ep);
-        phases.finish((elems * 4) as u64);
+    with_scratch_i32(k, |taps| {
+        with_scratch(k * n + NR, |bmap| {
+            bmap[..k * n].copy_from_slice(b);
+            fill_taps(taps, (0..k).map(|r| r * n));
+            let phases = phases.packed();
+            let grid = Grid::new(1, n, n);
+            crate::simd::gemm_sweep_dispatch(a, bmap, taps, grid, out, m, ep);
+            phases.finish((bmap.len() * 4) as u64);
+        });
     });
 }
 
+/// Most write-back runs one panel can hold: one per output row its `NR`
+/// lanes touch, and a grid whose rows carry dropped columns has a pitch
+/// of at least 2 (a grid without them merges into one run).
+const MAX_RUNS: usize = NR / 2 + 1;
+
+/// Lanes `lane..lane + len` of a panel hold output columns
+/// `col..col + len`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Run {
+    pub(crate) lane: usize,
+    pub(crate) len: usize,
+    pub(crate) col: usize,
+}
+
+/// Where the sweeps' `NR`-column panels read B and write the output.
+///
+/// B is read in place: reduction row `r` of grid column `j` is
+/// `b[taps[r] + j]`. The grid has `rows` rows of `pitch` columns, grid
+/// column `j = oy * pitch + ox` is output column `oy * width + ox`, and
+/// columns with `ox >= width` — the conv map's border positions — are
+/// never written back. The grid ends at the last output column,
+/// `(rows - 1) * pitch + width`.
+///
+/// A panel owns up to `NR` consecutive grid columns and reads `NR` lanes
+/// from its first one. The panels either tile the grid flat, `NR`
+/// columns each, crossing rows (and computing the border columns between
+/// them), or start at every output row's first column, `NR` output
+/// columns each, the last one of a row ragged — whichever takes fewer
+/// panels, rows first on a tie: a row-aligned panel's lanes land in one
+/// run. The last panel of a [`Grid::flush`] grid starts early so its
+/// reads end on the grid's last column; lanes an earlier panel owns are
+/// then not written back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Grid {
+    rows: usize,
+    pitch: usize,
+    width: usize,
+    /// Grid column the last panel reads from.
+    last: usize,
+    /// Whether panels start at each output row's first column.
+    by_row: bool,
+}
+
+impl Grid {
+    /// A grid over a B that holds `NR` elements of read slack past the
+    /// last row's end: every panel reads from its own first column.
+    pub(crate) fn new(rows: usize, pitch: usize, width: usize) -> Grid {
+        debug_assert!(rows > 0 && width > 0 && width <= pitch);
+        let end = (rows - 1) * pitch + width;
+        let by_row = rows * width.div_ceil(NR) <= end.div_ceil(NR);
+        let last = if by_row {
+            (rows - 1) * pitch + (width - 1) / NR * NR
+        } else {
+            (end.div_ceil(NR) - 1) * NR
+        };
+        Grid {
+            rows,
+            pitch,
+            width,
+            last,
+            by_row,
+        }
+    }
+
+    /// A grid over a B without read slack, whose last reduction row ends
+    /// on the grid's last column; `None` when the grid is narrower than
+    /// one panel.
+    pub(crate) fn flush(rows: usize, pitch: usize, width: usize) -> Option<Grid> {
+        let grid = Grid::new(rows, pitch, width);
+        let end = grid.end();
+        (end >= NR).then(|| Grid {
+            last: end - NR,
+            ..grid
+        })
+    }
+
+    /// One past the last grid column an output owns.
+    fn end(&self) -> usize {
+        (self.rows - 1) * self.pitch + self.width
+    }
+
+    /// Output columns: `rows * width`.
+    pub(crate) fn n(&self) -> usize {
+        self.rows * self.width
+    }
+
+    /// The panels, in order.
+    pub(crate) fn panels(&self) -> Panels {
+        Panels {
+            grid: *self,
+            own: 0,
+            oy: 0,
+            ox: 0,
+        }
+    }
+}
+
+/// One panel of a [`Grid`]: the grid column its reads start at, and the
+/// runs of lanes its write-back stores (the first `count`).
+pub(crate) struct Panel {
+    pub(crate) base: usize,
+    runs: [Run; MAX_RUNS],
+    count: usize,
+}
+
+impl Panel {
+    /// The write-back runs.
+    #[inline(always)]
+    pub(crate) fn runs(&self) -> &[Run] {
+        &self.runs[..self.count]
+    }
+}
+
+/// The panels of a [`Grid`] in order, stepping the output row and column
+/// of each panel's first owned grid column without a division.
+pub(crate) struct Panels {
+    grid: Grid,
+    /// First grid column the next panel owns, at output `(oy, ox)`.
+    own: usize,
+    oy: usize,
+    ox: usize,
+}
+
+impl Iterator for Panels {
+    type Item = Panel;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Panel> {
+        let Grid {
+            rows,
+            pitch,
+            width,
+            last,
+            by_row,
+        } = self.grid;
+        let mut panel = Panel {
+            base: 0,
+            runs: [Run::default(); MAX_RUNS],
+            count: 0,
+        };
+        if by_row {
+            if self.oy == rows {
+                return None;
+            }
+            let (oy, ox) = (self.oy, self.ox);
+            let own = oy * pitch + ox;
+            panel.base = own.min(last);
+            panel.runs[0] = Run {
+                lane: own - panel.base,
+                len: (width - ox).min(NR),
+                col: oy * width + ox,
+            };
+            panel.count = 1;
+            self.ox += NR;
+            if self.ox >= width {
+                (self.oy, self.ox) = (oy + 1, 0);
+            }
+            return Some(panel);
+        }
+        let end = (self.own + NR).min(self.grid.end());
+        if self.own >= end {
+            return None;
+        }
+        let base = self.own.min(last);
+        panel.base = base;
+        let (mut j, mut oy, mut ox) = (self.own, self.oy, self.ox);
+        while j < end {
+            // An output stretch of the row, or the dropped columns after it.
+            let step = if ox < width {
+                let len = (width - ox).min(end - j);
+                let (lane, col) = (j - base, oy * width + ox);
+                match panel.runs[..panel.count].last_mut() {
+                    // Rows without dropped columns continue the run.
+                    Some(prev) if prev.lane + prev.len == lane && prev.col + prev.len == col => {
+                        prev.len += len;
+                    }
+                    _ => {
+                        panel.runs[panel.count] = Run { lane, len, col };
+                        panel.count += 1;
+                    }
+                }
+                len
+            } else {
+                (pitch - ox).min(end - j)
+            };
+            j += step;
+            ox += step;
+            if ox == pitch {
+                (oy, ox) = (oy + 1, 0);
+            }
+        }
+        (self.own, self.oy, self.ox) = (j, oy, ox);
+        Some(panel)
+    }
+}
+
+/// Writes `offsets` into a tap table. Entries are `u32` offsets held in
+/// the i32 arena; [`tap`] reads them back.
+#[inline(always)]
+pub(crate) fn fill_taps(taps: &mut [i32], offsets: impl Iterator<Item = usize>) {
+    for (t, off) in taps.iter_mut().zip(offsets) {
+        *t = u32::try_from(off).expect("B offsets fit in 32 bits") as i32;
+    }
+}
+
+/// A tap-table entry as an offset into B.
+#[inline(always)]
+pub(crate) fn tap(t: i32) -> usize {
+    t as u32 as usize
+}
+
 /// The blocked sweep behind [`gemm_into_fused`] and
-/// [`crate::conv_gemm_into`]: `out = ep(out + a * B)` over B in
-/// full-depth `NR`-column panels (`panels` holds `n.div_ceil(NR)` panels
-/// of `k` rows of `NR` floats, padding lanes zero). The reduction runs in
-/// `KC`-deep slabs, each accumulated from zero in registers and added to
-/// `out`, so every element's summation order is fixed by `k` alone.
+/// [`crate::conv_gemm_into`]: `out = ep(out + a * B)`, where reduction
+/// row `r` of B is read in place at `b[taps[r] + j]` for grid column `j`
+/// (see [`Grid`]), so `k = taps.len()`. The reduction runs in `KC`-deep
+/// slabs, each accumulated from zero in registers and added to `out`, so
+/// every element's summation order is fixed by `k` alone, whatever the
+/// layout of B.
 ///
 /// `pub(crate)` + `#[inline(always)]` so [`crate::simd`] can re-compile
 /// the identical safe source under wider `#[target_feature]` sets.
 #[inline(always)]
 pub(crate) fn gemm_sweep(
     a: &[f32],
-    panels: &[f32],
+    b: &[f32],
+    taps: &[i32],
+    grid: Grid,
     out: &mut [f32],
     m: usize,
-    k: usize,
-    n: usize,
     ep: Epilogue<'_>,
 ) {
+    let (k, n) = (taps.len(), grid.n());
     // A prepacked left operand ([`gemm_pack_a`]) carries zero-padded
     // trailing rows, letting remainder rows run through the full
     // register-tiled microkernel (write-back clamped to the real rows)
@@ -291,19 +510,30 @@ pub(crate) fn gemm_sweep(
     // whenever a remainder row exists, so they keep the row kernel.
     let a_padded = a.len() >= (m.div_ceil(MR) * MR) * k && k > 0;
     for kb in (0..k).step_by(KC) {
-        let kc = KC.min(k - kb);
+        let slab = &taps[kb..(kb + KC).min(k)];
         // The epilogue must fire exactly once per element, after the
         // last KC slab has been accumulated.
-        let slab_ep = if kb + kc == k { ep } else { Epilogue::None };
+        let slab_ep = if kb + slab.len() == k {
+            ep
+        } else {
+            Epilogue::None
+        };
         for mb in (0..m).step_by(MC) {
             let mc = MC.min(m - mb);
-            for (panel, full) in panels.chunks_exact(NR * k).enumerate() {
-                let slab = &full[kb * NR..(kb + kc) * NR];
-                let j0 = panel * NR;
-                let nr = NR.min(n - j0);
+            for panel in grid.panels() {
+                let tile = Tile {
+                    b,
+                    slab,
+                    base: panel.base,
+                    kb,
+                    k,
+                    n,
+                    runs: panel.runs(),
+                    ep: slab_ep,
+                };
                 let mut i0 = 0;
                 while i0 + MR <= mc {
-                    microkernel_full(a, slab, out, mb + i0, kb, kc, k, n, j0, nr, MR, slab_ep);
+                    microkernel_full(a, &tile, out, mb + i0, MR);
                     i0 += MR;
                 }
                 if i0 < mc {
@@ -311,23 +541,10 @@ pub(crate) fn gemm_sweep(
                         // Remainder rows: the padding rows make a full
                         // MR-block readable; only `mc - i0` rows are
                         // written back.
-                        microkernel_full(
-                            a,
-                            slab,
-                            out,
-                            mb + i0,
-                            kb,
-                            kc,
-                            k,
-                            n,
-                            j0,
-                            nr,
-                            mc - i0,
-                            slab_ep,
-                        );
+                        microkernel_full(a, &tile, out, mb + i0, mc - i0);
                     } else {
                         for i in i0..mc {
-                            microkernel_row(a, slab, out, mb + i, kb, kc, k, n, j0, nr, slab_ep);
+                            microkernel_row(a, &tile, out, mb + i);
                         }
                     }
                 }
@@ -336,49 +553,60 @@ pub(crate) fn gemm_sweep(
     }
 }
 
-/// Packs the `(k, n)` row-major `b` into full-depth column panels: panel
-/// `p` holds columns `p*NR..p*NR+NR` as `k` contiguous rows of `NR`
-/// floats, zero-padded when `n` is not a multiple of `NR`.
-fn pack_b_panels(b: &[f32], packed: &mut [f32], k: usize, n: usize) {
-    for (panel, dst_panel) in packed.chunks_exact_mut(NR * k).enumerate() {
-        let j0 = panel * NR;
-        let nr = NR.min(n - j0);
-        for (p, dst) in dst_panel.chunks_exact_mut(NR).enumerate() {
-            dst[..nr].copy_from_slice(&b[p * n + j0..p * n + j0 + nr]);
-            dst[nr..].fill(0.0);
+/// One panel's share of one `KC` slab: the B rows it reads and where its
+/// lanes land.
+struct Tile<'a> {
+    b: &'a [f32],
+    /// The slab's reduction-row offsets into `b`.
+    slab: &'a [i32],
+    /// Grid column the panel reads from.
+    base: usize,
+    /// First reduction row of the slab; `k` is the full depth (A's row
+    /// stride).
+    kb: usize,
+    k: usize,
+    /// Output row stride.
+    n: usize,
+    runs: &'a [Run],
+    ep: Epilogue<'a>,
+}
+
+impl Tile<'_> {
+    /// Reduction row `r` of the slab, over the panel's `NR` lanes.
+    #[inline(always)]
+    fn brow(&self, t: i32) -> &[f32] {
+        &self.b[tap(t) + self.base..][..NR]
+    }
+
+    /// `out[i][col] = ep(out[i][col] + acc[lane])` over the panel's runs.
+    #[inline(always)]
+    fn write_back(&self, out: &mut [f32], acc: &[f32; NR], i: usize) {
+        for run in self.runs {
+            let row = &mut out[i * self.n + run.col..][..run.len];
+            for (j, (o, &v)) in row.iter_mut().zip(&acc[run.lane..]).enumerate() {
+                *o = self.ep.apply(*o + v, i, run.col + j, self.n);
+            }
         }
     }
 }
 
-/// `MR x NR` register-tiled update: `out[i0..i0+rows, j0..j0+nr] +=`
-/// `a[i0..i0+MR, kb..kb+kc] * panel`, with the epilogue applied during
-/// write-back. The accumulator lives in fixed-size local arrays, which
-/// LLVM promotes to vector registers; each loaded B row is reused `MR`
-/// times and each A element `NR` times. `rows < MR` (prepacked tails)
-/// reads all `MR` A rows — the caller guarantees they are readable —
-/// but writes back only the first `rows` accumulator rows.
-#[allow(clippy::too_many_arguments)]
+/// `MR x NR` register-tiled update of output rows `i0..i0 + rows` over
+/// one panel and slab, with the epilogue applied during write-back. The
+/// accumulator lives in fixed-size local arrays, which LLVM promotes to
+/// vector registers; each loaded B row is reused `MR` times and each A
+/// element `NR` times. `rows < MR` (prepacked tails) reads all `MR` A
+/// rows — the caller guarantees they are readable — but writes back only
+/// the first `rows` accumulator rows.
 #[inline(always)]
-fn microkernel_full(
-    a: &[f32],
-    panel: &[f32],
-    out: &mut [f32],
-    i0: usize,
-    kb: usize,
-    kc: usize,
-    k: usize,
-    n: usize,
-    j0: usize,
-    nr: usize,
-    rows: usize,
-    ep: Epilogue<'_>,
-) {
+fn microkernel_full(a: &[f32], tile: &Tile<'_>, out: &mut [f32], i0: usize, rows: usize) {
     let mut acc = [[0.0f32; NR]; MR];
+    let (k, kb, kc) = (tile.k, tile.kb, tile.slab.len());
     let a0 = &a[i0 * k + kb..i0 * k + kb + kc];
     let a1 = &a[(i0 + 1) * k + kb..(i0 + 1) * k + kb + kc];
     let a2 = &a[(i0 + 2) * k + kb..(i0 + 2) * k + kb + kc];
     let a3 = &a[(i0 + 3) * k + kb..(i0 + 3) * k + kb + kc];
-    for (p, brow) in panel.chunks_exact(NR).take(kc).enumerate() {
+    for (p, &t) in tile.slab.iter().enumerate() {
+        let brow = tile.brow(t);
         let av = [a0[p], a1[p], a2[p], a3[p]];
         for (accr, &ar) in acc.iter_mut().zip(av.iter()) {
             for (dst, &bv) in accr.iter_mut().zip(brow.iter()) {
@@ -387,41 +615,22 @@ fn microkernel_full(
         }
     }
     for (r, accr) in acc.iter().enumerate().take(rows) {
-        let row = &mut out[(i0 + r) * n + j0..(i0 + r) * n + j0 + nr];
-        for (j, (o, &v)) in row.iter_mut().zip(accr.iter()).enumerate() {
-            *o = ep.apply(*o + v, i0 + r, j0 + j, n);
-        }
+        tile.write_back(out, accr, i0 + r);
     }
 }
 
 /// Single-row edge of the microtile (m remainder rows).
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn microkernel_row(
-    a: &[f32],
-    panel: &[f32],
-    out: &mut [f32],
-    i: usize,
-    kb: usize,
-    kc: usize,
-    k: usize,
-    n: usize,
-    j0: usize,
-    nr: usize,
-    ep: Epilogue<'_>,
-) {
+fn microkernel_row(a: &[f32], tile: &Tile<'_>, out: &mut [f32], i: usize) {
     let mut acc = [0.0f32; NR];
-    let arow = &a[i * k + kb..i * k + kb + kc];
-    for (p, brow) in panel.chunks_exact(NR).take(kc).enumerate() {
-        let ar = arow[p];
-        for (dst, &bv) in acc.iter_mut().zip(brow.iter()) {
+    let (k, kb) = (tile.k, tile.kb);
+    let arow = &a[i * k + kb..i * k + kb + tile.slab.len()];
+    for (&ar, &t) in arow.iter().zip(tile.slab) {
+        for (dst, &bv) in acc.iter_mut().zip(tile.brow(t).iter()) {
             *dst += ar * bv;
         }
     }
-    let row = &mut out[i * n + j0..i * n + j0 + nr];
-    for (j, (o, &v)) in row.iter_mut().zip(acc.iter()).enumerate() {
-        *o = ep.apply(*o + v, i, j0 + j, n);
-    }
+    tile.write_back(out, &acc, i);
 }
 
 /// Records a kernel's pack and compute phases from at most three clock
@@ -640,14 +849,14 @@ mod tests {
 
     #[test]
     fn pack_bound_covers_the_actual_packing_acquisition() {
-        // The packing buffer is exactly panels * NR * k floats (B packed
-        // at full depth); the exported bound must never undercount it
-        // (empty problems acquire nothing).
+        // The kernel acquires B's k * n floats plus NR of read slack,
+        // and one tap-table entry per reduction row; the exported bound
+        // must never undercount them (empty problems acquire nothing).
         assert_eq!(gemm_pack_elems(0, 64, 64), 0);
         assert_eq!(gemm_pack_elems(64, 0, 64), 0);
         for (m, k, n) in [(1, 1, 1), (4, 300, 17), (64, 256, 128), (3, 7, 1000)] {
             let bound = gemm_pack_elems(m, k, n);
-            assert!(bound >= n.div_ceil(16) * 16 * k, "({m},{k},{n})");
+            assert!(bound >= k * n + 16 + k, "({m},{k},{n})");
         }
     }
 
@@ -696,6 +905,40 @@ mod tests {
                 Epilogue::None,
             );
             assert_eq!(&part[..], &full[start * n..end * n], "rows {start}..{end}");
+        }
+    }
+
+    #[test]
+    fn grid_panels_write_every_output_column_once() {
+        // Flat and row-aligned placements, rows with and without dropped
+        // columns, ragged rows and panels, with and without read slack.
+        for rows in 1..5 {
+            for width in 1..40 {
+                for pitch in width..width + 4 {
+                    let end = (rows - 1) * pitch + width;
+                    let grids = [
+                        (Some(Grid::new(rows, pitch, width)), end + NR - 1),
+                        (Grid::flush(rows, pitch, width), end),
+                    ];
+                    for (grid, reach) in grids {
+                        let Some(grid) = grid else { continue };
+                        let mut written = vec![0; grid.n()];
+                        for panel in grid.panels() {
+                            assert!(panel.base + NR <= reach, "{grid:?} reads past B");
+                            for run in panel.runs() {
+                                assert!(run.lane + run.len <= NR);
+                                for l in 0..run.len {
+                                    let j = panel.base + run.lane + l;
+                                    assert_eq!(j % pitch + j / pitch * width, run.col + l);
+                                    assert!(j % pitch < width, "{grid:?} stores a border column");
+                                    written[run.col + l] += 1;
+                                }
+                            }
+                        }
+                        assert!(written.iter().all(|&w| w == 1), "{grid:?}");
+                    }
+                }
+            }
         }
     }
 

@@ -6,17 +6,29 @@
 //! paper's CUDA kernels use; reproducing it keeps the FLOP counts the
 //! simulator models aligned with what the functional engine executes.
 //!
-//! The engine never materializes the patch matrix. [`conv_gemm_into`] and
-//! [`conv_qgemm_into`] copy the input once into a padded map — a zero
-//! border for f32; for int8 the quantized codes with a zero-point border,
-//! one pair word per channel pair — and gather the GEMM's packed B panels
-//! straight from that map, so each patch element is written once, into
-//! the layout the microkernel reads. [`im2col`] still builds the explicit
-//! matrix as the tests' oracle.
+//! The engine never materializes the patch matrix, nor copies any of it
+//! into GEMM panels. [`conv_gemm_into`] and [`conv_qgemm_into`] copy the
+//! input once into a padded map — a zero border for f32; for int8 the
+//! quantized codes with a zero-point border, one pair word per channel
+//! pair — laid out so that the microkernel reads every patch-matrix row
+//! in place: the map is split by stride phase. Phase plane `(py, px)` of
+//! a channel holds padded rows `py, py + stride_h, …` and columns `px,
+//! px + stride_w, …`, all planes `qh x qw`, and the map ends in `NR`
+//! elements of read slack. Kernel tap `(kh, kw)` of output `(oy, ox)`
+//! then sits in plane `(kh % stride_h, kw % stride_w)` at row `oy +
+//! kh / stride_h`, column `ox + kw / stride_w`: over the grid columns
+//! `j = oy * qw + ox`, each tap's row is the map from one fixed offset,
+//! so any 16 consecutive columns are one contiguous run. The sweeps place
+//! their 16-column panels on that grid — flat, or from each output row's
+//! start when that takes no more panels — and the write-back drops the
+//! columns with `ox >= out_w` ([`crate::gemm`]'s `Grid`). An unpadded
+//! stride-1 conv's map is its input, which the f32 kernel reads in
+//! place. [`im2col`] still builds the explicit matrix as the tests'
+//! oracle.
 
 use std::ops::Range;
 
-use crate::gemm::{Epilogue, Phases};
+use crate::gemm::{fill_taps, tap, Epilogue, Grid, Phases};
 use crate::quant::{pair_word, quantize_code, QuantParams, Requant, MR, NR};
 use crate::scratch::{with_scratch, with_scratch_i32};
 use crate::{Result, Tensor, TensorError};
@@ -96,8 +108,8 @@ pub fn col2im_shape(geometry: &Conv2dGeometry, out_channels: usize) -> [usize; 3
 /// Unfolds a CHW input into the explicit im2col patch matrix
 /// `(in_channels * kernel_h * kernel_w, out_h * out_w)`; padding taps
 /// contribute zeros. No engine path builds this matrix — the conv kernels
-/// gather their GEMM panels straight from a padded map — so it stays as
-/// the reference the implicit-GEMM lowering is tested against.
+/// read its rows straight from a padded map — so it stays as the
+/// reference the implicit-GEMM lowering is tested against.
 ///
 /// # Errors
 /// Returns geometry validation errors and
@@ -149,19 +161,32 @@ impl Conv2dGeometry {
         (self.in_h + 2 * self.pad_h, self.in_w + 2 * self.pad_w)
     }
 
-    /// The same window over the int8 conv's pair map: one plane per
+    /// Height and width of each stride-phase plane: the longest phase's
+    /// share of the padded rows and columns.
+    fn phase_hw(&self) -> (usize, usize) {
+        let (ph, pw) = self.padded_hw();
+        (ph.div_ceil(self.stride_h), pw.div_ceil(self.stride_w))
+    }
+
+    /// Elements of one channel's phase planes.
+    fn block(&self) -> usize {
+        let (qh, qw) = self.phase_hw();
+        self.stride_h * self.stride_w * qh * qw
+    }
+
+    /// The same window over the int8 conv's pair map: one block per
     /// channel pair (an odd count rounds up).
-    fn pairs(&self) -> Conv2dGeometry {
+    pub(crate) fn pairs(&self) -> Conv2dGeometry {
         Conv2dGeometry {
             in_channels: self.in_channels.div_ceil(2),
             ..*self
         }
     }
 
-    /// Elements of the padded map: one per channel and padded position.
-    fn map_len(&self) -> usize {
-        let (ph, pw) = self.padded_hw();
-        self.in_channels * ph * pw
+    /// Elements of the phase-split map: every channel's block, then `NR`
+    /// of read slack for the last panel's dropped columns.
+    pub(crate) fn map_len(&self) -> usize {
+        self.in_channels * self.block() + NR
     }
 
     /// Reduction depth of the patch matrix: channels times taps.
@@ -169,10 +194,48 @@ impl Conv2dGeometry {
         self.in_channels * self.kernel_h * self.kernel_w
     }
 
-    /// Elements of the full-depth B panels gathered from the padded map.
-    fn panel_len(&self) -> usize {
-        let cols = self.out_h() * self.out_w();
-        cols.div_ceil(NR) * NR * self.depth()
+    /// The sweep's grid over the map: one row of `qw` grid columns per
+    /// output row, of which the first `out_w` are outputs.
+    fn grid(&self) -> Grid {
+        Grid::new(self.out_h(), self.phase_hw().1, self.out_w())
+    }
+
+    /// The grid over the input itself, when an f32 conv can read it in
+    /// place: unpadded, stride 1 (the map would be the input) and at
+    /// least one panel wide (the last panel's reads end on the input's
+    /// last element instead of in slack).
+    fn in_place_grid(&self) -> Option<Grid> {
+        let plain = self.pad_h == 0 && self.pad_w == 0 && self.stride_h == 1 && self.stride_w == 1;
+        if plain {
+            Grid::flush(self.out_h(), self.in_w, self.out_w())
+        } else {
+            None
+        }
+    }
+
+    /// Offset, within a channel's block, of padded position `(y, x)`:
+    /// phase plane `(y % stride_h, x % stride_w)`, phase row `y /
+    /// stride_h`, phase column `x / stride_w`.
+    fn phase_at(&self, y: usize, x: usize) -> usize {
+        let (qh, qw) = self.phase_hw();
+        let (sh, sw) = (self.stride_h, self.stride_w);
+        ((y % sh) * sw + x % sw) * qh * qw + y / sh * qw + x / sw
+    }
+
+    /// The map offset of every patch-matrix row, `(channel, kh, kw)` in
+    /// that order: tap `(kh, kw)` of the window at grid column 0.
+    fn fill_taps(&self, taps: &mut [i32]) {
+        let kw_n = self.kernel_w;
+        let (window, block) = (self.kernel_h * kw_n, self.block());
+        let (first, rest) = taps.split_at_mut(window);
+        fill_taps(
+            first,
+            (0..window).map(|i| self.phase_at(i / kw_n, i % kw_n)),
+        );
+        // Every later channel's window is the first one, a block further.
+        for (c, chunk) in rest.chunks_exact_mut(window).enumerate() {
+            fill_taps(chunk, first.iter().map(|&t| tap(t) + (c + 1) * block));
+        }
     }
 
     fn check_input(&self, input: &[f32]) -> Result<()> {
@@ -192,25 +255,28 @@ impl Conv2dGeometry {
     }
 }
 
-/// Scratch-arena floats [`conv_gemm_into`] acquires for `geometry`: the
-/// zero-bordered map (none without padding) plus the full-depth B panels.
+/// Scratch-arena elements (4 bytes each) [`conv_gemm_into`] acquires for
+/// `geometry`: the zero-bordered phase-split map with its read slack
+/// (none when the input is read in place) plus the tap-offset table, one
+/// entry per patch-matrix row.
 #[must_use]
 pub fn conv_gemm_scratch_elems(geometry: &Conv2dGeometry) -> usize {
-    let map = if geometry.pad_h == 0 && geometry.pad_w == 0 {
+    let map = if geometry.in_place_grid().is_some() {
         0
     } else {
         geometry.map_len()
     };
-    map + geometry.panel_len()
+    map + geometry.depth()
 }
 
 /// Scratch-arena i32 elements [`conv_qgemm_into`] acquires for
-/// `geometry`: the quantized pair map plus the B panels, one pair word
-/// per position and per column and reduction pair respectively.
+/// `geometry`: the quantized phase-split pair map with its read slack
+/// plus the tap-offset table, one pair word per position and one entry
+/// per reduction pair respectively.
 #[must_use]
 pub fn conv_qgemm_scratch_elems(geometry: &Conv2dGeometry) -> usize {
     let pairs = geometry.pairs();
-    pairs.map_len() + pairs.panel_len()
+    pairs.map_len() + pairs.depth()
 }
 
 /// Convolution as an implicit GEMM: `out = ep(out + a · P)`, where `P` is
@@ -219,12 +285,13 @@ pub fn conv_qgemm_scratch_elems(geometry: &Conv2dGeometry) -> usize {
 /// `in_channels * kernel_h * kernel_w` — plain row-major, or the padded
 /// layout of [`crate::gemm_pack_a`] sliced at a row offset.
 ///
-/// The input is copied once into a zero-bordered map (used as is without
-/// padding), a gather writes the GEMM's full-depth `NR`-column B panels
-/// straight from that map, and the blocked microkernel sweeps them in
-/// `KC`-deep slabs. For a zeroed `out` the result is bitwise identical to
-/// [`im2col`] followed by [`crate::gemm_into_fused`]: both run the same
-/// sweep over the same panel contents.
+/// The input is copied once into the zero-bordered phase-split map (read
+/// in place when unpadded with stride 1), and the blocked microkernel
+/// sweeps the map in `KC`-deep slabs, reading each patch-matrix row in
+/// place through the tap-offset table. For a zeroed `out` the result is
+/// bitwise identical to [`im2col`] followed by [`crate::gemm_into_fused`]:
+/// both run the same sweep, which fixes every element's summation order
+/// whatever the layout of B.
 ///
 /// # Errors
 /// Returns geometry validation errors and [`TensorError::ShapeMismatch`]
@@ -247,23 +314,21 @@ pub fn conv_gemm_into(
         });
     }
     let phases = Phases::start();
-    let panels = geometry.panel_len();
-    let mut sweep = |map: &[f32]| {
-        with_scratch(panels, |packed| {
-            crate::simd::gather_panels_dispatch(map, geometry, packed);
+    with_scratch_i32(k, |taps| {
+        geometry.fill_taps(taps);
+        if let Some(grid) = geometry.in_place_grid() {
             let phases = phases.packed();
-            crate::simd::gemm_sweep_dispatch(a, packed, out, m, k, cols, ep);
-            phases.finish((panels * 4) as u64);
-        });
-    };
-    if geometry.pad_h == 0 && geometry.pad_w == 0 {
-        sweep(input);
-    } else {
-        with_scratch(geometry.map_len(), |map| {
-            pad_map(input, geometry, map);
-            sweep(map);
-        });
-    }
+            crate::simd::gemm_sweep_dispatch(a, input, taps, grid, out, m, ep);
+            phases.finish(0);
+        } else {
+            with_scratch(geometry.map_len(), |map| {
+                pad_map(input, geometry, map);
+                let phases = phases.packed();
+                crate::simd::gemm_sweep_dispatch(a, map, taps, geometry.grid(), out, m, ep);
+                phases.finish((map.len() * 4) as u64);
+            });
+        }
+    });
     Ok(())
 }
 
@@ -274,13 +339,13 @@ pub fn conv_gemm_into(
 /// output channels; `out` holds `rows.len()` output rows and is
 /// overwritten.
 ///
-/// The input is quantized once into a map filled with the activation
-/// zero-point (so padding dequantizes to exactly `0.0`) that holds one
-/// pair word per channel pair and position, a gather writes the
-/// microtile's B panels straight from it — the same 32-bit copy as the
-/// f32 gather — and the microtile sweep requantizes from the register
-/// accumulators. Integer sums are exact, so the result is bitwise
-/// identical to quantizing [`im2col`]'s matrix and running
+/// The input is quantized once into a phase-split map filled with the
+/// activation zero-point (so padding dequantizes to exactly `0.0`) that
+/// holds one pair word per channel pair and position, and the microtile
+/// sweep reads each reduction pair's row straight from it — the f32
+/// sweep's addressing over 32-bit words — and requantizes from the
+/// register accumulators. Integer sums are exact, so the result is
+/// bitwise identical to quantizing [`im2col`]'s matrix and running
 /// [`crate::qgemm_requant_into`]: the channel-pair reduction order
 /// changes nothing.
 ///
@@ -308,14 +373,13 @@ pub fn conv_qgemm_into(
     }
     let awide = &awide[rows.start * stride..];
     let phases = Phases::start();
-    let panels = pairs.panel_len();
-    with_scratch_i32(pairs.map_len(), |map| {
-        crate::simd::quantize_pad_pairs_dispatch(input, geometry, rq.act, map);
-        with_scratch_i32(panels, |packed| {
-            crate::simd::gather_panels_dispatch(map, &pairs, packed);
+    with_scratch_i32(stride, |taps| {
+        pairs.fill_taps(taps);
+        with_scratch_i32(pairs.map_len(), |map| {
+            crate::simd::quantize_pad_pairs_dispatch(input, geometry, rq.act, map);
             let phases = phases.packed();
-            crate::simd::qgemm_sweep_dispatch(awide, packed, out, m, stride, cols, rq);
-            phases.finish((panels * 4) as u64);
+            crate::simd::qgemm_sweep_dispatch(awide, map, taps, pairs.grid(), out, m, rq);
+            phases.finish((map.len() * 4) as u64);
         });
     });
     Ok(())
@@ -333,28 +397,51 @@ fn out_rows(len: usize, cols: usize) -> Result<usize> {
 }
 
 /// Copies the CHW `input` into the interior of `map`, a zeroed
-/// `(C, in_h + 2*pad_h, in_w + 2*pad_w)` buffer, leaving the border zero.
+/// phase-split map (see the module docs), leaving the border and the
+/// read slack zero.
 fn pad_map(input: &[f32], g: &Conv2dGeometry, map: &mut [f32]) {
     if input.is_empty() {
         return; // an empty input leaves the map all padding
     }
-    let (ph, pw) = g.padded_hw();
     let planes = input.chunks_exact(g.in_h * g.in_w);
-    for (src, dst) in planes.zip(map.chunks_exact_mut(ph * pw)) {
-        let rows = dst[g.pad_h * pw..].chunks_exact_mut(pw);
-        for (src_row, dst_row) in src.chunks_exact(g.in_w).zip(rows) {
-            dst_row[g.pad_w..g.pad_w + g.in_w].copy_from_slice(src_row);
+    for (src, dst) in planes.zip(map.chunks_exact_mut(g.block())) {
+        for (iy, src_row) in src.chunks_exact(g.in_w).enumerate() {
+            place_row(g, iy + g.pad_h, g.pad_w, src_row, dst);
         }
     }
 }
 
-/// Quantizes the CHW `input` under `p` into `map`, the padded pair map:
-/// plane `c / 2` holds one [`crate::quant::pair_word`] per padded
+/// Writes `src`, the values of padded row `y` from padded column `x` on,
+/// into `dst`, a channel's block of the phase-split map, one column
+/// phase at a time: columns `x + i, x + i + stride_w, …` are consecutive
+/// in their phase plane.
+#[inline(always)]
+fn place_row<T: Copy>(g: &Conv2dGeometry, y: usize, x: usize, src: &[T], dst: &mut [T]) {
+    let sw = g.stride_w;
+    if sw == 1 {
+        dst[g.phase_at(y, x)..][..src.len()].copy_from_slice(src);
+        return;
+    }
+    for i in 0..sw.min(src.len()) {
+        let run = dst[g.phase_at(y, x + i)..].iter_mut();
+        for (d, &v) in run.zip(src[i..].iter().step_by(sw)) {
+            *d = v;
+        }
+    }
+}
+
+/// Input columns a strided int8 row quantizes per pass into a stack
+/// buffer before [`place_row`] spreads them: quantizing straight into the
+/// strided runs does not vectorize and took twice as long.
+const ROW_CHUNK: usize = 64;
+
+/// Quantizes the CHW `input` under `p` into `map`, the phase-split pair
+/// map: block `c / 2` holds one [`crate::quant::pair_word`] per padded
 /// position, channel `c` in its low half when `c` is even. Every other
-/// code — the border and, for an odd channel count, the missing last
-/// channel — is the zero-point, which dequantizes to exactly `0.0` (the
-/// missing channel's weights are zero besides). Rounds exactly like
-/// [`crate::quantize_into`].
+/// code — the border, the read slack and, for an odd channel count, the
+/// missing last channel — is the zero-point, which dequantizes to
+/// exactly `0.0` (the missing channel's weights are zero besides).
+/// Rounds exactly like [`crate::quantize_into`].
 #[inline(always)]
 pub(crate) fn quantize_pad_pairs(
     input: &[f32],
@@ -362,91 +449,60 @@ pub(crate) fn quantize_pad_pairs(
     p: QuantParams,
     map: &mut [i32],
 ) {
-    let (ph, pw) = g.padded_hw();
-    let (inv, zp) = (1.0 / p.scale, p.zero_point as f32);
-    let q = |v: f32| quantize_code(v, inv, zp);
-    let zero = p.zero_point as i8;
-    map.fill(pair_word(zero, zero));
+    let q = Codes {
+        inv: 1.0 / p.scale,
+        zp: p.zero_point as f32,
+        zero: p.zero_point as i8,
+    };
+    map.fill(pair_word(q.zero, q.zero));
     let plane = g.in_h * g.in_w;
-    for (pair, dst) in map.chunks_exact_mut(ph * pw).enumerate() {
+    let mut words = [0i32; ROW_CHUNK];
+    let blocks = map
+        .chunks_exact_mut(g.block())
+        .take(g.in_channels.div_ceil(2));
+    for (pair, dst) in blocks.enumerate() {
         let lo = &input[2 * pair * plane..(2 * pair + 1) * plane];
         let hi = input.get((2 * pair + 1) * plane..(2 * pair + 2) * plane);
-        let rows = dst[g.pad_h * pw..].chunks_exact_mut(pw);
-        for (iy, dst_row) in rows.take(g.in_h).enumerate() {
-            let interior = &mut dst_row[g.pad_w..g.pad_w + g.in_w];
-            let lo_row = &lo[iy * g.in_w..(iy + 1) * g.in_w];
-            if let Some(hi) = hi {
-                let hi_row = &hi[iy * g.in_w..(iy + 1) * g.in_w];
-                for (d, (&l, &h)) in interior.iter_mut().zip(lo_row.iter().zip(hi_row)) {
-                    *d = pair_word(q(l), q(h));
-                }
-            } else {
-                for (d, &l) in interior.iter_mut().zip(lo_row) {
-                    *d = pair_word(q(l), zero);
-                }
+        for iy in 0..g.in_h {
+            let (y, span) = (iy + g.pad_h, iy * g.in_w..(iy + 1) * g.in_w);
+            let (lo, hi) = (&lo[span.clone()], hi.map(|hi| &hi[span]));
+            if g.stride_w == 1 {
+                quantize_pairs(&mut dst[g.phase_at(y, g.pad_w)..], lo, hi, q);
+                continue;
+            }
+            for (i, lo) in lo.chunks(ROW_CHUNK).enumerate() {
+                let hi = hi.map(|hi| &hi[i * ROW_CHUNK..][..lo.len()]);
+                quantize_pairs(&mut words, lo, hi, q);
+                let x = g.pad_w + i * ROW_CHUNK;
+                place_row(g, y, x, &words[..lo.len()], dst);
             }
         }
     }
 }
 
-/// Map offsets (in positions) of the window origins of output columns
-/// `j0..j0 + NR`, and how many of those columns exist (the last panel
-/// may be ragged).
-#[inline(always)]
-fn lane_offsets(g: &Conv2dGeometry, pw: usize, j0: usize, cols: usize) -> ([usize; NR], usize) {
-    let out_w = g.out_w();
-    let lanes = NR.min(cols - j0);
-    let mut off = [0usize; NR];
-    let (mut oy, mut ox) = (j0 / out_w, j0 % out_w);
-    for o in &mut off[..lanes] {
-        *o = oy * g.stride_h * pw + ox * g.stride_w;
-        ox += 1;
-        if ox == out_w {
-            ox = 0;
-            oy += 1;
-        }
-    }
-    (off, lanes)
+/// A [`QuantParams`] as [`quantize_code`] takes it, plus the zero-point
+/// code.
+#[derive(Clone, Copy)]
+struct Codes {
+    inv: f32,
+    zp: f32,
+    zero: i8,
 }
 
-/// Gathers the full-depth B panels of a convolution's patch matrix
-/// straight from its padded map ([`pad_map`]'s f32 map, or
-/// [`quantize_pad_pairs`]'s pair map with `g` counting channel pairs).
-///
-/// Panel `p` covers output columns `p*NR..p*NR + NR` and stores one row
-/// of `NR` elements per (channel, kernel row, kernel column), in that
-/// order: lane `l` holds the map value at the tap's position in column
-/// `l`'s window. Over the f32 map that is [`crate::gemm`]'s panel layout;
-/// over the pair map it is the int8 microtile's, each pair word two
-/// channels at one tap. Every element is written — lanes past the last
-/// column as zero — so `panels` needs no pre-fill.
-///
-/// Each panel's lane offsets are computed once. When the panel's columns
-/// are `NR` consecutive map positions (stride 1 within one output row,
-/// or a 1x1 unpadded conv), every row is one contiguous copy; otherwise
-/// the row is read through the lane offsets.
+/// Pair words of `lo`'s and `hi`'s codes into `dst` (the zero-point for
+/// a missing `hi`).
 #[inline(always)]
-pub(crate) fn gather_panels<T: Copy + Default>(map: &[T], g: &Conv2dGeometry, panels: &mut [T]) {
-    let (ph, pw) = g.padded_hw();
-    let cols = g.out_h() * g.out_w();
-    for (p, panel) in panels.chunks_exact_mut(NR * g.depth()).enumerate() {
-        let (off, lanes) = lane_offsets(g, pw, p * NR, cols);
-        let contiguous = lanes == NR && off[NR - 1] == off[0] + NR - 1;
-        let mut rows = panel.chunks_exact_mut(NR);
-        for c in 0..g.in_channels {
-            for kh in 0..g.kernel_h {
-                let tap_row = c * ph * pw + kh * pw;
-                for (kw, dst) in (0..g.kernel_w).zip(rows.by_ref()) {
-                    let base = tap_row + kw;
-                    if contiguous {
-                        dst.copy_from_slice(&map[base + off[0]..base + off[0] + NR]);
-                    } else {
-                        for (d, &o) in dst.iter_mut().zip(&off[..lanes]) {
-                            *d = map[base + o];
-                        }
-                        dst[lanes..].fill(T::default());
-                    }
-                }
+fn quantize_pairs(dst: &mut [i32], lo: &[f32], hi: Option<&[f32]>, q: Codes) {
+    let code = |v: f32| quantize_code(v, q.inv, q.zp);
+    match hi {
+        Some(hi) => {
+            for (d, (&l, &h)) in dst.iter_mut().zip(lo.iter().zip(hi)) {
+                *d = pair_word(code(l), code(h));
+            }
+        }
+        None => {
+            for (d, &l) in dst.iter_mut().zip(lo) {
+                *d = pair_word(code(l), q.zero);
             }
         }
     }
@@ -562,12 +618,34 @@ mod tests {
 
     /// Geometries covering kernel 1-5, stride 1-3, pad 0-2 and 1-9
     /// channels (odd counts included), with output widths below, equal
-    /// to and above `NR` — the last panel is ragged whenever `out_h *
-    /// out_w` is not a multiple of `NR`, and the patch depth is odd with
-    /// odd channels and odd kernels — plus an empty input whose every
-    /// tap is padding.
+    /// to and above `NR` — the last panel is ragged whenever the grid's
+    /// column count is not a multiple of `NR`, the patch depth is odd
+    /// with odd channels and odd kernels, and the unpadded stride-1 ones
+    /// at least a panel wide are read in place — plus an empty input
+    /// whose every tap is padding, windows whose kernel, stride and
+    /// padding differ between height and width, and an unpadded 1x1
+    /// conv read in place whose last panel's reads end on the input's
+    /// last element (35 columns: the last panel starts at column 19).
     fn geometry_grid() -> Vec<Conv2dGeometry> {
-        let mut grid = vec![geo(3, 0, 0, 3, 1, 2)];
+        let mut grid = vec![geo(3, 0, 0, 3, 1, 2), geo(3, 5, 7, 1, 1, 0)];
+        for (c, in_h, in_w, kernel_h, kernel_w, stride_h, stride_w, pad_h, pad_w) in [
+            (3, 7, 11, 3, 5, 2, 1, 1, 2),
+            (2, 9, 6, 1, 3, 1, 3, 0, 1),
+            (5, 10, 13, 4, 2, 3, 2, 2, 0),
+            (4, 6, 20, 2, 3, 1, 1, 0, 0),
+        ] {
+            grid.push(Conv2dGeometry {
+                in_channels: c,
+                in_h,
+                in_w,
+                kernel_h,
+                kernel_w,
+                stride_h,
+                stride_w,
+                pad_h,
+                pad_w,
+            });
+        }
         for k in 1..=5 {
             for s in 1..=3 {
                 for p in 0..=2 {
@@ -598,96 +676,9 @@ mod tests {
         Tensor::random(&[g.in_channels, g.in_h, g.in_w], 1.0, seed)
     }
 
-    /// The f32 panel layout built the slow way from [`im2col`]: lane `l`
-    /// of panel `p`, row `r` is patch element `(r, p*NR + l)`, zero past
-    /// the last column.
-    fn reference_panels(cols: &Tensor) -> Vec<f32> {
-        let (depth, n) = (cols.dims()[0], cols.dims()[1]);
-        let mut panels = vec![0.0; n.div_ceil(NR) * NR * depth];
-        for r in 0..depth {
-            for j in 0..n {
-                panels[(j / NR) * NR * depth + r * NR + j % NR] = cols.as_slice()[r * n + j];
-            }
-        }
-        panels
-    }
-
-    /// The int8 pair-word panels built the slow way: quantize the
-    /// [`im2col`] matrix (padding `0.0` quantizes to the zero-point),
-    /// then pair channels `2q` and `2q+1` at each tap, the missing
-    /// channel of an odd count quantizing as `0.0` too.
-    fn reference_pair_panels(g: &Conv2dGeometry, cols: &Tensor, p: QuantParams) -> Vec<i32> {
-        let n = cols.dims()[1];
-        let mut codes = vec![0i8; cols.len()];
-        crate::quantize_into(cols.as_slice(), &mut codes, p);
-        let taps = g.kernel_h * g.kernel_w;
-        let pairs = g.in_channels.div_ceil(2);
-        let depth = pairs * taps;
-        let zero = p.zero_point as i8;
-        let code = |c: usize, t: usize, j: usize| {
-            if c < g.in_channels {
-                codes[(c * taps + t) * n + j]
-            } else {
-                zero
-            }
-        };
-        let mut panels = vec![0i32; n.div_ceil(NR) * NR * depth];
-        for q in 0..pairs {
-            for t in 0..taps {
-                for j in 0..n {
-                    panels[(j / NR) * NR * depth + (q * taps + t) * NR + j % NR] =
-                        pair_word(code(2 * q, t, j), code(2 * q + 1, t, j));
-                }
-            }
-        }
-        panels
-    }
-
     fn act_params(x: &Tensor) -> QuantParams {
         let (lo, hi) = crate::min_max(x.as_slice());
         QuantParams::from_min_max(lo, hi)
-    }
-
-    /// The f32 map [`conv_gemm_into`] gathers from.
-    fn f32_map(x: &Tensor, g: &Conv2dGeometry) -> Vec<f32> {
-        let mut map = vec![0.0; g.map_len()];
-        pad_map(x.as_slice(), g, &mut map);
-        map
-    }
-
-    #[test]
-    fn panel_gathers_match_im2col_in_the_reference_layout() {
-        let mut widths = [false; 3];
-        for (i, g) in geometry_grid().iter().enumerate() {
-            let x = input_for(g, i as u64);
-            let cols = im2col(&x, g).unwrap();
-            let ow = g.out_w();
-            widths[usize::from(ow >= NR) + usize::from(ow > NR)] = true;
-
-            // Poisoned destinations: the gathers owe every element,
-            // ragged lanes included.
-            let mut got = vec![f32::NAN; g.panel_len()];
-            gather_panels(&f32_map(&x, g), g, &mut got);
-            let want = reference_panels(&cols);
-            assert!(
-                got.iter()
-                    .zip(&want)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "f32 {g:?}"
-            );
-
-            let p = act_params(&x);
-            let pairs = g.pairs();
-            let mut map = vec![0x5A5A_5A5A; pairs.map_len()];
-            quantize_pad_pairs(x.as_slice(), g, p, &mut map);
-            let mut got = vec![0x5A5A_5A5A; pairs.panel_len()];
-            gather_panels(&map, &pairs, &mut got);
-            assert_eq!(got, reference_pair_panels(g, &cols, p), "int8 {g:?}");
-        }
-        assert_eq!(
-            widths, [true; 3],
-            "grid must cover out_w below, at and above NR"
-        );
     }
 
     /// `m` weight rows for `g`, with biases.
@@ -701,7 +692,10 @@ mod tests {
     fn conv_gemm_matches_im2col_plus_gemm_bitwise() {
         // Padded and prepacked A, every row range shape the engine
         // slices: full, off the MR grid, and a single row.
-        for (i, g) in geometry_grid().iter().enumerate().step_by(7) {
+        let mut widths = [false; 3];
+        for (i, g) in geometry_grid().iter().enumerate() {
+            let ow = g.out_w();
+            widths[usize::from(ow >= NR) + usize::from(ow > NR)] = true;
             let m = 6;
             let x = input_for(g, i as u64);
             let (w, bias) = weights(g, m);
@@ -722,11 +716,18 @@ mod tests {
                 }
             }
         }
+        assert_eq!(
+            widths, [true; 3],
+            "grid must cover out_w below, at and above NR"
+        );
     }
 
     #[test]
     fn conv_qgemm_matches_im2col_plus_qgemm_bitwise() {
-        for (i, g) in geometry_grid().iter().enumerate().step_by(7) {
+        // The quantized im2col matrix pads with the zero-point, and odd
+        // channel counts leave the last pair's high half to it: the pair
+        // map must match both, at every tap of every geometry.
+        for (i, g) in geometry_grid().iter().enumerate() {
             let m = 6;
             let x = input_for(g, i as u64);
             let (w, bias) = weights(g, m);
@@ -804,14 +805,20 @@ mod tests {
 
     #[test]
     fn scratch_sizes_cover_what_the_kernels_acquire() {
-        // The arena counters see exactly these lengths (the f32 map only
-        // with padding).
+        // The arena counters see exactly these lengths: the phase-split
+        // map with NR of read slack (none for an f32 input read in
+        // place) and one tap-table entry per patch-matrix row.
         let g = geo(3, 6, 6, 3, 1, 1);
-        let cols = g.out_h() * g.out_w();
-        let panels = cols.div_ceil(NR) * NR;
-        assert_eq!(conv_gemm_scratch_elems(&g), 3 * 8 * 8 + panels * 27);
-        assert_eq!(conv_qgemm_scratch_elems(&g), 2 * 8 * 8 + panels * 2 * 9);
+        assert_eq!(conv_gemm_scratch_elems(&g), 3 * 8 * 8 + NR + 27);
+        assert_eq!(conv_qgemm_scratch_elems(&g), 2 * 8 * 8 + NR + 2 * 9);
+        // Stride 2 over the 9x9 padded map: four 5x5 phase planes.
+        let strided = geo(3, 7, 7, 3, 2, 1);
+        assert_eq!(conv_gemm_scratch_elems(&strided), 3 * 4 * 25 + NR + 27);
+        assert_eq!(conv_qgemm_scratch_elems(&strided), 2 * 4 * 25 + NR + 2 * 9);
         let unpadded = geo(3, 6, 6, 1, 1, 0);
-        assert_eq!(conv_gemm_scratch_elems(&unpadded), 48 * 3);
+        assert_eq!(conv_gemm_scratch_elems(&unpadded), 3);
+        // Narrower than one panel: copied, so its reads have slack.
+        let narrow = geo(1, 3, 3, 1, 1, 0);
+        assert_eq!(conv_gemm_scratch_elems(&narrow), 9 + NR + 1);
     }
 }

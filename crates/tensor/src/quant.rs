@@ -25,28 +25,31 @@
 //! ## Kernel formulation
 //!
 //! The blocked kernel is an `MR x NR` microtile over a *pair-broadcast*
-//! packed layout. Both operands are stored as **pair words**: two int8
-//! codes of adjacent reduction indices, sign-extended to i16 and packed
-//! into one i32 (low half first, [`pair_word`]). A is row-major in pair
-//! words (rows padded to an `MR` multiple), B sits in `NR`-column panels
-//! of one pair word per column and reduction pair. One microtile step
-//! then multiplies a broadcast A word against a whole panel row — on x86
-//! that is exactly one `pmaddwd` + one `vpaddd` per `2*NR` MACs, with
-//! `MR` independent accumulator registers hiding the multiply latency.
+//! layout. Both operands are stored as **pair words**: two int8 codes of
+//! adjacent reduction indices, sign-extended to i16 and packed into one
+//! i32 (low half first, [`pair_word`]). A is row-major in pair words
+//! (rows padded to an `MR` multiple); B is a pair-word map read in place,
+//! reduction pair `h` of a panel being the `NR` consecutive words at
+//! `b[taps[h] + base]` (the f32 sweep's [`crate::gemm`] addressing). One
+//! microtile step then multiplies a broadcast A word against a whole
+//! panel row — on x86 that is exactly one `pmaddwd` + one `vpaddd` per
+//! `2*NR` MACs, with `MR` independent accumulator registers hiding the
+//! multiply latency.
 //! Autovectorizers do not find this shape from scalar code (the
 //! horizontal-reduction idiom they do lower caps out well below the f32
 //! kernel at small `k`), so [`crate::simd`] provides explicit
 //! AVX2/AVX-512 microtiles behind the usual runtime dispatch, and
 //! [`qgemm_tile_portable`] keeps a bit-identical safe fallback.
 //!
-//! [`qgemm_requant_into`] pairs adjacent reduction indices. The conv
-//! lowering ([`crate::conv_qgemm_into`]) instead pairs two *channels* at
-//! one kernel tap — integer sums are exact, so reduction order is free —
-//! which makes its input map one pair word per position and its panel
-//! gather the same 32-bit copy as the f32 gather; [`qgemm_pack_a`] orders
-//! the conv weights to match.
+//! [`qgemm_requant_into`] pairs adjacent reduction indices, and writes B
+//! as a row-major pair-word matrix. The conv lowering
+//! ([`crate::conv_qgemm_into`]) instead pairs two *channels* at one
+//! kernel tap — integer sums are exact, so reduction order is free —
+//! which makes its input map one pair word per position, read by the
+//! microtile in place like the f32 map; [`qgemm_pack_a`] orders the conv
+//! weights to match.
 
-use crate::gemm::Phases;
+use crate::gemm::{fill_taps, tap, Grid, Phases};
 use crate::scratch::with_scratch_i32;
 use crate::{Result, Shape, Tensor, TensorError};
 
@@ -381,12 +384,12 @@ impl RowRequant {
 }
 
 /// Bytes of scratch [`qgemm_requant_into`] may acquire for an
-/// `(m, k) x (k, n)` product: both operands packed into pair words — A
-/// rows of `k.div_ceil(2)` words padded to an `MR`-multiple row count, B
-/// into NR-wide column panels of the same depth (the int8 counterpart of
-/// [`crate::gemm_pack_elems`]; the int8 kernel packs the full reduction
-/// depth at once). A sound over-approximation for the tier-D arena
-/// accounting.
+/// `(m, k) x (k, n)` product: both operands as pair words — A rows of
+/// `k.div_ceil(2)` words padded to an `MR`-multiple row count, B as
+/// `k.div_ceil(2)` rows of `n` words followed by `NR` words of read slack
+/// — and the sweep's row-offset table, one word per B row (the int8
+/// counterpart of [`crate::gemm_pack_elems`]). A sound over-approximation
+/// for the tier-D arena accounting.
 #[must_use]
 pub fn qgemm_pack_bytes(m: usize, k: usize, n: usize) -> usize {
     if m == 0 || k == 0 || n == 0 {
@@ -394,7 +397,7 @@ pub fn qgemm_pack_bytes(m: usize, k: usize, n: usize) -> usize {
     } else {
         let pairs = k.div_ceil(2);
         let mp = m.div_ceil(MR) * MR;
-        4 * (mp * pairs + n.div_ceil(NR) * NR * pairs)
+        4 * (mp * pairs + pairs * n + NR + pairs)
     }
 }
 
@@ -433,58 +436,74 @@ pub fn qgemm_requant_into(
     }
     let pairs = k.div_ceil(2);
     let mp = m.div_ceil(MR) * MR;
-    // One scratch slab holds A (`mp*pairs` words) followed by the B
-    // panels (`panels*NR*pairs` words): pair words are still half the
-    // f32 footprint, and full-depth packing lets every microtile run its
-    // whole reduction from one panel. As in the f32 path, scratch is
+    // One scratch slab holds A (`mp*pairs` words) followed by B (`pairs`
+    // rows of `n` words, then the last panel's read slack): pair words
+    // are still half the f32 footprint. As in the f32 path, scratch is
     // acquired *outside* the dispatched sweep so the hot loops inline
     // into the `#[target_feature]` wrappers (a closure would pin them at
     // baseline width).
-    let scratch_elems = mp * pairs + n.div_ceil(NR) * NR * pairs;
+    let scratch_elems = mp * pairs + pairs * n + NR;
     let phases = Phases::start();
-    with_scratch_i32(scratch_elems, |packed| {
-        let (awide, bpanels) = packed.split_at_mut(mp * pairs);
-        pack_pair_operands(a, b, awide, bpanels, m, k, n);
-        let phases = phases.packed();
-        crate::simd::qgemm_sweep_dispatch(awide, bpanels, out, m, pairs, n, rq);
-        phases.finish((4 * scratch_elems) as u64);
+    with_scratch_i32(pairs, |taps| {
+        with_scratch_i32(scratch_elems, |packed| {
+            let (awide, bwide) = packed.split_at_mut(mp * pairs);
+            pack_pair_operands(a, b, awide, bwide, m, k, n);
+            fill_taps(taps, (0..pairs).map(|h| h * n));
+            let phases = phases.packed();
+            let grid = Grid::new(1, n, n);
+            crate::simd::qgemm_sweep_dispatch(awide, bwide, taps, grid, out, m, rq);
+            phases.finish((4 * scratch_elems) as u64);
+        });
     });
 }
 
 /// The microtile sweep behind [`qgemm_requant_into`] and
-/// [`crate::conv_qgemm_into`]: drives [`crate::simd`]'s dispatched
-/// `MR x NR` tile over every panel x row-block of `awide` (rows of
-/// `pairs` pair words, readable in whole `MR` blocks) and `bpanels`
-/// (`NR` words per pair row), and requantizes the real outputs from the
+/// [`crate::conv_qgemm_into`]: runs `tile` over every panel x row-block
+/// of `awide` (rows of `taps.len()` pair words, readable in whole `MR`
+/// blocks) and of B, read in place through `taps` and `grid` as the f32
+/// sweep reads it, and requantizes the real outputs from the
 /// accumulators. `pub(crate)` + `#[inline(always)]` so [`crate::simd`]
-/// re-instantiates the requant write-back at the selected width.
+/// re-instantiates the requant write-back at the selected width, with
+/// that width's tile inlined.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub(crate) fn qgemm_sweep(
+    tile: impl Fn(&[i32], &[i32], &[i32], usize, &mut [i32; MR * NR]),
     awide: &[i32],
-    bpanels: &[i32],
+    b: &[i32],
+    taps: &[i32],
+    grid: Grid,
     out: &mut [f32],
     m: usize,
-    pairs: usize,
-    n: usize,
     rq: &Requant<'_>,
 ) {
-    let mut acc = [0i32; MR * NR];
-    for (panel_idx, panel) in bpanels.chunks_exact(NR * pairs).enumerate() {
-        let j0 = panel_idx * NR;
-        let nr = NR.min(n - j0);
+    let (pairs, n) = (taps.len(), grid.n());
+    // One spare row: a run from lane `l` reads `NR` lanes from there.
+    let mut acc = [0i32; MR * NR + NR];
+    for panel in grid.panels() {
         for i0 in (0..m).step_by(MR) {
             let rows = MR.min(m - i0);
             // The microtile always computes a full MR x NR block (A's
-            // padding rows and the panel's padding lanes are zeros); the
-            // requant write-back below only touches the real outputs.
+            // padding rows are zeros, dropped lanes read whatever B holds
+            // there); the requant write-back below only touches the real
+            // outputs.
             let a = &awide[i0 * pairs..(i0 + MR) * pairs];
-            crate::simd::qgemm_tile_dispatch(a, pairs, panel, &mut acc);
-            for (r, lanes) in acc.chunks_exact(NR).enumerate().take(rows) {
+            let lanes = acc.first_chunk_mut().expect("MR x NR lanes");
+            tile(a, b, taps, panel.base, lanes);
+            for r in 0..rows {
                 let i = i0 + r;
                 let row = rq.row(i);
-                let out_row = &mut out[i * n + j0..i * n + j0 + nr];
-                for (o, &lane) in out_row.iter_mut().zip(lanes) {
-                    *o = row.apply(lane);
+                let out_row = &mut out[i * n..(i + 1) * n];
+                // Each run is stored as NR lanes from its first one: the
+                // lanes past the run land on output columns a later run
+                // (of this panel or the next; runs come in column order)
+                // overwrites. Only the output row's end shortens a store.
+                for run in panel.runs() {
+                    let len = NR.min(n - run.col);
+                    let lanes = &acc[r * NR + run.lane..][..len];
+                    for (o, &lane) in out_row[run.col..][..len].iter_mut().zip(lanes) {
+                        *o = row.apply(lane);
+                    }
                 }
             }
         }
@@ -526,19 +545,22 @@ pub fn qgemm_pack_a(a: &[i8], m: usize, k: usize, taps: usize) -> Vec<i32> {
 }
 
 /// Portable `MR x NR` microtile over pair words:
-/// `acc[r][lane] = Σ_h lo(a[r][h])·lo(panel[h][lane]) + hi(a[r][h])·hi(panel[h][lane])`.
+/// `acc[r][lane] = Σ_h lo(a[r][h])·lo(bh[lane]) + hi(a[r][h])·hi(bh[lane])`
+/// with `bh = b[base + tap(taps[h])..][..NR]`, `h < taps.len()`.
 /// Integer arithmetic, so results are bit-identical to the explicit
 /// AVX2/AVX-512 microtiles in [`crate::simd`] that replace it at runtime.
 #[inline(always)]
 pub(crate) fn qgemm_tile_portable(
     a: &[i32],
-    pairs: usize,
-    panel: &[i32],
+    b: &[i32],
+    taps: &[i32],
+    base: usize,
     acc: &mut [i32; MR * NR],
 ) {
+    let pairs = taps.len();
     acc.fill(0);
-    for h in 0..pairs {
-        let step = &panel[h * NR..(h + 1) * NR];
+    for (h, &t) in taps.iter().enumerate() {
+        let step = &b[base + tap(t)..][..NR];
         for r in 0..MR {
             let w = a[r * pairs + h];
             let (x0, x1) = (i32::from(w as i16), w >> 16);
@@ -553,15 +575,15 @@ pub(crate) fn qgemm_tile_portable(
 /// Packs both operands into pair words: A `(m, k)` row-major into
 /// `awide` rows of `k.div_ceil(2)` words (the odd-depth tail's high half
 /// and rows `m..mp` zero, so the microtile can always read a full `MR`
-/// block), B `(k, n)` into NR-wide panels where reduction pair
-/// `(p, p+1)` of column `j` is word `panel[(p/2)*NR + jl]`. Every word is
-/// written, padding included — the scratch arena recycles allocations,
-/// and every padding element must multiply as zero.
+/// block), B `(k, n)` into `bwide` rows of `n` words, where word
+/// `h * n + j` holds reduction pair `(2h, 2h+1)` of column `j`. The odd
+/// tail's high half and the read slack past the last row are zero — the
+/// scratch arena hands out zeroed buffers.
 fn pack_pair_operands(
     a: &[i8],
     b: &[i8],
     awide: &mut [i32],
-    bpanels: &mut [i32],
+    bwide: &mut [i32],
     m: usize,
     k: usize,
     n: usize,
@@ -573,16 +595,11 @@ fn pack_pair_operands(
             *dst = pair_word(src[0], src.get(1).copied().unwrap_or(0));
         }
     }
-    for (panel, dst_panel) in bpanels.chunks_exact_mut(NR * pairs).enumerate() {
-        let j0 = panel * NR;
-        let nr = NR.min(n - j0);
-        for (h, dst) in dst_panel.chunks_exact_mut(NR).enumerate() {
-            let lo = &b[2 * h * n + j0..2 * h * n + j0 + nr];
-            let hi = b.get((2 * h + 1) * n + j0..(2 * h + 1) * n + j0 + nr);
-            for (jl, (d, &l)) in dst.iter_mut().zip(lo).enumerate() {
-                *d = pair_word(l, hi.map_or(0, |h| h[jl]));
-            }
-            dst[nr..].fill(0);
+    for (h, dst) in bwide.chunks_exact_mut(n).take(pairs).enumerate() {
+        let lo = &b[2 * h * n..(2 * h + 1) * n];
+        let hi = b.get((2 * h + 1) * n..(2 * h + 2) * n);
+        for (j, (d, &l)) in dst.iter_mut().zip(lo).enumerate() {
+            *d = pair_word(l, hi.map_or(0, |h| h[j]));
         }
     }
 }
@@ -842,11 +859,12 @@ mod tests {
             (64, 256, 128),
             (3, 7, 1000),
         ] {
-            // The kernel acquires (mp*pairs + panels*NR*pairs) words.
+            // The kernel acquires (mp*pairs + pairs*n + NR) operand words
+            // and a pairs-entry tap table.
             let pairs = k.div_ceil(2);
             let mp = m.div_ceil(4) * 4;
             assert!(
-                qgemm_pack_bytes(m, k, n) >= 4 * (mp * pairs + n.div_ceil(16) * 16 * pairs),
+                qgemm_pack_bytes(m, k, n) >= 4 * (mp * pairs + pairs * n + 16 + pairs),
                 "({m},{k},{n})"
             );
         }

@@ -1,9 +1,9 @@
 //! Reusable scratch buffers for kernel lowering.
 //!
 //! The conv hot path materializes two temporaries per layer — the padded
-//! input map and the GEMM's packed B panels gathered from it.
-//! Allocating them per layer dominated steady-state inference cost, so
-//! both come from a per-thread arena: a stack of `Vec<f32>` buffers
+//! input map and the table of row offsets the GEMM sweep reads it
+//! through. Allocating them per layer dominated steady-state inference
+//! cost, so both come from a per-thread arena: a stack of `Vec<f32>` buffers
 //! that grow to the largest request they have served and are then reused
 //! forever. After the first pass over a model, a thread performs **zero
 //! heap allocations per conv layer**.
@@ -14,18 +14,19 @@
 //! so the observability layer can prove the steady state is reached.
 //!
 //! All three arenas hand out slices starting on a 64-byte boundary (see
-//! [`SCRATCH_ALIGN`]) so the vectorized GEMM panel loads never straddle
-//! cache lines regardless of where the allocator placed the buffer.
+//! [`SCRATCH_ALIGN`]) so which of the vectorized GEMM row loads straddle
+//! cache lines depends on the layer, not on where the allocator placed
+//! the buffer.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use edgenn_obs::flight;
 
-/// Every scratch slice starts on a 64-byte boundary. The GEMM packed-B
-/// panels live in scratch and are consumed by 512-bit vector loads; a
-/// `Vec` allocation only guarantees the element's own alignment, so
-/// whether those loads split cache lines is decided once per process by
+/// Every scratch slice starts on a 64-byte boundary. The conv maps live
+/// in scratch and are consumed by 512-bit vector loads; a `Vec`
+/// allocation only guarantees the element's own alignment, so which of
+/// those loads split cache lines would be decided once per process by
 /// allocator luck. That made whole-process runs bimodal (the same model
 /// 20-40% slower in an unlucky run, stably, until restart). Each arena
 /// over-allocates by one cache line and hands out the aligned window.
@@ -46,9 +47,8 @@ static ACQUISITIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Stack of idle buffers. Nested `with_scratch` calls pop in LIFO
-    /// order, so a fixed nesting pattern (conv: cols, then packed B)
-    /// always meets the same buffer at the same depth and stops growing
-    /// after the first pass.
+    /// order, so a fixed nesting pattern always meets the same buffer at
+    /// the same depth and stops growing after the first pass.
     static ARENA: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
     /// Parallel stack for int8 buffers (the quantized input vector of
     /// an int8 dense layer). Safe Rust cannot reinterpret an f32
@@ -58,7 +58,8 @@ thread_local! {
     /// Stack for i32 buffers: the int8 GEMM packs its operands as pair
     /// words (two codes widened to i16 in one i32) so the microkernel's
     /// inner loops lower to the widening multiply-accumulate idiom
-    /// (`pmaddwd` on x86) without a per-iteration sign-extension.
+    /// (`pmaddwd` on x86) without a per-iteration sign-extension, and
+    /// both GEMM sweeps read B through tables of `u32` row offsets.
     static ARENA_I32: RefCell<Vec<Vec<i32>>> = const { RefCell::new(Vec::new()) };
 }
 

@@ -1,9 +1,9 @@
 //! Runtime architecture dispatch for the GEMM and conv-lowering kernels.
 //!
-//! The blocked f32 sweep, the int8 microtile sweep, the conv panel
-//! gathers and the int8 quantize-and-pad pass are written once as
-//! portable safe Rust over fixed-size slices (see [`crate::gemm`],
-//! [`crate::quant`] and [`crate::im2col`]). That shape is what LLVM's
+//! The blocked f32 sweep, the int8 microtile sweep and the int8
+//! quantize-and-pad pass are written once as portable safe Rust over
+//! fixed-size slices (see [`crate::gemm`], [`crate::quant`] and
+//! [`crate::im2col`]). That shape is what LLVM's
 //! auto-vectorizer wants, but the *width* it vectorizes to is fixed at
 //! compile time by the baseline target (`x86-64` = SSE2: 4 f32 lanes).
 //! This module re-compiles
@@ -12,11 +12,14 @@
 //! variant per process with `is_x86_feature_detected!`.
 //!
 //! The one exception to the re-instantiation pattern is the int8
-//! microtile ([`qgemm_tile_dispatch`]): its pair-broadcast `pmaddwd`
-//! shape is precisely what autovectorizers never find from scalar code
-//! (measured ≤ f32 throughput), so the AVX2/AVX-512 variants here are
-//! written with explicit `core::arch` intrinsics. They compute exact
-//! integer results, so they remain bit-identical to the portable tile.
+//! microtile, which each variant's int8 sweep runs inline: its
+//! pair-broadcast `pmaddwd` shape is precisely what autovectorizers
+//! never find from scalar code (measured ≤ f32 throughput), so the
+//! AVX2/AVX-512 variants here are written with explicit `core::arch`
+//! intrinsics. They read B's panel rows in place — straight from a
+//! conv's padded map — through the sweep's row-offset table, and compute
+//! exact integer results, so they remain bit-identical to the portable
+//! tile.
 //!
 //! # `unsafe` exception
 //!
@@ -30,7 +33,10 @@
 //! [`kernel_arch`] value (which only ever reports an architecture whose
 //! feature bits `is_x86_feature_detected!` observed at first use), or an
 //! intrinsic load/store inside the int8 microtiles whose bounds are
-//! established by plain `assert!`s at the top of the function.
+//! established by plain `assert!`s at the top of the function — for the
+//! map loads, one over the largest entry of the row-offset table, so a
+//! map without its read slack fails the assert instead of reading past
+//! its end.
 //!
 //! The selected variant can be pinned for tests and benchmarks with the
 //! `EDGENN_SIMD` environment variable (`portable`, `avx2`, or `avx512`);
@@ -40,7 +46,7 @@
 
 use std::sync::OnceLock;
 
-use crate::gemm::Epilogue;
+use crate::gemm::{tap, Epilogue, Grid};
 use crate::quant::{QuantParams, Requant};
 use crate::Conv2dGeometry;
 
@@ -108,27 +114,27 @@ fn detect() -> KernelArch {
     }
 }
 
-/// Dispatches the blocked f32 sweep over full-depth B panels
+/// Dispatches the blocked f32 sweep over B read in place
 /// ([`crate::gemm::gemm_sweep`]) to the selected variant.
 #[inline]
 pub(crate) fn gemm_sweep_dispatch(
     a: &[f32],
-    panels: &[f32],
+    b: &[f32],
+    taps: &[i32],
+    grid: Grid,
     out: &mut [f32],
     m: usize,
-    k: usize,
-    n: usize,
     ep: Epilogue<'_>,
 ) {
     match kernel_arch() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `kernel_arch` returned this variant only after
         // `is_x86_feature_detected!` confirmed the features it enables.
-        KernelArch::Avx2 => unsafe { gemm_sweep_avx2(a, panels, out, m, k, n, ep) },
+        KernelArch::Avx2 => unsafe { gemm_sweep_avx2(a, b, taps, grid, out, m, ep) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above, for the avx512f/bw/dq/vl feature set.
-        KernelArch::Avx512 => unsafe { gemm_sweep_avx512(a, panels, out, m, k, n, ep) },
-        _ => crate::gemm::gemm_sweep(a, panels, out, m, k, n, ep),
+        KernelArch::Avx512 => unsafe { gemm_sweep_avx512(a, b, taps, grid, out, m, ep) },
+        _ => crate::gemm::gemm_sweep(a, b, taps, grid, out, m, ep),
     }
 }
 
@@ -137,40 +143,24 @@ pub(crate) fn gemm_sweep_dispatch(
 #[inline]
 pub(crate) fn qgemm_sweep_dispatch(
     awide: &[i32],
-    bpanels: &[i32],
+    b: &[i32],
+    taps: &[i32],
+    grid: Grid,
     out: &mut [f32],
     m: usize,
-    pairs: usize,
-    n: usize,
     rq: &Requant<'_>,
 ) {
     match kernel_arch() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: guarded by the same detection as `gemm_sweep_dispatch`.
-        KernelArch::Avx2 => unsafe { qgemm_sweep_avx2(awide, bpanels, out, m, pairs, n, rq) },
+        KernelArch::Avx2 => unsafe { qgemm_sweep_avx2(awide, b, taps, grid, out, m, rq) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above, for the avx512f/bw/dq/vl feature set.
-        KernelArch::Avx512 => unsafe { qgemm_sweep_avx512(awide, bpanels, out, m, pairs, n, rq) },
-        _ => crate::quant::qgemm_sweep(awide, bpanels, out, m, pairs, n, rq),
-    }
-}
-
-/// Dispatches the conv panel gather ([`crate::im2col::gather_panels`]):
-/// f32 panels from the f32 map, pair-word panels from the int8 pair map.
-#[inline]
-pub(crate) fn gather_panels_dispatch<T: Copy + Default>(
-    map: &[T],
-    g: &Conv2dGeometry,
-    panels: &mut [T],
-) {
-    match kernel_arch() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: guarded by the same detection as `gemm_sweep_dispatch`.
-        KernelArch::Avx2 => unsafe { gather_panels_avx2(map, g, panels) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, for the avx512f/bw/dq/vl feature set.
-        KernelArch::Avx512 => unsafe { gather_panels_avx512(map, g, panels) },
-        _ => crate::im2col::gather_panels(map, g, panels),
+        KernelArch::Avx512 => unsafe { qgemm_sweep_avx512(awide, b, taps, grid, out, m, rq) },
+        _ => {
+            let tile = crate::quant::qgemm_tile_portable;
+            crate::quant::qgemm_sweep(tile, awide, b, taps, grid, out, m, rq);
+        }
     }
 }
 
@@ -208,28 +198,6 @@ pub(crate) fn dot_dispatch(a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-/// Dispatches one int8 `MR x NR` microtile over pair words (see
-/// [`crate::quant`] module docs). `a` holds `MR` rows of `pairs` words,
-/// `panel` one `NR`-column panel of `pairs * NR` words; the tile is
-/// *overwritten*. All variants produce bit-identical i32 accumulators.
-#[inline]
-pub(crate) fn qgemm_tile_dispatch(
-    a: &[i32],
-    pairs: usize,
-    panel: &[i32],
-    acc: &mut [i32; crate::quant::MR * crate::quant::NR],
-) {
-    match kernel_arch() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: guarded by the same detection as `gemm_sweep_dispatch`.
-        KernelArch::Avx2 => unsafe { qgemm_tile_avx2(a, pairs, panel, acc) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, for the avx512f/bw/dq/vl feature set.
-        KernelArch::Avx512 => unsafe { qgemm_tile_avx512(a, pairs, panel, acc) },
-        _ => crate::quant::qgemm_tile_portable(a, pairs, panel, acc),
-    }
-}
-
 /// Dispatches the int8 dot product (quantized dense-layer hot loop).
 #[inline]
 pub(crate) fn dot_i8_dispatch(a: &[i8], b: &[i8]) -> i32 {
@@ -249,73 +217,69 @@ pub(crate) fn dot_i8_dispatch(a: &[i8], b: &[i8]) -> i32 {
 // features, so LLVM re-vectorizes the identical safe source at the
 // variant's lane width. The bodies are deliberately closure-free (the
 // scratch arena is acquired by the caller): a closure would monomorphize
-// once at baseline width and take the hot loops with it.
+// once at baseline width and take the hot loops with it. The one closure
+// here, each int8 sweep's tile, is defined inside the wrapper and
+// inherits its target features, so the tile inlines into the sweep.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn gemm_sweep_avx2(
     a: &[f32],
-    panels: &[f32],
+    b: &[f32],
+    taps: &[i32],
+    grid: Grid,
     out: &mut [f32],
     m: usize,
-    k: usize,
-    n: usize,
     ep: Epilogue<'_>,
 ) {
-    crate::gemm::gemm_sweep(a, panels, out, m, k, n, ep);
+    crate::gemm::gemm_sweep(a, b, taps, grid, out, m, ep);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
 fn gemm_sweep_avx512(
     a: &[f32],
-    panels: &[f32],
+    b: &[f32],
+    taps: &[i32],
+    grid: Grid,
     out: &mut [f32],
     m: usize,
-    k: usize,
-    n: usize,
     ep: Epilogue<'_>,
 ) {
-    crate::gemm::gemm_sweep(a, panels, out, m, k, n, ep);
+    crate::gemm::gemm_sweep(a, b, taps, grid, out, m, ep);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn qgemm_sweep_avx2(
     awide: &[i32],
-    bpanels: &[i32],
+    b: &[i32],
+    taps: &[i32],
+    grid: Grid,
     out: &mut [f32],
     m: usize,
-    pairs: usize,
-    n: usize,
     rq: &Requant<'_>,
 ) {
-    crate::quant::qgemm_sweep(awide, bpanels, out, m, pairs, n, rq);
+    let tile = |a: &_, b: &_, taps: &_, base, acc: &mut _| {
+        qgemm_tile_avx2(a, b, taps, base, acc);
+    };
+    crate::quant::qgemm_sweep(tile, awide, b, taps, grid, out, m, rq);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
 fn qgemm_sweep_avx512(
     awide: &[i32],
-    bpanels: &[i32],
+    b: &[i32],
+    taps: &[i32],
+    grid: Grid,
     out: &mut [f32],
     m: usize,
-    pairs: usize,
-    n: usize,
     rq: &Requant<'_>,
 ) {
-    crate::quant::qgemm_sweep(awide, bpanels, out, m, pairs, n, rq);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-fn gather_panels_avx2<T: Copy + Default>(map: &[T], g: &Conv2dGeometry, panels: &mut [T]) {
-    crate::im2col::gather_panels(map, g, panels);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
-fn gather_panels_avx512<T: Copy + Default>(map: &[T], g: &Conv2dGeometry, panels: &mut [T]) {
-    crate::im2col::gather_panels(map, g, panels);
+    let tile = |a: &_, b: &_, taps: &_, base, acc: &mut _| {
+        qgemm_tile_avx512(a, b, taps, base, acc);
+    };
+    crate::quant::qgemm_sweep(tile, awide, b, taps, grid, out, m, rq);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -346,38 +310,48 @@ fn dot_avx512(a: &[f32], b: &[f32]) -> f32 {
 // pair word (a[p]·, a[p+1]· as two i16 halves) and multiply it against a
 // panel row of pair words with `pmaddwd` (a[p]·b[p][j] + a[p+1]·b[p+1][j]
 // per i32 lane), keeping MR independent accumulator sets so the
-// multiply latency overlaps across rows. The `assert!`s make every raw
-// load below in-bounds:
-//   A word reads:  r*pairs + h  <  MR*pairs   for h < pairs, r < MR
-//   panel reads:   16h + 15     <  16*pairs   for h < pairs (512-bit)
+// multiply latency overlaps across rows. Panel row h is read in place at
+// b[base + tap(taps[h])]. The `assert!`s make every raw load below
+// in-bounds, with reach = max_h tap(taps[h]) (one vectorized fold per
+// tile, instead of a check per row):
+//   A word reads:  r*pairs + h               <  MR*pairs  for h < pairs, r < MR
+//   B row reads:   base + tap(taps[h]) + 15  <  b.len()   since tap ≤ reach
 // The i32 stores target the fixed-size `acc` array by construction.
+
+/// The largest offset in a tap table (0 for an empty one).
+#[inline(always)]
+fn reach(taps: &[i32]) -> usize {
+    taps.iter().fold(0u32, |r, &t| r.max(t as u32)) as usize
+}
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
-fn qgemm_tile_avx512(a: &[i32], pairs: usize, panel: &[i32], acc: &mut [i32; 64]) {
+#[inline]
+fn qgemm_tile_avx512(a: &[i32], b: &[i32], taps: &[i32], base: usize, acc: &mut [i32; 64]) {
     use std::arch::x86_64::{
         _mm512_add_epi32, _mm512_loadu_si512, _mm512_madd_epi16, _mm512_set1_epi32,
         _mm512_setzero_si512, _mm512_storeu_si512,
     };
-    assert!(a.len() >= 4 * pairs && panel.len() >= 16 * pairs);
+    let pairs = taps.len();
+    assert!(a.len() >= 4 * pairs && base + reach(taps) + 16 <= b.len());
     let mut acc0 = _mm512_setzero_si512();
     let mut acc1 = _mm512_setzero_si512();
     let mut acc2 = _mm512_setzero_si512();
     let mut acc3 = _mm512_setzero_si512();
     let ap = a.as_ptr();
-    let pp = panel.as_ptr();
-    for h in 0..pairs {
+    let bp = b.as_ptr();
+    for (h, &t) in taps.iter().enumerate() {
         // SAFETY: in-bounds by the assert above; unaligned loads.
         unsafe {
-            let b = _mm512_loadu_si512(pp.add(16 * h).cast());
+            let bv = _mm512_loadu_si512(bp.add(base + tap(t)).cast());
             let p0 = _mm512_set1_epi32(*ap.add(h));
             let p1 = _mm512_set1_epi32(*ap.add(pairs + h));
             let p2 = _mm512_set1_epi32(*ap.add(2 * pairs + h));
             let p3 = _mm512_set1_epi32(*ap.add(3 * pairs + h));
-            acc0 = _mm512_add_epi32(acc0, _mm512_madd_epi16(p0, b));
-            acc1 = _mm512_add_epi32(acc1, _mm512_madd_epi16(p1, b));
-            acc2 = _mm512_add_epi32(acc2, _mm512_madd_epi16(p2, b));
-            acc3 = _mm512_add_epi32(acc3, _mm512_madd_epi16(p3, b));
+            acc0 = _mm512_add_epi32(acc0, _mm512_madd_epi16(p0, bv));
+            acc1 = _mm512_add_epi32(acc1, _mm512_madd_epi16(p1, bv));
+            acc2 = _mm512_add_epi32(acc2, _mm512_madd_epi16(p2, bv));
+            acc3 = _mm512_add_epi32(acc3, _mm512_madd_epi16(p3, bv));
         }
     }
     // SAFETY: `acc` is 64 i32s; each store writes 16 at offsets 0..=48.
@@ -391,22 +365,25 @@ fn qgemm_tile_avx512(a: &[i32], pairs: usize, panel: &[i32], acc: &mut [i32; 64]
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn qgemm_tile_avx2(a: &[i32], pairs: usize, panel: &[i32], acc: &mut [i32; 64]) {
+#[inline]
+fn qgemm_tile_avx2(a: &[i32], b: &[i32], taps: &[i32], base: usize, acc: &mut [i32; 64]) {
     use std::arch::x86_64::{
         _mm256_add_epi32, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_set1_epi32,
         _mm256_setzero_si256, _mm256_storeu_si256,
     };
-    assert!(a.len() >= 4 * pairs && panel.len() >= 16 * pairs);
+    let pairs = taps.len();
+    assert!(a.len() >= 4 * pairs && base + reach(taps) + 16 <= b.len());
     let mut lo = [_mm256_setzero_si256(); 4];
     let mut hi = [_mm256_setzero_si256(); 4];
     let ap = a.as_ptr();
-    let pp = panel.as_ptr();
-    for h in 0..pairs {
+    let bp = b.as_ptr();
+    for (h, &t) in taps.iter().enumerate() {
         // SAFETY: in-bounds by the assert above; unaligned loads. The
-        // 512-bit panel row is consumed as two 256-bit halves.
+        // 16-word panel row is consumed as two 256-bit halves.
         unsafe {
-            let blo = _mm256_loadu_si256(pp.add(16 * h).cast());
-            let bhi = _mm256_loadu_si256(pp.add(16 * h + 8).cast());
+            let row = bp.add(base + tap(t));
+            let blo = _mm256_loadu_si256(row.cast());
+            let bhi = _mm256_loadu_si256(row.add(8).cast());
             for (r, (l, h_acc)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
                 let p = _mm256_set1_epi32(*ap.add(r * pairs + h));
                 *l = _mm256_add_epi32(*l, _mm256_madd_epi16(p, blo));
@@ -467,34 +444,37 @@ mod tests {
     #[test]
     fn qgemm_tile_variants_agree_bitwise() {
         // Exercise every variant the CPU can run against the portable
-        // tile, independent of which one `kernel_arch` selected.
+        // tile, independent of which one `kernel_arch` selected. Panel
+        // rows sit at scattered, unsorted offsets, and the farthest one
+        // ends on B's last word.
         let word = |i: usize, s: usize| {
             let code = |j: usize| (((j * s) % 255) as i16 - 127) as i8;
             crate::quant::pair_word(code(2 * i), code(2 * i + 1))
         };
         for pairs in [1usize, 3, 24, 73] {
             let a: Vec<i32> = (0..4 * pairs).map(|i| word(i, 37)).collect();
-            let panel: Vec<i32> = (0..16 * pairs).map(|i| word(i, 53)).collect();
+            let taps: Vec<i32> = (0..pairs)
+                .map(|h| ((h * 29) % pairs * 17 + h % 3) as i32)
+                .collect();
+            let base = 5;
+            let b: Vec<i32> = (0..base + reach(&taps) + 16).map(|i| word(i, 53)).collect();
             let mut want = [0i32; 64];
-            crate::quant::qgemm_tile_portable(&a, pairs, &panel, &mut want);
+            crate::quant::qgemm_tile_portable(&a, &b, &taps, base, &mut want);
             #[cfg(target_arch = "x86_64")]
             {
                 if std::arch::is_x86_feature_detected!("avx2") {
                     let mut got = [1i32; 64];
                     // SAFETY: feature presence checked on the line above.
-                    unsafe { qgemm_tile_avx2(&a, pairs, &panel, &mut got) };
+                    unsafe { qgemm_tile_avx2(&a, &b, &taps, base, &mut got) };
                     assert_eq!(got, want, "avx2 pairs={pairs}");
                 }
                 if std::arch::is_x86_feature_detected!("avx512bw") {
                     let mut got = [2i32; 64];
                     // SAFETY: feature presence checked on the line above.
-                    unsafe { qgemm_tile_avx512(&a, pairs, &panel, &mut got) };
+                    unsafe { qgemm_tile_avx512(&a, &b, &taps, base, &mut got) };
                     assert_eq!(got, want, "avx512 pairs={pairs}");
                 }
             }
-            let mut dispatched = [3i32; 64];
-            qgemm_tile_dispatch(&a, pairs, &panel, &mut dispatched);
-            assert_eq!(dispatched, want);
         }
     }
 
@@ -532,9 +512,9 @@ mod tests {
     }
 
     #[test]
-    fn sweep_and_gather_variants_agree_bitwise() {
-        // Padding, a stride that breaks contiguous panels, an odd
-        // channel count and a ragged last panel.
+    fn sweep_and_quantize_variants_agree_bitwise() {
+        // Padding, a stride that splits the map into phase planes, an
+        // odd channel count and a ragged last panel.
         let g = Conv2dGeometry {
             in_channels: 3,
             in_h: 9,
@@ -546,18 +526,12 @@ mod tests {
             pad_h: 1,
             pad_w: 1,
         };
-        let (plane, cols) = (11 * 13, g.out_h() * g.out_w());
-        let panels = cols.div_ceil(16) * 16;
         let input = crate::Tensor::random(&[3, 9, 11], 2.0, 5);
         let p = QuantParams::from_min_max(-2.0, 2.0);
-        let pairs = Conv2dGeometry {
-            in_channels: 2,
-            ..g
-        };
         // SAFETY (every `unsafe` below): `agree` only hands an arch to
         // the closure after detecting its features.
         agree(
-            &vec![7i32; 2 * plane],
+            &vec![7i32; g.pairs().map_len()],
             "quantize_pad_pairs",
             |arch, map| match arch {
                 KernelArch::Avx2 => unsafe {
@@ -571,43 +545,32 @@ mod tests {
                 }
             },
         );
-        let map: Vec<f32> = (0..3 * plane).map(|i| i as f32 * 0.5).collect();
-        agree(
-            &vec![f32::NAN; panels * 27],
-            "f32 gather",
-            |arch, out| match arch {
-                KernelArch::Avx2 => unsafe { gather_panels_avx2(&map, &g, out) },
-                KernelArch::Avx512 => unsafe { gather_panels_avx512(&map, &g, out) },
-                KernelArch::Portable => crate::im2col::gather_panels(&map, &g, out),
-            },
-        );
-        let words: Vec<i32> = (0..2 * plane as i32).map(|i| i * 40_503).collect();
-        agree(
-            &vec![-1i32; panels * 18],
-            "pair gather",
-            |arch, out| match arch {
-                KernelArch::Avx2 => unsafe { gather_panels_avx2(&words, &pairs, out) },
-                KernelArch::Avx512 => unsafe { gather_panels_avx512(&words, &pairs, out) },
-                KernelArch::Portable => crate::im2col::gather_panels(&words, &pairs, out),
-            },
-        );
 
         // Sweeps: more than one KC slab, rows off the MR grid, padded
-        // and unpadded A.
-        let (m, k, n) = (7usize, 300usize, 37usize);
+        // and unpadded A; a flat grid whose rows drop 2 of 10 columns
+        // (several runs per panel) over a B with read slack, and one
+        // read to B's last element.
+        let (m, k) = (7usize, 300usize);
         let a = crate::Tensor::random(&[m, k], 1.0, 6);
         let padded = crate::gemm_pack_a(a.as_slice(), m, k);
-        let b: Vec<f32> = (0..n.div_ceil(16) * 16 * k)
-            .map(|i| (i % 97) as f32 * 0.01 - 0.4)
-            .collect();
         let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.3 - 1.0).collect();
         let ep = Epilogue::BiasRelu { bias: &bias };
-        for a in [a.as_slice(), &padded[..]] {
-            agree(&vec![0.5f32; m * n], "f32 sweep", |arch, out| match arch {
-                KernelArch::Avx2 => unsafe { gemm_sweep_avx2(a, &b, out, m, k, n, ep) },
-                KernelArch::Avx512 => unsafe { gemm_sweep_avx512(a, &b, out, m, k, n, ep) },
-                KernelArch::Portable => crate::gemm::gemm_sweep(a, &b, out, m, k, n, ep),
-            });
+        let flush = Grid::flush(1, 37, 37).expect("wider than a panel");
+        for (grid, row, slack) in [(Grid::new(4, 10, 8), 40, 16), (flush, 37, 0)] {
+            let taps: Vec<i32> = (0..k).map(|r| (r * row) as i32).collect();
+            let b: Vec<f32> = (0..k * row + slack)
+                .map(|i| (i % 97) as f32 * 0.01 - 0.4)
+                .collect();
+            let n = grid.n();
+            for a in [a.as_slice(), &padded[..]] {
+                agree(&vec![0.5f32; m * n], "f32 sweep", |arch, out| match arch {
+                    KernelArch::Avx2 => unsafe { gemm_sweep_avx2(a, &b, &taps, grid, out, m, ep) },
+                    KernelArch::Avx512 => unsafe {
+                        gemm_sweep_avx512(a, &b, &taps, grid, out, m, ep);
+                    },
+                    KernelArch::Portable => crate::gemm::gemm_sweep(a, &b, &taps, grid, out, m, ep),
+                });
+            }
         }
         let pairs_k = 19;
         let word = |i: usize, s: usize| {
@@ -615,9 +578,10 @@ mod tests {
             crate::quant::pair_word(code(2 * i), code(2 * i + 1))
         };
         let awide: Vec<i32> = (0..8 * pairs_k).map(|i| word(i, 37)).collect();
-        let bw: Vec<i32> = (0..n.div_ceil(16) * 16 * pairs_k)
-            .map(|i| word(i, 53))
-            .collect();
+        let grid = Grid::new(4, 10, 8);
+        let n = grid.n();
+        let taps: Vec<i32> = (0..pairs_k).map(|h| (h * 40) as i32).collect();
+        let bw: Vec<i32> = (0..pairs_k * 40 + 16).map(|i| word(i, 53)).collect();
         let sums: Vec<i32> = (0..m as i32).map(|i| i * 3 - 5).collect();
         let rq = Requant {
             w_scales: &bias,
@@ -631,13 +595,14 @@ mod tests {
             "int8 sweep",
             |arch, out| match arch {
                 KernelArch::Avx2 => unsafe {
-                    qgemm_sweep_avx2(&awide, &bw, out, m, pairs_k, n, &rq);
+                    qgemm_sweep_avx2(&awide, &bw, &taps, grid, out, m, &rq);
                 },
                 KernelArch::Avx512 => unsafe {
-                    qgemm_sweep_avx512(&awide, &bw, out, m, pairs_k, n, &rq);
+                    qgemm_sweep_avx512(&awide, &bw, &taps, grid, out, m, &rq);
                 },
                 KernelArch::Portable => {
-                    crate::quant::qgemm_sweep(&awide, &bw, out, m, pairs_k, n, &rq);
+                    let tile = crate::quant::qgemm_tile_portable;
+                    crate::quant::qgemm_sweep(tile, &awide, &bw, &taps, grid, out, m, &rq);
                 }
             },
         );

@@ -4,10 +4,12 @@
 //! `cargo test --release -p edgenn-tensor --test perf_probe -- --ignored --nocapture`
 //! Optionally pin a variant with `EDGENN_SIMD=portable|avx2|avx512`.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use edgenn_tensor::{
-    gemm_into, kernel_arch, qgemm_requant_into, quantize_into, row_sums, QTensor, QuantParams,
+    conv_gemm_into, conv_qgemm_into, gemm_into, gemm_pack_a, kernel_arch, min_max, qgemm_pack_a,
+    qgemm_requant_into, quantize_into, row_sums, Conv2dGeometry, Epilogue, QTensor, QuantParams,
     Quantization, Requant, Tensor,
 };
 
@@ -68,4 +70,122 @@ fn gemm_f32_vs_int8_throughput() {
         flops / int8_ns as f64,
         f32_ns as f64 / int8_ns as f64,
     );
+}
+
+/// One conv geometry of a Tiny model: the layers that run it, input
+/// channels, input side, kernel, stride, padding, output channels.
+type ConvLayer = (&'static str, usize, usize, usize, usize, usize, usize);
+
+/// Tiny VGG-16's 13 convs (3x3, stride 1, pad 1).
+const VGG: [ConvLayer; 13] = [
+    ("conv1_1", 3, 32, 3, 1, 1, 4),
+    ("conv1_2", 4, 32, 3, 1, 1, 4),
+    ("conv2_1", 4, 16, 3, 1, 1, 8),
+    ("conv2_2", 8, 16, 3, 1, 1, 8),
+    ("conv3_1", 8, 8, 3, 1, 1, 8),
+    ("conv3_2", 8, 8, 3, 1, 1, 8),
+    ("conv3_3", 8, 8, 3, 1, 1, 8),
+    ("conv4_1", 8, 4, 3, 1, 1, 16),
+    ("conv4_2", 16, 4, 3, 1, 1, 16),
+    ("conv4_3", 16, 4, 3, 1, 1, 16),
+    ("conv5_1", 16, 2, 3, 1, 1, 16),
+    ("conv5_2", 16, 2, 3, 1, 1, 16),
+    ("conv5_3", 16, 2, 3, 1, 1, 16),
+];
+
+/// Tiny SqueezeNet's 9 conv geometries; the fire2 and fire3 expand
+/// layers share theirs, so the model runs 11 convs.
+const SQUEEZENET: [ConvLayer; 9] = [
+    ("conv1", 3, 32, 3, 2, 1, 8),
+    ("fire2_squeeze", 8, 8, 1, 1, 0, 4),
+    ("fire2_e1 fire3_e1", 4, 8, 1, 1, 0, 8),
+    ("fire2_e3 fire3_e3", 4, 8, 3, 1, 1, 8),
+    ("fire3_squeeze", 16, 8, 1, 1, 0, 4),
+    ("fire4_squeeze", 16, 4, 1, 1, 0, 8),
+    ("fire4_e1", 8, 4, 1, 1, 0, 16),
+    ("fire4_e3", 8, 4, 3, 1, 1, 16),
+    ("conv10", 32, 4, 1, 1, 0, 10),
+];
+
+/// Median µs of `samples` timed calls of `f` on `out`, after
+/// `samples / 10` untimed ones; `zero` clears `out` before each call,
+/// outside the timing (the f32 kernel accumulates into it).
+fn median_us(samples: usize, out: &mut [f32], zero: bool, mut f: impl FnMut(&mut [f32])) -> f64 {
+    let mut ns: Vec<u64> = Vec::with_capacity(samples);
+    for i in 0..samples + samples / 10 {
+        if zero {
+            out.fill(0.0);
+        }
+        let t0 = Instant::now();
+        f(out);
+        if i >= samples / 10 {
+            ns.push(t0.elapsed().as_nanos() as u64);
+        }
+    }
+    ns.sort_unstable();
+    ns[ns.len() / 2] as f64 / 1e3
+}
+
+#[test]
+#[ignore = "manual perf probe, prints timings"]
+fn conv_layers_of_the_tiny_models() {
+    // Each layer as the engine runs it: prepacked weights, bias and ReLU
+    // in the epilogue, every output channel, the activation parameters
+    // calibrated beforehand.
+    const SAMPLES: usize = 20_000;
+    println!("arch={}, median of {SAMPLES} calls", kernel_arch().name());
+    for (model, layers) in [("VGG-16", &VGG[..]), ("SqueezeNet", &SQUEEZENET[..])] {
+        let (mut f32_sum, mut int8_sum) = (0.0, 0.0);
+        for &(names, c, hw, k, s, p, m) in layers {
+            let g = Conv2dGeometry {
+                in_channels: c,
+                in_h: hw,
+                in_w: hw,
+                kernel_h: k,
+                kernel_w: k,
+                stride_h: s,
+                stride_w: s,
+                pad_h: p,
+                pad_w: p,
+            };
+            let depth = c * k * k;
+            let x = Tensor::random(&[c, hw, hw], 1.0, 1);
+            let w = Tensor::random(&[m, depth], 0.5, 2);
+            let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.01).collect();
+            let mut out = vec![0.0f32; m * g.out_h() * g.out_w()];
+
+            let packed = gemm_pack_a(w.as_slice(), m, depth);
+            let ep = Epilogue::BiasRelu { bias: &bias };
+            let f32_us = median_us(SAMPLES, &mut out, true, |out| {
+                conv_gemm_into(black_box(x.as_slice()), &g, &packed, out, ep).unwrap();
+            });
+
+            let qw = QTensor::quantize_per_channel(&w).unwrap();
+            let Quantization::PerChannel(params) = qw.quant() else {
+                unreachable!("per-channel weights")
+            };
+            let scales: Vec<f32> = params.iter().map(|p| p.scale).collect();
+            let sums = row_sums(qw.as_slice(), m, depth);
+            let awide = qgemm_pack_a(qw.as_slice(), m, depth, k * k);
+            let (lo, hi) = min_max(x.as_slice());
+            let rq = Requant {
+                w_scales: &scales,
+                act: QuantParams::from_min_max(lo, hi),
+                row_sums: &sums,
+                bias: Some(&bias),
+                relu: true,
+            };
+            let int8_us = median_us(SAMPLES, &mut out, false, |out| {
+                conv_qgemm_into(black_box(x.as_slice()), &g, &awide, 0..m, out, &rq).unwrap();
+            });
+            let runs = names.split(' ').count();
+            println!("{model:<10} {names:<18} f32 {f32_us:7.2} us   int8 {int8_us:7.2} us");
+            f32_sum += runs as f64 * f32_us;
+            int8_sum += runs as f64 * int8_us;
+        }
+        println!(
+            "{model:<10} {:<18} f32 {f32_sum:7.2} us   int8 {int8_sum:7.2} us",
+            "sum"
+        );
+    }
 }

@@ -5,9 +5,10 @@
 # 1. formatting        (cargo fmt --check)
 # 2. lints             (cargo clippy, warnings are errors)
 # 3. tier-1            (release build + root-package tests)
-# 4. full test suite   (every workspace crate, then the kernel crates again
-#                       pinned to the portable and AVX2 kernel variants,
-#                       then the benchmark's self-tests in perfbench/)
+# 4. full test suite   (every workspace crate, then the kernel crates and
+#                       the engine's tests again pinned to the portable and
+#                       AVX2 kernel variants, then the benchmark's
+#                       self-tests in perfbench/)
 # 5. graph compiler    (edgenn compile over every model x platform:
 #                       per-pass deltas, EC06x rewrite legality, tier A+B)
 # 6. static checker    (edgenn check over every bundled model x platform)
@@ -24,7 +25,8 @@
 #                       300 ms wall-clock serve: 100% survival of admitted
 #                       work, EC07x checker-clean, queue bound held)
 # 11. flight recorder  (profile two models, validate Perfetto output,
-#                       recorder-overhead gate at <=5%)
+#                       recorder-overhead gate at <=5%, no record dropped
+#                       from any recorder-on request's window)
 set -eu
 
 echo "==> cargo fmt --check"
@@ -43,9 +45,13 @@ cargo test --workspace -q
 # quantize-and-pad) runs at the widest variant the host has; on an
 # AVX-512 host the narrower ones would otherwise never run. Re-run the
 # kernel crates' tests pinned to each narrower variant (EDGENN_SIMD
-# falls back to the widest safe one on hosts without it).
-EDGENN_SIMD=portable cargo test -q -p edgenn-tensor -p edgenn-nn
-EDGENN_SIMD=avx2 cargo test -q -p edgenn-tensor -p edgenn-nn
+# falls back to the widest safe one on hosts without it), and the
+# engine's, whose split tests write both shares of a node into one
+# output buffer, so that path runs over each kernel body too.
+for simd in portable avx2; do
+    EDGENN_SIMD=$simd cargo test -q -p edgenn-tensor -p edgenn-nn
+    EDGENN_SIMD=$simd cargo test -q -p edgenn-core --lib runtime::functional
+done
 # perfbench/ is a workspace of its own, built against the crates through
 # path dependencies, so the workspace build above never compiles it. Its
 # self-tests run here, so a change to the crates' public API that the
@@ -243,6 +249,9 @@ for trace in "$PROF_DIR/squeezenet-apu.json" "$PROF_DIR/resnet-jetson.json"; do
 done
 # The recorder-overhead gate bounds sum(recorder on)/sum(recorder off)
 # at 5% across all bundled models, measured in one interleaved loop.
+# The same run applies the drops gate to its 12 rows: every recorder-on
+# request must keep every record of its own window (a drop means the
+# executor's ring reservation fell behind the records a request writes).
 # Perf gates on shared hardware are probabilistic: a fresh process
 # re-rolls memory placement, so retry up to three times and fail only
 # if every attempt exceeds the budget (docs/profiling.md).

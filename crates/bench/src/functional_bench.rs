@@ -15,7 +15,7 @@
 //! the gate only compares rows taken at the same one.
 
 use edgenn_core::plan::{ExecutionConfig, Precision};
-use edgenn_core::runtime::functional::Executor;
+use edgenn_core::runtime::functional::{Executor, FunctionalOutcome};
 use edgenn_core::runtime::Runtime;
 use edgenn_core::tuner::Tuner;
 use edgenn_nn::graph::CompileOptions;
@@ -226,13 +226,15 @@ pub fn measure(iters: u32) -> BenchReport {
         // profiling tax that `overhead_gate` bounds.
         flight::disable();
         std::hint::black_box(raw.forward(&input).expect("reference")); // warmup
+                                                                       // Records each recorder-on request lost from its own window.
+        let window_drops =
+            |outcome: &FunctionalOutcome| outcome.engine.profile.as_ref().map_or(0, |p| p.dropped);
         let mut dropped = [0u64; 2];
         for (pi, (_, plan)) in plans.iter().enumerate() {
             std::hint::black_box(executor.execute(plan, &input).expect("hybrid")); // warmup, off
             flight::enable();
-            let before = flight::dropped_records();
-            std::hint::black_box(executor.execute(plan, &input).expect("hybrid")); // warmup, on
-            dropped[pi] += flight::dropped_records() - before;
+            let warm = executor.execute(plan, &input).expect("hybrid"); // warmup, on
+            dropped[pi] += window_drops(&warm);
             flight::disable();
         }
         let mut reference = f64::INFINITY;
@@ -244,11 +246,10 @@ pub fn measure(iters: u32) -> BenchReport {
                     executor.execute(plan, &input).expect("hybrid")
                 });
                 flight::enable();
-                let before = flight::dropped_records();
                 fold_best(&mut off_on[pi][1], || {
-                    executor.execute(plan, &input).expect("hybrid")
+                    let on = executor.execute(plan, &input).expect("hybrid");
+                    dropped[pi] += window_drops(&on);
                 });
-                dropped[pi] += flight::dropped_records() - before;
                 flight::disable();
             }
         }

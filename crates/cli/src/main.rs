@@ -1304,7 +1304,7 @@ fn cmd_profile(options: &Options) -> Result<(), String> {
         wall_us
     );
     println!(
-        "flight check : clean ({} spans, {} dropped this session)",
+        "flight check : clean ({} spans, {} dropped from the request's window)",
         profile.span_count, profile.dropped
     );
     println!(

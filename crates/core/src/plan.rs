@@ -39,7 +39,7 @@ pub enum TuneObjective {
 /// Plans are precision-agnostic (the partition optimum depends only on
 /// relative throughput); the executor consumes this field to pick the
 /// kernel family. Int8 runs every int8-capable layer through the
-/// quantized microkernels ([`edgenn_nn::layer::Layer::forward_partial_int8`])
+/// quantized microkernels (an int8 [`edgenn_nn::layer::Part::Units`])
 /// with f32 activations *between* nodes, so partition merges and
 /// layer-boundary semantics are unchanged. Layers without int8 kernels
 /// (pools, softmax, element-wise) stay f32, as does input-channel

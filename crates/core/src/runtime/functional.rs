@@ -24,12 +24,18 @@
 //!   and fault injector), so no `unsafe` is needed.
 //!   [`Executor::batch_execute`] shares one session (and the layers'
 //!   warm scratch arenas) across a whole batch.
-//! - **Zero-copy dataflow**: node outputs live in [`OnceLock`] slots
-//!   that producers fill by move and consumers read by reference; the
-//!   network input is borrowed, and copied only when a pooled job reads
-//!   it; branch workers read the shared slots directly instead of
-//!   cloning a snapshot; split merges append/add in place instead of
-//!   concat-then-reshape copies.
+//! - **Zero-copy dataflow**: the engine allocates each node's output
+//!   once, from the program's dims, and every layer computes into the
+//!   buffer it is handed ([`Layer::forward_into`]); the two shares of an
+//!   output-channel split write disjoint sub-slices of that one buffer,
+//!   so a split whose shares run on the computing thread merges nothing.
+//!   A share that runs as a pooled job computes into a buffer it owns,
+//!   which the join copies into its sub-slice, and an input-channel
+//!   split adds its CPU partial into the GPU partial in place. Outputs
+//!   live in [`OnceLock`] slots that producers fill by move and
+//!   consumers read by reference; the network input is borrowed, and
+//!   copied only when a pooled job reads it; branch workers read the
+//!   shared slots directly instead of cloning a snapshot.
 //! - **Engine observability**: every run reports its pool and arena
 //!   behaviour in [`EngineStats`], and writes node spans to the flight
 //!   recorder when it is enabled.
@@ -39,7 +45,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use edgenn_nn::graph::{Graph, NodeId, Segment};
-use edgenn_nn::layer::{Layer, LayerClass};
+use edgenn_nn::layer::{Layer, LayerClass, Part};
 use edgenn_obs::{flight, ProfileSummary};
 use edgenn_sim::FaultPlan;
 use edgenn_tensor::{scratch_stats, Shape, Tensor};
@@ -49,9 +55,10 @@ use crate::runtime::pool::{self, JoinError, Pool, ShutdownGuard, Tally, TaskHand
 use crate::schedule::Program;
 use crate::{CoreError, Result};
 
-/// What a pooled task yields: `Some` for split partials, `None` for
-/// branch bodies (their outputs go straight into the slots).
-type TaskResult = Result<Option<Tensor>>;
+/// What a pooled task yields: `Some` for a split's CPU share, the buffer
+/// the job computed it into; `None` for branch bodies (their outputs go
+/// straight into the slots).
+type TaskResult = Result<Option<Vec<f32>>>;
 
 /// The network input pseudo-node (see [`Graph::input_id`]).
 const INPUT: NodeId = NodeId(0);
@@ -705,13 +712,7 @@ fn run_one(ctx: Ctx<'_>) -> Result<RunCounters> {
     // Per-request flight window: everything recorded between here and
     // the drain below that is causally reachable from the request root
     // span becomes this request's profile.
-    let profiled = flight::enabled();
-    let marker = profiled.then(flight::mark);
-    let dropped_before = if profiled {
-        flight::dropped_records()
-    } else {
-        0
-    };
+    let marker = flight::enabled().then(flight::mark);
     let root = flight::begin(flight::SpanKind::Request, flight::NO_NODE);
 
     let run: Result<usize> = flight::with_parent(root.id(), || {
@@ -751,8 +752,7 @@ fn run_one(ctx: Ctx<'_>) -> Result<RunCounters> {
         session.slot_bytes.load(Ordering::Relaxed),
     );
     if let Some(marker) = &marker {
-        let dropped = flight::dropped_records().saturating_sub(dropped_before);
-        stats_after.profile = Some(flight::profile_since(marker, root.id(), dropped));
+        stats_after.profile = Some(flight::profile_since(marker, root.id()));
     }
     Ok(RunCounters {
         corun: session.corun.load(Ordering::Relaxed) - corun_before,
@@ -907,39 +907,10 @@ fn exec_node(ctx: Ctx<'_>, id: NodeId, start_ns: u64) -> Result<u64> {
     Ok(end_ns)
 }
 
-/// Runs one output-range partial in the requested precision: int8
-/// quantized kernels when the plan asks for them and the layer has
-/// them, f32 reference kernels otherwise.
-fn forward_partial_prec(
-    layer: &dyn Layer,
-    inputs: &[&Tensor],
-    range: std::ops::Range<usize>,
-    int8: bool,
-) -> Result<Tensor> {
-    if int8 {
-        Ok(layer.forward_partial_int8(inputs, range, false)?)
-    } else {
-        Ok(layer.forward_partial(inputs, range)?)
-    }
-}
-
-/// Runs a whole (unsplit) layer in the requested precision. The int8
-/// path is the full-range partial — identical kernel, identical
-/// requantize epilogue — so a `Gpu`/`Cpu` node and a merged split
-/// produce bitwise-identical bytes under the same plan.
-fn forward_full(layer: &dyn Layer, inputs: &[&Tensor], int8: bool) -> Result<Tensor> {
-    if int8 {
-        let shapes: Vec<_> = inputs.iter().map(|t| t.shape()).collect();
-        let units = layer.partition_units(&shapes)?;
-        if units > 0 {
-            return Ok(layer.forward_partial_int8(inputs, 0..units, false)?);
-        }
-    }
-    Ok(layer.forward(inputs)?)
-}
-
-/// Computes one node per its assignment. Returns `(output, was_corun,
-/// was_cpu as 0/1)`.
+/// Computes one node per its assignment into its output, allocated once
+/// here from the program's dims: a whole node writes all of it, and the
+/// two shares of an output-channel split write its disjoint sub-slices.
+/// Returns `(output, was_corun, was_cpu as 0/1)`.
 fn forward_assigned(ctx: Ctx<'_>, id: NodeId, inputs: &[&Tensor]) -> Result<(Tensor, bool, usize)> {
     let layer = ctx.layer(id);
     let session = &**ctx.session;
@@ -959,125 +930,128 @@ fn forward_assigned(ctx: Ctx<'_>, id: NodeId, inputs: &[&Tensor]) -> Result<(Ten
         session.int8_gated.fetch_add(1, Ordering::Relaxed);
     }
     let shapes: Vec<&Shape> = inputs.iter().map(|t| t.shape()).collect();
-    match assignment {
-        Assignment::Gpu => Ok((
-            recovering_forward(ctx, id, || forward_full(layer, inputs, int8))?,
-            false,
-            0,
-        )),
-        Assignment::Cpu => Ok((forward_full(layer, inputs, int8)?, false, 1)),
+    let units = layer.partition_units(&shapes)?;
+    let dims = session.program.dims(id);
+    let mut out = vec![0.0f32; dims.iter().product()];
+    let part = |range| Part::Units {
+        range,
+        int8,
+        relu: false,
+    };
+    let whole = |out: &mut [f32]| Ok(layer.forward_into(inputs, part(0..units), out)?);
+    let (corun, cpu) = match assignment {
+        Assignment::Gpu => {
+            recovering_forward(ctx, id, || whole(&mut out))?;
+            (false, 0)
+        }
+        Assignment::Cpu => {
+            whole(&mut out)?;
+            (false, 1)
+        }
         Assignment::SplitInput { cpu_fraction } => {
             let channels = layer.input_channels(&shapes)?;
             if !layer.input_split_supported() || channels < 2 {
-                return Ok((layer.forward(inputs)?, false, 0));
+                whole(&mut out)?;
+                return Ok((Tensor::from_vec(out, dims)?, false, 0));
             }
             let cpu_channels =
                 ((cpu_fraction * channels as f64).round() as usize).clamp(1, channels - 1);
             let gpu_channels = channels - cpu_channels;
             // The GPU takes the first channels (the paper's "first k input
-            // channels"), the CPU the remainder; partial sums are added.
-            let (mut merged, cpu_part) = split_shares(
+            // channels"), the CPU the remainder; both partials are
+            // full-size, and the CPU's is added into the GPU's.
+            let mut cpu_part = vec![0.0f32; out.len()];
+            split_shares(
                 ctx,
                 id,
                 inputs,
                 &shapes,
-                |layer, inputs| Ok(layer.forward_partial_inputs(inputs, 0..gpu_channels)?),
-                move |layer, inputs| {
-                    Ok(layer.forward_partial_inputs(inputs, gpu_channels..channels)?)
-                },
+                (Part::Inputs(0..gpu_channels), &mut out),
+                (Part::Inputs(gpu_channels..channels), &mut cpu_part),
             )?;
-            if merged.shape() != cpu_part.shape() {
-                return Err(CoreError::Internal {
-                    reason: format!(
-                        "input-split partials disagree: {} vs {}",
-                        merged.shape(),
-                        cpu_part.shape()
-                    ),
-                });
-            }
-            // In-place partial-sum merge: no third allocation.
+            // In-place partial-sum merge into the node's output.
             let merge_span = flight::begin(flight::SpanKind::Merge, flight_node(id));
-            for (m, c) in merged.as_mut_slice().iter_mut().zip(cpu_part.as_slice()) {
+            for (m, c) in out.iter_mut().zip(&cpu_part) {
                 *m += c;
             }
             // A fused `+relu` node hands out *raw* partial sums on the
             // input split (relu(a) + relu(b) != relu(a + b)); its folded
             // activation applies exactly once, here, after the merge.
             if layer.deferred_epilogue_relu() {
-                edgenn_tensor::ops::relu_in_place(merged.as_mut_slice());
+                edgenn_tensor::ops::relu_in_place(&mut out);
             }
             flight::end(merge_span);
-            Ok((merged, true, 0))
+            (true, 0)
         }
         Assignment::Split { cpu_fraction } => {
-            let units = layer.partition_units(&shapes)?;
             if units < 2 {
-                return Ok((forward_full(layer, inputs, int8)?, false, 0));
+                whole(&mut out)?;
+                return Ok((Tensor::from_vec(out, dims)?, false, 0));
             }
             let cpu_units = ((cpu_fraction * units as f64).round() as usize).clamp(1, units - 1);
             // The paper's convention: the GPU computes the first units,
-            // the CPU the remainder (Section IV-D).
+            // the CPU the remainder (Section IV-D), each into its own
+            // sub-slice of the node's output.
             let gpu_units = units - cpu_units;
-            let (gpu_part, cpu_part) = split_shares(
+            let at = out.len() / units * gpu_units;
+            let (gpu_out, cpu_out) = out.split_at_mut(at);
+            split_shares(
                 ctx,
                 id,
                 inputs,
                 &shapes,
-                |layer, inputs| forward_partial_prec(layer, inputs, 0..gpu_units, int8),
-                move |layer, inputs| forward_partial_prec(layer, inputs, gpu_units..units, int8),
+                (part(0..gpu_units), gpu_out),
+                (part(gpu_units..units), cpu_out),
             )?;
-            // Move-merge: extend the GPU buffer with the CPU share and
-            // restamp the layer's authoritative output shape — no
-            // concat-then-reshape round trip.
-            let merge_span = flight::begin(flight::SpanKind::Merge, flight_node(id));
-            let mut data = gpu_part.into_vec();
-            data.extend_from_slice(cpu_part.as_slice());
-            let out = Tensor::from_vec(data, session.program.dims(id))?;
-            flight::end(merge_span);
-            Ok((out, true, 0))
+            (true, 0)
         }
-    }
+    };
+    Ok((Tensor::from_vec(out, dims)?, corun, cpu))
 }
 
-/// Computes a split node's `(gpu, cpu)` shares. Above the co-run cutoff,
-/// and when this thread may queue work, the CPU share co-runs as a pooled
-/// job while the GPU share runs here; otherwise both run here, CPU share
-/// first.
+/// Computes a split node's GPU share into `gpu.1` on this thread and its
+/// CPU share into `cpu.1`. Above the co-run cutoff, and when this thread
+/// may queue work, the CPU share co-runs as a pooled job, which computes
+/// into a buffer it owns (a job the watchdog abandons may still be
+/// running) that the join copies into `cpu.1`; otherwise it runs here
+/// first, straight into `cpu.1`.
 fn split_shares(
     ctx: Ctx<'_>,
     id: NodeId,
     inputs: &[&Tensor],
     shapes: &[&Shape],
-    gpu_share: impl Fn(&dyn Layer, &[&Tensor]) -> Result<Tensor>,
-    cpu_share: impl Fn(&dyn Layer, &[&Tensor]) -> Result<Tensor> + Copy + Send + 'static,
-) -> Result<(Tensor, Tensor)> {
+    gpu: (Part, &mut [f32]),
+    cpu: (Part, &mut [f32]),
+) -> Result<()> {
     let layer = ctx.layer(id);
+    let share = |part: Part, out: &mut [f32]| Ok(layer.forward_into(inputs, part, out)?);
     let pool = ctx.pool.filter(|_| {
         layer
             .workload(shapes)
             .is_ok_and(|w| w.flops >= ctx.session.corun_cutoff)
     });
+    let (gpu_part, gpu_out) = gpu;
+    let (cpu_part, cpu_out) = cpu;
     let Some(pool) = pool else {
-        let cpu_part = cpu_share(layer, inputs)?;
-        return Ok((
-            recovering_forward(ctx, id, || gpu_share(layer, inputs))?,
-            cpu_part,
-        ));
+        share(cpu_part, cpu_out)?;
+        return recovering_forward(ctx, id, || share(gpu_part, gpu_out));
     };
-    let task = submit_partial(ctx, pool, id, cpu_share);
-    let gpu_part = recovering_forward(ctx, id, || gpu_share(layer, inputs));
-    let cpu_part = join_partial(ctx, pool, task, || cpu_share(layer, inputs))?;
-    Ok((gpu_part?, cpu_part))
+    let task = submit_partial(ctx, pool, id, cpu_part.clone(), cpu_out.len());
+    let gpu_done = recovering_forward(ctx, id, || share(gpu_part, gpu_out));
+    join_partial(ctx, pool, id, task, cpu_out, |out| share(cpu_part, out))?;
+    gpu_done
 }
 
 /// Queues a split's CPU share as a `'static` job over the shared
 /// session: the job re-resolves the node's inputs from the session's
-/// slots on whichever thread runs it.
+/// slots on whichever thread runs it, and computes the share into a
+/// buffer of `len` elements it owns.
 fn submit_partial(
     ctx: Ctx<'_>,
     pool: &Pool<'static, TaskResult>,
     id: NodeId,
-    share: impl FnOnce(&dyn Layer, &[&Tensor]) -> Result<Tensor> + Send + 'static,
+    part: Part,
+    len: usize,
 ) -> TaskHandle<'static, TaskResult> {
     ctx.share_input(&[id]);
     let session = Arc::clone(ctx.session);
@@ -1091,7 +1065,10 @@ fn submit_partial(
             #[cfg(test)]
             stall_off_driver(&session, driver);
             let ctx = Ctx::job(&session, base);
-            share(ctx.layer(id), &node_inputs(ctx, id)?).map(Some)
+            let mut out = vec![0.0f32; len];
+            ctx.layer(id)
+                .forward_into(&node_inputs(ctx, id)?, part, &mut out)?;
+            Ok(Some(out))
         })
     }))
 }
@@ -1113,8 +1090,8 @@ fn stall_off_driver(session: &Session, driver: std::thread::ThreadId) {
 fn recovering_forward(
     ctx: Ctx<'_>,
     id: NodeId,
-    compute: impl Fn() -> Result<Tensor>,
-) -> Result<Tensor> {
+    compute: impl FnOnce() -> Result<()>,
+) -> Result<()> {
     let Some(injector) = ctx.faults() else {
         return compute();
     };
@@ -1147,28 +1124,36 @@ fn recovering_forward(
     recovered
 }
 
-/// Joins a split-partial task, mapping pool-level failures to engine
-/// errors. With a fault injector attached, a lost worker (panicked
-/// task, or one hung past the injector's join timeout) is converted
-/// into an inline recomputation of the identical share instead of a
-/// failed inference. A timed-out join returns at its deadline; the pool
-/// writes the hung worker off until its abandoned job finishes (see
-/// [`pool::LossAccount`]).
+/// Joins a split-partial task and copies its buffer into `out`, mapping
+/// pool-level failures to engine errors. With a fault injector attached,
+/// a lost worker (panicked task, or one hung past the injector's join
+/// timeout) is converted into an inline recomputation of the identical
+/// share into `out` instead of a failed inference. A timed-out join
+/// returns at its deadline; the pool writes the hung worker off until its
+/// abandoned job finishes (see [`pool::LossAccount`]).
 fn join_partial(
     ctx: Ctx<'_>,
     pool: &Pool<'static, TaskResult>,
+    id: NodeId,
     task: TaskHandle<'static, TaskResult>,
-    recompute: impl FnOnce() -> Result<Tensor>,
-) -> Result<Tensor> {
+    out: &mut [f32],
+    recompute: impl FnOnce(&mut [f32]) -> Result<()>,
+) -> Result<()> {
     let tally = &ctx.session.tally;
     let joined = match ctx.faults().and_then(|f| f.join_timeout) {
         Some(timeout) => task.join_deadline(pool, tally, timeout),
         None => task.join(pool, tally),
     };
     match joined {
-        Ok(result) => result?.ok_or_else(|| CoreError::Internal {
-            reason: "split task returned no tensor".to_string(),
-        }),
+        Ok(result) => {
+            let share = result?.ok_or_else(|| CoreError::Internal {
+                reason: "split task returned no share".to_string(),
+            })?;
+            let merge_span = flight::begin(flight::SpanKind::Merge, flight_node(id));
+            out.copy_from_slice(&share);
+            flight::end(merge_span);
+            Ok(())
+        }
         Err(err) => {
             let Some(injector) = ctx.faults() else {
                 return Err(CoreError::Internal {
@@ -1185,7 +1170,7 @@ fn join_partial(
                 JoinError::TimedOut => "deadline-miss: worker held a partial past the watchdog",
                 JoinError::Panicked => "worker-panic: split partial lost",
             });
-            recompute()
+            recompute(out)
         }
     }
 }
@@ -1916,49 +1901,72 @@ mod tests {
     }
 
     #[test]
-    fn int8_split_plans_merge_bitwise_with_unsplit_int8() {
+    fn split_plans_merge_bitwise_with_unsplit_runs() {
         // Integer accumulation is order-insensitive and the requantize
-        // epilogue is per-row independent, so an int8 split+merge must
-        // reproduce the unsplit int8 run bit for bit — a stronger
-        // invariant than the f32 path's associativity tolerance.
+        // epilogue is per-row independent, and an f32 output element sums
+        // its products in the same order whatever rows its call covers. So
+        // a split whose shares write disjoint sub-slices of one output must
+        // reproduce the unsplit run bit for bit, in either precision: on
+        // raw and compiled graphs, at a fraction off the channel grid, and
+        // with the CPU share computed by a pooled job.
         use crate::plan::NodePlan;
+        use edgenn_nn::graph::{compile, CompileOptions};
         use edgenn_sim::AllocStrategy;
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for kind in ModelKind::ALL {
-            let graph = build(kind, ModelScale::Tiny);
-            let unsplit = ExecutionPlan {
-                config: ExecutionConfig::edgenn_int8(),
-                nodes: vec![NodePlan::gpu_explicit(); graph.len()],
-            };
-            let mut nodes = vec![NodePlan::gpu_explicit(); graph.len()];
-            for id in graph.topo_order() {
-                let node = graph.node(id).unwrap();
-                let shapes: Vec<_> = node
-                    .inputs()
-                    .iter()
-                    .map(|i| graph.node(*i).unwrap().output_shape())
-                    .collect();
-                if node.layer().partitionable()
-                    && node.layer().partition_units(&shapes).unwrap_or(1) >= 2
-                {
-                    nodes[id.index()] = NodePlan {
-                        assignment: Assignment::Split { cpu_fraction: 0.5 },
-                        output_alloc: AllocStrategy::Explicit,
-                        prefetch_inputs: false,
+            let raw = build(kind, ModelScale::Tiny);
+            let (compiled, _) = compile(&raw, &CompileOptions::default()).unwrap();
+            let input = Tensor::random(raw.input_shape().dims(), 1.0, 29);
+            for graph in [&raw, &compiled] {
+                for config in [ExecutionConfig::edgenn(), ExecutionConfig::edgenn_int8()] {
+                    let unsplit = ExecutionPlan {
+                        config,
+                        nodes: vec![NodePlan::gpu_explicit(); graph.len()],
                     };
+                    let a = execute(graph, &unsplit, &input).unwrap();
+                    for cpu_fraction in [0.5, 0.37] {
+                        let mut nodes = vec![NodePlan::gpu_explicit(); graph.len()];
+                        for id in graph.topo_order() {
+                            let node = graph.node(id).unwrap();
+                            let shapes: Vec<_> = node
+                                .inputs()
+                                .iter()
+                                .map(|i| graph.node(*i).unwrap().output_shape())
+                                .collect();
+                            if node.layer().partitionable()
+                                && node.layer().partition_units(&shapes).unwrap_or(1) >= 2
+                            {
+                                nodes[id.index()] = NodePlan {
+                                    assignment: Assignment::Split { cpu_fraction },
+                                    output_alloc: AllocStrategy::Explicit,
+                                    prefetch_inputs: false,
+                                };
+                            }
+                        }
+                        let split = ExecutionPlan { config, nodes };
+                        let inline = execute(graph, &split, &input).unwrap();
+                        let pooled = Executor::new(graph)
+                            .unwrap()
+                            .with_corun_cutoff(0)
+                            .execute(&split, &input)
+                            .unwrap();
+                        assert!(pooled.engine.pool_tasks + pooled.engine.inline_tasks > 0);
+                        for b in [inline, pooled] {
+                            let what = format!(
+                                "{kind} ({} nodes, {:?}, cpu {cpu_fraction})",
+                                graph.len(),
+                                config.precision
+                            );
+                            assert!(b.corun_layers > 0, "{what}");
+                            assert_eq!(
+                                bits(&a.output),
+                                bits(&b.output),
+                                "{what}: split diverged bitwise from unsplit"
+                            );
+                        }
+                    }
                 }
             }
-            let split = ExecutionPlan {
-                config: ExecutionConfig::edgenn_int8(),
-                nodes,
-            };
-            let input = Tensor::random(graph.input_shape().dims(), 1.0, 29);
-            let a = execute(&graph, &unsplit, &input).unwrap();
-            let b = execute(&graph, &split, &input).unwrap();
-            assert!(b.corun_layers > 0, "{kind}");
-            assert!(
-                a.output.approx_eq(&b.output, 0.0),
-                "{kind}: int8 split diverged bitwise from unsplit"
-            );
         }
     }
 

@@ -15,12 +15,11 @@
 //! produces these nodes; run it alone by turning every other pass and
 //! the prepacking off in `CompileOptions`.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use edgenn_tensor::{QuantParams, Shape, Tensor};
 
-use crate::layer::{Layer, LayerClass};
+use crate::layer::{Layer, LayerClass, Part};
 use crate::{Result, Workload};
 
 /// A producer layer with a ReLU folded into its epilogue.
@@ -64,34 +63,22 @@ impl Layer for FusedRelu {
         self.inner.partition_units(inputs)
     }
 
-    fn forward_partial(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
-        // The fused producers clamp in their write-back epilogue — the
-        // activation never makes a second pass over memory.
-        self.inner.forward_partial_fused(inputs, range, true)
-    }
-
-    fn forward_partial_fused(
-        &self,
-        inputs: &[&Tensor],
-        range: Range<usize>,
-        _relu: bool,
-    ) -> Result<Tensor> {
-        // relu(relu(x)) == relu(x): the folded activation subsumes any
-        // further request.
-        self.inner.forward_partial_fused(inputs, range, true)
+    fn forward_into(&self, inputs: &[&Tensor], mut part: Part, out: &mut [f32]) -> Result<()> {
+        // A units part clamps in the producer's epilogue — the activation
+        // never makes a second pass over memory — whatever the caller
+        // asked, since relu(relu(x)) == relu(x). An input-channel part
+        // stays a raw partial sum: clamping it would be wrong, because
+        // relu(a) + relu(b) != relu(a + b). The executor applies the
+        // folded ReLU exactly once after merging — see
+        // `deferred_epilogue_relu`.
+        if let Part::Units { relu, .. } = &mut part {
+            *relu = true;
+        }
+        self.inner.forward_into(inputs, part, out)
     }
 
     fn int8_ready(&self) -> bool {
         self.inner.int8_ready()
-    }
-
-    fn forward_partial_int8(
-        &self,
-        inputs: &[&Tensor],
-        range: Range<usize>,
-        _relu: bool,
-    ) -> Result<Tensor> {
-        self.inner.forward_partial_int8(inputs, range, true)
     }
 
     fn stamp_activation(&self, p: QuantParams) -> bool {
@@ -112,13 +99,6 @@ impl Layer for FusedRelu {
 
     fn input_channels(&self, inputs: &[&Shape]) -> Result<usize> {
         self.inner.input_channels(inputs)
-    }
-
-    fn forward_partial_inputs(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
-        // Raw partial sums: clamping here would be wrong, because
-        // relu(a) + relu(b) != relu(a + b). The executor applies the folded
-        // ReLU exactly once after merging — see `deferred_epilogue_relu`.
-        self.inner.forward_partial_inputs(inputs, range)
     }
 
     fn deferred_epilogue_relu(&self) -> bool {
@@ -221,18 +201,15 @@ mod tests {
 
     #[test]
     fn fused_layers_keep_the_merge_invariant() {
+        use crate::layer::test_support::assert_merge_invariant;
         use crate::layer::Conv2d;
         let conv = Arc::new(Conv2d::new("c", 3, 6, 3, 1, 1, 9));
         let fused = FusedRelu::new(conv);
         let x = Tensor::random(&[3, 6, 6], 1.0, 10);
         let full = fused.forward(&[&x]).unwrap();
         assert!(full.as_slice().iter().all(|&v| v >= 0.0), "relu applied");
-        for cut in 1..6 {
-            let a = fused.forward_partial(&[&x], 0..cut).unwrap();
-            let b = fused.forward_partial(&[&x], cut..6).unwrap();
-            let merged = Tensor::concat_axis0(&[&a, &b]).unwrap();
-            assert!(merged.approx_eq(&full, 1e-5), "cut {cut}");
-        }
+        // Every cut, in both precisions, with and without a requested ReLU.
+        assert_merge_invariant(&fused, &[&x]);
     }
 
     #[test]
@@ -246,7 +223,7 @@ mod tests {
         // applies — relu(relu(x)) == relu(x).
         let q = fused.forward_partial_int8(&[&x], 0..6, false).unwrap();
         assert!(q.as_slice().iter().all(|&v| v >= 0.0));
-        let f = fused.forward_partial(&[&x], 0..6).unwrap();
+        let f = fused.forward(&[&x]).unwrap();
         assert!(q.approx_eq(&f, 0.05));
         // Scratch accounting passes through to the producer.
         let shape = Shape::new(&[3, 6, 6]);

@@ -1,10 +1,8 @@
 //! Element-wise activations, dropout, and softmax.
 
-use std::ops::Range;
-
 use edgenn_tensor::{ops, Shape, Tensor};
 
-use crate::layer::{check_arity, require_full_range, validate_range, Layer, LayerClass};
+use crate::layer::{check_arity, clamp_if, units_part, Layer, LayerClass, Part};
 use crate::{Result, Workload};
 
 /// Rectified linear unit.
@@ -42,17 +40,11 @@ impl Layer for Relu {
         Ok(inputs[0].clone())
     }
 
-    fn forward_partial(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
-        check_arity(&self.name, 1, inputs)?;
-        let units = inputs[0].shape().dim(0)?;
-        validate_range(&self.name, &range, units)?;
-        let mut part = if range.start == 0 && range.end == units {
-            inputs[0].clone()
-        } else {
-            inputs[0].slice_axis0(range.start, range.end)?
-        };
-        ops::relu_in_place(part.as_mut_slice());
-        Ok(part)
+    fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()> {
+        // relu(relu(x)) == relu(x): a fused ReLU changes nothing.
+        copy_units(&self.name, inputs, part, out)?;
+        ops::relu_in_place(out);
+        Ok(())
     }
 
     fn workload(&self, inputs: &[&Shape]) -> Result<Workload> {
@@ -65,6 +57,17 @@ impl Layer for Relu {
             weight_bytes: 0,
         })
     }
+}
+
+/// Copies output units `part` of an element-wise layer — the same units
+/// of its single input — into `out`; returns the part's fused ReLU.
+fn copy_units(layer: &str, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<bool> {
+    check_arity(layer, 1, inputs)?;
+    let units = inputs[0].shape().dim(0)?;
+    let unit_len = inputs[0].len() / units.max(1);
+    let (range, relu) = units_part(layer, part, units, unit_len, out)?;
+    out.copy_from_slice(&inputs[0].as_slice()[range.start * unit_len..range.end * unit_len]);
+    Ok(relu)
 }
 
 /// Inference-time dropout: the identity function.
@@ -103,15 +106,10 @@ impl Layer for Dropout {
         Ok(inputs[0].clone())
     }
 
-    fn forward_partial(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
-        check_arity(&self.name, 1, inputs)?;
-        let units = inputs[0].shape().dim(0)?;
-        validate_range(&self.name, &range, units)?;
-        if range.start == 0 && range.end == units {
-            Ok(inputs[0].clone())
-        } else {
-            Ok(inputs[0].slice_axis0(range.start, range.end)?)
-        }
+    fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()> {
+        let relu = copy_units(&self.name, inputs, part, out)?;
+        clamp_if(relu, out);
+        Ok(())
     }
 
     fn workload(&self, inputs: &[&Shape]) -> Result<Workload> {
@@ -165,12 +163,13 @@ impl Layer for Softmax {
         Ok(1)
     }
 
-    fn forward_partial(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
+    fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()> {
         check_arity(&self.name, 1, inputs)?;
-        require_full_range(&self.name, &range, 1)?;
-        let mut out = inputs[0].clone();
-        ops::softmax_in_place(out.as_mut_slice());
-        Ok(out)
+        let (_, relu) = units_part(&self.name, part, 1, inputs[0].len(), out)?;
+        out.copy_from_slice(inputs[0].as_slice());
+        ops::softmax_in_place(out);
+        clamp_if(relu, out);
+        Ok(())
     }
 
     fn workload(&self, inputs: &[&Shape]) -> Result<Workload> {
@@ -189,7 +188,7 @@ impl Layer for Softmax {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::test_support::assert_merge_invariant;
+    use crate::layer::test_support::{assert_merge_invariant, compute, units};
     use crate::NnError;
 
     #[test]
@@ -229,7 +228,7 @@ mod tests {
         assert!(!s.partitionable());
         assert_eq!(s.partition_units(&[x.shape()]).unwrap(), 1);
         assert!(matches!(
-            s.forward_partial(&[&x], 0..0),
+            compute(&s, &[&x], units(0..0, false, false)),
             Err(NnError::BadPartition { .. })
         ));
     }

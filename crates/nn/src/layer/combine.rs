@@ -4,7 +4,7 @@ use std::ops::Range;
 
 use edgenn_tensor::{Shape, Tensor};
 
-use crate::layer::{check_arity, require_full_range, validate_range, Layer, LayerClass};
+use crate::layer::{check_arity, clamp_if, units_part, Layer, LayerClass, Part};
 use crate::{NnError, Result, Workload};
 
 /// Channel-axis concatenation of two or more CHW maps.
@@ -65,25 +65,28 @@ impl Layer for Concat {
         inputs[0].with_dim(0, axis0).map_err(Into::into)
     }
 
-    fn forward_partial(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
+    fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()> {
         let shapes: Vec<&Shape> = inputs.iter().map(|t| t.shape()).collect();
         self.check_shapes(&shapes)?;
         let total: usize = shapes.iter().map(|s| s.dims()[0]).sum();
-        validate_range(&self.name, &range, total)?;
-        // Map the global output range onto per-input sub-ranges.
-        let mut parts: Vec<Tensor> = Vec::new();
-        let mut offset = 0usize;
+        let unit_len = shapes[0].dims()[1..].iter().product();
+        let (range, relu) = units_part(&self.name, part, total, unit_len, out)?;
+        // Map the global output range onto per-input sub-ranges, each
+        // copied straight to its place in `out`.
+        let (mut offset, mut written) = (0, 0);
         for input in inputs {
             let len = input.shape().dim(0)?;
             let lo = range.start.max(offset);
             let hi = range.end.min(offset + len);
             if lo < hi {
-                parts.push(input.slice_axis0(lo - offset, hi - offset)?);
+                let src = &input.as_slice()[(lo - offset) * unit_len..(hi - offset) * unit_len];
+                out[written..written + src.len()].copy_from_slice(src);
+                written += src.len();
             }
             offset += len;
         }
-        let refs: Vec<&Tensor> = parts.iter().collect();
-        Tensor::concat_axis0(&refs).map_err(Into::into)
+        clamp_if(relu, out);
+        Ok(())
     }
 
     fn workload(&self, inputs: &[&Shape]) -> Result<Workload> {
@@ -135,30 +138,25 @@ impl Layer for AddResidual {
         Ok(inputs[0].clone())
     }
 
-    fn forward_partial(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
-        self.forward_partial_fused(inputs, range, false)
-    }
-
-    fn forward_partial_fused(
-        &self,
-        inputs: &[&Tensor],
-        range: Range<usize>,
-        relu: bool,
-    ) -> Result<Tensor> {
+    fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()> {
         check_arity(&self.name, 2, inputs)?;
         let shape = self.output_shape(&[inputs[0].shape(), inputs[1].shape()])?;
         let units = shape.dim(0)?;
-        validate_range(&self.name, &range, units)?;
-        let a = inputs[0].slice_axis0(range.start, range.end)?;
-        let b = inputs[1].slice_axis0(range.start, range.end)?;
-        let mut out = a.add(&b)?;
+        let unit_len = shape.num_elements() / units.max(1);
+        let (range, relu) = units_part(&self.name, part, units, unit_len, out)?;
+        let rows = range.start * unit_len..range.end * unit_len;
+        let (a, b) = (
+            &inputs[0].as_slice()[rows.clone()],
+            &inputs[1].as_slice()[rows],
+        );
+        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            *o = x + y;
+        }
         // ResNet's post-residual ReLU rides in the same elementwise pass
         // when fused: `max(a + b, 0)` is exactly add-then-clamp, so the
         // compiled graph matches the uncompiled one bitwise.
-        if relu {
-            edgenn_tensor::ops::relu_in_place(out.as_mut_slice());
-        }
-        Ok(out)
+        clamp_if(relu, out);
+        Ok(())
     }
 
     fn workload(&self, inputs: &[&Shape]) -> Result<Workload> {
@@ -224,10 +222,12 @@ impl Layer for Constant {
         Some(&self.value)
     }
 
-    fn forward_partial(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
-        require_full_range(&self.name, &range, 1)?;
+    fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()> {
         check_arity(&self.name, 0, inputs)?;
-        Ok(self.value.clone())
+        let (_, relu) = units_part(&self.name, part, 1, self.value.len(), out)?;
+        out.copy_from_slice(self.value.as_slice());
+        clamp_if(relu, out);
+        Ok(())
     }
 
     fn workload(&self, inputs: &[&Shape]) -> Result<Workload> {
@@ -307,13 +307,15 @@ impl Layer for Slice {
         Some(self.start..self.end)
     }
 
-    fn forward_partial(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
+    fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()> {
         check_arity(&self.name, 1, inputs)?;
         self.check_input(inputs[0].shape())?;
-        validate_range(&self.name, &range, self.end - self.start)?;
-        inputs[0]
-            .slice_axis0(self.start + range.start, self.start + range.end)
-            .map_err(Into::into)
+        let unit_len = inputs[0].len() / inputs[0].shape().dim(0)?;
+        let (range, relu) = units_part(&self.name, part, self.end - self.start, unit_len, out)?;
+        let rows = (self.start + range.start) * unit_len..(self.start + range.end) * unit_len;
+        out.copy_from_slice(&inputs[0].as_slice()[rows]);
+        clamp_if(relu, out);
+        Ok(())
     }
 
     fn workload(&self, inputs: &[&Shape]) -> Result<Workload> {
@@ -368,10 +370,12 @@ impl Layer for Flatten {
         Ok(1)
     }
 
-    fn forward_partial(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
+    fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()> {
         check_arity(&self.name, 1, inputs)?;
-        require_full_range(&self.name, &range, 1)?;
-        inputs[0].reshape(&[inputs[0].len()]).map_err(Into::into)
+        let (_, relu) = units_part(&self.name, part, 1, inputs[0].len(), out)?;
+        out.copy_from_slice(inputs[0].as_slice());
+        clamp_if(relu, out);
+        Ok(())
     }
 
     fn workload(&self, inputs: &[&Shape]) -> Result<Workload> {
@@ -389,7 +393,7 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::test_support::assert_merge_invariant;
+    use crate::layer::test_support::{assert_merge_invariant, compute, units};
 
     #[test]
     fn concat_joins_channels() {
@@ -407,8 +411,8 @@ mod tests {
         let a = Tensor::arange(&[2, 1, 1]);
         let b = Tensor::arange(&[2, 1, 1]).scale(10.0);
         let cat = Concat::new("cat", 2);
-        let part = cat.forward_partial(&[&a, &b], 1..3).unwrap();
-        assert_eq!(part.as_slice(), &[1.0, 0.0]);
+        let part = compute(&cat, &[&a, &b], units(1..3, false, false)).unwrap();
+        assert_eq!(part, &[1.0, 0.0]);
         assert_merge_invariant(&cat, &[&a, &b]);
     }
 
@@ -470,13 +474,13 @@ mod tests {
         let add = AddResidual::new("add");
         let mut reference = add.forward(&[&a, &b]).unwrap();
         edgenn_tensor::ops::relu_in_place(reference.as_mut_slice());
-        let fused = add.forward_partial_fused(&[&a, &b], 0..6, true).unwrap();
-        assert_eq!(fused.as_slice(), reference.as_slice());
+        let fused = compute(&add, &[&a, &b], units(0..6, false, true)).unwrap();
+        assert_eq!(fused, reference.as_slice());
         // Partial fused ranges tile to the same result.
-        let lo = add.forward_partial_fused(&[&a, &b], 0..2, true).unwrap();
-        let hi = add.forward_partial_fused(&[&a, &b], 2..6, true).unwrap();
-        assert_eq!(lo.as_slice(), &reference.as_slice()[..lo.len()]);
-        assert_eq!(hi.as_slice(), &reference.as_slice()[lo.len()..]);
+        let lo = compute(&add, &[&a, &b], units(0..2, false, true)).unwrap();
+        let hi = compute(&add, &[&a, &b], units(2..6, false, true)).unwrap();
+        assert_eq!(lo, &reference.as_slice()[..lo.len()]);
+        assert_eq!(hi, &reference.as_slice()[lo.len()..]);
     }
 
     #[test]
@@ -503,8 +507,8 @@ mod tests {
         assert_eq!(y.dims(), &[3, 2]);
         assert_eq!(y.as_slice(), &x.as_slice()[2..8]);
         // Partial ranges offset into the kept window.
-        let part = s.forward_partial(&[&x], 1..3).unwrap();
-        assert_eq!(part.as_slice(), &x.as_slice()[4..8]);
+        let part = compute(&s, &[&x], units(1..3, false, false)).unwrap();
+        assert_eq!(part, &x.as_slice()[4..8]);
         assert_merge_invariant(&s, &[&x]);
         assert!(Slice::new("full", 0, 5).covers(x.shape()));
         assert!(!s.covers(x.shape()));

@@ -13,7 +13,7 @@ use edgenn_tensor::{
 };
 
 use crate::layer::params::{LazyParam, QuantizedWeights};
-use crate::layer::{check_arity, validate_range, Layer, LayerClass};
+use crate::layer::{check_arity, check_out, validate_range, Layer, LayerClass, Part};
 use crate::{NnError, Result, Workload};
 
 /// A 2-D convolution layer over CHW feature maps.
@@ -170,83 +170,67 @@ impl Layer for Conv2d {
         Ok(Shape::new(&[self.out_channels, g.out_h(), g.out_w()]))
     }
 
-    fn forward_partial(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
-        self.forward_partial_fused(inputs, range, false)
-    }
-
-    fn forward_partial_fused(
-        &self,
-        inputs: &[&Tensor],
-        range: Range<usize>,
-        relu: bool,
-    ) -> Result<Tensor> {
+    fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()> {
         check_arity(&self.name, 1, inputs)?;
-        validate_range(&self.name, &range, self.out_channels)?;
         let g = self.geometry(inputs[0].shape())?;
-        let (oh, ow) = (g.out_h(), g.out_w());
+        let x = inputs[0].as_slice();
+        let cols = g.out_h() * g.out_w();
+        let bias = self.bias.get().as_slice();
+        let (range, int8, relu) = match part {
+            Part::Units { range, int8, relu } => (range, int8, relu),
+            Part::Inputs(range) => {
+                validate_range(&self.name, &range, self.in_channels)?;
+                check_out(out, self.out_channels * cols)?;
+                return self.input_partial(x, &g, range, bias, out);
+            }
+        };
+        validate_range(&self.name, &range, self.out_channels)?;
+        check_out(out, range.len() * cols)?;
+        if int8 {
+            let qw = self.quantized();
+            let act = self.act_quant.get().copied().unwrap_or_else(|| {
+                let (lo, hi) = min_max(x);
+                QuantParams::from_min_max(lo, hi)
+            });
+            let rq = Requant {
+                w_scales: &qw.scales[range.clone()],
+                act,
+                row_sums: &qw.row_sums[range.clone()],
+                bias: Some(&bias[range.clone()]),
+                relu,
+            };
+            // The weights were widened into the kernel's channel-pair
+            // layout at init; the output-channel range is a row range of
+            // it, and the kernel overwrites `out`.
+            conv_qgemm_into(x, &g, &qw.awide, range, out, &rq)?;
+            return Ok(());
+        }
         let patch = self.in_channels * self.kernel * self.kernel;
         // The weight matrix is pre-flattened row-major, so an output-channel
-        // range is a contiguous sub-slice — no copy, unlike `slice_axis0`.
-        // A prepacked weight keeps the trailing row-panel padding in the
-        // slice so the GEMM runs full microkernel blocks on the tail.
+        // range is a contiguous sub-slice — no copy. A prepacked weight
+        // keeps the trailing row-panel padding in the slice so the GEMM
+        // runs full microkernel blocks on the tail.
         let w_part: &[f32] = if let Some(p) = self.pweight.get() {
             &p[range.start * patch..]
         } else {
             &self.weight.get().as_slice()[range.start * patch..range.end * patch]
         };
-        let bias_full = self.bias.get();
-        let bias = &bias_full.as_slice()[range.clone()];
         // Bias (and the fused ReLU) ride in the GEMM's write-back
-        // epilogue — each output element is touched exactly once.
+        // epilogue — each output element is touched exactly once. The
+        // GEMM accumulates into `out`, so it starts from zero.
+        let bias = &bias[range];
         let ep = if relu {
             Epilogue::BiasRelu { bias }
         } else {
             Epilogue::Bias { bias }
         };
-        let mut out = vec![0.0f32; range.len() * oh * ow];
-        conv_gemm_into(inputs[0].as_slice(), &g, w_part, &mut out, ep)?;
-        Ok(Tensor::from_vec(out, &[range.len(), oh, ow])?)
+        out.fill(0.0);
+        conv_gemm_into(x, &g, w_part, out, ep)?;
+        Ok(())
     }
 
     fn int8_ready(&self) -> bool {
         true
-    }
-
-    fn forward_partial_int8(
-        &self,
-        inputs: &[&Tensor],
-        range: Range<usize>,
-        relu: bool,
-    ) -> Result<Tensor> {
-        check_arity(&self.name, 1, inputs)?;
-        validate_range(&self.name, &range, self.out_channels)?;
-        let g = self.geometry(inputs[0].shape())?;
-        let (oh, ow) = (g.out_h(), g.out_w());
-        let qw = self.quantized();
-        let act = self.act_quant.get().copied().unwrap_or_else(|| {
-            let (lo, hi) = min_max(inputs[0].as_slice());
-            QuantParams::from_min_max(lo, hi)
-        });
-        let bias_full = self.bias.get();
-        let rq = Requant {
-            w_scales: &qw.scales[range.clone()],
-            act,
-            row_sums: &qw.row_sums[range.clone()],
-            bias: Some(&bias_full.as_slice()[range.clone()]),
-            relu,
-        };
-        // The weights were widened into the kernel's channel-pair layout
-        // at init; the output-channel range is a row range of it.
-        let mut out = vec![0.0f32; range.len() * oh * ow];
-        conv_qgemm_into(
-            inputs[0].as_slice(),
-            &g,
-            &qw.awide,
-            range.clone(),
-            &mut out,
-            &rq,
-        )?;
-        Ok(Tensor::from_vec(out, &[range.len(), oh, ow])?)
     }
 
     fn stamp_activation(&self, p: QuantParams) -> bool {
@@ -286,50 +270,6 @@ impl Layer for Conv2d {
         Ok(self.in_channels)
     }
 
-    fn forward_partial_inputs(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
-        check_arity(&self.name, 1, inputs)?;
-        validate_range(&self.name, &range, self.in_channels)?;
-        let g = self.geometry(inputs[0].shape())?;
-        // The channel range is a contiguous run of input planes; the
-        // matching weight columns are strided in the flattened weight
-        // matrix, so they do need a gather — into scratch, not a fresh
-        // Vec. The result is a full-size partial sum over this subset.
-        let plane = g.in_h * g.in_w;
-        let input_part = &inputs[0].as_slice()[range.start * plane..range.end * plane];
-        let part_geometry = Conv2dGeometry {
-            in_channels: range.len(),
-            ..g
-        };
-        let (oh, ow) = (g.out_h(), g.out_w());
-        let cols = oh * ow;
-        let taps_per_channel = self.kernel * self.kernel;
-        let part_taps = range.len() * taps_per_channel;
-        let full_taps = self.in_channels * taps_per_channel;
-        let w = self.weight.get().as_slice();
-        let mut out = vec![0.0f32; self.out_channels * cols];
-        with_scratch(self.out_channels * part_taps, |w_buf| {
-            for (oc, dst) in w_buf.chunks_mut(part_taps).enumerate() {
-                let row = &w[oc * full_taps..(oc + 1) * full_taps];
-                dst.copy_from_slice(
-                    &row[range.start * taps_per_channel..range.end * taps_per_channel],
-                );
-            }
-            conv_gemm_into(input_part, &part_geometry, w_buf, &mut out, Epilogue::None)
-        })?;
-        if range.start == 0 {
-            // The bias is contributed exactly once, by the first partial.
-            let bias_full = self.bias.get();
-            let bias = bias_full.as_slice();
-            for (c, chunk) in out.chunks_mut(cols).enumerate() {
-                let b = bias[c];
-                for v in chunk {
-                    *v += b;
-                }
-            }
-        }
-        Ok(Tensor::from_vec(out, &[self.out_channels, oh, ow])?)
-    }
-
     fn workload(&self, inputs: &[&Shape]) -> Result<Workload> {
         check_arity(&self.name, 1, inputs)?;
         let g = self.geometry(inputs[0])?;
@@ -355,7 +295,7 @@ impl Layer for Conv2d {
     fn scratch_elems(&self, inputs: &[&Shape]) -> Result<u64> {
         check_arity(&self.name, 1, inputs)?;
         let g = self.geometry(inputs[0])?;
-        // The worst f32 path is `forward_partial_inputs` over all
+        // The worst f32 path is an input-channel part over all
         // channels: the gathered weight columns, with the kernel's padded
         // map and tap-offset table nested inside. The other paths acquire
         // only the kernel's share, so this dominates every f32 path.
@@ -376,6 +316,51 @@ impl Layer for Conv2d {
 }
 
 impl Conv2d {
+    /// The raw partial sum over input channels `range` into `out`, the
+    /// whole output. The channel range is a contiguous run of input
+    /// planes; the matching weight columns are strided in the flattened
+    /// weight matrix, so they do need a gather — into scratch, not a
+    /// fresh Vec.
+    fn input_partial(
+        &self,
+        x: &[f32],
+        g: &Conv2dGeometry,
+        range: Range<usize>,
+        bias: &[f32],
+        out: &mut [f32],
+    ) -> Result<()> {
+        let plane = g.in_h * g.in_w;
+        let input_part = &x[range.start * plane..range.end * plane];
+        let part_geometry = Conv2dGeometry {
+            in_channels: range.len(),
+            ..*g
+        };
+        let taps_per_channel = self.kernel * self.kernel;
+        let part_taps = range.len() * taps_per_channel;
+        let full_taps = self.in_channels * taps_per_channel;
+        let w = self.weight.get().as_slice();
+        out.fill(0.0);
+        with_scratch(self.out_channels * part_taps, |w_buf| {
+            for (oc, dst) in w_buf.chunks_mut(part_taps).enumerate() {
+                let row = &w[oc * full_taps..(oc + 1) * full_taps];
+                dst.copy_from_slice(
+                    &row[range.start * taps_per_channel..range.end * taps_per_channel],
+                );
+            }
+            conv_gemm_into(input_part, &part_geometry, w_buf, out, Epilogue::None)
+        })?;
+        if range.start == 0 {
+            // The bias is contributed exactly once, by the first partial.
+            let cols = g.out_h() * g.out_w();
+            for (chunk, &b) in out.chunks_mut(cols).zip(bias) {
+                for v in chunk {
+                    *v += b;
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The int8 weights, quantized and widened on first use.
     fn quantized(&self) -> &QuantizedWeights {
         self.qweight.get_or_init(|| {
@@ -387,7 +372,7 @@ impl Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::test_support::assert_merge_invariant;
+    use crate::layer::test_support::{assert_merge_invariant, compute, units};
 
     fn input(c: usize, hw: usize, seed: u64) -> Tensor {
         Tensor::random(&[c, hw, hw], 1.0, seed)
@@ -481,9 +466,9 @@ mod tests {
             )
             .unwrap();
         let x = Tensor::ones(&[1, 2, 2]);
-        let part = conv.forward_partial(&[&x], 1..3).unwrap();
-        assert_eq!(&part.as_slice()[0..4], &[2.0; 4]);
-        assert_eq!(&part.as_slice()[4..8], &[3.0; 4]);
+        let part = compute(&conv, &[&x], units(1..3, false, false)).unwrap();
+        assert_eq!(&part[0..4], &[2.0; 4]);
+        assert_eq!(&part[4..8], &[3.0; 4]);
     }
 
     #[test]
@@ -493,9 +478,13 @@ mod tests {
         let conv = Conv2d::new("c", 6, 5, 3, 1, 1, 21);
         let x = input(6, 7, 22);
         let full = conv.forward(&[&x]).unwrap();
+        let partial = |range| {
+            let sum = compute(&conv, &[&x], Part::Inputs(range)).unwrap();
+            Tensor::from_vec(sum, full.dims()).unwrap()
+        };
         for cut in 1..6 {
-            let a = conv.forward_partial_inputs(&[&x], 0..cut).unwrap();
-            let b = conv.forward_partial_inputs(&[&x], cut..6).unwrap();
+            let a = partial(0..cut);
+            let b = partial(cut..6);
             let merged = a.add(&b).unwrap();
             assert!(
                 merged.approx_eq(&full, 1e-4),
@@ -512,9 +501,13 @@ mod tests {
         let conv = Conv2d::new("c", 9, 4, 3, 2, 1, 31);
         let x = input(9, 8, 32);
         let full = conv.forward(&[&x]).unwrap();
-        let p1 = conv.forward_partial_inputs(&[&x], 0..3).unwrap();
-        let p2 = conv.forward_partial_inputs(&[&x], 3..7).unwrap();
-        let p3 = conv.forward_partial_inputs(&[&x], 7..9).unwrap();
+        let partial = |range| {
+            let sum = compute(&conv, &[&x], Part::Inputs(range)).unwrap();
+            Tensor::from_vec(sum, full.dims()).unwrap()
+        };
+        let p1 = partial(0..3);
+        let p2 = partial(3..7);
+        let p3 = partial(7..9);
         let merged = p1.add(&p2).unwrap().add(&p3).unwrap();
         assert!(merged.approx_eq(&full, 1e-4));
     }
@@ -525,10 +518,10 @@ mod tests {
             .with_params(Tensor::zeros(&[1, 2]), Tensor::filled(&[1], 5.0))
             .unwrap();
         let x = Tensor::ones(&[2, 2, 2]);
-        let a = conv.forward_partial_inputs(&[&x], 0..1).unwrap();
-        let b = conv.forward_partial_inputs(&[&x], 1..2).unwrap();
-        assert_eq!(a.as_slice(), &[5.0; 4], "first partial carries the bias");
-        assert_eq!(b.as_slice(), &[0.0; 4], "second partial must not re-add it");
+        let a = compute(&conv, &[&x], Part::Inputs(0..1)).unwrap();
+        let b = compute(&conv, &[&x], Part::Inputs(1..2)).unwrap();
+        assert_eq!(a, &[5.0; 4], "first partial carries the bias");
+        assert_eq!(b, &[0.0; 4], "second partial must not re-add it");
     }
 
     #[test]
@@ -536,11 +529,11 @@ mod tests {
         let conv = Conv2d::new("c", 4, 2, 3, 1, 1, 0);
         let x = input(4, 6, 1);
         assert!(matches!(
-            conv.forward_partial_inputs(&[&x], 2..2),
+            compute(&conv, &[&x], Part::Inputs(2..2)),
             Err(NnError::BadPartition { .. })
         ));
         assert!(matches!(
-            conv.forward_partial_inputs(&[&x], 0..5),
+            compute(&conv, &[&x], Part::Inputs(0..5)),
             Err(NnError::BadPartition { .. })
         ));
     }
@@ -559,16 +552,16 @@ mod tests {
             let g = conv.geometry(&shape).unwrap();
             let elems = conv.scratch_elems(&[&shape]).unwrap();
             let bytes = conv.scratch_bytes(&[&shape]).unwrap();
-            // forward / forward_partial (f32): the padded map and the
-            // tap-offset table, held at once.
+            // An f32 units part: the padded map and the tap-offset table,
+            // held at once.
             let kernel = conv_gemm_scratch_elems(&g) as u64;
             assert!(elems >= kernel);
-            // forward_partial_inputs additionally gathers weight columns
+            // An input-channel part additionally gathers weight columns
             // around the kernel; largest over the full channel range.
             let taps = (conv.in_channels * conv.kernel * conv.kernel) as u64;
             assert!(elems >= conv.out_channels as u64 * taps + kernel);
             assert!(bytes >= 4 * elems);
-            // forward_partial_int8: the pair map and its tap table.
+            // An int8 units part: the pair map and its tap table.
             assert!(bytes >= 4 * conv_qgemm_scratch_elems(&g) as u64);
         }
         // Layers without arena use must report zero.
@@ -615,8 +608,8 @@ mod tests {
                     let mut want = vec![0.0f32; rows * n];
                     gemm_into_fused(a, cols.as_slice(), &mut want, rows, taps, n, ep);
                     for layer in [&conv, &prepacked] {
-                        let got = layer.forward_partial_fused(&[&x], range.clone(), relu);
-                        assert_eq!(got.unwrap().as_slice(), &want[..], "f32 {range:?}");
+                        let got = compute(layer, &[&x], units(range.clone(), false, relu));
+                        assert_eq!(got.unwrap(), want, "f32 {range:?}");
                     }
                     let rq = Requant {
                         w_scales: &qw.scales[range.clone()],
@@ -627,8 +620,8 @@ mod tests {
                     };
                     let codes = &qw.q.as_slice()[range.start * taps..range.end * taps];
                     qgemm_requant_into(codes, &qcols, &mut want, rows, taps, n, &rq);
-                    let got = conv.forward_partial_int8(&[&x], range.clone(), relu);
-                    assert_eq!(got.unwrap().as_slice(), &want[..], "int8 {range:?}");
+                    let got = compute(&conv, &[&x], units(range.clone(), true, relu));
+                    assert_eq!(got.unwrap(), want, "int8 {range:?}");
                 }
             }
             for range in [0..c, 0..c / 2, c / 2..c] {
@@ -655,8 +648,8 @@ mod tests {
                         chunk.iter_mut().for_each(|v| *v += b);
                     }
                 }
-                let got = conv.forward_partial_inputs(&[&x], range.clone()).unwrap();
-                assert_eq!(got.as_slice(), &want[..], "inputs {range:?}");
+                let got = compute(&conv, &[&x], Part::Inputs(range.clone()));
+                assert_eq!(got.unwrap(), want, "inputs {range:?}");
             }
         }
     }
@@ -698,8 +691,8 @@ mod tests {
         let x = input(2, 6, 8);
         let q = conv.forward_partial_int8(&[&x], 0..4, true).unwrap();
         assert!(q.as_slice().iter().all(|&v| v >= 0.0));
-        let f = conv.forward_partial_fused(&[&x], 0..4, true).unwrap();
-        assert!(q.approx_eq(&f, 0.05));
+        let f = compute(&conv, &[&x], units(0..4, false, true)).unwrap();
+        assert!(q.approx_eq(&Tensor::from_vec(f, q.dims()).unwrap(), 0.05));
     }
 
     #[test]
@@ -708,11 +701,11 @@ mod tests {
         // separate bias loop did; fusing must not change a single bit.
         let conv = Conv2d::new("c", 3, 7, 3, 1, 1, 11);
         let x = input(3, 6, 12);
-        let plain = conv.forward_partial(&[&x], 0..7).unwrap();
-        let mut manual = conv.forward_partial_fused(&[&x], 0..7, true).unwrap();
+        let plain = compute(&conv, &[&x], units(0..7, false, false)).unwrap();
+        let mut manual = compute(&conv, &[&x], units(0..7, false, true)).unwrap();
         // Un-clamp: wherever the fused output is positive it must equal
         // the plain output bitwise.
-        for (m, p) in manual.as_mut_slice().iter_mut().zip(plain.as_slice()) {
+        for (m, p) in manual.iter_mut().zip(&plain) {
             if *m > 0.0 {
                 assert_eq!(*m, *p);
                 *m = *p;

@@ -1,6 +1,5 @@
 //! Fully-connected layer.
 
-use std::ops::Range;
 use std::sync::OnceLock;
 
 use edgenn_tensor::{
@@ -8,7 +7,7 @@ use edgenn_tensor::{
 };
 
 use crate::layer::params::{LazyParam, QuantizedWeights};
-use crate::layer::{check_arity, validate_range, Layer, LayerClass};
+use crate::layer::{check_arity, check_out, validate_range, Layer, LayerClass, Part};
 use crate::{NnError, Result, Workload};
 
 /// A fully-connected (dense) layer: `y = W x + b` over a rank-1 input.
@@ -115,86 +114,75 @@ impl Layer for Dense {
         Ok(Shape::new(&[self.out_features]))
     }
 
-    fn forward_partial(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
-        self.forward_partial_fused(inputs, range, false)
-    }
-
-    fn forward_partial_fused(
-        &self,
-        inputs: &[&Tensor],
-        range: Range<usize>,
-        relu: bool,
-    ) -> Result<Tensor> {
+    fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()> {
         check_arity(&self.name, 1, inputs)?;
         self.check_input(inputs[0].shape())?;
+        let x = inputs[0].as_slice();
+        let k = self.in_features;
+        let w = self.weight.get().as_slice();
+        let bias = self.bias.get().as_slice();
+        let (range, int8, relu) = match part {
+            Part::Units { range, int8, relu } => (range, int8, relu),
+            Part::Inputs(range) => {
+                validate_range(&self.name, &range, k)?;
+                check_out(out, self.out_features)?;
+                let x = &x[range.clone()];
+                for (o, dst) in out.iter_mut().enumerate() {
+                    let partial = dot(&w[o * k + range.start..o * k + range.end], x);
+                    // The bias is contributed exactly once, by the first
+                    // partial.
+                    *dst = if range.start == 0 {
+                        partial + bias[o]
+                    } else {
+                        partial
+                    };
+                }
+                return Ok(());
+            }
+        };
         validate_range(&self.name, &range, self.out_features)?;
+        check_out(out, range.len())?;
+        if int8 {
+            let qw = self
+                .qweight
+                .get_or_init(|| QuantizedWeights::from_weight(self.weight.get(), 1));
+            let act = self.act_quant.get().copied().unwrap_or_else(|| {
+                let (lo, hi) = min_max(x);
+                QuantParams::from_min_max(lo, hi)
+            });
+            let rq = Requant {
+                w_scales: &qw.scales[range.clone()],
+                act,
+                row_sums: &qw.row_sums[range.clone()],
+                bias: Some(&bias[range.clone()]),
+                relu,
+            };
+            let codes = qw.q.as_slice();
+            // Quantize the input vector once; each neuron is then one
+            // int8 dot requantized through the shared epilogue math. This
+            // is where int8 pays at the model level: the dominant traffic
+            // here is the weight matrix, read at a quarter of the f32
+            // width.
+            with_scratch_i8(k, |qx| {
+                quantize_into(x, qx, act);
+                for (i, (o, dst)) in range.clone().zip(out.iter_mut()).enumerate() {
+                    *dst = rq.apply(dot_i8(&codes[o * k..(o + 1) * k], qx), i);
+                }
+            });
+            return Ok(());
+        }
         // Weight rows for an output range are contiguous — dot against
         // them directly instead of copying a sub-matrix out. The optional
         // ReLU clamps each neuron as it is produced.
-        let w = self.weight.get().as_slice();
-        let bias_full = self.bias.get();
-        let bias = bias_full.as_slice();
-        let x = inputs[0].as_slice();
-        let k = self.in_features;
-        let data: Vec<f32> = range
-            .clone()
-            .map(|o| {
-                let v = dot(&w[o * k..(o + 1) * k], x) + bias[o];
-                if relu {
-                    v.max(0.0)
-                } else {
-                    v
-                }
-            })
-            .collect();
-        Ok(Tensor::from_vec(data, &[range.len()])?)
+        for (o, dst) in range.zip(out.iter_mut()) {
+            let v = dot(&w[o * k..(o + 1) * k], x) + bias[o];
+            *dst = if relu { v.max(0.0) } else { v };
+        }
+        Ok(())
     }
 
     fn int8_ready(&self) -> bool {
         true
-    }
-
-    fn forward_partial_int8(
-        &self,
-        inputs: &[&Tensor],
-        range: Range<usize>,
-        relu: bool,
-    ) -> Result<Tensor> {
-        check_arity(&self.name, 1, inputs)?;
-        self.check_input(inputs[0].shape())?;
-        validate_range(&self.name, &range, self.out_features)?;
-        let qw = self
-            .qweight
-            .get_or_init(|| QuantizedWeights::from_weight(self.weight.get(), 1));
-        let act = self.act_quant.get().copied().unwrap_or_else(|| {
-            let (lo, hi) = min_max(inputs[0].as_slice());
-            QuantParams::from_min_max(lo, hi)
-        });
-        let bias_full = self.bias.get();
-        let rq = Requant {
-            w_scales: &qw.scales[range.clone()],
-            act,
-            row_sums: &qw.row_sums[range.clone()],
-            bias: Some(&bias_full.as_slice()[range.clone()]),
-            relu,
-        };
-        let codes = qw.q.as_slice();
-        let k = self.in_features;
-        // Quantize the input vector once; each neuron is then one int8
-        // dot requantized through the shared epilogue math. This is where
-        // int8 pays at the model level: the dominant traffic here is the
-        // weight matrix, read at a quarter of the f32 width.
-        let data: Vec<f32> = with_scratch_i8(k, |qx| {
-            quantize_into(inputs[0].as_slice(), qx, act);
-            range
-                .clone()
-                .map(|o| {
-                    let acc = dot_i8(&codes[o * k..(o + 1) * k], qx);
-                    rq.apply(acc, o - range.start)
-                })
-                .collect()
-        });
-        Ok(Tensor::from_vec(data, &[range.len()])?)
     }
 
     fn stamp_activation(&self, p: QuantParams) -> bool {
@@ -255,28 +243,6 @@ impl Layer for Dense {
         Ok(self.in_features)
     }
 
-    fn forward_partial_inputs(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
-        check_arity(&self.name, 1, inputs)?;
-        self.check_input(inputs[0].shape())?;
-        validate_range(&self.name, &range, self.in_features)?;
-        let x = &inputs[0].as_slice()[range.clone()];
-        let w = self.weight.get().as_slice();
-        let bias_full = self.bias.get();
-        let bias = bias_full.as_slice();
-        let data: Vec<f32> = (0..self.out_features)
-            .map(|o| {
-                let row = &w[o * self.in_features + range.start..o * self.in_features + range.end];
-                let partial = dot(row, x);
-                if range.start == 0 {
-                    partial + bias[o]
-                } else {
-                    partial
-                }
-            })
-            .collect();
-        Ok(Tensor::from_vec(data, &[self.out_features])?)
-    }
-
     fn workload(&self, inputs: &[&Shape]) -> Result<Workload> {
         check_arity(&self.name, 1, inputs)?;
         self.check_input(inputs[0])?;
@@ -292,7 +258,7 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::test_support::assert_merge_invariant;
+    use crate::layer::test_support::{assert_merge_invariant, compute, units};
 
     #[test]
     fn hand_checked_matvec() {
@@ -335,8 +301,8 @@ mod tests {
             )
             .unwrap();
         let x = Tensor::ones(&[1]);
-        let tail = dense.forward_partial(&[&x], 2..3).unwrap();
-        assert_eq!(tail.as_slice(), &[3.0]);
+        let tail = compute(&dense, &[&x], units(2..3, false, false)).unwrap();
+        assert_eq!(tail, &[3.0]);
     }
 
     #[test]
@@ -352,9 +318,13 @@ mod tests {
         let dense = Dense::new("fc", 11, 7, 13);
         let x = Tensor::random(&[11], 1.0, 14);
         let full = dense.forward(&[&x]).unwrap();
+        let partial = |range| {
+            let sum = compute(&dense, &[&x], Part::Inputs(range)).unwrap();
+            Tensor::from_vec(sum, full.dims()).unwrap()
+        };
         for cut in 1..11 {
-            let a = dense.forward_partial_inputs(&[&x], 0..cut).unwrap();
-            let b = dense.forward_partial_inputs(&[&x], cut..11).unwrap();
+            let a = partial(0..cut);
+            let b = partial(cut..11);
             let merged = a.add(&b).unwrap();
             assert!(merged.approx_eq(&full, 1e-4), "cut {cut}");
         }
@@ -388,8 +358,8 @@ mod tests {
         let x = Tensor::random(&[32], 1.0, 6);
         let q = dense.forward_partial_int8(&[&x], 0..8, true).unwrap();
         assert!(q.as_slice().iter().all(|&v| v >= 0.0));
-        let f = dense.forward_partial_fused(&[&x], 0..8, true).unwrap();
-        assert!(q.approx_eq(&f, 0.05));
+        let f = compute(&dense, &[&x], units(0..8, false, true)).unwrap();
+        assert!(q.approx_eq(&Tensor::from_vec(f, q.dims()).unwrap(), 0.05));
     }
 
     #[test]

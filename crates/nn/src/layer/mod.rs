@@ -3,9 +3,12 @@
 //! A *partition unit* is one slice of a layer's output along axis 0 —
 //! an output channel for convolution/pooling, an output neuron for a
 //! fully-connected layer. EdgeNN's intra-kernel co-running splits the
-//! units between the CPU and the GPU (paper Section IV-C/IV-D); the split
-//! is lossless because [`Layer::forward_partial`] over a covering set of
-//! disjoint ranges concatenates back to exactly [`Layer::forward`].
+//! units between the CPU and the GPU (paper Section IV-C/IV-D). Every
+//! layer computes through one entry, [`Layer::forward_into`], which writes
+//! a [`Part`] of the output into a buffer its caller hands it: the split
+//! is lossless because the parts of a covering set of disjoint ranges,
+//! each written into its own sub-slice of one buffer, are bit for bit the
+//! whole output. [`Layer::forward`] allocates and runs the whole range.
 
 mod activation;
 mod combine;
@@ -17,7 +20,7 @@ mod pool;
 
 use std::ops::Range;
 
-use edgenn_tensor::{ops, QuantParams, Shape, Tensor};
+use edgenn_tensor::{ops, QuantParams, Shape, Tensor, TensorError};
 
 use crate::{NnError, Result, Workload};
 
@@ -67,6 +70,28 @@ impl LayerClass {
     }
 }
 
+/// The part of a layer's output one [`Layer::forward_into`] call
+/// computes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Part {
+    /// Output units `range`, a slice of axis 0 of the output (the
+    /// output-channel split).
+    Units {
+        /// The output units to compute.
+        range: Range<usize>,
+        /// Run the layer's int8 kernel ([`Layer::int8_ready`]); a layer
+        /// without one computes f32.
+        int8: bool,
+        /// Clamp the result at zero: a fused ReLU, applied in the GEMM
+        /// write-back where the layer has one.
+        relu: bool,
+    },
+    /// The raw partial sum over input channels `range`, a full-size output
+    /// (the input-channel split, [`Layer::input_split_supported`]),
+    /// computed in f32 and never clamped.
+    Inputs(Range<usize>),
+}
+
 /// A neural-network layer kernel.
 pub trait Layer: Send + Sync {
     /// Human-readable layer name (unique within a graph).
@@ -86,16 +111,6 @@ pub trait Layer: Send + Sync {
     /// Fails when arity or shapes are incompatible with the layer.
     fn output_shape(&self, inputs: &[&Shape]) -> Result<Shape>;
 
-    /// Reference forward pass.
-    ///
-    /// # Errors
-    /// Fails on arity or shape mismatches.
-    fn forward(&self, inputs: &[&Tensor]) -> Result<Tensor> {
-        let shapes: Vec<&Shape> = inputs.iter().map(|t| t.shape()).collect();
-        let units = self.partition_units(&shapes)?;
-        self.forward_partial(inputs, 0..units)
-    }
-
     /// Number of independently computable output slices along axis 0.
     ///
     /// Returns 1 for layers that cannot be split (e.g. softmax, whose
@@ -112,49 +127,49 @@ pub trait Layer: Send + Sync {
         true
     }
 
-    /// Computes output units `range` (a slice of axis 0 of the output).
+    /// Computes `part` of the layer's output into `out` — the layer's one
+    /// compute entry, which every execution path runs.
     ///
-    /// Implementations must satisfy the *merge invariant*: concatenating
-    /// the outputs for disjoint covering ranges along axis 0 yields the
-    /// same tensor as [`Layer::forward`].
+    /// - `out` holds exactly the requested output units of a
+    ///   [`Part::Units`] part (row-major, `range.len()` slices of axis 0),
+    ///   or the whole output for a [`Part::Inputs`] part. The call
+    ///   overwrites every element, whatever `out` held before.
+    /// - Units parts satisfy the *merge invariant*: the parts of disjoint
+    ///   covering ranges, each written into its own sub-slice of one
+    ///   buffer, equal the full-range call bit for bit.
+    /// - An input-channel part is the raw partial sum over those input
+    ///   channels, computed in f32 and never clamped; the parts of
+    ///   disjoint covering ranges add up to the full output, the bias
+    ///   contributed once, by the range holding channel 0.
+    /// - The int8 flag and the fused ReLU apply to units parts only:
+    ///   `int8` selects the quantized kernel, which a layer without one
+    ///   replaces with f32, and `relu` clamps the result, in the GEMM
+    ///   write-back where the layer has one.
     ///
     /// # Errors
-    /// Fails on invalid ranges, arity or shape mismatches, or when a strict
-    /// sub-range is requested from a non-partitionable layer.
-    fn forward_partial(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor>;
+    /// Fails on arity or shape mismatches, an invalid range, an `out` of
+    /// the wrong length, or an input-channel part of a layer without the
+    /// input-channel split.
+    fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()>;
 
-    /// [`Layer::forward_partial`] with an optional ReLU epilogue.
-    ///
-    /// The default runs the partial pass and clamps afterwards; layers
-    /// backed by a GEMM override this to fold bias + ReLU into the
-    /// microkernel's write-back loop ([`edgenn_tensor::Epilogue`]), so a
-    /// [`crate::graph::FusedRelu`] wrapper costs no extra output sweep.
+    /// Reference forward pass: the whole output, in f32.
     ///
     /// # Errors
-    /// Same contract as [`Layer::forward_partial`].
-    fn forward_partial_fused(
-        &self,
-        inputs: &[&Tensor],
-        range: Range<usize>,
-        relu: bool,
-    ) -> Result<Tensor> {
-        let mut out = self.forward_partial(inputs, range)?;
-        if relu {
-            ops::relu_in_place(out.as_mut_slice());
-        }
-        Ok(out)
+    /// Fails on arity or shape mismatches.
+    fn forward(&self, inputs: &[&Tensor]) -> Result<Tensor> {
+        allocate_units(self, inputs, None, false, false)
     }
 
     /// True when the layer has a real int8 kernel behind
-    /// [`Layer::forward_partial_int8`] (conv and dense). Layers without
-    /// one fall back to f32 transparently, so a whole-graph int8 run
-    /// never fails — it just quantizes where it pays.
+    /// [`Layer::forward_into`] (conv and dense). Layers without one fall
+    /// back to f32 transparently, so a whole-graph int8 run never fails —
+    /// it just quantizes where it pays.
     fn int8_ready(&self) -> bool {
         false
     }
 
     /// Int8 forward over output units `range`, with an optional fused
-    /// ReLU.
+    /// ReLU, into a fresh tensor.
     ///
     /// Activations stay f32 *between* nodes: the kernel quantizes its
     /// input (with calibrated parameters when stamped, else dynamic
@@ -163,17 +178,15 @@ pub trait Layer: Send + Sync {
     /// makes output-range partials *bitwise* identical to the same rows
     /// of a full int8 forward, so the merge invariant holds exactly.
     ///
-    /// The default falls back to the f32 path.
-    ///
     /// # Errors
-    /// Same contract as [`Layer::forward_partial`].
+    /// Same contract as [`Layer::forward_into`].
     fn forward_partial_int8(
         &self,
         inputs: &[&Tensor],
         range: Range<usize>,
         relu: bool,
     ) -> Result<Tensor> {
-        self.forward_partial_fused(inputs, range, relu)
+        allocate_units(self, inputs, Some(range), true, relu)
     }
 
     /// Stamps calibrated activation quantization parameters onto the
@@ -225,12 +238,12 @@ pub trait Layer: Send + Sync {
     }
 
     /// True when this layer fused a trailing ReLU whose application is
-    /// *deferred* on the input-channel split path: its
-    /// [`Layer::forward_partial_inputs`] returns raw partial sums (the
-    /// epilogue cannot clamp partials — `relu(a) + relu(b) != relu(a+b)`)
-    /// and the executor applies the ReLU once after merging. Layers
-    /// returning true keep [`Layer::input_split_supported`] legal on
-    /// fused nodes; everything else returns false.
+    /// *deferred* on the input-channel split path: its [`Part::Inputs`]
+    /// parts are raw partial sums (the epilogue cannot clamp partials —
+    /// `relu(a) + relu(b) != relu(a+b)`) and the executor applies the
+    /// ReLU once after merging. Layers returning true keep
+    /// [`Layer::input_split_supported`] legal on fused nodes; everything
+    /// else returns false.
     fn deferred_epilogue_relu(&self) -> bool {
         false
     }
@@ -272,24 +285,6 @@ pub trait Layer: Send + Sync {
     fn input_channels(&self, inputs: &[&Shape]) -> Result<usize> {
         let _ = inputs;
         Ok(1)
-    }
-
-    /// Computes the partial result over input channels `range`.
-    ///
-    /// Implementations must satisfy the *sum invariant*: adding the
-    /// partial outputs of disjoint covering input ranges element-wise
-    /// yields the same tensor as [`Layer::forward`] (the constant/bias
-    /// term is contributed exactly once, by the range containing
-    /// channel 0).
-    ///
-    /// # Errors
-    /// Fails when the layer does not support input splitting or the range
-    /// is invalid.
-    fn forward_partial_inputs(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
-        let _ = (inputs, range);
-        Err(NnError::NotPartitionable {
-            layer: self.name().to_string(),
-        })
     }
 
     /// Analytic cost of the full forward pass.
@@ -378,15 +373,67 @@ pub(crate) fn validate_range(layer: &str, range: &Range<usize>, units: usize) ->
     Ok(())
 }
 
-/// Rejects strict sub-ranges for non-partitionable layers.
-pub(crate) fn require_full_range(layer: &str, range: &Range<usize>, units: usize) -> Result<()> {
-    validate_range(layer, range, units)?;
-    if range.start != 0 || range.end != units {
+/// Validates a units part against a layer of `units` units of
+/// `unit_len` elements each, and `out` against the units it asks for;
+/// returns the range and the fused ReLU, for a layer without an int8
+/// kernel. An input-channel part fails: the layer has no input-channel
+/// split.
+pub(crate) fn units_part(
+    layer: &str,
+    part: Part,
+    units: usize,
+    unit_len: usize,
+    out: &[f32],
+) -> Result<(Range<usize>, bool)> {
+    let Part::Units { range, relu, .. } = part else {
         return Err(NnError::NotPartitionable {
             layer: layer.to_string(),
         });
+    };
+    validate_range(layer, &range, units)?;
+    check_out(out, range.len() * unit_len)?;
+    Ok((range, relu))
+}
+
+/// Checks that a compute call's `out` holds exactly `expected` elements.
+pub(crate) fn check_out(out: &[f32], expected: usize) -> Result<()> {
+    if out.len() != expected {
+        return Err(TensorError::LengthMismatch {
+            expected,
+            actual: out.len(),
+        }
+        .into());
     }
     Ok(())
+}
+
+/// Applies a units part's fused ReLU as a clamp over its finished output.
+pub(crate) fn clamp_if(relu: bool, out: &mut [f32]) {
+    if relu {
+        ops::relu_in_place(out);
+    }
+}
+
+/// Computes output units `range` (all of them for `None`) of `layer` into
+/// a fresh tensor: the body of the allocating wrappers [`Layer::forward`]
+/// and [`Layer::forward_partial_int8`].
+fn allocate_units<L: Layer + ?Sized>(
+    layer: &L,
+    inputs: &[&Tensor],
+    range: Option<Range<usize>>,
+    int8: bool,
+    relu: bool,
+) -> Result<Tensor> {
+    let shapes: Vec<&Shape> = inputs.iter().map(|t| t.shape()).collect();
+    let units = layer.partition_units(&shapes)?;
+    let range = range.unwrap_or(0..units);
+    let mut shape = layer.output_shape(&shapes)?;
+    if range.len() != units {
+        shape = shape.with_dim(0, range.len())?;
+    }
+    let mut out = vec![0.0; shape.num_elements()];
+    layer.forward_into(inputs, Part::Units { range, int8, relu }, &mut out)?;
+    Ok(Tensor::from_vec(out, shape.dims())?)
 }
 
 /// The graph's input pseudo-layer: passes its tensor through unchanged.
@@ -420,8 +467,9 @@ impl Layer for InputLayer {
         0
     }
 
-    fn output_shape(&self, inputs: &[&Shape]) -> Result<Shape> {
-        check_arity(self.name(), 0, inputs)?;
+    /// No graph edge feeds the input node, so a graph asks with no
+    /// shapes; a reference pass hands it the network input to pass on.
+    fn output_shape(&self, _inputs: &[&Shape]) -> Result<Shape> {
         Ok(self.shape.clone())
     }
 
@@ -433,10 +481,12 @@ impl Layer for InputLayer {
         Ok(1)
     }
 
-    fn forward_partial(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
-        require_full_range(self.name(), &range, 1)?;
+    fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()> {
         check_arity(self.name(), 1, inputs)?;
-        Ok(inputs[0].clone())
+        let (_, relu) = units_part(self.name(), part, 1, inputs[0].len(), out)?;
+        out.copy_from_slice(inputs[0].as_slice());
+        clamp_if(relu, out);
+        Ok(())
     }
 
     fn workload(&self, _inputs: &[&Shape]) -> Result<Workload> {
@@ -453,23 +503,63 @@ pub(crate) mod test_support {
 
     use super::*;
 
-    /// Splits the layer's units at every cut point and checks that the
-    /// concatenated partial results equal the full forward pass.
+    /// The bit patterns of `values`, so comparisons are exact (NaN, the
+    /// sign of zero).
+    pub(crate) fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A units part over `range`.
+    pub(crate) fn units(range: Range<usize>, int8: bool, relu: bool) -> Part {
+        Part::Units { range, int8, relu }
+    }
+
+    /// `part` of `layer`'s output through [`Layer::forward_into`], written
+    /// into a NaN-filled buffer of the size the part asks for.
+    pub(crate) fn compute(layer: &dyn Layer, inputs: &[&Tensor], part: Part) -> Result<Vec<f32>> {
+        let shapes: Vec<&Shape> = inputs.iter().map(|t| t.shape()).collect();
+        let mut len = layer.output_shape(&shapes)?.num_elements();
+        if let Part::Units { range, .. } = &part {
+            len = len / layer.partition_units(&shapes)? * range.len();
+        }
+        let mut out = vec![f32::NAN; len];
+        layer.forward_into(inputs, part, &mut out)?;
+        Ok(out)
+    }
+
+    /// Splits the layer's units at every cut point, writes each share
+    /// into its own sub-slice of one NaN-filled buffer, and checks the
+    /// result equals the full-range call bit for bit — in f32 and int8,
+    /// with the fused ReLU off and on.
     pub(crate) fn assert_merge_invariant(layer: &dyn Layer, inputs: &[&Tensor]) {
         let shapes: Vec<&Shape> = inputs.iter().map(|t| t.shape()).collect();
-        let units = layer.partition_units(&shapes).unwrap();
-        let full = layer.forward(inputs).unwrap();
-        assert!(units >= 1);
-        for cut in 1..units {
-            let a = layer.forward_partial(inputs, 0..cut).unwrap();
-            let b = layer.forward_partial(inputs, cut..units).unwrap();
-            let merged = Tensor::concat_axis0(&[&a, &b]).unwrap();
-            let merged = merged.reshape(full.dims()).unwrap();
-            assert!(
-                merged.approx_eq(&full, 1e-5),
-                "merge invariant broken for {} at cut {cut}/{units}",
-                layer.name()
-            );
+        let units_n = layer.partition_units(&shapes).unwrap();
+        let len = layer.output_shape(&shapes).unwrap().num_elements();
+        assert!(units_n >= 1);
+        for int8 in [false, true] {
+            for relu in [false, true] {
+                let full = compute(layer, inputs, units(0..units_n, int8, relu)).unwrap();
+                if !int8 && !relu {
+                    let reference = layer.forward(inputs).unwrap();
+                    assert_eq!(bits(&full), bits(reference.as_slice()));
+                }
+                for cut in 1..units_n {
+                    let mut merged = vec![f32::NAN; len];
+                    let (a, b) = merged.split_at_mut(len / units_n * cut);
+                    layer
+                        .forward_into(inputs, units(0..cut, int8, relu), a)
+                        .unwrap();
+                    layer
+                        .forward_into(inputs, units(cut..units_n, int8, relu), b)
+                        .unwrap();
+                    assert_eq!(
+                        bits(&merged),
+                        bits(&full),
+                        "merge invariant broken for {} at cut {cut}/{units_n} (int8 {int8}, relu {relu})",
+                        layer.name()
+                    );
+                }
+            }
         }
     }
 }
@@ -493,7 +583,7 @@ mod tests {
         let layer = InputLayer::new(Shape::new(&[4]));
         let t = Tensor::zeros(&[4]);
         assert!(matches!(
-            layer.forward_partial(&[&t], 0..0),
+            test_support::compute(&layer, &[&t], test_support::units(0..0, false, false)),
             Err(NnError::BadPartition { .. })
         ));
         assert!(!layer.partitionable());
@@ -508,11 +598,18 @@ mod tests {
     }
 
     #[test]
-    fn require_full_range_rejects_subranges() {
-        assert!(require_full_range("l", &(0..4), 4).is_ok());
+    fn units_part_rejects_input_parts_and_misfit_buffers() {
+        use test_support::units;
+        let out = [0.0; 8];
+        let relu = units(1..3, true, true);
+        assert_eq!(units_part("l", relu, 4, 4, &out).unwrap(), (1..3, true));
         assert!(matches!(
-            require_full_range("l", &(0..2), 4),
+            units_part("l", Part::Inputs(0..4), 4, 2, &out),
             Err(NnError::NotPartitionable { .. })
+        ));
+        assert!(matches!(
+            units_part("l", units(0..2, false, false), 4, 2, &out),
+            Err(NnError::Tensor(TensorError::LengthMismatch { .. }))
         ));
     }
 

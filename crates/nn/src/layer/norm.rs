@@ -1,11 +1,9 @@
 //! Normalization layers: local response normalization and batch norm.
 
-use std::ops::Range;
-
 use edgenn_tensor::{Shape, Tensor};
 
 use crate::layer::params::LazyParam;
-use crate::layer::{check_arity, validate_range, Layer, LayerClass};
+use crate::layer::{check_arity, clamp_if, units_part, Layer, LayerClass, Part};
 use crate::{NnError, Result, Workload};
 
 /// AlexNet-style local response normalization (across channels).
@@ -74,34 +72,29 @@ impl Layer for LocalResponseNorm {
         Ok(inputs[0].clone())
     }
 
-    fn forward_partial(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
+    fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()> {
         check_arity(&self.name, 1, inputs)?;
         self.check_input(inputs[0].shape())?;
         let channels = inputs[0].shape().dim(0)?;
-        validate_range(&self.name, &range, channels)?;
         let plane = inputs[0].shape().dim(1)? * inputs[0].shape().dim(2)?;
+        let (range, relu) = units_part(&self.name, part, channels, plane, out)?;
         let src = inputs[0].as_slice();
         let half = self.size / 2;
-        let mut data = Vec::with_capacity(range.len() * plane);
-        for c in range.clone() {
+        for (c, dst) in range.zip(out.chunks_exact_mut(plane.max(1))) {
             let lo = c.saturating_sub(half);
             let hi = (c + half).min(channels - 1);
-            for p in 0..plane {
+            for (p, d) in dst.iter_mut().enumerate() {
                 let mut sq = 0.0f32;
                 for cc in lo..=hi {
                     let v = src[cc * plane + p];
                     sq += v * v;
                 }
                 let denom = (self.k + self.alpha / self.size as f32 * sq).powf(self.beta);
-                data.push(src[c * plane + p] / denom);
+                *d = src[c * plane + p] / denom;
             }
         }
-        let dims = [
-            range.len(),
-            inputs[0].shape().dim(1)?,
-            inputs[0].shape().dim(2)?,
-        ];
-        Ok(Tensor::from_vec(data, &dims)?)
+        clamp_if(relu, out);
+        Ok(())
     }
 
     fn workload(&self, inputs: &[&Shape]) -> Result<Workload> {
@@ -195,24 +188,21 @@ impl Layer for BatchNorm2d {
         Ok(inputs[0].clone())
     }
 
-    fn forward_partial(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
+    fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()> {
         check_arity(&self.name, 1, inputs)?;
         self.check_input(inputs[0].shape())?;
-        validate_range(&self.name, &range, self.channels())?;
         let plane = inputs[0].shape().dim(1)? * inputs[0].shape().dim(2)?;
+        let (range, relu) = units_part(&self.name, part, self.channels(), plane, out)?;
         let src = inputs[0].as_slice();
-        let mut data = Vec::with_capacity(range.len() * plane);
-        let (scale, shift) = (self.scale.get(), self.shift.get());
-        for c in range.clone() {
-            let (g, b) = (scale.as_slice()[c], shift.as_slice()[c]);
-            data.extend(src[c * plane..(c + 1) * plane].iter().map(|&x| x * g + b));
+        let (scale, shift) = (self.scale.get().as_slice(), self.shift.get().as_slice());
+        for (c, dst) in range.zip(out.chunks_exact_mut(plane.max(1))) {
+            let (g, b) = (scale[c], shift[c]);
+            for (d, &x) in dst.iter_mut().zip(&src[c * plane..(c + 1) * plane]) {
+                *d = x * g + b;
+            }
         }
-        let dims = [
-            range.len(),
-            inputs[0].shape().dim(1)?,
-            inputs[0].shape().dim(2)?,
-        ];
-        Ok(Tensor::from_vec(data, &dims)?)
+        clamp_if(relu, out);
+        Ok(())
     }
 
     fn workload(&self, inputs: &[&Shape]) -> Result<Workload> {

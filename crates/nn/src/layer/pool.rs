@@ -4,7 +4,7 @@ use std::ops::Range;
 
 use edgenn_tensor::{Conv2dGeometry, Shape, Tensor};
 
-use crate::layer::{check_arity, validate_range, Layer, LayerClass};
+use crate::layer::{check_arity, clamp_if, units_part, Layer, LayerClass, Part};
 use crate::{NnError, Result, Workload};
 
 /// Pooling reduction applied within each window.
@@ -193,22 +193,22 @@ impl Layer for Pool2d {
         Ok(Shape::new(&[g.in_channels, g.out_h(), g.out_w()]))
     }
 
-    fn forward_partial(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
+    fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()> {
         check_arity(&self.name, 1, inputs)?;
         let g = self.geometry(inputs[0].shape())?;
-        validate_range(&self.name, &range, g.in_channels)?;
-        let plane = g.in_h * g.in_w;
         let (out_h, out_w) = (g.out_h(), g.out_w());
+        let (range, relu) = units_part(&self.name, part, g.in_channels, out_h * out_w, out)?;
+        let plane = g.in_h * g.in_w;
         let x_spans: Vec<Range<usize>> = (0..out_w)
             .map(|ox| window(ox, g.stride_w, g.pad_w, g.kernel_w, g.in_w))
             .collect();
-        let mut data = vec![0.0f32; range.len() * out_h * out_w];
         let planes =
             inputs[0].as_slice()[range.start * plane..range.end * plane].chunks_exact(plane);
-        for (src, dst) in planes.zip(data.chunks_exact_mut(out_h * out_w)) {
+        for (src, dst) in planes.zip(out.chunks_exact_mut(out_h * out_w)) {
             self.pool_channel(src, &g, &x_spans, dst);
         }
-        Ok(Tensor::from_vec(data, &[range.len(), out_h, out_w])?)
+        clamp_if(relu, out);
+        Ok(())
     }
 
     fn workload(&self, inputs: &[&Shape]) -> Result<Workload> {
@@ -258,20 +258,18 @@ impl Layer for GlobalAvgPool {
         Ok(Shape::new(&[inputs[0].dim(0)?]))
     }
 
-    fn forward_partial(&self, inputs: &[&Tensor], range: Range<usize>) -> Result<Tensor> {
+    fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()> {
         check_arity(&self.name, 1, inputs)?;
         let shape = inputs[0].shape();
         let channels = self.output_shape(&[shape])?.dim(0)?;
-        validate_range(&self.name, &range, channels)?;
+        let (range, relu) = units_part(&self.name, part, channels, 1, out)?;
         let plane = shape.dim(1)? * shape.dim(2)?;
-        let data: Vec<f32> = range
-            .clone()
-            .map(|c| {
-                let src = &inputs[0].as_slice()[c * plane..(c + 1) * plane];
-                src.iter().sum::<f32>() / plane as f32
-            })
-            .collect();
-        Ok(Tensor::from_vec(data, &[range.len()])?)
+        for (c, dst) in range.zip(out.iter_mut()) {
+            let src = &inputs[0].as_slice()[c * plane..(c + 1) * plane];
+            *dst = src.iter().sum::<f32>() / plane as f32;
+        }
+        clamp_if(relu, out);
+        Ok(())
     }
 
     fn workload(&self, inputs: &[&Shape]) -> Result<Workload> {

@@ -7,14 +7,18 @@
 //! the paper — FCNN, LeNet-5, AlexNet, VGG-16, SqueezeNet v1.0 and
 //! ResNet-18.
 //!
-//! Every layer exposes three faces:
+//! Every layer exposes two faces:
 //!
-//! 1. [`layer::Layer::forward`] — the reference forward pass (real arithmetic).
-//! 2. [`layer::Layer::forward_partial`] — computes only an output-channel (or
-//!    output-neuron) range. This is the primitive EdgeNN's *intra-kernel
-//!    CPU-GPU co-running* is built on: the GPU computes channels
-//!    `0..k`, the CPU computes `k..n`, and the runtime concatenates.
-//! 3. [`layer::Layer::workload`] — an analytic FLOP/byte model that feeds the
+//! 1. [`layer::Layer::forward_into`] — its one compute entry: real
+//!    arithmetic, written into a buffer the caller hands it, over a
+//!    [`layer::Part`] of the output (an output-channel or output-neuron
+//!    range, or the raw partial sum over an input-channel range), in f32
+//!    or int8, with an optional fused ReLU. This is the primitive EdgeNN's
+//!    *intra-kernel CPU-GPU co-running* is built on: the GPU computes
+//!    channels `0..k` and the CPU channels `k..n` into disjoint halves of
+//!    one output buffer. [`layer::Layer::forward`], the reference forward
+//!    pass, allocates the output and computes all of it.
+//! 2. [`layer::Layer::workload`] — an analytic FLOP/byte model that feeds the
 //!    device simulator in `edgenn-sim`.
 //!
 //! ```

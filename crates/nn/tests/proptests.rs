@@ -8,7 +8,7 @@ use std::ops::Range;
 use edgenn_nn::graph::{compile, CompileOptions, GraphBuilder, Segment};
 use edgenn_nn::layer::{
     AddResidual, AvgPool2d, BatchNorm2d, Concat, Conv2d, Dense, Dropout, Layer, LocalResponseNorm,
-    MaxPool2d, Relu, Slice,
+    MaxPool2d, Part, Relu, Slice,
 };
 use edgenn_nn::models::{build, ModelKind, ModelScale};
 use edgenn_tensor::{Shape, Tensor};
@@ -21,12 +21,15 @@ fn random_cuts(rng: &mut rand::rngs::StdRng, upper: usize) -> Vec<usize> {
     (0..n).map(|_| rng.gen_range(1usize..upper)).collect()
 }
 
-/// Checks `concat(partials over cuts) == forward` for an arbitrary set of
-/// cut points.
+/// Checks the merge invariant for an arbitrary set of cut points: each
+/// share, written into its own sub-slice of one NaN-filled buffer, must
+/// leave the buffer bit for bit equal to the full-range call — in f32
+/// and int8, with the fused ReLU off and on.
 fn check_merge(layer: &dyn Layer, inputs: &[&Tensor], cuts: &[usize]) {
     let shapes: Vec<&Shape> = inputs.iter().map(|t| t.shape()).collect();
     let units = layer.partition_units(&shapes).unwrap();
-    let full = layer.forward(inputs).unwrap();
+    let len = layer.output_shape(&shapes).unwrap().num_elements();
+    let unit_len = len / units;
 
     let mut bounds: Vec<usize> = vec![0];
     bounds.extend(cuts.iter().map(|c| c % units).filter(|&c| c > 0));
@@ -34,21 +37,33 @@ fn check_merge(layer: &dyn Layer, inputs: &[&Tensor], cuts: &[usize]) {
     bounds.sort_unstable();
     bounds.dedup();
 
-    let mut parts = Vec::new();
-    for w in bounds.windows(2) {
-        let range: Range<usize> = w[0]..w[1];
-        parts.push(layer.forward_partial(inputs, range).unwrap());
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for int8 in [false, true] {
+        for relu in [false, true] {
+            let part = |range| Part::Units { range, int8, relu };
+            let mut full = vec![f32::NAN; len];
+            layer
+                .forward_into(inputs, part(0..units), &mut full)
+                .unwrap();
+            if !int8 && !relu {
+                assert_eq!(full, layer.forward(inputs).unwrap().as_slice());
+            }
+            let mut merged = vec![f32::NAN; len];
+            let mut rest = merged.as_mut_slice();
+            for w in bounds.windows(2) {
+                let range: Range<usize> = w[0]..w[1];
+                let (share, tail) = rest.split_at_mut(range.len() * unit_len);
+                layer.forward_into(inputs, part(range), share).unwrap();
+                rest = tail;
+            }
+            assert_eq!(
+                bits(&merged),
+                bits(&full),
+                "merge invariant broken for {} with bounds {bounds:?} (int8 {int8}, relu {relu})",
+                layer.name()
+            );
+        }
     }
-    let refs: Vec<&Tensor> = parts.iter().collect();
-    let merged = Tensor::concat_axis0(&refs)
-        .unwrap()
-        .reshape(full.dims())
-        .unwrap();
-    assert!(
-        merged.approx_eq(&full, 1e-4),
-        "merge invariant broken for {} with bounds {bounds:?}",
-        layer.name()
-    );
 }
 
 #[test]

@@ -245,6 +245,19 @@ impl Ring {
         seq.store(claim + 1, Ordering::Release);
     }
 
+    /// Appends every intact record claimed at or after `since` to `out`
+    /// and returns how many such claims it could not read: overwritten
+    /// by wrap-around (the window claimed more than the ring retains) or
+    /// torn by a concurrent write. Records claimed before `since` never
+    /// count, however often the ring wrapped over them.
+    fn drain_since(&self, since: u64, out: &mut Vec<SpanRecord>) -> u64 {
+        let hi = self.cursor.load(Ordering::Acquire);
+        let lo = since.max(hi.saturating_sub(self.records as u64));
+        let before = out.len();
+        out.extend((lo..hi).filter_map(|claim| self.read(claim)));
+        hi.saturating_sub(since) - (out.len() - before) as u64
+    }
+
     /// Reads the record at `claim` if it is still intact (not overwritten
     /// or mid-write). Seqlock read: sequence must match before and after.
     fn read(&self, claim: u64) -> Option<SpanRecord> {
@@ -726,8 +739,8 @@ pub fn mark() -> Marker {
 
 /// Drains every intact record written since `marker`, across all rings,
 /// sorted by start time (ties broken by span id). Records overwritten by
-/// ring wrap-around are skipped — they are visible in
-/// [`dropped_records`], never silently absent.
+/// ring wrap-around are skipped — [`profile_since`] counts them as the
+/// window's `dropped`, so they are never silently absent.
 pub fn drain_since(marker: &Marker) -> Vec<SpanRecord> {
     let mut out = drain_since_unsorted(marker);
     out.sort_by_key(|r| (r.start_ns, r.id));
@@ -746,10 +759,12 @@ fn drain_since_unsorted(marker: &Marker) -> Vec<SpanRecord> {
 /// Appends every intact record written since `marker` to `out`, in
 /// ring order, walking every generation from the marker's to the
 /// current one (the marker's cursors gate only its own generation;
-/// later generations start empty, so they drain from zero).
-fn drain_since_into(marker: &Marker, out: &mut Vec<SpanRecord>) {
+/// later generations start empty, so they drain from zero). Returns the
+/// window's losses.
+fn drain_since_into(marker: &Marker, out: &mut Vec<SpanRecord>) -> u64 {
     let f = flight();
     let current = f.current_gen.load(Ordering::Acquire);
+    let mut lost = 0;
     for gen in marker.gen..=current {
         let Some(rings) = gen_rings(f, gen) else {
             continue;
@@ -760,15 +775,10 @@ fn drain_since_into(marker: &Marker, out: &mut Vec<SpanRecord>) {
             } else {
                 0
             };
-            let hi = ring.cursor.load(Ordering::Acquire);
-            let lo = since.max(hi.saturating_sub(ring.records as u64));
-            for claim in lo..hi {
-                if let Some(rec) = ring.read(claim) {
-                    out.push(rec);
-                }
-            }
+            lost += ring.drain_since(since, out);
         }
     }
+    lost
 }
 
 /// Drains the window opened by `marker` and summarizes the request
@@ -778,7 +788,7 @@ fn drain_since_into(marker: &Marker, out: &mut Vec<SpanRecord>) {
 /// and reuses per-thread buffers for the record window, the causal mask
 /// and the stage buckets, so the steady state allocates only the
 /// summary it returns.
-pub fn profile_since(marker: &Marker, root: u64, dropped: u64) -> ProfileSummary {
+pub fn profile_since(marker: &Marker, root: u64) -> ProfileSummary {
     use std::cell::RefCell;
     thread_local! {
         static BUFFERS: RefCell<ProfileBuffers> = RefCell::new(ProfileBuffers::default());
@@ -793,7 +803,7 @@ pub fn profile_since(marker: &Marker, root: u64, dropped: u64) -> ProfileSummary
             Err(_) => &mut fresh,
         };
         buffers.records.clear();
-        drain_since_into(marker, &mut buffers.records);
+        let dropped = drain_since_into(marker, &mut buffers.records);
         let keep = buffers.mask.build(&buffers.records, root);
         ProfileSummary::summarize(&buffers.records, Some(keep), dropped, &mut buffers.buckets)
     })
@@ -826,15 +836,6 @@ fn fold_rings(f: impl Fn(&Ring) -> u64) -> u64 {
         .filter_map(|gen| gen_rings(flight, gen))
         .flat_map(|rings| rings.iter().map(&f))
         .sum()
-}
-
-/// Total records overwritten by ring wrap-around since process start.
-pub fn dropped_records() -> u64 {
-    fold_rings(|r| {
-        r.cursor
-            .load(Ordering::Relaxed)
-            .saturating_sub(r.records as u64)
-    })
 }
 
 /// Total records ever written since process start.
@@ -997,15 +998,16 @@ impl StageStat {
 pub struct ProfileSummary {
     /// Records summarized.
     pub span_count: u64,
-    /// Records lost to ring overwrite during the window.
+    /// Records claimed during the window that the drain could not read:
+    /// overwritten by ring wrap-around (or torn by a concurrent write).
     pub dropped: u64,
     /// Per-stage statistics, ordered by [`SpanKind::ALL`].
     pub stages: Vec<StageStat>,
 }
 
 impl ProfileSummary {
-    /// Builds the summary from drained records. `dropped` is the delta
-    /// of [`dropped_records`] over the window being summarized.
+    /// Builds the summary from drained records. `dropped` is the number
+    /// of the window's records the drain lost.
     pub fn build(records: &[SpanRecord], dropped: u64) -> ProfileSummary {
         Self::summarize(records, None, dropped, &mut StageBuckets::default())
     }
@@ -1327,9 +1329,9 @@ mod tests {
     /// cannot race each other's capacity observations.
     const TEST_RING_RECORDS: usize = 2 * BASE_RING_RECORDS;
 
-    /// Held by the tests that fill rings or assert on the process-wide
-    /// drop counter: threads share ring ordinals, so one test
-    /// overfilling a ring would show up as another's drops.
+    /// Held by the tests that fill rings or assert on a window's drop
+    /// count: threads share ring ordinals, so one test overfilling a
+    /// ring would show up as another's drops.
     static RING_FILL: Mutex<()> = Mutex::new(());
 
     /// [`recording`], mutually exclusive with the other ring fillers.
@@ -1345,16 +1347,19 @@ mod tests {
         recording_exclusive(|| {
             reserve(TEST_RING_RECORDS);
             let capacity = retained_records_per_ring() as u64;
-            let dropped_before = dropped_records();
+            let marker = mark();
             let total_before = total_records();
             // One thread writes to one ring; exceed its capacity.
             let writes = capacity + 500;
+            let root = begin(SpanKind::Request, NO_NODE);
+            let root_id = root.id();
             for i in 0..writes {
                 instant(SpanKind::Retry, 1, i);
             }
+            end(root);
             assert!(total_records() - total_before >= writes);
             assert!(
-                dropped_records() - dropped_before >= 500,
+                profile_since(&marker, root_id).dropped >= 500,
                 "wrap must surface as dropped records"
             );
         });
@@ -1377,14 +1382,13 @@ mod tests {
             // whole: the VGG regression this sizing fixes showed up as
             // thousands of dropped records per request.
             let marker = mark();
-            let dropped_before = dropped_records();
             let writes = (BASE_RING_RECORDS + 512) as u64;
             let first = instant(SpanKind::Retry, 42, 0);
             for i in 1..writes {
                 instant(SpanKind::Retry, 42, i);
             }
             assert_eq!(
-                dropped_records() - dropped_before,
+                profile_since(&marker, first).dropped,
                 0,
                 "reserved rings must hold the whole window"
             );
@@ -1398,6 +1402,75 @@ mod tests {
                 "every record of the window survives"
             );
         });
+    }
+
+    #[test]
+    fn window_drops_ignore_records_wrapped_before_the_marker() {
+        // A private ring, so no other thread's records land in it. Wrap
+        // it three times over before the marker; a short window after it
+        // then loses nothing, however often the ring wrapped before.
+        let ring = Ring::new(64);
+        let rec = |i| SpanRecord {
+            id: i + 1,
+            parent: 0,
+            kind: SpanKind::Retry,
+            node: 1,
+            worker: 0,
+            start_ns: i,
+            end_ns: i,
+            arg: i,
+        };
+        for i in 0..3 * 64 + 5 {
+            ring.write(&rec(i));
+        }
+        let since = ring.cursor.load(Ordering::Acquire);
+        for i in 0..10 {
+            ring.write(&rec(1_000 + i));
+        }
+        let mut out = Vec::new();
+        assert_eq!(ring.drain_since(since, &mut out), 0);
+        assert_eq!(out.len(), 10);
+        // The same through the process rings: wrap this thread's ring
+        // before the marker, then profile a short window.
+        recording_exclusive(|| {
+            reserve(TEST_RING_RECORDS);
+            for i in 0..retained_records_per_ring() as u64 + 100 {
+                instant(SpanKind::Retry, 3, i);
+            }
+            let marker = mark();
+            let root = begin(SpanKind::Request, NO_NODE);
+            let root_id = root.id();
+            with_parent(root_id, || instant(SpanKind::Retry, 3, 0));
+            end(root);
+            let profile = profile_since(&marker, root_id);
+            assert_eq!(profile.dropped, 0, "wraps before the marker are not drops");
+            assert_eq!(profile.span_count, 2);
+        });
+    }
+
+    #[test]
+    fn window_overflow_counts_exactly_the_overflow() {
+        let ring = Ring::new(64);
+        let rec = |i| SpanRecord {
+            id: i + 1,
+            parent: 0,
+            kind: SpanKind::Retry,
+            node: 1,
+            worker: 0,
+            start_ns: i,
+            end_ns: i,
+            arg: i,
+        };
+        ring.write(&rec(0));
+        let since = ring.cursor.load(Ordering::Acquire);
+        // The window claims 64 + 37 records: the ring keeps the last 64.
+        for i in 1..=64 + 37 {
+            ring.write(&rec(i));
+        }
+        let mut out = Vec::new();
+        assert_eq!(ring.drain_since(since, &mut out), 37);
+        assert_eq!(out.len(), 64);
+        assert!(out.iter().all(|r| r.arg > 37), "the newest records survive");
     }
 
     #[test]

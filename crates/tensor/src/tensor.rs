@@ -9,9 +9,10 @@ use crate::{Result, Shape, TensorError};
 /// A dense, contiguous, row-major `f32` tensor.
 ///
 /// This is the only tensor representation in the workspace. Layers in
-/// `edgenn-nn` consume and produce `Tensor`s; the EdgeNN runtime slices
-/// them along the channel axis when the CPU and GPU each compute part of a
-/// layer (intra-kernel co-running) and concatenates the parts back.
+/// `edgenn-nn` read `Tensor`s and write their outputs into flat buffers;
+/// when the CPU and GPU each compute part of a layer (intra-kernel
+/// co-running), the two parts are disjoint axis-0 runs of one buffer,
+/// because the layout is row-major.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
@@ -134,11 +135,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-dimensional index.
     ///
     /// # Errors
@@ -175,38 +171,8 @@ impl Tensor {
         })
     }
 
-    /// Copies out the sub-tensor `start..end` along axis 0.
-    ///
-    /// Because tensors are row-major, an axis-0 range is a contiguous
-    /// sub-slice: this is exactly the partition the EdgeNN intra-kernel
-    /// co-running applies (output channels for conv, output rows for fc).
-    ///
-    /// # Errors
-    /// Returns [`TensorError::EmptyRange`] when `start >= end` and
-    /// [`TensorError::OutOfBounds`] when `end` exceeds axis 0.
-    pub fn slice_axis0(&self, start: usize, end: usize) -> Result<Self> {
-        if start >= end {
-            return Err(TensorError::EmptyRange { start, end });
-        }
-        let axis0 = self.shape.dim(0)?;
-        if end > axis0 {
-            return Err(TensorError::OutOfBounds {
-                axis: 0,
-                index: end,
-                size: axis0,
-            });
-        }
-        let inner: usize = self.shape.dims()[1..].iter().product();
-        let data = self.data[start * inner..end * inner].to_vec();
-        let shape = self.shape.with_dim(0, end - start)?;
-        Ok(Self { data, shape })
-    }
-
-    /// Concatenates tensors along axis 0.
-    ///
-    /// The inverse of [`Tensor::slice_axis0`]; the hybrid-execution merge
-    /// step uses it to combine the CPU part and the GPU part of a layer
-    /// output. All parts must agree on every non-leading dimension.
+    /// Concatenates tensors along axis 0. All parts must agree on every
+    /// non-leading dimension.
     ///
     /// # Errors
     /// Returns [`TensorError::ShapeMismatch`] when trailing dims disagree
@@ -396,31 +362,10 @@ mod tests {
     }
 
     #[test]
-    fn slice_axis0_extracts_contiguous_rows() {
-        let t = Tensor::arange(&[4, 2]);
-        let s = t.slice_axis0(1, 3).unwrap();
-        assert_eq!(s.dims(), &[2, 2]);
-        assert_eq!(s.as_slice(), &[2.0, 3.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn slice_axis0_validates_range() {
-        let t = Tensor::arange(&[4, 2]);
-        assert!(matches!(
-            t.slice_axis0(2, 2),
-            Err(TensorError::EmptyRange { .. })
-        ));
-        assert!(matches!(
-            t.slice_axis0(3, 5),
-            Err(TensorError::OutOfBounds { .. })
-        ));
-    }
-
-    #[test]
-    fn concat_inverts_slice() {
+    fn concat_joins_axis0_runs() {
         let t = Tensor::arange(&[5, 3]);
-        let a = t.slice_axis0(0, 2).unwrap();
-        let b = t.slice_axis0(2, 5).unwrap();
+        let a = Tensor::from_vec(t.as_slice()[..6].to_vec(), &[2, 3]).unwrap();
+        let b = Tensor::from_vec(t.as_slice()[6..].to_vec(), &[3, 3]).unwrap();
         let merged = Tensor::concat_axis0(&[&a, &b]).unwrap();
         assert_eq!(merged, t);
     }

@@ -27,7 +27,7 @@ fn reshape_roundtrip_preserves_tensor() {
 }
 
 #[test]
-fn slice_concat_roundtrip() {
+fn concat_of_axis0_runs_roundtrips() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xED6E_0002);
     for _ in 0..CASES {
         let axis0 = rng.gen_range(1usize..12);
@@ -36,14 +36,16 @@ fn slice_concat_roundtrip() {
         let cut_frac = rng.gen_range(0.0f64..1.0);
         let t = Tensor::random(&[axis0, inner], 1.0, seed);
         let cut = ((axis0 as f64 * cut_frac) as usize).clamp(1, axis0);
+        // Row-major: the first `cut` axis-0 units are one contiguous run.
+        let run = |lo: usize, hi: usize| {
+            let data = t.as_slice()[lo * inner..hi * inner].to_vec();
+            Tensor::from_vec(data, &[hi - lo, inner]).unwrap()
+        };
         if cut == axis0 {
-            // Degenerate split: single full slice must equal the tensor.
-            let s = t.slice_axis0(0, axis0).unwrap();
-            assert_eq!(s, t);
+            // Degenerate split: a single full run must equal the tensor.
+            assert_eq!(Tensor::concat_axis0(&[&run(0, axis0)]).unwrap(), t);
         } else {
-            let a = t.slice_axis0(0, cut).unwrap();
-            let b = t.slice_axis0(cut, axis0).unwrap();
-            let merged = Tensor::concat_axis0(&[&a, &b]).unwrap();
+            let merged = Tensor::concat_axis0(&[&run(0, cut), &run(cut, axis0)]).unwrap();
             assert_eq!(merged, t);
         }
     }

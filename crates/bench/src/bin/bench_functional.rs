@@ -13,7 +13,7 @@
 use std::process::ExitCode;
 
 use edgenn_bench::functional_bench::{
-    drop_gate, gate, measure, overhead_gate, validate, BenchReport,
+    drop_gate, gate, gate_rows, measure, overhead_gate, validate, BenchReport,
 };
 
 const FULL_ITERS: u32 = 60;
@@ -154,6 +154,10 @@ fn main() -> ExitCode {
                     .and_then(|(m, b)| {
                         validate(&m)?;
                         validate(&b)?;
+                        // Every gated row's margin, pass or fail.
+                        for row in gate_rows(&m, &b, slack)? {
+                            println!("{row}");
+                        }
                         gate(&m, &b, slack)
                     })
                     .map(|()| println!("gate ok (slack {slack})")),

@@ -386,18 +386,57 @@ pub fn validate(report: &BenchReport) -> Result<(), String> {
 /// load. The larger models are the meaningful regression detectors.
 pub const GATE_NOISE_FLOOR_NS: f64 = 20_000.0;
 
-/// Gates `measured` against `baseline`: for every model present in both
-/// at the same precision and core count, the hybrid/reference ratio
-/// (machine-independent engine overhead) must not exceed the baseline's
-/// ratio by more than `slack` (0.25 = 25%). Models whose baseline
-/// reference time sits under [`GATE_NOISE_FLOOR_NS`] are skipped as too
-/// noise-dominated to gate.
+/// One row [`gate`] judges: the measured hybrid/reference ratio, the
+/// baseline row's ratio, and the limit the measured one may not exceed.
+#[derive(Debug, Clone)]
+pub struct GateRow<'a> {
+    /// The measured row.
+    row: &'a ModelRow,
+    /// Its hybrid/reference ratio.
+    ratio: f64,
+    /// The baseline row's hybrid/reference ratio.
+    baseline: f64,
+    /// `baseline * (1 + slack)`.
+    limit: f64,
+}
+
+impl GateRow<'_> {
+    /// True when the measured ratio exceeds the limit.
+    fn fails(&self) -> bool {
+        self.ratio > self.limit
+    }
+}
+
+impl std::fmt::Display for GateRow<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{:<12} {:<5} {} cores  ratio {:.3}  baseline {:.3}  limit {:.3}  {}",
+            self.row.model,
+            self.row.precision.to_string(),
+            self.row.cores,
+            self.ratio,
+            self.baseline,
+            self.limit,
+            if self.fails() { "FAIL" } else { "ok" }
+        )
+    }
+}
+
+/// The rows [`gate`] judges, in measured order: every model present in
+/// `measured` and `baseline` at the same precision and core count, except
+/// those whose baseline reference time sits under
+/// [`GATE_NOISE_FLOOR_NS`], which are too noise-dominated to gate.
 ///
 /// # Errors
 /// Refuses a measurement taken on a core count the baseline has no rows
 /// for (the ratio of a two-core run says nothing about a one-core
-/// baseline); otherwise returns a description of every regressed model.
-pub fn gate(measured: &BenchReport, baseline: &BenchReport, slack: f64) -> Result<(), String> {
+/// baseline).
+pub fn gate_rows<'a>(
+    measured: &'a BenchReport,
+    baseline: &BenchReport,
+    slack: f64,
+) -> Result<Vec<GateRow<'a>>, String> {
     let mut unknown: Vec<usize> = measured
         .models
         .iter()
@@ -413,7 +452,7 @@ pub fn gate(measured: &BenchReport, baseline: &BenchReport, slack: f64) -> Resul
              before gating"
         ));
     }
-    let mut failures = Vec::new();
+    let mut rows = Vec::new();
     for new in &measured.models {
         let Some(old) = baseline
             .models
@@ -425,19 +464,42 @@ pub fn gate(measured: &BenchReport, baseline: &BenchReport, slack: f64) -> Resul
         if old.reference_ns < GATE_NOISE_FLOOR_NS {
             continue; // sub-floor model: timer jitter dwarfs the signal
         }
-        let new_ratio = new.hybrid_ns / new.reference_ns;
-        let old_ratio = old.hybrid_ns / old.reference_ns;
-        if new_ratio > old_ratio * (1.0 + slack) {
-            failures.push(format!(
-                "{} ({}, {} cores): hybrid/reference ratio {new_ratio:.3} exceeds \
-                 baseline {old_ratio:.3} by more than {:.0}%",
-                new.model,
-                new.precision,
-                new.cores,
-                slack * 100.0
-            ));
-        }
+        let baseline = old.hybrid_ns / old.reference_ns;
+        rows.push(GateRow {
+            row: new,
+            ratio: new.hybrid_ns / new.reference_ns,
+            baseline,
+            limit: baseline * (1.0 + slack),
+        });
     }
+    Ok(rows)
+}
+
+/// Gates `measured` against `baseline`: the hybrid/reference ratio
+/// (machine-independent engine overhead) of every row [`gate_rows`]
+/// judges must not exceed the baseline's ratio by more than `slack`
+/// (0.25 = 25%).
+///
+/// # Errors
+/// Returns [`gate_rows`]' refusal, or a description of every regressed
+/// model.
+pub fn gate(measured: &BenchReport, baseline: &BenchReport, slack: f64) -> Result<(), String> {
+    let failures: Vec<String> = gate_rows(measured, baseline, slack)?
+        .iter()
+        .filter(|r| r.fails())
+        .map(|r| {
+            format!(
+                "{} ({}, {} cores): hybrid/reference ratio {:.3} exceeds \
+                 baseline {:.3} by more than {:.0}%",
+                r.row.model,
+                r.row.precision,
+                r.row.cores,
+                r.ratio,
+                r.baseline,
+                slack * 100.0
+            )
+        })
+        .collect();
     if failures.is_empty() {
         Ok(())
     } else {
@@ -634,6 +696,33 @@ mod tests {
         let mut smoke = report(vec![on_cores(row("vgg16", 50_000.0, 45_000.0), 2)]);
         smoke.iters = 16;
         assert_eq!(smoke.merged_over(&older).models.len(), 1);
+    }
+
+    #[test]
+    fn gate_rows_report_ratio_baseline_and_limit() {
+        let baseline = report(vec![
+            row("resnet18", 50_000.0, 100_000.0), // ratio 2.0
+            row("fcnn", 2000.0, 2000.0),          // under the noise floor
+        ]);
+        let measured = report(vec![
+            row("resnet18", 50_000.0, 130_000.0),
+            row("fcnn", 2000.0, 20_000.0),
+        ]);
+        let rows = gate_rows(&measured, &baseline, 0.25).unwrap();
+        assert_eq!(rows.len(), 1, "sub-floor rows are not gated");
+        let r = &rows[0];
+        assert_eq!((r.ratio, r.baseline, r.limit), (2.6, 2.0, 2.5));
+        assert!(r.fails());
+        assert_eq!(
+            r.to_string(),
+            "resnet18     f32   1 cores  ratio 2.600  baseline 2.000  limit 2.500  FAIL"
+        );
+        let ok = report(vec![int8_row("resnet18", 50_000.0, 40_000.0)]);
+        let baseline = report(vec![int8_row("resnet18", 50_000.0, 50_000.0)]);
+        assert_eq!(
+            gate_rows(&ok, &baseline, 0.25).unwrap()[0].to_string(),
+            "resnet18     int8  1 cores  ratio 0.800  baseline 1.000  limit 1.250  ok"
+        );
     }
 
     #[test]

@@ -224,7 +224,7 @@ pub fn registry() -> &'static [CodeInfo] {
             title: "assignment violates mode or capability",
             severity: Error,
             lenient: false,
-            remediation: "Only emit split assignments when the hybrid mode allows intra-kernel co-running and the layer supports the split axis.",
+            remediation: "Only emit split assignments when the hybrid mode allows intra-kernel co-running and the split axis holds at least two units (`partition_units` for an output split, `input_channels` for an input split).",
         },
         CodeInfo {
             code: GPU_WORK_WITHOUT_GPU,
@@ -427,7 +427,7 @@ pub fn registry() -> &'static [CodeInfo] {
             title: "fused node breaks partial-range contract",
             severity: Error,
             lenient: false,
-            remediation: "A +relu node must wrap a non-ReLU producer and defer its epilogue when it supports input splits.",
+            remediation: "A +relu node must wrap a non-ReLU producer and defer its epilogue when it has two or more input channels to split.",
         },
         CodeInfo {
             code: COMPILE_ORPHANED_NODES,

@@ -20,7 +20,9 @@
 //! [`crate::check_graph`] on the compiled graph — this module checks the
 //! rewrite, tier A checks the result as a graph in its own right.
 
-use edgenn_nn::graph::{CompileReport, Graph};
+use edgenn_nn::graph::{CompileReport, Graph, Node};
+use edgenn_nn::layer::Role;
+use edgenn_tensor::Shape;
 
 use crate::{codes, Diagnostic, Span};
 
@@ -68,14 +70,19 @@ pub fn check_compiled(
         if !layer.name().ends_with("+relu") {
             continue;
         }
-        if layer.is_relu() {
+        if layer.role() == Role::Relu {
             out.push(Diagnostic::new(
                 codes::COMPILE_FUSION_CONTRACT,
                 Span::Node(idx),
                 format!("'{}' fuses a ReLU into a ReLU", layer.name()),
             ));
         }
-        if layer.input_split_supported() && !layer.deferred_epilogue_relu() {
+        let shapes: Vec<&Shape> = node
+            .inputs()
+            .iter()
+            .filter_map(|&i| compiled.node(i).ok().map(Node::output_shape))
+            .collect();
+        if layer.input_channels(&shapes).unwrap_or(1) >= 2 && !layer.deferred_epilogue_relu() {
             out.push(Diagnostic::new(
                 codes::COMPILE_FUSION_CONTRACT,
                 Span::Node(idx),

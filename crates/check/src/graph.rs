@@ -7,7 +7,7 @@
 //! untrusted.
 
 use edgenn_nn::graph::Graph;
-use edgenn_nn::layer::LayerClass;
+use edgenn_nn::layer::{LayerClass, Role};
 use edgenn_tensor::Shape;
 
 use crate::{codes, Diagnostic, Span};
@@ -56,14 +56,18 @@ pub fn check_graph(graph: &Graph) -> Vec<Diagnostic> {
             ));
         }
 
+        let shapes: Vec<&Shape> = if inputs_ok {
+            node.inputs()
+                .iter()
+                .map(|i| graph.nodes()[i.index()].output_shape())
+                .collect()
+        } else {
+            Vec::new()
+        };
+
         // EC003 — stored shape must agree with shape inference over the
         // actual input shapes (conv/pool/dense chains propagate here).
         if layer.class() != LayerClass::Input && inputs_ok {
-            let shapes: Vec<&Shape> = node
-                .inputs()
-                .iter()
-                .map(|i| graph.nodes()[i.index()].output_shape())
-                .collect();
             match layer.output_shape(&shapes) {
                 Ok(inferred) if &inferred != node.output_shape() => {
                     out.push(Diagnostic::new(
@@ -93,9 +97,11 @@ pub fn check_graph(graph: &Graph) -> Vec<Diagnostic> {
         // not distribute over partial sums; a fused node may keep input
         // splits only by declaring `deferred_epilogue_relu`, which makes
         // the executor clamp once after the merge).
+        let relu = layer.role() == Role::Relu;
         if layer.name().ends_with("+relu")
-            && (layer.is_relu()
-                || (layer.input_split_supported() && !layer.deferred_epilogue_relu()))
+            && (relu
+                || (layer.input_channels(&shapes).unwrap_or(1) >= 2
+                    && !layer.deferred_epilogue_relu()))
         {
             out.push(Diagnostic::new(
                 codes::ILLEGAL_FUSION,
@@ -103,7 +109,7 @@ pub fn check_graph(graph: &Graph) -> Vec<Diagnostic> {
                 format!(
                     "'{}' carries a ReLU fusion it must not ({})",
                     layer.name(),
-                    if layer.is_relu() {
+                    if relu {
                         "producer is itself a ReLU"
                     } else {
                         "producer emits non-final partial sums without a deferred epilogue"

@@ -322,11 +322,10 @@ impl Interp {
 /// Interprets `schedule` against the zero-copy contract, returning the
 /// full tier-D report. Pass the schedule from [`derive_schedule`] for
 /// the engine's real behaviour, or a mutated one to test the verifier.
-/// The schedule's ops already carry `plan`'s arena and split sizes.
+/// The schedule's ops already carry the plan's arena and split sizes.
 #[must_use]
 pub fn analyze_schedule(
     graph: &Graph,
-    _plan: &ExecutionPlan,
     platform: &Platform,
     schedule: &Schedule,
 ) -> OwnershipReport {
@@ -505,7 +504,7 @@ pub fn check_ownership(
     platform: &Platform,
 ) -> OwnershipReport {
     match Program::new(graph) {
-        Ok(program) => analyze_schedule(graph, plan, platform, &program.lower(plan)),
+        Ok(program) => analyze_schedule(graph, platform, &program.lower(plan)),
         Err(e) => OwnershipReport {
             diagnostics: vec![Diagnostic::new(
                 codes::UNDECOMPOSABLE,

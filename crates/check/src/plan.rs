@@ -8,7 +8,7 @@
 use edgenn_core::footprint::footprint;
 use edgenn_core::plan::{Assignment, ExecutionConfig, ExecutionPlan, HybridMode, MemoryPolicy};
 use edgenn_core::tuner::NodeStats;
-use edgenn_nn::graph::Graph;
+use edgenn_nn::graph::{Graph, Node};
 use edgenn_nn::layer::LayerClass;
 use edgenn_sim::memory::AllocStrategy;
 use edgenn_sim::platforms::Platform;
@@ -157,17 +157,24 @@ pub fn check_plan(graph: &Graph, plan: &ExecutionPlan, platform: &Platform) -> V
                         ),
                     ));
                 }
-                if by_input && !layer.input_split_supported() {
+                // The split axis must hold two or more units to share out:
+                // input channels, or output units.
+                let shapes: Vec<&Shape> = node
+                    .inputs()
+                    .iter()
+                    .filter_map(|&i| graph.node(i).ok().map(Node::output_shape))
+                    .collect();
+                let (units, axis) = if by_input {
+                    (layer.input_channels(&shapes), "input channel")
+                } else {
+                    (layer.partition_units(&shapes), "output unit")
+                };
+                let units = units.unwrap_or(1);
+                if units < 2 {
                     out.push(Diagnostic::new(
                         codes::ASSIGNMENT_FORBIDDEN,
                         Span::Node(idx),
-                        format!("'{name}' does not support input-channel splits"),
-                    ));
-                } else if !by_input && !layer.partitionable() {
-                    out.push(Diagnostic::new(
-                        codes::ASSIGNMENT_FORBIDDEN,
-                        Span::Node(idx),
-                        format!("'{name}' is not partitionable"),
+                        format!("'{name}' has {units} {axis}(s), too few to split"),
                     ));
                 }
                 if !cpu_fraction.is_finite() || cpu_fraction <= 0.0 || cpu_fraction > 1.0 {
@@ -179,23 +186,16 @@ pub fn check_plan(graph: &Graph, plan: &ExecutionPlan, platform: &Platform) -> V
                 } else if !by_input {
                     // EC015 — the fraction must carve out whole kernels:
                     // at least one partition unit for each processor.
-                    let shapes: Vec<&Shape> = node
-                        .inputs()
-                        .iter()
-                        .map(|i| graph.nodes()[i.index()].output_shape())
-                        .collect();
-                    if let Ok(units) = layer.partition_units(&shapes) {
-                        let cpu_units = (cpu_fraction * units as f64).round();
-                        if units >= 2 && (cpu_units < 1.0 || cpu_units > (units - 1) as f64) {
-                            out.push(Diagnostic::new(
-                                codes::DEGENERATE_SPLIT,
-                                Span::Node(idx),
-                                format!(
-                                    "'{name}' at cpu_fraction = {cpu_fraction:.4} leaves one \
-                                     processor without a whole unit ({units} units total)"
-                                ),
-                            ));
-                        }
+                    let cpu_units = (cpu_fraction * units as f64).round();
+                    if units >= 2 && (cpu_units < 1.0 || cpu_units > (units - 1) as f64) {
+                        out.push(Diagnostic::new(
+                            codes::DEGENERATE_SPLIT,
+                            Span::Node(idx),
+                            format!(
+                                "'{name}' at cpu_fraction = {cpu_fraction:.4} leaves one \
+                                 processor without a whole unit ({units} units total)"
+                            ),
+                        ));
                     }
                 }
                 if by_input
@@ -325,6 +325,24 @@ mod tests {
             diags.iter().any(|d| d.code == codes::ASSIGNMENT_FORBIDDEN),
             "{diags:?}"
         );
+    }
+
+    #[test]
+    fn a_split_axis_of_one_unit_trips_ec013() {
+        // LeNet's first conv reads one input channel: an input-channel
+        // split has nothing to share out, whatever the mode allows.
+        let graph = build(ModelKind::LeNet, ModelScale::Tiny);
+        assert_eq!(graph.nodes()[1].layer().class(), LayerClass::Conv);
+        let mut plan = gpu_plan(&graph, ExecutionConfig::edgenn());
+        plan.nodes[1].assignment = Assignment::SplitInput { cpu_fraction: 0.5 };
+        let diags = check_plan(&graph, &plan, &jetson_agx_xavier());
+        assert!(
+            diags.iter().any(|d| d.code == codes::ASSIGNMENT_FORBIDDEN
+                && d.message.contains("1 input channel(s)")),
+            "{diags:?}"
+        );
+        plan.nodes[1].assignment = Assignment::Split { cpu_fraction: 0.5 };
+        assert!(check_plan(&graph, &plan, &jetson_agx_xavier()).is_empty());
     }
 
     #[test]

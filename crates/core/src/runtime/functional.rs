@@ -950,7 +950,7 @@ fn forward_assigned(ctx: Ctx<'_>, id: NodeId, inputs: &[&Tensor]) -> Result<(Ten
         }
         Assignment::SplitInput { cpu_fraction } => {
             let channels = layer.input_channels(&shapes)?;
-            if !layer.input_split_supported() || channels < 2 {
+            if channels < 2 {
                 whole(&mut out)?;
                 return Ok((Tensor::from_vec(out, dims)?, false, 0));
             }
@@ -1346,9 +1346,7 @@ mod tests {
                     .iter()
                     .map(|i| graph.node(*i).unwrap().output_shape())
                     .collect();
-                if node.layer().partitionable()
-                    && node.layer().partition_units(&shapes).unwrap_or(1) >= 2
-                {
+                if node.layer().partition_units(&shapes).unwrap_or(1) >= 2 {
                     nodes[id.index()] = NodePlan {
                         assignment: Assignment::Split { cpu_fraction: 0.5 },
                         output_alloc: AllocStrategy::Explicit,
@@ -1398,9 +1396,7 @@ mod tests {
                     .iter()
                     .map(|i| graph.node(*i).unwrap().output_shape())
                     .collect();
-                if node.layer().input_split_supported()
-                    && node.layer().input_channels(&shapes).unwrap_or(1) >= 2
-                {
+                if node.layer().input_channels(&shapes).unwrap_or(1) >= 2 {
                     nodes[id.index()] = NodePlan {
                         assignment: Assignment::SplitInput { cpu_fraction: 0.4 },
                         output_alloc: AllocStrategy::Explicit,
@@ -1451,9 +1447,7 @@ mod tests {
                     .iter()
                     .map(|i| graph.node(*i).unwrap().output_shape())
                     .collect();
-                if node.layer().input_split_supported()
-                    && node.layer().input_channels(&shapes).unwrap_or(1) >= 2
-                {
+                if node.layer().input_channels(&shapes).unwrap_or(1) >= 2 {
                     nodes[id.index()] = NodePlan {
                         assignment: Assignment::SplitInput { cpu_fraction: 0.4 },
                         output_alloc: AllocStrategy::Explicit,
@@ -1933,9 +1927,7 @@ mod tests {
                                 .iter()
                                 .map(|i| graph.node(*i).unwrap().output_shape())
                                 .collect();
-                            if node.layer().partitionable()
-                                && node.layer().partition_units(&shapes).unwrap_or(1) >= 2
-                            {
+                            if node.layer().partition_units(&shapes).unwrap_or(1) >= 2 {
                                 nodes[id.index()] = NodePlan {
                                     assignment: Assignment::Split { cpu_fraction },
                                     output_alloc: AllocStrategy::Explicit,

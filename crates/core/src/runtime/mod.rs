@@ -1428,8 +1428,21 @@ mod tests {
         let b = scale_desc(&desc, 0.7);
         let total = a.flops + b.flops;
         assert!(total >= desc.flops - 1 && total <= desc.flops + 1);
+        let out = a.bytes_out + b.bytes_out;
+        assert!(out >= desc.bytes_out - 1 && out <= desc.bytes_out + 1);
         assert_eq!(a.bytes_in, desc.bytes_in, "both parts read the whole input");
         assert_eq!(a.working_set_bytes, desc.working_set_bytes);
+        // Half the output channels: half the work, output and weights.
+        let half = scale_desc(&desc, 0.5);
+        assert_eq!(half.flops, desc.flops / 2);
+        assert_eq!(half.bytes_out, desc.bytes_out / 2);
+        assert_eq!(half.weight_bytes, desc.weight_bytes / 2);
+        // The work grows with the share and the whole share is all of it.
+        let flops: Vec<u64> = (0..=10)
+            .map(|k| scale_desc(&desc, f64::from(k) / 10.0).flops)
+            .collect();
+        assert!(flops.windows(2).all(|w| w[0] <= w[1]), "{flops:?}");
+        assert_eq!(flops[10], desc.flops);
     }
 
     #[test]

@@ -324,11 +324,11 @@ mod tests {
 
     #[test]
     fn arena_bound_is_byte_accurate_across_element_widths() {
-        // The certified arena component uses `Layer::scratch_bytes` —
-        // byte-accurate across precisions — so it must dominate the
-        // f32-only `scratch_elems x 4` figure, and strictly exceed it
-        // for models with dense layers (the f32 mat-vec touches no
-        // arena, but the int8 path quantizes its input into scratch).
+        // The certified arena component is each node's
+        // `Layer::scratch_bytes`, byte-accurate across precisions. Models
+        // with dense layers carry it beyond the f32 kernels' needs: the
+        // f32 mat-vec touches no arena, but the int8 path quantizes its
+        // input into scratch.
         for kind in ModelKind::ALL {
             let graph = build(kind, ModelScale::Tiny);
             let plan = ExecutionPlan {
@@ -348,30 +348,30 @@ mod tests {
                     _ => 0,
                 })
                 .sum();
-            let f32_only: u64 = graph
-                .topo_order()
-                .map(|id| {
-                    let node = graph.node(id).unwrap();
-                    let shapes: Vec<&Shape> = node
-                        .inputs()
-                        .iter()
-                        .map(|i| graph.node(*i).unwrap().output_shape())
-                        .collect();
-                    node.layer().scratch_elems(&shapes).unwrap_or(0) * 4
-                })
-                .sum();
-            assert!(
-                arena >= f32_only,
-                "{kind}: byte-accurate bound {arena} must dominate the f32-only {f32_only}"
-            );
+            let bound = |class: Option<LayerClass>| -> u64 {
+                graph
+                    .topo_order()
+                    .map(|id| graph.node(id).unwrap())
+                    .filter(|node| class.is_none_or(|c| node.layer().class() == c))
+                    .map(|node| {
+                        let shapes: Vec<&Shape> = node
+                            .inputs()
+                            .iter()
+                            .map(|i| graph.node(*i).unwrap().output_shape())
+                            .collect();
+                        node.layer().scratch_bytes(&shapes).unwrap()
+                    })
+                    .sum()
+            };
+            assert_eq!(arena, bound(None), "{kind}");
             let has_fc = graph
                 .nodes()
                 .iter()
                 .any(|n| n.layer().class() == LayerClass::Fc);
             if has_fc {
                 assert!(
-                    arena > f32_only,
-                    "{kind}: dense layers must widen the bound beyond f32-only {f32_only}"
+                    bound(Some(LayerClass::Fc)) > 0,
+                    "{kind}: dense layers must bound their int8 input copy"
                 );
             }
         }

@@ -529,11 +529,7 @@ impl Tuner {
             .iter()
             .map(|i| graph.node(*i).map(edgenn_nn::graph::Node::output_shape))
             .collect::<std::result::Result<_, _>>()?;
-        let units = if node.layer().partitionable() {
-            node.layer().partition_units(&shapes)?
-        } else {
-            1
-        };
+        let units = node.layer().partition_units(&shapes)?;
         let (split, eq) = if units >= 2 {
             let cpu_spec = &runtime.platform().cpu;
             let cpu_corun = edgenn_sim::processor::ExecutionContext {
@@ -627,10 +623,7 @@ impl Tuner {
             // of the whole output (a managed array would thrash — the
             // Section IV-B race-condition case).
             let in_channels = node.layer().input_channels(&shapes)?;
-            if node.layer().input_split_supported()
-                && in_channels >= 2
-                && config.memory_policy != MemoryPolicy::AllManaged
-            {
+            if in_channels >= 2 && config.memory_policy != MemoryPolicy::AllManaged {
                 let merge_full = memory.copy_time_us(v_o);
                 let p_raw = if t_cpu_co + t_gpu_co > 0.0 {
                     t_gpu_co / (t_cpu_co + t_gpu_co)

@@ -132,7 +132,7 @@ fn random_plans_execute_losslessly() {
             nodes[i].assignment = match choice {
                 0 => Assignment::Gpu,
                 1 => Assignment::Cpu,
-                _ if node.layer().partitionable() && units >= 2 => Assignment::Split {
+                _ if units >= 2 => Assignment::Split {
                     cpu_fraction: fractions[i % fractions.len()],
                 },
                 _ => Assignment::Gpu,
@@ -227,14 +227,12 @@ fn batch_execute_matches_forward_under_random_plans() {
             nodes[id.index()].assignment = match rng.gen_range(0u8..4) {
                 0 => Assignment::Gpu,
                 1 => Assignment::Cpu,
-                2 if node.layer().partitionable() && units >= 2 => Assignment::Split {
+                2 if units >= 2 => Assignment::Split {
                     cpu_fraction: rng.gen_range(0.05f64..0.95),
                 },
-                3 if node.layer().input_split_supported() && channels >= 2 => {
-                    Assignment::SplitInput {
-                        cpu_fraction: rng.gen_range(0.05f64..0.95),
-                    }
-                }
+                3 if channels >= 2 => Assignment::SplitInput {
+                    cpu_fraction: rng.gen_range(0.05f64..0.95),
+                },
                 _ => Assignment::Gpu,
             };
         }
@@ -284,14 +282,12 @@ fn compiled_graphs_execute_losslessly_under_random_split_plans() {
                 nodes[id.index()].assignment = match rng.gen_range(0u8..4) {
                     0 => Assignment::Gpu,
                     1 => Assignment::Cpu,
-                    2 if node.layer().partitionable() && units >= 2 => Assignment::Split {
+                    2 if units >= 2 => Assignment::Split {
                         cpu_fraction: rng.gen_range(0.05f64..0.95),
                     },
-                    3 if node.layer().input_split_supported() && channels >= 2 => {
-                        Assignment::SplitInput {
-                            cpu_fraction: rng.gen_range(0.05f64..0.95),
-                        }
-                    }
+                    3 if channels >= 2 => Assignment::SplitInput {
+                        cpu_fraction: rng.gen_range(0.05f64..0.95),
+                    },
                     _ => Assignment::Gpu,
                 };
             }

@@ -37,8 +37,11 @@ use std::sync::Arc;
 use edgenn_tensor::Shape;
 
 use crate::graph::{fuse::FusedRelu, Graph, Node, NodeId};
-use crate::layer::{Constant, Layer};
+use crate::layer::{Constant, Layer, Role};
 use crate::{NnError, Result};
+
+/// Fixpoint guard: the most pipeline iterations [`compile`] runs.
+const MAX_ITERATIONS: usize = 10;
 
 /// Which passes run, and which precisions get weights prepacked.
 #[derive(Debug, Clone)]
@@ -57,8 +60,6 @@ pub struct CompileOptions {
     pub prepack_f32: bool,
     /// Quantize + prepack int8 weights into qgemm panel layout.
     pub prepack_int8: bool,
-    /// Fixpoint guard: maximum pipeline iterations.
-    pub max_iterations: usize,
 }
 
 impl Default for CompileOptions {
@@ -71,7 +72,6 @@ impl Default for CompileOptions {
             dce: true,
             prepack_f32: true,
             prepack_int8: false,
-            max_iterations: 10,
         }
     }
 }
@@ -244,7 +244,7 @@ fn apply(graph: &Graph, decisions: &[Decision]) -> Result<Graph> {
     Ok(Graph::from_parts(graph.name(), nodes, output))
 }
 
-/// Removes inference-time identities: [`Layer::is_identity`] nodes
+/// Removes inference-time identities: [`Role::Identity`] nodes
 /// (dropout), full-range slices, and a ReLU whose producer's output is
 /// already clamped (a preceding ReLU or a fused `+relu` epilogue).
 fn pass_identity_elim(graph: &Graph) -> Result<(Graph, usize)> {
@@ -252,18 +252,21 @@ fn pass_identity_elim(graph: &Graph) -> Result<(Graph, usize)> {
     let mut rewrites = 0;
     for id in graph.topo_order().skip(1) {
         let node = graph.node(id)?;
-        let layer = node.layer();
-        let redundant_relu = layer.is_relu() && {
-            let producer = graph.node(node.inputs()[0])?.layer();
-            producer.is_relu() || producer.deferred_epilogue_relu()
+        let identity = match node.layer().role() {
+            Role::Identity => true,
+            Role::Relu => {
+                let producer = graph.node(node.inputs()[0])?.layer();
+                producer.role() == Role::Relu || producer.deferred_epilogue_relu()
+            }
+            Role::Slice(r) => {
+                r.start == 0
+                    && graph
+                        .node(node.inputs()[0])
+                        .is_ok_and(|p| p.output_shape().dim(0).is_ok_and(|d| d == r.end))
+            }
+            Role::Kernel | Role::Constant(_) | Role::Concat => false,
         };
-        let full_slice = layer.slice_range().is_some_and(|r| {
-            r.start == 0
-                && graph
-                    .node(node.inputs()[0])
-                    .is_ok_and(|p| p.output_shape().dim(0).is_ok_and(|d| d == r.end))
-        });
-        if (layer.is_identity() || redundant_relu || full_slice) && node.inputs().len() == 1 {
+        if identity && node.inputs().len() == 1 {
             // Identities are arity-1 and shape-preserving, so consumers
             // can take the producer's tensor directly. The one forbidden
             // elision: an identity that is the sink AND fed by the input
@@ -290,7 +293,7 @@ pub(crate) fn pass_fuse_activations(graph: &Graph) -> Result<(Graph, usize)> {
     let mut rewrites = 0;
     for id in graph.topo_order().skip(1) {
         let node = graph.node(id)?;
-        if !node.layer().is_relu() {
+        if node.layer().role() != Role::Relu {
             continue;
         }
         let producer = node.inputs()[0];
@@ -301,10 +304,14 @@ pub(crate) fn pass_fuse_activations(graph: &Graph) -> Result<(Graph, usize)> {
         // The producer must feed only this ReLU, must not itself be (or
         // already carry) a ReLU, and must not be a constant — folding an
         // activation into a constant is the constant-folder's job.
-        if graph.successors(producer).len() == 1
-            && !player.is_relu()
-            && !player.deferred_epilogue_relu()
-            && player.constant_value().is_none()
+        let fusible = match player.role() {
+            Role::Relu | Role::Constant(_) => false,
+            Role::Kernel | Role::Identity | Role::Concat | Role::Slice(_) => {
+                !player.deferred_epilogue_relu()
+            }
+        };
+        if fusible
+            && graph.successors(producer).len() == 1
             && fused_into[producer.index()].is_none()
         {
             fused_into[id.index()] = Some(producer);
@@ -325,23 +332,21 @@ fn pass_fold_constants(graph: &Graph) -> Result<(Graph, usize)> {
     let mut decisions: Vec<Decision> = graph.topo_order().map(|_| Decision::Keep).collect();
     // Constness propagates in topo order: a node folded earlier in this
     // sweep counts as constant for its consumers.
-    let mut folded: Vec<bool> = graph
-        .nodes()
-        .iter()
-        .map(|n| n.layer().constant_value().is_some())
-        .collect();
     let mut values: Vec<Option<edgenn_tensor::Tensor>> = graph
         .nodes()
         .iter()
-        .map(|n| n.layer().constant_value().cloned())
+        .map(|n| match n.layer().role() {
+            Role::Constant(value) => Some(value.clone()),
+            Role::Kernel | Role::Relu | Role::Identity | Role::Concat | Role::Slice(_) => None,
+        })
         .collect();
     let mut rewrites = 0;
     for id in graph.topo_order().skip(1) {
         let node = graph.node(id)?;
-        if folded[id.index()] || node.inputs().is_empty() {
+        if values[id.index()].is_some() || node.inputs().is_empty() {
             continue;
         }
-        if !node.inputs().iter().all(|i| folded[i.index()]) {
+        if !node.inputs().iter().all(|i| values[i.index()].is_some()) {
             continue;
         }
         let inputs: Vec<&edgenn_tensor::Tensor> = node
@@ -357,7 +362,6 @@ fn pass_fold_constants(graph: &Graph) -> Result<(Graph, usize)> {
             )),
             inputs: Some(vec![]),
         };
-        folded[id.index()] = true;
         values[id.index()] = Some(result);
         rewrites += 1;
     }
@@ -373,7 +377,7 @@ fn pass_simplify_slices(graph: &Graph) -> Result<(Graph, usize)> {
         let node = graph.node(id)?;
         // Only a *pure* concat is the identity over a covering split —
         // a fused `concat+relu` transforms its inputs and must survive.
-        if node.inputs().len() < 2 || !node.layer().is_concat() {
+        if node.inputs().len() < 2 || node.layer().role() != Role::Concat {
             continue;
         }
         // All inputs must be slices of one common producer...
@@ -381,7 +385,7 @@ fn pass_simplify_slices(graph: &Graph) -> Result<(Graph, usize)> {
         let mut ranges: Vec<Range<usize>> = Vec::with_capacity(node.inputs().len());
         for &slice_id in node.inputs() {
             let slice = graph.node(slice_id)?;
-            let Some(range) = slice.layer().slice_range() else {
+            let Role::Slice(range) = slice.layer().role() else {
                 continue 'nodes;
             };
             match producer {
@@ -493,7 +497,7 @@ pub fn compile(graph: &Graph, options: &CompileOptions) -> Result<(Graph, Compil
             .map(|_| Decision::Keep)
             .collect::<Vec<_>>(),
     )?;
-    for iteration in 1..=options.max_iterations.max(1) {
+    for iteration in 1..=MAX_ITERATIONS {
         report.iterations = iteration;
         let mut changed = false;
         for (name, pass, enabled) in &passes {
@@ -659,7 +663,10 @@ mod tests {
         let folded = opt
             .nodes()
             .iter()
-            .find_map(|n| n.layer().constant_value())
+            .find_map(|n| match n.layer().role() {
+                Role::Constant(value) => Some(value),
+                _ => None,
+            })
             .expect("a folded constant survives");
         assert_eq!(folded.as_slice(), &[0.5; 4]);
         let input = Tensor::random(&[4], 1.0, 8);
@@ -776,7 +783,7 @@ mod tests {
     fn fixpoint_terminates_and_second_compile_is_a_noop() {
         let graph = build(ModelKind::ResNet18, ModelScale::Tiny);
         let (opt, report) = compiled(&graph);
-        assert!(report.iterations <= CompileOptions::default().max_iterations);
+        assert!(report.iterations <= MAX_ITERATIONS);
         let (opt2, report2) = compiled(&opt);
         assert_eq!(opt2.len(), opt.len(), "compile is idempotent");
         assert_eq!(report2.nodes_eliminated(), 0);

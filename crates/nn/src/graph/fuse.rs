@@ -55,10 +55,6 @@ impl Layer for FusedRelu {
         self.inner.output_shape(inputs)
     }
 
-    fn partitionable(&self) -> bool {
-        self.inner.partitionable()
-    }
-
     fn partition_units(&self, inputs: &[&Shape]) -> Result<usize> {
         self.inner.partition_units(inputs)
     }
@@ -93,10 +89,6 @@ impl Layer for FusedRelu {
         self.inner.prepack(int8)
     }
 
-    fn input_split_supported(&self) -> bool {
-        self.inner.input_split_supported()
-    }
-
     fn input_channels(&self, inputs: &[&Shape]) -> Result<usize> {
         self.inner.input_channels(inputs)
     }
@@ -115,10 +107,6 @@ impl Layer for FusedRelu {
 
     fn working_set_bytes(&self, inputs: &[&Shape]) -> Result<u64> {
         self.inner.working_set_bytes(inputs)
-    }
-
-    fn scratch_elems(&self, inputs: &[&Shape]) -> Result<u64> {
-        self.inner.scratch_elems(inputs)
     }
 
     fn scratch_bytes(&self, inputs: &[&Shape]) -> Result<u64> {
@@ -227,10 +215,6 @@ mod tests {
         assert!(q.approx_eq(&f, 0.05));
         // Scratch accounting passes through to the producer.
         let shape = Shape::new(&[3, 6, 6]);
-        assert_eq!(
-            fused.scratch_elems(&[&shape]).unwrap(),
-            conv.scratch_elems(&[&shape]).unwrap()
-        );
         assert_eq!(
             fused.scratch_bytes(&[&shape]).unwrap(),
             conv.scratch_bytes(&[&shape]).unwrap()

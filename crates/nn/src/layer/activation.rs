@@ -2,7 +2,7 @@
 
 use edgenn_tensor::{ops, Shape, Tensor};
 
-use crate::layer::{check_arity, clamp_if, units_part, Layer, LayerClass, Part};
+use crate::layer::{check_arity, clamp_if, units_part, Layer, LayerClass, Part, Role};
 use crate::{Result, Workload};
 
 /// Rectified linear unit.
@@ -27,8 +27,8 @@ impl Layer for Relu {
         &self.name
     }
 
-    fn is_relu(&self) -> bool {
-        true
+    fn role(&self) -> Role<'_> {
+        Role::Relu
     }
 
     fn class(&self) -> LayerClass {
@@ -97,8 +97,8 @@ impl Layer for Dropout {
         LayerClass::Activation
     }
 
-    fn is_identity(&self) -> bool {
-        true
+    fn role(&self) -> Role<'_> {
+        Role::Identity
     }
 
     fn output_shape(&self, inputs: &[&Shape]) -> Result<Shape> {
@@ -153,10 +153,6 @@ impl Layer for Softmax {
     fn output_shape(&self, inputs: &[&Shape]) -> Result<Shape> {
         check_arity(&self.name, 1, inputs)?;
         Ok(inputs[0].clone())
-    }
-
-    fn partitionable(&self) -> bool {
-        false
     }
 
     fn partition_units(&self, _inputs: &[&Shape]) -> Result<usize> {
@@ -225,7 +221,6 @@ mod tests {
     fn softmax_rejects_partitioning() {
         let s = Softmax::new("s");
         let x = Tensor::random(&[4], 1.0, 0);
-        assert!(!s.partitionable());
         assert_eq!(s.partition_units(&[x.shape()]).unwrap(), 1);
         assert!(matches!(
             compute(&s, &[&x], units(0..0, false, false)),

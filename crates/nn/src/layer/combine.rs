@@ -4,7 +4,7 @@ use std::ops::Range;
 
 use edgenn_tensor::{Shape, Tensor};
 
-use crate::layer::{check_arity, clamp_if, units_part, Layer, LayerClass, Part};
+use crate::layer::{check_arity, clamp_if, units_part, Layer, LayerClass, Part, Role};
 use crate::{NnError, Result, Workload};
 
 /// Channel-axis concatenation of two or more CHW maps.
@@ -55,8 +55,8 @@ impl Layer for Concat {
         self.arity
     }
 
-    fn is_concat(&self) -> bool {
-        true
+    fn role(&self) -> Role<'_> {
+        Role::Concat
     }
 
     fn output_shape(&self, inputs: &[&Shape]) -> Result<Shape> {
@@ -210,16 +210,12 @@ impl Layer for Constant {
         Ok(self.value.shape().clone())
     }
 
-    fn partitionable(&self) -> bool {
-        false
-    }
-
     fn partition_units(&self, _inputs: &[&Shape]) -> Result<usize> {
         Ok(1)
     }
 
-    fn constant_value(&self) -> Option<&Tensor> {
-        Some(&self.value)
+    fn role(&self) -> Role<'_> {
+        Role::Constant(&self.value)
     }
 
     fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()> {
@@ -303,8 +299,8 @@ impl Layer for Slice {
             .map_err(Into::into)
     }
 
-    fn slice_range(&self) -> Option<Range<usize>> {
-        Some(self.start..self.end)
+    fn role(&self) -> Role<'_> {
+        Role::Slice(self.range())
     }
 
     fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()> {
@@ -360,10 +356,6 @@ impl Layer for Flatten {
     fn output_shape(&self, inputs: &[&Shape]) -> Result<Shape> {
         check_arity(&self.name, 1, inputs)?;
         Ok(Shape::new(&[inputs[0].num_elements()]))
-    }
-
-    fn partitionable(&self) -> bool {
-        false
     }
 
     fn partition_units(&self, _inputs: &[&Shape]) -> Result<usize> {
@@ -456,7 +448,7 @@ mod tests {
         let y = f.forward(&[&x]).unwrap();
         assert_eq!(y.dims(), &[24]);
         assert_eq!(y.as_slice(), x.as_slice());
-        assert!(!f.partitionable());
+        assert_eq!(f.partition_units(&[x.shape()]).unwrap(), 1);
     }
 
     #[test]
@@ -488,8 +480,8 @@ mod tests {
         let v = Tensor::arange(&[3, 2]);
         let c = Constant::new("k", v.clone());
         assert_eq!(c.arity(), 0);
-        assert!(!c.partitionable());
-        assert_eq!(c.constant_value().unwrap(), &v);
+        assert_eq!(c.partition_units(&[]).unwrap(), 1);
+        assert_eq!(c.role(), Role::Constant(&v));
         assert_eq!(c.output_shape(&[]).unwrap(), *v.shape());
         assert_eq!(c.forward(&[]).unwrap(), v);
         assert_eq!(c.workload(&[]).unwrap().flops, 0);

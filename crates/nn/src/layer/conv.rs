@@ -216,15 +216,14 @@ impl Layer for Conv2d {
             &self.weight.get().as_slice()[range.start * patch..range.end * patch]
         };
         // Bias (and the fused ReLU) ride in the GEMM's write-back
-        // epilogue — each output element is touched exactly once. The
-        // GEMM accumulates into `out`, so it starts from zero.
+        // epilogue, and the GEMM overwrites `out`: each output element is
+        // touched exactly once.
         let bias = &bias[range];
         let ep = if relu {
             Epilogue::BiasRelu { bias }
         } else {
             Epilogue::Bias { bias }
         };
-        out.fill(0.0);
         conv_gemm_into(x, &g, w_part, out, ep)?;
         Ok(())
     }
@@ -260,10 +259,6 @@ impl Layer for Conv2d {
         }
     }
 
-    fn input_split_supported(&self) -> bool {
-        true
-    }
-
     fn input_channels(&self, inputs: &[&Shape]) -> Result<usize> {
         check_arity(&self.name, 1, inputs)?;
         self.geometry(inputs[0])?;
@@ -292,26 +287,19 @@ impl Layer for Conv2d {
         Ok((taps * cols + self.weight.len() as u64) * 4)
     }
 
-    fn scratch_elems(&self, inputs: &[&Shape]) -> Result<u64> {
+    fn scratch_bytes(&self, inputs: &[&Shape]) -> Result<u64> {
         check_arity(&self.name, 1, inputs)?;
         let g = self.geometry(inputs[0])?;
-        // The worst f32 path is an input-channel part over all
+        // Whichever precision's peak is larger bounds the arena, in 4-byte
+        // words. The worst f32 path is an input-channel part over all
         // channels: the gathered weight columns, with the kernel's padded
-        // map and tap-offset table nested inside. The other paths acquire
-        // only the kernel's share, so this dominates every f32 path.
+        // map and tap-offset table nested inside; the other f32 paths
+        // acquire only the kernel's share. The int8 path holds the
+        // quantized pair map and its tap-offset table at once (A is
+        // prepacked at init, outside the arena).
         let gathered_w = self.out_channels * self.in_channels * self.kernel * self.kernel;
-        Ok((gathered_w + conv_gemm_scratch_elems(&g)) as u64)
-    }
-
-    fn scratch_bytes(&self, inputs: &[&Shape]) -> Result<u64> {
-        // Whichever precision's peak is larger bounds the arena: the f32
-        // paths acquire `scratch_elems * 4` bytes; the int8 path holds
-        // the quantized pair map and its tap-offset table (4 bytes per
-        // word) at once (A is prepacked at init, outside the arena).
-        let f32_bytes = self.scratch_elems(inputs)? * 4;
-        let g = self.geometry(inputs[0])?;
-        let int8_bytes = 4 * conv_qgemm_scratch_elems(&g) as u64;
-        Ok(f32_bytes.max(int8_bytes))
+        let f32_words = gathered_w + conv_gemm_scratch_elems(&g);
+        Ok(4 * f32_words.max(conv_qgemm_scratch_elems(&g)) as u64)
     }
 }
 
@@ -339,7 +327,6 @@ impl Conv2d {
         let part_taps = range.len() * taps_per_channel;
         let full_taps = self.in_channels * taps_per_channel;
         let w = self.weight.get().as_slice();
-        out.fill(0.0);
         with_scratch(self.out_channels * part_taps, |w_buf| {
             for (oc, dst) in w_buf.chunks_mut(part_taps).enumerate() {
                 let row = &w[oc * full_taps..(oc + 1) * full_taps];
@@ -492,7 +479,6 @@ mod tests {
                 merged.max_abs_diff(&full).unwrap()
             );
         }
-        assert!(conv.input_split_supported());
         assert_eq!(conv.input_channels(&[x.shape()]).unwrap(), 6);
     }
 
@@ -550,23 +536,18 @@ mod tests {
             (Conv2d::new("c", 3, 8, 1, 1, 0, 21), Shape::new(&[3, 5, 5])),
         ] {
             let g = conv.geometry(&shape).unwrap();
-            let elems = conv.scratch_elems(&[&shape]).unwrap();
             let bytes = conv.scratch_bytes(&[&shape]).unwrap();
             // An f32 units part: the padded map and the tap-offset table,
             // held at once.
             let kernel = conv_gemm_scratch_elems(&g) as u64;
-            assert!(elems >= kernel);
+            assert!(bytes >= 4 * kernel);
             // An input-channel part additionally gathers weight columns
             // around the kernel; largest over the full channel range.
             let taps = (conv.in_channels * conv.kernel * conv.kernel) as u64;
-            assert!(elems >= conv.out_channels as u64 * taps + kernel);
-            assert!(bytes >= 4 * elems);
+            assert!(bytes >= 4 * (conv.out_channels as u64 * taps + kernel));
             // An int8 units part: the pair map and its tap table.
             assert!(bytes >= 4 * conv_qgemm_scratch_elems(&g) as u64);
         }
-        // Layers without arena use must report zero.
-        let dense = crate::layer::Dense::new("d", 4, 2, 0);
-        assert_eq!(dense.scratch_elems(&[&Shape::new(&[4])]).unwrap(), 0);
     }
 
     #[test]
@@ -736,15 +717,5 @@ mod tests {
         assert_eq!(w.input_bytes, 3 * 8 * 8 * 4);
         assert_eq!(w.output_bytes, 256 * 4);
         assert_eq!(w.weight_bytes, (4 * 27 + 4) * 4);
-    }
-
-    #[test]
-    fn workload_partial_scales_with_channels() {
-        let conv = Conv2d::new("c", 3, 4, 3, 1, 1, 0);
-        let shape = Shape::new(&[3, 8, 8]);
-        let full = conv.workload(&[&shape]).unwrap();
-        let half = conv.workload_partial(&[&shape], 0..2).unwrap();
-        assert_eq!(half.flops, full.flops / 2);
-        assert_eq!(half.input_bytes, full.input_bytes);
     }
 }

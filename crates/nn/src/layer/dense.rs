@@ -233,10 +233,6 @@ impl Layer for Dense {
         Ok(self.in_features as u64)
     }
 
-    fn input_split_supported(&self) -> bool {
-        true
-    }
-
     fn input_channels(&self, inputs: &[&Shape]) -> Result<usize> {
         check_arity(&self.name, 1, inputs)?;
         self.check_input(inputs[0])?;
@@ -328,7 +324,6 @@ mod tests {
             let merged = a.add(&b).unwrap();
             assert!(merged.approx_eq(&full, 1e-4), "cut {cut}");
         }
-        assert!(dense.input_split_supported());
         assert_eq!(dense.input_channels(&[x.shape()]).unwrap(), 11);
     }
 

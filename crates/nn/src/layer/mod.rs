@@ -9,6 +9,11 @@
 //! is lossless because the parts of a covering set of disjoint ranges,
 //! each written into its own sub-slice of one buffer, are bit for bit the
 //! whole output. [`Layer::forward`] allocates and runs the whole range.
+//!
+//! Every other question about a layer has one answer too: how many
+//! units or input channels it splits into, the scratch it may acquire in
+//! any precision ([`Layer::scratch_bytes`]), and the one [`Role`] the
+//! graph compiler's passes match on ([`Layer::role`]).
 
 mod activation;
 mod combine;
@@ -87,12 +92,47 @@ pub enum Part {
         relu: bool,
     },
     /// The raw partial sum over input channels `range`, a full-size output
-    /// (the input-channel split, [`Layer::input_split_supported`]),
-    /// computed in f32 and never clamped.
+    /// (the input-channel split, [`Layer::input_channels`]), computed in
+    /// f32 and never clamped.
     Inputs(Range<usize>),
 }
 
+/// What a layer is to the graph compiler's rewrite passes
+/// ([`crate::graph::compile`]). A layer has exactly one role, and each
+/// pass matches on every role.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Role<'a> {
+    /// An ordinary kernel: no pass rewrites it on its own account. Every
+    /// wrapper that transforms its inner layer's output (a fused
+    /// `+relu`) keeps this role, so a fused concat is no concat.
+    Kernel,
+    /// A rectified-linear activation: fuse-activations folds it into its
+    /// producer, and identity-elim drops it after an already clamped
+    /// output.
+    Relu,
+    /// Output equals the single input at inference time (dropout):
+    /// identity-elim removes it, an exact rewrite.
+    Identity,
+    /// A zero-arity node producing this tensor ([`Constant`]):
+    /// fold-constants evaluates its all-constant consumers at compile
+    /// time.
+    Constant(&'a Tensor),
+    /// A pure axis-0 concatenation ([`Concat`]), its output exactly its
+    /// inputs laid out in order: simplify-slices cancels a concat of
+    /// covering slices.
+    Concat,
+    /// A structural slice keeping this axis-0 window ([`Slice`]):
+    /// simplify-slices cancels covering slice/concat round-trips, and
+    /// identity-elim removes a full-range slice.
+    Slice(Range<usize>),
+}
+
 /// A neural-network layer kernel.
+///
+/// Each method answers one question. The split axes are counts with no
+/// yes/no probe beside them: a layer splits by output units when
+/// [`Layer::partition_units`] is at least 2, and by input channels when
+/// [`Layer::input_channels`] is.
 pub trait Layer: Send + Sync {
     /// Human-readable layer name (unique within a graph).
     fn name(&self) -> &str;
@@ -111,7 +151,8 @@ pub trait Layer: Send + Sync {
     /// Fails when arity or shapes are incompatible with the layer.
     fn output_shape(&self, inputs: &[&Shape]) -> Result<Shape>;
 
-    /// Number of independently computable output slices along axis 0.
+    /// Number of independently computable output slices along axis 0; the
+    /// layer splits by output units when this is at least 2.
     ///
     /// Returns 1 for layers that cannot be split (e.g. softmax, whose
     /// normalization couples every output element).
@@ -120,11 +161,6 @@ pub trait Layer: Send + Sync {
     /// Fails when the input shapes are invalid for the layer.
     fn partition_units(&self, inputs: &[&Shape]) -> Result<usize> {
         Ok(self.output_shape(inputs)?.dim(0)?)
-    }
-
-    /// True when the layer supports computing a strict sub-range of units.
-    fn partitionable(&self) -> bool {
-        true
     }
 
     /// Computes `part` of the layer's output into `out` — the layer's one
@@ -148,8 +184,8 @@ pub trait Layer: Send + Sync {
     ///
     /// # Errors
     /// Fails on arity or shape mismatches, an invalid range, an `out` of
-    /// the wrong length, or an input-channel part of a layer without the
-    /// input-channel split.
+    /// the wrong length, or an input-channel part of a layer with one
+    /// input channel.
     fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()>;
 
     /// Reference forward pass: the whole output, in f32.
@@ -198,52 +234,19 @@ pub trait Layer: Send + Sync {
         false
     }
 
-    /// True for a rectified-linear activation — the marker the
-    /// compiler's fusion pass ([`crate::graph::compile`]) uses to fold a
-    /// ReLU into its producer.
-    fn is_relu(&self) -> bool {
-        false
-    }
-
-    /// True for a layer whose output is its (single) input unchanged at
-    /// inference time (dropout, full-range slice). The compiler's
-    /// identity-elimination pass removes such nodes — an exact rewrite.
-    fn is_identity(&self) -> bool {
-        false
-    }
-
-    /// The constant tensor a zero-arity constant node produces, when the
-    /// layer is one ([`crate::layer::Constant`]). The constant-folding
-    /// pass evaluates nodes whose inputs are all constants at compile
-    /// time; `None` for every ordinary layer.
-    fn constant_value(&self) -> Option<&Tensor> {
-        None
-    }
-
-    /// True for a pure axis-0 concatenation ([`crate::layer::Concat`]):
-    /// the output is exactly its inputs laid out in order. The compiler's
-    /// split/concat simplification relies on this to cancel covering
-    /// slice/concat round-trips; a fused or otherwise-transforming
-    /// wrapper must keep the default `false`.
-    fn is_concat(&self) -> bool {
-        false
-    }
-
-    /// The axis-0 window a structural slice keeps, when the layer is one
-    /// ([`crate::layer::Slice`]). The compiler's split/concat
-    /// simplification cancels a concat of in-order covering slices and
-    /// removes full-range slices; `None` for every ordinary layer.
-    fn slice_range(&self) -> Option<Range<usize>> {
-        None
+    /// The layer's role in the graph compiler's rewrites; an ordinary
+    /// kernel keeps the default [`Role::Kernel`].
+    fn role(&self) -> Role<'_> {
+        Role::Kernel
     }
 
     /// True when this layer fused a trailing ReLU whose application is
     /// *deferred* on the input-channel split path: its [`Part::Inputs`]
     /// parts are raw partial sums (the epilogue cannot clamp partials —
     /// `relu(a) + relu(b) != relu(a+b)`) and the executor applies the
-    /// ReLU once after merging. Layers returning true keep
-    /// [`Layer::input_split_supported`] legal on fused nodes; everything
-    /// else returns false.
+    /// ReLU once after merging. Layers returning true keep the
+    /// input-channel split ([`Layer::input_channels`]) legal on fused
+    /// nodes; everything else returns false.
     fn deferred_epilogue_relu(&self) -> bool {
         false
     }
@@ -267,18 +270,14 @@ pub trait Layer: Send + Sync {
         0
     }
 
-    /// True when the layer also supports the *input-channel* split: each
-    /// processor convolves a subset of the input channels, producing a
-    /// full-size partial sum that is merged by element-wise addition.
-    /// This is the exact split the paper describes for convolution in
-    /// Section IV-D ("the GPU calculates the convolution results of the
-    /// first k input channels, and the CPU calculates the results of the
-    /// remaining input channels").
-    fn input_split_supported(&self) -> bool {
-        false
-    }
-
-    /// Number of input channels available to an input-channel split.
+    /// Number of input channels available to the *input-channel* split;
+    /// the layer splits this way when it is at least 2. Each processor
+    /// convolves a subset of the input channels, producing a full-size
+    /// partial sum that is merged by element-wise addition: the exact
+    /// split the paper describes for convolution in Section IV-D ("the
+    /// GPU calculates the convolution results of the first k input
+    /// channels, and the CPU calculates the results of the remaining
+    /// input channels"). Layers without the split return 1.
     ///
     /// # Errors
     /// Fails when the input shapes are invalid for the layer.
@@ -307,44 +306,20 @@ pub trait Layer: Send + Sync {
         Ok(w.input_bytes + w.weight_bytes)
     }
 
-    /// Upper bound on the 4-byte scratch-arena elements one forward call
-    /// over this layer may acquire ([`edgenn_tensor::with_scratch`],
-    /// [`edgenn_tensor::with_scratch_i32`]), across every
-    /// execution path (full forward, output-channel partial, input-channel
-    /// partial). The tier-D ownership analyzer certifies peak arena growth
-    /// from this; the bound must be sound (never undercount) but may
+    /// Byte-accurate upper bound on the scratch arena one forward call
+    /// over this layer may acquire ([`edgenn_tensor::with_scratch`] and
+    /// its i32/i8 siblings), across every execution path (full forward,
+    /// output-channel partial, input-channel partial) and precision: the
+    /// int8 kernels' i8/i16 acquisitions may exceed the f32 ones. The
+    /// tier-D ownership analyzer certifies peak arena growth from this;
+    /// the bound must be sound (never undercount) but may
     /// over-approximate. Layers that never touch the arena return 0.
     ///
     /// # Errors
     /// Fails when the input shapes are invalid for the layer.
-    fn scratch_elems(&self, inputs: &[&Shape]) -> Result<u64> {
+    fn scratch_bytes(&self, inputs: &[&Shape]) -> Result<u64> {
         let _ = inputs;
         Ok(0)
-    }
-
-    /// Byte-accurate upper bound on scratch-arena growth across every
-    /// execution path *and precision*. The default converts
-    /// [`Layer::scratch_elems`] at f32 width; layers with an int8 path
-    /// override to also cover its i8/i16 acquisitions (which may exceed
-    /// the f32 bound — the quantized GEMM widens both operands to i16).
-    ///
-    /// # Errors
-    /// Fails when the input shapes are invalid for the layer.
-    fn scratch_bytes(&self, inputs: &[&Shape]) -> Result<u64> {
-        Ok(self.scratch_elems(inputs)? * 4)
-    }
-
-    /// Analytic cost of computing only `range` of the partition units.
-    ///
-    /// The default scales the full workload proportionally (keeping input
-    /// reads whole); layers with non-uniform unit costs may override.
-    ///
-    /// # Errors
-    /// Fails on invalid ranges or input shapes.
-    fn workload_partial(&self, inputs: &[&Shape], range: Range<usize>) -> Result<Workload> {
-        let units = self.partition_units(inputs)?;
-        validate_range(self.name(), &range, units)?;
-        Ok(self.workload(inputs)?.scaled(range.len(), units))
     }
 }
 
@@ -473,10 +448,6 @@ impl Layer for InputLayer {
         Ok(self.shape.clone())
     }
 
-    fn partitionable(&self) -> bool {
-        false
-    }
-
     fn partition_units(&self, _inputs: &[&Shape]) -> Result<usize> {
         Ok(1)
     }
@@ -586,7 +557,7 @@ mod tests {
             test_support::compute(&layer, &[&t], test_support::units(0..0, false, false)),
             Err(NnError::BadPartition { .. })
         ));
-        assert!(!layer.partitionable());
+        assert_eq!(layer.partition_units(&[]).unwrap(), 1);
     }
 
     #[test]
@@ -611,6 +582,82 @@ mod tests {
             units_part("l", units(0..2, false, false), 4, 2, &out),
             Err(NnError::Tensor(TensorError::LengthMismatch { .. }))
         ));
+    }
+
+    #[test]
+    fn every_layer_answers_each_question_once() {
+        use crate::graph::{compile, CompileOptions, FusedRelu, GraphBuilder};
+        use std::sync::Arc;
+        fn arc(layer: impl Layer + 'static) -> Arc<dyn Layer> {
+            Arc::new(layer)
+        }
+        let (chw, flat) = (Shape::new(&[2, 4, 4]), Shape::new(&[32]));
+        // Compiling conv -> relu -> flatten -> dense -> relu yields the
+        // fused form of each layer with an input-channel split.
+        let mut b = GraphBuilder::new("fused", chw.clone());
+        let x = b.input_id();
+        let c = b.add(Conv2d::new("c", 2, 2, 3, 1, 1, 0), &[x]).unwrap();
+        let r = b.add(Relu::new("r"), &[c]).unwrap();
+        let f = b.add(Flatten::new("f"), &[r]).unwrap();
+        let d = b.add(Dense::new("d", 32, 5, 1), &[f]).unwrap();
+        let _ = b.add(Relu::new("r2"), &[d]).unwrap();
+        let graph = compile(&b.finish().unwrap(), &CompileOptions::default());
+        let graph = graph.unwrap().0;
+        let fused = |name: &str| {
+            let node = graph.nodes().iter().find(|n| n.layer().name() == name);
+            node.unwrap().layer_arc()
+        };
+        let k = Tensor::arange(&[3, 2]);
+        let lrn = LocalResponseNorm::alexnet_default("n");
+        // Each layer, its role, and which of these it has: `u` one output
+        // unit, `i` an input-channel split (two or more input channels),
+        // `s` arena scratch.
+        let rows: [(Arc<dyn Layer>, Role<'_>, &str); 19] = [
+            (arc(InputLayer::new(chw.clone())), Role::Kernel, "u"),
+            (arc(Conv2d::new("c", 2, 3, 3, 1, 1, 0)), Role::Kernel, "is"),
+            (arc(Dense::new("d", 32, 5, 0)), Role::Kernel, "is"),
+            (arc(Relu::new("r")), Role::Relu, ""),
+            (arc(Dropout::new("dr")), Role::Identity, ""),
+            (arc(Softmax::new("s")), Role::Kernel, "u"),
+            (arc(Concat::new("cat", 2)), Role::Concat, ""),
+            (arc(AddResidual::new("add")), Role::Kernel, ""),
+            (arc(Constant::new("k", k.clone())), Role::Constant(&k), "u"),
+            (arc(Slice::new("sl", 0, 2)), Role::Slice(0..2), ""),
+            (arc(Flatten::new("f")), Role::Kernel, "u"),
+            (arc(BatchNorm2d::new("bn", 2, 0)), Role::Kernel, ""),
+            (arc(lrn), Role::Kernel, ""),
+            (arc(MaxPool2d::new("mp", 2, 2)), Role::Kernel, ""),
+            (arc(AvgPool2d::new("ap", 2, 2)), Role::Kernel, ""),
+            (arc(GlobalAvgPool::new("gap")), Role::Kernel, ""),
+            (fused("c+relu"), Role::Kernel, "is"),
+            (fused("d+relu"), Role::Kernel, "is"),
+            // A fused concat is no concat: simplify-slices leaves it be.
+            (
+                arc(FusedRelu::new(arc(Concat::new("c", 2)))),
+                Role::Kernel,
+                "",
+            ),
+        ];
+        for (layer, role, has) in &rows {
+            let shapes: Vec<&Shape> = match (layer.arity(), layer.class()) {
+                (0, _) => vec![],
+                (2, _) => vec![&chw, &chw],
+                (_, LayerClass::Fc) => vec![&flat],
+                _ => vec![&chw],
+            };
+            let name = layer.name();
+            assert_eq!(layer.role(), *role, "{name}");
+            let units = layer.partition_units(&shapes).unwrap();
+            assert_eq!(units == 1, has.contains('u'), "{name}: {units} units");
+            let channels = layer.input_channels(&shapes).unwrap();
+            assert_eq!(
+                channels != 1,
+                has.contains('i'),
+                "{name}: {channels} channels"
+            );
+            let scratch = layer.scratch_bytes(&shapes).unwrap();
+            assert_eq!(scratch != 0, has.contains('s'), "{name}: {scratch} bytes");
+        }
     }
 
     #[test]

@@ -43,27 +43,6 @@ impl Workload {
             weight_bytes: self.weight_bytes + other.weight_bytes,
         }
     }
-
-    /// Scales the workload to a fraction of its partition units.
-    ///
-    /// A layer computing `part` of `total` output channels performs
-    /// proportionally fewer FLOPs, writes proportionally fewer output
-    /// bytes, and (for weight-bearing layers) reads proportionally fewer
-    /// weights; the *input* is read in full by both partitions, which is
-    /// exactly why intra-kernel co-running stresses unified-memory
-    /// bandwidth on the integrated device.
-    pub fn scaled(&self, part: usize, total: usize) -> Workload {
-        if total == 0 {
-            return *self;
-        }
-        let f = |v: u64| ((v as u128 * part as u128) / total as u128) as u64;
-        Workload {
-            flops: f(self.flops),
-            input_bytes: self.input_bytes,
-            output_bytes: f(self.output_bytes),
-            weight_bytes: f(self.weight_bytes),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -92,29 +71,5 @@ mod tests {
         let w = sample().merged(&sample());
         assert_eq!(w.flops, 2000);
         assert_eq!(w.total_bytes(), 400);
-    }
-
-    #[test]
-    fn scaled_keeps_full_input_reads() {
-        let w = sample().scaled(1, 4);
-        assert_eq!(w.flops, 250);
-        assert_eq!(w.output_bytes, 15);
-        assert_eq!(w.weight_bytes, 10);
-        assert_eq!(w.input_bytes, 100, "both partitions read the whole input");
-    }
-
-    #[test]
-    fn scaled_handles_zero_total() {
-        let w = sample().scaled(1, 0);
-        assert_eq!(w, sample());
-    }
-
-    #[test]
-    fn scaled_partitions_cover_whole_workload() {
-        let w = sample();
-        let a = w.scaled(1, 4);
-        let b = w.scaled(3, 4);
-        assert_eq!(a.flops + b.flops, w.flops);
-        assert_eq!(a.output_bytes + b.output_bytes, w.output_bytes);
     }
 }

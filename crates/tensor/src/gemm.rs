@@ -16,9 +16,9 @@
 //! `#[target_feature]` by [`crate::simd`], which picks the widest variant
 //! (AVX2+FMA, AVX-512) the CPU supports once per process.
 //!
-//! Epilogues (bias add, bias+ReLU, elementwise add) run *inside* the
-//! microkernel's write-back loop via [`Epilogue`], while the output tile
-//! is still in registers, instead of as separate passes over the output.
+//! Epilogues (bias add, bias+ReLU) run *inside* the microkernel's
+//! write-back loop via [`Epilogue`], while the output tile is still in
+//! registers, instead of as separate passes over the output.
 //!
 //! [`naive_gemm`] keeps the original textbook triple loop as the
 //! differential-test oracle: every optimized path must match it within
@@ -41,9 +41,8 @@ const MC: usize = 64;
 
 /// Operation fused into the GEMM write-back loop.
 ///
-/// Let `t = out[i][j] + acc[i][j]` be the fully accumulated product for
-/// one output element (`out` may carry partial sums from a previous
-/// accumulation, exactly as in plain [`gemm_into`]). The epilogue maps
+/// Let `t` be the fully accumulated product for one output element of
+/// row `i` (whatever `out` held before is overwritten). The epilogue maps
 /// `t` to the stored value while the tile is still in registers:
 ///
 /// | variant    | stored value                  |
@@ -51,14 +50,12 @@ const MC: usize = 64;
 /// | `None`     | `t`                           |
 /// | `Bias`     | `t + bias[i]`                 |
 /// | `BiasRelu` | `max(t + bias[i], 0)`         |
-/// | `Add`      | `t + addend[i * n + j]`       |
 ///
 /// `bias` is indexed by output *row* (the conv output channel / dense
-/// unit), `addend` is a full `m x n` matrix (residual input or partial
-/// sum from the co-running processor).
+/// unit).
 #[derive(Debug, Clone, Copy)]
 pub enum Epilogue<'a> {
-    /// Plain accumulate: the historical [`gemm_into`] behaviour.
+    /// The plain product, as [`gemm_into`] stores it.
     None,
     /// Per-row bias add fused into the write-back.
     Bias {
@@ -70,36 +67,23 @@ pub enum Epilogue<'a> {
         /// One bias value per output row (`len == m`).
         bias: &'a [f32],
     },
-    /// Elementwise add of a second `m x n` matrix fused in.
-    Add {
-        /// Row-major addend with the same shape as the output.
-        addend: &'a [f32],
-    },
 }
 
 impl Epilogue<'_> {
-    /// Applies the epilogue to one accumulated element of output row `i`,
-    /// column `j` (absolute coordinates in the `m x n` output).
+    /// Applies the epilogue to one accumulated element of output row `i`.
     #[inline(always)]
-    fn apply(&self, t: f32, i: usize, j: usize, n: usize) -> f32 {
+    fn apply(&self, t: f32, i: usize) -> f32 {
         match *self {
             Epilogue::None => t,
             Epilogue::Bias { bias } => t + bias[i],
             Epilogue::BiasRelu { bias } => (t + bias[i]).max(0.0),
-            Epilogue::Add { addend } => t + addend[i * n + j],
         }
     }
 
     /// Asserts the operand lengths promised by the variant docs.
-    fn debug_check(&self, m: usize, n: usize) {
-        match *self {
-            Epilogue::None => {}
-            Epilogue::Bias { bias } | Epilogue::BiasRelu { bias } => {
-                debug_assert_eq!(bias.len(), m, "bias must have one entry per output row");
-            }
-            Epilogue::Add { addend } => {
-                debug_assert_eq!(addend.len(), m * n, "addend must match the output shape");
-            }
+    fn debug_check(&self, m: usize) {
+        if let Epilogue::Bias { bias } | Epilogue::BiasRelu { bias } = *self {
+            debug_assert_eq!(bias.len(), m, "bias must have one entry per output row");
         }
     }
 }
@@ -186,8 +170,8 @@ pub fn gemm_pack_elems(m: usize, k: usize, n: usize) -> usize {
     k * n + NR + k
 }
 
-/// Raw blocked GEMM on slices: accumulates `a * b` into `out`, which must
-/// hold `m * n` elements (zero-initialized for a plain product).
+/// Raw blocked GEMM on slices: writes `a * b` into `out`, which must hold
+/// `m * n` elements and is overwritten.
 ///
 /// Exposed so that layer kernels can run the hot loop directly on weight
 /// sub-slices and scratch-arena buffers without re-wrapping tensors.
@@ -222,11 +206,9 @@ pub fn gemm_pack_a(a: &[f32], m: usize, k: usize) -> Vec<f32> {
     packed
 }
 
-/// [`gemm_into`] with an [`Epilogue`] fused into the write-back loop.
-///
-/// `out` still accumulates (`t = out + a*b` feeds the epilogue), so a
-/// zero-initialized `out` with `Epilogue::Bias` computes `a*b + bias` in
-/// one pass with no separate bias sweep over the output.
+/// [`gemm_into`] with an [`Epilogue`] fused into the write-back loop:
+/// `out = ep(a*b)`, so `Epilogue::Bias` computes `a*b + bias` in one pass
+/// with no separate bias sweep over the output.
 pub fn gemm_into_fused(
     a: &[f32],
     b: &[f32],
@@ -239,16 +221,14 @@ pub fn gemm_into_fused(
     debug_assert!(a.len() >= m * k, "A must hold at least m*k elements");
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    ep.debug_check(m, n);
+    ep.debug_check(m);
     if m == 0 || n == 0 {
         return;
     }
     if k == 0 {
-        // Nothing to accumulate: the epilogue alone maps the output.
-        for i in 0..m {
-            for j in 0..n {
-                out[i * n + j] = ep.apply(out[i * n + j], i, j, n);
-            }
+        // An empty product: the epilogue alone maps zero.
+        for (i, row) in out.chunks_mut(n).enumerate() {
+            row.fill(ep.apply(0.0, i));
         }
         return;
     }
@@ -482,12 +462,14 @@ pub(crate) fn tap(t: i32) -> usize {
 }
 
 /// The blocked sweep behind [`gemm_into_fused`] and
-/// [`crate::conv_gemm_into`]: `out = ep(out + a * B)`, where reduction
-/// row `r` of B is read in place at `b[taps[r] + j]` for grid column `j`
-/// (see [`Grid`]), so `k = taps.len()`. The reduction runs in `KC`-deep
-/// slabs, each accumulated from zero in registers and added to `out`, so
-/// every element's summation order is fixed by `k` alone, whatever the
-/// layout of B.
+/// [`crate::conv_gemm_into`]: `out = ep(a * B)`, where reduction row `r`
+/// of B is read in place at `b[taps[r] + j]` for grid column `j` (see
+/// [`Grid`]), so `k = taps.len()`. The reduction runs in `KC`-deep slabs,
+/// each accumulated from zero in registers; the first slab stores
+/// `0.0 + acc` over whatever `out` held and every later one adds to it,
+/// so every element's summation order is fixed by `k` alone, whatever
+/// the layout of B — the bits of an accumulation into a zeroed `out`,
+/// `-0.0` included.
 ///
 /// `pub(crate)` + `#[inline(always)]` so [`crate::simd`] can re-compile
 /// the identical safe source under wider `#[target_feature]` sets.
@@ -578,13 +560,23 @@ impl Tile<'_> {
         &self.b[tap(t) + self.base..][..NR]
     }
 
-    /// `out[i][col] = ep(out[i][col] + acc[lane])` over the panel's runs.
+    /// `out[i][col] = ep(prior + acc[lane])` over the panel's runs, where
+    /// `prior` is `0.0` on the first slab (`out` held nothing yet) and
+    /// `out[i][col]` on every later one.
     #[inline(always)]
     fn write_back(&self, out: &mut [f32], acc: &[f32; NR], i: usize) {
+        let first = self.kb == 0;
         for run in self.runs {
             let row = &mut out[i * self.n + run.col..][..run.len];
-            for (j, (o, &v)) in row.iter_mut().zip(&acc[run.lane..]).enumerate() {
-                *o = self.ep.apply(*o + v, i, run.col + j, self.n);
+            let acc = &acc[run.lane..];
+            if first {
+                for (o, &v) in row.iter_mut().zip(acc) {
+                    *o = self.ep.apply(0.0 + v, i);
+                }
+            } else {
+                for (o, &v) in row.iter_mut().zip(acc) {
+                    *o = self.ep.apply(*o + v, i);
+                }
             }
         }
     }
@@ -958,7 +950,7 @@ mod tests {
         let data = c.as_mut_slice();
         for i in 0..m {
             for j in 0..n {
-                data[i * n + j] = ep.apply(data[i * n + j], i, j, n);
+                data[i * n + j] = ep.apply(data[i * n + j], i);
             }
         }
         c
@@ -972,16 +964,11 @@ mod tests {
             let a = Tensor::random(&[m, k], 1.0, 21);
             let b = Tensor::random(&[k, n], 1.0, 22);
             let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.25 - 1.0).collect();
-            let addend = Tensor::random(&[m, n], 1.0, 23);
-            let cases: [Epilogue<'_>; 3] = [
+            for ep in [
                 Epilogue::Bias { bias: &bias },
                 Epilogue::BiasRelu { bias: &bias },
-                Epilogue::Add {
-                    addend: addend.as_slice(),
-                },
-            ];
-            for ep in cases {
-                let mut out = vec![0.0f32; m * n];
+            ] {
+                let mut out = vec![f32::NAN; m * n];
                 gemm_into_fused(a.as_slice(), b.as_slice(), &mut out, m, k, n, ep);
                 let want = unfused(&a, &b, ep);
                 let got = Tensor::from_vec(out, &[m, n]).unwrap();
@@ -996,8 +983,9 @@ mod tests {
 
     #[test]
     fn fused_bias_relu_clamps_negatives_once() {
-        // k = 0 exercises the epilogue-only path: out = relu(out + bias).
-        let mut out = vec![-2.0f32, 3.0];
+        // k = 0 exercises the epilogue-only path: out = relu(0 + bias),
+        // whatever `out` held.
+        let mut out = vec![f32::NAN; 2];
         let bias = [1.0f32, -5.0];
         gemm_into_fused(
             &[],
@@ -1008,31 +996,21 @@ mod tests {
             1,
             Epilogue::BiasRelu { bias: &bias },
         );
-        assert_eq!(out, vec![0.0, 0.0]);
+        assert_eq!(out, vec![1.0, 0.0]);
     }
 
     #[test]
-    fn fused_add_accumulates_on_top_of_existing_output() {
-        // `out` carries prior partial sums; Add must see them in `t`.
-        let a = Tensor::random(&[4, 6], 1.0, 31);
-        let b = Tensor::random(&[6, 5], 1.0, 32);
-        let addend = Tensor::random(&[4, 5], 1.0, 33);
-        let mut fused = vec![1.0f32; 20];
-        gemm_into_fused(
-            a.as_slice(),
-            b.as_slice(),
-            &mut fused,
-            4,
-            6,
-            5,
-            Epilogue::Add {
-                addend: addend.as_slice(),
-            },
-        );
-        let mut plain = vec![1.0f32; 20];
-        gemm_into(a.as_slice(), b.as_slice(), &mut plain, 4, 6, 5);
-        for (f, (p, &ad)) in fused.iter().zip(plain.iter().zip(addend.as_slice())) {
-            assert!((f - (p + ad)).abs() < 1e-4);
+    fn every_slab_count_overwrites_the_output() {
+        // One KC slab and two: the first stores, the second adds to what
+        // the first stored, and nothing the buffer held survives.
+        for k in [3, KC + 5] {
+            let a = Tensor::random(&[5, k], 1.0, 61);
+            let b = Tensor::random(&[k, 19], 1.0, 62);
+            let mut out = vec![f32::NAN; 5 * 19];
+            gemm_into(a.as_slice(), b.as_slice(), &mut out, 5, k, 19);
+            let want = naive_gemm(&a, &b).unwrap();
+            let got = Tensor::from_vec(out, &[5, 19]).unwrap();
+            assert!(got.approx_eq(&want, 1e-3), "k = {k}");
         }
     }
 }

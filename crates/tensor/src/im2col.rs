@@ -279,19 +279,20 @@ pub fn conv_qgemm_scratch_elems(geometry: &Conv2dGeometry) -> usize {
     pairs.map_len() + pairs.depth()
 }
 
-/// Convolution as an implicit GEMM: `out = ep(out + a · P)`, where `P` is
+/// Convolution as an implicit GEMM: `out = ep(a · P)`, where `P` is
 /// the [`im2col`] patch matrix of `input` (never materialized) and `a`
 /// holds the `m = out.len() / (out_h * out_w)` weight rows of stride
 /// `in_channels * kernel_h * kernel_w` — plain row-major, or the padded
-/// layout of [`crate::gemm_pack_a`] sliced at a row offset.
+/// layout of [`crate::gemm_pack_a`] sliced at a row offset. `out` is
+/// overwritten.
 ///
 /// The input is copied once into the zero-bordered phase-split map (read
 /// in place when unpadded with stride 1), and the blocked microkernel
 /// sweeps the map in `KC`-deep slabs, reading each patch-matrix row in
-/// place through the tap-offset table. For a zeroed `out` the result is
-/// bitwise identical to [`im2col`] followed by [`crate::gemm_into_fused`]:
-/// both run the same sweep, which fixes every element's summation order
-/// whatever the layout of B.
+/// place through the tap-offset table. The result is bitwise identical
+/// to [`im2col`] followed by [`crate::gemm_into_fused`]: both run the
+/// same sweep, which fixes every element's summation order whatever the
+/// layout of B.
 ///
 /// # Errors
 /// Returns geometry validation errors and [`TensorError::ShapeMismatch`]

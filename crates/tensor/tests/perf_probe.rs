@@ -50,10 +50,7 @@ fn gemm_f32_vs_int8_throughput() {
     };
 
     let f32_ns = best_ns(
-        || {
-            out.fill(0.0);
-            gemm_into(w.as_slice(), x.as_slice(), &mut out, m, k, n);
-        },
+        || gemm_into(w.as_slice(), x.as_slice(), &mut out, m, k, n),
         12,
     );
     let int8_ns = best_ns(
@@ -108,14 +105,10 @@ const SQUEEZENET: [ConvLayer; 9] = [
 ];
 
 /// Median µs of `samples` timed calls of `f` on `out`, after
-/// `samples / 10` untimed ones; `zero` clears `out` before each call,
-/// outside the timing (the f32 kernel accumulates into it).
-fn median_us(samples: usize, out: &mut [f32], zero: bool, mut f: impl FnMut(&mut [f32])) -> f64 {
+/// `samples / 10` untimed ones; both kernels overwrite `out`.
+fn median_us(samples: usize, out: &mut [f32], mut f: impl FnMut(&mut [f32])) -> f64 {
     let mut ns: Vec<u64> = Vec::with_capacity(samples);
     for i in 0..samples + samples / 10 {
-        if zero {
-            out.fill(0.0);
-        }
         let t0 = Instant::now();
         f(out);
         if i >= samples / 10 {
@@ -156,7 +149,7 @@ fn conv_layers_of_the_tiny_models() {
 
             let packed = gemm_pack_a(w.as_slice(), m, depth);
             let ep = Epilogue::BiasRelu { bias: &bias };
-            let f32_us = median_us(SAMPLES, &mut out, true, |out| {
+            let f32_us = median_us(SAMPLES, &mut out, |out| {
                 conv_gemm_into(black_box(x.as_slice()), &g, &packed, out, ep).unwrap();
             });
 
@@ -175,7 +168,7 @@ fn conv_layers_of_the_tiny_models() {
                 bias: Some(&bias),
                 relu: true,
             };
-            let int8_us = median_us(SAMPLES, &mut out, false, |out| {
+            let int8_us = median_us(SAMPLES, &mut out, |out| {
                 conv_qgemm_into(black_box(x.as_slice()), &g, &awide, 0..m, out, &rq).unwrap();
             });
             let runs = names.split(' ').count();

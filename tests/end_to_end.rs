@@ -175,9 +175,7 @@ fn extreme_split_fractions_stay_correct() {
                 .iter()
                 .map(|i| graph.node(*i).unwrap().output_shape())
                 .collect();
-            if node.layer().partitionable()
-                && node.layer().partition_units(&shapes).unwrap_or(1) >= 2
-            {
+            if node.layer().partition_units(&shapes).unwrap_or(1) >= 2 {
                 nodes[id.index()] = NodePlan {
                     assignment: Assignment::Split {
                         cpu_fraction: fraction,

@@ -125,12 +125,7 @@ pub fn ablation_popt_sweep(lab: &Lab) -> Result<ExperimentReport> {
         let graph = lab.model(kind);
         for id in graph.topo_order() {
             let node = graph.node(id)?;
-            let shapes: Vec<_> = node
-                .inputs()
-                .iter()
-                .map(|i| graph.node(*i).map(edgenn_nn::graph::Node::output_shape))
-                .collect::<std::result::Result<_, _>>()?;
-            if node.layer().partition_units(&shapes)? < 2 {
+            if node.layer().partition_units(&graph.input_shapes(id)?)? < 2 {
                 continue;
             }
             let (t_cpu, t_gpu) = runtime.node_times(&graph, id)?;

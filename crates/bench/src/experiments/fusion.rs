@@ -7,7 +7,7 @@
 use edgenn_core::prelude::*;
 use edgenn_core::runtime::Runtime;
 use edgenn_core::Result;
-use edgenn_nn::graph::{compile, CompileOptions};
+use edgenn_nn::graph::{compile, CompileOptions, Passes};
 
 use crate::experiments::Lab;
 use crate::report::{Comparison, ExperimentReport};
@@ -23,9 +23,9 @@ pub fn ablation_fusion(lab: &Lab) -> Result<ExperimentReport> {
     let mut vgg_gain = 0.0;
 
     let fuse_only = CompileOptions {
-        fuse: true,
+        passes: Passes::FuseOnly,
         prepack_f32: false,
-        ..CompileOptions::prepack_only()
+        prepack_int8: false,
     };
     for kind in ModelKind::ALL {
         let graph = lab.model(kind);

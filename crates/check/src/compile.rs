@@ -20,9 +20,8 @@
 //! [`crate::check_graph`] on the compiled graph — this module checks the
 //! rewrite, tier A checks the result as a graph in its own right.
 
-use edgenn_nn::graph::{CompileReport, Graph, Node};
+use edgenn_nn::graph::{CompileReport, Graph, NodeId};
 use edgenn_nn::layer::Role;
-use edgenn_tensor::Shape;
 
 use crate::{codes, Diagnostic, Span};
 
@@ -77,12 +76,10 @@ pub fn check_compiled(
                 format!("'{}' fuses a ReLU into a ReLU", layer.name()),
             ));
         }
-        let shapes: Vec<&Shape> = node
-            .inputs()
-            .iter()
-            .filter_map(|&i| compiled.node(i).ok().map(Node::output_shape))
-            .collect();
-        if layer.input_channels(&shapes).unwrap_or(1) >= 2 && !layer.deferred_epilogue_relu() {
+        let channels = compiled
+            .input_shapes(NodeId(idx))
+            .and_then(|shapes| layer.input_channels(&shapes));
+        if channels.unwrap_or(1) >= 2 && !layer.deferred_epilogue_relu() {
             out.push(Diagnostic::new(
                 codes::COMPILE_FUSION_CONTRACT,
                 Span::Node(idx),
@@ -183,7 +180,7 @@ pub fn check_compiled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edgenn_nn::graph::{compile, CompileOptions, GraphBuilder, Node, NodeId};
+    use edgenn_nn::graph::{compile, CompileOptions, GraphBuilder, Node};
     use edgenn_nn::layer::{Constant, Dense, Dropout, Relu};
     use edgenn_nn::models::{build, ModelKind, ModelScale};
     use edgenn_tensor::{Shape, Tensor};

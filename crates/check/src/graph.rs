@@ -6,9 +6,8 @@
 //! tests) satisfy none of them. The checker treats every graph as
 //! untrusted.
 
-use edgenn_nn::graph::Graph;
+use edgenn_nn::graph::{Graph, NodeId};
 use edgenn_nn::layer::{LayerClass, Role};
-use edgenn_tensor::Shape;
 
 use crate::{codes, Diagnostic, Span};
 
@@ -56,13 +55,9 @@ pub fn check_graph(graph: &Graph) -> Vec<Diagnostic> {
             ));
         }
 
-        let shapes: Vec<&Shape> = if inputs_ok {
-            node.inputs()
-                .iter()
-                .map(|i| graph.nodes()[i.index()].output_shape())
-                .collect()
-        } else {
-            Vec::new()
+        let shapes = match graph.input_shapes(NodeId(idx)) {
+            Ok(shapes) if inputs_ok => shapes,
+            _ => Vec::new(),
         };
 
         // EC003 — stored shape must agree with shape inference over the
@@ -171,8 +166,9 @@ pub fn check_graph(graph: &Graph) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edgenn_nn::graph::{GraphBuilder, Node, NodeId};
+    use edgenn_nn::graph::{GraphBuilder, Node};
     use edgenn_nn::layer::{Concat, Dense, Relu};
+    use edgenn_tensor::Shape;
     use std::sync::Arc;
 
     fn codes_of(diags: &[Diagnostic]) -> Vec<&'static str> {
@@ -271,13 +267,13 @@ mod tests {
 
     #[test]
     fn legal_fusions_pass() {
-        use edgenn_nn::graph::{compile, CompileOptions};
+        use edgenn_nn::graph::{compile, CompileOptions, Passes};
         use edgenn_nn::models::{build, ModelKind, ModelScale};
         let g = build(ModelKind::AlexNet, ModelScale::Tiny);
         let fuse_only = CompileOptions {
-            fuse: true,
+            passes: Passes::FuseOnly,
             prepack_f32: false,
-            ..CompileOptions::prepack_only()
+            prepack_int8: false,
         };
         let (fused, _) = compile(&g, &fuse_only).unwrap();
         assert!(check_graph(&fused).is_empty());

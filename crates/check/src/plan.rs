@@ -8,11 +8,10 @@
 use edgenn_core::footprint::footprint;
 use edgenn_core::plan::{Assignment, ExecutionConfig, ExecutionPlan, HybridMode, MemoryPolicy};
 use edgenn_core::tuner::NodeStats;
-use edgenn_nn::graph::{Graph, Node};
+use edgenn_nn::graph::{Graph, NodeId};
 use edgenn_nn::layer::LayerClass;
 use edgenn_sim::memory::AllocStrategy;
 use edgenn_sim::platforms::Platform;
-use edgenn_tensor::Shape;
 
 use crate::{codes, Diagnostic, Span};
 
@@ -159,15 +158,13 @@ pub fn check_plan(graph: &Graph, plan: &ExecutionPlan, platform: &Platform) -> V
                 }
                 // The split axis must hold two or more units to share out:
                 // input channels, or output units.
-                let shapes: Vec<&Shape> = node
-                    .inputs()
-                    .iter()
-                    .filter_map(|&i| graph.node(i).ok().map(Node::output_shape))
-                    .collect();
+                let shapes = graph.input_shapes(NodeId(idx));
                 let (units, axis) = if by_input {
-                    (layer.input_channels(&shapes), "input channel")
+                    let units = shapes.and_then(|s| layer.input_channels(&s));
+                    (units, "input channel")
                 } else {
-                    (layer.partition_units(&shapes), "output unit")
+                    let units = shapes.and_then(|s| layer.partition_units(&s));
+                    (units, "output unit")
                 };
                 let units = units.unwrap_or(1);
                 if units < 2 {

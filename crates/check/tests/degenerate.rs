@@ -1,15 +1,19 @@
 //! Degenerate-graph robustness: every checker tier must terminate with a
 //! sensible verdict — never a panic — on the pathological inputs a
 //! hand-built graph (or a fuzzer) can produce: the empty DAG, the
-//! input-only graph, disconnected components, and zero-byte tensors.
+//! input-only graph, disconnected components, zero-byte tensors, and a
+//! dangling input edge.
 
 use std::sync::Arc;
 
-use edgenn_check::{check_graph, check_ownership, check_plan, codes, Severity};
+use edgenn_check::{
+    check_compiled, check_graph, check_ownership, check_plan, codes, Diagnostic, Severity, Span,
+};
 use edgenn_core::plan::{Assignment, ExecutionConfig, ExecutionPlan, NodePlan};
 use edgenn_core::runtime::functional::Executor;
-use edgenn_nn::graph::{Graph, Node, NodeId};
-use edgenn_nn::layer::{InputLayer, Relu};
+use edgenn_nn::graph::{CompileReport, Graph, Node, NodeId};
+use edgenn_nn::layer::{Dense, InputLayer, Relu};
+use edgenn_nn::NnError;
 use edgenn_sim::platforms::{jetson_agx_xavier, raspberry_pi_4};
 use edgenn_tensor::Shape;
 
@@ -148,4 +152,65 @@ fn zero_byte_tensors_analyze_without_dividing_or_panicking() {
     // A zero-byte buffer still has a well-formed liveness interval.
     assert_eq!(report.lives.len(), 1);
     assert!(report.lives[0].last_read >= report.lives[0].born);
+}
+
+#[test]
+fn dangling_input_edge_resolves_no_shapes_in_any_tier() {
+    let shape = Shape::new(&[4]);
+    // 0:input -> 1:"a+relu" (out)   2:"b+relu" reads n9, which does not exist.
+    let nodes = vec![
+        Node::new(
+            Arc::new(InputLayer::new(shape.clone())),
+            vec![],
+            shape.clone(),
+        ),
+        Node::new(
+            Arc::new(Dense::new("a+relu", 4, 4, 1)),
+            vec![NodeId(0)],
+            shape.clone(),
+        ),
+        Node::new(
+            Arc::new(Dense::new("b+relu", 4, 4, 2)),
+            vec![NodeId(9)],
+            shape.clone(),
+        ),
+    ];
+    let graph = Graph::from_parts("dangling", nodes, NodeId(1));
+    assert_eq!(graph.input_shapes(NodeId(1)).unwrap(), [&shape]);
+    assert!(matches!(
+        graph.input_shapes(NodeId(2)),
+        Err(NnError::UnknownNode { id: 9 })
+    ));
+    let findings = |diagnostics: Vec<Diagnostic>| -> Vec<(&str, Span)> {
+        diagnostics.iter().map(|d| (d.code, d.span)).collect()
+    };
+
+    // Tier A: the dangling edge is a def-before-use error, and no shape
+    // inference runs over it.
+    assert_eq!(
+        findings(check_graph(&graph)),
+        [
+            (codes::ILLEGAL_FUSION, Span::Node(1)),
+            (codes::DEF_BEFORE_USE, Span::Node(2)),
+            (codes::DEAD_NODE, Span::Node(2)),
+        ]
+    );
+
+    // Tier B: the split node's units do not resolve, so it has one to
+    // share out; the footprint check over the whole graph does not panic.
+    let mut plan = cpu_plan(graph.len());
+    plan.config = ExecutionConfig::edgenn();
+    plan.nodes[1].assignment = Assignment::SplitInput { cpu_fraction: 0.5 };
+    plan.nodes[2].assignment = Assignment::Split { cpu_fraction: 0.5 };
+    assert_eq!(
+        findings(check_plan(&graph, &plan, &jetson_agx_xavier())),
+        [(codes::ASSIGNMENT_FORBIDDEN, Span::Node(2))]
+    );
+
+    // EC061 judges the resolvable fused node and passes over the other.
+    let ec061: Vec<_> = findings(check_compiled(&graph, &graph, &CompileReport::default()))
+        .into_iter()
+        .filter(|(code, _)| *code == codes::COMPILE_FUSION_CONTRACT)
+        .collect();
+    assert_eq!(ec061, [(codes::COMPILE_FUSION_CONTRACT, Span::Node(1))]);
 }

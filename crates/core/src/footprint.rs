@@ -12,6 +12,7 @@
 
 use edgenn_nn::graph::{Graph, NodeId};
 use edgenn_sim::AllocStrategy;
+use edgenn_tensor::qgemm_pack_a_words;
 use serde::{Deserialize, Serialize};
 
 use crate::plan::{ExecutionPlan, MemoryPolicy, Precision};
@@ -22,9 +23,9 @@ use crate::Result;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Footprint {
     /// Model parameters resident for the whole run: the f32 weights and
-    /// biases, plus — under an [`Precision::Int8`] plan — each
-    /// int8-capable layer's cached quantization sidecar (one code byte
-    /// per weight element and the per-output-channel scale/row-sum
+    /// biases, plus — under an [`Precision::Int8`] plan — the sidecar each
+    /// int8 layer's prepack builds (its codes as a matrix and as the
+    /// kernel's pair-word panel, and its per-channel scale and row-sum
     /// tables). The f32 master weights stay resident either way: they
     /// seed quantization and serve the layers without int8 kernels.
     pub weight_bytes: u64,
@@ -52,26 +53,26 @@ fn array_bytes(elems: usize, strategy: AllocStrategy) -> u64 {
     }
 }
 
-/// Bytes of the quantization sidecar one node's layer caches when a
-/// plan runs int8 kernels: one i8 code per weight element (the bias
-/// stays f32 and is consumed by the requantize epilogue directly) plus
-/// an f32 scale and an i32 row sum per output channel.
-fn int8_sidecar_bytes(graph: &Graph, id: NodeId) -> Result<u64> {
-    let node = graph.node(id)?;
-    let layer = node.layer();
-    if !layer.int8_ready() {
-        return Ok(0);
+/// Bytes of the quantization sidecar a node's int8 prepack builds: one i8
+/// code per weight, the codes again as the kernel's pair-word A panel
+/// ([`qgemm_pack_a_words`]), and an f32 scale and an i32 row sum per
+/// output channel (the bias stays f32). A layer the engine keeps in f32
+/// builds none.
+fn int8_sidecar_bytes(program: &Program, id: NodeId) -> u64 {
+    let layer = program.layer(id);
+    if !(layer.int8_ready() && layer.int8_worthwhile()) {
+        return 0;
     }
-    let shapes: Vec<_> = node
-        .inputs()
-        .iter()
-        .map(|i| Ok(graph.node(*i)?.output_shape()))
-        .collect::<Result<_>>()?;
-    // workload.weight_bytes counts weights + bias at 4 bytes each; the
-    // bias length equals the output-unit count for conv/dense.
-    let param_elems = layer.workload(&shapes)?.weight_bytes / 4;
-    let units = layer.partition_units(&shapes)? as u64;
-    Ok((param_elems - units) + units * 8)
+    // The weight matrix has a row per output unit and a column per input
+    // channel and kernel tap; the forward pass costs two flops per column
+    // for each output element (a fused ReLU's clamp adds less than two).
+    let facts = program.facts(id);
+    let outputs: usize = program.dims(id).iter().product();
+    let (rows, depth) = (facts.units, facts.flops as usize / (2 * outputs).max(1));
+    match depth / facts.channels.max(1) {
+        0 => 0,
+        taps => (rows * depth + rows * 8 + qgemm_pack_a_words(rows, depth, taps) * 4) as u64,
+    }
 }
 
 /// Computes the peak memory footprint of executing `plan` over `graph`.
@@ -86,10 +87,11 @@ fn int8_sidecar_bytes(graph: &Graph, id: NodeId) -> Result<u64> {
 /// family the engine runs.
 pub fn footprint(graph: &Graph, plan: &ExecutionPlan) -> Result<Footprint> {
     plan.validate(graph)?;
+    let program = Program::new(graph)?;
     let mut weight_bytes = graph.param_bytes();
     if plan.config.precision == Precision::Int8 {
         for id in graph.topo_order() {
-            weight_bytes += int8_sidecar_bytes(graph, id)?;
+            weight_bytes += int8_sidecar_bytes(&program, id);
         }
     }
 
@@ -109,7 +111,7 @@ pub fn footprint(graph: &Graph, plan: &ExecutionPlan) -> Result<Footprint> {
     // The engine borrows the network input; here it is an array like
     // any other, live until its last reader has run. The empty graph has
     // no input array and no output array.
-    let schedule = Program::new(graph)?.lower(plan);
+    let schedule = program.lower(plan);
     let (input, output) = (graph.input_id().index(), graph.output_id().index());
     let bytes = |node: usize| sizes.get(node).copied().unwrap_or(0);
     let peak = liveness_peak(&schedule, &[input], bytes, output);
@@ -205,21 +207,19 @@ mod tests {
     }
 
     #[test]
-    fn int8_plans_account_the_quantization_sidecar_exactly() {
-        let graph = build(ModelKind::AlexNet, ModelScale::Tiny);
-        let f32_fp = footprint(&graph, &plan_for(&graph, ExecutionConfig::edgenn())).unwrap();
-        let int8_fp = footprint(&graph, &plan_for(&graph, ExecutionConfig::edgenn_int8())).unwrap();
-        // Activations stay f32 between nodes in both precisions.
-        assert_eq!(f32_fp.peak_activation_bytes, int8_fp.peak_activation_bytes);
-        let expected_sidecar: u64 = graph
-            .topo_order()
-            .map(|id| int8_sidecar_bytes(&graph, id).unwrap())
-            .sum();
-        assert!(expected_sidecar > 0, "conv/dense layers carry a sidecar");
-        assert_eq!(int8_fp.weight_bytes, f32_fp.weight_bytes + expected_sidecar);
-        // The sidecar is bounded by a quarter of the f32 parameters plus
-        // the per-channel tables — far from doubling the weights.
-        assert!(int8_fp.weight_bytes < f32_fp.weight_bytes + f32_fp.weight_bytes / 3);
+    fn int8_sidecar_is_what_the_int8_prepack_builds() {
+        for kind in ModelKind::ALL {
+            // A fresh build: each layer's prepack reports the bytes it
+            // packs on its first call.
+            let graph = build(kind, ModelScale::Tiny);
+            let f32_fp = footprint(&graph, &plan_for(&graph, ExecutionConfig::edgenn())).unwrap();
+            let int8_plan = plan_for(&graph, ExecutionConfig::edgenn_int8());
+            let int8_fp = footprint(&graph, &int8_plan).unwrap();
+            // Activations stay f32 between nodes in both precisions.
+            assert_eq!(f32_fp.peak_activation_bytes, int8_fp.peak_activation_bytes);
+            let built: u64 = graph.nodes().iter().map(|n| n.layer().prepack(true)).sum();
+            assert_eq!(int8_fp.weight_bytes - f32_fp.weight_bytes, built, "{kind}");
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //!   behaviour in [`EngineStats`], and writes node spans to the flight
 //!   recorder when it is enabled.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -48,7 +48,7 @@ use edgenn_nn::graph::{Graph, NodeId, Segment};
 use edgenn_nn::layer::{Layer, LayerClass, Part};
 use edgenn_obs::{flight, ProfileSummary};
 use edgenn_sim::FaultPlan;
-use edgenn_tensor::{scratch_stats, Shape, Tensor};
+use edgenn_tensor::{scratch_stats, Tensor};
 
 use crate::plan::{Assignment, ExecutionPlan, Precision};
 use crate::runtime::pool::{self, JoinError, Pool, ShutdownGuard, Tally, TaskHandle};
@@ -372,7 +372,9 @@ impl FaultInjector {
     }
 }
 
-/// Statistics of one functional run.
+/// Statistics of one functional run. Its layer and region counts are the
+/// session's decisions for the plan, made before any input ran; its
+/// engine and recovery stats are measured over this input's run.
 #[derive(Debug, Clone)]
 pub struct FunctionalOutcome {
     /// The network output.
@@ -382,8 +384,6 @@ pub struct FunctionalOutcome {
     /// compute both shares on the driver (the handoff would cost more
     /// than the layer).
     pub corun_layers: usize,
-    /// Number of layers executed wholly by the CPU-role worker.
-    pub cpu_layers: usize,
     /// Number of layers computed by the int8 quantized kernels (zero
     /// under [`Precision::F32`] plans).
     pub int8_layers: usize,
@@ -405,19 +405,80 @@ pub struct FunctionalOutcome {
 /// job the watchdog abandoned may hold it past the session's end.
 struct Session {
     program: Arc<Program>,
+    /// Per node, how it runs: the plan's assignment, except that a split
+    /// with fewer than two units (or input channels) to share out runs
+    /// whole, as [`Assignment::Cpu`] does.
     assignments: Vec<Assignment>,
-    int8: bool,
+    /// Per node, whether it computes with the int8 kernels.
+    int8: Vec<bool>,
+    /// Per segment, whether its branches fork onto the pool.
+    forks: Vec<bool>,
+    /// Int8-capable nodes the plan's precision leaves in f32 because
+    /// their shape loses to f32 ([`FunctionalOutcome::int8_gated`]).
+    int8_gated: usize,
     /// Node output slots, one per program node per input of the batch.
     slots: Vec<OnceLock<Tensor>>,
-    corun: AtomicUsize,
-    cpu: AtomicUsize,
-    int8_layers: AtomicUsize,
-    int8_gated: AtomicUsize,
     slot_bytes: AtomicU64,
     faults: Option<Arc<FaultInjector>>,
     corun_cutoff: u64,
     /// This session's pool tasks (the workers are shared).
     tally: Tally,
+}
+
+impl Session {
+    /// Decides, once for every input of the session, how each node of
+    /// `program` runs under `plan` and which fork-join segments fork.
+    fn new(
+        program: &Arc<Program>,
+        plan: &ExecutionPlan,
+        inputs: usize,
+        faults: Option<Arc<FaultInjector>>,
+        corun_cutoff: u64,
+    ) -> Self {
+        let int8_plan = plan.config.precision == Precision::Int8;
+        let (mut assignments, mut int8, mut int8_gated) = (Vec::new(), Vec::new(), 0);
+        for (id, node) in (0..).map(NodeId).zip(&plan.nodes) {
+            let (layer, facts) = (program.layer(id), program.facts(id));
+            // Input-channel splits stay f32 regardless of the plan's
+            // precision: their partial *sums* need f32 accumulation, and
+            // requantizing each partial would double the rounding error.
+            // An int8-capable layer whose shape loses to f32
+            // (quantize/requant overhead beats the saved weight traffic)
+            // stays in f32 too, counted apart so benches see the gate.
+            let quantizable = int8_plan
+                && layer.int8_ready()
+                && !matches!(node.assignment, Assignment::SplitInput { .. });
+            int8.push(quantizable && layer.int8_worthwhile());
+            int8_gated += usize::from(quantizable && !layer.int8_worthwhile());
+            assignments.push(match node.assignment {
+                Assignment::Split { .. } if facts.units < 2 => Assignment::Cpu,
+                Assignment::SplitInput { .. } if facts.channels < 2 => Assignment::Cpu,
+                assignment => assignment,
+            });
+        }
+        // Like a split, a fork co-runs only when the work it hands off
+        // clears the cutoff.
+        let forks = (0..program.segments().len())
+            .map(|seg| {
+                let real = program.branches(seg).iter().filter(|b| !b.is_empty());
+                real.count() >= 2 && program.fork_flops(seg) >= corun_cutoff
+            })
+            .collect();
+        Self {
+            program: Arc::clone(program),
+            assignments,
+            int8,
+            forks,
+            int8_gated,
+            slots: (0..plan.nodes.len() * inputs)
+                .map(|_| OnceLock::new())
+                .collect(),
+            slot_bytes: AtomicU64::new(0),
+            faults,
+            corun_cutoff,
+            tally: Tally::default(),
+        }
+    }
 }
 
 /// A reusable functional execution session for one graph.
@@ -562,20 +623,16 @@ impl<'g> Executor<'g> {
             });
         }
         let len = self.graph.len();
-        let mut session = Arc::new(Session {
-            program: Arc::clone(&self.program),
-            assignments: plan.nodes.iter().map(|n| n.assignment).collect(),
-            int8: plan.config.precision == Precision::Int8,
-            slots: (0..len * inputs.len()).map(|_| OnceLock::new()).collect(),
-            corun: AtomicUsize::new(0),
-            cpu: AtomicUsize::new(0),
-            int8_layers: AtomicUsize::new(0),
-            int8_gated: AtomicUsize::new(0),
-            slot_bytes: AtomicU64::new(0),
-            faults: self.faults.clone(),
-            corun_cutoff: self.corun_cutoff,
-            tally: Tally::default(),
-        });
+        let mut session = Arc::new(Session::new(
+            &self.program,
+            plan,
+            inputs.len(),
+            self.faults.clone(),
+            self.corun_cutoff,
+        ));
+        let corun_layers = session.assignments.iter().filter(|a| a.is_corun()).count();
+        let int8_layers = session.int8.iter().filter(|&&int8| int8).count();
+        let parallel_regions = session.forks.iter().filter(|&&fork| fork).count();
         let runs = inputs
             .iter()
             .enumerate()
@@ -595,7 +652,7 @@ impl<'g> Executor<'g> {
         let output_idx = self.graph.output_id().index();
         runs.into_iter()
             .enumerate()
-            .map(|(i, counters)| {
+            .map(|(i, (engine, recovery))| {
                 let slot = i * len + output_idx;
                 let output = match Arc::get_mut(&mut session) {
                     Some(owned) => owned.slots[slot].take(),
@@ -606,13 +663,12 @@ impl<'g> Executor<'g> {
                 })?;
                 Ok(FunctionalOutcome {
                     output,
-                    corun_layers: counters.corun,
-                    cpu_layers: counters.cpu,
-                    int8_layers: counters.int8,
-                    int8_gated: counters.int8_gated,
-                    parallel_regions: counters.parallel_regions,
-                    engine: counters.engine,
-                    recovery: counters.recovery,
+                    corun_layers,
+                    int8_layers,
+                    int8_gated: session.int8_gated,
+                    parallel_regions,
+                    engine,
+                    recovery,
                 })
             })
             .collect()
@@ -630,17 +686,6 @@ impl<'g> Executor<'g> {
 /// panics (surfaced as [`CoreError::Internal`]).
 pub fn execute(graph: &Graph, plan: &ExecutionPlan, input: &Tensor) -> Result<FunctionalOutcome> {
     Executor::new(graph)?.execute(plan, input)
-}
-
-/// Per-run counter deltas collected by [`run_one`].
-struct RunCounters {
-    corun: usize,
-    cpu: usize,
-    int8: usize,
-    int8_gated: usize,
-    parallel_regions: usize,
-    engine: EngineStats,
-    recovery: FaultCounts,
 }
 
 /// One input's view of a [`Session`]. The driver's view borrows the
@@ -695,18 +740,15 @@ impl<'a> Ctx<'a> {
 }
 
 /// Drives one input through every segment on the calling thread,
-/// delegating branch bodies and split partials to the pool.
-fn run_one(ctx: Ctx<'_>) -> Result<RunCounters> {
+/// delegating branch bodies and split partials to the pool. Returns the
+/// engine and recovery counters' growth over the run.
+fn run_one(ctx: Ctx<'_>) -> Result<(EngineStats, FaultCounts)> {
     let session = &**ctx.session;
     let stats_before = EngineStats::capture(
         &session.tally.stats(),
         &scratch_stats(),
         session.slot_bytes.load(Ordering::Relaxed),
     );
-    let corun_before = session.corun.load(Ordering::Relaxed);
-    let cpu_before = session.cpu.load(Ordering::Relaxed);
-    let int8_before = session.int8_layers.load(Ordering::Relaxed);
-    let int8_gated_before = session.int8_gated.load(Ordering::Relaxed);
     let recovery_before = ctx.faults().map(FaultInjector::counts).unwrap_or_default();
 
     // Per-request flight window: everything recorded between here and
@@ -715,36 +757,26 @@ fn run_one(ctx: Ctx<'_>) -> Result<RunCounters> {
     let marker = flight::enabled().then(flight::mark);
     let root = flight::begin(flight::SpanKind::Request, flight::NO_NODE);
 
-    let run: Result<usize> = flight::with_parent(root.id(), || {
-        let mut parallel_regions = 0usize;
+    let run: Result<()> = flight::with_parent(root.id(), || {
         for (seg, segment) in session.program.segments().iter().enumerate() {
             match segment {
                 Segment::Chain(nodes) => run_branch(ctx, nodes)?,
-                Segment::Parallel { branches, .. } => {
-                    // Like a split, a fork co-runs only when the work it
-                    // hands off clears the cutoff.
-                    let forked = branches.iter().filter(|b| !b.is_empty()).count() >= 2
-                        && session.program.fork_flops(seg) >= session.corun_cutoff;
-                    match ctx.pool {
-                        Some(pool) if forked => {
-                            parallel_regions += 1;
-                            exec_branches(ctx, pool, seg)?;
-                        }
-                        // Zero or one real branch, or too little work to
-                        // hand off: run the branches here.
-                        _ => {
-                            for branch in branches {
-                                run_branch(ctx, branch)?;
-                            }
+                Segment::Parallel { branches, .. } => match ctx.pool {
+                    Some(pool) if session.forks[seg] => exec_branches(ctx, pool, seg)?,
+                    // Zero or one real branch, or too little work to hand
+                    // off: run the branches here.
+                    _ => {
+                        for branch in branches {
+                            run_branch(ctx, branch)?;
                         }
                     }
-                }
+                },
             }
         }
-        Ok(parallel_regions)
+        Ok(())
     });
     flight::end(root);
-    let parallel_regions = run?;
+    run?;
 
     let mut stats_after = EngineStats::capture(
         &session.tally.stats(),
@@ -754,16 +786,11 @@ fn run_one(ctx: Ctx<'_>) -> Result<RunCounters> {
     if let Some(marker) = &marker {
         stats_after.profile = Some(flight::profile_since(marker, root.id()));
     }
-    Ok(RunCounters {
-        corun: session.corun.load(Ordering::Relaxed) - corun_before,
-        cpu: session.cpu.load(Ordering::Relaxed) - cpu_before,
-        int8: session.int8_layers.load(Ordering::Relaxed) - int8_before,
-        int8_gated: session.int8_gated.load(Ordering::Relaxed) - int8_gated_before,
-        parallel_regions,
-        recovery: recovery_before
-            .delta(&ctx.faults().map(FaultInjector::counts).unwrap_or_default()),
-        engine: stats_before.snapshot_delta(&stats_after),
-    })
+    let recovery_after = ctx.faults().map(FaultInjector::counts).unwrap_or_default();
+    Ok((
+        stats_before.snapshot_delta(&stats_after),
+        recovery_before.delta(&recovery_after),
+    ))
 }
 
 /// Runs the branches of fork-join segment `seg`: the last non-empty one
@@ -892,13 +919,8 @@ fn exec_node(ctx: Ctx<'_>, id: NodeId, start_ns: u64) -> Result<u64> {
     };
     let result = flight::with_span(&span, || forward_assigned(ctx, id, &inputs));
     let end_ns = flight::end_at(span);
-    let (tensor, corun, cpu) = result?;
-    let session = &**ctx.session;
-    session
-        .corun
-        .fetch_add(usize::from(corun), Ordering::Relaxed);
-    session.cpu.fetch_add(cpu, Ordering::Relaxed);
-    session
+    let tensor = result?;
+    ctx.session
         .slot_bytes
         .fetch_add((tensor.as_slice().len() * 4) as u64, Ordering::Relaxed);
     ctx.slot(id).set(tensor).map_err(|_| CoreError::Internal {
@@ -907,53 +929,28 @@ fn exec_node(ctx: Ctx<'_>, id: NodeId, start_ns: u64) -> Result<u64> {
     Ok(end_ns)
 }
 
-/// Computes one node per its assignment into its output, allocated once
-/// here from the program's dims: a whole node writes all of it, and the
-/// two shares of an output-channel split write its disjoint sub-slices.
-/// Returns `(output, was_corun, was_cpu as 0/1)`.
-fn forward_assigned(ctx: Ctx<'_>, id: NodeId, inputs: &[&Tensor]) -> Result<(Tensor, bool, usize)> {
+/// Computes one node per its session assignment into its output,
+/// allocated once here from the program's dims: a whole node writes all
+/// of it, and the two shares of an output-channel split write its
+/// disjoint sub-slices.
+fn forward_assigned(ctx: Ctx<'_>, id: NodeId, inputs: &[&Tensor]) -> Result<Tensor> {
     let layer = ctx.layer(id);
     let session = &**ctx.session;
-    let assignment = session.assignments[id.index()];
-    // Input-channel splits stay f32 regardless of the plan's precision:
-    // their partial *sums* need f32 accumulation, and requantizing each
-    // partial would double the rounding error.
-    let int8_plan =
-        session.int8 && layer.int8_ready() && !matches!(assignment, Assignment::SplitInput { .. });
-    // An int8-capable layer whose shape loses to f32 (quantize/requant
-    // overhead beats the saved weight traffic) stays in f32 — counted
-    // separately so benches can see the gate at work.
-    let int8 = int8_plan && layer.int8_worthwhile();
-    if int8 {
-        session.int8_layers.fetch_add(1, Ordering::Relaxed);
-    } else if int8_plan {
-        session.int8_gated.fetch_add(1, Ordering::Relaxed);
-    }
-    let shapes: Vec<&Shape> = inputs.iter().map(|t| t.shape()).collect();
-    let units = layer.partition_units(&shapes)?;
+    let facts = session.program.facts(id);
+    let units = facts.units;
     let dims = session.program.dims(id);
     let mut out = vec![0.0f32; dims.iter().product()];
     let part = |range| Part::Units {
         range,
-        int8,
+        int8: session.int8[id.index()],
         relu: false,
     };
     let whole = |out: &mut [f32]| Ok(layer.forward_into(inputs, part(0..units), out)?);
-    let (corun, cpu) = match assignment {
-        Assignment::Gpu => {
-            recovering_forward(ctx, id, || whole(&mut out))?;
-            (false, 0)
-        }
-        Assignment::Cpu => {
-            whole(&mut out)?;
-            (false, 1)
-        }
+    match session.assignments[id.index()] {
+        Assignment::Gpu => recovering_forward(ctx, id, || whole(&mut out))?,
+        Assignment::Cpu => whole(&mut out)?,
         Assignment::SplitInput { cpu_fraction } => {
-            let channels = layer.input_channels(&shapes)?;
-            if channels < 2 {
-                whole(&mut out)?;
-                return Ok((Tensor::from_vec(out, dims)?, false, 0));
-            }
+            let channels = facts.channels;
             let cpu_channels =
                 ((cpu_fraction * channels as f64).round() as usize).clamp(1, channels - 1);
             let gpu_channels = channels - cpu_channels;
@@ -965,7 +962,6 @@ fn forward_assigned(ctx: Ctx<'_>, id: NodeId, inputs: &[&Tensor]) -> Result<(Ten
                 ctx,
                 id,
                 inputs,
-                &shapes,
                 (Part::Inputs(0..gpu_channels), &mut out),
                 (Part::Inputs(gpu_channels..channels), &mut cpu_part),
             )?;
@@ -981,13 +977,8 @@ fn forward_assigned(ctx: Ctx<'_>, id: NodeId, inputs: &[&Tensor]) -> Result<(Ten
                 edgenn_tensor::ops::relu_in_place(&mut out);
             }
             flight::end(merge_span);
-            (true, 0)
         }
         Assignment::Split { cpu_fraction } => {
-            if units < 2 {
-                whole(&mut out)?;
-                return Ok((Tensor::from_vec(out, dims)?, false, 0));
-            }
             let cpu_units = ((cpu_fraction * units as f64).round() as usize).clamp(1, units - 1);
             // The paper's convention: the GPU computes the first units,
             // the CPU the remainder (Section IV-D), each into its own
@@ -999,14 +990,12 @@ fn forward_assigned(ctx: Ctx<'_>, id: NodeId, inputs: &[&Tensor]) -> Result<(Ten
                 ctx,
                 id,
                 inputs,
-                &shapes,
                 (part(0..gpu_units), gpu_out),
                 (part(gpu_units..units), cpu_out),
             )?;
-            (true, 0)
         }
-    };
-    Ok((Tensor::from_vec(out, dims)?, corun, cpu))
+    }
+    Ok(Tensor::from_vec(out, dims)?)
 }
 
 /// Computes a split node's GPU share into `gpu.1` on this thread and its
@@ -1019,17 +1008,15 @@ fn split_shares(
     ctx: Ctx<'_>,
     id: NodeId,
     inputs: &[&Tensor],
-    shapes: &[&Shape],
     gpu: (Part, &mut [f32]),
     cpu: (Part, &mut [f32]),
 ) -> Result<()> {
     let layer = ctx.layer(id);
     let share = |part: Part, out: &mut [f32]| Ok(layer.forward_into(inputs, part, out)?);
-    let pool = ctx.pool.filter(|_| {
-        layer
-            .workload(shapes)
-            .is_ok_and(|w| w.flops >= ctx.session.corun_cutoff)
-    });
+    let session = &**ctx.session;
+    let pool = ctx
+        .pool
+        .filter(|_| session.program.facts(id).flops >= session.corun_cutoff);
     let (gpu_part, gpu_out) = gpu;
     let (cpu_part, cpu_out) = cpu;
     let Some(pool) = pool else {
@@ -1341,11 +1328,7 @@ mod tests {
             let mut nodes = vec![NodePlan::gpu_explicit(); graph.len()];
             for id in graph.topo_order() {
                 let node = graph.node(id).unwrap();
-                let shapes: Vec<_> = node
-                    .inputs()
-                    .iter()
-                    .map(|i| graph.node(*i).unwrap().output_shape())
-                    .collect();
+                let shapes = graph.input_shapes(id).unwrap();
                 if node.layer().partition_units(&shapes).unwrap_or(1) >= 2 {
                     nodes[id.index()] = NodePlan {
                         assignment: Assignment::Split { cpu_fraction: 0.5 },
@@ -1391,11 +1374,7 @@ mod tests {
             let mut forced = 0;
             for id in graph.topo_order() {
                 let node = graph.node(id).unwrap();
-                let shapes: Vec<_> = node
-                    .inputs()
-                    .iter()
-                    .map(|i| graph.node(*i).unwrap().output_shape())
-                    .collect();
+                let shapes = graph.input_shapes(id).unwrap();
                 if node.layer().input_channels(&shapes).unwrap_or(1) >= 2 {
                     nodes[id.index()] = NodePlan {
                         assignment: Assignment::SplitInput { cpu_fraction: 0.4 },
@@ -1442,11 +1421,7 @@ mod tests {
             let mut forced_fused = 0;
             for id in graph.topo_order() {
                 let node = graph.node(id).unwrap();
-                let shapes: Vec<_> = node
-                    .inputs()
-                    .iter()
-                    .map(|i| graph.node(*i).unwrap().output_shape())
-                    .collect();
+                let shapes = graph.input_shapes(id).unwrap();
                 if node.layer().input_channels(&shapes).unwrap_or(1) >= 2 {
                     nodes[id.index()] = NodePlan {
                         assignment: Assignment::SplitInput { cpu_fraction: 0.4 },
@@ -1922,11 +1897,7 @@ mod tests {
                         let mut nodes = vec![NodePlan::gpu_explicit(); graph.len()];
                         for id in graph.topo_order() {
                             let node = graph.node(id).unwrap();
-                            let shapes: Vec<_> = node
-                                .inputs()
-                                .iter()
-                                .map(|i| graph.node(*i).unwrap().output_shape())
-                                .collect();
+                            let shapes = graph.input_shapes(id).unwrap();
                             if node.layer().partition_units(&shapes).unwrap_or(1) >= 2 {
                                 nodes[id.index()] = NodePlan {
                                     assignment: Assignment::Split { cpu_fraction },

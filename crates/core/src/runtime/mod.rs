@@ -46,11 +46,7 @@ pub fn op_class(class: LayerClass) -> OpClass {
 /// Propagates shape/workload failures from the layer.
 pub fn kernel_desc(graph: &Graph, id: NodeId) -> Result<KernelDesc> {
     let node = graph.node(id)?;
-    let shapes: Vec<_> = node
-        .inputs()
-        .iter()
-        .map(|i| graph.node(*i).map(edgenn_nn::graph::Node::output_shape))
-        .collect::<std::result::Result<_, _>>()?;
+    let shapes = graph.input_shapes(id)?;
     let w = node.layer().workload(&shapes)?;
     let ws = node.layer().working_set_bytes(&shapes)?;
     Ok(KernelDesc {

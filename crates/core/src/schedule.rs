@@ -14,21 +14,21 @@ use std::sync::Arc;
 
 use edgenn_nn::graph::{Graph, NodeId, Segment, Structure};
 use edgenn_nn::layer::{Layer, LayerClass};
-use edgenn_tensor::Shape;
 use serde::Serialize;
 
 use crate::plan::ExecutionPlan;
-use crate::runtime::kernel_desc;
 use crate::Result;
 
 /// The graph as the engine runs it, shared by `Arc` with the engine's
 /// pooled jobs so they can be `'static`. Each consumer builds it once per
 /// graph — the engine once per executor, and the serving layer builds one
 /// executor per batch — so it is kept flat: the graph's own `Arc` layers,
-/// plus every node's input edges and output dims copied into two arrays,
-/// node `i`'s share delimited by `bounds[i]..bounds[i + 1]`.
+/// every node's [`Facts`], plus every node's input edges and output dims
+/// copied into two arrays, node `i`'s share delimited by
+/// `bounds[i]..bounds[i + 1]`.
 pub struct Program {
     layers: Vec<Arc<dyn Layer>>,
+    facts: Vec<Facts>,
     edges: Vec<NodeId>,
     dims: Vec<usize>,
     bounds: Vec<(usize, usize)>,
@@ -40,21 +40,46 @@ pub struct Program {
     fork_flops: Vec<u64>,
 }
 
+/// What the engine and the memory accounting need of one node's layer,
+/// asked once over [`Graph::input_shapes`] when the [`Program`] is built.
+/// A node whose shapes do not resolve (tier A diagnoses it) reads one
+/// unit, one channel, no flops and no scratch.
+#[derive(Clone, Copy)]
+pub(crate) struct Facts {
+    /// [`Layer::partition_units`]: what an output-channel split shares out.
+    pub(crate) units: usize,
+    /// [`Layer::input_channels`]: what an input-channel split shares out.
+    pub(crate) channels: usize,
+    /// The flops of [`Layer::workload`].
+    pub(crate) flops: u64,
+    /// [`Layer::scratch_bytes`]: the node's scratch-arena bound.
+    pub(crate) scratch_bytes: u64,
+}
+
 impl Program {
-    /// Resolves `graph`'s fork-join structure and copies its layers,
-    /// edges and dims.
+    /// Resolves `graph`'s fork-join structure, copies its layers, edges
+    /// and dims, and asks each node's layer for its [`Facts`].
     ///
     /// # Errors
     /// Fails when the graph has no valid fork-join decomposition.
     pub fn new(graph: &Graph) -> Result<Self> {
         let nodes = graph.nodes();
         let mut layers = Vec::with_capacity(nodes.len());
+        let mut facts = Vec::with_capacity(nodes.len());
         let mut edges = Vec::with_capacity(nodes.iter().map(|n| n.inputs().len()).sum());
         let mut dims = Vec::with_capacity(nodes.iter().map(|n| n.output_shape().rank()).sum());
         let mut bounds = Vec::with_capacity(nodes.len() + 1);
-        for node in nodes {
+        for (id, node) in graph.topo_order().zip(nodes) {
             bounds.push((edges.len(), dims.len()));
             layers.push(node.layer_arc());
+            let (layer, shapes) = (node.layer(), graph.input_shapes(id).ok());
+            let shapes = shapes.as_deref();
+            facts.push(Facts {
+                units: shapes.map_or(1, |s| layer.partition_units(s).unwrap_or(1)),
+                channels: shapes.map_or(1, |s| layer.input_channels(s).unwrap_or(1)),
+                flops: shapes.map_or(0, |s| layer.workload(s).map_or(0, |w| w.flops)),
+                scratch_bytes: shapes.map_or(0, |s| layer.scratch_bytes(s).unwrap_or(0)),
+            });
             edges.extend_from_slice(node.inputs());
             dims.extend_from_slice(node.output_shape().dims());
         }
@@ -69,13 +94,12 @@ impl Program {
                 };
                 let mut real = branches.iter().filter(|b| !b.is_empty());
                 real.next_back(); // the driver's own branch
-                real.flatten()
-                    .map(|&id| kernel_desc(graph, id).map_or(0, |d| d.flops))
-                    .sum()
+                real.flatten().map(|id| facts[id.index()].flops).sum()
             })
             .collect();
         Ok(Self {
             layers,
+            facts,
             edges,
             dims,
             bounds,
@@ -83,6 +107,10 @@ impl Program {
             structure,
             fork_flops,
         })
+    }
+
+    pub(crate) fn facts(&self, id: NodeId) -> Facts {
+        self.facts[id.index()]
     }
 
     pub(crate) fn layer(&self, id: NodeId) -> &dyn Layer {
@@ -166,19 +194,8 @@ impl Program {
         // `scratch_bytes` is the byte-accurate bound across every execution
         // path *and precision* (the int8 kernels' widened i16 packing can
         // exceed the f32 path's elems x 4), so one certified bound holds for
-        // plans of either precision. A dangling input edge (tier A
-        // diagnoses it) bounds nothing.
-        let shapes: Vec<Shape> = inputs
-            .iter()
-            .filter(|i| i.index() < self.layers.len())
-            .map(|&i| Shape::new(self.dims(i)))
-            .collect();
-        let shapes: Vec<&Shape> = shapes.iter().collect();
-        let arena = if shapes.len() == inputs.len() {
-            layer.scratch_bytes(&shapes).unwrap_or(0) * if split { 2 } else { 1 }
-        } else {
-            0
-        };
+        // plans of either precision.
+        let arena = self.facts(id).scratch_bytes * if split { 2 } else { 1 };
         if arena > 0 {
             ops.push(Op::ArenaAcquire { node, bytes: arena });
             ops.push(Op::ArenaRelease { node });
@@ -351,15 +368,11 @@ mod tests {
             let bound = |class: Option<LayerClass>| -> u64 {
                 graph
                     .topo_order()
-                    .map(|id| graph.node(id).unwrap())
-                    .filter(|node| class.is_none_or(|c| node.layer().class() == c))
-                    .map(|node| {
-                        let shapes: Vec<&Shape> = node
-                            .inputs()
-                            .iter()
-                            .map(|i| graph.node(*i).unwrap().output_shape())
-                            .collect();
-                        node.layer().scratch_bytes(&shapes).unwrap()
+                    .map(|id| (graph.node(id).unwrap().layer(), id))
+                    .filter(|(layer, _)| class.is_none_or(|c| layer.class() == c))
+                    .map(|(layer, id)| {
+                        let shapes = graph.input_shapes(id).unwrap();
+                        layer.scratch_bytes(&shapes).unwrap()
                     })
                     .sum()
             };

@@ -524,11 +524,7 @@ impl Tuner {
         // the candidate and *evaluates* it (and the measurement-corrected
         // endpoints) with the full launch-aware kernel model the runtime
         // will charge.
-        let shapes: Vec<_> = node
-            .inputs()
-            .iter()
-            .map(|i| graph.node(*i).map(edgenn_nn::graph::Node::output_shape))
-            .collect::<std::result::Result<_, _>>()?;
+        let shapes = graph.input_shapes(id)?;
         let units = node.layer().partition_units(&shapes)?;
         let (split, eq) = if units >= 2 {
             let cpu_spec = &runtime.platform().cpu;

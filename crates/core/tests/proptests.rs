@@ -121,11 +121,7 @@ fn random_plans_execute_losslessly() {
         let mut nodes = vec![NodePlan::gpu_explicit(); graph.len()];
         for id in graph.topo_order() {
             let node = graph.node(id).unwrap();
-            let shapes: Vec<_> = node
-                .inputs()
-                .iter()
-                .map(|i| graph.node(*i).unwrap().output_shape())
-                .collect();
+            let shapes = graph.input_shapes(id).unwrap();
             let i = id.index();
             let choice = assignments[i % assignments.len()];
             let units = node.layer().partition_units(&shapes).unwrap_or(1);
@@ -217,11 +213,7 @@ fn batch_execute_matches_forward_under_random_plans() {
         let mut nodes = vec![NodePlan::gpu_explicit(); graph.len()];
         for id in graph.topo_order() {
             let node = graph.node(id).unwrap();
-            let shapes: Vec<_> = node
-                .inputs()
-                .iter()
-                .map(|i| graph.node(*i).unwrap().output_shape())
-                .collect();
+            let shapes = graph.input_shapes(id).unwrap();
             let units = node.layer().partition_units(&shapes).unwrap_or(1);
             let channels = node.layer().input_channels(&shapes).unwrap_or(1);
             nodes[id.index()].assignment = match rng.gen_range(0u8..4) {
@@ -272,11 +264,7 @@ fn compiled_graphs_execute_losslessly_under_random_split_plans() {
             let mut nodes = vec![NodePlan::gpu_explicit(); graph.len()];
             for id in graph.topo_order() {
                 let node = graph.node(id).unwrap();
-                let shapes: Vec<_> = node
-                    .inputs()
-                    .iter()
-                    .map(|i| graph.node(*i).unwrap().output_shape())
-                    .collect();
+                let shapes = graph.input_shapes(id).unwrap();
                 let units = node.layer().partition_units(&shapes).unwrap_or(1);
                 let channels = node.layer().input_channels(&shapes).unwrap_or(1);
                 nodes[id.index()].assignment = match rng.gen_range(0u8..4) {

@@ -43,33 +43,30 @@ use crate::{NnError, Result};
 /// Fixpoint guard: the most pipeline iterations [`compile`] runs.
 const MAX_ITERATIONS: usize = 10;
 
-/// Which passes run, and which precisions get weights prepacked.
+/// Which rewrite passes run, and which precisions get weights prepacked.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
-    /// Remove inference-time identity nodes.
-    pub identity_elim: bool,
-    /// Fold sole-consumer ReLUs into their producers' epilogues.
-    pub fuse: bool,
-    /// Evaluate all-constant subgraphs at compile time.
-    pub fold_constants: bool,
-    /// Cancel slice/concat round-trips.
-    pub simplify_slices: bool,
-    /// Drop nodes unreachable from the sink.
-    pub dce: bool,
+    /// The rewrite passes to run.
+    pub passes: Passes,
     /// Prepack f32 weights into GEMM panel layout.
     pub prepack_f32: bool,
     /// Quantize + prepack int8 weights into qgemm panel layout.
     pub prepack_int8: bool,
 }
 
+/// The rewrite pass sets [`compile`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Passes {
+    /// Every pass of the pipeline.
+    All,
+    /// `fuse-activations` alone: the graph the fusion ablation measures.
+    FuseOnly,
+}
+
 impl Default for CompileOptions {
     fn default() -> Self {
         Self {
-            identity_elim: true,
-            fuse: true,
-            fold_constants: true,
-            simplify_slices: true,
-            dce: true,
+            passes: Passes::All,
             prepack_f32: true,
             prepack_int8: false,
         }
@@ -77,24 +74,11 @@ impl Default for CompileOptions {
 }
 
 impl CompileOptions {
-    /// Options for an int8 deployment: everything on, both packings.
+    /// Options for an int8 deployment: every pass, both packings.
     #[must_use]
     pub fn int8() -> Self {
         Self {
             prepack_int8: true,
-            ..Self::default()
-        }
-    }
-
-    /// All rewrite passes off; only prepacking runs.
-    #[must_use]
-    pub fn prepack_only() -> Self {
-        Self {
-            identity_elim: false,
-            fuse: false,
-            fold_constants: false,
-            simplify_slices: false,
-            dce: false,
             ..Self::default()
         }
     }
@@ -470,25 +454,17 @@ pub fn compile(graph: &Graph, options: &CompileOptions) -> Result<(Graph, Compil
     };
     // simplify-slices runs before fusion so a cancellable concat is gone
     // before an activation could fuse into it and pin it in place.
-    let passes: Vec<(&'static str, Pass, bool)> = vec![
-        (
-            PASS_NAMES[0],
-            pass_identity_elim as Pass,
-            options.identity_elim,
-        ),
-        (
-            PASS_NAMES[1],
-            pass_simplify_slices as Pass,
-            options.simplify_slices,
-        ),
-        (PASS_NAMES[2], pass_fuse_activations as Pass, options.fuse),
-        (
-            PASS_NAMES[3],
-            pass_fold_constants as Pass,
-            options.fold_constants,
-        ),
-        (PASS_NAMES[4], pass_dce as Pass, options.dce),
+    let all: [(&'static str, Pass); 5] = [
+        (PASS_NAMES[0], pass_identity_elim),
+        (PASS_NAMES[1], pass_simplify_slices),
+        (PASS_NAMES[2], pass_fuse_activations),
+        (PASS_NAMES[3], pass_fold_constants),
+        (PASS_NAMES[4], pass_dce),
     ];
+    let passes = match options.passes {
+        Passes::All => &all[..],
+        Passes::FuseOnly => &all[2..3],
+    };
 
     let mut current = apply(
         graph,
@@ -500,10 +476,7 @@ pub fn compile(graph: &Graph, options: &CompileOptions) -> Result<(Graph, Compil
     for iteration in 1..=MAX_ITERATIONS {
         report.iterations = iteration;
         let mut changed = false;
-        for (name, pass, enabled) in &passes {
-            if !enabled {
-                continue;
-            }
+        for (name, pass) in passes {
             let nodes_before = current.len();
             let edges_before = edge_count(&current);
             let (next, rewrites) = pass(&current)?;
@@ -754,6 +727,15 @@ mod tests {
         // everything already packed.
         let (_, second) = compile(&graph, &CompileOptions::default()).unwrap();
         assert_eq!(second.prepacked_bytes, 0, "prepack is idempotent");
+        // With both packings off, a fresh graph gets nothing packed.
+        let fresh = build(ModelKind::AlexNet, ModelScale::Tiny);
+        let unpacked = CompileOptions {
+            prepack_f32: false,
+            ..CompileOptions::default()
+        };
+        let (_, none) = compile(&fresh, &unpacked).unwrap();
+        assert_eq!(none.prepacked_bytes, 0);
+        assert_eq!(none.prepacked_nodes, 0);
     }
 
     #[test]
@@ -763,20 +745,6 @@ mod tests {
         let graph2 = build(ModelKind::LeNet, ModelScale::Tiny);
         let (_, both) = compile(&graph2, &CompileOptions::int8()).unwrap();
         assert!(both.prepacked_bytes > f32_only.prepacked_bytes);
-    }
-
-    #[test]
-    fn disabled_passes_leave_the_graph_alone() {
-        let graph = build(ModelKind::Vgg16, ModelScale::Tiny);
-        let opts = CompileOptions {
-            prepack_f32: false,
-            ..CompileOptions::prepack_only()
-        };
-        let (opt, report) = compile(&graph, &opts).unwrap();
-        assert_eq!(opt.len(), graph.len());
-        assert_eq!(report.nodes_eliminated(), 0);
-        assert!(report.passes.is_empty());
-        assert_eq!(report.prepacked_bytes, 0);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! exactly once after merging the CPU and GPU halves.
 //!
 //! The graph compiler's `fuse-activations` pass (`graph::compile`)
-//! produces these nodes; run it alone by turning every other pass and
-//! the prepacking off in `CompileOptions`.
+//! produces these nodes; `Passes::FuseOnly` runs it alone.
 
 use std::sync::Arc;
 
@@ -117,15 +116,15 @@ impl Layer for FusedRelu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{compile, CompileOptions, Graph};
+    use crate::graph::{compile, CompileOptions, Graph, Passes};
     use crate::models::{build, ModelKind, ModelScale};
 
     /// The compiler with only its fusion pass on and no prepacking.
     fn fuse_only(graph: &Graph) -> Graph {
         let options = CompileOptions {
-            fuse: true,
+            passes: Passes::FuseOnly,
             prepack_f32: false,
-            ..CompileOptions::prepack_only()
+            prepack_int8: false,
         };
         compile(graph, &options).unwrap().0
     }

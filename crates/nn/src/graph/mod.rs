@@ -11,10 +11,10 @@ use std::sync::Arc;
 use edgenn_tensor::{Shape, Tensor};
 
 use crate::layer::{InputLayer, Layer};
-use crate::{NnError, Result};
+use crate::{NnError, Result, Workload};
 
 pub use calibrate::calibrate;
-pub use compile::{compile, CompileOptions, CompileReport, PassDelta, PASS_NAMES};
+pub use compile::{compile, CompileOptions, CompileReport, PassDelta, Passes, PASS_NAMES};
 pub use fuse::FusedRelu;
 pub use structure::{decompose, Segment, Structure};
 
@@ -248,12 +248,7 @@ impl Graph {
         ));
         for id in self.topo_order().skip(1) {
             let node = &self.nodes[id.index()];
-            let shapes: Vec<&Shape> = node
-                .inputs
-                .iter()
-                .map(|i| self.nodes[i.index()].output_shape())
-                .collect();
-            let workload = node.layer.workload(&shapes).unwrap_or_default();
+            let workload = self.workload(id);
             out.push_str(&format!(
                 "{:<24} {:<8} {:<18} {:>12.3} {:>12}
 ",
@@ -270,31 +265,34 @@ impl Graph {
     /// Total parameter bytes across all nodes.
     pub fn param_bytes(&self) -> u64 {
         self.topo_order()
-            .map(|id| {
-                let node = &self.nodes[id.index()];
-                let shapes: Vec<&Shape> = node
-                    .inputs
-                    .iter()
-                    .map(|i| self.nodes[i.index()].output_shape())
-                    .collect();
-                node.layer.workload(&shapes).map_or(0, |w| w.weight_bytes)
-            })
+            .map(|id| self.workload(id).weight_bytes)
             .sum()
     }
 
     /// Total FLOPs of one forward pass.
     pub fn total_flops(&self) -> u64 {
-        self.topo_order()
-            .map(|id| {
-                let node = &self.nodes[id.index()];
-                let shapes: Vec<&Shape> = node
-                    .inputs
-                    .iter()
-                    .map(|i| self.nodes[i.index()].output_shape())
-                    .collect();
-                node.layer.workload(&shapes).map_or(0, |w| w.flops)
-            })
-            .sum()
+        self.topo_order().map(|id| self.workload(id).flops).sum()
+    }
+
+    /// The output shapes of node `id`'s inputs, in edge order: the shapes
+    /// its layer answers every shape-dependent question over.
+    ///
+    /// # Errors
+    /// Returns [`NnError::UnknownNode`] for an out-of-range `id` or a
+    /// dangling input edge (only a [`Graph::from_parts`] graph has one).
+    pub fn input_shapes(&self, id: NodeId) -> Result<Vec<&Shape>> {
+        self.node(id)?
+            .inputs
+            .iter()
+            .map(|&i| self.node(i).map(Node::output_shape))
+            .collect()
+    }
+
+    /// Node `id`'s analytic workload; zero when its shapes do not resolve.
+    fn workload(&self, id: NodeId) -> Workload {
+        self.input_shapes(id)
+            .and_then(|shapes| self.nodes[id.index()].layer.workload(&shapes))
+            .unwrap_or_default()
     }
 }
 

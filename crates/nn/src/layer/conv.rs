@@ -327,7 +327,7 @@ impl Conv2d {
         let part_taps = range.len() * taps_per_channel;
         let full_taps = self.in_channels * taps_per_channel;
         let w = self.weight.get().as_slice();
-        with_scratch(self.out_channels * part_taps, |w_buf| {
+        with_scratch(self.out_channels * part_taps, |w_buf: &mut [f32]| {
             for (oc, dst) in w_buf.chunks_mut(part_taps).enumerate() {
                 let row = &w[oc * full_taps..(oc + 1) * full_taps];
                 dst.copy_from_slice(

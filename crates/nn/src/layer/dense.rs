@@ -3,7 +3,7 @@
 use std::sync::OnceLock;
 
 use edgenn_tensor::{
-    dot, dot_i8, min_max, quantize_into, with_scratch_i8, QuantParams, Requant, Shape, Tensor,
+    dot, dot_i8, min_max, quantize_into, with_scratch, QuantParams, Requant, Shape, Tensor,
 };
 
 use crate::layer::params::{LazyParam, QuantizedWeights};
@@ -163,7 +163,7 @@ impl Layer for Dense {
             // is where int8 pays at the model level: the dominant traffic
             // here is the weight matrix, read at a quarter of the f32
             // width.
-            with_scratch_i8(k, |qx| {
+            with_scratch(k, |qx: &mut [i8]| {
                 quantize_into(x, qx, act);
                 for (i, (o, dst)) in range.clone().zip(out.iter_mut()).enumerate() {
                     *dst = rq.apply(dot_i8(&codes[o * k..(o + 1) * k], qx), i);

@@ -307,8 +307,8 @@ pub trait Layer: Send + Sync {
     }
 
     /// Byte-accurate upper bound on the scratch arena one forward call
-    /// over this layer may acquire ([`edgenn_tensor::with_scratch`] and
-    /// its i32/i8 siblings), across every execution path (full forward,
+    /// over this layer may acquire ([`edgenn_tensor::with_scratch`], in
+    /// any of its element types), across every execution path (full forward,
     /// output-channel partial, input-channel partial) and precision: the
     /// int8 kernels' i8/i16 acquisitions may exceed the f32 ones. The
     /// tier-D ownership analyzer certifies peak arena growth from this;

@@ -112,11 +112,7 @@ mod tests {
         let mut fc = 0u64;
         for id in g.topo_order() {
             let node = g.node(id).unwrap();
-            let shapes: Vec<_> = node
-                .inputs()
-                .iter()
-                .map(|i| g.node(*i).unwrap().output_shape())
-                .collect();
+            let shapes = g.input_shapes(id).unwrap();
             let flops = node.layer().workload(&shapes).map_or(0, |w| w.flops);
             match node.layer().class() {
                 LayerClass::Conv => conv += flops,

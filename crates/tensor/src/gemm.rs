@@ -26,7 +26,7 @@
 
 use edgenn_obs::flight;
 
-use crate::scratch::{with_scratch, with_scratch_i32};
+use crate::scratch::with_scratch;
 use crate::{Result, Tensor, TensorError};
 
 /// Rows of the register microtile (output rows accumulated at once).
@@ -238,8 +238,8 @@ pub fn gemm_into_fused(
     // would monomorphize once, at baseline width, and the hot loops with
     // it). B is copied only to give the last panel's reads their slack.
     let phases = Phases::start();
-    with_scratch_i32(k, |taps| {
-        with_scratch(k * n + NR, |bmap| {
+    with_scratch(k, |taps: &mut [i32]| {
+        with_scratch(k * n + NR, |bmap: &mut [f32]| {
             bmap[..k * n].copy_from_slice(b);
             fill_taps(taps, (0..k).map(|r| r * n));
             let phases = phases.packed();

@@ -30,7 +30,7 @@ use std::ops::Range;
 
 use crate::gemm::{fill_taps, tap, Epilogue, Grid, Phases};
 use crate::quant::{pair_word, quantize_code, QuantParams, Requant, MR, NR};
-use crate::scratch::{with_scratch, with_scratch_i32};
+use crate::scratch::with_scratch;
 use crate::{Result, Tensor, TensorError};
 
 /// Static geometry of a 2-D convolution (or pooling) window.
@@ -315,14 +315,14 @@ pub fn conv_gemm_into(
         });
     }
     let phases = Phases::start();
-    with_scratch_i32(k, |taps| {
+    with_scratch(k, |taps: &mut [i32]| {
         geometry.fill_taps(taps);
         if let Some(grid) = geometry.in_place_grid() {
             let phases = phases.packed();
             crate::simd::gemm_sweep_dispatch(a, input, taps, grid, out, m, ep);
             phases.finish(0);
         } else {
-            with_scratch(geometry.map_len(), |map| {
+            with_scratch(geometry.map_len(), |map: &mut [f32]| {
                 pad_map(input, geometry, map);
                 let phases = phases.packed();
                 crate::simd::gemm_sweep_dispatch(a, map, taps, geometry.grid(), out, m, ep);
@@ -374,9 +374,9 @@ pub fn conv_qgemm_into(
     }
     let awide = &awide[rows.start * stride..];
     let phases = Phases::start();
-    with_scratch_i32(stride, |taps| {
+    with_scratch(stride, |taps: &mut [i32]| {
         pairs.fill_taps(taps);
-        with_scratch_i32(pairs.map_len(), |map| {
+        with_scratch(pairs.map_len(), |map: &mut [i32]| {
             crate::simd::quantize_pad_pairs_dispatch(input, geometry, rq.act, map);
             let phases = phases.packed();
             crate::simd::qgemm_sweep_dispatch(awide, map, taps, pairs.grid(), out, m, rq);

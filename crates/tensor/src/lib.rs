@@ -47,10 +47,10 @@ pub use im2col::{
     conv_qgemm_scratch_elems, im2col, Conv2dGeometry,
 };
 pub use quant::{
-    dot_i8, min_max, qgemm_pack_a, qgemm_pack_bytes, qgemm_requant_into, quantize_into, row_sums,
-    QTensor, QuantParams, Quantization, Requant,
+    dot_i8, min_max, qgemm_pack_a, qgemm_pack_a_words, qgemm_pack_bytes, qgemm_requant_into,
+    quantize_into, row_sums, QTensor, QuantParams, Quantization, Requant,
 };
-pub use scratch::{scratch_stats, with_scratch, with_scratch_i32, with_scratch_i8, ScratchStats};
+pub use scratch::{scratch_stats, with_scratch, ScratchElem, ScratchStats};
 pub use shape::Shape;
 pub use simd::{kernel_arch, KernelArch};
 pub use tensor::Tensor;

@@ -50,7 +50,7 @@
 //! weights to match.
 
 use crate::gemm::{fill_taps, tap, Grid, Phases};
-use crate::scratch::with_scratch_i32;
+use crate::scratch::with_scratch;
 use crate::{Result, Shape, Tensor, TensorError};
 
 /// Rows per microtile: independent accumulator sets per A row, enough
@@ -444,8 +444,8 @@ pub fn qgemm_requant_into(
     // baseline width).
     let scratch_elems = mp * pairs + pairs * n + NR;
     let phases = Phases::start();
-    with_scratch_i32(pairs, |taps| {
-        with_scratch_i32(scratch_elems, |packed| {
+    with_scratch(pairs, |taps: &mut [i32]| {
+        with_scratch(scratch_elems, |packed: &mut [i32]| {
             let (awide, bwide) = packed.split_at_mut(mp * pairs);
             pack_pair_operands(a, b, awide, bwide, m, k, n);
             fill_taps(taps, (0..pairs).map(|h| h * n));
@@ -524,14 +524,13 @@ pub(crate) fn qgemm_sweep(
 /// `k.div_ceil(2)` adjacent-index pairs, the layout of
 /// [`qgemm_requant_into`]. Rows are zero-padded to `m.div_ceil(MR)*MR +
 /// MR` so that *any* row-range slice leaves a full `MR` block readable
-/// past its last real row.
+/// past its last real row; [`qgemm_pack_a_words`] is the packed length.
 #[must_use]
 pub fn qgemm_pack_a(a: &[i8], m: usize, k: usize, taps: usize) -> Vec<i32> {
     debug_assert_eq!(a.len(), m * k);
     debug_assert!(taps > 0 && k.is_multiple_of(taps));
-    let pairs = (k / taps).div_ceil(2);
-    let stride = pairs * taps;
-    let mut awide = vec![0i32; (m.div_ceil(MR) * MR + MR) * stride];
+    let stride = (k / taps).div_ceil(2) * taps;
+    let mut awide = vec![0i32; qgemm_pack_a_words(m, k, taps)];
     for (row, src_row) in awide.chunks_mut(stride).zip(a.chunks(k)).take(m) {
         for (pair, dst) in row.chunks_exact_mut(taps).enumerate() {
             let lo = &src_row[2 * pair * taps..(2 * pair + 1) * taps];
@@ -542,6 +541,14 @@ pub fn qgemm_pack_a(a: &[i8], m: usize, k: usize, taps: usize) -> Vec<i32> {
         }
     }
     awide
+}
+
+/// Length in pair words of [`qgemm_pack_a`]'s packing of an `(m, k)`
+/// matrix of `taps`-tap input channels: `m` rows padded as that function
+/// describes, each `(k / taps).div_ceil(2) * taps` words long.
+#[must_use]
+pub fn qgemm_pack_a_words(m: usize, k: usize, taps: usize) -> usize {
+    (m.div_ceil(MR) * MR + MR) * (k / taps).div_ceil(2) * taps
 }
 
 /// Portable `MR x NR` microtile over pair words:

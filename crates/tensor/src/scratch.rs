@@ -20,6 +20,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread::LocalKey;
 
 use edgenn_obs::flight;
 
@@ -63,6 +64,31 @@ thread_local! {
     static ARENA_I32: RefCell<Vec<Vec<i32>>> = const { RefCell::new(Vec::new()) };
 }
 
+/// An element type the scratch arena hands out (`f32`, `i8` and `i32`),
+/// each from its own thread-local stack of buffers.
+pub trait ScratchElem: Copy + Default + 'static {
+    /// The calling thread's stack of idle buffers of this type.
+    fn arena() -> &'static LocalKey<RefCell<Vec<Vec<Self>>>>;
+}
+
+impl ScratchElem for f32 {
+    fn arena() -> &'static LocalKey<RefCell<Vec<Vec<Self>>>> {
+        &ARENA
+    }
+}
+
+impl ScratchElem for i8 {
+    fn arena() -> &'static LocalKey<RefCell<Vec<Vec<Self>>>> {
+        &ARENA_I8
+    }
+}
+
+impl ScratchElem for i32 {
+    fn arena() -> &'static LocalKey<RefCell<Vec<Vec<Self>>>> {
+        &ARENA_I32
+    }
+}
+
 /// Monotonic counters describing arena behaviour since process start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScratchStats {
@@ -94,23 +120,29 @@ pub fn scratch_stats() -> ScratchStats {
     }
 }
 
-/// Runs `f` with a zeroed scratch slice of `len` floats drawn from the
-/// calling thread's arena. Calls may nest (each nesting level gets its
-/// own buffer); the buffer returns to the arena when `f` returns.
-pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    let mut buf = ARENA
+/// Runs `f` with a zeroed scratch slice of `len` elements drawn from the
+/// calling thread's arena for `T`. Calls may nest (each nesting level
+/// gets its own buffer); the buffer returns to the arena when `f`
+/// returns. Every element type reports into the same global counters in
+/// bytes (a byte is a byte), so the observability layer and the tier-D
+/// certified-peak gate see all scratch traffic through one
+/// [`ScratchStats`].
+pub fn with_scratch<T: ScratchElem, R>(len: usize, f: impl FnOnce(&mut [T]) -> R) -> R {
+    let size = std::mem::size_of::<T>();
+    let mut buf = T::arena()
         .with(|arena| arena.borrow_mut().pop())
         .unwrap_or_default();
     let had_capacity = buf.capacity();
     buf.clear();
-    buf.resize(len + SCRATCH_ALIGN / 4, 0.0);
-    let pad = align_pad(buf.as_ptr() as usize, 4);
+    buf.resize(len + SCRATCH_ALIGN / size, T::default());
+    let pad = align_pad(buf.as_ptr() as usize, size);
+    let bytes = (len * size) as u64;
     ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
     let grew = buf.capacity() > had_capacity;
     if grew {
-        FRESH_BYTES.fetch_add((len * 4) as u64, Ordering::Relaxed);
+        FRESH_BYTES.fetch_add(bytes, Ordering::Relaxed);
     } else {
-        REUSED_BYTES.fetch_add((len * 4) as u64, Ordering::Relaxed);
+        REUSED_BYTES.fetch_add(bytes, Ordering::Relaxed);
     }
     // Only misses get an individual flight record: each one means a heap
     // allocation on the hot path, and they go to zero in steady state, so
@@ -120,72 +152,10 @@ pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     // already carried per request by the REUSED_BYTES/ACQUISITIONS
     // counter deltas in `EngineStats`.
     if grew && flight::enabled() {
-        flight::instant(
-            flight::SpanKind::ArenaMiss,
-            flight::NO_NODE,
-            (len * 4) as u64,
-        );
+        flight::instant(flight::SpanKind::ArenaMiss, flight::NO_NODE, bytes);
     }
     let result = f(&mut buf[pad..pad + len]);
-    ARENA.with(|arena| arena.borrow_mut().push(buf));
-    result
-}
-
-/// [`with_scratch`] for int8 buffers: runs `f` with a zeroed scratch
-/// slice of `len` bytes from the calling thread's i8 arena. Shares the
-/// global counters with the f32 arena (a byte is a byte), so the
-/// observability layer and the tier-D certified-peak gate see quantized
-/// scratch traffic through the same [`ScratchStats`].
-pub fn with_scratch_i8<R>(len: usize, f: impl FnOnce(&mut [i8]) -> R) -> R {
-    let mut buf = ARENA_I8
-        .with(|arena| arena.borrow_mut().pop())
-        .unwrap_or_default();
-    let had_capacity = buf.capacity();
-    buf.clear();
-    buf.resize(len + SCRATCH_ALIGN, 0);
-    let pad = align_pad(buf.as_ptr() as usize, 1);
-    ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
-    let grew = buf.capacity() > had_capacity;
-    if grew {
-        FRESH_BYTES.fetch_add(len as u64, Ordering::Relaxed);
-    } else {
-        REUSED_BYTES.fetch_add(len as u64, Ordering::Relaxed);
-    }
-    if grew && flight::enabled() {
-        flight::instant(flight::SpanKind::ArenaMiss, flight::NO_NODE, len as u64);
-    }
-    let result = f(&mut buf[pad..pad + len]);
-    ARENA_I8.with(|arena| arena.borrow_mut().push(buf));
-    result
-}
-
-/// [`with_scratch`] for i32 buffers (`len` elements, counted as
-/// `4 * len` bytes in the shared counters). Used by the int8 kernels for
-/// their pair-word operands.
-pub fn with_scratch_i32<R>(len: usize, f: impl FnOnce(&mut [i32]) -> R) -> R {
-    let mut buf = ARENA_I32
-        .with(|arena| arena.borrow_mut().pop())
-        .unwrap_or_default();
-    let had_capacity = buf.capacity();
-    buf.clear();
-    buf.resize(len + SCRATCH_ALIGN / 4, 0);
-    let pad = align_pad(buf.as_ptr() as usize, 4);
-    ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
-    let grew = buf.capacity() > had_capacity;
-    if grew {
-        FRESH_BYTES.fetch_add((len * 4) as u64, Ordering::Relaxed);
-    } else {
-        REUSED_BYTES.fetch_add((len * 4) as u64, Ordering::Relaxed);
-    }
-    if grew && flight::enabled() {
-        flight::instant(
-            flight::SpanKind::ArenaMiss,
-            flight::NO_NODE,
-            (len * 4) as u64,
-        );
-    }
-    let result = f(&mut buf[pad..pad + len]);
-    ARENA_I32.with(|arena| arena.borrow_mut().push(buf));
+    T::arena().with(|arena| arena.borrow_mut().push(buf));
     result
 }
 
@@ -195,11 +165,11 @@ mod tests {
 
     #[test]
     fn buffers_are_zeroed_every_time() {
-        with_scratch(8, |buf| {
+        with_scratch(8, |buf: &mut [f32]| {
             assert_eq!(buf, &[0.0; 8]);
             buf.fill(7.0);
         });
-        with_scratch(8, |buf| assert_eq!(buf, &[0.0; 8]));
+        with_scratch(8, |buf: &mut [f32]| assert_eq!(buf, &[0.0; 8]));
     }
 
     #[test]
@@ -207,9 +177,9 @@ mod tests {
         // Warm the arena beyond any smaller request. The counters are
         // global (other test threads also bump them), so assert only on
         // contributions this thread is guaranteed to make.
-        with_scratch(1024, |_| {});
+        with_scratch(1024, |_: &mut [f32]| {});
         let before = scratch_stats();
-        with_scratch(512, |buf| assert_eq!(buf.len(), 512));
+        with_scratch(512, |buf: &mut [f32]| assert_eq!(buf.len(), 512));
         let delta = before.delta(&scratch_stats());
         assert!(delta.acquisitions >= 1);
         assert!(
@@ -220,9 +190,9 @@ mod tests {
 
     #[test]
     fn nested_acquisitions_get_distinct_buffers() {
-        with_scratch(16, |outer| {
+        with_scratch(16, |outer: &mut [f32]| {
             outer.fill(1.0);
-            with_scratch(16, |inner| {
+            with_scratch(16, |inner: &mut [f32]| {
                 assert_eq!(inner, &[0.0; 16]);
                 inner.fill(2.0);
             });
@@ -232,17 +202,17 @@ mod tests {
 
     #[test]
     fn i8_arena_is_distinct_zeroed_and_counted_in_bytes() {
-        with_scratch_i8(64, |buf| {
+        with_scratch(64, |buf: &mut [i8]| {
             assert_eq!(buf, &[0i8; 64]);
             buf.fill(5);
         });
         // The f32 arena must not see the i8 buffer (separate stacks).
-        with_scratch(64, |buf| assert_eq!(buf, &[0.0f32; 64]));
-        with_scratch_i8(64, |buf| assert_eq!(buf, &[0i8; 64]));
+        with_scratch(64, |buf: &mut [f32]| assert_eq!(buf, &[0.0f32; 64]));
+        with_scratch(64, |buf: &mut [i8]| assert_eq!(buf, &[0i8; 64]));
         // Counters are bytes, not elements: a warm 64-byte request
         // contributes exactly 64 reused bytes from this thread.
         let before = scratch_stats();
-        with_scratch_i8(64, |_| {});
+        with_scratch(64, |_: &mut [i8]| {});
         let delta = before.delta(&scratch_stats());
         assert!(delta.reused_bytes >= 64);
         assert!(delta.acquisitions >= 1);
@@ -254,15 +224,15 @@ mod tests {
         // buffer's base address never changes, but the guarantee is about
         // the slice we hand out, not the Vec).
         for _ in 0..2 {
-            with_scratch(33, |buf| {
+            with_scratch(33, |buf: &mut [f32]| {
                 assert_eq!(buf.as_ptr() as usize % SCRATCH_ALIGN, 0);
                 assert_eq!(buf.len(), 33);
             });
-            with_scratch_i32(77, |buf| {
+            with_scratch(77, |buf: &mut [i32]| {
                 assert_eq!(buf.as_ptr() as usize % SCRATCH_ALIGN, 0);
                 assert_eq!(buf.len(), 77);
             });
-            with_scratch_i8(129, |buf| {
+            with_scratch(129, |buf: &mut [i8]| {
                 assert_eq!(buf.as_ptr() as usize % SCRATCH_ALIGN, 0);
                 assert_eq!(buf.len(), 129);
             });
@@ -275,7 +245,7 @@ mod tests {
         // A request larger than anything this thread has served forces
         // at least one buffer to grow (each test runs on a fresh thread,
         // so this thread's arena starts empty).
-        with_scratch(1 << 20, |buf| assert_eq!(buf.len(), 1 << 20));
+        with_scratch(1 << 20, |buf: &mut [f32]| assert_eq!(buf.len(), 1 << 20));
         let delta = before.delta(&scratch_stats());
         assert!(delta.fresh_bytes >= 1 << 22);
     }

@@ -170,11 +170,7 @@ fn extreme_split_fractions_stay_correct() {
         let mut nodes = vec![NodePlan::gpu_explicit(); graph.len()];
         for id in graph.topo_order() {
             let node = graph.node(id).unwrap();
-            let shapes: Vec<_> = node
-                .inputs()
-                .iter()
-                .map(|i| graph.node(*i).unwrap().output_shape())
-                .collect();
+            let shapes = graph.input_shapes(id).unwrap();
             if node.layer().partition_units(&shapes).unwrap_or(1) >= 2 {
                 nodes[id.index()] = NodePlan {
                     assignment: Assignment::Split {

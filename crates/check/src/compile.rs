@@ -97,9 +97,11 @@ pub fn check_compiled(
         let mut live = vec![false; n];
         let mut stack = vec![compiled.output_id()];
         while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut live[id.index()], true) {
+            // Seen, or a dangling input edge (tier A's EC001).
+            if live.get(id.index()) != Some(&false) {
                 continue;
             }
+            live[id.index()] = true;
             if let Ok(node) = compiled.node(id) {
                 stack.extend_from_slice(node.inputs());
             }

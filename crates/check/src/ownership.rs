@@ -581,6 +581,37 @@ mod tests {
         assert_eq!(b, 2 * a, "each split role brings its own arena");
     }
 
+    #[test]
+    fn splits_with_one_unit_to_share_lower_as_whole_nodes() {
+        // Softmax has one unit and LeNet's conv1 one input channel: the
+        // engine runs each split whole, so the lowered schedule holds no
+        // merge for either and certifies what the unsplit plan does.
+        let platform = jetson_agx_xavier();
+        let graph = build(ModelKind::LeNet, ModelScale::Tiny);
+        let cpu = ExecutionPlan {
+            config: ExecutionConfig::edgenn(),
+            nodes: vec![
+                NodePlan {
+                    assignment: Assignment::Cpu,
+                    ..NodePlan::gpu_explicit()
+                };
+                graph.len()
+            ],
+        };
+        let node = |name| (graph.nodes().iter().position(|n| n.layer().name() == name)).unwrap();
+        let mut split = cpu.clone();
+        split.nodes[node("softmax")].assignment = Assignment::Split { cpu_fraction: 0.5 };
+        split.nodes[node("conv1")].assignment = Assignment::SplitInput { cpu_fraction: 0.5 };
+        let program = Program::new(&graph).unwrap();
+        let schedule = program.lower(&split);
+        assert!(!schedule.ops().any(|op| matches!(op, Op::Merge { .. })));
+        assert_eq!(schedule, program.lower(&cpu));
+        assert_eq!(
+            check_ownership(&graph, &split, &platform).bound,
+            check_ownership(&graph, &cpu, &platform).bound
+        );
+    }
+
     /// input -> relu -> relu over `[4]` floats, or, with `orphan`, an
     /// input feeding two relus that never rejoin; planned on the GPU.
     fn relus(orphan: bool) -> (Graph, ExecutionPlan) {

@@ -2,7 +2,7 @@
 //! sensible verdict — never a panic — on the pathological inputs a
 //! hand-built graph (or a fuzzer) can produce: the empty DAG, the
 //! input-only graph, disconnected components, zero-byte tensors, and a
-//! dangling input edge.
+//! dangling input edge, off the sink's path and on it.
 
 use std::sync::Arc;
 
@@ -213,4 +213,44 @@ fn dangling_input_edge_resolves_no_shapes_in_any_tier() {
         .filter(|(code, _)| *code == codes::COMPILE_FUSION_CONTRACT)
         .collect();
     assert_eq!(ec061, [(codes::COMPILE_FUSION_CONTRACT, Span::Node(1))]);
+}
+
+#[test]
+fn dangling_input_edge_on_the_sink_path_is_no_orphan_panic() {
+    let shape = Shape::new(&[4]);
+    // 0:input -> 1:"a+relu"   2:"b+relu" (out) reads n9, which does not
+    // exist: EC062's walk from the sink meets the dangling id.
+    let nodes = vec![
+        Node::new(
+            Arc::new(InputLayer::new(shape.clone())),
+            vec![],
+            shape.clone(),
+        ),
+        Node::new(
+            Arc::new(Dense::new("a+relu", 4, 4, 1)),
+            vec![NodeId(0)],
+            shape.clone(),
+        ),
+        Node::new(
+            Arc::new(Dense::new("b+relu", 4, 4, 2)),
+            vec![NodeId(9)],
+            shape.clone(),
+        ),
+    ];
+    let graph = Graph::from_parts("dangling-sink", nodes, NodeId(2));
+    let findings: Vec<(&str, Span)> = check_compiled(&graph, &graph, &CompileReport::default())
+        .iter()
+        .map(|d| (d.code, d.span))
+        .filter(|(code, _)| *code != codes::COMPILE_REPORT_MISMATCH)
+        .collect();
+    // EC061 judges the resolvable fused node; EC062 finds it orphaned,
+    // and the sink reaches nothing through its dangling edge (EC063
+    // flags the empty report's node and edge counts).
+    assert_eq!(
+        findings,
+        [
+            (codes::COMPILE_FUSION_CONTRACT, Span::Node(1)),
+            (codes::COMPILE_ORPHANED_NODES, Span::Node(1)),
+        ]
+    );
 }

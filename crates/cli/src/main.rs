@@ -1015,13 +1015,15 @@ fn cmd_analyze(options: &Options) -> Result<(), String> {
         let measured_arena = outcome.engine.arena_fresh_bytes;
         let conforms =
             measured_slot == report.bound.slot_bytes && measured_arena <= report.bound.arena_bytes;
-        Some((measured_slot, measured_arena, conforms))
+        // Infinite (null in JSON) when the run measured no arena.
+        let ratio = report.bound.arena_bytes as f64 / measured_arena as f64;
+        Some((measured_slot, measured_arena, ratio, conforms))
     } else {
         None
     };
 
     let explorer_clean = explorer_violations.is_empty();
-    let measured_conforms = functional.is_none_or(|(_, _, ok)| ok);
+    let measured_conforms = functional.is_none_or(|(_, _, _, ok)| ok);
 
     if options.has("json") {
         let mut m = serde_json::Map::new();
@@ -1050,7 +1052,7 @@ fn cmd_analyze(options: &Options) -> Result<(), String> {
         );
         ex.insert("clean", serde_json::Value::from(explorer_clean));
         m.insert("explorer", serde_json::Value::Object(ex));
-        if let Some((slot, arena, conforms)) = functional {
+        if let Some((slot, arena, ratio, conforms)) = functional {
             let mut f = serde_json::Map::new();
             f.insert("measured_slot_bytes", serde_json::Value::from(slot));
             f.insert("measured_arena_fresh_bytes", serde_json::Value::from(arena));
@@ -1062,6 +1064,7 @@ fn cmd_analyze(options: &Options) -> Result<(), String> {
                 "certified_arena_bytes",
                 serde_json::Value::from(report.bound.arena_bytes),
             );
+            f.insert("certified_to_measured_arena", ratio.into());
             f.insert("conforms", serde_json::Value::from(conforms));
             m.insert("functional", serde_json::Value::Object(f));
         }
@@ -1101,14 +1104,15 @@ fn cmd_analyze(options: &Options) -> Result<(), String> {
         for v in &explorer_violations {
             println!("  {v}");
         }
-        if let Some((slot, arena, conforms)) = functional {
+        if let Some((slot, arena, ratio, conforms)) = functional {
             println!(
                 "functional    : measured slots {} / certified {}, measured arena {} / \
-                 certified {} — {}",
+                 certified {} (certified/measured {:.2}) — {}",
                 slot,
                 report.bound.slot_bytes,
                 arena,
                 report.bound.arena_bytes,
+                ratio,
                 if conforms {
                     "slots = certified, arena \u{2264} certified"
                 } else {

@@ -11,8 +11,9 @@
 //! too.
 
 use edgenn_nn::graph::{Graph, NodeId};
+use edgenn_nn::layer::LayerClass;
 use edgenn_sim::AllocStrategy;
-use edgenn_tensor::qgemm_pack_a_words;
+use edgenn_tensor::{gemm_packed_a_len, qgemm_pack_a_words};
 use serde::{Deserialize, Serialize};
 
 use crate::plan::{ExecutionPlan, MemoryPolicy, Precision};
@@ -22,12 +23,14 @@ use crate::Result;
 /// Peak-memory breakdown of one plan.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Footprint {
-    /// Model parameters resident for the whole run: the f32 weights and
-    /// biases, plus — under an [`Precision::Int8`] plan — the sidecar each
-    /// int8 layer's prepack builds (its codes as a matrix and as the
-    /// kernel's pair-word panel, and its per-channel scale and row-sum
-    /// tables). The f32 master weights stay resident either way: they
-    /// seed quantization and serve the layers without int8 kernels.
+    /// Model parameters resident for the whole run: what each layer's
+    /// f32 prepack builds (the f32 weights and biases, a conv's weights as
+    /// the GEMM's padded matrix, its only copy), plus — under an
+    /// [`Precision::Int8`] plan — the sidecar each int8 layer's prepack
+    /// builds (a conv's pair-word panel or a dense layer's codes, and the
+    /// per-channel scale and row-sum tables). The f32 weights stay
+    /// resident either way: they seed quantization and serve the layers
+    /// without int8 kernels.
     pub weight_bytes: u64,
     /// Peak bytes of live activations, counting explicit arrays twice
     /// (host copy + device copy) and managed arrays once.
@@ -53,26 +56,31 @@ fn array_bytes(elems: usize, strategy: AllocStrategy) -> u64 {
     }
 }
 
-/// Bytes of the quantization sidecar a node's int8 prepack builds: one i8
-/// code per weight, the codes again as the kernel's pair-word A panel
-/// ([`qgemm_pack_a_words`]), and an f32 scale and an i32 row sum per
-/// output channel (the bias stays f32). A layer the engine keeps in f32
-/// builds none.
-fn int8_sidecar_bytes(program: &Program, id: NodeId) -> u64 {
-    let layer = program.layer(id);
-    if !(layer.int8_ready() && layer.int8_worthwhile()) {
-        return 0;
-    }
-    // The weight matrix has a row per output unit and a column per input
-    // channel and kernel tap; the forward pass costs two flops per column
-    // for each output element (a fused ReLU's clamp adds less than two).
-    let facts = program.facts(id);
+/// Bytes node `id`'s layer keeps beyond the weights [`Graph::param_bytes`]
+/// counts: a conv's GEMM padding rows ([`gemm_packed_a_len`]) and, with
+/// `int8`, the sidecar its int8 prepack builds unless the engine keeps it
+/// in f32 — a conv's pair-word panel ([`qgemm_pack_a_words`]) or a dense
+/// layer's i8 codes, and an f32 scale and an i32 row sum per row.
+fn held_beyond_params(program: &Program, id: NodeId, int8: bool) -> u64 {
+    let (layer, facts) = (program.layer(id), program.facts(id));
+    // A row per output unit and a column per input channel and kernel
+    // tap: the forward pass costs two flops per column for each output
+    // element (a fused ReLU's clamp adds less than two).
     let outputs: usize = program.dims(id).iter().product();
     let (rows, depth) = (facts.units, facts.flops as usize / (2 * outputs).max(1));
-    match depth / facts.channels.max(1) {
-        0 => 0,
-        taps => (rows * depth + rows * 8 + qgemm_pack_a_words(rows, depth, taps) * 4) as u64,
-    }
+    let conv = layer.class() == LayerClass::Conv;
+    let padding = if conv {
+        gemm_packed_a_len(rows, depth) - rows * depth
+    } else {
+        0
+    };
+    let sidecar = match (conv, depth / facts.channels.max(1)) {
+        _ if !(int8 && layer.int8_ready() && layer.int8_worthwhile()) => 0,
+        (_, 0) => 0,
+        (true, taps) => qgemm_pack_a_words(rows, depth, taps) * 4 + rows * 8,
+        (false, _) => rows * depth + rows * 8,
+    };
+    (padding * 4 + sidecar) as u64
 }
 
 /// Computes the peak memory footprint of executing `plan` over `graph`.
@@ -88,12 +96,11 @@ fn int8_sidecar_bytes(program: &Program, id: NodeId) -> u64 {
 pub fn footprint(graph: &Graph, plan: &ExecutionPlan) -> Result<Footprint> {
     plan.validate(graph)?;
     let program = Program::new(graph)?;
-    let mut weight_bytes = graph.param_bytes();
-    if plan.config.precision == Precision::Int8 {
-        for id in graph.topo_order() {
-            weight_bytes += int8_sidecar_bytes(&program, id);
-        }
-    }
+    let int8 = plan.config.precision == Precision::Int8;
+    let held = graph
+        .topo_order()
+        .map(|id| held_beyond_params(&program, id, int8));
+    let weight_bytes = graph.param_bytes() + held.sum::<u64>();
 
     let sizes: Vec<u64> = graph
         .nodes()
@@ -219,6 +226,18 @@ mod tests {
             assert_eq!(f32_fp.peak_activation_bytes, int8_fp.peak_activation_bytes);
             let built: u64 = graph.nodes().iter().map(|n| n.layer().prepack(true)).sum();
             assert_eq!(int8_fp.weight_bytes - f32_fp.weight_bytes, built, "{kind}");
+        }
+    }
+
+    #[test]
+    fn f32_weights_are_what_the_f32_prepack_builds() {
+        for kind in ModelKind::ALL {
+            // A fresh build: each layer's prepack reports the parameter
+            // bytes it builds, and keeps, on its first call.
+            let graph = build(kind, ModelScale::Tiny);
+            let fp = footprint(&graph, &plan_for(&graph, ExecutionConfig::edgenn())).unwrap();
+            let built: u64 = graph.nodes().iter().map(|n| n.layer().prepack(false)).sum();
+            assert_eq!(fp.weight_bytes, built, "{kind}");
         }
     }
 

@@ -405,9 +405,7 @@ pub struct FunctionalOutcome {
 /// job the watchdog abandoned may hold it past the session's end.
 struct Session {
     program: Arc<Program>,
-    /// Per node, how it runs: the plan's assignment, except that a split
-    /// with fewer than two units (or input channels) to share out runs
-    /// whole, as [`Assignment::Cpu`] does.
+    /// Per node, how it runs ([`Program::run_as`]).
     assignments: Vec<Assignment>,
     /// Per node, whether it computes with the int8 kernels.
     int8: Vec<bool>,
@@ -438,7 +436,7 @@ impl Session {
         let int8_plan = plan.config.precision == Precision::Int8;
         let (mut assignments, mut int8, mut int8_gated) = (Vec::new(), Vec::new(), 0);
         for (id, node) in (0..).map(NodeId).zip(&plan.nodes) {
-            let (layer, facts) = (program.layer(id), program.facts(id));
+            let layer = program.layer(id);
             // Input-channel splits stay f32 regardless of the plan's
             // precision: their partial *sums* need f32 accumulation, and
             // requantizing each partial would double the rounding error.
@@ -450,11 +448,7 @@ impl Session {
                 && !matches!(node.assignment, Assignment::SplitInput { .. });
             int8.push(quantizable && layer.int8_worthwhile());
             int8_gated += usize::from(quantizable && !layer.int8_worthwhile());
-            assignments.push(match node.assignment {
-                Assignment::Split { .. } if facts.units < 2 => Assignment::Cpu,
-                Assignment::SplitInput { .. } if facts.channels < 2 => Assignment::Cpu,
-                assignment => assignment,
-            });
+            assignments.push(program.run_as(id, node.assignment));
         }
         // Like a split, a fork co-runs only when the work it hands off
         // clears the cutoff.

@@ -16,7 +16,7 @@ use edgenn_nn::graph::{Graph, NodeId, Segment, Structure};
 use edgenn_nn::layer::{Layer, LayerClass};
 use serde::Serialize;
 
-use crate::plan::ExecutionPlan;
+use crate::plan::{Assignment, ExecutionPlan};
 use crate::Result;
 
 /// The graph as the engine runs it, shared by `Arc` with the engine's
@@ -142,6 +142,18 @@ impl Program {
         self.fork_flops[seg]
     }
 
+    /// How node `id` runs, planned as `assignment`: a split with fewer
+    /// than two units (or input channels) to share runs whole, as
+    /// [`Assignment::Cpu`]; the engine and [`Program::lower`] both ask.
+    pub(crate) fn run_as(&self, id: NodeId, assignment: Assignment) -> Assignment {
+        let facts = self.facts(id);
+        match assignment {
+            Assignment::Split { .. } if facts.units < 2 => Assignment::Cpu,
+            Assignment::SplitInput { .. } if facts.channels < 2 => Assignment::Cpu,
+            assignment => assignment,
+        }
+    }
+
     /// Lowers this program under `plan` into the ops the engine performs:
     /// a region per segment, keeping a fork-join region's branches apart
     /// (the engine may run them on different threads), then the output
@@ -187,10 +199,8 @@ impl Program {
         }));
         // Split assignments run two role computations, maybe on two
         // threads with two arenas, and merge them in place.
-        let split = plan
-            .nodes
-            .get(node)
-            .is_some_and(|p| p.assignment.is_corun());
+        let split =
+            (plan.nodes.get(node)).is_some_and(|p| self.run_as(id, p.assignment).is_corun());
         // `scratch_bytes` is the byte-accurate bound across every execution
         // path *and precision* (the int8 kernels' widened i16 packing can
         // exceed the f32 path's elems x 4), so one certified bound holds for

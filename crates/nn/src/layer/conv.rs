@@ -7,9 +7,8 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use edgenn_tensor::{
-    conv_gemm_into, conv_gemm_scratch_elems, conv_qgemm_into, conv_qgemm_scratch_elems,
-    gemm_pack_a, min_max, with_scratch, Conv2dGeometry, Epilogue, QuantParams, Requant, Shape,
-    Tensor,
+    conv_gemm_into, conv_gemm_scratch_elems, conv_qgemm_into, conv_qgemm_scratch_elems, min_max,
+    qgemm_pack_a, Conv2dGeometry, Epilogue, QuantParams, Requant, Shape, Tensor,
 };
 
 use crate::layer::params::{LazyParam, QuantizedWeights};
@@ -30,19 +29,18 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     pad: usize,
+    /// The weight matrix in the f32 GEMM's padded A layout, its only f32
+    /// copy: output-channel parts read a window of its rows, input-channel
+    /// parts a window of its columns, in place.
     weight: LazyParam,
     bias: LazyParam,
     in_channels: usize,
-    /// Int8 weight codes, derived from `weight` on first int8 use.
-    qweight: OnceLock<QuantizedWeights>,
+    /// The int8 kernel's pair-word panel, scales and row sums, derived
+    /// from `weight` on first int8 use.
+    qweight: OnceLock<QuantizedWeights<i32>>,
     /// Calibrated activation parameters ([`Layer::stamp_activation`]);
     /// absent means dynamic per-call min/max quantization.
     act_quant: OnceLock<QuantParams>,
-    /// The weight matrix in the f32 GEMM's padded A layout, built by
-    /// [`Layer::prepack`]. Padding past the last row-panel lets any
-    /// output-channel range run the full microkernel without a
-    /// per-row tail — and without per-call packing work.
-    pweight: OnceLock<Vec<f32>>,
 }
 
 impl Conv2d {
@@ -68,7 +66,8 @@ impl Conv2d {
             bound,
             seed,
             0.0,
-        );
+        )
+        .gemm_a();
         let bias = LazyParam::new(&[out_channels], 0.01, seed.wrapping_add(1), 0.0);
         Self {
             name: name.into(),
@@ -81,11 +80,11 @@ impl Conv2d {
             in_channels,
             qweight: OnceLock::new(),
             act_quant: OnceLock::new(),
-            pweight: OnceLock::new(),
         }
     }
 
-    /// Replaces the parameters with explicit tensors.
+    /// Replaces the parameters with explicit tensors (the weight is packed
+    /// into the GEMM layout now).
     ///
     /// # Errors
     /// Returns [`NnError::BadInputShape`] when the tensors do not match
@@ -105,10 +104,9 @@ impl Conv2d {
                 ),
             });
         }
-        self.weight = LazyParam::from_tensor(weight);
+        self.weight = LazyParam::from_tensor(weight).gemm_a();
         self.bias = LazyParam::from_tensor(bias);
         self.qweight = OnceLock::new();
-        self.pweight = OnceLock::new();
         Ok(self)
     }
 
@@ -202,29 +200,22 @@ impl Layer for Conv2d {
             // The weights were widened into the kernel's channel-pair
             // layout at init; the output-channel range is a row range of
             // it, and the kernel overwrites `out`.
-            conv_qgemm_into(x, &g, &qw.awide, range, out, &rq)?;
+            conv_qgemm_into(x, &g, &qw.a, range, out, &rq)?;
             return Ok(());
         }
-        let patch = self.in_channels * self.kernel * self.kernel;
-        // The weight matrix is pre-flattened row-major, so an output-channel
-        // range is a contiguous sub-slice — no copy. A prepacked weight
-        // keeps the trailing row-panel padding in the slice so the GEMM
-        // runs full microkernel blocks on the tail.
-        let w_part: &[f32] = if let Some(p) = self.pweight.get() {
-            &p[range.start * patch..]
-        } else {
-            &self.weight.get().as_slice()[range.start * patch..range.end * patch]
-        };
+        // An output-channel range is a window of the packed rows, no copy.
         // Bias (and the fused ReLU) ride in the GEMM's write-back
         // epilogue, and the GEMM overwrites `out`: each output element is
         // touched exactly once.
+        let patch = self.in_channels * self.kernel * self.kernel;
+        let w = &self.weight.get().as_slice()[range.start * patch..];
         let bias = &bias[range];
         let ep = if relu {
             Epilogue::BiasRelu { bias }
         } else {
             Epilogue::Bias { bias }
         };
-        conv_gemm_into(x, &g, w_part, out, ep)?;
+        conv_gemm_into(x, &g, w, patch, out, ep)?;
         Ok(())
     }
 
@@ -237,25 +228,10 @@ impl Layer for Conv2d {
     }
 
     fn prepack(&self, int8: bool) -> u64 {
-        let patch = self.in_channels * self.kernel * self.kernel;
-        if int8 {
-            if self.qweight.get().is_some() {
-                return 0;
-            }
-            let qw = self.quantized();
-            (qw.awide.len() * 4
-                + qw.q.as_slice().len()
-                + qw.scales.len() * 4
-                + qw.row_sums.len() * 4) as u64
-        } else {
-            if self.pweight.get().is_some() {
-                return 0;
-            }
-            let packed = self.pweight.get_or_init(|| {
-                gemm_pack_a(self.weight.get().as_slice(), self.out_channels, patch)
-            });
-            let _ = self.bias.get();
-            (packed.len() * 4) as u64
+        match int8 {
+            false => self.weight.build() + self.bias.build(),
+            true if self.qweight.get().is_some() => 0,
+            true => self.quantized().bytes(),
         }
     }
 
@@ -291,24 +267,19 @@ impl Layer for Conv2d {
         check_arity(&self.name, 1, inputs)?;
         let g = self.geometry(inputs[0])?;
         // Whichever precision's peak is larger bounds the arena, in 4-byte
-        // words. The worst f32 path is an input-channel part over all
-        // channels: the gathered weight columns, with the kernel's padded
-        // map and tap-offset table nested inside; the other f32 paths
-        // acquire only the kernel's share. The int8 path holds the
-        // quantized pair map and its tap-offset table at once (A is
-        // prepacked at init, outside the arena).
-        let gathered_w = self.out_channels * self.in_channels * self.kernel * self.kernel;
-        let f32_words = gathered_w + conv_gemm_scratch_elems(&g);
-        Ok(4 * f32_words.max(conv_qgemm_scratch_elems(&g)) as u64)
+        // words: the f32 path's padded map and tap-offset table (largest
+        // for a part over every input channel), or the int8 path's
+        // quantized pair map and its tap-offset table. Both read A in
+        // place from the prepacked weights, outside the arena.
+        Ok(4 * conv_gemm_scratch_elems(&g).max(conv_qgemm_scratch_elems(&g)) as u64)
     }
 }
 
 impl Conv2d {
     /// The raw partial sum over input channels `range` into `out`, the
     /// whole output. The channel range is a contiguous run of input
-    /// planes; the matching weight columns are strided in the flattened
-    /// weight matrix, so they do need a gather — into scratch, not a
-    /// fresh Vec.
+    /// planes, and its weight columns a window of every packed row, read
+    /// in place at the full row stride.
     fn input_partial(
         &self,
         x: &[f32],
@@ -317,25 +288,21 @@ impl Conv2d {
         bias: &[f32],
         out: &mut [f32],
     ) -> Result<()> {
-        let plane = g.in_h * g.in_w;
-        let input_part = &x[range.start * plane..range.end * plane];
+        let (plane, taps) = (g.in_h * g.in_w, self.kernel * self.kernel);
         let part_geometry = Conv2dGeometry {
             in_channels: range.len(),
             ..*g
         };
-        let taps_per_channel = self.kernel * self.kernel;
-        let part_taps = range.len() * taps_per_channel;
-        let full_taps = self.in_channels * taps_per_channel;
-        let w = self.weight.get().as_slice();
-        with_scratch(self.out_channels * part_taps, |w_buf: &mut [f32]| {
-            for (oc, dst) in w_buf.chunks_mut(part_taps).enumerate() {
-                let row = &w[oc * full_taps..(oc + 1) * full_taps];
-                dst.copy_from_slice(
-                    &row[range.start * taps_per_channel..range.end * taps_per_channel],
-                );
-            }
-            conv_gemm_into(input_part, &part_geometry, w_buf, out, Epilogue::None)
-        })?;
+        let w = &self.weight.get().as_slice()[range.start * taps..];
+        let x = &x[range.start * plane..range.end * plane];
+        conv_gemm_into(
+            x,
+            &part_geometry,
+            w,
+            self.in_channels * taps,
+            out,
+            Epilogue::None,
+        )?;
         if range.start == 0 {
             // The bias is contributed exactly once, by the first partial.
             let cols = g.out_h() * g.out_w();
@@ -348,10 +315,13 @@ impl Conv2d {
         Ok(())
     }
 
-    /// The int8 weights, quantized and widened on first use.
-    fn quantized(&self) -> &QuantizedWeights {
+    /// The int8 weights, quantized from the packed matrix's leading rows
+    /// and widened into the kernel's pair words on first use.
+    fn quantized(&self) -> &QuantizedWeights<i32> {
         self.qweight.get_or_init(|| {
-            QuantizedWeights::from_weight(self.weight.get(), self.kernel * self.kernel)
+            let (rows, taps) = (self.out_channels, self.kernel * self.kernel);
+            let pairs = |codes: &[i8]| qgemm_pack_a(codes, rows, self.in_channels * taps, taps);
+            QuantizedWeights::new(self.weight.get(), rows, pairs)
         })
     }
 }
@@ -537,14 +507,10 @@ mod tests {
         ] {
             let g = conv.geometry(&shape).unwrap();
             let bytes = conv.scratch_bytes(&[&shape]).unwrap();
-            // An f32 units part: the padded map and the tap-offset table,
-            // held at once.
-            let kernel = conv_gemm_scratch_elems(&g) as u64;
-            assert!(bytes >= 4 * kernel);
-            // An input-channel part additionally gathers weight columns
-            // around the kernel; largest over the full channel range.
-            let taps = (conv.in_channels * conv.kernel * conv.kernel) as u64;
-            assert!(bytes >= 4 * (conv.out_channels as u64 * taps + kernel));
+            // An f32 part: the padded map and the tap-offset table, held
+            // at once, largest over every input channel (an input-channel
+            // part reads its weight columns in place).
+            assert!(bytes >= 4 * conv_gemm_scratch_elems(&g) as u64);
             // An int8 units part: the pair map and its tap table.
             assert!(bytes >= 4 * conv_qgemm_scratch_elems(&g) as u64);
         }
@@ -568,11 +534,13 @@ mod tests {
             let g = conv.geometry(x.shape()).unwrap();
             let cols = im2col(&x, &g).unwrap();
             let (taps, n) = (c * k * k, g.out_h() * g.out_w());
+            // The packed matrix leads with the row-major weights.
             let w = conv.weight.get().as_slice();
             let bias = conv.bias.get().as_slice();
             let prepacked = conv.clone();
             prepacked.prepack(false);
-            let qw = conv.quantized();
+            // The layer keeps only the codes' pair-word panel.
+            let qw = QuantizedWeights::new(conv.weight.get(), oc, <[i8]>::to_vec);
             let (lo, hi) = min_max(x.as_slice());
             let act = QuantParams::from_min_max(lo, hi);
             let mut qcols = vec![0i8; cols.len()];
@@ -599,7 +567,7 @@ mod tests {
                         bias: Some(b),
                         relu,
                     };
-                    let codes = &qw.q.as_slice()[range.start * taps..range.end * taps];
+                    let codes = &qw.a[range.start * taps..range.end * taps];
                     qgemm_requant_into(codes, &qcols, &mut want, rows, taps, n, &rq);
                     let got = compute(&conv, &[&x], units(range.clone(), true, relu));
                     assert_eq!(got.unwrap(), want, "int8 {range:?}");
@@ -633,6 +601,23 @@ mod tests {
                 assert_eq!(got.unwrap(), want, "inputs {range:?}");
             }
         }
+    }
+
+    #[test]
+    fn prepack_keeps_one_f32_matrix_and_the_int8_panel() {
+        // 5 channels of 3 x 9 taps: 8 + 4 padded rows of 27 weights.
+        let conv = Conv2d::new("c", 3, 5, 3, 1, 1, 7);
+        assert_eq!(conv.prepack(false), 4 * (12 * 27 + 5));
+        assert_eq!(conv.weight.get().len(), 12 * 27);
+        // The pair-word panel (2 pairs x 9 taps per row) and a scale and
+        // a row sum per channel; the codes are not kept.
+        assert_eq!(conv.prepack(true), 4 * 12 * 18 + 8 * 5);
+        let qw = conv.qweight.get().unwrap();
+        assert_eq!(
+            (qw.a.len(), qw.scales.len(), qw.row_sums.len()),
+            (12 * 18, 5, 5)
+        );
+        assert_eq!((conv.prepack(false), conv.prepack(true)), (0, 0));
     }
 
     #[test]

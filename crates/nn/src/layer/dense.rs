@@ -24,8 +24,9 @@ pub struct Dense {
     out_features: usize,
     weight: LazyParam,
     bias: LazyParam,
-    /// Int8 weight codes, derived from `weight` on first int8 use.
-    qweight: OnceLock<QuantizedWeights>,
+    /// Int8 weight codes (row-major, as the mat-vec reads them), scales
+    /// and row sums, derived from `weight` on first int8 use.
+    qweight: OnceLock<QuantizedWeights<i8>>,
     /// Calibrated activation parameters ([`Layer::stamp_activation`]);
     /// absent means dynamic per-call min/max quantization.
     act_quant: OnceLock<QuantParams>,
@@ -88,6 +89,13 @@ impl Dense {
         Ok(self)
     }
 
+    /// The int8 weights, quantized on first use.
+    fn quantized(&self) -> &QuantizedWeights<i8> {
+        self.qweight.get_or_init(|| {
+            QuantizedWeights::new(self.weight.get(), self.out_features, <[i8]>::to_vec)
+        })
+    }
+
     fn check_input(&self, input: &Shape) -> Result<()> {
         if input.rank() != 1 || input.dim(0)? != self.in_features {
             return Err(NnError::BadInputShape {
@@ -143,9 +151,7 @@ impl Layer for Dense {
         validate_range(&self.name, &range, self.out_features)?;
         check_out(out, range.len())?;
         if int8 {
-            let qw = self
-                .qweight
-                .get_or_init(|| QuantizedWeights::from_weight(self.weight.get(), 1));
+            let qw = self.quantized();
             let act = self.act_quant.get().copied().unwrap_or_else(|| {
                 let (lo, hi) = min_max(x);
                 QuantParams::from_min_max(lo, hi)
@@ -157,7 +163,7 @@ impl Layer for Dense {
                 bias: Some(&bias[range.clone()]),
                 relu,
             };
-            let codes = qw.q.as_slice();
+            let codes = &qw.a;
             // Quantize the input vector once; each neuron is then one
             // int8 dot requantized through the shared epilogue math. This
             // is where int8 pays at the model level: the dominant traffic
@@ -200,28 +206,12 @@ impl Layer for Dense {
     }
 
     fn prepack(&self, int8: bool) -> u64 {
-        if int8 {
-            if !self.int8_worthwhile() || self.qweight.get().is_some() {
-                return 0;
-            }
-            let qw = self
-                .qweight
-                .get_or_init(|| QuantizedWeights::from_weight(self.weight.get(), 1));
-            (qw.awide.len() * 4
-                + qw.q.as_slice().len()
-                + qw.scales.len() * 4
-                + qw.row_sums.len() * 4) as u64
-        } else {
-            // Mat-vec reads weight rows in their stored layout — there
-            // is no panel format to build, but materializing the lazy
-            // parameters here moves the one-time generation cost out of
-            // the first timed inference.
-            if self.weight.is_materialized() {
-                return 0;
-            }
-            let _ = self.weight.get();
-            let _ = self.bias.get();
-            ((self.weight.len() + self.bias.len()) * 4) as u64
+        // The mat-vec reads its weights row-major: f32 prepacking only
+        // moves their one-time generation out of the first inference.
+        match int8 {
+            false => self.weight.build() + self.bias.build(),
+            true if !self.int8_worthwhile() || self.qweight.get().is_some() => 0,
+            true => self.quantized().bytes(),
         }
     }
 
@@ -345,6 +335,21 @@ mod tests {
             assert_eq!(merged.as_slice(), full.as_slice(), "cut {cut}");
         }
         assert!(dense.int8_ready());
+    }
+
+    #[test]
+    fn prepack_keeps_the_f32_matrix_and_the_int8_codes() {
+        let dense = Dense::new("fc", 256, 128, 3);
+        assert_eq!(dense.prepack(false), 4 * (256 * 128 + 128));
+        // Row-major codes, and a scale and a row sum per unit; no
+        // pair-word panel.
+        assert_eq!(dense.prepack(true), 256 * 128 + 8 * 128);
+        let qw = dense.qweight.get().unwrap();
+        assert_eq!(
+            (qw.a.len(), qw.scales.len(), qw.row_sums.len()),
+            (256 * 128, 128, 128)
+        );
+        assert_eq!((dense.prepack(false), dense.prepack(true)), (0, 0));
     }
 
     #[test]

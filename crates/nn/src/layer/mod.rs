@@ -260,11 +260,11 @@ pub trait Layer: Send + Sync {
         true
     }
 
-    /// Materializes the layer's parameters and packs them into the GEMM
-    /// (`int8`: qgemm) kernel layouts at compile time, so steady-state
-    /// inference does zero weight-packing work. Returns the bytes packed
-    /// *by this call* (0 when there is nothing to pack or it already
-    /// happened — the hook is idempotent).
+    /// Materializes the layer's parameters at compile time, each in the
+    /// one layout its kernel reads (`int8`: the int8 sidecar), so
+    /// steady-state inference does zero weight-packing work. Returns the
+    /// bytes built *by this call*, which the layer keeps (0 when there is
+    /// nothing to build or it already happened — the hook is idempotent).
     fn prepack(&self, int8: bool) -> u64 {
         let _ = int8;
         0
@@ -308,12 +308,13 @@ pub trait Layer: Send + Sync {
 
     /// Byte-accurate upper bound on the scratch arena one forward call
     /// over this layer may acquire ([`edgenn_tensor::with_scratch`], in
-    /// any of its element types), across every execution path (full forward,
-    /// output-channel partial, input-channel partial) and precision: the
-    /// int8 kernels' i8/i16 acquisitions may exceed the f32 ones. The
-    /// tier-D ownership analyzer certifies peak arena growth from this;
-    /// the bound must be sound (never undercount) but may
-    /// over-approximate. Layers that never touch the arena return 0.
+    /// any of its element types), across every execution path (full
+    /// forward, output-channel partial, input-channel partial) and
+    /// precision: the int8 kernels' i8/i32 acquisitions may exceed the f32
+    /// ones, and weights are read in place, taking none. The tier-D
+    /// ownership analyzer certifies peak arena growth from this; the bound
+    /// must be sound (never undercount) but may over-approximate. Layers
+    /// that never touch the arena return 0.
     ///
     /// # Errors
     /// Fails when the input shapes are invalid for the layer.

@@ -205,6 +205,14 @@ impl Layer for BatchNorm2d {
         Ok(())
     }
 
+    fn prepack(&self, int8: bool) -> u64 {
+        // Moves the parameters' generation out of the first inference.
+        match int8 {
+            false => self.scale.build() + self.shift.build(),
+            true => 0,
+        }
+    }
+
     fn workload(&self, inputs: &[&Shape]) -> Result<Workload> {
         check_arity(&self.name, 1, inputs)?;
         self.check_input(inputs[0])?;

@@ -8,7 +8,7 @@
 
 use std::sync::OnceLock;
 
-use edgenn_tensor::{qgemm_pack_a, row_sums, QTensor, Quantization, Tensor};
+use edgenn_tensor::{gemm_pack_a, row_sums, QTensor, Quantization, Tensor};
 
 /// A deterministic pseudo-random parameter tensor, materialized on first
 /// access.
@@ -20,6 +20,9 @@ pub(crate) struct LazyParam {
     /// Offset added to every element after sampling (used by batch-norm
     /// scales centred at 1.0).
     offset: f32,
+    /// Whether the `(rows, k)` matrix is held in the f32 GEMM's padded A
+    /// layout ([`LazyParam::gemm_a`]).
+    gemm_a: bool,
     cell: OnceLock<Tensor>,
 }
 
@@ -32,39 +35,55 @@ impl LazyParam {
             bound,
             seed,
             offset,
+            gemm_a: false,
             cell: OnceLock::new(),
         }
     }
 
     /// Declares a parameter pre-set to an explicit tensor.
     pub(crate) fn from_tensor(tensor: Tensor) -> Self {
-        let dims = tensor.dims().to_vec();
-        let cell = OnceLock::new();
-        cell.set(tensor).expect("fresh cell");
-        Self {
-            dims,
-            bound: 0.0,
-            seed: 0,
-            offset: 0.0,
-            cell,
-        }
+        let param = Self::new(tensor.dims(), 0.0, 0, 0.0);
+        param.cell.set(tensor).expect("fresh cell");
+        param
     }
 
-    /// Element count (available without materializing).
+    /// Holds this `(rows, k)` matrix in the f32 GEMM's padded A layout
+    /// ([`gemm_pack_a`]); an explicit tensor is packed now.
+    pub(crate) fn gemm_a(mut self) -> Self {
+        self.gemm_a = true;
+        if let Some(t) = self.cell.take() {
+            self.cell.set(self.layout(t)).expect("an emptied cell");
+        }
+        self
+    }
+
+    /// `t` in this parameter's layout.
+    fn layout(&self, t: Tensor) -> Tensor {
+        if !self.gemm_a {
+            return t;
+        }
+        let k = self.dims[1];
+        let packed = gemm_pack_a(t.as_slice(), self.dims[0], k);
+        let rows = packed.len().checked_div(k).unwrap_or(0);
+        Tensor::from_vec(packed, &[rows, k]).expect("whole rows")
+    }
+
+    /// Element count of the declared dims (available without
+    /// materializing; a padded layout holds more).
     pub(crate) fn len(&self) -> usize {
         self.dims.iter().product()
     }
 
-    /// Materializes (if needed) and returns the tensor.
+    /// Materializes (if needed) and returns the tensor, in its layout.
     pub(crate) fn get(&self) -> &Tensor {
         self.cell.get_or_init(|| {
             let t = Tensor::random(&self.dims, self.bound, self.seed);
-            if self.offset == 0.0 {
+            let offset = self.offset;
+            self.layout(if offset == 0.0 {
                 t
             } else {
-                let offset = self.offset;
                 t.map(|x| x + offset)
-            }
+            })
         })
     }
 
@@ -72,66 +91,69 @@ impl LazyParam {
     pub(crate) fn is_materialized(&self) -> bool {
         self.cell.get().is_some()
     }
+
+    /// Materializes the tensor, returning the bytes this call built (0
+    /// when it already existed).
+    pub(crate) fn build(&self) -> u64 {
+        if self.is_materialized() {
+            return 0;
+        }
+        (self.get().len() * 4) as u64
+    }
 }
 
-/// Int8 weight codes plus everything the requantize epilogue needs,
-/// derived once per layer from the f32 weights (symmetric per-channel,
-/// axis 0 = output channel / dense unit) and cached beside them.
+/// A layer's int8 weights, derived once from the f32 weights (symmetric
+/// per-channel, axis 0 = output channel / dense unit): the A operand its
+/// kernel reads — a dense layer's row-major codes (`A = i8`), a conv's
+/// pair-word panel of them (`A = i32`), which replaces the codes — plus
+/// what the requantize epilogue needs.
 #[derive(Debug, Clone)]
-pub(crate) struct QuantizedWeights {
-    /// Per-channel symmetric int8 codes, same layout as the f32 matrix.
-    pub(crate) q: QTensor,
+pub(crate) struct QuantizedWeights<A> {
+    /// The kernel's A operand.
+    pub(crate) a: Vec<A>,
     /// Per-row scales (`zero_point` is 0 by construction).
     pub(crate) scales: Vec<f32>,
     /// Per-row code sums for the activation zero-point correction.
     pub(crate) row_sums: Vec<i32>,
-    /// The codes packed once into the int8 kernel's A layout of pair
-    /// words ([`qgemm_pack_a`], in the conv lowering's channel-pair
-    /// order): weights never change, so conv layers run a row range of
-    /// this instead of re-packing A on every call.
-    pub(crate) awide: Vec<i32>,
 }
 
-impl QuantizedWeights {
-    /// Quantizes a `(rows, k)` weight matrix whose columns are input
-    /// channels of `taps` kernel taps each (1 for a dense layer).
-    pub(crate) fn from_weight(w: &Tensor, taps: usize) -> Self {
-        let rows = w.dims()[0];
-        let k = w.len() / rows.max(1);
+impl<A> QuantizedWeights<A> {
+    /// Quantizes the leading `rows` rows of the weight matrix `w` (a
+    /// conv's padded matrix holds zero rows after them), one scale per
+    /// row, and lays their row-major codes out for the kernel.
+    pub(crate) fn new(w: &Tensor, rows: usize, layout: impl Fn(&[i8]) -> Vec<A>) -> Self {
         let q = QTensor::quantize_per_channel(w).expect("weight matrices are rank 2");
         let Quantization::PerChannel(params) = q.quant() else {
             unreachable!("quantize_per_channel returns per-channel params")
         };
-        let scales = params.iter().map(|p| p.scale).collect();
-        let row_sums = row_sums(q.as_slice(), rows, k);
-        let awide = qgemm_pack_a(q.as_slice(), rows, k, taps);
+        let k = w.dims()[1];
+        let codes = &q.as_slice()[..rows * k];
         Self {
-            q,
-            scales,
-            row_sums,
-            awide,
+            a: layout(codes),
+            scales: params[..rows].iter().map(|p| p.scale).collect(),
+            row_sums: row_sums(codes, rows, k),
         }
+    }
+
+    /// Bytes held: the A operand, and a scale and a row sum per row.
+    pub(crate) fn bytes(&self) -> u64 {
+        (std::mem::size_of_val(&self.a[..]) + self.scales.len() * 8) as u64
     }
 }
 
 impl Clone for LazyParam {
     fn clone(&self) -> Self {
-        // Cloning drops the cache; the clone regenerates identically on
-        // demand because the seed is preserved.
+        // Cloning drops a generated tensor: the clone regenerates it
+        // identically on demand because the seed is preserved. Explicit
+        // tensors cannot be regenerated; keep them.
+        let cell = match self.cell.get() {
+            Some(t) if self.bound == 0.0 => OnceLock::from(t.clone()),
+            _ => OnceLock::new(),
+        };
         Self {
             dims: self.dims.clone(),
-            bound: self.bound,
-            seed: self.seed,
-            offset: self.offset,
-            cell: match self.cell.get() {
-                Some(t) if self.bound == 0.0 => {
-                    // Explicit tensors cannot be regenerated; keep them.
-                    let cell = OnceLock::new();
-                    let _ = cell.set(t.clone());
-                    cell
-                }
-                _ => OnceLock::new(),
-            },
+            cell,
+            ..*self
         }
     }
 }

@@ -10,11 +10,13 @@
 //! elements at `b[taps[r] + base]`, through a table of reduction-row
 //! offsets and a [`Grid`] that places the panels and drops the columns
 //! no output owns. [`gemm_into_fused`] hands it B row-major (a copy with
-//! read slack); the conv lowering hands it a padded input map. Every loop
-//! is over fixed-size safe slices, so the whole kernel auto-vectorizes
-//! without `unsafe` — and the same safe body is re-instantiated under
-//! `#[target_feature]` by [`crate::simd`], which picks the widest variant
-//! (AVX2+FMA, AVX-512) the CPU supports once per process.
+//! read slack); the conv lowering hands it a padded input map. A always
+//! comes padded to whole `MR`-row blocks ([`gemm_pack_a`]), read in place
+//! by row and by column window. Every loop is over fixed-size safe
+//! slices, so the whole kernel auto-vectorizes without `unsafe` — and the
+//! same safe body is re-instantiated under `#[target_feature]` by
+//! [`crate::simd`], which picks the widest variant (AVX2+FMA, AVX-512)
+//! the CPU supports once per process.
 //!
 //! Epilogues (bias add, bias+ReLU) run *inside* the microkernel's
 //! write-back loop via [`Epilogue`], while the output tile is still in
@@ -158,16 +160,16 @@ pub fn naive_gemm(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 }
 
 /// Scratch-arena elements (4 bytes each) [`gemm_into`] acquires for a
-/// `(m, k) x (k, n)` product: a copy of B followed by `NR` floats of read
-/// slack, and the `k`-entry row-offset table the sweep reads it through —
-/// the static bound the tier-D ownership analyzer certifies against
-/// measured arena growth.
+/// `(m, k) x (k, n)` product: A padded to whole `MR`-row blocks, a copy
+/// of B followed by `NR` floats of read slack, and the `k`-entry
+/// row-offset table the sweep reads it through — the static bound the
+/// tier-D ownership analyzer certifies against measured arena growth.
 #[must_use]
 pub fn gemm_pack_elems(m: usize, k: usize, n: usize) -> usize {
     if m == 0 || n == 0 || k == 0 {
         return 0;
     }
-    k * n + NR + k
+    m.div_ceil(MR) * MR * k + k * n + NR + k
 }
 
 /// Raw blocked GEMM on slices: writes `a * b` into `out`, which must hold
@@ -185,19 +187,17 @@ pub fn gemm_packed_a_len(m: usize, k: usize) -> usize {
     (m.div_ceil(MR) * MR + MR) * k
 }
 
-/// Copies an `(m, k)` row-major A matrix into the layout the blocked
-/// kernel reads when the left operand is *prepacked*: the same row-major
-/// rows, zero-padded with enough trailing rows that any row-range slice
-/// `&packed[start * k..]` exposes whole `MR`-row microtile blocks. The
-/// sweep detects the padding by length
-/// (`a.len() >= m.div_ceil(MR) * MR * k`) and runs the register-tiled
-/// microkernel over remainder rows too, clamping the write-back — the
-/// per-row accumulation order is identical either way, so a prepacked
-/// call is **bitwise identical** to the unpacked one.
+/// Copies an `(m, k)` row-major A matrix into the one layout the blocked
+/// kernel reads: the same row-major rows, zero-padded with enough
+/// trailing rows that any window of it — rows from `start`, columns from
+/// `c`, `&packed[start * k + c..]` at row stride `k` — exposes whole
+/// `MR`-row microtile blocks. The sweep runs the register-tiled
+/// microkernel over remainder rows too and writes back only the real
+/// ones; each row's accumulation order does not depend on its block.
 ///
 /// Mirrors [`crate::qgemm_pack_a`]'s padding contract (an extra `MR` rows
-/// beyond the round-up) so weights packed once at compile time serve
-/// every output-channel partial without re-packing.
+/// beyond the round-up) so weights packed once serve every output- and
+/// input-channel partial of a conv in place.
 #[must_use]
 pub fn gemm_pack_a(a: &[f32], m: usize, k: usize) -> Vec<f32> {
     debug_assert_eq!(a.len(), m * k);
@@ -208,7 +208,9 @@ pub fn gemm_pack_a(a: &[f32], m: usize, k: usize) -> Vec<f32> {
 
 /// [`gemm_into`] with an [`Epilogue`] fused into the write-back loop:
 /// `out = ep(a*b)`, so `Epilogue::Bias` computes `a*b + bias` in one pass
-/// with no separate bias sweep over the output.
+/// with no separate bias sweep over the output. `a` is row-major (its
+/// first `m * k` elements are read); it is copied into scratch padded to
+/// whole `MR`-row blocks, as B is copied to give its reads slack.
 pub fn gemm_into_fused(
     a: &[f32],
     b: &[f32],
@@ -236,18 +238,31 @@ pub fn gemm_into_fused(
     // the sweep must be a closure-free straight line so it inlines whole
     // into the `#[target_feature]` wrappers and re-vectorizes (a closure
     // would monomorphize once, at baseline width, and the hot loops with
-    // it). B is copied only to give the last panel's reads their slack.
+    // it).
     let phases = Phases::start();
     with_scratch(k, |taps: &mut [i32]| {
-        with_scratch(k * n + NR, |bmap: &mut [f32]| {
-            bmap[..k * n].copy_from_slice(b);
-            fill_taps(taps, (0..k).map(|r| r * n));
-            let phases = phases.packed();
-            let grid = Grid::new(1, n, n);
-            crate::simd::gemm_sweep_dispatch(a, bmap, taps, grid, out, m, ep);
-            phases.finish((bmap.len() * 4) as u64);
+        with_scratch(m.div_ceil(MR) * MR * k, |apad: &mut [f32]| {
+            with_scratch(k * n + NR, |bmap: &mut [f32]| {
+                apad[..m * k].copy_from_slice(&a[..m * k]);
+                bmap[..k * n].copy_from_slice(b);
+                fill_taps(taps, (0..k).map(|r| r * n));
+                let phases = phases.packed();
+                let (a, grid) = (ARows { data: apad, lda: k }, Grid::new(1, n, n));
+                crate::simd::gemm_sweep_dispatch(a, bmap, taps, grid, out, m, ep);
+                phases.finish(((apad.len() + bmap.len()) * 4) as u64);
+            });
         });
     });
+}
+
+/// The sweep's left operand: row `i` starts at `data[i * lda]` and is
+/// read over the reduction depth. `data` holds whole `MR`-row blocks
+/// ([`gemm_pack_a`]'s padding), so the microkernel runs remainder rows
+/// too; a row stride wider than the depth reads a window of columns.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ARows<'a> {
+    pub(crate) data: &'a [f32],
+    pub(crate) lda: usize,
 }
 
 /// Most write-back runs one panel can hold: one per output row its `NR`
@@ -462,20 +477,21 @@ pub(crate) fn tap(t: i32) -> usize {
 }
 
 /// The blocked sweep behind [`gemm_into_fused`] and
-/// [`crate::conv_gemm_into`]: `out = ep(a * B)`, where reduction row `r`
-/// of B is read in place at `b[taps[r] + j]` for grid column `j` (see
-/// [`Grid`]), so `k = taps.len()`. The reduction runs in `KC`-deep slabs,
-/// each accumulated from zero in registers; the first slab stores
-/// `0.0 + acc` over whatever `out` held and every later one adds to it,
-/// so every element's summation order is fixed by `k` alone, whatever
-/// the layout of B — the bits of an accumulation into a zeroed `out`,
-/// `-0.0` included.
+/// [`crate::conv_gemm_into`]: `out = ep(a * B)` over the `m` rows of `a`,
+/// where reduction row `r` of B is read in place at `b[taps[r] + j]` for
+/// grid column `j` (see [`Grid`]), so `k = taps.len()`. The reduction
+/// runs in `KC`-deep slabs, each accumulated from zero in registers; the
+/// first slab stores `0.0 + acc` over whatever `out` held and every later
+/// one adds to it, so every element's summation order is fixed by `k`
+/// alone, whatever the layout of B — the bits of an accumulation into a
+/// zeroed `out`, `-0.0` included. Rows run in whole `MR` blocks, the last
+/// one reading A's padding rows and writing back only the real ones.
 ///
 /// `pub(crate)` + `#[inline(always)]` so [`crate::simd`] can re-compile
 /// the identical safe source under wider `#[target_feature]` sets.
 #[inline(always)]
 pub(crate) fn gemm_sweep(
-    a: &[f32],
+    a: ARows<'_>,
     b: &[f32],
     taps: &[i32],
     grid: Grid,
@@ -484,13 +500,6 @@ pub(crate) fn gemm_sweep(
     ep: Epilogue<'_>,
 ) {
     let (k, n) = (taps.len(), grid.n());
-    // A prepacked left operand ([`gemm_pack_a`]) carries zero-padded
-    // trailing rows, letting remainder rows run through the full
-    // register-tiled microkernel (write-back clamped to the real rows)
-    // instead of the slower single-row edge kernel. Unpadded callers
-    // pass exactly `m * k` elements, which fails this length test
-    // whenever a remainder row exists, so they keep the row kernel.
-    let a_padded = a.len() >= (m.div_ceil(MR) * MR) * k && k > 0;
     for kb in (0..k).step_by(KC) {
         let slab = &taps[kb..(kb + KC).min(k)];
         // The epilogue must fire exactly once per element, after the
@@ -508,27 +517,18 @@ pub(crate) fn gemm_sweep(
                     slab,
                     base: panel.base,
                     kb,
-                    k,
+                    lda: a.lda,
                     n,
                     runs: panel.runs(),
                     ep: slab_ep,
                 };
                 let mut i0 = 0;
                 while i0 + MR <= mc {
-                    microkernel_full(a, &tile, out, mb + i0, MR);
+                    microkernel(a.data, &tile, out, mb + i0, MR);
                     i0 += MR;
                 }
                 if i0 < mc {
-                    if a_padded {
-                        // Remainder rows: the padding rows make a full
-                        // MR-block readable; only `mc - i0` rows are
-                        // written back.
-                        microkernel_full(a, &tile, out, mb + i0, mc - i0);
-                    } else {
-                        for i in i0..mc {
-                            microkernel_row(a, &tile, out, mb + i);
-                        }
-                    }
+                    microkernel(a.data, &tile, out, mb + i0, mc - i0);
                 }
             }
         }
@@ -543,10 +543,10 @@ struct Tile<'a> {
     slab: &'a [i32],
     /// Grid column the panel reads from.
     base: usize,
-    /// First reduction row of the slab; `k` is the full depth (A's row
-    /// stride).
+    /// First reduction row of the slab.
     kb: usize,
-    k: usize,
+    /// A's row stride.
+    lda: usize,
     /// Output row stride.
     n: usize,
     runs: &'a [Run],
@@ -586,17 +586,17 @@ impl Tile<'_> {
 /// one panel and slab, with the epilogue applied during write-back. The
 /// accumulator lives in fixed-size local arrays, which LLVM promotes to
 /// vector registers; each loaded B row is reused `MR` times and each A
-/// element `NR` times. `rows < MR` (prepacked tails) reads all `MR` A
-/// rows — the caller guarantees they are readable — but writes back only
-/// the first `rows` accumulator rows.
+/// element `NR` times. `rows < MR` (the last block) reads all `MR` A
+/// rows — A's padding makes them readable — but writes back only the
+/// first `rows` accumulator rows.
 #[inline(always)]
-fn microkernel_full(a: &[f32], tile: &Tile<'_>, out: &mut [f32], i0: usize, rows: usize) {
+fn microkernel(a: &[f32], tile: &Tile<'_>, out: &mut [f32], i0: usize, rows: usize) {
     let mut acc = [[0.0f32; NR]; MR];
-    let (k, kb, kc) = (tile.k, tile.kb, tile.slab.len());
-    let a0 = &a[i0 * k + kb..i0 * k + kb + kc];
-    let a1 = &a[(i0 + 1) * k + kb..(i0 + 1) * k + kb + kc];
-    let a2 = &a[(i0 + 2) * k + kb..(i0 + 2) * k + kb + kc];
-    let a3 = &a[(i0 + 3) * k + kb..(i0 + 3) * k + kb + kc];
+    let (lda, kb, kc) = (tile.lda, tile.kb, tile.slab.len());
+    let a0 = &a[i0 * lda + kb..i0 * lda + kb + kc];
+    let a1 = &a[(i0 + 1) * lda + kb..(i0 + 1) * lda + kb + kc];
+    let a2 = &a[(i0 + 2) * lda + kb..(i0 + 2) * lda + kb + kc];
+    let a3 = &a[(i0 + 3) * lda + kb..(i0 + 3) * lda + kb + kc];
     for (p, &t) in tile.slab.iter().enumerate() {
         let brow = tile.brow(t);
         let av = [a0[p], a1[p], a2[p], a3[p]];
@@ -609,20 +609,6 @@ fn microkernel_full(a: &[f32], tile: &Tile<'_>, out: &mut [f32], i0: usize, rows
     for (r, accr) in acc.iter().enumerate().take(rows) {
         tile.write_back(out, accr, i0 + r);
     }
-}
-
-/// Single-row edge of the microtile (m remainder rows).
-#[inline(always)]
-fn microkernel_row(a: &[f32], tile: &Tile<'_>, out: &mut [f32], i: usize) {
-    let mut acc = [0.0f32; NR];
-    let (k, kb) = (tile.k, tile.kb);
-    let arow = &a[i * k + kb..i * k + kb + tile.slab.len()];
-    for (&ar, &t) in arow.iter().zip(tile.slab) {
-        for (dst, &bv) in acc.iter_mut().zip(tile.brow(t).iter()) {
-            *dst += ar * bv;
-        }
-    }
-    tile.write_back(out, &acc, i);
 }
 
 /// Records a kernel's pack and compute phases from at most three clock
@@ -841,34 +827,18 @@ mod tests {
 
     #[test]
     fn pack_bound_covers_the_actual_packing_acquisition() {
-        // The kernel acquires B's k * n floats plus NR of read slack,
-        // and one tap-table entry per reduction row; the exported bound
-        // must never undercount them (empty problems acquire nothing).
+        // The kernel acquires A padded to whole MR-row blocks, B's k * n
+        // floats plus NR of read slack, and one tap-table entry per
+        // reduction row; the exported bound must never undercount them
+        // (empty problems acquire nothing).
         assert_eq!(gemm_pack_elems(0, 64, 64), 0);
         assert_eq!(gemm_pack_elems(64, 0, 64), 0);
         for (m, k, n) in [(1, 1, 1), (4, 300, 17), (64, 256, 128), (3, 7, 1000)] {
             let bound = gemm_pack_elems(m, k, n);
-            assert!(bound >= k * n + 16 + k, "({m},{k},{n})");
-        }
-    }
-
-    #[test]
-    fn prepacked_a_is_bitwise_identical_to_unpacked() {
-        // Dimensions chosen to hit both kernels and every tail case:
-        // m % MR in {0, 1, 2, 3}, blocked and small paths.
-        for (m, k, n) in [(4, 16, 8), (7, 301, 29), (37, 301, 29), (66, 120, 33)] {
-            let a = Tensor::random(&[m, k], 1.0, 41);
-            let b = Tensor::random(&[k, n], 1.0, 42);
-            let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.5 - 1.0).collect();
-            let packed = gemm_pack_a(a.as_slice(), m, k);
-            assert_eq!(packed.len(), gemm_packed_a_len(m, k));
-            for ep in [Epilogue::None, Epilogue::BiasRelu { bias: &bias }] {
-                let mut plain = vec![0.0f32; m * n];
-                gemm_into_fused(a.as_slice(), b.as_slice(), &mut plain, m, k, n, ep);
-                let mut pre = vec![0.0f32; m * n];
-                gemm_into_fused(&packed, b.as_slice(), &mut pre, m, k, n, ep);
-                assert_eq!(plain, pre, "({m},{k},{n}) {ep:?}");
-            }
+            assert!(
+                bound >= m.div_ceil(4) * 4 * k + k * n + 16 + k,
+                "({m},{k},{n})"
+            );
         }
     }
 

@@ -28,7 +28,7 @@
 
 use std::ops::Range;
 
-use crate::gemm::{fill_taps, tap, Epilogue, Grid, Phases};
+use crate::gemm::{fill_taps, tap, ARows, Epilogue, Grid, Phases};
 use crate::quant::{pair_word, quantize_code, QuantParams, Requant, MR, NR};
 use crate::scratch::with_scratch;
 use crate::{Result, Tensor, TensorError};
@@ -281,9 +281,10 @@ pub fn conv_qgemm_scratch_elems(geometry: &Conv2dGeometry) -> usize {
 
 /// Convolution as an implicit GEMM: `out = ep(a · P)`, where `P` is
 /// the [`im2col`] patch matrix of `input` (never materialized) and `a`
-/// holds the `m = out.len() / (out_h * out_w)` weight rows of stride
-/// `in_channels * kernel_h * kernel_w` — plain row-major, or the padded
-/// layout of [`crate::gemm_pack_a`] sliced at a row offset. `out` is
+/// holds the `m = out.len() / (out_h * out_w)` weight rows, row `i` at
+/// `a[i * lda..]`: [`crate::gemm_pack_a`]'s layout windowed at a row and
+/// a column (an input-channel range when `lda` exceeds the patch depth),
+/// so it holds `m` rounded up to whole `MR`-row blocks. `out` is
 /// overwritten.
 ///
 /// The input is copied once into the zero-bordered phase-split map (read
@@ -296,11 +297,12 @@ pub fn conv_qgemm_scratch_elems(geometry: &Conv2dGeometry) -> usize {
 ///
 /// # Errors
 /// Returns geometry validation errors and [`TensorError::ShapeMismatch`]
-/// when `input`, `a` or `out` do not fit the geometry.
+/// when `input`, `a`, `lda` or `out` do not fit the geometry.
 pub fn conv_gemm_into(
     input: &[f32],
     geometry: &Conv2dGeometry,
     a: &[f32],
+    lda: usize,
     out: &mut [f32],
     ep: Epilogue<'_>,
 ) -> Result<()> {
@@ -308,12 +310,13 @@ pub fn conv_gemm_into(
     let cols = geometry.out_h() * geometry.out_w();
     let m = out_rows(out.len(), cols)?;
     let k = geometry.depth();
-    if a.len() < m * k {
+    if lda < k || a.len() < m.div_ceil(MR) * MR * lda {
         return Err(TensorError::ShapeMismatch {
-            left: vec![m, k],
-            right: vec![a.len()],
+            left: vec![m, lda],
+            right: vec![a.len(), k],
         });
     }
+    let a = ARows { data: a, lda };
     let phases = Phases::start();
     with_scratch(k, |taps: &mut [i32]| {
         geometry.fill_taps(taps);
@@ -710,12 +713,44 @@ mod tests {
                 let a = &w.as_slice()[rows.start * k..rows.end * k];
                 let mut want = vec![0.0; rows.len() * n];
                 crate::gemm_into_fused(a, cols.as_slice(), &mut want, rows.len(), k, n, ep);
-                for a in [a, &packed[rows.start * k..]] {
-                    let mut got = vec![0.0; rows.len() * n];
-                    conv_gemm_into(x.as_slice(), g, a, &mut got, ep).unwrap();
-                    assert_eq!(got, want, "{g:?} rows {rows:?}");
-                }
+                let mut got = vec![0.0; rows.len() * n];
+                conv_gemm_into(x.as_slice(), g, &packed[rows.start * k..], k, &mut got, ep)
+                    .unwrap();
+                assert_eq!(got, want, "{g:?} rows {rows:?}");
             }
+            // The last input channels alone: a window of every packed
+            // row's columns, read in place at the full row stride.
+            if g.in_channels < 2 {
+                continue;
+            }
+            let (window, plane) = (g.kernel_h * g.kernel_w, g.in_h * g.in_w);
+            let part = Conv2dGeometry {
+                in_channels: g.in_channels - 1,
+                ..*g
+            };
+            let x_part = Tensor::from_vec(
+                x.as_slice()[plane..].to_vec(),
+                &[part.in_channels, g.in_h, g.in_w],
+            )
+            .unwrap();
+            let part_cols = im2col(&x_part, &part).unwrap();
+            let a: Vec<f32> = (0..m)
+                .flat_map(|r| &w.as_slice()[r * k + window..(r + 1) * k])
+                .copied()
+                .collect();
+            let mut want = vec![0.0; m * n];
+            crate::gemm_into(&a, part_cols.as_slice(), &mut want, m, part.depth(), n);
+            let mut got = vec![f32::NAN; m * n];
+            conv_gemm_into(
+                x_part.as_slice(),
+                &part,
+                &packed[window..],
+                k,
+                &mut got,
+                Epilogue::None,
+            )
+            .unwrap();
+            assert_eq!(got, want, "{g:?} channels 1..");
         }
         assert_eq!(
             widths, [true; 3],
@@ -766,17 +801,21 @@ mod tests {
     fn conv_kernels_reject_mismatched_buffers() {
         let g = geo(2, 5, 5, 3, 1, 1);
         let x = vec![0.0f32; 2 * 5 * 5];
-        let a = vec![0.0f32; 3 * 18];
+        // Three rows read as one whole MR block of 18 columns.
+        let a = vec![0.0f32; 4 * 18];
         let mut out = vec![0.0f32; 3 * 25];
-        assert!(conv_gemm_into(&x, &g, &a, &mut out, Epilogue::None).is_ok());
-        for (x, a, out_len) in [
-            (&x[1..], &a[..], 75),
-            (&x[..], &a[..53], 75),
-            (&x[..], &a[..], 74),
+        assert!(conv_gemm_into(&x, &g, &a, 18, &mut out, Epilogue::None).is_ok());
+        // A short input, A short of the block, a row stride below the
+        // patch depth, and an output that is not whole rows.
+        for (x, a, lda, out_len) in [
+            (&x[1..], &a[..], 18, 75),
+            (&x[..], &a[..71], 18, 75),
+            (&x[..], &a[..], 17, 75),
+            (&x[..], &a[..], 18, 74),
         ] {
             let mut out = vec![0.0f32; out_len];
             assert!(matches!(
-                conv_gemm_into(x, &g, a, &mut out, Epilogue::None),
+                conv_gemm_into(x, &g, a, lda, &mut out, Epilogue::None),
                 Err(TensorError::ShapeMismatch { .. })
             ));
         }
@@ -785,7 +824,7 @@ mod tests {
             ..g
         };
         assert!(matches!(
-            conv_gemm_into(&[], &empty, &a, &mut out, Epilogue::None),
+            conv_gemm_into(&[], &empty, &a, 18, &mut out, Epilogue::None),
             Err(TensorError::InvalidConvGeometry { .. })
         ));
 

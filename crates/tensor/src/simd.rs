@@ -46,7 +46,7 @@
 
 use std::sync::OnceLock;
 
-use crate::gemm::{tap, Epilogue, Grid};
+use crate::gemm::{tap, ARows, Epilogue, Grid};
 use crate::quant::{QuantParams, Requant};
 use crate::Conv2dGeometry;
 
@@ -118,7 +118,7 @@ fn detect() -> KernelArch {
 /// ([`crate::gemm::gemm_sweep`]) to the selected variant.
 #[inline]
 pub(crate) fn gemm_sweep_dispatch(
-    a: &[f32],
+    a: ARows<'_>,
     b: &[f32],
     taps: &[i32],
     grid: Grid,
@@ -223,7 +223,7 @@ pub(crate) fn dot_i8_dispatch(a: &[i8], b: &[i8]) -> i32 {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn gemm_sweep_avx2(
-    a: &[f32],
+    a: ARows<'_>,
     b: &[f32],
     taps: &[i32],
     grid: Grid,
@@ -237,7 +237,7 @@ fn gemm_sweep_avx2(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
 fn gemm_sweep_avx512(
-    a: &[f32],
+    a: ARows<'_>,
     b: &[f32],
     taps: &[i32],
     grid: Grid,
@@ -546,13 +546,17 @@ mod tests {
             },
         );
 
-        // Sweeps: more than one KC slab, rows off the MR grid, padded
-        // and unpadded A; a flat grid whose rows drop 2 of 10 columns
-        // (several runs per panel) over a B with read slack, and one
-        // read to B's last element.
+        // Sweeps: more than one KC slab, rows off the MR grid, padded A;
+        // a flat grid whose rows drop 2 of 10 columns (several runs per
+        // panel) over a B with read slack, and one read to B's last
+        // element.
         let (m, k) = (7usize, 300usize);
         let a = crate::Tensor::random(&[m, k], 1.0, 6);
         let padded = crate::gemm_pack_a(a.as_slice(), m, k);
+        let a = ARows {
+            data: &padded,
+            lda: k,
+        };
         let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.3 - 1.0).collect();
         let ep = Epilogue::BiasRelu { bias: &bias };
         let flush = Grid::flush(1, 37, 37).expect("wider than a panel");
@@ -562,15 +566,13 @@ mod tests {
                 .map(|i| (i % 97) as f32 * 0.01 - 0.4)
                 .collect();
             let n = grid.n();
-            for a in [a.as_slice(), &padded[..]] {
-                agree(&vec![0.5f32; m * n], "f32 sweep", |arch, out| match arch {
-                    KernelArch::Avx2 => unsafe { gemm_sweep_avx2(a, &b, &taps, grid, out, m, ep) },
-                    KernelArch::Avx512 => unsafe {
-                        gemm_sweep_avx512(a, &b, &taps, grid, out, m, ep);
-                    },
-                    KernelArch::Portable => crate::gemm::gemm_sweep(a, &b, &taps, grid, out, m, ep),
-                });
-            }
+            agree(&vec![0.5f32; m * n], "f32 sweep", |arch, out| match arch {
+                KernelArch::Avx2 => unsafe { gemm_sweep_avx2(a, &b, &taps, grid, out, m, ep) },
+                KernelArch::Avx512 => unsafe {
+                    gemm_sweep_avx512(a, &b, &taps, grid, out, m, ep);
+                },
+                KernelArch::Portable => crate::gemm::gemm_sweep(a, &b, &taps, grid, out, m, ep),
+            });
         }
         let pairs_k = 19;
         let word = |i: usize, s: usize| {

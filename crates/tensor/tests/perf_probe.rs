@@ -150,7 +150,7 @@ fn conv_layers_of_the_tiny_models() {
             let packed = gemm_pack_a(w.as_slice(), m, depth);
             let ep = Epilogue::BiasRelu { bias: &bias };
             let f32_us = median_us(SAMPLES, &mut out, |out| {
-                conv_gemm_into(black_box(x.as_slice()), &g, &packed, out, ep).unwrap();
+                conv_gemm_into(black_box(x.as_slice()), &g, &packed, depth, out, ep).unwrap();
             });
 
             let qw = QTensor::quantize_per_channel(&w).unwrap();

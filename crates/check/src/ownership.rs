@@ -28,6 +28,7 @@
 //!
 //! [`Layer::scratch_bytes`]: edgenn_nn::layer::Layer::scratch_bytes
 
+use edgenn_core::footprint;
 use edgenn_core::plan::ExecutionPlan;
 use edgenn_core::schedule::{liveness_peak, Program};
 use edgenn_nn::graph::Graph;
@@ -58,7 +59,8 @@ pub struct BufferLife {
 pub struct PeakBound {
     /// The borrowed network input.
     pub input_bytes: u64,
-    /// All layer parameters (resident for the whole session).
+    /// What the layers hold under the plan's precision, resident for
+    /// the whole session ([`footprint::weight_bytes`]).
     pub weight_bytes: u64,
     /// Sum of slot-resident output tensors — the engine frees none
     /// before session end, so this is exact for a fault-free run.
@@ -322,12 +324,15 @@ impl Interp {
 /// Interprets `schedule` against the zero-copy contract, returning the
 /// full tier-D report. Pass the schedule from [`derive_schedule`] for
 /// the engine's real behaviour, or a mutated one to test the verifier.
-/// The schedule's ops already carry the plan's arena and split sizes.
+/// The schedule's ops already carry the plan's arena and split sizes;
+/// `weight_bytes` is what the layers hold under the plan's precision
+/// ([`footprint::weight_bytes`]).
 #[must_use]
 pub fn analyze_schedule(
     graph: &Graph,
     platform: &Platform,
     schedule: &Schedule,
+    weight_bytes: u64,
 ) -> OwnershipReport {
     let len = graph.len();
     let mut interp = Interp {
@@ -393,7 +398,7 @@ pub fn analyze_schedule(
         });
     }
 
-    let bound = certify_bound(graph, schedule, &lives);
+    let bound = certify_bound(graph, schedule, &lives, weight_bytes);
     let mut diagnostics = interp.diagnostics;
     if platform.dram_bytes > 0 && bound.total_bytes > platform.dram_bytes {
         diagnostics.push(Diagnostic::new(
@@ -462,9 +467,13 @@ fn check_branch_isolation(interp: &mut Interp, branches: &[Vec<Op>]) {
 
 /// Builds the certified peak-memory decomposition from the schedule's
 /// ops and the slot lives they produced.
-fn certify_bound(graph: &Graph, schedule: &Schedule, lives: &[BufferLife]) -> PeakBound {
+fn certify_bound(
+    graph: &Graph,
+    schedule: &Schedule,
+    lives: &[BufferLife],
+    weight_bytes: u64,
+) -> PeakBound {
     let input_bytes = slot_bytes(graph, 0);
-    let weight_bytes = graph.param_bytes();
     let slot_total: u64 = lives.iter().map(|l| l.bytes).sum();
     let mut arena_bytes = 0u64;
     let mut partial_bytes = 0u64;
@@ -504,7 +513,10 @@ pub fn check_ownership(
     platform: &Platform,
 ) -> OwnershipReport {
     match Program::new(graph) {
-        Ok(program) => analyze_schedule(graph, platform, &program.lower(plan)),
+        Ok(program) => {
+            let weights = footprint::weight_bytes(graph, &program, plan.config.precision);
+            analyze_schedule(graph, platform, &program.lower(plan), weights)
+        }
         Err(e) => OwnershipReport {
             diagnostics: vec![Diagnostic::new(
                 codes::UNDECOMPOSABLE,
@@ -544,6 +556,29 @@ mod tests {
             assert!(report.is_clean(), "{kind}: {:?}", report.diagnostics);
             assert!(report.ops > 0);
             assert_eq!(report.lives.len(), graph.len() - 1, "{kind}");
+        }
+    }
+
+    #[test]
+    fn certified_weights_are_what_the_footprint_counts() {
+        // Tier D certifies the weights the layers hold, as `footprint`
+        // counts them: a conv's GEMM padding rows and, under an int8
+        // plan, the int8 sidecar on top of the plain parameters.
+        let platform = jetson_agx_xavier();
+        let runtime = Runtime::new(&platform);
+        for kind in ModelKind::ALL {
+            let graph = build(kind, ModelScale::Tiny);
+            let tuner = Tuner::new(&graph, &runtime).unwrap();
+            for config in [ExecutionConfig::edgenn(), ExecutionConfig::edgenn_int8()] {
+                let plan = tuner.plan(&graph, &runtime, config).unwrap();
+                let certified = check_ownership(&graph, &plan, &platform).bound;
+                let held = footprint::footprint(&graph, &plan).unwrap();
+                assert_eq!(
+                    certified.weight_bytes, held.weight_bytes,
+                    "{kind} {:?}",
+                    config.precision
+                );
+            }
         }
     }
 

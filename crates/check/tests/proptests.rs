@@ -216,7 +216,7 @@ fn assert_trips(
         "{code} already fires without the mutation: {:?}",
         clean.diagnostics
     );
-    let report = analyze_schedule(graph, platform, schedule);
+    let report = analyze_schedule(graph, platform, schedule, clean.bound.weight_bytes);
     assert!(
         report.diagnostics.iter().any(|d| d.code == code),
         "mutation did not trip {code}: {:?}",
@@ -368,7 +368,8 @@ fn dead_write_mutation_trips_ec055() {
                 Region::Parallel(branches) => branches.iter_mut().for_each(drop_reads),
             }
         }
-        let report = analyze_schedule(&graph, &platform, &schedule);
+        let weights = check_ownership(&graph, &plan, &platform).bound.weight_bytes;
+        let report = analyze_schedule(&graph, &platform, &schedule, weights);
         let ec055: Vec<_> = report
             .diagnostics
             .iter()

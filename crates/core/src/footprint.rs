@@ -83,6 +83,18 @@ fn held_beyond_params(program: &Program, id: NodeId, int8: bool) -> u64 {
     (padding * 4 + sidecar) as u64
 }
 
+/// Bytes of model parameters the layers of `graph` hold under
+/// `precision` ([`Footprint::weight_bytes`]): [`Graph::param_bytes`] plus
+/// what each layer keeps beyond them. `program` is `graph`'s lowering,
+/// which every caller has already built.
+pub fn weight_bytes(graph: &Graph, program: &Program, precision: Precision) -> u64 {
+    let int8 = precision == Precision::Int8;
+    let held = graph
+        .topo_order()
+        .map(|id| held_beyond_params(program, id, int8));
+    graph.param_bytes() + held.sum::<u64>()
+}
+
 /// Computes the peak memory footprint of executing `plan` over `graph`.
 ///
 /// Liveness: a node's output array is allocated when the node executes,
@@ -96,11 +108,7 @@ fn held_beyond_params(program: &Program, id: NodeId, int8: bool) -> u64 {
 pub fn footprint(graph: &Graph, plan: &ExecutionPlan) -> Result<Footprint> {
     plan.validate(graph)?;
     let program = Program::new(graph)?;
-    let int8 = plan.config.precision == Precision::Int8;
-    let held = graph
-        .topo_order()
-        .map(|id| held_beyond_params(&program, id, int8));
-    let weight_bytes = graph.param_bytes() + held.sum::<u64>();
+    let weight_bytes = weight_bytes(graph, &program, plan.config.precision);
 
     let sizes: Vec<u64> = graph
         .nodes()

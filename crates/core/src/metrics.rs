@@ -75,18 +75,12 @@ impl InferenceReport {
 
     /// Fraction of end-to-end time spent on CPU<->GPU memory management
     /// (explicit copies + migrations + thrash) — the quantity Figure 9
-    /// plots for the explicit baseline. Unclamped: a value past 1.0 is an
+    /// plots for the explicit baseline. Unclamped: a value past 1.0 (the
+    /// per-layer attribution double-counted co-run overlap) is an
     /// accounting violation, and `edgenn check` reports it as `EC030`
     /// instead of this method hiding it. Plotting pipelines that prefer a
     /// bounded axis call [`Self::copy_proportion_clamped`].
     pub fn copy_proportion(&self) -> f64 {
-        self.copy_proportion_raw()
-    }
-
-    /// The unclamped memory proportion: exceeds 1.0 when per-layer
-    /// attribution double-counts co-run overlap and the summed memory
-    /// time outruns the wall clock.
-    pub fn copy_proportion_raw(&self) -> f64 {
         if self.total_us <= 0.0 {
             return 0.0;
         }
@@ -97,7 +91,7 @@ impl InferenceReport {
     /// plotting variant (`edgenn check --lenient` downgrades the matching
     /// `EC030` diagnostic to a warning for the same reason).
     pub fn copy_proportion_clamped(&self) -> f64 {
-        self.copy_proportion_raw().clamp(0.0, 1.0)
+        self.copy_proportion().clamp(0.0, 1.0)
     }
 
     /// Checks the report's accounting invariants, emitting one
@@ -105,7 +99,7 @@ impl InferenceReport {
     /// number of warnings raised (0 for a clean report).
     pub fn audit(&self, sink: &dyn EventSink) -> usize {
         let mut raised = 0;
-        let raw = self.copy_proportion_raw();
+        let raw = self.copy_proportion();
         if raw > 1.0 {
             sink.emit(SinkEvent::Warning {
                 source: "metrics",
@@ -253,10 +247,6 @@ mod tests {
         assert!(
             (r.copy_proportion_clamped() - 1.0).abs() < 1e-9,
             "clamped variant bounds the plot axis"
-        );
-        assert!(
-            (r.copy_proportion_raw() - 1.5).abs() < 1e-9,
-            "raw value unclamped"
         );
         let rec = Recorder::new();
         assert_eq!(r.audit(&rec), 1);

@@ -13,7 +13,7 @@
 //! The engine is built to add as little overhead as possible on top of
 //! the kernels themselves:
 //!
-//! - **One worker pool per process** ([`pool::Pool`]): its
+//! - **One worker pool per process** ([`Pool`]): its
 //!   [`Pool::default_workers`] workers are spawned when the first
 //!   [`Executor`] is built and park between sessions; every co-run split
 //!   share and fork-join branch is a queue push, never a thread spawn.
@@ -22,8 +22,12 @@
 //!   Pooled jobs are `'static` closures over an `Arc`-shared session
 //!   (the graph's [`Program`], plan assignments, output slots, counters
 //!   and fault injector), so no `unsafe` is needed.
-//!   [`Executor::batch_execute`] shares one session (and the layers'
-//!   warm scratch arenas) across a whole batch.
+//! - **One session per input**: [`Executor::execute`] and each input of
+//!   [`Executor::batch_execute`] run in a session of their own, with one
+//!   output slot per node and their own task, slot and recovery counts.
+//!   A batch saves nothing over calling `execute` per input: the pool's
+//!   workers persist across calls, and scratch arenas are per thread and
+//!   stay warm across calls either way.
 //! - **Zero-copy dataflow**: the engine allocates each node's output
 //!   once, from the program's dims, and every layer computes into the
 //!   buffer it is handed ([`Layer::forward_into`]); the two shares of an
@@ -51,7 +55,7 @@ use edgenn_sim::FaultPlan;
 use edgenn_tensor::{scratch_stats, Tensor};
 
 use crate::plan::{Assignment, ExecutionPlan, Precision};
-use crate::runtime::pool::{self, JoinError, Pool, ShutdownGuard, Tally, TaskHandle};
+use crate::runtime::pool::{JoinError, Pool, ShutdownGuard, Tally, TaskHandle};
 use crate::schedule::Program;
 use crate::{CoreError, Result};
 
@@ -184,10 +188,10 @@ fn measure_corun_cutoff() -> u64 {
 /// Engine-overhead counters for one functional run.
 ///
 /// The pool counters are the session's own [`Tally`] (the workers are
-/// shared with every concurrent session); the arena counters are
-/// process-wide. Per-request windowing happens through
-/// [`EngineStats::snapshot_delta`], so stats reported for one request
-/// never inherit a previous request's counts.
+/// shared with every concurrent session), and the slot bytes its own
+/// counter. The arena counters are process-wide, windowed over the run
+/// with [`edgenn_tensor::ScratchStats::delta`], so a concurrent session's
+/// scratch traffic lands in both windows.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineStats {
     /// Tasks completed by pool workers.
@@ -211,46 +215,6 @@ pub struct EngineStats {
     pub profile: Option<ProfileSummary>,
 }
 
-impl EngineStats {
-    /// Absolute snapshot of the cumulative engine counters underlying
-    /// one session (no profile — profiles belong to windows).
-    fn capture(
-        pool: &pool::PoolStats,
-        scratch: &edgenn_tensor::ScratchStats,
-        slot_bytes: u64,
-    ) -> EngineStats {
-        EngineStats {
-            pool_tasks: pool.worker_tasks,
-            inline_tasks: pool.inline_tasks,
-            queue_wait_ns: pool.queue_wait_ns,
-            arena_fresh_bytes: scratch.fresh_bytes,
-            arena_reused_bytes: scratch.reused_bytes,
-            slot_bytes,
-            profile: None,
-        }
-    }
-
-    /// Counter growth from `self` to `later` — the per-request window.
-    /// The returned stats carry `later`'s profile (profiles are built
-    /// per window and never accumulate).
-    #[must_use]
-    pub fn snapshot_delta(&self, later: &EngineStats) -> EngineStats {
-        EngineStats {
-            pool_tasks: later.pool_tasks.saturating_sub(self.pool_tasks),
-            inline_tasks: later.inline_tasks.saturating_sub(self.inline_tasks),
-            queue_wait_ns: later.queue_wait_ns.saturating_sub(self.queue_wait_ns),
-            arena_fresh_bytes: later
-                .arena_fresh_bytes
-                .saturating_sub(self.arena_fresh_bytes),
-            arena_reused_bytes: later
-                .arena_reused_bytes
-                .saturating_sub(self.arena_reused_bytes),
-            slot_bytes: later.slot_bytes.saturating_sub(self.slot_bytes),
-            profile: later.profile.clone(),
-        }
-    }
-}
-
 /// Recovery counters of one functional run (all zero when no
 /// [`FaultInjector`] is attached).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -267,18 +231,6 @@ pub struct FaultCounts {
     pub worker_losses: u64,
 }
 
-impl FaultCounts {
-    /// Counter growth from `self` to `later`.
-    fn delta(&self, later: &FaultCounts) -> FaultCounts {
-        FaultCounts {
-            faults_injected: later.faults_injected - self.faults_injected,
-            retries: later.retries - self.retries,
-            fallbacks: later.fallbacks - self.fallbacks,
-            worker_losses: later.worker_losses - self.worker_losses,
-        }
-    }
-}
-
 /// Deterministic fault injection for functional runs.
 ///
 /// Mirrors the analytic [`edgenn_sim::FaultClock`] on the real-tensor
@@ -288,7 +240,9 @@ impl FaultCounts {
 /// identical operands, so a recovered run is **bitwise identical** to
 /// the fault-free run of the same plan — resilience never perturbs the
 /// numerics. Environmental windows (bandwidth, thermal, stalls) scale
-/// simulated time only and do not apply here.
+/// simulated time only and do not apply here. The injector holds the
+/// fault plan only; each session counts the injections and recoveries
+/// of its own run ([`FunctionalOutcome::recovery`]).
 #[derive(Debug)]
 pub struct FaultInjector {
     /// Per-node remaining failure charges; `u32::MAX` is permanent.
@@ -297,10 +251,6 @@ pub struct FaultInjector {
     max_retries: u32,
     /// Watchdog bound for worker-held partial joins.
     join_timeout: Option<Duration>,
-    faults_injected: AtomicU64,
-    retries: AtomicU64,
-    fallbacks: AtomicU64,
-    worker_losses: AtomicU64,
     /// Test hook standing in for a hung kernel: how long a pooled
     /// partial that a worker picked up sleeps before computing.
     #[cfg(test)]
@@ -322,10 +272,6 @@ impl FaultInjector {
             remaining,
             max_retries,
             join_timeout: None,
-            faults_injected: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
-            worker_losses: AtomicU64::new(0),
             #[cfg(test)]
             worker_stall: None,
         }
@@ -334,7 +280,7 @@ impl FaultInjector {
     /// Bounds every worker-held partial join by `timeout`: a worker
     /// that holds a partial longer is written off as hung until its job
     /// finishes, and its share is recomputed inline (see
-    /// [`pool::LossAccount`]).
+    /// [`LossAccount`](super::pool::LossAccount)).
     #[must_use]
     pub fn with_join_timeout(mut self, timeout: Duration) -> Self {
         self.join_timeout = Some(timeout);
@@ -344,37 +290,20 @@ impl FaultInjector {
     /// Whether the next launch of `node`'s kernel fails, consuming one
     /// failure charge (a `u32::MAX` charge never depletes).
     fn should_fail(&self, node: usize) -> bool {
-        let Some(cell) = self.remaining.get(node) else {
-            return false;
-        };
-        let fails = cell
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| match n {
+        self.remaining.get(node).is_some_and(|cell| {
+            cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| match n {
                 0 => None,
                 u32::MAX => Some(u32::MAX),
                 n => Some(n - 1),
             })
-            .is_ok();
-        if fails {
-            self.faults_injected.fetch_add(1, Ordering::Relaxed);
-        }
-        fails
-    }
-
-    /// Recovery counters accumulated across every run so far.
-    #[must_use]
-    pub fn counts(&self) -> FaultCounts {
-        FaultCounts {
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
-            worker_losses: self.worker_losses.load(Ordering::Relaxed),
-        }
+            .is_ok()
+        })
     }
 }
 
-/// Statistics of one functional run. Its layer and region counts are the
-/// session's decisions for the plan, made before any input ran; its
-/// engine and recovery stats are measured over this input's run.
+/// Statistics of one input's session. Its layer and region counts are
+/// the session's decisions for the plan, made before the input ran; its
+/// engine and recovery stats are the session's own counts.
 #[derive(Debug, Clone)]
 pub struct FunctionalOutcome {
     /// The network output.
@@ -401,8 +330,8 @@ pub struct FunctionalOutcome {
     pub recovery: FaultCounts,
 }
 
-/// One `run_session`'s state, shared by `Arc` with its pooled jobs. A
-/// job the watchdog abandoned may hold it past the session's end.
+/// One input's run state, shared by `Arc` with its pooled jobs. A job
+/// the watchdog abandoned may hold it past the session's end.
 struct Session {
     program: Arc<Program>,
     /// Per node, how it runs ([`Program::run_as`]).
@@ -414,22 +343,27 @@ struct Session {
     /// Int8-capable nodes the plan's precision leaves in f32 because
     /// their shape loses to f32 ([`FunctionalOutcome::int8_gated`]).
     int8_gated: usize,
-    /// Node output slots, one per program node per input of the batch.
+    /// Node output slots, one per program node.
     slots: Vec<OnceLock<Tensor>>,
     slot_bytes: AtomicU64,
     faults: Option<Arc<FaultInjector>>,
     corun_cutoff: u64,
     /// This session's pool tasks (the workers are shared).
     tally: Tally,
+    /// This session's [`FaultCounts`], counted by whichever thread
+    /// recovers.
+    faults_injected: AtomicU64,
+    retries: AtomicU64,
+    fallbacks: AtomicU64,
+    worker_losses: AtomicU64,
 }
 
 impl Session {
-    /// Decides, once for every input of the session, how each node of
-    /// `program` runs under `plan` and which fork-join segments fork.
+    /// Decides how each node of `program` runs under `plan` and which
+    /// fork-join segments fork.
     fn new(
         program: &Arc<Program>,
         plan: &ExecutionPlan,
-        inputs: usize,
         faults: Option<Arc<FaultInjector>>,
         corun_cutoff: u64,
     ) -> Self {
@@ -464,13 +398,15 @@ impl Session {
             int8,
             forks,
             int8_gated,
-            slots: (0..plan.nodes.len() * inputs)
-                .map(|_| OnceLock::new())
-                .collect(),
+            slots: plan.nodes.iter().map(|_| OnceLock::new()).collect(),
             slot_bytes: AtomicU64::new(0),
             faults,
             corun_cutoff,
             tally: Tally::default(),
+            faults_injected: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
+            fallbacks: AtomicU64::new(0),
+            worker_losses: AtomicU64::new(0),
         }
     }
 }
@@ -478,10 +414,11 @@ impl Session {
 /// A reusable functional execution session for one graph.
 ///
 /// Construction lowers the graph once into its [`Program`];
-/// [`Executor::execute`] then runs any plan/input against it, and
-/// [`Executor::batch_execute`] amortizes session setup and scratch-arena
-/// warm-up across a batch of inputs. Every executor submits to the one
-/// process-wide worker pool, so building one per batch spawns nothing.
+/// [`Executor::execute`] then runs any plan/input against it, each input
+/// in a session of its own, and [`Executor::batch_execute`] runs a batch
+/// the same way, one input after another. Every executor submits to the
+/// one process-wide worker pool, so building one per batch spawns
+/// nothing.
 ///
 /// Pooled jobs cannot borrow the caller's input; a session copies it
 /// (once per input) only when it submits a job that reads it.
@@ -490,7 +427,7 @@ pub struct Executor<'g> {
     program: Arc<Program>,
     faults: Option<Arc<FaultInjector>>,
     corun_cutoff: u64,
-    /// One-shot guard for the int8 calibration pass (see `run_session`).
+    /// One-shot guard for the int8 calibration pass (see `prepare`).
     calibrated: std::sync::Once,
     pool: &'static Pool<'static, TaskResult>,
 }
@@ -558,15 +495,14 @@ impl<'g> Executor<'g> {
     /// Fails on plan/graph mismatch, shape errors, or if a worker thread
     /// panics (surfaced as [`CoreError::Internal`]).
     pub fn execute(&self, plan: &ExecutionPlan, input: &Tensor) -> Result<FunctionalOutcome> {
-        let mut outcomes = self.run_session(plan, &[input])?;
-        outcomes.pop().ok_or_else(|| CoreError::Internal {
-            reason: "session returned no outcome".to_string(),
-        })
+        self.prepare(plan, std::slice::from_ref(input))?;
+        self.run_session(plan, input)
     }
 
-    /// Executes `plan` on a batch of inputs sharing one session and
-    /// warm scratch arenas. Outcomes are returned in input order; the
-    /// batch fails as a whole on the first error.
+    /// Executes `plan` on each of `inputs` in turn, as
+    /// [`Executor::execute`] does, once the plan and every input's shape
+    /// are validated. Outcomes are returned in input order; the batch
+    /// fails as a whole on the first error.
     ///
     /// # Errors
     /// Same failure modes as [`Executor::execute`]; additionally fails
@@ -581,16 +517,15 @@ impl<'g> Executor<'g> {
                 reason: "empty batch".to_string(),
             });
         }
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        self.run_session(plan, &refs)
+        self.prepare(plan, inputs)?;
+        inputs
+            .iter()
+            .map(|input| self.run_session(plan, input))
+            .collect()
     }
 
-    /// Runs one session over `inputs` sequentially.
-    fn run_session(
-        &self,
-        plan: &ExecutionPlan,
-        inputs: &[&Tensor],
-    ) -> Result<Vec<FunctionalOutcome>> {
+    /// Validates `plan` and every input's shape before anything runs.
+    fn prepare(&self, plan: &ExecutionPlan, inputs: &[Tensor]) -> Result<()> {
         plan.validate(self.graph)?;
         for input in inputs {
             if input.shape() != self.graph.input_shape() {
@@ -611,61 +546,93 @@ impl<'g> Executor<'g> {
         // all partials/replays see identical parameters.
         if plan.config.precision == Precision::Int8 {
             self.calibrated.call_once(|| {
-                if let Some(&first) = inputs.first() {
-                    let _ = edgenn_nn::graph::calibrate(self.graph, std::slice::from_ref(first));
-                }
+                let _ = edgenn_nn::graph::calibrate(self.graph, &inputs[..1]);
             });
         }
-        let len = self.graph.len();
+        Ok(())
+    }
+
+    /// Runs `input` through every segment in a session of its own, on the
+    /// calling thread, delegating branch bodies and split partials to the
+    /// pool.
+    fn run_session(&self, plan: &ExecutionPlan, input: &Tensor) -> Result<FunctionalOutcome> {
         let mut session = Arc::new(Session::new(
             &self.program,
             plan,
-            inputs.len(),
             self.faults.clone(),
             self.corun_cutoff,
         ));
-        let corun_layers = session.assignments.iter().filter(|a| a.is_corun()).count();
-        let int8_layers = session.int8.iter().filter(|&&int8| int8).count();
-        let parallel_regions = session.forks.iter().filter(|&&fork| fork).count();
-        let runs = inputs
-            .iter()
-            .enumerate()
-            .map(|(i, input)| {
-                run_one(Ctx {
-                    session: &session,
-                    base: i * len,
-                    input: Some(input),
-                    pool: Some(self.pool),
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let ctx = Ctx {
+            session: &session,
+            input: Some(input),
+            pool: Some(self.pool),
+        };
+        let scratch_before = scratch_stats();
+
+        // Per-request flight window: everything recorded between here and
+        // the drain below that is causally reachable from the request root
+        // span becomes this request's profile.
+        let marker = flight::enabled().then(flight::mark);
+        let root = flight::begin(flight::SpanKind::Request, flight::NO_NODE);
+        let run: Result<()> = flight::with_parent(root.id(), || {
+            for (seg, segment) in session.program.segments().iter().enumerate() {
+                match segment {
+                    Segment::Chain(nodes) => run_branch(ctx, nodes)?,
+                    Segment::Parallel { .. } if session.forks[seg] => {
+                        exec_branches(ctx, self.pool, seg)?;
+                    }
+                    // Zero or one real branch, or too little work to hand
+                    // off: run the branches here.
+                    Segment::Parallel { branches, .. } => {
+                        for branch in branches {
+                            run_branch(ctx, branch)?;
+                        }
+                    }
+                }
+            }
+            Ok(())
+        });
+        flight::end(root);
+        run?;
+        let scratch = scratch_before.delta(&scratch_stats());
+        let profile = marker.map(|marker| flight::profile_since(&marker, root.id()));
 
         // Every job this session joined has dropped its share of the
         // session by now; only one the watchdog abandoned can still hold
-        // it, and then the outputs are copied out instead of moved.
-        let output_idx = self.graph.output_id().index();
-        runs.into_iter()
-            .enumerate()
-            .map(|(i, (engine, recovery))| {
-                let slot = i * len + output_idx;
-                let output = match Arc::get_mut(&mut session) {
-                    Some(owned) => owned.slots[slot].take(),
-                    None => session.slots[slot].get().cloned(),
-                }
-                .ok_or_else(|| CoreError::Internal {
-                    reason: "output never computed".to_string(),
-                })?;
-                Ok(FunctionalOutcome {
-                    output,
-                    corun_layers,
-                    int8_layers,
-                    int8_gated: session.int8_gated,
-                    parallel_regions,
-                    engine,
-                    recovery,
-                })
-            })
-            .collect()
+        // it, and then the output is copied out instead of moved.
+        let slot = self.graph.output_id().index();
+        let output = match Arc::get_mut(&mut session) {
+            Some(owned) => owned.slots[slot].take(),
+            None => session.slots[slot].get().cloned(),
+        }
+        .ok_or_else(|| CoreError::Internal {
+            reason: "output never computed".to_string(),
+        })?;
+        let pool = session.tally.stats();
+        let count = |flags: &[bool]| flags.iter().filter(|&&flag| flag).count();
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        Ok(FunctionalOutcome {
+            output,
+            corun_layers: session.assignments.iter().filter(|a| a.is_corun()).count(),
+            int8_layers: count(&session.int8),
+            int8_gated: session.int8_gated,
+            parallel_regions: count(&session.forks),
+            engine: EngineStats {
+                pool_tasks: pool.worker_tasks,
+                inline_tasks: pool.inline_tasks,
+                queue_wait_ns: pool.queue_wait_ns,
+                arena_fresh_bytes: scratch.fresh_bytes,
+                arena_reused_bytes: scratch.reused_bytes,
+                slot_bytes: load(&session.slot_bytes),
+                profile,
+            },
+            recovery: FaultCounts {
+                faults_injected: load(&session.faults_injected),
+                retries: load(&session.retries),
+                fallbacks: load(&session.fallbacks),
+                worker_losses: load(&session.worker_losses),
+            },
+        })
     }
 }
 
@@ -673,7 +640,7 @@ impl<'g> Executor<'g> {
 ///
 /// One-shot convenience over [`Executor`]: builds an executor and runs
 /// the single input. Callers running many inputs should hold an
-/// [`Executor`] and use [`Executor::batch_execute`].
+/// [`Executor`], which lowers the graph once.
 ///
 /// # Errors
 /// Fails on plan/graph mismatch, shape errors, or if a worker thread
@@ -682,25 +649,22 @@ pub fn execute(graph: &Graph, plan: &ExecutionPlan, input: &Tensor) -> Result<Fu
     Executor::new(graph)?.execute(plan, input)
 }
 
-/// One input's view of a [`Session`]. The driver's view borrows the
-/// caller's input and queues work on the pool; a pooled job's view has
-/// neither — it reads the input copy in slot 0, and computes both
-/// shares of its own splits (the driver would only take them back).
+/// A view of a [`Session`]. The driver's view borrows the caller's input
+/// and queues work on the pool; a pooled job's view has neither — it
+/// reads the input copy in slot 0, and computes both shares of its own
+/// splits (the driver would only take them back).
 #[derive(Clone, Copy)]
 struct Ctx<'a> {
     session: &'a Arc<Session>,
-    /// Index of this input's node-0 slot in `session.slots`.
-    base: usize,
     input: Option<&'a Tensor>,
     pool: Option<&'a Pool<'static, TaskResult>>,
 }
 
 impl<'a> Ctx<'a> {
     /// The view a pooled job rebuilds from its owned session handle.
-    fn job(session: &'a Arc<Session>, base: usize) -> Self {
+    fn job(session: &'a Arc<Session>) -> Self {
         Self {
             session,
-            base,
             input: None,
             pool: None,
         }
@@ -715,7 +679,7 @@ impl<'a> Ctx<'a> {
     }
 
     fn slot(self, id: NodeId) -> &'a OnceLock<Tensor> {
-        &self.session.slots[self.base + id.index()]
+        &self.session.slots[id.index()]
     }
 
     fn faults(self) -> Option<&'a FaultInjector> {
@@ -724,67 +688,13 @@ impl<'a> Ctx<'a> {
 
     /// Before submitting a job that runs `nodes`: if any of them reads
     /// the network input, copy the borrowed input into slot 0 (once per
-    /// input), where the job can reach it.
+    /// session), where the job can reach it.
     fn share_input(self, nodes: &[NodeId]) {
         let Some(input) = self.input else { return };
         if nodes.iter().any(|&id| self.inputs(id).contains(&INPUT)) {
             self.slot(INPUT).get_or_init(|| input.clone());
         }
     }
-}
-
-/// Drives one input through every segment on the calling thread,
-/// delegating branch bodies and split partials to the pool. Returns the
-/// engine and recovery counters' growth over the run.
-fn run_one(ctx: Ctx<'_>) -> Result<(EngineStats, FaultCounts)> {
-    let session = &**ctx.session;
-    let stats_before = EngineStats::capture(
-        &session.tally.stats(),
-        &scratch_stats(),
-        session.slot_bytes.load(Ordering::Relaxed),
-    );
-    let recovery_before = ctx.faults().map(FaultInjector::counts).unwrap_or_default();
-
-    // Per-request flight window: everything recorded between here and
-    // the drain below that is causally reachable from the request root
-    // span becomes this request's profile.
-    let marker = flight::enabled().then(flight::mark);
-    let root = flight::begin(flight::SpanKind::Request, flight::NO_NODE);
-
-    let run: Result<()> = flight::with_parent(root.id(), || {
-        for (seg, segment) in session.program.segments().iter().enumerate() {
-            match segment {
-                Segment::Chain(nodes) => run_branch(ctx, nodes)?,
-                Segment::Parallel { branches, .. } => match ctx.pool {
-                    Some(pool) if session.forks[seg] => exec_branches(ctx, pool, seg)?,
-                    // Zero or one real branch, or too little work to hand
-                    // off: run the branches here.
-                    _ => {
-                        for branch in branches {
-                            run_branch(ctx, branch)?;
-                        }
-                    }
-                },
-            }
-        }
-        Ok(())
-    });
-    flight::end(root);
-    run?;
-
-    let mut stats_after = EngineStats::capture(
-        &session.tally.stats(),
-        &scratch_stats(),
-        session.slot_bytes.load(Ordering::Relaxed),
-    );
-    if let Some(marker) = &marker {
-        stats_after.profile = Some(flight::profile_since(marker, root.id()));
-    }
-    let recovery_after = ctx.faults().map(FaultInjector::counts).unwrap_or_default();
-    Ok((
-        stats_before.snapshot_delta(&stats_after),
-        recovery_before.delta(&recovery_after),
-    ))
 }
 
 /// Runs the branches of fork-join segment `seg`: the last non-empty one
@@ -802,11 +712,10 @@ fn exec_branches(ctx: Ctx<'_>, pool: &Pool<'static, TaskResult>, seg: usize) -> 
         .map(|(b, nodes)| {
             ctx.share_input(nodes);
             let session = Arc::clone(ctx.session);
-            let base = ctx.base;
             let submitted = submit_ns();
             pool.submit(Box::new(move || {
                 traced_task(parent, submitted, flight::NO_NODE, || {
-                    let ctx = Ctx::job(&session, base);
+                    let ctx = Ctx::job(&session);
                     run_branch(ctx, &session.program.branches(seg)[b]).map(|()| None)
                 })
             }))
@@ -1036,7 +945,6 @@ fn submit_partial(
 ) -> TaskHandle<'static, TaskResult> {
     ctx.share_input(&[id]);
     let session = Arc::clone(ctx.session);
-    let base = ctx.base;
     let parent = flight::current_parent();
     let submitted = submit_ns();
     #[cfg(test)]
@@ -1045,7 +953,7 @@ fn submit_partial(
         traced_task(parent, submitted, flight_node(id), || {
             #[cfg(test)]
             stall_off_driver(&session, driver);
-            let ctx = Ctx::job(&session, base);
+            let ctx = Ctx::job(&session);
             let mut out = vec![0.0f32; len];
             ctx.layer(id)
                 .forward_into(&node_inputs(ctx, id)?, part, &mut out)?;
@@ -1076,24 +984,32 @@ fn recovering_forward(
     let Some(injector) = ctx.faults() else {
         return compute();
     };
-    if !injector.should_fail(id.index()) {
+    let session = &**ctx.session;
+    let fails = || {
+        let fails = injector.should_fail(id.index());
+        session
+            .faults_injected
+            .fetch_add(u64::from(fails), Ordering::Relaxed);
+        fails
+    };
+    if !fails() {
         return compute();
     }
     let mut failed_attempts = 1u32;
     let recovered = loop {
         if failed_attempts > injector.max_retries {
             // Retry budget exhausted: re-place the work in the CPU role.
-            injector.fallbacks.fetch_add(1, Ordering::Relaxed);
+            session.fallbacks.fetch_add(1, Ordering::Relaxed);
             flight::instant(flight::SpanKind::Fallback, flight_node(id), 0);
             break compute();
         }
-        injector.retries.fetch_add(1, Ordering::Relaxed);
+        session.retries.fetch_add(1, Ordering::Relaxed);
         flight::instant(
             flight::SpanKind::Retry,
             flight_node(id),
             u64::from(failed_attempts),
         );
-        if !injector.should_fail(id.index()) {
+        if !fails() {
             break compute();
         }
         failed_attempts += 1;
@@ -1111,7 +1027,7 @@ fn recovering_forward(
 /// timeout) is converted into an inline recomputation of the identical
 /// share into `out` instead of a failed inference. A timed-out join
 /// returns at its deadline; the pool writes the hung worker off until its
-/// abandoned job finishes (see [`pool::LossAccount`]).
+/// abandoned job finishes (see [`LossAccount`](super::pool::LossAccount)).
 fn join_partial(
     ctx: Ctx<'_>,
     pool: &Pool<'static, TaskResult>,
@@ -1136,17 +1052,17 @@ fn join_partial(
             Ok(())
         }
         Err(err) => {
-            let Some(injector) = ctx.faults() else {
+            if ctx.faults().is_none() {
                 return Err(CoreError::Internal {
                     reason: "cpu worker panicked".to_string(),
                 });
-            };
+            }
             // A timed-out join already recorded the loss with its
             // write-off.
             if err == JoinError::Panicked {
                 flight::instant(flight::SpanKind::WorkerLoss, flight::NO_NODE, 0);
             }
-            injector.worker_losses.fetch_add(1, Ordering::Relaxed);
+            ctx.session.worker_losses.fetch_add(1, Ordering::Relaxed);
             flight::blackbox_dump(match err {
                 JoinError::TimedOut => "deadline-miss: worker held a partial past the watchdog",
                 JoinError::Panicked => "worker-panic: split partial lost",
@@ -1160,6 +1076,7 @@ fn join_partial(
 mod tests {
     use super::*;
     use crate::plan::ExecutionConfig;
+    use crate::runtime::pool;
     use crate::runtime::Runtime;
     use crate::tuner::Tuner;
     use edgenn_nn::models::{build, ModelKind, ModelScale};
@@ -1192,21 +1109,54 @@ mod tests {
 
     #[test]
     fn batch_execute_matches_reference_for_all_models() {
+        // A batch runs each input the way `execute` does: every outcome
+        // matches the reference and, bit for bit and count for count,
+        // `execute` of the same input, in both precisions.
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let counts = |o: &FunctionalOutcome| {
+            (
+                [
+                    o.corun_layers,
+                    o.int8_layers,
+                    o.int8_gated,
+                    o.parallel_regions,
+                ],
+                o.engine.slot_bytes,
+                o.engine.pool_tasks + o.engine.inline_tasks,
+                o.recovery,
+            )
+        };
+        let platform = jetson_agx_xavier();
+        let runtime = Runtime::new(&platform);
         for kind in ModelKind::ALL {
             let graph = build(kind, ModelScale::Tiny);
-            let plan = edgenn_plan(&graph);
+            let tuner = Tuner::new(&graph, &runtime).unwrap();
             let inputs: Vec<Tensor> = (0..3)
                 .map(|i| Tensor::random(graph.input_shape().dims(), 1.0, 40 + i))
                 .collect();
             let executor = Executor::new(&graph).unwrap();
-            let outcomes = executor.batch_execute(&plan, &inputs).unwrap();
-            assert_eq!(outcomes.len(), inputs.len());
-            for (input, outcome) in inputs.iter().zip(&outcomes) {
-                let reference = graph.forward(input).unwrap();
-                assert!(
-                    outcome.output.approx_eq(&reference, 1e-4),
-                    "{kind}: batch diverged from reference"
-                );
+            for (config, tolerance) in [
+                (ExecutionConfig::edgenn(), 1e-4),
+                (ExecutionConfig::edgenn_int8(), 0.05),
+            ] {
+                let plan = tuner.plan(&graph, &runtime, config).unwrap();
+                let outcomes = executor.batch_execute(&plan, &inputs).unwrap();
+                assert_eq!(outcomes.len(), inputs.len());
+                let what = format!("{kind} {:?}", config.precision);
+                for (input, outcome) in inputs.iter().zip(&outcomes) {
+                    let reference = graph.forward(input).unwrap();
+                    assert!(
+                        outcome.output.approx_eq(&reference, tolerance),
+                        "{what}: batch diverged from reference"
+                    );
+                    let solo = executor.execute(&plan, input).unwrap();
+                    assert_eq!(
+                        bits(&outcome.output),
+                        bits(&solo.output),
+                        "{what}: batch output differs from execute"
+                    );
+                    assert_eq!(counts(outcome), counts(&solo), "{what}");
+                }
             }
         }
     }
@@ -1522,6 +1472,49 @@ mod tests {
     }
 
     #[test]
+    fn threads_sharing_an_executor_each_count_only_their_own_recoveries() {
+        // The fault plan is the executor's, the counts each session's: two
+        // threads racing on one armed executor each see exactly the one
+        // permanent fault's initial failure, three retries and fallback.
+        let graph = build(ModelKind::LeNet, ModelScale::Tiny);
+        let plan = edgenn_plan(&graph);
+        let input = Tensor::random(graph.input_shape().dims(), 1.0, 33);
+        let mut faults = FaultPlan::none();
+        faults.kernel_faults.push(edgenn_sim::KernelFault {
+            node: first_gpu_role_node(&graph, &plan),
+            fail_count: u32::MAX,
+        });
+        let injector = FaultInjector::from_plan(&faults, graph.len(), 3);
+        let executor = Executor::new(&graph).unwrap().with_faults(injector);
+        let start = std::sync::Barrier::new(2);
+        let recoveries: Vec<Vec<FaultCounts>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (0..25)
+                            .map(|_| executor.execute(&plan, &input).unwrap().recovery)
+                            .collect()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let expected = FaultCounts {
+            faults_injected: 4,
+            retries: 3,
+            fallbacks: 1,
+            worker_losses: 0,
+        };
+        for per_thread in recoveries {
+            assert!(
+                per_thread.iter().all(|&r| r == expected),
+                "a session counted another's recoveries: {per_thread:?}"
+            );
+        }
+    }
+
+    #[test]
     fn one_shot_transient_fault_recovers_in_exactly_one_retry() {
         let graph = build(ModelKind::LeNet, ModelScale::Tiny);
         let plan = edgenn_plan(&graph);
@@ -1686,38 +1679,6 @@ mod tests {
                 .sum();
             assert_eq!(outcome.engine.slot_bytes, expected, "{kind}");
         }
-    }
-
-    #[test]
-    fn snapshot_delta_windows_counters_and_keeps_later_profile() {
-        let a = EngineStats {
-            pool_tasks: 10,
-            inline_tasks: 2,
-            queue_wait_ns: 1_000,
-            arena_fresh_bytes: 4_096,
-            arena_reused_bytes: 0,
-            slot_bytes: 256,
-            profile: None,
-        };
-        let b = EngineStats {
-            pool_tasks: 13,
-            inline_tasks: 2,
-            queue_wait_ns: 1_500,
-            arena_fresh_bytes: 4_096,
-            arena_reused_bytes: 8_192,
-            slot_bytes: 1_280,
-            profile: Some(ProfileSummary::default()),
-        };
-        let delta = a.snapshot_delta(&b);
-        assert_eq!(delta.pool_tasks, 3);
-        assert_eq!(delta.inline_tasks, 0);
-        assert_eq!(delta.queue_wait_ns, 500);
-        assert_eq!(delta.arena_fresh_bytes, 0);
-        assert_eq!(delta.arena_reused_bytes, 8_192);
-        assert_eq!(delta.slot_bytes, 1_024);
-        assert!(delta.profile.is_some(), "delta carries the later profile");
-        // Reversed order must saturate, not wrap.
-        assert_eq!(b.snapshot_delta(&a).pool_tasks, 0);
     }
 
     #[test]

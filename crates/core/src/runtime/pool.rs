@@ -190,17 +190,6 @@ pub struct PoolStats {
     pub queue_wait_ns: u64,
 }
 
-impl PoolStats {
-    /// Counter deltas between two snapshots (`later - self`).
-    pub fn delta(&self, later: &PoolStats) -> PoolStats {
-        PoolStats {
-            worker_tasks: later.worker_tasks.saturating_sub(self.worker_tasks),
-            inline_tasks: later.inline_tasks.saturating_sub(self.inline_tasks),
-            queue_wait_ns: later.queue_wait_ns.saturating_sub(self.queue_wait_ns),
-        }
-    }
-}
-
 /// Task counters of one session. Each join credits the tally its caller
 /// passes — a worker-run task when its result (or its timeout) is
 /// collected, a reclaimed one when it starts inline — so concurrent

@@ -5,8 +5,8 @@
 //! `max_batch` or its oldest member has waited `max_delay_us` —
 //! same-model (and, because the whole batch executes one plan variant,
 //! same-precision) requests coalesce into a single
-//! `Executor::batch_execute` call that amortizes pool startup and warm
-//! scratch arenas across members.
+//! `Executor::batch_execute` call, which runs each member the way
+//! `Executor::execute` does.
 //!
 //! Tenant fairness is start-time fair queueing over a per-tenant
 //! **virtual time**: each tenant accumulates `1 / weight` per served

@@ -383,6 +383,24 @@ fn compile_loaded(
     })
 }
 
+/// The flags that choose, compile and plan a model. The gate commands
+/// accept these plus their own ([`ensure_model_flags`]).
+const MODEL_FLAGS: [&str; 8] = [
+    "model",
+    "scale",
+    "platform",
+    "config",
+    "precision",
+    "no-compile",
+    "prepack",
+    "no-prepack",
+];
+
+/// Errors on the first flag outside [`MODEL_FLAGS`] and `own`.
+fn ensure_model_flags(options: &Options, own: &[&str]) -> Result<(), String> {
+    options.ensure_known(&[&MODEL_FLAGS[..], own].concat())
+}
+
 fn required_graph(options: &Options) -> Result<LoadedModel, String> {
     let model = parse_model(options.value("model").ok_or("--model is required")?)?;
     let scale = parse_scale(options, "paper")?;
@@ -778,6 +796,7 @@ fn cmd_compare(options: &Options) -> Result<(), String> {
 }
 
 fn cmd_check(options: &Options) -> Result<(), String> {
+    ensure_model_flags(options, &["json", "lenient"])?;
     let LoadedModel { graph, .. } = required_graph(options)?;
     let platform = parse_platform(options.value("platform").ok_or("--platform is required")?)?;
     let config = args::resolve_config(options)?;
@@ -830,6 +849,7 @@ fn cmd_check(options: &Options) -> Result<(), String> {
 }
 
 fn cmd_compile(options: &Options) -> Result<(), String> {
+    ensure_model_flags(options, &["json", "dump", "out"])?;
     let model = parse_model(options.value("model").ok_or("--model is required")?)?;
     let scale = parse_scale(options, "paper")?;
     let raw = build(model, scale);
@@ -977,6 +997,7 @@ fn cmd_compile(options: &Options) -> Result<(), String> {
 fn cmd_analyze(options: &Options) -> Result<(), String> {
     use edgenn_core::runtime::sched_explore;
 
+    ensure_model_flags(options, &["json", "functional"])?;
     let LoadedModel { graph, .. } = required_graph(options)?;
     let platform = parse_platform(options.value("platform").ok_or("--platform is required")?)?;
     let config = args::resolve_config(options)?;
@@ -1169,6 +1190,7 @@ fn cmd_profile(options: &Options) -> Result<(), String> {
     use edgenn_obs::flight;
     use edgenn_tensor::Tensor;
 
+    ensure_model_flags(options, &["runs", "json", "perfetto"])?;
     let model_name = options
         .positional(1)
         .or_else(|| options.value("model"))

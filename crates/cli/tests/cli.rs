@@ -243,6 +243,107 @@ fn serve_and_siege_reject_unknown_flags_like_every_command() {
     }
 }
 
+/// The gate commands run with every flag USAGE and ci.sh give them, and
+/// exit 1 naming a misspelt one instead of running without it.
+fn takes_its_flags_and_rejects_a_misspelt_one(runs: &[&[&str]]) {
+    for args in runs {
+        let out = edgenn(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+    }
+    let mut misspelt = runs[0].to_vec();
+    misspelt.extend(["--precison", "int8"]);
+    let out = edgenn(&misspelt);
+    assert_eq!(out.status.code(), Some(1), "{misspelt:?} ran");
+    let text = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        text.contains("unknown flag '--precison'"),
+        "{misspelt:?}: {text}"
+    );
+}
+
+#[test]
+fn compile_takes_its_flags_and_rejects_a_misspelt_one() {
+    let dir = std::env::temp_dir().join(format!("edgenn-cli-compile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("lenet.json");
+    let base = ["compile", "--model", "lenet", "--platform", "jetson"];
+    takes_its_flags_and_rejects_a_misspelt_one(&[
+        &[&base[..], &["--config", "edgenn", "--json"]].concat(),
+        &[
+            &base[..],
+            &["--scale", "tiny", "--precision", "int8", "--dump"],
+            &["--out", out.to_str().unwrap(), "--prepack"],
+        ]
+        .concat(),
+        &[
+            &base[..],
+            &["--scale", "tiny", "--no-prepack", "--no-compile"],
+        ]
+        .concat(),
+    ]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn check_takes_its_flags_and_rejects_a_misspelt_one() {
+    let base = ["check", "--model", "lenet", "--platform", "jetson"];
+    takes_its_flags_and_rejects_a_misspelt_one(&[
+        &[&base[..], &["--config", "edgenn", "--json"]].concat(),
+        &[
+            &base[..],
+            &["--scale", "tiny", "--precision", "int8", "--lenient"],
+        ]
+        .concat(),
+        &[&base[..], &["--scale", "tiny", "--no-compile"]].concat(),
+        &[&base[..], &["--scale", "tiny", "--prepack"]].concat(),
+        &[&base[..], &["--scale", "tiny", "--no-prepack"]].concat(),
+    ]);
+}
+
+#[test]
+fn analyze_takes_its_flags_and_rejects_a_misspelt_one() {
+    let base = ["analyze", "--model", "lenet", "--platform", "jetson"];
+    takes_its_flags_and_rejects_a_misspelt_one(&[
+        &[
+            &base[..],
+            &["--config", "edgenn", "--precision", "int8"],
+            &["--scale", "tiny", "--functional", "--json"],
+        ]
+        .concat(),
+        &[&base[..], &["--scale", "tiny", "--no-compile"]].concat(),
+        &[&base[..], &["--scale", "tiny", "--prepack"]].concat(),
+        &[&base[..], &["--scale", "tiny", "--no-prepack"]].concat(),
+    ]);
+}
+
+#[test]
+fn profile_takes_its_flags_and_rejects_a_misspelt_one() {
+    let dir = std::env::temp_dir().join(format!("edgenn-cli-profile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("lenet.json");
+    let base = ["profile", "lenet", "--platform", "jetson", "--runs", "1"];
+    takes_its_flags_and_rejects_a_misspelt_one(&[
+        &[&base[..], &["--perfetto", trace.to_str().unwrap()]].concat(),
+        &[
+            &base[..],
+            &[
+                "--model",
+                "lenet",
+                "--config",
+                "edgenn",
+                "--precision",
+                "int8",
+            ],
+            &["--scale", "tiny", "--json", "--no-compile"],
+        ]
+        .concat(),
+        &[&base[..], &["--prepack"]].concat(),
+        &[&base[..], &["--no-prepack"]].concat(),
+    ]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn storm_surfaces_the_seed_of_a_forced_failure_and_replays_it() {
     // The forced failure exercises the seed-archiving path end to end:

@@ -17,8 +17,8 @@
 //!   [`Pool::default_workers`] workers are spawned when the first
 //!   [`Executor`] is built and park between sessions; every co-run split
 //!   share and fork-join branch is a queue push, never a thread spawn.
-//!   Splits and forks whose handed-off work is below the measured co-run
-//!   cutoff stay on the calling thread.
+//!   Splits and forks whose handed-off work is below [`CORUN_CUTOFF`]
+//!   flops stay on the calling thread.
 //!   Pooled jobs are `'static` closures over an `Arc`-shared session
 //!   (the graph's [`Program`], plan assignments, output slots, counters
 //!   and fault injector), so no `unsafe` is needed.
@@ -44,8 +44,9 @@
 //!   behaviour in [`EngineStats`], and writes node spans to the flight
 //!   recorder when it is enabled.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 use edgenn_nn::graph::{Graph, NodeId, Segment};
@@ -55,7 +56,7 @@ use edgenn_sim::FaultPlan;
 use edgenn_tensor::{scratch_stats, Tensor};
 
 use crate::plan::{Assignment, ExecutionPlan, Precision};
-use crate::runtime::pool::{JoinError, Pool, ShutdownGuard, Tally, TaskHandle};
+use crate::runtime::pool::{JoinError, Pool, Tally, TaskHandle};
 use crate::schedule::Program;
 use crate::{CoreError, Result};
 
@@ -66,12 +67,6 @@ type TaskResult = Result<Option<Vec<f32>>>;
 
 /// The network input pseudo-node (see [`Graph::input_id`]).
 const INPUT: NodeId = NodeId(0);
-
-/// Clamp bounds for the measured co-run cutoff: even a pathological
-/// measurement must neither co-run layers smaller than any realistic
-/// handoff (floor) nor refuse to co-run paper-scale conv layers (ceiling).
-const CUTOFF_FLOOR: u64 = 1 << 16;
-const CUTOFF_CEIL: u64 = 1 << 24;
 
 /// Flight-recorder capacity reserved per graph node at executor
 /// construction. VGG-16 (41 raw nodes) measured ~225 records per node
@@ -88,8 +83,8 @@ const FLIGHT_RECORDS_PER_NODE: usize = 768;
 /// between sessions for the life of the process, so a session pays a
 /// condvar wake per pooled task, never a thread spawn. On a single-core
 /// host there are no workers and every task runs inline at its join.
-fn shared_pool() -> &'static Pool<'static, TaskResult> {
-    static POOL: Pool<'static, TaskResult> = Pool::new();
+fn shared_pool() -> &'static Pool<TaskResult> {
+    static POOL: Pool<TaskResult> = Pool::new();
     static WORKERS: std::sync::Once = std::sync::Once::new();
     WORKERS.call_once(|| {
         for i in 0..Pool::<TaskResult>::default_workers() {
@@ -103,95 +98,12 @@ fn shared_pool() -> &'static Pool<'static, TaskResult> {
     &POOL
 }
 
-/// Minimum size (flops) of a split layer, or of the branches a fork
-/// would hand off, for the pool to co-run it.
-///
-/// A handoff costs a queue round trip plus moving the operands to
-/// another core and the result back; below the cutoff the work finishes
-/// faster than that, so split partials and fork branches run on the
-/// driver thread instead. The split/merge and fork/join semantics are
-/// identical either way.
-///
-/// The break-even point is `handoff_time x flop_rate`, and both factors
-/// vary by an order of magnitude across hosts (a busy single-core CI
-/// runner vs an eight-core edge board), so the cutoff is **measured
-/// once per process** at first [`Executor`] construction instead of
-/// hard-coded.
-fn corun_cutoff() -> u64 {
-    static CUTOFF: OnceLock<u64> = OnceLock::new();
-    *CUTOFF.get_or_init(measure_corun_cutoff)
-}
-
-/// Measures the pool-handoff round trip and the single-core flop rate,
-/// then derives the break-even layer size: a split saves roughly half
-/// the layer's time but pays one handoff, so co-running wins once
-/// `flops / 2 > handoff_ns x flops_per_ns`.
-fn measure_corun_cutoff() -> u64 {
-    // Handoff: submit no-op tasks to a one-worker pool and time
-    // submission to completion, keeping only samples a worker actually
-    // ran (a help-first join can reclaim the task inline, which
-    // measures queue-push cost, not the handoff to a waiting worker
-    // being priced here).
-    let ran = AtomicBool::new(false);
-    let tally = Tally::default();
-    let pool: Pool<'_, ()> = Pool::new();
-    let mut samples: Vec<u64> = Vec::new();
-    std::thread::scope(|scope| {
-        scope.spawn(|| pool.run_worker());
-        let _guard = ShutdownGuard(&pool);
-        for _ in 0..32 {
-            ran.store(false, Ordering::Relaxed);
-            let start = std::time::Instant::now();
-            let handle = pool.submit(Box::new(|| ran.store(true, Ordering::Release)));
-            // Yield so the worker gets scheduled even on a one-core host.
-            while !ran.load(Ordering::Acquire) && start.elapsed() < Duration::from_millis(2) {
-                std::thread::yield_now();
-            }
-            let elapsed = start.elapsed();
-            let before = tally.stats().worker_tasks;
-            let _ = handle.join(&pool, &tally);
-            if tally.stats().worker_tasks > before {
-                samples.push(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-            }
-            if samples.len() >= 8 {
-                break;
-            }
-        }
-    });
-    drop(pool);
-    // Best observed wake-up is the stable statistic (outliers include
-    // scheduler preemption); 10us default when no worker ever won the
-    // race against the inline reclaim.
-    let handoff_ns = samples.iter().copied().min().unwrap_or(10_000).max(200);
-
-    // Flop rate: a warm SIMD dot, the same primitive the split kernels
-    // bottom out in.
-    const DOT_LEN: usize = 4096;
-    const ITERS: u64 = 64;
-    let a = vec![1.0f32; DOT_LEN];
-    let b = vec![0.5f32; DOT_LEN];
-    let mut sink = 0.0f32;
-    let start = std::time::Instant::now();
-    for _ in 0..ITERS {
-        sink += edgenn_tensor::dot(&a, &b);
-    }
-    let elapsed_ns = u64::try_from(start.elapsed().as_nanos())
-        .unwrap_or(u64::MAX)
-        .max(1);
-    std::hint::black_box(sink);
-    let flops_per_ns = (2 * DOT_LEN as u64 * ITERS) as f64 / elapsed_ns as f64;
-
-    let cutoff = (2.0 * handoff_ns as f64 * flops_per_ns) as u64;
-    cutoff.clamp(CUTOFF_FLOOR, CUTOFF_CEIL)
-}
-
-/// Engine-overhead counters for one functional run.
-///
-/// The pool counters are the session's own [`Tally`] (the workers are
-/// shared with every concurrent session), and the slot bytes its own
-/// counter. The arena counters are process-wide, windowed over the run
-/// with [`edgenn_tensor::ScratchStats::delta`], so a concurrent session's
-/// scratch traffic lands in both windows.
+/// Engine-overhead counters for one functional run, all the session's
+/// own: the pool counters its [`Tally`] (the workers are shared with
+/// every concurrent session), the slot bytes its own counter, and the
+/// arena counters what its threads drew from their scratch arenas — the
+/// driver's thread over the run, including the jobs it reclaimed
+/// inline, plus what each job a pool worker ran used.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineStats {
     /// Tasks completed by pool workers.
@@ -308,8 +220,8 @@ impl FaultInjector {
 pub struct FunctionalOutcome {
     /// The network output.
     pub output: Tensor,
-    /// Number of layers executed as partition+merge splits. Splits above
-    /// the measured co-run cutoff co-run on two threads; smaller ones
+    /// Number of layers executed as partition+merge splits. Splits of at
+    /// least [`CORUN_CUTOFF`] flops co-run on two threads; smaller ones
     /// compute both shares on the driver (the handoff would cost more
     /// than the layer).
     pub corun_layers: usize,
@@ -321,14 +233,31 @@ pub struct FunctionalOutcome {
     /// their shape ([`Layer::int8_worthwhile`]).
     pub int8_gated: usize,
     /// Number of fork-join regions that forked: their pooled branches
-    /// cleared the co-run cutoff and were handed to the pool (the others
-    /// ran their branches one after another on the driver).
+    /// reached [`CORUN_CUTOFF`] flops and were handed to the pool (the
+    /// others ran their branches one after another on the driver).
     pub parallel_regions: usize,
     /// Engine-overhead accounting (pool + scratch arena).
     pub engine: EngineStats,
     /// Fault-recovery accounting (all zero without a [`FaultInjector`]).
     pub recovery: FaultCounts,
 }
+
+/// Minimum size (flops) of a split layer, or of the branches a fork
+/// would hand off, for the pool to co-run it.
+///
+/// A handoff costs a queue round trip plus moving the operands to
+/// another core and the result back; below the cutoff the work finishes
+/// faster than that, so split partials and fork branches run on the
+/// driver thread instead. The split/merge and fork/join semantics are
+/// identical either way.
+///
+/// A split saves roughly half the layer's time but pays one handoff, so
+/// co-running wins once `flops / 2 > handoff_ns x flops_per_ns`. That
+/// break-even varies by an order of magnitude across hosts; on a 2-core
+/// AVX-512 x86 host it measured 21-48 KFLOP (a 2.9-3.7 us handoff at
+/// 3-7 flop/ns), below this cutoff. On a host whose break-even is
+/// higher, the layers between the two are handed off at a loss.
+const CORUN_CUTOFF: u64 = 1 << 16;
 
 /// One input's run state, shared by `Arc` with its pooled jobs. A job
 /// the watchdog abandoned may hold it past the session's end.
@@ -348,8 +277,14 @@ struct Session {
     slot_bytes: AtomicU64,
     faults: Option<Arc<FaultInjector>>,
     corun_cutoff: u64,
+    /// The thread that runs the session and submits its jobs.
+    driver: ThreadId,
     /// This session's pool tasks (the workers are shared).
     tally: Tally,
+    /// Scratch bytes the jobs that pool workers ran drew from their
+    /// arenas ([`count_scratch`]).
+    arena_fresh_bytes: AtomicU64,
+    arena_reused_bytes: AtomicU64,
     /// This session's [`FaultCounts`], counted by whichever thread
     /// recovers.
     faults_injected: AtomicU64,
@@ -402,7 +337,10 @@ impl Session {
             slot_bytes: AtomicU64::new(0),
             faults,
             corun_cutoff,
+            driver: std::thread::current().id(),
             tally: Tally::default(),
+            arena_fresh_bytes: AtomicU64::new(0),
+            arena_reused_bytes: AtomicU64::new(0),
             faults_injected: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
@@ -429,7 +367,7 @@ pub struct Executor<'g> {
     corun_cutoff: u64,
     /// One-shot guard for the int8 calibration pass (see `prepare`).
     calibrated: std::sync::Once,
-    pool: &'static Pool<'static, TaskResult>,
+    pool: &'static Pool<TaskResult>,
 }
 
 impl std::fmt::Debug for Executor<'_> {
@@ -459,15 +397,14 @@ impl<'g> Executor<'g> {
             graph,
             program: Arc::new(Program::new(graph)?),
             faults: None,
-            corun_cutoff: corun_cutoff(),
+            corun_cutoff: CORUN_CUTOFF,
             calibrated: std::sync::Once::new(),
             pool: shared_pool(),
         })
     }
 
-    /// Overrides the measured co-run cutoff (flops) for this executor,
-    /// for tests that must force or forbid pool handoffs regardless of
-    /// the host's measured break-even point.
+    /// Overrides [`CORUN_CUTOFF`] for this executor, for tests that must
+    /// force or forbid pool handoffs whatever the plan's layer sizes.
     #[cfg(test)]
     fn with_corun_cutoff(mut self, flops: u64) -> Self {
         self.corun_cutoff = flops;
@@ -484,7 +421,7 @@ impl<'g> Executor<'g> {
     /// Runs this executor's sessions on `pool` instead of the
     /// process-wide one, for tests that hang a worker on purpose.
     #[cfg(test)]
-    fn with_pool(mut self, pool: &'static Pool<'static, TaskResult>) -> Self {
+    fn with_pool(mut self, pool: &'static Pool<TaskResult>) -> Self {
         self.pool = pool;
         self
     }
@@ -594,7 +531,7 @@ impl<'g> Executor<'g> {
         });
         flight::end(root);
         run?;
-        let scratch = scratch_before.delta(&scratch_stats());
+        let driver_scratch = scratch_before.delta(&scratch_stats());
         let profile = marker.map(|marker| flight::profile_since(&marker, root.id()));
 
         // Every job this session joined has dropped its share of the
@@ -621,8 +558,8 @@ impl<'g> Executor<'g> {
                 pool_tasks: pool.worker_tasks,
                 inline_tasks: pool.inline_tasks,
                 queue_wait_ns: pool.queue_wait_ns,
-                arena_fresh_bytes: scratch.fresh_bytes,
-                arena_reused_bytes: scratch.reused_bytes,
+                arena_fresh_bytes: driver_scratch.fresh_bytes + load(&session.arena_fresh_bytes),
+                arena_reused_bytes: driver_scratch.reused_bytes + load(&session.arena_reused_bytes),
                 slot_bytes: load(&session.slot_bytes),
                 profile,
             },
@@ -657,7 +594,7 @@ pub fn execute(graph: &Graph, plan: &ExecutionPlan, input: &Tensor) -> Result<Fu
 struct Ctx<'a> {
     session: &'a Arc<Session>,
     input: Option<&'a Tensor>,
-    pool: Option<&'a Pool<'static, TaskResult>>,
+    pool: Option<&'a Pool<TaskResult>>,
 }
 
 impl<'a> Ctx<'a> {
@@ -701,7 +638,7 @@ impl<'a> Ctx<'a> {
 /// on this thread, every other non-empty one on the pool. Branches write
 /// disjoint slot ranges, so they share the session's slots directly — no
 /// snapshot copy of previous outputs.
-fn exec_branches(ctx: Ctx<'_>, pool: &Pool<'static, TaskResult>, seg: usize) -> Result<()> {
+fn exec_branches(ctx: Ctx<'_>, pool: &Pool<TaskResult>, seg: usize) -> Result<()> {
     let branches = ctx.session.program.branches(seg);
     let mut real = branches.iter().enumerate().filter(|(_, b)| !b.is_empty());
     let Some((_, last)) = real.next_back() else {
@@ -715,8 +652,10 @@ fn exec_branches(ctx: Ctx<'_>, pool: &Pool<'static, TaskResult>, seg: usize) -> 
             let submitted = submit_ns();
             pool.submit(Box::new(move || {
                 traced_task(parent, submitted, flight::NO_NODE, || {
-                    let ctx = Ctx::job(&session);
-                    run_branch(ctx, &session.program.branches(seg)[b]).map(|()| None)
+                    count_scratch(&session, || {
+                        let ctx = Ctx::job(&session);
+                        run_branch(ctx, &session.program.branches(seg)[b]).map(|()| None)
+                    })
                 })
             }))
         })
@@ -776,6 +715,25 @@ fn traced_task<R>(parent: u64, submit_ns: u64, node: u32, body: impl FnOnce() ->
         flight::end(task);
         result
     })
+}
+
+/// Runs a pooled job's `body` and, when a pool worker runs it, adds the
+/// scratch it drew to its session's arena counts. A job its driver
+/// reclaimed inline ran inside the driver's own window (see
+/// `run_session`), so it adds nothing, and nothing is counted twice.
+fn count_scratch<R>(session: &Session, body: impl FnOnce() -> R) -> R {
+    let before = scratch_stats();
+    let result = body();
+    if std::thread::current().id() != session.driver {
+        let used = before.delta(&scratch_stats());
+        session
+            .arena_fresh_bytes
+            .fetch_add(used.fresh_bytes, Ordering::Relaxed);
+        session
+            .arena_reused_bytes
+            .fetch_add(used.reused_bytes, Ordering::Relaxed);
+    }
+    result
 }
 
 /// Submission timestamp for [`traced_task`] (0 when the recorder is off).
@@ -902,10 +860,10 @@ fn forward_assigned(ctx: Ctx<'_>, id: NodeId, inputs: &[&Tensor]) -> Result<Tens
 }
 
 /// Computes a split node's GPU share into `gpu.1` on this thread and its
-/// CPU share into `cpu.1`. Above the co-run cutoff, and when this thread
-/// may queue work, the CPU share co-runs as a pooled job, which computes
-/// into a buffer it owns (a job the watchdog abandons may still be
-/// running) that the join copies into `cpu.1`; otherwise it runs here
+/// CPU share into `cpu.1`. From [`CORUN_CUTOFF`] flops up, and when this
+/// thread may queue work, the CPU share co-runs as a pooled job, which
+/// computes into a buffer it owns (a job the watchdog abandons may still
+/// be running) that the join copies into `cpu.1`; otherwise it runs here
 /// first, straight into `cpu.1`.
 fn split_shares(
     ctx: Ctx<'_>,
@@ -938,26 +896,26 @@ fn split_shares(
 /// buffer of `len` elements it owns.
 fn submit_partial(
     ctx: Ctx<'_>,
-    pool: &Pool<'static, TaskResult>,
+    pool: &Pool<TaskResult>,
     id: NodeId,
     part: Part,
     len: usize,
-) -> TaskHandle<'static, TaskResult> {
+) -> TaskHandle<TaskResult> {
     ctx.share_input(&[id]);
     let session = Arc::clone(ctx.session);
     let parent = flight::current_parent();
     let submitted = submit_ns();
-    #[cfg(test)]
-    let driver = std::thread::current().id();
     pool.submit(Box::new(move || {
         traced_task(parent, submitted, flight_node(id), || {
             #[cfg(test)]
-            stall_off_driver(&session, driver);
-            let ctx = Ctx::job(&session);
-            let mut out = vec![0.0f32; len];
-            ctx.layer(id)
-                .forward_into(&node_inputs(ctx, id)?, part, &mut out)?;
-            Ok(Some(out))
+            stall_off_driver(&session);
+            count_scratch(&session, || {
+                let ctx = Ctx::job(&session);
+                let mut out = vec![0.0f32; len];
+                ctx.layer(id)
+                    .forward_into(&node_inputs(ctx, id)?, part, &mut out)?;
+                Ok(Some(out))
+            })
         })
     }))
 }
@@ -965,9 +923,9 @@ fn submit_partial(
 /// The `FaultInjector` test hook: a partial that a worker picked up (not
 /// one its driver reclaimed) sleeps out the stall, like a hung kernel.
 #[cfg(test)]
-fn stall_off_driver(session: &Session, driver: std::thread::ThreadId) {
+fn stall_off_driver(session: &Session) {
     let stall = session.faults.as_ref().and_then(|f| f.worker_stall);
-    if let Some(stall) = stall.filter(|_| std::thread::current().id() != driver) {
+    if let Some(stall) = stall.filter(|_| std::thread::current().id() != session.driver) {
         std::thread::sleep(stall);
     }
 }
@@ -1030,9 +988,9 @@ fn recovering_forward(
 /// abandoned job finishes (see [`LossAccount`](super::pool::LossAccount)).
 fn join_partial(
     ctx: Ctx<'_>,
-    pool: &Pool<'static, TaskResult>,
+    pool: &Pool<TaskResult>,
     id: NodeId,
-    task: TaskHandle<'static, TaskResult>,
+    task: TaskHandle<TaskResult>,
     out: &mut [f32],
     recompute: impl FnOnce(&mut [f32]) -> Result<()>,
 ) -> Result<()> {
@@ -1261,6 +1219,82 @@ mod tests {
         assert_eq!(serial.parallel_regions, 0);
         assert_eq!(serial.engine.pool_tasks + serial.engine.inline_tasks, 0);
         assert!(serial.output.approx_eq(&forked.output, 0.0));
+    }
+
+    #[test]
+    fn the_cutoff_hands_off_only_layers_of_at_least_64_kflop() {
+        // Pins what `CORUN_CUTOFF` hands to the pool, so a plan that
+        // decides handoffs itself changes these counts on purpose.
+        use crate::plan::{Assignment, NodePlan};
+        use edgenn_nn::graph::{compile, CompileOptions};
+        use edgenn_sim::AllocStrategy;
+        let platform = jetson_agx_xavier();
+        let runtime = Runtime::new(&platform);
+        let compiled = |kind, precision| {
+            let options = match precision {
+                Precision::F32 => CompileOptions::default(),
+                Precision::Int8 => CompileOptions::int8(),
+            };
+            compile(&build(kind, ModelScale::Tiny), &options).unwrap().0
+        };
+        let config = |precision| ExecutionConfig {
+            precision,
+            ..ExecutionConfig::edgenn()
+        };
+        let handoffs = |o: &FunctionalOutcome| {
+            let tasks = o.engine.pool_tasks + o.engine.inline_tasks;
+            (o.corun_layers, o.parallel_regions, tasks)
+        };
+        // The benchmark workloads' tuned plans hand nothing off.
+        for (kind, precision) in [
+            (ModelKind::SqueezeNet, Precision::F32),
+            (ModelKind::Vgg16, Precision::Int8),
+        ] {
+            let graph = compiled(kind, precision);
+            let tuner = Tuner::new(&graph, &runtime).unwrap();
+            let plan = tuner.plan(&graph, &runtime, config(precision)).unwrap();
+            let input = Tensor::random(graph.input_shape().dims(), 1.0, 3);
+            let outcome = execute(&graph, &plan, &input).unwrap();
+            assert_eq!(handoffs(&outcome), (0, 0, 0), "{kind} {precision}");
+        }
+        // Splitting every layer of VGG-16 hands off the CPU shares of
+        // exactly the nine convs of at least 64 KFLOP.
+        for precision in [Precision::F32, Precision::Int8] {
+            let graph = compiled(ModelKind::Vgg16, precision);
+            let program = Program::new(&graph).unwrap();
+            let mut nodes = vec![NodePlan::gpu_explicit(); graph.len()];
+            let mut handed_off = Vec::new();
+            for id in graph.topo_order() {
+                let shapes = graph.input_shapes(id).unwrap();
+                let layer = graph.node(id).unwrap().layer();
+                if layer.partition_units(&shapes).unwrap_or(1) < 2 {
+                    continue;
+                }
+                nodes[id.index()] = NodePlan {
+                    assignment: Assignment::Split { cpu_fraction: 0.5 },
+                    output_alloc: AllocStrategy::Explicit,
+                    prefetch_inputs: false,
+                };
+                if program.facts(id).flops >= CORUN_CUTOFF {
+                    handed_off.push(layer.name().split('+').next().unwrap().to_string());
+                }
+            }
+            assert_eq!(
+                handed_off,
+                [
+                    "conv1_1", "conv1_2", "conv2_1", "conv2_2", "conv3_1", "conv3_2", "conv3_3",
+                    "conv4_2", "conv4_3"
+                ],
+                "{precision}"
+            );
+            let plan = ExecutionPlan {
+                config: config(precision),
+                nodes,
+            };
+            let input = Tensor::random(graph.input_shape().dims(), 1.0, 3);
+            let outcome = execute(&graph, &plan, &input).unwrap();
+            assert_eq!(handoffs(&outcome), (21, 0, 9), "{precision}");
+        }
     }
 
     #[test]
@@ -1572,7 +1606,7 @@ mod tests {
         let stall = started.elapsed() * 4 + Duration::from_secs(1);
         // A private one-worker pool: a worker exists on any host, and
         // the hang never holds up other tests' sessions.
-        let private: &'static Pool<'static, TaskResult> = Box::leak(Box::new(Pool::new()));
+        let private: &'static Pool<TaskResult> = Box::leak(Box::new(Pool::new()));
         let worker = std::thread::spawn(move || private.run_worker());
         let before = pool::lost_workers();
         let mut injector = FaultInjector::from_plan(&FaultPlan::none(), graph.len(), 0)
@@ -1656,6 +1690,45 @@ mod tests {
             assert!(
                 per_session.iter().all(|&n| n == tasks(&solo)),
                 "a session absorbed another's tasks: {per_session:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn threads_sharing_an_executor_each_count_only_their_own_scratch() {
+        // Scratch arenas are per thread, and a session counts only what
+        // its own threads drew: two threads racing on one executor each
+        // report the solo warm run's figures, nothing fresh once warm.
+        // The plan hands nothing off here, so every draw is the driver's.
+        let graph = build(ModelKind::SqueezeNet, ModelScale::Tiny);
+        let plan = edgenn_plan(&graph);
+        let input = Tensor::random(graph.input_shape().dims(), 1.0, 5);
+        let executor = Executor::new(&graph).unwrap();
+        let arena =
+            |o: FunctionalOutcome| (o.engine.arena_fresh_bytes, o.engine.arena_reused_bytes);
+        executor.execute(&plan, &input).unwrap();
+        let solo = arena(executor.execute(&plan, &input).unwrap());
+        assert_eq!(solo.0, 0, "a warm arena allocates nothing");
+        assert!(solo.1 > 0, "a warm run reuses its scratch");
+        let start = std::sync::Barrier::new(2);
+        let counts: Vec<Vec<(u64, u64)>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        executor.execute(&plan, &input).unwrap();
+                        start.wait();
+                        (0..25)
+                            .map(|_| arena(executor.execute(&plan, &input).unwrap()))
+                            .collect()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        for per_thread in counts {
+            assert!(
+                per_thread.iter().all(|&n| n == solo),
+                "a session counted another's scratch (solo {solo:?}): {per_thread:?}"
             );
         }
     }
@@ -1783,15 +1856,6 @@ mod tests {
                 .iter()
                 .any(|r| r.kind == flight::SpanKind::Fallback && r.node == node_tag),
             "black box contains the failing node's fallback span"
-        );
-    }
-
-    #[test]
-    fn measured_cutoff_stays_within_the_clamp() {
-        let cutoff = measure_corun_cutoff();
-        assert!(
-            (CUTOFF_FLOOR..=CUTOFF_CEIL).contains(&cutoff),
-            "measured cutoff {cutoff} escaped the clamp"
         );
     }
 

@@ -8,13 +8,9 @@
 //!
 //! Design constraints and how they are met:
 //!
-//! - **No `unsafe`** (workspace-wide deny): jobs are `Box<dyn FnOnce() ->
-//!   T + Send + 'env>`. The engine's process-wide pool is a
-//!   `Pool<'static, _>`, so its jobs own `Arc`s of the session state they
-//!   read. A pool may also live inside a `std::thread::scope` with
-//!   `'env` borrows (measurements and tests do this); such a pool must be
-//!   declared *before* the scope that spawns its workers and shut down
-//!   (see [`ShutdownGuard`]) before the scope closes.
+//! - **No `unsafe`** (workspace-wide deny): jobs are `'static` boxed
+//!   closures (`Box<dyn FnOnce() -> T + Send>`), so the engine's jobs own
+//!   `Arc`s of the session state they read instead of borrowing it.
 //! - **Deadlock freedom on any worker count** (including zero): `join`
 //!   uses help-first reclaim — if the task is still queued, the waiter
 //!   takes it back, removes its cell from the queue and runs it inline
@@ -39,8 +35,8 @@ use std::time::{Duration, Instant};
 
 use edgenn_obs::flight;
 
-/// A unit of work: owns its captures (which may borrow `'env` data).
-pub type Job<'env, T> = Box<dyn FnOnce() -> T + Send + 'env>;
+/// A unit of work: owns everything it captures.
+pub type Job<T> = Box<dyn FnOnce() -> T + Send>;
 
 /// Why [`TaskHandle::join`] failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,9 +124,9 @@ impl Drop for LossAccount {
 }
 
 /// Lifecycle of one submitted task.
-enum TaskState<'env, T> {
+enum TaskState<T> {
     /// Queued; the job is still here and can be reclaimed by the waiter.
-    Pending(Job<'env, T>),
+    Pending(Job<T>),
     /// A worker (or the reclaiming waiter) took the job and is running
     /// it. A timed-out join parks its write-off here; whoever finishes
     /// the job settles it.
@@ -141,7 +137,7 @@ enum TaskState<'env, T> {
     Taken,
 }
 
-impl<T> std::fmt::Debug for TaskState<'_, T> {
+impl<T> std::fmt::Debug for TaskState<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             TaskState::Pending(_) => "Pending",
@@ -153,16 +149,16 @@ impl<T> std::fmt::Debug for TaskState<'_, T> {
 }
 
 /// One task cell, shared between the queue and the waiter's handle.
-struct Task<'env, T> {
-    state: Mutex<TaskState<'env, T>>,
+struct Task<T> {
+    state: Mutex<TaskState<T>>,
     done: Condvar,
     queued_at: Instant,
     /// Queue wait stamped by the worker that claimed the job.
     wait_ns: AtomicU64,
 }
 
-impl<'env, T> Task<'env, T> {
-    fn lock(&self) -> MutexGuard<'_, TaskState<'env, T>> {
+impl<T> Task<T> {
+    fn lock(&self) -> MutexGuard<'_, TaskState<T>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -172,10 +168,10 @@ impl<'env, T> Task<'env, T> {
 }
 
 /// Waiter-side handle returned by [`Pool::submit`].
-pub struct TaskHandle<'env, T>(Arc<Task<'env, T>>);
+pub struct TaskHandle<T>(Arc<Task<T>>);
 
-struct QueueState<'env, T> {
-    queue: VecDeque<Arc<Task<'env, T>>>,
+struct QueueState<T> {
+    queue: VecDeque<Arc<Task<T>>>,
     shutdown: bool,
 }
 
@@ -224,12 +220,12 @@ impl Tally {
 
 /// The injector queue plus parked-worker signalling. Spawn workers that
 /// call [`Pool::run_worker`] and push work with [`Pool::submit`].
-pub struct Pool<'env, T> {
-    state: Mutex<QueueState<'env, T>>,
+pub struct Pool<T> {
+    state: Mutex<QueueState<T>>,
     work_available: Condvar,
 }
 
-impl<T> std::fmt::Debug for Pool<'_, T> {
+impl<T> std::fmt::Debug for Pool<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pool")
             .field("queued", &self.queued())
@@ -237,13 +233,13 @@ impl<T> std::fmt::Debug for Pool<'_, T> {
     }
 }
 
-impl<T> Default for Pool<'_, T> {
+impl<T> Default for Pool<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<'env, T> Pool<'env, T> {
+impl<T> Pool<T> {
     /// An empty pool with no workers attached (so it can back a
     /// `static`). Workers attach via [`Pool::run_worker`].
     pub const fn new() -> Self {
@@ -270,7 +266,7 @@ impl<'env, T> Pool<'env, T> {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) - 1
     }
 
-    fn lock(&self) -> MutexGuard<'_, QueueState<'env, T>> {
+    fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -278,7 +274,7 @@ impl<'env, T> Pool<'env, T> {
     ///
     /// After shutdown, jobs are accepted but only ever run via inline
     /// reclaim in [`TaskHandle::join`] (the pool is winding down).
-    pub fn submit(&self, job: Job<'env, T>) -> TaskHandle<'env, T> {
+    pub fn submit(&self, job: Job<T>) -> TaskHandle<T> {
         let task = Arc::new(Task {
             state: Mutex::new(TaskState::Pending(job)),
             done: Condvar::new(),
@@ -323,7 +319,7 @@ impl<'env, T> Pool<'env, T> {
     /// it since the pop), stamping its queue wait. If a watchdog gave up
     /// on the task meanwhile, the result is dropped and the write-off
     /// settled here — the worker is free again.
-    fn run_task(task: &Task<'env, T>) {
+    fn run_task(task: &Task<T>) {
         let job = {
             let mut state = task.lock();
             match std::mem::replace(&mut *state, TaskState::Running(None)) {
@@ -354,7 +350,7 @@ impl<'env, T> Pool<'env, T> {
 
     /// Drops a reclaimed task's cell from the queue, so no spent cell
     /// waits for a worker to skip it — with zero workers, none ever would.
-    fn dequeue(&self, task: &Arc<Task<'env, T>>) {
+    fn dequeue(&self, task: &Arc<Task<T>>) {
         let mut state = self.lock();
         if let Some(pos) = state.queue.iter().rposition(|t| Arc::ptr_eq(t, task)) {
             state.queue.remove(pos);
@@ -363,21 +359,21 @@ impl<'env, T> Pool<'env, T> {
 
     /// Signals workers to exit once the queue drains. Idempotent. A pool
     /// whose workers live in a `thread::scope` must shut down before the
-    /// scope closes (see [`ShutdownGuard`]).
+    /// scope closes.
     pub fn shutdown(&self) {
         self.lock().shutdown = true;
         self.work_available.notify_all();
     }
 }
 
-impl<'env, T> TaskHandle<'env, T> {
+impl<T> TaskHandle<T> {
     /// Waits for the result, crediting `tally`. If the task has not
     /// started yet, the waiter reclaims it and runs it inline (help-first
     /// scheduling) — so `join` never deadlocks, whatever the worker count.
     ///
     /// # Errors
     /// [`JoinError::Panicked`] when the job panicked.
-    pub fn join(self, pool: &Pool<'env, T>, tally: &Tally) -> Result<T, JoinError> {
+    pub fn join(self, pool: &Pool<T>, tally: &Tally) -> Result<T, JoinError> {
         self.join_until(pool, tally, None)
     }
 
@@ -394,7 +390,7 @@ impl<'env, T> TaskHandle<'env, T> {
     /// [`JoinError::TimedOut`] when the deadline expired first.
     pub fn join_deadline(
         self,
-        pool: &Pool<'env, T>,
+        pool: &Pool<T>,
         tally: &Tally,
         timeout: Duration,
     ) -> Result<T, JoinError> {
@@ -403,7 +399,7 @@ impl<'env, T> TaskHandle<'env, T> {
 
     fn join_until(
         self,
-        pool: &Pool<'env, T>,
+        pool: &Pool<T>,
         tally: &Tally,
         timeout: Option<Duration>,
     ) -> Result<T, JoinError> {
@@ -463,18 +459,6 @@ impl<'env, T> TaskHandle<'env, T> {
     }
 }
 
-/// Shuts the pool down on drop, so an early `?` return or a panic in the
-/// driver never leaves scoped workers parked forever inside a
-/// `thread::scope`.
-#[derive(Debug)]
-pub struct ShutdownGuard<'a, 'env, T>(pub &'a Pool<'env, T>);
-
-impl<T> Drop for ShutdownGuard<'_, '_, T> {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
-
 /// Serializes tests that touch the process-global worker-loss
 /// accounting (tests in one binary run concurrently).
 #[cfg(test)]
@@ -488,8 +472,18 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
 
+    /// Shuts the pool down on drop, so a failed assertion never leaves
+    /// scoped workers parked forever inside a `thread::scope`.
+    struct ShutdownGuard<'a, T>(&'a Pool<T>);
+
+    impl<T> Drop for ShutdownGuard<'_, T> {
+        fn drop(&mut self) {
+            self.0.shutdown();
+        }
+    }
+
     /// Runs `f` with `workers` scoped pool workers attached.
-    fn with_pool<T: Send, R>(workers: usize, f: impl FnOnce(&Pool<'_, T>) -> R) -> R {
+    fn with_pool<T: Send, R>(workers: usize, f: impl FnOnce(&Pool<T>) -> R) -> R {
         let pool = Pool::new();
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -533,7 +527,7 @@ mod tests {
     fn reclaim_leaves_no_cell_behind_on_a_workerless_pool() {
         // A process-wide pool on a one-core host has no worker to pop
         // spent cells, so every reclaim must dequeue its own.
-        let pool: Pool<'static, usize> = Pool::new();
+        let pool: Pool<usize> = Pool::new();
         let tally = Tally::default();
         for i in 0..10_000 {
             let h = pool.submit(Box::new(move || i));
@@ -544,25 +538,10 @@ mod tests {
     }
 
     #[test]
-    fn tasks_can_borrow_the_environment() {
-        let data = vec![1.0f32, 2.0, 3.0];
-        let pool: Pool<'_, f32> = Pool::new();
-        let sum = std::thread::scope(|scope| {
-            scope.spawn(|| pool.run_worker());
-            let _guard = ShutdownGuard(&pool);
-            let h = pool.submit(Box::new(|| data.iter().sum()));
-            h.join(&pool, &Tally::default()).unwrap()
-        });
-        assert_eq!(sum, 6.0);
-        drop(pool);
-        drop(data);
-    }
-
-    #[test]
     fn static_pool_runs_jobs_on_detached_workers() {
         // The engine's shape: a `'static` pool whose workers are plain
         // threads that outlive every session.
-        let pool: &'static Pool<'static, u32> = Box::leak(Box::new(Pool::new()));
+        let pool: &'static Pool<u32> = Box::leak(Box::new(Pool::new()));
         let worker = std::thread::spawn(move || pool.run_worker());
         let tally = Tally::default();
         for session in 0..3u32 {
@@ -669,10 +648,10 @@ mod tests {
     /// Returns once a worker holds the job, so the help-first inline
     /// reclaim cannot short-circuit the hang.
     fn submit_hanging(
-        pool: &Pool<'static, u64>,
+        pool: &Pool<u64>,
         hang: Duration,
         value: u64,
-    ) -> (TaskHandle<'static, u64>, Arc<Mutex<Option<u64>>>) {
+    ) -> (TaskHandle<u64>, Arc<Mutex<Option<u64>>>) {
         let started = Arc::new(AtomicBool::new(false));
         let finished = Arc::new(Mutex::new(None));
         let (s, f) = (Arc::clone(&started), Arc::clone(&finished));
@@ -692,7 +671,7 @@ mod tests {
     fn join_deadline_returns_at_its_deadline_and_credits_back_when_the_job_ends() {
         let _serial = workers_lock();
         let before = lost_workers();
-        let pool: &'static Pool<'static, u64> = Box::leak(Box::new(Pool::new()));
+        let pool: &'static Pool<u64> = Box::leak(Box::new(Pool::new()));
         let worker = std::thread::spawn(move || pool.run_worker());
         let tally = Tally::default();
         let hang = Duration::from_millis(600);
@@ -740,7 +719,7 @@ mod tests {
 
     #[test]
     fn shutdown_is_idempotent_and_drains() {
-        let pool: Pool<'_, u32> = Pool::new();
+        let pool: Pool<u32> = Pool::new();
         let tally = Tally::default();
         std::thread::scope(|scope| {
             scope.spawn(|| pool.run_worker());

@@ -66,12 +66,6 @@ fn ladder(kind: ModelKind, runtime: &Runtime<'_>, seed: u64) -> edgenn_core::Res
     Ok(twin)
 }
 
-/// Batch service-time scaling: near-linear with a 10% coalescing
-/// saving per member past the first.
-pub(crate) fn batch_factor(n: usize) -> f64 {
-    1.0 + 0.9 * (n as f64 - 1.0)
-}
-
 /// The SLO guard's per-batch decision.
 struct BatchDecision {
     /// Ladder index of the rung the batch runs (0 = hybrid).
@@ -88,13 +82,12 @@ struct BatchDecision {
 /// Decides which ladder rung a batch runs: the best-quality rung
 /// meeting every surviving deadline, shedding only members even the
 /// fastest rung cannot save. `preds` is the per-rung service estimate
-/// in ladder (quality) order, hybrid first.
+/// in ladder (quality) order, hybrid first; the engine runs a batch of
+/// `n` as `n` requests, one after another, so it costs `n` estimates.
 fn decide_batch(now: f64, members: &[Request], preds: &[f64]) -> BatchDecision {
-    let factor = batch_factor(members.len());
-    let fits = |variant: usize, m: &Request| {
-        m.deadline_us
-            .is_none_or(|d| now + preds[variant] * factor <= d)
-    };
+    let n = members.len() as f64;
+    let fits =
+        |variant: usize, m: &Request| m.deadline_us.is_none_or(|d| now + preds[variant] * n <= d);
     let fastest = (0..preds.len())
         .min_by(|&a, &b| preds[a].total_cmp(&preds[b]))
         .expect("ladder non-empty");
@@ -129,7 +122,7 @@ pub(crate) struct Job {
     /// Members the guard shed.
     pub(crate) shed: Vec<Request>,
     /// When the engine is estimated to be free again: formation time
-    /// plus the rung's estimate scaled by [`batch_factor`].
+    /// plus the rung's estimate once per kept member.
     pub(crate) done_us: f64,
     twin: Arc<Twin>,
 }
@@ -385,7 +378,7 @@ impl<'a> Dispatcher<'a> {
             self.sink("shed", m.tenant, now_us);
             self.admission.release(m.tenant);
         }
-        let done_us = now_us + self.est[model][chosen] * batch_factor(keep.len());
+        let done_us = now_us + self.est[model][chosen] * keep.len() as f64;
         if let Some(first) = keep.first() {
             self.busy_until = done_us;
             self.sink("batch_dispatched", first.tenant, now_us);

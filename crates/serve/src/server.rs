@@ -31,7 +31,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::admission::TenantConfig;
 use crate::batcher::BatchPolicy;
-use crate::dispatch::{batch_factor, Dispatcher};
+use crate::dispatch::Dispatcher;
 use crate::siege::{LoadMode, SiegeReport, TenantLoad};
 
 /// A real-time serving scenario.
@@ -197,7 +197,7 @@ fn dispatch_loop(
             drop(dispatcher);
             let start = Instant::now();
             let verdicts = job.execute(None);
-            let per_req_us = micros_since(start) / batch_factor(job.keep.len());
+            let per_req_us = micros_since(start) / job.keep.len() as f64;
             dispatcher = lock(state);
             let est = &mut dispatcher.estimates_mut()[job.model][job.rung];
             *est = 0.7 * *est + 0.3 * per_req_us;

@@ -22,8 +22,8 @@
 //! a lost request and fails the gate.
 //!
 //! Service-time model: a batch of `n` requests occupies the engine for
-//! `predicted_us * (1 + 0.9 (n-1))` — near-linear cost with a 10%
-//! coalescing saving per extra member.
+//! `predicted_us * n` — the engine runs a batch's inputs one after
+//! another, so batching saves nothing.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

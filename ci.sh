@@ -42,12 +42,12 @@ cargo test -q
 echo "==> full workspace tests"
 cargo test --workspace -q
 # Every dispatched kernel (GEMM sweeps with their int8 microtiles,
-# quantize-and-pad) runs at the widest variant the host has; on an
-# AVX-512 host the narrower ones would otherwise never run. Re-run the
-# kernel crates' tests pinned to each narrower variant (EDGENN_SIMD
-# falls back to the widest safe one on hosts without it), and the
-# engine's, whose split tests write both shares of a node into one
-# output buffer, so that path runs over each kernel body too.
+# quantize-and-pad, the pool fold) runs at the widest variant the host
+# has; on an AVX-512 host the narrower ones would otherwise never run.
+# Re-run the kernel crates' tests pinned to each narrower variant
+# (EDGENN_SIMD falls back to the widest safe one on hosts without it),
+# and the engine's, whose split tests write both shares of a node into
+# one output buffer, so that path runs over each kernel body too.
 for simd in portable avx2; do
     EDGENN_SIMD=$simd cargo test -q -p edgenn-tensor -p edgenn-nn
     EDGENN_SIMD=$simd cargo test -q -p edgenn-core --lib runtime::functional

@@ -1,20 +1,11 @@
 //! Pooling layers (max, average, global average).
 
-use std::ops::Range;
-
-use edgenn_tensor::{Conv2dGeometry, Shape, Tensor};
+use edgenn_tensor::{pool_into, Conv2dGeometry, Shape, Tensor};
 
 use crate::layer::{check_arity, clamp_if, units_part, Layer, LayerClass, Part};
 use crate::{NnError, Result, Workload};
 
-/// Pooling reduction applied within each window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolKind {
-    /// Maximum over the window.
-    Max,
-    /// Arithmetic mean over the window (out-of-bounds taps excluded).
-    Avg,
-}
+pub use edgenn_tensor::PoolKind;
 
 /// Windowed 2-D pooling over CHW feature maps.
 ///
@@ -105,77 +96,6 @@ impl Pool2d {
         g.validate()?;
         Ok(g)
     }
-
-    /// Pools one channel plane into `dst` (`out_h * out_w` outputs).
-    /// `x_spans` holds each output column's in-range input columns, so
-    /// the tap loops run over plain slices with no bounds tests:
-    /// out-of-range taps are exactly the ones that contributed nothing.
-    /// The fold order (ky, then kx, from `-inf` or `0`) is unchanged.
-    fn pool_channel(
-        &self,
-        src: &[f32],
-        g: &Conv2dGeometry,
-        x_spans: &[Range<usize>],
-        dst: &mut [f32],
-    ) {
-        match self.kind {
-            PoolKind::Max => {
-                pool_plane(
-                    src,
-                    g,
-                    x_spans,
-                    dst,
-                    f32::NEG_INFINITY,
-                    f32::max,
-                    |acc, _| acc,
-                );
-            }
-            PoolKind::Avg => pool_plane(
-                src,
-                g,
-                x_spans,
-                dst,
-                0.0,
-                |acc, v| acc + v,
-                |acc, taps| if taps == 0 { 0.0 } else { acc / taps as f32 },
-            ),
-        }
-    }
-}
-
-/// [`Pool2d::pool_channel`] for one reduction: `fold` each window's taps
-/// into `init`, then `finish` the result with the window's tap count.
-#[inline(always)]
-fn pool_plane(
-    src: &[f32],
-    g: &Conv2dGeometry,
-    x_spans: &[Range<usize>],
-    dst: &mut [f32],
-    init: f32,
-    fold: impl Fn(f32, f32) -> f32,
-    finish: impl Fn(f32, usize) -> f32,
-) {
-    for (oy, dst_row) in dst.chunks_exact_mut(x_spans.len()).enumerate() {
-        let ys = window(oy, g.stride_h, g.pad_h, g.kernel_h, g.in_h);
-        let rows = &src[ys.start * g.in_w..ys.end * g.in_w];
-        for (d, xs) in dst_row.iter_mut().zip(x_spans) {
-            let mut acc = init;
-            for row in rows.chunks_exact(g.in_w) {
-                for &v in &row[xs.clone()] {
-                    acc = fold(acc, v);
-                }
-            }
-            *d = finish(acc, ys.len() * xs.len());
-        }
-    }
-}
-
-/// In-range input indices of output `o`'s window along one axis: taps
-/// `o*stride + k - pad` for `k < kernel`, clipped to `0..len`.
-fn window(o: usize, stride: usize, pad: usize, kernel: usize, len: usize) -> Range<usize> {
-    let start = (o * stride).max(pad) - pad;
-    let end = (o * stride + kernel).min(len + pad).saturating_sub(pad);
-    start..end.max(start)
 }
 
 impl Layer for Pool2d {
@@ -196,17 +116,15 @@ impl Layer for Pool2d {
     fn forward_into(&self, inputs: &[&Tensor], part: Part, out: &mut [f32]) -> Result<()> {
         check_arity(&self.name, 1, inputs)?;
         let g = self.geometry(inputs[0].shape())?;
-        let (out_h, out_w) = (g.out_h(), g.out_w());
-        let (range, relu) = units_part(&self.name, part, g.in_channels, out_h * out_w, out)?;
+        let (range, relu) =
+            units_part(&self.name, part, g.in_channels, g.out_h() * g.out_w(), out)?;
         let plane = g.in_h * g.in_w;
-        let x_spans: Vec<Range<usize>> = (0..out_w)
-            .map(|ox| window(ox, g.stride_w, g.pad_w, g.kernel_w, g.in_w))
-            .collect();
-        let planes =
-            inputs[0].as_slice()[range.start * plane..range.end * plane].chunks_exact(plane);
-        for (src, dst) in planes.zip(out.chunks_exact_mut(out_h * out_w)) {
-            self.pool_channel(src, &g, &x_spans, dst);
-        }
+        let x = &inputs[0].as_slice()[range.start * plane..range.end * plane];
+        let g = Conv2dGeometry {
+            in_channels: range.len(),
+            ..g
+        };
+        pool_into(x, &g, self.kind, out)?;
         clamp_if(relu, out);
         Ok(())
     }
@@ -334,7 +252,7 @@ mod tests {
     }
 
     /// The per-tap bounds-checked pool, kept as the reference for the
-    /// span-based one: same fold order, so results match bitwise.
+    /// vectorized kernel: same fold order, so results match bitwise.
     fn reference_pool(pool: &Pool2d, x: &Tensor) -> Vec<f32> {
         let g = pool.geometry(x.shape()).unwrap();
         let mut out = Vec::new();
@@ -401,6 +319,103 @@ mod tests {
                     "{kind:?} hw={hw} k={kernel} s={stride} p={pad}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn pool_fold_order_holds_on_signed_zeros_nan_and_infinities() {
+        // Under max, +0.0 and -0.0 tie and a NaN tap is skipped, so a
+        // fold that reorders the taps (kx before ky), reassociates them
+        // (pairwise) or swaps its operands changes some outputs' bits;
+        // so does an average that starts from -0.0. Odd input widths,
+        // output widths below, at and above the kernel's 16 register
+        // lanes, every channel and a channel sub-range; pads below the
+        // kernel, so every window holds a tap. An average over an
+        // infinity of each sign and a NaN is a NaN whose sign Rust
+        // leaves unspecified (`+` commutes, and x86 returns its first
+        // NaN operand), so NaNs compare as one value; a max never makes
+        // a NaN.
+        const VALUES: [f32; 7] = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            1.0,
+            -1.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        use crate::layer::test_support::{compute, units};
+        let bits = |v: &[f32]| -> Vec<u32> {
+            let nan = f32::NAN.to_bits();
+            v.iter()
+                .map(|x| if x.is_nan() { nan } else { x.to_bits() })
+                .collect()
+        };
+        let (mut cases, mut failed, mut widths) = (0, Vec::new(), [false; 3]);
+        for kind in [PoolKind::Max, PoolKind::Avg] {
+            for (kernel, stride, pad) in (1..=5)
+                .flat_map(|k| (1..=3).flat_map(move |s| (0..k.min(3)).map(move |p| (k, s, p))))
+            {
+                for (out_w, seed) in [5usize, 16, 21]
+                    .into_iter()
+                    .flat_map(|w| (0..3).map(move |s| (w, s)))
+                {
+                    let in_w = ((out_w - 1) * stride + kernel)
+                        .saturating_sub(2 * pad)
+                        .max(1)
+                        | 1;
+                    let dims = [4, kernel + 2, in_w];
+                    let pool = Pool2d {
+                        name: "p".into(),
+                        kind,
+                        kernel,
+                        stride,
+                        pad,
+                    };
+                    let Ok(g) = pool.geometry(&Shape::new(&dims)) else {
+                        continue;
+                    };
+                    widths[usize::from(g.out_w() >= 16) + usize::from(g.out_w() > 16)] = true;
+                    let x = Tensor::random(&dims, 1.0, seed)
+                        .map(|v| VALUES[((v + 1.0) * 3.5) as usize % VALUES.len()]);
+                    let want = bits(&reference_pool(&pool, &x));
+                    let plane = g.out_h() * g.out_w();
+                    let all = compute(&pool, &[&x], units(0..4, false, false)).unwrap();
+                    let part = compute(&pool, &[&x], units(1..3, false, false)).unwrap();
+                    cases += 1;
+                    if bits(&all) != want || bits(&part) != want[plane..3 * plane] {
+                        failed.push(format!(
+                            "{kind:?} in_w={in_w} k={kernel} s={stride} p={pad}"
+                        ));
+                    }
+                }
+            }
+        }
+        assert_eq!(widths, [true; 3], "out_w must cover below, at and above 16");
+        assert!(
+            failed.is_empty(),
+            "{} of {cases} cases differ, first {}",
+            failed.len(),
+            failed[0]
+        );
+    }
+
+    #[test]
+    fn windows_wholly_in_the_padding_fold_no_tap() {
+        // A 1x1 map under a 1x1 window padded by 2: only the centre
+        // output sees the input.
+        let x = Tensor::from_vec(vec![3.0], &[1, 1, 1]).unwrap();
+        for kind in [PoolKind::Max, PoolKind::Avg] {
+            let pool = Pool2d {
+                name: "p".into(),
+                kind,
+                kernel: 1,
+                stride: 1,
+                pad: 2,
+            };
+            let got = pool.forward(&[&x]).unwrap();
+            assert_eq!(got.as_slice(), reference_pool(&pool, &x).as_slice());
+            assert_eq!(got.as_slice()[12], 3.0);
         }
     }
 

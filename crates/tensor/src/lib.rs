@@ -44,7 +44,7 @@ pub use gemm::{
 };
 pub use im2col::{
     col2im_shape, conv_gemm_into, conv_gemm_scratch_elems, conv_qgemm_into,
-    conv_qgemm_scratch_elems, im2col, Conv2dGeometry,
+    conv_qgemm_scratch_elems, im2col, pool_into, Conv2dGeometry, PoolKind,
 };
 pub use quant::{
     dot_i8, min_max, qgemm_pack_a, qgemm_pack_a_words, qgemm_pack_bytes, qgemm_requant_into,

@@ -8,9 +8,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use edgenn_tensor::{
-    conv_gemm_into, conv_qgemm_into, gemm_into, gemm_pack_a, kernel_arch, min_max, qgemm_pack_a,
-    qgemm_requant_into, quantize_into, row_sums, Conv2dGeometry, Epilogue, QTensor, QuantParams,
-    Quantization, Requant, Tensor,
+    conv_gemm_into, conv_qgemm_into, gemm_into, gemm_pack_a, kernel_arch, min_max, pool_into,
+    qgemm_pack_a, qgemm_requant_into, quantize_into, row_sums, Conv2dGeometry, Epilogue, PoolKind,
+    QTensor, QuantParams, Quantization, Requant, Tensor,
 };
 
 fn best_ns(mut f: impl FnMut(), iters: usize) -> u64 {
@@ -180,5 +180,68 @@ fn conv_layers_of_the_tiny_models() {
             "{model:<10} {:<18} f32 {f32_sum:7.2} us   int8 {int8_sum:7.2} us",
             "sum"
         );
+    }
+}
+
+/// One max pool: the model and layer, channels, input side, kernel,
+/// stride, padding.
+type PoolLayer = (
+    &'static str,
+    &'static str,
+    usize,
+    usize,
+    usize,
+    usize,
+    usize,
+);
+
+/// Every pool of the Tiny VGG-16, SqueezeNet, LeNet and AlexNet (all
+/// 2x2 stride 2), then a paper-scale 3x3 stride-2 pool (AlexNet's
+/// `pool1`) and a padded one (ResNet's `pool1`).
+const POOLS: [PoolLayer; 17] = [
+    ("VGG-16", "pool1", 4, 32, 2, 2, 0),
+    ("VGG-16", "pool2", 8, 16, 2, 2, 0),
+    ("VGG-16", "pool3", 8, 8, 2, 2, 0),
+    ("VGG-16", "pool4", 16, 4, 2, 2, 0),
+    ("VGG-16", "pool5", 16, 2, 2, 2, 0),
+    ("SqueezeNet", "pool1", 8, 16, 2, 2, 0),
+    ("SqueezeNet", "pool3", 16, 8, 2, 2, 0),
+    ("LeNet", "pool1", 4, 14, 2, 2, 0),
+    ("LeNet", "pool2", 8, 5, 2, 2, 0),
+    ("AlexNet", "pool1", 8, 32, 2, 2, 0),
+    ("AlexNet", "pool2", 16, 16, 2, 2, 0),
+    ("AlexNet", "pool5", 8, 8, 2, 2, 0),
+    ("AlexNet", "pool1 paper", 96, 55, 3, 2, 0),
+    ("AlexNet", "pool2 paper", 256, 27, 3, 2, 0),
+    ("SqueezeNet", "pool8 paper", 512, 13, 3, 2, 0),
+    ("ResNet", "pool1 paper", 64, 112, 3, 2, 1),
+    ("ResNet", "pool1 half", 64, 56, 3, 2, 1),
+];
+
+#[test]
+#[ignore = "manual perf probe, prints timings"]
+fn pool_layers_of_the_models() {
+    // Each max pool as the engine runs it: every channel, `out`
+    // overwritten. The paper-scale shapes take fewer samples.
+    println!("arch={}, median µs", kernel_arch().name());
+    for &(model, name, c, hw, k, s, p) in &POOLS {
+        let g = Conv2dGeometry {
+            in_channels: c,
+            in_h: hw,
+            in_w: hw,
+            kernel_h: k,
+            kernel_w: k,
+            stride_h: s,
+            stride_w: s,
+            pad_h: p,
+            pad_w: p,
+        };
+        let x = Tensor::random(&[c, hw, hw], 1.0, 1);
+        let mut out = vec![0.0f32; c * g.out_h() * g.out_w()];
+        let samples = if c * hw * hw > 50_000 { 500 } else { 20_000 };
+        let us = median_us(samples, &mut out, |out| {
+            pool_into(black_box(x.as_slice()), &g, PoolKind::Max, out).unwrap();
+        });
+        println!("{model:<10} {name:<12} {c:>3}x{hw}x{hw} {k}/{s}/{p}  {us:8.3} us");
     }
 }

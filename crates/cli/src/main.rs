@@ -1242,7 +1242,11 @@ fn cmd_profile(options: &Options) -> Result<(), String> {
             .is_none_or(|(_, best, _)| wall < best.end_ns - best.start_ns)
         {
             let slice = flight::causal_slice(&records, root.id);
-            let profile = outcome.engine.profile.clone().unwrap_or_default();
+            let profile = outcome
+                .engine
+                .profile
+                .map(|window| window.summary())
+                .unwrap_or_default();
             kept = Some((slice, root, profile));
         }
     }

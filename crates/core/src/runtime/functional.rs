@@ -51,7 +51,7 @@ use std::time::Duration;
 
 use edgenn_nn::graph::{Graph, NodeId, Segment};
 use edgenn_nn::layer::{Layer, LayerClass, Part};
-use edgenn_obs::{flight, ProfileSummary};
+use edgenn_obs::{flight, ProfileWindow};
 use edgenn_sim::FaultPlan;
 use edgenn_tensor::{scratch_stats, Tensor};
 
@@ -122,9 +122,10 @@ pub struct EngineStats {
     /// dominate. The copy of the network input that pooled jobs read
     /// (see [`Executor`]) is not a node output and is not counted.
     pub slot_bytes: u64,
-    /// Flight-recorder profile of this run (per-stage p50/p99), present
-    /// when the flight recorder was enabled during the run.
-    pub profile: Option<ProfileSummary>,
+    /// Flight-recorder window of this run, present when the flight
+    /// recorder was enabled during the run: its `dropped` count, and
+    /// [`ProfileWindow::summary`] for the per-stage p50/p99.
+    pub profile: Option<ProfileWindow>,
 }
 
 /// Recovery counters of one functional run (all zero when no
@@ -507,8 +508,8 @@ impl<'g> Executor<'g> {
         let scratch_before = scratch_stats();
 
         // Per-request flight window: everything recorded between here and
-        // the drain below that is causally reachable from the request root
-        // span becomes this request's profile.
+        // its close below that is causally reachable from the request root
+        // span is this request's profile, summarized only when read.
         let marker = flight::enabled().then(flight::mark);
         let root = flight::begin(flight::SpanKind::Request, flight::NO_NODE);
         let run: Result<()> = flight::with_parent(root.id(), || {
@@ -532,7 +533,7 @@ impl<'g> Executor<'g> {
         flight::end(root);
         run?;
         let driver_scratch = scratch_before.delta(&scratch_stats());
-        let profile = marker.map(|marker| flight::profile_since(&marker, root.id()));
+        let profile = marker.map(|marker| flight::close_window(marker, root.id()));
 
         // Every job this session joined has dropped its share of the
         // session by now; only one the watchdog abandoned can still hold
@@ -1768,8 +1769,8 @@ mod tests {
             let profile = outcome
                 .engine
                 .profile
-                .as_ref()
-                .expect("flight enabled => profile present");
+                .expect("flight enabled => profile present")
+                .summary();
             let request = profile.stage("request").expect("request stage");
             assert_eq!(
                 request.count, 1,
@@ -1809,11 +1810,12 @@ mod tests {
             .collect();
         let outcomes = executor.batch_execute(&plan, &inputs).unwrap();
         for outcome in &outcomes {
-            let profile = outcome
+            let window = outcome
                 .engine
                 .profile
-                .as_ref()
                 .expect("flight enabled => profile present");
+            assert_eq!(window.dropped, 0);
+            let profile = window.summary();
             assert!(profile.span_count > 0);
             assert_eq!(
                 profile.dropped, 0,

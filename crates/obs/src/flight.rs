@@ -32,9 +32,9 @@
 //!
 //! On top of the raw rings sit the drain/merge layer
 //! ([`mark`]/[`drain_since`]/[`causal_slice`]), the per-request
-//! [`ProfileSummary`] and per-node attribution ([`node_profiles`]), the
-//! fault black box ([`blackbox_dump`]), and Chrome/Perfetto trace export
-//! ([`chrome_entries`]).
+//! [`ProfileWindow`] and its [`ProfileSummary`], per-node attribution
+//! ([`node_profiles`]), the fault black box ([`blackbox_dump`]), and
+//! Chrome/Perfetto trace export ([`chrome_entries`]).
 //!
 //! The recorder is process-global and disabled by default; when
 //! disabled, an instrumentation site costs one relaxed atomic load.
@@ -245,17 +245,31 @@ impl Ring {
         seq.store(claim + 1, Ordering::Release);
     }
 
-    /// Appends every intact record claimed at or after `since` to `out`
+    /// Claims in `since..until` that wrap-around has overwritten: the
+    /// ring keeps only its last `records` claims.
+    fn overwritten(&self, since: u64, until: u64) -> u64 {
+        let kept_from = self
+            .cursor
+            .load(Ordering::Acquire)
+            .saturating_sub(self.records as u64);
+        kept_from.clamp(since, until) - since
+    }
+
+    /// Appends every intact record claimed in `since..until` to `out`
     /// and returns how many such claims it could not read: overwritten
-    /// by wrap-around (the window claimed more than the ring retains) or
-    /// torn by a concurrent write. Records claimed before `since` never
-    /// count, however often the ring wrapped over them.
-    fn drain_since(&self, since: u64, out: &mut Vec<SpanRecord>) -> u64 {
-        let hi = self.cursor.load(Ordering::Acquire);
-        let lo = since.max(hi.saturating_sub(self.records as u64));
+    /// by wrap-around (the ring claimed more than it retains since
+    /// `since`) or torn by a concurrent write. Records claimed before
+    /// `since` never count, however often the ring wrapped over them.
+    fn drain(&self, since: u64, until: u64, out: &mut Vec<SpanRecord>) -> u64 {
         let before = out.len();
-        out.extend((lo..hi).filter_map(|claim| self.read(claim)));
-        hi.saturating_sub(since) - (out.len() - before) as u64
+        let first = since + self.overwritten(since, until);
+        out.extend((first..until).filter_map(|claim| self.read(claim)));
+        until - since - (out.len() - before) as u64
+    }
+
+    /// Total records ever claimed in this ring.
+    fn claimed(&self) -> u64 {
+        self.cursor.load(Ordering::Acquire)
     }
 
     /// Reads the record at `claim` if it is still intact (not overwritten
@@ -719,7 +733,7 @@ pub fn worker_ordinal() -> u16 {
 /// the time of [`mark`]. A marker taken before a [`reserve`] growth
 /// still drains correctly — the drain walks every generation from the
 /// marker's up to the current one.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Marker {
     gen: usize,
     cursors: [u64; RINGS],
@@ -727,97 +741,105 @@ pub struct Marker {
 
 /// Snapshots the current ring cursors so a later [`drain_since`] returns
 /// only records written after this point. Allocation-free: the engine
-/// calls this once per request.
+/// calls this twice per request, to open and to close its window.
 pub fn mark() -> Marker {
     let (gen, rings) = current_rings(flight());
     let mut cursors = [0u64; RINGS];
     for (slot, ring) in cursors.iter_mut().zip(rings.iter()) {
-        *slot = ring.cursor.load(Ordering::Acquire);
+        *slot = ring.claimed();
     }
     Marker { gen, cursors }
 }
 
 /// Drains every intact record written since `marker`, across all rings,
 /// sorted by start time (ties broken by span id). Records overwritten by
-/// ring wrap-around are skipped — [`profile_since`] counts them as the
-/// window's `dropped`, so they are never silently absent.
+/// ring wrap-around are skipped — a [`ProfileWindow`] counts them as its
+/// `dropped`, so they are never silently absent.
 pub fn drain_since(marker: &Marker) -> Vec<SpanRecord> {
-    let mut out = drain_since_unsorted(marker);
+    let mut out = Vec::new();
+    fold_window(marker, &mark(), |ring, since, until| {
+        ring.drain(since, until, &mut out)
+    });
     out.sort_by_key(|r| (r.start_ns, r.id));
     out
 }
 
-/// [`drain_since`] without the start-time sort — ring order. The sort
-/// only matters for human-ordered output (trace export, black box);
-/// summarization does not need it.
-fn drain_since_unsorted(marker: &Marker) -> Vec<SpanRecord> {
-    let mut out = Vec::new();
-    drain_since_into(marker, &mut out);
-    out
-}
-
-/// Appends every intact record written since `marker` to `out`, in
-/// ring order, walking every generation from the marker's to the
-/// current one (the marker's cursors gate only its own generation;
-/// later generations start empty, so they drain from zero). Returns the
-/// window's losses.
-fn drain_since_into(marker: &Marker, out: &mut Vec<SpanRecord>) -> u64 {
-    let f = flight();
-    let current = f.current_gen.load(Ordering::Acquire);
-    let mut lost = 0;
-    for gen in marker.gen..=current {
-        let Some(rings) = gen_rings(f, gen) else {
+/// Sums `f(ring, since, until)` over every ring of every generation from
+/// `from`'s to `to`'s, where `since..until` are the ring's claims
+/// between the two markers: `from`'s cursors gate only its own
+/// generation and `to`'s only its own; generations between them drain
+/// whole (a later generation starts empty, so it drains from zero).
+fn fold_window(from: &Marker, to: &Marker, mut f: impl FnMut(&Ring, u64, u64) -> u64) -> u64 {
+    let flight = flight();
+    let mut total = 0;
+    for gen in from.gen..=to.gen {
+        let Some(rings) = gen_rings(flight, gen) else {
             continue;
         };
         for (idx, ring) in rings.iter().enumerate() {
-            let since = if gen == marker.gen {
-                marker.cursors[idx]
+            let since = if gen == from.gen {
+                from.cursors[idx]
             } else {
                 0
             };
-            lost += ring.drain_since(since, out);
+            let until = if gen == to.gen {
+                to.cursors[idx]
+            } else {
+                ring.claimed()
+            };
+            total += f(ring, since, until.max(since));
         }
     }
-    lost
+    total
 }
 
-/// Drains the window opened by `marker` and summarizes the request
-/// rooted at span `root` in one pass: the engine's per-request hot
-/// path. Skips the start-time sort, never materializes the causal
-/// slice (both only matter for trace export, not for stage buckets),
-/// and reuses per-thread buffers for the record window, the causal mask
-/// and the stage buckets, so the steady state allocates only the
-/// summary it returns.
-pub fn profile_since(marker: &Marker, root: u64) -> ProfileSummary {
-    use std::cell::RefCell;
-    thread_local! {
-        static BUFFERS: RefCell<ProfileBuffers> = RefCell::new(ProfileBuffers::default());
+/// One request's record window: the ring positions when the request
+/// opened ([`mark`]) and closed ([`close_window`]), and its root span.
+/// Closing reads no record, so the request path pays only the two
+/// cursor snapshots; [`ProfileWindow::summary`] drains and summarizes
+/// the window when something asks for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProfileWindow {
+    from: Marker,
+    to: Marker,
+    root: u64,
+    /// Records the window claimed that its own later claims had already
+    /// overwritten when it closed: nonzero means one request writes
+    /// more records than a ring retains.
+    pub dropped: u64,
+}
+
+/// Closes the window `from` opened for the request rooted at span
+/// `root`, at the rings' current cursors.
+pub fn close_window(from: Marker, root: u64) -> ProfileWindow {
+    let to = mark();
+    let dropped = fold_window(&from, &to, |ring, since, until| {
+        ring.overwritten(since, until)
+    });
+    ProfileWindow {
+        from,
+        to,
+        root,
+        dropped,
     }
-    BUFFERS.with(|cell| {
-        let mut fresh = ProfileBuffers::default();
-        let mut reused = cell.try_borrow_mut();
-        // A re-entrant call (a sink callback profiling itself) finds the
-        // buffers borrowed and falls back to fresh ones.
-        let buffers = match reused {
-            Ok(ref mut buffers) => &mut **buffers,
-            Err(_) => &mut fresh,
-        };
-        buffers.records.clear();
-        let dropped = drain_since_into(marker, &mut buffers.records);
-        let keep = buffers.mask.build(&buffers.records, root);
-        ProfileSummary::summarize(&buffers.records, Some(keep), dropped, &mut buffers.buckets)
-    })
 }
 
-/// Per-stage duration buckets (ns), indexed by `SpanKind as usize`.
-type StageBuckets = [Vec<u64>; SpanKind::ALL.len()];
-
-/// Buffers [`profile_since`] keeps per thread across requests.
-#[derive(Default)]
-struct ProfileBuffers {
-    records: Vec<SpanRecord>,
-    mask: CausalMask,
-    buckets: StageBuckets,
+impl ProfileWindow {
+    /// Drains the window and summarizes the request's causal tree in one
+    /// pass, without the start-time sort or a materialized causal slice
+    /// (both only matter for trace export). The summary's `dropped` is
+    /// what this drain could not read: the window's own overflow, plus
+    /// whatever later records have wrapped over since it closed, so
+    /// summarize before the rings wrap again.
+    pub fn summary(&self) -> ProfileSummary {
+        let mut records = Vec::new();
+        let dropped = fold_window(&self.from, &self.to, |ring, since, until| {
+            ring.drain(since, until, &mut records)
+        });
+        let mut mask = CausalMask::default();
+        let keep = mask.build(&records, self.root);
+        ProfileSummary::summarize(&records, Some(keep), dropped)
+    }
 }
 
 /// Drains the most recent surviving records from every ring (the "last
@@ -857,9 +879,7 @@ pub fn causal_slice(records: &[SpanRecord], root: u64) -> Vec<SpanRecord> {
         .collect()
 }
 
-/// Membership mask for [`causal_slice`], with its working buffers kept
-/// for reuse. This runs once per request inside the engine, so it must
-/// stay well under a microsecond for a typical window.
+/// Membership mask for [`causal_slice`] and [`ProfileWindow::summary`].
 ///
 /// A span is written when it *ends*, so within one thread's ring every
 /// child precedes its parent; walking the window backwards meets parents
@@ -1009,23 +1029,16 @@ impl ProfileSummary {
     /// Builds the summary from drained records. `dropped` is the number
     /// of the window's records the drain lost.
     pub fn build(records: &[SpanRecord], dropped: u64) -> ProfileSummary {
-        Self::summarize(records, None, dropped, &mut StageBuckets::default())
+        Self::summarize(records, None, dropped)
     }
 
     /// [`build`] restricted to records whose mask entry is true (the
-    /// fused path of [`profile_since`], which avoids materializing a
-    /// causal slice just to summarize it), bucketing into `buckets`.
-    fn summarize(
-        records: &[SpanRecord],
-        keep: Option<&[bool]>,
-        dropped: u64,
-        buckets: &mut StageBuckets,
-    ) -> ProfileSummary {
-        // One pass to bucket durations by kind (instead of one scan per
-        // kind): this runs per request inside the engine's hot loop.
-        for bucket in buckets.iter_mut() {
-            bucket.clear();
-        }
+    /// fused path of [`ProfileWindow::summary`], which avoids
+    /// materializing a causal slice just to summarize it).
+    fn summarize(records: &[SpanRecord], keep: Option<&[bool]>, dropped: u64) -> ProfileSummary {
+        // One pass to bucket durations by kind, indexed by `SpanKind as
+        // usize` (instead of one scan per kind).
+        let mut buckets: [Vec<u64>; SpanKind::ALL.len()] = Default::default();
         let mut span_count = 0u64;
         for (i, r) in records.iter().enumerate() {
             if keep.is_some_and(|k| !k[i]) {
@@ -1358,10 +1371,12 @@ mod tests {
             }
             end(root);
             assert!(total_records() - total_before >= writes);
+            let window = close_window(marker, root_id);
             assert!(
-                profile_since(&marker, root_id).dropped >= 500,
+                window.dropped >= 500,
                 "wrap must surface as dropped records"
             );
+            assert_eq!(window.summary().dropped, window.dropped);
         });
     }
 
@@ -1387,11 +1402,12 @@ mod tests {
             for i in 1..writes {
                 instant(SpanKind::Retry, 42, i);
             }
+            let window = close_window(marker, first);
             assert_eq!(
-                profile_since(&marker, first).dropped,
-                0,
+                window.dropped, 0,
                 "reserved rings must hold the whole window"
             );
+            assert_eq!(window.summary().dropped, 0);
             let drained = drain_since(&marker);
             assert!(
                 drained.iter().any(|r| r.id == first),
@@ -1428,7 +1444,7 @@ mod tests {
             ring.write(&rec(1_000 + i));
         }
         let mut out = Vec::new();
-        assert_eq!(ring.drain_since(since, &mut out), 0);
+        assert_eq!(ring.drain(since, ring.claimed(), &mut out), 0);
         assert_eq!(out.len(), 10);
         // The same through the process rings: wrap this thread's ring
         // before the marker, then profile a short window.
@@ -1442,8 +1458,10 @@ mod tests {
             let root_id = root.id();
             with_parent(root_id, || instant(SpanKind::Retry, 3, 0));
             end(root);
-            let profile = profile_since(&marker, root_id);
-            assert_eq!(profile.dropped, 0, "wraps before the marker are not drops");
+            let window = close_window(marker, root_id);
+            assert_eq!(window.dropped, 0, "wraps before the marker are not drops");
+            let profile = window.summary();
+            assert_eq!(profile.dropped, 0);
             assert_eq!(profile.span_count, 2);
         });
     }
@@ -1468,9 +1486,33 @@ mod tests {
             ring.write(&rec(i));
         }
         let mut out = Vec::new();
-        assert_eq!(ring.drain_since(since, &mut out), 37);
+        assert_eq!(ring.overwritten(since, ring.claimed()), 37);
+        assert_eq!(ring.drain(since, ring.claimed(), &mut out), 37);
         assert_eq!(out.len(), 64);
         assert!(out.iter().all(|r| r.arg > 37), "the newest records survive");
+    }
+
+    #[test]
+    fn a_window_summarized_after_the_rings_wrap_counts_the_later_loss() {
+        recording_exclusive(|| {
+            reserve(TEST_RING_RECORDS);
+            let marker = mark();
+            let root = begin(SpanKind::Request, NO_NODE);
+            let root_id = root.id();
+            with_parent(root_id, || instant(SpanKind::Retry, 5, 0));
+            end(root);
+            let window = close_window(marker, root_id);
+            assert_eq!(window.summary().span_count, 2);
+            // Later records wrap this thread's ring over the window: it
+            // lost nothing when it closed, but a drain now reads none of
+            // its two records, and says so.
+            for i in 0..retained_records_per_ring() as u64 {
+                instant(SpanKind::Retry, 5, i);
+            }
+            assert_eq!(window.dropped, 0);
+            let late = window.summary();
+            assert_eq!((late.span_count, late.dropped), (0, 2));
+        });
     }
 
     #[test]

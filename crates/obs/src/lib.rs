@@ -49,7 +49,7 @@ mod metrics;
 mod sink;
 
 pub use flight::{
-    BlackBox, NodeProfile, OpenSpan, ProfileSummary, SpanKind, SpanRecord, StageStat,
+    BlackBox, NodeProfile, OpenSpan, ProfileSummary, ProfileWindow, SpanKind, SpanRecord, StageStat,
 };
 pub use metrics::{percentile, HistogramSnapshot, Labels, MetricsRegistry};
 pub use sink::{CounterSample, EventSink, NullSink, Recorder, SinkEvent};

@@ -649,6 +649,22 @@ impl Phases {
             flight::record_phases(start, self.boundary, pack_bytes);
         }
     }
+
+    /// Ends a kernel that lays nothing out: its whole time, from the
+    /// start, is one compute phase, recorded with no pack.
+    pub(crate) fn finish_compute(self) {
+        if let Some(start) = self.start {
+            let (parent, end) = (flight::current_parent(), flight::now_ns());
+            flight::record_manual(
+                flight::SpanKind::Compute,
+                flight::NO_NODE,
+                parent,
+                start,
+                end,
+                0,
+            );
+        }
+    }
 }
 
 /// Matrix-vector product: `(m, k) x (k,) -> (m,)`.

@@ -41,9 +41,11 @@ cargo test -q
 
 echo "==> full workspace tests"
 cargo test --workspace -q
-# Every dispatched kernel (GEMM sweeps with their int8 microtiles,
-# quantize-and-pad, the pool fold) runs at the widest variant the host
-# has; on an AVX-512 host the narrower ones would otherwise never run.
+# Every dispatched kernel (the GEMM sweeps, the int8 one with its
+# variant's block kernel, quantize-and-pad, the pool fold) runs at the
+# widest variant the host has; on an AVX-512 host the narrower ones, the
+# AVX2 tile and the portable reference among them, would otherwise never
+# run.
 # Re-run the kernel crates' tests pinned to each narrower variant
 # (EDGENN_SIMD falls back to the widest safe one on hosts without it),
 # and the engine's, whose split tests write both shares of a node into

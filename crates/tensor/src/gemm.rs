@@ -364,6 +364,7 @@ impl Grid {
 
 /// One panel of a [`Grid`]: the grid column its reads start at, and the
 /// runs of lanes its write-back stores (the first `count`).
+#[derive(Clone, Copy, Default)]
 pub(crate) struct Panel {
     pub(crate) base: usize,
     runs: [Run; MAX_RUNS],
@@ -400,11 +401,7 @@ impl Iterator for Panels {
             last,
             by_row,
         } = self.grid;
-        let mut panel = Panel {
-            base: 0,
-            runs: [Run::default(); MAX_RUNS],
-            count: 0,
-        };
+        let mut panel = Panel::default();
         if by_row {
             if self.oy == rows {
                 return None;

@@ -34,7 +34,7 @@
 use std::ops::Range;
 
 use crate::gemm::{fill_taps, tap, ARows, Epilogue, Grid, Phases};
-use crate::quant::{pair_word, quantize_code, QuantParams, Requant, MR, NR};
+use crate::quant::{pair_word, quantize_code, QuantParams, Requant, MAX_DEPTH, MR, NR};
 use crate::scratch::with_scratch;
 use crate::{Result, Tensor, TensorError};
 
@@ -372,17 +372,21 @@ pub fn conv_gemm_into(
 ///
 /// The input is quantized once into a phase-split map filled with the
 /// activation zero-point (so padding dequantizes to exactly `0.0`) that
-/// holds one pair word per channel pair and position, and the microtile
-/// sweep reads each reduction pair's row straight from it — the f32
-/// sweep's addressing over 32-bit words — and requantizes from the
-/// register accumulators. Integer sums are exact, so the result is
+/// holds one pair word per channel pair and position, and the int8 sweep
+/// reads each reduction pair's row straight from it — the f32 sweep's
+/// addressing over 32-bit words — and requantizes from the
+/// accumulators. Integer sums are exact, so the result is
 /// bitwise identical to quantizing [`im2col`]'s matrix and running
 /// [`crate::qgemm_requant_into`]: the channel-pair reduction order
 /// changes nothing.
 ///
 /// # Errors
-/// Returns geometry validation errors and [`TensorError::ShapeMismatch`]
-/// when `input`, `awide` or `out` do not fit the geometry and `rows`.
+/// Returns geometry validation errors,
+/// [`TensorError::InvalidConvGeometry`] when the reduction reaches 65,536
+/// codes (channel pairs × 2 × taps; the requant's i32 difference is exact
+/// only below that depth, and paper-scale VGG-16's 4,608 is the deepest
+/// bundled one), and [`TensorError::ShapeMismatch`] when `input`,
+/// `awide` or `out` do not fit the geometry and `rows`.
 pub fn conv_qgemm_into(
     input: &[f32],
     geometry: &Conv2dGeometry,
@@ -395,6 +399,11 @@ pub fn conv_qgemm_into(
     let pairs = geometry.pairs();
     let cols = geometry.out_h() * geometry.out_w();
     let stride = pairs.depth();
+    if 2 * stride >= MAX_DEPTH {
+        return Err(TensorError::InvalidConvGeometry {
+            reason: format!("int8 reduction of {} codes reaches {MAX_DEPTH}", 2 * stride),
+        });
+    }
     let m = out_rows(out.len(), cols)?;
     if m != rows.len() || awide.len() < (rows.start + m.div_ceil(MR) * MR) * stride {
         return Err(TensorError::ShapeMismatch {
@@ -1098,6 +1107,39 @@ mod tests {
         // match the output rows.
         assert!(conv_qgemm_into(&x, &g, &awide[..4 * 9], 1..4, &mut out, &rq).is_err());
         assert!(conv_qgemm_into(&x, &g, &awide, 0..2, &mut out, &rq).is_err());
+    }
+
+    #[test]
+    fn int8_conv_depth_stays_below_the_requant_bound() {
+        // 1x1 kernels over a 1x1 input: 65,534 channels reduce 65,534
+        // codes and run; 65,535 channels pad to 32,768 pairs, 65,536
+        // codes, the first depth rejected, as is 65,536 channels.
+        for (channels, runs) in [(65_534, true), (65_535, false), (65_536, false)] {
+            let g = geo(channels, 1, 1, 1, 1, 0);
+            let x = vec![0.5f32; channels];
+            let awide = crate::qgemm_pack_a(&vec![1i8; channels], 1, channels, 1);
+            let act = QuantParams::from_min_max(-1.0, 1.0);
+            let sums = [channels as i32];
+            let rq = Requant {
+                w_scales: &[1.0],
+                act,
+                row_sums: &sums,
+                bias: None,
+                relu: false,
+            };
+            let mut out = [f32::NAN];
+            let got = conv_qgemm_into(&x, &g, &awide, 0..1, &mut out, &rq);
+            if runs {
+                got.expect("below the bound");
+                let acc = channels as i32 * i32::from(act.quantize_one(0.5));
+                assert_eq!(out[0].to_bits(), rq.apply(acc, 0).to_bits());
+            } else {
+                assert!(
+                    matches!(got, Err(TensorError::InvalidConvGeometry { .. })),
+                    "{channels} channels: {got:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //!
 //! so the kernel accumulates `Σ Wq·Xq` in i32 registers and the
 //! write-back applies the row-sum correction, the combined scale, bias,
-//! and optional ReLU in one pass ([`Requant`]) — the i32 accumulators
-//! never touch memory. The f32 kernels remain the differential oracle:
-//! every quantized path is tested against dequantized f32 results under
-//! an analytic error bound.
+//! and optional ReLU in one pass ([`Requant`]). The AVX-512 block kernel
+//! requantizes straight from its accumulator registers; the portable and
+//! AVX2 tiles store theirs to a stack array first. The f32 kernels
+//! remain the differential oracle: every quantized path is tested
+//! against dequantized f32 results under an analytic error bound.
 //!
 //! ## Kernel formulation
 //!
@@ -37,9 +38,10 @@
 //! multiply latency.
 //! Autovectorizers do not find this shape from scalar code (the
 //! horizontal-reduction idiom they do lower caps out well below the f32
-//! kernel at small `k`), so [`crate::simd`] provides explicit
-//! AVX2/AVX-512 microtiles behind the usual runtime dispatch, and
-//! [`qgemm_tile_portable`] keeps a bit-identical safe fallback.
+//! kernel at small `k`), so [`crate::simd`] provides an explicit AVX2
+//! microtile and an AVX-512 block kernel (up to [`GROUP`] panels per
+//! call) behind the usual runtime dispatch, and [`qgemm_tile_portable`]
+//! keeps a bit-identical safe fallback.
 //!
 //! [`qgemm_requant_into`] pairs adjacent reduction indices, and writes B
 //! as a row-major pair-word matrix. The conv lowering
@@ -49,8 +51,9 @@
 //! microtile in place like the f32 map; [`qgemm_pack_a`] orders the conv
 //! weights to match.
 
-use crate::gemm::{fill_taps, tap, Grid, Phases};
+use crate::gemm::{fill_taps, tap, Grid, Panel, Phases};
 use crate::scratch::with_scratch;
+use crate::simd::Taps;
 use crate::{Result, Shape, Tensor, TensorError};
 
 /// Rows per microtile: independent accumulator sets per A row, enough
@@ -58,6 +61,15 @@ use crate::{Result, Shape, Tensor, TensorError};
 pub(crate) const MR: usize = 4;
 /// Columns per packed B panel (one 512-bit lane row of i32 accumulators).
 pub(crate) const NR: usize = 16;
+/// Most panels one block-kernel call computes: with `MR` rows, 16
+/// AVX-512 accumulators.
+pub(crate) const GROUP: usize = 4;
+/// Bound on the codes one int8 reduction sums. Below it, with i8 codes
+/// on both sides and a zero-point in `[-128, 128]`, the requant's
+/// difference `acc − z_x·Σ_p Wq[i][p] = Σ_p Wq·(Xq − z_x)` stays within
+/// `128·256·k < 2^31`, so it is exact in i32, where the AVX-512 block
+/// kernel takes it.
+pub(crate) const MAX_DEPTH: usize = 1 << 16;
 
 /// Packs two int8 codes into one pair word: `lo` in the low 16 bits,
 /// `hi` in the high 16, each sign-extended to i16 — in memory (little
@@ -316,7 +328,10 @@ pub fn row_sums(w: &[i8], m: usize, k: usize) -> Vec<i32> {
 /// output element `(i, j)` to
 /// `f(w_scales[i] * act.scale * (acc - act.zero_point * row_sums[i]) + bias[i])`
 /// where `f` is ReLU when `relu` is set. All slices are indexed by the
-/// *local* row of the call (callers slice them alongside `a`).
+/// *local* row of the call (callers slice them alongside `a`). The
+/// int8 GEMMs take `row_sums` to be the sums of `a`'s rows, as
+/// [`row_sums`] computes them: the AVX-512 kernel forms the difference in
+/// i32, which is exact only for the true sums.
 #[derive(Debug, Clone, Copy)]
 pub struct Requant<'a> {
     /// Per-row (symmetric) weight scales, `len == m`.
@@ -363,22 +378,26 @@ impl Requant<'_> {
 
 /// One output row's requantization: [`Requant::apply`] with the row's
 /// scale, zero-point correction and bias already looked up.
-#[derive(Clone, Copy)]
-struct RowRequant {
-    scale: f32,
-    corr: i64,
-    bias: f32,
-    relu: bool,
+#[derive(Clone, Copy, Default)]
+pub(crate) struct RowRequant {
+    pub(crate) scale: f32,
+    pub(crate) corr: i64,
+    pub(crate) bias: f32,
+    pub(crate) relu: bool,
 }
 
 impl RowRequant {
+    /// The ReLU is `v > 0 ? v : +0.0`, which maps NaN and `-0.0` to
+    /// `+0.0`, as x86's `maxps(v, 0)` does. `f32::max` leaves the sign of
+    /// a zero unspecified: inlined against the constant it compiled to
+    /// that `maxps`, but a debug build's call kept `-0.0`.
     #[inline(always)]
     fn apply(self, acc: i32) -> f32 {
         let v = self.scale * ((i64::from(acc) - self.corr) as f32) + self.bias;
-        if self.relu {
-            v.max(0.0)
-        } else {
+        if !self.relu || v > 0.0 {
             v
+        } else {
+            0.0
         }
     }
 }
@@ -408,10 +427,13 @@ pub fn qgemm_pack_bytes(m: usize, k: usize, n: usize) -> usize {
 /// accumulation across k-ranges composes in f32 at the layer level.
 ///
 /// Outputs are computed as `MR x NR` microtiles over the pair-broadcast
-/// packed layout and requantized straight from the register accumulators
-/// (see the module docs for why this formulation). `|acc|` stays below
-/// `i32::MAX` for any `k ≤ 2^17`, far above the bundled models'
-/// reduction depths.
+/// packed layout and requantized from the accumulators (see the module
+/// docs for why this formulation).
+///
+/// # Panics
+/// When `k` reaches 65,536 codes: the requant's i32 difference is exact
+/// only below that depth (the deepest bundled int8 reduction, paper-scale
+/// VGG-16's, sums 4,608).
 pub fn qgemm_requant_into(
     a: &[i8],
     b: &[i8],
@@ -424,6 +446,10 @@ pub fn qgemm_requant_into(
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
+    assert!(
+        k < MAX_DEPTH,
+        "int8 reduction of {k} codes reaches {MAX_DEPTH}"
+    );
     rq.debug_check(m);
     if m == 0 || n == 0 {
         return;
@@ -457,18 +483,39 @@ pub fn qgemm_requant_into(
     });
 }
 
-/// The microtile sweep behind [`qgemm_requant_into`] and
-/// [`crate::conv_qgemm_into`]: runs `tile` over every panel x row-block
-/// of `awide` (rows of `taps.len()` pair words, readable in whole `MR`
-/// blocks) and of B, read in place through `taps` and `grid` as the f32
-/// sweep reads it, and requantizes the real outputs from the
-/// accumulators. `pub(crate)` + `#[inline(always)]` so [`crate::simd`]
-/// re-instantiates the requant write-back at the selected width, with
-/// that width's tile inlined.
+/// One block-kernel call of [`qgemm_sweep`]: output rows `i0..i0 +
+/// rq.len()` (at most `MR`) over a group of up to [`GROUP`] panels. The
+/// kernel computes and requantizes the group's lanes and writes every
+/// run of every panel into `out`, the block's output rows.
+#[derive(Clone, Copy)]
+pub(crate) struct Block<'a> {
+    /// The block's `MR` rows of A, `taps.offsets().len()` pair words each;
+    /// rows from `rq.len()` on are padding, computed and never stored.
+    pub(crate) a: &'a [i32],
+    /// B, read in place through `taps` from each panel's base.
+    pub(crate) b: &'a [i32],
+    pub(crate) taps: Taps<'a>,
+    pub(crate) panels: &'a [Panel],
+    /// The real rows' requant constants.
+    pub(crate) rq: &'a [RowRequant],
+    /// Output row stride: row `r`'s column `col` is `out[r * n + col]`.
+    pub(crate) n: usize,
+}
+
+/// The int8 sweep behind [`qgemm_requant_into`] and
+/// [`crate::conv_qgemm_into`]: runs `block` over every panel group x
+/// row block of `awide` (rows of `taps.len()` pair words, readable in
+/// whole `MR` blocks) and of B, read in place through `taps` and `grid`
+/// as the f32 sweep reads it. Panels go in groups of up to [`GROUP`],
+/// held in a fixed array, and each group's B rows are reused across the
+/// row blocks; the tap table's reach is folded and each row block's
+/// requant constants looked up once per group. `pub(crate)` +
+/// `#[inline(always)]` so [`crate::simd`] re-instantiates it at the
+/// selected width, with that width's block kernel inlined.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub(crate) fn qgemm_sweep(
-    tile: impl Fn(&[i32], &[i32], &[i32], usize, &mut [i32; MR * NR]),
+    block: impl Fn(Block<'_>, &mut [f32]),
     awide: &[i32],
     b: &[i32],
     taps: &[i32],
@@ -477,33 +524,67 @@ pub(crate) fn qgemm_sweep(
     m: usize,
     rq: &Requant<'_>,
 ) {
-    let (pairs, n) = (taps.len(), grid.n());
-    // One spare row: a run from lane `l` reads `NR` lanes from there.
-    let mut acc = [0i32; MR * NR + NR];
-    for panel in grid.panels() {
+    let (taps, n) = (Taps::new(taps), grid.n());
+    let pairs = taps.offsets().len();
+    let mut panels = grid.panels();
+    let mut group = [Panel::default(); GROUP];
+    loop {
+        let mut len = 0;
+        for (slot, panel) in group.iter_mut().zip(&mut panels) {
+            *slot = panel;
+            len += 1;
+        }
+        if len == 0 {
+            return;
+        }
         for i0 in (0..m).step_by(MR) {
             let rows = MR.min(m - i0);
-            // The microtile always computes a full MR x NR block (A's
-            // padding rows are zeros, dropped lanes read whatever B holds
-            // there); the requant write-back below only touches the real
-            // outputs.
-            let a = &awide[i0 * pairs..(i0 + MR) * pairs];
-            let lanes = acc.first_chunk_mut().expect("MR x NR lanes");
-            tile(a, b, taps, panel.base, lanes);
-            for r in 0..rows {
-                let i = i0 + r;
-                let row = rq.row(i);
-                let out_row = &mut out[i * n..(i + 1) * n];
-                // Each run is stored as NR lanes from its first one: the
-                // lanes past the run land on output columns a later run
-                // (of this panel or the next; runs come in column order)
-                // overwrites. Only the output row's end shortens a store.
-                for run in panel.runs() {
-                    let len = NR.min(n - run.col);
-                    let lanes = &acc[r * NR + run.lane..][..len];
-                    for (o, &lane) in out_row[run.col..][..len].iter_mut().zip(lanes) {
-                        *o = row.apply(lane);
-                    }
+            let mut rq_rows = [RowRequant::default(); MR];
+            for (r, row) in rq_rows[..rows].iter_mut().enumerate() {
+                *row = rq.row(i0 + r);
+            }
+            let blk = Block {
+                a: &awide[i0 * pairs..(i0 + MR) * pairs],
+                b,
+                taps,
+                panels: &group[..len],
+                rq: &rq_rows[..rows],
+                n,
+            };
+            block(blk, &mut out[i0 * n..(i0 + rows) * n]);
+        }
+    }
+}
+
+/// The block kernel of a variant whose `tile` computes one panel's
+/// `MR x NR` accumulators: runs it on each panel of the group in turn
+/// and requantizes the accumulators from a stack array.
+#[inline(always)]
+pub(crate) fn tile_block(
+    tile: impl Fn(&[i32], &[i32], Taps<'_>, usize, &mut [i32; MR * NR]),
+    blk: Block<'_>,
+    out: &mut [f32],
+) {
+    let n = blk.n;
+    // One spare row: a run from lane `l` reads `NR` lanes from there.
+    let mut acc = [0i32; MR * NR + NR];
+    for panel in blk.panels {
+        // The microtile always computes a full MR x NR block (A's padding
+        // rows are zeros, dropped lanes read whatever B holds there); the
+        // requant write-back below only touches the real outputs.
+        let lanes = acc.first_chunk_mut().expect("MR x NR lanes");
+        tile(blk.a, blk.b, blk.taps, panel.base, lanes);
+        // Each row's constants by value, so they stay in registers.
+        for (r, (&row, out_row)) in blk.rq.iter().zip(out.chunks_mut(n)).enumerate() {
+            // Each run is stored as NR lanes from its first one: the
+            // lanes past the run land on output columns a later run (of
+            // this panel or the next; runs come in column order)
+            // overwrites. Only the output row's end shortens a store.
+            for run in panel.runs() {
+                let len = NR.min(n - run.col);
+                let lanes = &acc[r * NR + run.lane..][..len];
+                for (o, &lane) in out_row[run.col..][..len].iter_mut().zip(lanes) {
+                    *o = row.apply(lane);
                 }
             }
         }
@@ -555,18 +636,19 @@ pub fn qgemm_pack_a_words(m: usize, k: usize, taps: usize) -> usize {
 /// `acc[r][lane] = Σ_h lo(a[r][h])·lo(bh[lane]) + hi(a[r][h])·hi(bh[lane])`
 /// with `bh = b[base + tap(taps[h])..][..NR]`, `h < taps.len()`.
 /// Integer arithmetic, so results are bit-identical to the explicit
-/// AVX2/AVX-512 microtiles in [`crate::simd`] that replace it at runtime.
+/// AVX2 tile and AVX-512 block kernel in [`crate::simd`] that replace it
+/// at runtime.
 #[inline(always)]
 pub(crate) fn qgemm_tile_portable(
     a: &[i32],
     b: &[i32],
-    taps: &[i32],
+    taps: Taps<'_>,
     base: usize,
     acc: &mut [i32; MR * NR],
 ) {
-    let pairs = taps.len();
+    let pairs = taps.offsets().len();
     acc.fill(0);
-    for (h, &t) in taps.iter().enumerate() {
+    for (h, &t) in taps.offsets().iter().enumerate() {
         let step = &b[base + tap(t)..][..NR];
         for r in 0..MR {
             let w = a[r * pairs + h];
@@ -809,6 +891,26 @@ mod tests {
         let mut out = vec![9.0f32; 2 * 3];
         qgemm_requant_into(&[], &[], &mut out, 2, 0, 3, &rq);
         assert_eq!(out, vec![1.5, 1.5, 1.5, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "int8 reduction of 65536 codes reaches 65536")]
+    fn qgemm_depth_stays_below_the_requant_bound() {
+        // 65,535 codes run; 65,536, the first depth rejected, panic.
+        let act = QuantParams::from_min_max(-1.0, 1.0);
+        let rq = Requant {
+            w_scales: &[1.0],
+            act,
+            row_sums: &[-(MAX_DEPTH as i32 - 1)],
+            bias: None,
+            relu: false,
+        };
+        let (a, b) = (vec![-1i8; MAX_DEPTH], vec![127i8; MAX_DEPTH]);
+        let mut out = [f32::NAN];
+        let k = MAX_DEPTH - 1;
+        qgemm_requant_into(&a[..k], &b[..k], &mut out, 1, k, 1, &rq);
+        assert_eq!(out[0].to_bits(), rq.apply(-127 * k as i32, 0).to_bits());
+        qgemm_requant_into(&a, &b, &mut out, 1, MAX_DEPTH, 1, &rq);
     }
 
     #[test]

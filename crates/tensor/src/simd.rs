@@ -1,6 +1,6 @@
 //! Runtime architecture dispatch for the GEMM and conv-lowering kernels.
 //!
-//! The blocked f32 sweep, the int8 microtile sweep, the int8
+//! The blocked f32 sweep, the int8 sweep, the int8
 //! quantize-and-pad pass and the pooling fold are written once as
 //! portable safe Rust over fixed-size slices (see [`crate::gemm`],
 //! [`crate::quant`] and [`crate::im2col`]). That shape is what LLVM's
@@ -11,14 +11,17 @@
 //! lowers to 8-lane AVX2+FMA and 16-lane AVX-512 code, and selects one
 //! variant per process with `is_x86_feature_detected!`.
 //!
-//! The one exception to the re-instantiation pattern is the int8
-//! microtile, which each variant's int8 sweep runs inline: its
+//! The one exception to the re-instantiation pattern is the int8 sweep's
+//! block kernel, which each variant's sweep runs inline: its
 //! pair-broadcast `pmaddwd` shape is precisely what autovectorizers
 //! never find from scalar code (measured ≤ f32 throughput), so the
-//! AVX2/AVX-512 variants here are written with explicit `core::arch`
-//! intrinsics. They read B's panel rows in place — straight from a
-//! conv's padded map — through the sweep's row-offset table, and compute
-//! exact integer results, so they remain bit-identical to the portable
+//! AVX2 tile and the AVX-512 block kernel here are written with explicit
+//! `core::arch` intrinsics. They read B's panel rows in place — straight
+//! from a conv's padded map — through the sweep's row-offset table and
+//! compute exact integer sums. The AVX2 tile hands its accumulators to
+//! the portable write-back; the AVX-512 kernel computes up to four panels
+//! per call and requantizes them in registers with the write-back's own
+//! operations in its order, so both stay bit-identical to the portable
 //! tile.
 //!
 //! # `unsafe` exception
@@ -32,11 +35,13 @@
 //! is either exactly one such call guarded by the process-wide
 //! [`kernel_arch`] value (which only ever reports an architecture whose
 //! feature bits `is_x86_feature_detected!` observed at first use), or an
-//! intrinsic load/store inside the int8 microtiles whose bounds are
+//! intrinsic load/store inside the int8 kernels whose bounds are
 //! established by plain `assert!`s at the top of the function — for the
-//! map loads, one over the largest entry of the row-offset table, so a
-//! map without its read slack fails the assert instead of reading past
-//! its end.
+//! map loads, one per panel over the row-offset table's reach (its
+//! largest entry, folded once per sweep by the only constructor of
+//! [`Taps`]), so a map without its read slack fails the assert instead
+//! of reading past its end — or, for the AVX-512 kernel's masked output
+//! stores, by the bounds-checked slice each store targets.
 //!
 //! The selected variant can be pinned for tests and benchmarks with the
 //! `EDGENN_SIMD` environment variable (`portable`, `avx2`, or `avx512`);
@@ -46,8 +51,8 @@
 
 use std::sync::OnceLock;
 
-use crate::gemm::{tap, ARows, Epilogue, Grid};
-use crate::quant::{QuantParams, Requant};
+use crate::gemm::{tap, ARows, Epilogue, Grid, Panel};
+use crate::quant::{Block, QuantParams, Requant, MR, NR};
 use crate::{Conv2dGeometry, PoolKind};
 
 /// Microkernel instruction-set variant selected for this process.
@@ -138,7 +143,7 @@ pub(crate) fn gemm_sweep_dispatch(
     }
 }
 
-/// Dispatches the int8 microtile sweep with its requant write-back
+/// Dispatches the int8 sweep with its requant write-back
 /// ([`crate::quant::qgemm_sweep`]).
 #[inline]
 pub(crate) fn qgemm_sweep_dispatch(
@@ -157,11 +162,25 @@ pub(crate) fn qgemm_sweep_dispatch(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above, for the avx512f/bw/dq/vl feature set.
         KernelArch::Avx512 => unsafe { qgemm_sweep_avx512(awide, b, taps, grid, out, m, rq) },
-        _ => {
-            let tile = crate::quant::qgemm_tile_portable;
-            crate::quant::qgemm_sweep(tile, awide, b, taps, grid, out, m, rq);
-        }
+        _ => qgemm_sweep_portable(awide, b, taps, grid, out, m, rq),
     }
+}
+
+/// The int8 sweep at baseline width: the portable tile, one panel at a
+/// time, under the shared write-back.
+fn qgemm_sweep_portable(
+    awide: &[i32],
+    b: &[i32],
+    taps: &[i32],
+    grid: Grid,
+    out: &mut [f32],
+    m: usize,
+    rq: &Requant<'_>,
+) {
+    let block = |blk: Block<'_>, out: &mut [f32]| {
+        crate::quant::tile_block(crate::quant::qgemm_tile_portable, blk, out);
+    };
+    crate::quant::qgemm_sweep(block, awide, b, taps, grid, out, m, rq);
 }
 
 /// Dispatches the int8 conv's quantize-into-padded-map pass
@@ -231,9 +250,9 @@ pub(crate) fn dot_i8_dispatch(a: &[i8], b: &[i8]) -> i32 {
 // features, so LLVM re-vectorizes the identical safe source at the
 // variant's lane width. The bodies are deliberately closure-free (the
 // scratch arena is acquired by the caller): a closure would monomorphize
-// once at baseline width and take the hot loops with it. The one closure
-// here, each int8 sweep's tile, is defined inside the wrapper and
-// inherits its target features, so the tile inlines into the sweep.
+// once at baseline width and take the hot loops with it. The closures
+// here, each int8 sweep's block kernel, are defined inside the wrapper
+// and inherit its target features, so the kernel inlines into the sweep.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn gemm_sweep_avx2(
@@ -273,10 +292,13 @@ fn qgemm_sweep_avx2(
     m: usize,
     rq: &Requant<'_>,
 ) {
-    let tile = |a: &_, b: &_, taps: &_, base, acc: &mut _| {
-        qgemm_tile_avx2(a, b, taps, base, acc);
+    let block = |blk: Block<'_>, out: &mut [f32]| {
+        let tile = |a: &_, b: &_, taps: Taps<'_>, base, acc: &mut _| {
+            qgemm_tile_avx2(a, b, taps, base, acc);
+        };
+        crate::quant::tile_block(tile, blk, out);
     };
-    crate::quant::qgemm_sweep(tile, awide, b, taps, grid, out, m, rq);
+    crate::quant::qgemm_sweep(block, awide, b, taps, grid, out, m, rq);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -290,10 +312,22 @@ fn qgemm_sweep_avx512(
     m: usize,
     rq: &Requant<'_>,
 ) {
-    let tile = |a: &_, b: &_, taps: &_, base, acc: &mut _| {
-        qgemm_tile_avx512(a, b, taps, base, acc);
+    // Groups of 4 panels run whole, a group of 3 as 2 + 1.
+    let block = |blk: Block<'_>, out: &mut [f32]| {
+        let mut rest = blk.panels;
+        if let Some((four, tail)) = rest.split_first_chunk::<4>() {
+            qgemm_block_avx512(blk, four, out);
+            rest = tail;
+        }
+        if let Some((two, tail)) = rest.split_first_chunk::<2>() {
+            qgemm_block_avx512(blk, two, out);
+            rest = tail;
+        }
+        if let Some((one, _)) = rest.split_first_chunk::<1>() {
+            qgemm_block_avx512(blk, one, out);
+        }
     };
-    crate::quant::qgemm_sweep(tile, awide, b, taps, grid, out, m, rq);
+    crate::quant::qgemm_sweep(block, awide, b, taps, grid, out, m, rq);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -332,78 +366,155 @@ fn dot_avx512(a: &[f32], b: &[f32]) -> f32 {
     crate::gemm::dot_body(a, b)
 }
 
-// Explicit-intrinsic int8 microtiles. Both variants broadcast one A
-// pair word (a[p]·, a[p+1]· as two i16 halves) and multiply it against a
-// panel row of pair words with `pmaddwd` (a[p]·b[p][j] + a[p+1]·b[p+1][j]
-// per i32 lane), keeping MR independent accumulator sets so the
-// multiply latency overlaps across rows. Panel row h is read in place at
-// b[base + tap(taps[h])]. The `assert!`s make every raw load below
-// in-bounds, with reach = max_h tap(taps[h]) (one vectorized fold per
-// tile, instead of a check per row):
-//   A word reads:  r*pairs + h               <  MR*pairs  for h < pairs, r < MR
-//   B row reads:   base + tap(taps[h]) + 15  <  b.len()   since tap ≤ reach
-// The i32 stores target the fixed-size `acc` array by construction.
-
-/// The largest offset in a tap table (0 for an empty one).
-#[inline(always)]
-fn reach(taps: &[i32]) -> usize {
-    taps.iter().fold(0u32, |r, &t| r.max(t as u32)) as usize
+/// An int8 sweep's tap table with its reach, the largest offset.
+/// [`Taps::new`] is the only constructor and folds the reach from the
+/// offsets, so the kernels below bound every B row they read,
+/// `b[base + tap(t)..][..NR]`, by one check of `base + reach + NR`
+/// against B's length.
+#[derive(Clone, Copy)]
+pub(crate) struct Taps<'a> {
+    offsets: &'a [i32],
+    reach: usize,
 }
 
+impl<'a> Taps<'a> {
+    #[inline(always)]
+    pub(crate) fn new(offsets: &'a [i32]) -> Taps<'a> {
+        let reach = offsets.iter().fold(0u32, |r, &t| r.max(t as u32)) as usize;
+        Taps { offsets, reach }
+    }
+
+    /// One offset per reduction pair.
+    #[inline(always)]
+    pub(crate) fn offsets(self) -> &'a [i32] {
+        self.offsets
+    }
+
+    /// The largest offset (0 for an empty table).
+    #[inline(always)]
+    pub(crate) fn reach(self) -> usize {
+        self.reach
+    }
+}
+
+// Explicit-intrinsic int8 kernels. Both broadcast one A pair word
+// (a[p]·, a[p+1]· as two i16 halves) and multiply it against a panel row
+// of pair words with `pmaddwd` (a[p]·b[p][j] + a[p+1]·b[p+1][j] per i32
+// lane), keeping MR independent accumulator sets per panel so the
+// multiply latency overlaps across rows. Panel row h is read in place at
+// b[base + tap(taps[h])]. The `assert!`s make every raw load below
+// in-bounds, with reach = max_h tap(taps[h]) (folded once per sweep by
+// `Taps::new`):
+//   A word reads:  r*pairs + h               <  MR*pairs  for h < pairs, r < MR
+//   B row reads:   base + tap(taps[h]) + 15  <  b.len()   since tap ≤ reach
+
+/// The AVX-512 block kernel: the `MR x NR` lanes of `G` panels in 4·G
+/// zmm accumulators, requantized in registers and stored run by run.
+///
+/// The requant is [`crate::quant::Requant::apply`]'s, operation for
+/// operation: the difference `acc − corr` is exact in i32 (see
+/// [`crate::quant::MAX_DEPTH`]), so converting it rounds the same integer
+/// the portable i64 path converts; `scale · d` and `+ bias` round
+/// separately, as the portable source does (no FMA); and the ReLU's
+/// `v > 0 ? v : +0.0` is `_mm512_max_ps(v, 0)`, which returns its second
+/// operand unless the first is greater (so NaN and `-0.0` give `+0.0`).
+/// Each run is one masked store of exactly its lanes, compressed down
+/// first when it starts mid-vector.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
 #[inline]
-fn qgemm_tile_avx512(a: &[i32], b: &[i32], taps: &[i32], base: usize, acc: &mut [i32; 64]) {
+fn qgemm_block_avx512<const G: usize>(blk: Block<'_>, panels: &[Panel; G], out: &mut [f32]) {
     use std::arch::x86_64::{
-        _mm512_add_epi32, _mm512_loadu_si512, _mm512_madd_epi16, _mm512_set1_epi32,
-        _mm512_setzero_si512, _mm512_storeu_si512,
+        _mm512_add_epi32, _mm512_add_ps, _mm512_cvtepi32_ps, _mm512_loadu_si512, _mm512_madd_epi16,
+        _mm512_mask_storeu_ps, _mm512_maskz_compress_ps, _mm512_max_ps, _mm512_mul_ps,
+        _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps, _mm512_setzero_si512,
+        _mm512_sub_epi32,
     };
-    let pairs = taps.len();
-    assert!(a.len() >= 4 * pairs && base + reach(taps) + 16 <= b.len());
-    let mut acc0 = _mm512_setzero_si512();
-    let mut acc1 = _mm512_setzero_si512();
-    let mut acc2 = _mm512_setzero_si512();
-    let mut acc3 = _mm512_setzero_si512();
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    for (h, &t) in taps.iter().enumerate() {
-        // SAFETY: in-bounds by the assert above; unaligned loads.
+    let (taps, n) = (blk.taps, blk.n);
+    let pairs = taps.offsets().len();
+    let bases = panels.map(|p| p.base);
+    assert!(blk.a.len() >= MR * pairs);
+    for base in bases {
+        assert!(base + taps.reach() + NR <= blk.b.len());
+    }
+    let mut acc = [[_mm512_setzero_si512(); G]; MR];
+    let (ap, bp) = (blk.a.as_ptr(), blk.b.as_ptr());
+    for (h, &t) in taps.offsets().iter().enumerate() {
+        // SAFETY: in-bounds by the asserts above; unaligned loads.
         unsafe {
-            let bv = _mm512_loadu_si512(bp.add(base + tap(t)).cast());
-            let p0 = _mm512_set1_epi32(*ap.add(h));
-            let p1 = _mm512_set1_epi32(*ap.add(pairs + h));
-            let p2 = _mm512_set1_epi32(*ap.add(2 * pairs + h));
-            let p3 = _mm512_set1_epi32(*ap.add(3 * pairs + h));
-            acc0 = _mm512_add_epi32(acc0, _mm512_madd_epi16(p0, bv));
-            acc1 = _mm512_add_epi32(acc1, _mm512_madd_epi16(p1, bv));
-            acc2 = _mm512_add_epi32(acc2, _mm512_madd_epi16(p2, bv));
-            acc3 = _mm512_add_epi32(acc3, _mm512_madd_epi16(p3, bv));
+            let bv = bases.map(|base| _mm512_loadu_si512(bp.add(base + tap(t)).cast()));
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let p = _mm512_set1_epi32(*ap.add(r * pairs + h));
+                for (acc, &bv) in acc.iter_mut().zip(&bv) {
+                    *acc = _mm512_add_epi32(*acc, _mm512_madd_epi16(p, bv));
+                }
+            }
         }
     }
-    // SAFETY: `acc` is 64 i32s; each store writes 16 at offsets 0..=48.
-    unsafe {
-        _mm512_storeu_si512(acc.as_mut_ptr().cast(), acc0);
-        _mm512_storeu_si512(acc.as_mut_ptr().add(16).cast(), acc1);
-        _mm512_storeu_si512(acc.as_mut_ptr().add(32).cast(), acc2);
-        _mm512_storeu_si512(acc.as_mut_ptr().add(48).cast(), acc3);
+    let zero = _mm512_setzero_ps();
+    // One expansion per row (MR = 4) and panel (G ≤ 4), so every
+    // accumulator is named by constant indices: a loop over rows or
+    // panels around the runs' store loop would send them to the stack.
+    macro_rules! requant_row {
+        ($r:literal: $($g:literal)*) => {
+            if let Some(row) = blk.rq.get($r) {
+                let out_row = &mut out[$r * n..][..n];
+                // The difference fits in i32, so the wrapped correction gives it.
+                let corr = _mm512_set1_epi32(row.corr as i32);
+                let (scale, bias) = (_mm512_set1_ps(row.scale), _mm512_set1_ps(row.bias));
+                $(if let (Some(&acc), Some(panel)) = (acc[$r].get($g), panels.get($g)) {
+                    let d = _mm512_cvtepi32_ps(_mm512_sub_epi32(acc, corr));
+                    let mut v = _mm512_add_ps(_mm512_mul_ps(scale, d), bias);
+                    if row.relu {
+                        v = _mm512_max_ps(v, zero);
+                    }
+                    for run in panel.runs() {
+                        let dst = &mut out_row[run.col..][..run.len];
+                        let mask = lane_mask(dst.len());
+                        let lanes = if run.lane == 0 {
+                            v
+                        } else {
+                            _mm512_maskz_compress_ps(mask << run.lane, v)
+                        };
+                        // SAFETY: the mask enables lanes below `dst.len()` only.
+                        unsafe { _mm512_mask_storeu_ps(dst.as_mut_ptr(), mask, lanes) };
+                    }
+                })*
+            }
+        };
+    }
+    requant_row!(0: 0 1 2 3);
+    requant_row!(1: 0 1 2 3);
+    requant_row!(2: 0 1 2 3);
+    requant_row!(3: 0 1 2 3);
+}
+
+/// The mask of a vector's first `len` lanes (all of them from `NR` on).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn lane_mask(len: usize) -> u16 {
+    if len >= NR {
+        u16::MAX
+    } else {
+        (1 << len) - 1
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[inline]
-fn qgemm_tile_avx2(a: &[i32], b: &[i32], taps: &[i32], base: usize, acc: &mut [i32; 64]) {
+fn qgemm_tile_avx2(a: &[i32], b: &[i32], taps: Taps<'_>, base: usize, acc: &mut [i32; 64]) {
     use std::arch::x86_64::{
         _mm256_add_epi32, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_set1_epi32,
         _mm256_setzero_si256, _mm256_storeu_si256,
     };
-    let pairs = taps.len();
-    assert!(a.len() >= 4 * pairs && base + reach(taps) + 16 <= b.len());
+    let pairs = taps.offsets().len();
+    assert!(a.len() >= 4 * pairs && base + taps.reach() + 16 <= b.len());
     let mut lo = [_mm256_setzero_si256(); 4];
     let mut hi = [_mm256_setzero_si256(); 4];
     let ap = a.as_ptr();
     let bp = b.as_ptr();
-    for (h, &t) in taps.iter().enumerate() {
+    for (h, &t) in taps.offsets().iter().enumerate() {
         // SAFETY: in-bounds by the assert above; unaligned loads. The
         // 16-word panel row is consumed as two 256-bit halves.
         unsafe {
@@ -469,49 +580,56 @@ mod tests {
 
     #[test]
     fn qgemm_tile_variants_agree_bitwise() {
-        // Exercise every variant the CPU can run against the portable
-        // tile, independent of which one `kernel_arch` selected. Panel
-        // rows sit at scattered, unsorted offsets, and the farthest one
-        // ends on B's last word.
+        // The AVX2 tile against the portable one, independent of which
+        // variant `kernel_arch` selected (the AVX-512 block kernel is
+        // checked through its sweep below). Panel rows sit at scattered,
+        // unsorted offsets, and the farthest one ends on B's last word.
         let word = |i: usize, s: usize| {
             let code = |j: usize| (((j * s) % 255) as i16 - 127) as i8;
             crate::quant::pair_word(code(2 * i), code(2 * i + 1))
         };
         for pairs in [1usize, 3, 24, 73] {
             let a: Vec<i32> = (0..4 * pairs).map(|i| word(i, 37)).collect();
-            let taps: Vec<i32> = (0..pairs)
+            let offsets: Vec<i32> = (0..pairs)
                 .map(|h| ((h * 29) % pairs * 17 + h % 3) as i32)
                 .collect();
+            let taps = Taps::new(&offsets);
             let base = 5;
-            let b: Vec<i32> = (0..base + reach(&taps) + 16).map(|i| word(i, 53)).collect();
+            let b: Vec<i32> = (0..base + taps.reach() + 16).map(|i| word(i, 53)).collect();
             let mut want = [0i32; 64];
-            crate::quant::qgemm_tile_portable(&a, &b, &taps, base, &mut want);
+            crate::quant::qgemm_tile_portable(&a, &b, taps, base, &mut want);
             #[cfg(target_arch = "x86_64")]
-            {
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    let mut got = [1i32; 64];
-                    // SAFETY: feature presence checked on the line above.
-                    unsafe { qgemm_tile_avx2(&a, &b, &taps, base, &mut got) };
-                    assert_eq!(got, want, "avx2 pairs={pairs}");
-                }
-                if std::arch::is_x86_feature_detected!("avx512bw") {
-                    let mut got = [2i32; 64];
-                    // SAFETY: feature presence checked on the line above.
-                    unsafe { qgemm_tile_avx512(&a, &b, &taps, base, &mut got) };
-                    assert_eq!(got, want, "avx512 pairs={pairs}");
-                }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                let mut got = [1i32; 64];
+                // SAFETY: feature presence checked on the line above.
+                unsafe { qgemm_tile_avx2(&a, &b, taps, base, &mut got) };
+                assert_eq!(got, want, "avx2 pairs={pairs}");
             }
+        }
+    }
+
+    /// An output element's bits, so that NaNs and signed zeros compare
+    /// by what is stored.
+    trait Bits: Copy {
+        fn bits(self) -> u32;
+    }
+
+    impl Bits for f32 {
+        fn bits(self) -> u32 {
+            self.to_bits()
+        }
+    }
+
+    impl Bits for i32 {
+        fn bits(self) -> u32 {
+            self as u32
         }
     }
 
     /// Runs `portable`, then `variant` under each wider feature set the
     /// CPU has, on copies of the same output, and demands identical
     /// bits. The closures receive the arch they stand for.
-    fn agree<T: Clone + PartialEq + std::fmt::Debug>(
-        init: &[T],
-        what: &str,
-        mut run: impl FnMut(KernelArch, &mut [T]),
-    ) {
+    fn agree<T: Bits>(init: &[T], what: &str, mut run: impl FnMut(KernelArch, &mut [T])) {
         let mut want = init.to_vec();
         run(KernelArch::Portable, &mut want);
         #[cfg(target_arch = "x86_64")]
@@ -532,7 +650,11 @@ mod tests {
             if present {
                 let mut got = init.to_vec();
                 run(arch, &mut got);
-                assert!(got == want, "{what}: {arch:?} differs from portable");
+                let same = got
+                    .iter()
+                    .map(|v| v.bits())
+                    .eq(want.iter().map(|v| v.bits()));
+                assert!(same, "{what}: {arch:?} differs from portable");
             }
         }
     }
@@ -633,40 +755,112 @@ mod tests {
                 KernelArch::Portable => crate::gemm::gemm_sweep(a, &b, &taps, grid, out, m, ep),
             });
         }
-        let pairs_k = 19;
-        let word = |i: usize, s: usize| {
-            let code = |j: usize| ((j * s) % 256) as u8 as i8;
-            crate::quant::pair_word(code(2 * i), code(2 * i + 1))
-        };
-        let awide: Vec<i32> = (0..8 * pairs_k).map(|i| word(i, 37)).collect();
-        let grid = Grid::new(4, 10, 8);
-        let n = grid.n();
-        let taps: Vec<i32> = (0..pairs_k).map(|h| (h * 40) as i32).collect();
-        let bw: Vec<i32> = (0..pairs_k * 40 + 16).map(|i| word(i, 53)).collect();
-        let sums: Vec<i32> = (0..m as i32).map(|i| i * 3 - 5).collect();
-        let rq = Requant {
-            w_scales: &bias,
-            act: p,
-            row_sums: &sums,
-            bias: Some(&bias),
-            relu: true,
-        };
-        agree(
-            &vec![f32::NAN; m * n],
-            "int8 sweep",
-            |arch, out| match arch {
-                KernelArch::Avx2 => unsafe {
-                    qgemm_sweep_avx2(&awide, &bw, &taps, grid, out, m, &rq);
-                },
-                KernelArch::Avx512 => unsafe {
-                    qgemm_sweep_avx512(&awide, &bw, &taps, grid, out, m, &rq);
-                },
-                KernelArch::Portable => {
-                    let tile = crate::quant::qgemm_tile_portable;
-                    crate::quant::qgemm_sweep(tile, &awide, &bw, &taps, grid, out, m, &rq);
+        // Int8 sweeps: every group the block kernel runs (a by-row grid
+        // of 9 panels in groups of 4, 4 and 1; a ragged flush one of 10,
+        // whose last panel starts mid-vector; flat grids of 2 and 3
+        // multi-run panels, the 3 running as 2 + 1; the flush row above),
+        // rows on and off the MR grid, ReLU on and off, no bias, and
+        // codes at the int8 extremes over enough pairs that the requant's
+        // difference passes 2^24, where its rounding to f32 matters. Row 1
+        // has no weights under a negative scale and a -0.0 bias (ReLU of
+        // -0.0), row 2 a NaN scale (ReLU of NaN).
+        let grids = [
+            (Grid::new(9, 18, 16), 9 * 18, 16),
+            (
+                Grid::flush(5, 32, 31).expect("wider than a panel"),
+                4 * 32 + 31,
+                0,
+            ),
+            (Grid::new(3, 10, 8), 30, 16),
+            (Grid::new(4, 10, 8), 40, 16),
+            (flush, 37, 0),
+        ];
+        let scales: Vec<f32> = (0..12)
+            .map(|i| match i {
+                1 => -0.5,
+                2 => f32::NAN,
+                _ => 0.37 + 0.01 * i as f32,
+            })
+            .collect();
+        let bias: Vec<f32> = (0..12)
+            .map(|i| if i == 1 { -0.0 } else { i as f32 * 0.3 - 1.0 })
+            .collect();
+        let (lo, hi) = (|w: i32| i64::from(w as i16), |w: i32| i64::from(w >> 16));
+        for (pairs, zp) in [(19usize, -3), (400, -128), (400, 128)] {
+            let word = |a, i: usize| {
+                crate::quant::pair_word(int8_code(a, zp, 2 * i), int8_code(a, zp, 2 * i + 1))
+            };
+            // Twelve rows: row 1 zero, the ones past `m` A's padding.
+            let awide: Vec<i32> = (0..12 * pairs)
+                .map(|i| if i / pairs == 1 { 0 } else { word(true, i) })
+                .collect();
+            let sums: Vec<i32> = awide
+                .chunks(pairs)
+                .map(|row| row.iter().map(|&w| (lo(w) + hi(w)) as i32).sum())
+                .collect();
+            let act = QuantParams {
+                scale: 0.0173,
+                zero_point: zp,
+            };
+            for (grid, row, slack) in grids {
+                let taps: Vec<i32> = (0..pairs).map(|h| (h * row) as i32).collect();
+                let bw: Vec<i32> = (0..pairs * row + slack).map(|i| word(false, i)).collect();
+                if zp.abs() == 128 {
+                    // Row 0's first output column: Σ Wq·(Xq − z_x).
+                    let zp = i64::from(zp);
+                    let d: i64 = (0..pairs)
+                        .map(|h| {
+                            let (w, x) = (awide[h], bw[h * row]);
+                            lo(w) * (lo(x) - zp) + hi(w) * (hi(x) - zp)
+                        })
+                        .sum();
+                    assert!(d.abs() > 1 << 24, "difference {d} rounds exactly");
                 }
+                let n = grid.n();
+                for m in [1, 4, 7, 9] {
+                    let bias = Some(&bias[..m]);
+                    for (relu, bias) in [(true, bias), (false, bias), (false, None)] {
+                        let rq = Requant {
+                            w_scales: &scales[..m],
+                            act,
+                            row_sums: &sums[..m],
+                            bias,
+                            relu,
+                        };
+                        let what = format!("int8 sweep pairs={pairs} zp={zp} n={n} m={m}");
+                        agree(&vec![f32::NAN; m * n], &what, |arch, out| match arch {
+                            KernelArch::Avx2 => unsafe {
+                                qgemm_sweep_avx2(&awide, &bw, &taps, grid, out, m, &rq);
+                            },
+                            KernelArch::Avx512 => unsafe {
+                                qgemm_sweep_avx512(&awide, &bw, &taps, grid, out, m, &rq);
+                            },
+                            KernelArch::Portable => {
+                                qgemm_sweep_portable(&awide, &bw, &taps, grid, out, m, &rq);
+                            }
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Code `j` of the int8 sweep test's A (`a`) or B: spread over every
+    /// value for a small zero-point; at the extremes for `zp = ±128`, A
+    /// mostly -128 and B mostly the code farthest from `zp`.
+    fn int8_code(a: bool, zp: i32, j: usize) -> i8 {
+        let far: i8 = if zp < 0 { 127 } else { -128 };
+        match (a, zp.abs() == 128) {
+            (true, false) => ((j * 37) % 256) as u8 as i8,
+            (false, false) => ((j * 53) % 256) as u8 as i8,
+            (true, true) => match j % 16 {
+                0 => 127,
+                8 => -127,
+                _ => -128,
             },
-        );
+            (false, true) if j % 32 == 5 => -1 - far,
+            (false, true) => far,
+        }
     }
 
     #[test]

@@ -19,14 +19,13 @@
 mod args;
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use args::{parse_model, parse_platform, Options};
 use edgenn_core::prelude::*;
 use edgenn_core::runtime::Runtime;
 use edgenn_nn::graph::{compile, CompileOptions, CompileReport};
 use edgenn_nn::models::{build, ModelScale};
-use edgenn_obs::{EventSink, Labels, ProfileSummary, Recorder, SinkEvent};
+use edgenn_obs::{Labels, ProfileSummary, Recorder};
 use edgenn_sim::chrome_trace_entries;
 use edgenn_sim::Platform;
 
@@ -263,7 +262,7 @@ impl<'o> ObsOutputs<'o> {
 
     fn runtime<'a>(&self, platform: &'a Platform) -> Runtime<'a> {
         match &self.recorder {
-            Some(rec) => Runtime::with_observer(platform, Arc::new(rec.clone())),
+            Some(rec) => Runtime::with_observer(platform, rec.clone()),
             None => Runtime::new(platform),
         }
     }
@@ -407,37 +406,16 @@ fn required_graph(options: &Options) -> Result<LoadedModel, String> {
     compile_loaded(options, scale, build(model, scale))
 }
 
-/// Mirrors a compile report into the recorder as `CompilerPass` events
-/// (one per pass, aggregated across fixpoint iterations, plus one for
-/// the prepack stage), so compiler work shows up in exported metrics
-/// next to the simulator's counters.
-fn emit_compiler_events(rec: &Recorder, report: &CompileReport) {
-    let mut totals: Vec<(&'static str, u64, u64)> = Vec::new();
+/// Records a compile report's passes (one per pass run, across fixpoint
+/// iterations) and its prepack stage into the recorder, so compiler work
+/// shows up in exported metrics next to the simulator's counters.
+fn record_compile_report(rec: &Recorder, report: &CompileReport) {
     for p in &report.passes {
         let eliminated = p.nodes_before.saturating_sub(p.nodes_after) as u64;
-        match totals.iter_mut().find(|(name, _, _)| *name == p.pass) {
-            Some((_, applied, nodes)) => {
-                *applied += p.rewrites as u64;
-                *nodes += eliminated;
-            }
-            None => totals.push((p.pass, p.rewrites as u64, eliminated)),
-        }
-    }
-    for (pass, applied, nodes_eliminated) in totals {
-        rec.emit(SinkEvent::CompilerPass {
-            pass,
-            applied,
-            nodes_eliminated,
-            bytes_prepacked: 0,
-        });
+        rec.compiler_pass(p.rewrites as u64, eliminated, 0);
     }
     if report.prepacked_nodes > 0 {
-        rec.emit(SinkEvent::CompilerPass {
-            pass: "prepack",
-            applied: report.prepacked_nodes as u64,
-            nodes_eliminated: 0,
-            bytes_prepacked: report.prepacked_bytes,
-        });
+        rec.compiler_pass(report.prepacked_nodes as u64, 0, report.prepacked_bytes);
     }
 }
 
@@ -451,7 +429,7 @@ fn cmd_simulate(options: &Options) -> Result<(), String> {
 
     let obs = ObsOutputs::from_options(options, graph.name(), &platform)?;
     if let (Some(rec), Some(report)) = (&obs.recorder, &compile_report) {
-        emit_compiler_events(rec, report);
+        record_compile_report(rec, report);
     }
     let runtime = obs.runtime(&platform);
     let mut tuner = Tuner::new(&graph, &runtime).map_err(|e| e.to_string())?;

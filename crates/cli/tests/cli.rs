@@ -108,6 +108,126 @@ fn trace_flag_writes_a_chrome_trace() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Runs `simulate --model lenet --platform jetson` with `extra` flags and
+/// both exports, returning the metrics snapshot and the Chrome trace.
+fn simulate_with_exports(tag: &str, extra: &[&str]) -> (serde_json::Value, serde_json::Value) {
+    let dir = std::env::temp_dir();
+    let metrics = dir.join(format!("edgenn_cli_test_{tag}_metrics.json"));
+    let trace = dir.join(format!("edgenn_cli_test_{tag}_trace.json"));
+    let mut args = vec!["simulate", "--model", "lenet", "--platform", "jetson"];
+    args.extend_from_slice(extra);
+    args.extend([
+        "--trace-out",
+        trace.to_str().unwrap(),
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    let out = edgenn(&args);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let read = |path: &std::path::Path| -> serde_json::Value {
+        let json = serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let _ = std::fs::remove_file(path);
+        json
+    };
+    (read(&metrics), read(&trace))
+}
+
+#[test]
+fn metrics_out_snapshots_the_labelled_counters_and_trace_tracks() {
+    let plain = [
+        "edgenn_compiler_bytes_prepacked_total",
+        "edgenn_compiler_nodes_eliminated_total",
+        "edgenn_compiler_passes_applied_total",
+        "edgenn_copy_bytes_total",
+        "edgenn_copy_total",
+        "edgenn_copy_us_total",
+        "edgenn_kernel_total",
+        "edgenn_kernel_us_total",
+        "edgenn_migration_bytes_total",
+        "edgenn_migration_total",
+        "edgenn_migration_us_total",
+        "edgenn_plan_events_total",
+        "edgenn_requests_total",
+        "edgenn_stall_total",
+        "edgenn_stall_us_total",
+    ];
+    let faulted = [
+        "edgenn_compiler_bytes_prepacked_total",
+        "edgenn_compiler_nodes_eliminated_total",
+        "edgenn_compiler_passes_applied_total",
+        "edgenn_copy_bytes_total",
+        "edgenn_copy_total",
+        "edgenn_copy_us_total",
+        "edgenn_fallbacks_total",
+        "edgenn_faults_injected_total",
+        "edgenn_kernel_total",
+        "edgenn_kernel_us_total",
+        "edgenn_migration_bytes_total",
+        "edgenn_migration_total",
+        "edgenn_migration_us_total",
+        "edgenn_plan_events_total",
+        "edgenn_requests_total",
+        "edgenn_retries_total",
+    ];
+    for (tag, extra, counters) in [
+        ("plain", &[][..], &plain[..]),
+        ("faults", &["--faults", "11"][..], &faulted[..]),
+    ] {
+        let (metrics, trace) = simulate_with_exports(tag, extra);
+        let labels = &metrics["labels"];
+        assert_eq!(labels["model"], "LeNet", "{tag}");
+        assert_eq!(labels["platform"], "Jetson AGX Xavier", "{tag}");
+        assert_eq!(labels["policy"], "edgenn", "{tag}");
+        let series = |kind: &str| metrics[kind].as_array().unwrap().clone();
+        let mut names = Vec::new();
+        for kind in ["counters", "gauges", "histograms"] {
+            for entry in series(kind) {
+                assert_eq!(&entry["labels"], labels, "{tag}: {entry:?}");
+                if kind == "counters" {
+                    names.push(entry["name"].as_str().unwrap().to_string());
+                }
+            }
+        }
+        names.sort();
+        assert_eq!(names, counters, "{tag}: counter names");
+        let counter = |name: &str| {
+            series("counters")
+                .into_iter()
+                .find(|c| c["name"] == name)
+                .and_then(|c| c["value"].as_f64())
+        };
+        let latency = series("histograms")
+            .into_iter()
+            .find(|h| h["name"] == "edgenn_request_latency_us")
+            .expect("a latency histogram");
+        assert_eq!(
+            counter("edgenn_requests_total"),
+            latency["count"].as_f64(),
+            "{tag}: one latency observation per request"
+        );
+        let tracks: Vec<&str> = trace
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter(|e| e["ph"] == "C")
+            .filter_map(|e| e["name"].as_str())
+            .collect();
+        for prefix in ["ema_cpu_us/", "ema_gpu_us/"] {
+            assert!(
+                tracks.iter().any(|t| t.starts_with(prefix)),
+                "{tag}: no {prefix}* counter track in {tracks:?}"
+            );
+        }
+        for name in ["bandwidth_gbps", "managed_pages_outstanding"] {
+            assert!(tracks.contains(&name), "{tag}: no {name} counter track");
+        }
+    }
+}
+
 #[test]
 fn compare_reports_all_configs() {
     let out = edgenn(&["compare", "--model", "fcnn", "--platform", "jetson"]);

@@ -2,7 +2,7 @@
 //! derived metrics the paper's figures plot.
 
 use edgenn_nn::layer::LayerClass;
-use edgenn_obs::{EventSink, SinkEvent};
+use edgenn_obs::Recorder;
 use edgenn_sim::trace::TraceSummary;
 use edgenn_sim::{EnergyReport, Platform, ProcessorKind, TraceEvent};
 use serde::{Deserialize, Serialize};
@@ -94,16 +94,16 @@ impl InferenceReport {
         self.copy_proportion().clamp(0.0, 1.0)
     }
 
-    /// Checks the report's accounting invariants, emitting one
-    /// [`SinkEvent::Warning`] per violation into `sink`. Returns the
-    /// number of warnings raised (0 for a clean report).
-    pub fn audit(&self, sink: &dyn EventSink) -> usize {
+    /// Checks the report's accounting invariants, recording one warning
+    /// per violation into `rec`. Returns the number of warnings raised
+    /// (0 for a clean report).
+    pub fn audit(&self, rec: &Recorder) -> usize {
         let mut raised = 0;
         let raw = self.copy_proportion();
         if raw > 1.0 {
-            sink.emit(SinkEvent::Warning {
-                source: "metrics",
-                message: format!(
+            rec.warning(
+                "metrics",
+                format_args!(
                     "{}: memory time {:.1} us exceeds end-to-end {:.1} us \
                      (raw copy_proportion {:.3}; checker code EC030)",
                     self.model,
@@ -111,17 +111,17 @@ impl InferenceReport {
                     self.total_us,
                     raw
                 ),
-            });
+            );
             raised += 1;
         }
         if self.summary.busy_us > self.total_us + 1e-6 {
-            sink.emit(SinkEvent::Warning {
-                source: "metrics",
-                message: format!(
+            rec.warning(
+                "metrics",
+                format_args!(
                     "{}: busy time {:.1} us exceeds end-to-end {:.1} us",
                     self.model, self.summary.busy_us, self.total_us
                 ),
-            });
+            );
             raised += 1;
         }
         raised

@@ -12,7 +12,6 @@
 //! picking the one with the best predicted bottleneck time.
 
 use edgenn_nn::graph::Graph;
-use edgenn_obs::SinkEvent;
 use edgenn_sim::AllocStrategy;
 use serde::{Deserialize, Serialize};
 
@@ -87,27 +86,16 @@ pub fn plan_pipeline(
                 best = Some((cut, cpu_first, bottleneck));
             }
         }
-        if let Some(sink) = runtime.observer() {
+        if let Some(rec) = runtime.observer() {
             // The sweep itself, as a counter track over cut positions.
-            sink.emit(SinkEvent::Counter {
-                track: "pipeline_bottleneck_us".to_string(),
-                t_us: cut as f64,
-                value: cut_best,
-            });
+            rec.sample("pipeline_bottleneck_us", cut as f64, cut_best);
         }
     }
     let (cut, cpu_first, bottleneck_us) = best.ok_or_else(|| CoreError::Internal {
         reason: "graph has no layers".to_string(),
     })?;
-    if let Some(sink) = runtime.observer() {
-        sink.emit(SinkEvent::Instant {
-            category: "pipeline",
-            label: format!(
-                "cut at node {cut} ({} front), predicted bottleneck {bottleneck_us:.1} us",
-                if cpu_first { "cpu" } else { "gpu" }
-            ),
-            t_us: cut as f64,
-        });
+    if let Some(rec) = runtime.observer() {
+        rec.instant("pipeline");
     }
 
     let mut nodes = vec![NodePlan::gpu_explicit(); n];
@@ -202,11 +190,10 @@ mod tests {
     #[test]
     fn pipeline_planning_reports_its_sweep_and_choice() {
         use edgenn_obs::Recorder;
-        use std::sync::Arc;
 
         let platform = jetson_agx_xavier();
         let recorder = Recorder::new();
-        let runtime = Runtime::with_observer(&platform, Arc::new(recorder.clone()));
+        let runtime = Runtime::with_observer(&platform, recorder.clone());
         let graph = build(ModelKind::AlexNet, ModelScale::Paper);
         let pipeline = plan_pipeline(&graph, &runtime, ExecutionConfig::edgenn()).unwrap();
 

@@ -8,11 +8,10 @@ pub mod resilience;
 pub mod sched_explore;
 
 use std::borrow::Cow;
-use std::sync::Arc;
 
 use edgenn_nn::graph::{Graph, NodeId, Segment};
 use edgenn_nn::layer::LayerClass;
-use edgenn_obs::{percentile, EventSink, SinkEvent};
+use edgenn_obs::{percentile, Recorder};
 use edgenn_sim::processor::ExecutionContext;
 use edgenn_sim::{
     AllocStrategy, KernelDesc, OpClass, Platform, ProcessorKind, ProcessorSpec, Timeline, TraceKind,
@@ -143,7 +142,7 @@ impl Loc {
 /// copies, migrations, and syncs to the simulated [`Timeline`].
 pub struct Runtime<'a> {
     platform: &'a Platform,
-    observer: Option<Arc<dyn EventSink>>,
+    observer: Option<Recorder>,
 }
 
 impl<'a> Runtime<'a> {
@@ -155,32 +154,34 @@ impl<'a> Runtime<'a> {
         }
     }
 
-    /// Creates a runtime that mirrors every simulated activity (kernel
-    /// launches, copies, migrations, stalls), tuner decision, and
-    /// per-request latency into `observer`.
-    pub fn with_observer(platform: &'a Platform, observer: Arc<dyn EventSink>) -> Self {
+    /// Creates a runtime that records every simulated activity (kernel
+    /// launches, copies, migrations, stalls), tuner decision, fault and
+    /// per-request latency into `observer` (a clone of the caller's
+    /// recorder shares its state).
+    pub fn with_observer(platform: &'a Platform, observer: Recorder) -> Self {
         Self {
             platform,
             observer: Some(observer),
         }
     }
 
-    /// The attached observer sink, if any (the tuner and pipeline use
-    /// this to report their decisions alongside the runtime's events).
-    pub fn observer(&self) -> Option<&Arc<dyn EventSink>> {
+    /// The attached recorder, if any (the tuner and pipeline use this to
+    /// report their decisions alongside the runtime's observations).
+    pub fn observer(&self) -> Option<&Recorder> {
         self.observer.as_ref()
     }
 
-    fn emit(&self, event: SinkEvent) {
-        if let Some(obs) = &self.observer {
-            obs.emit(event);
+    /// Records into the attached recorder, if any.
+    fn record(&self, observe: impl FnOnce(&Recorder)) {
+        if let Some(rec) = &self.observer {
+            observe(rec);
         }
     }
 
-    /// A fresh timeline wired to the observer when one is attached.
+    /// A fresh timeline wired to the recorder when one is attached.
     fn new_timeline(&self) -> Timeline {
         match &self.observer {
-            Some(obs) => Timeline::with_sink(Arc::clone(obs)),
+            Some(rec) => Timeline::with_recorder(rec.clone()),
             None => Timeline::new(),
         }
     }
@@ -262,12 +263,7 @@ impl<'a> Runtime<'a> {
         let mut effective = Cow::Borrowed(plan);
         let reserved = ctx.clock.reserved_bytes(self.platform.dram_bytes);
         if reserved > 0 && self.platform.dram_bytes > 0 {
-            self.emit(SinkEvent::Fault {
-                category: "faults_injected",
-                kind: FaultKind::OomPressure.to_string(),
-                label: format!("{reserved} bytes reserved"),
-                t_us: 0.0,
-            });
+            self.record(|rec| rec.fault("faults_injected"));
             let budget = self.platform.dram_bytes - reserved;
             let fp = crate::footprint::footprint(graph, &effective)?;
             if fp.peak_bytes > budget {
@@ -307,9 +303,7 @@ impl<'a> Runtime<'a> {
         let (layers, ctx) =
             self.run_request_at((graph, &program), &effective, &mut timeline, 0, 0.0, ctx)?;
         let total_us = timeline.makespan_us();
-        self.emit(SinkEvent::Request {
-            latency_us: total_us,
-        });
+        self.record(|rec| rec.request(total_us));
         let energy = self.platform.power.energy(&timeline);
         let report = InferenceReport {
             model: graph.name().to_string(),
@@ -321,8 +315,8 @@ impl<'a> Runtime<'a> {
             events: timeline.events().to_vec(),
             decisions: Vec::new(),
         };
-        if let Some(sink) = &self.observer {
-            report.audit(sink.as_ref());
+        if let Some(rec) = &self.observer {
+            report.audit(rec);
         }
         // Debug builds gate every single-request simulation on a clean
         // happens-before check of the trace just produced: a scheduling
@@ -424,9 +418,7 @@ impl<'a> Runtime<'a> {
                 .fold(0.0f64, f64::max)
                 .max(timeline.makespan_us());
             let started = layers.iter().map(|l| l.start_us).fold(finished, f64::min);
-            self.emit(SinkEvent::Request {
-                latency_us: finished - started,
-            });
+            self.record(|rec| rec.request(finished - started));
             finish_times.push(finished);
         }
         let total_us = timeline.makespan_us();
@@ -480,9 +472,7 @@ impl<'a> Runtime<'a> {
                 FaultCtx::default(),
             )?;
             let finished = layers.iter().map(|l| l.end_us).fold(arrival, f64::max);
-            self.emit(SinkEvent::Request {
-                latency_us: finished - arrival,
-            });
+            self.record(|rec| rec.request(finished - arrival));
             latencies.push(finished - arrival);
         }
         let total_us = timeline.makespan_us();
@@ -667,19 +657,14 @@ impl Sim<'_, '_> {
             }
         };
         if clock.injected() > before {
-            self.runtime.emit(SinkEvent::Fault {
-                category: "faults_injected",
-                kind: kind.to_string(),
-                label: String::new(),
-                t_us: t,
-            });
+            self.runtime.record(|rec| rec.fault("faults_injected"));
         }
         factor
     }
 
     /// Records a retry decision after failed attempt `attempt` and
     /// returns the backoff gap to wait before re-launching.
-    fn fault_log_retry(&mut self, id: NodeId, name: &str, t: f64, attempt: u32) -> f64 {
+    fn fault_log_retry(&mut self, id: NodeId, t: f64, attempt: u32) -> f64 {
         let f = &mut self.faults;
         f.log.retries += 1;
         f.log.events.push(RecoveryEvent {
@@ -689,18 +674,13 @@ impl Sim<'_, '_> {
             action: RecoveryAction::Retry,
             attempt,
         });
-        self.runtime.emit(SinkEvent::Fault {
-            category: "retries",
-            kind: RecoveryCause::TransientKernel.to_string(),
-            label: name.to_string(),
-            t_us: t,
-        });
+        self.runtime.record(|rec| rec.fault("retries"));
         f.cfg.backoff_us(attempt)
     }
 
     /// Records a GPU→CPU fallback; a permanent failure marks the GPU
     /// lost by tuning the CPU-only plan the remaining suffix runs.
-    fn fault_log_fallback(&mut self, id: NodeId, name: &str, t: f64, attempt: u32) -> Result<()> {
+    fn fault_log_fallback(&mut self, id: NodeId, t: f64, attempt: u32) -> Result<()> {
         let permanent = self.faults.clock.is_permanent(id.index());
         let cause = if permanent {
             RecoveryCause::PermanentKernel
@@ -721,12 +701,7 @@ impl Sim<'_, '_> {
                 .degraded_plan(self.graph, self.plan, HybridMode::CpuOnly)?;
             self.faults.cpu_plan = Some(plan);
         }
-        self.runtime.emit(SinkEvent::Fault {
-            category: "fallbacks",
-            kind: cause.to_string(),
-            label: name.to_string(),
-            t_us: t,
-        });
+        self.runtime.record(|rec| rec.fault("fallbacks"));
         Ok(())
     }
 
@@ -758,12 +733,8 @@ impl Sim<'_, '_> {
             action: RecoveryAction::DegradeToSingleProcessor,
             attempt: 0,
         });
-        self.runtime.emit(SinkEvent::Fault {
-            category: "deadline_degradations",
-            kind: RecoveryCause::DeadlineOverrun.to_string(),
-            label: String::new(),
-            t_us: now,
-        });
+        self.runtime
+            .record(|rec| rec.fault("deadline_degradations"));
         Ok(())
     }
 
@@ -893,12 +864,7 @@ impl Sim<'_, '_> {
                         .schedule(proc, TraceKind::Kernel, ready, duration, label(""));
                 return Ok(Launch::Done(end));
             }
-            self.runtime.emit(SinkEvent::Fault {
-                category: "faults_injected",
-                kind: FaultKind::TransientKernel.to_string(),
-                label: name.to_string(),
-                t_us: ready,
-            });
+            self.runtime.record(|rec| rec.fault("faults_injected"));
             failed_attempts += 1;
             let fail_end = self.timeline.schedule(
                 proc,
@@ -908,10 +874,10 @@ impl Sim<'_, '_> {
                 label(&format!("attempt {failed_attempts} failed")),
             );
             if failed_attempts > self.faults.cfg.max_retries {
-                self.fault_log_fallback(id, name, fail_end, failed_attempts)?;
+                self.fault_log_fallback(id, fail_end, failed_attempts)?;
                 return Ok(Launch::Exhausted(fail_end));
             }
-            ready = fail_end + self.fault_log_retry(id, name, fail_end, failed_attempts);
+            ready = fail_end + self.fault_log_retry(id, fail_end, failed_attempts);
         }
     }
 

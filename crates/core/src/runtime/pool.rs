@@ -21,19 +21,17 @@
 //!   under `catch_unwind`; a panicking kernel surfaces as
 //!   [`JoinError::Panicked`], never a hung join.
 //! - **Watchdog**: [`TaskHandle::join_deadline`] returns at its deadline.
-//!   The worker it gave up on is written off ([`LossAccount`]) until the
-//!   abandoned job actually finishes, then credited back.
+//!   The worker it gave up on finishes the abandoned job and drops its
+//!   result; the caller records the loss where its readers look.
 //! - **Per-session accounting**: the pool keeps no counters of its own.
 //!   Every join credits the [`Tally`] its caller passes, so sessions that
 //!   share the workers each count only their own tasks.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use edgenn_obs::flight;
 
 /// A unit of work: owns everything it captures.
 pub type Job<T> = Box<dyn FnOnce() -> T + Send>;
@@ -48,92 +46,17 @@ pub enum JoinError {
     TimedOut,
 }
 
-/// Process-wide count of workers a watchdog has written off as hung.
-/// Each lost worker still occupies a core until its job finishes.
-static LOST_WORKERS: AtomicUsize = AtomicUsize::new(0);
-
-/// Records that a watchdog gave up on a hung worker. This is a report
-/// ([`lost_workers`]): the engine's process-wide pool is sized once,
-/// before any hang, and never respawns, so its worker count stays.
-pub fn note_worker_lost() {
-    LOST_WORKERS.fetch_add(1, Ordering::Relaxed);
-    flight::instant(flight::SpanKind::WorkerLoss, flight::NO_NODE, 0);
-}
-
-/// Credits back a worker previously written off via [`note_worker_lost`]
-/// (its job eventually completed and the core is free again).
-pub fn note_worker_recovered() {
-    let _ = LOST_WORKERS.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
-}
-
-/// Workers currently written off as hung.
-pub fn lost_workers() -> usize {
-    LOST_WORKERS.load(Ordering::Relaxed)
-}
-
-/// Ledger of workers written off as hung.
-///
-/// A debit is process-visible immediately ([`lost_workers`]): a hung
-/// thread occupies a core no matter whose session it served. A
-/// timed-out join leaves its debited account in the abandoned task
-/// cell, and the worker settles it the moment the job finally finishes
-/// — the core is credited back exactly when it is free again, not when
-/// some session ends. Without the settle, a single transient hang would
-/// stay on the report for the rest of the process, and two sessions
-/// racing watchdog expiries would permanently cross-debit each other.
-///
-/// Settling is idempotent and also runs on drop, so a job that panics
-/// or a cell dropped unrun cannot leak a debit.
-#[derive(Debug, Default)]
-pub struct LossAccount {
-    debits: AtomicUsize,
-}
-
-impl LossAccount {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Writes one worker off: debits the process-wide count
-    /// ([`note_worker_lost`]) and remembers the debit for settlement.
-    pub fn debit(&self) {
-        self.debits.fetch_add(1, Ordering::Relaxed);
-        note_worker_lost();
-    }
-
-    /// Debits not yet settled.
-    pub fn outstanding(&self) -> usize {
-        self.debits.load(Ordering::Relaxed)
-    }
-
-    /// Credits every outstanding debit back
-    /// ([`note_worker_recovered`]); idempotent.
-    pub fn settle(&self) {
-        let n = self.debits.swap(0, Ordering::Relaxed);
-        for _ in 0..n {
-            note_worker_recovered();
-        }
-    }
-}
-
-impl Drop for LossAccount {
-    fn drop(&mut self) {
-        self.settle();
-    }
-}
-
 /// Lifecycle of one submitted task.
 enum TaskState<T> {
     /// Queued; the job is still here and can be reclaimed by the waiter.
     Pending(Job<T>),
     /// A worker (or the reclaiming waiter) took the job and is running
-    /// it. A timed-out join parks its write-off here; whoever finishes
-    /// the job settles it.
-    Running(Option<LossAccount>),
+    /// it.
+    Running,
     /// Finished; `None` means the job panicked.
     Done(Option<T>),
-    /// The result was consumed by `join`, or abandoned by a timed-out one.
+    /// The result was consumed by `join`. (A timed-out join leaves the
+    /// cell to its worker, whose result drops with it.)
     Taken,
 }
 
@@ -141,7 +64,7 @@ impl<T> std::fmt::Debug for TaskState<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             TaskState::Pending(_) => "Pending",
-            TaskState::Running(_) => "Running",
+            TaskState::Running => "Running",
             TaskState::Done(_) => "Done",
             TaskState::Taken => "Taken",
         })
@@ -317,12 +240,12 @@ impl<T> Pool<T> {
 
     /// Runs `task` if it is still pending (its waiter may have reclaimed
     /// it since the pop), stamping its queue wait. If a watchdog gave up
-    /// on the task meanwhile, the result is dropped and the write-off
-    /// settled here — the worker is free again.
+    /// on the task meanwhile, nobody collects the result: it drops with
+    /// the cell once the worker lets go of it.
     fn run_task(task: &Task<T>) {
         let job = {
             let mut state = task.lock();
-            match std::mem::replace(&mut *state, TaskState::Running(None)) {
+            match std::mem::replace(&mut *state, TaskState::Running) {
                 TaskState::Pending(job) => {
                     task.wait_ns.store(task.waited_ns(), Ordering::Relaxed);
                     job
@@ -335,17 +258,8 @@ impl<T> Pool<T> {
             }
         };
         let outcome = catch_unwind(AssertUnwindSafe(job)).ok();
-        let mut state = task.lock();
-        let abandoned = match std::mem::replace(&mut *state, TaskState::Done(outcome)) {
-            TaskState::Running(abandoned) => abandoned,
-            _ => None,
-        };
-        if abandoned.is_some() {
-            *state = TaskState::Taken; // nobody will collect the result
-        }
-        drop(state);
+        *task.lock() = TaskState::Done(outcome);
         task.done.notify_all();
-        drop(abandoned); // settles the write-off
     }
 
     /// Drops a reclaimed task's cell from the queue, so no spent cell
@@ -381,7 +295,7 @@ impl<T> TaskHandle<T> {
     /// `timeout` for a worker-held task, then returns
     /// [`JoinError::TimedOut`] at the deadline, converting a hung worker
     /// into a recoverable error instead of a stalled inference. The
-    /// worker is written off until the abandoned job finishes. A
+    /// worker finishes the abandoned job and drops its result. A
     /// still-queued task is reclaimed inline exactly as in `join` and
     /// never times out — only a task another thread holds can hang.
     ///
@@ -408,8 +322,7 @@ impl<T> TaskHandle<T> {
         if matches!(*state, TaskState::Pending(_)) {
             // Reclaim: take the job, drop the cell from the queue, and
             // run it on this thread.
-            let TaskState::Pending(job) = std::mem::replace(&mut *state, TaskState::Running(None))
-            else {
+            let TaskState::Pending(job) = std::mem::replace(&mut *state, TaskState::Running) else {
                 unreachable!("checked pending above");
             };
             drop(state);
@@ -426,18 +339,14 @@ impl<T> TaskHandle<T> {
                     tally.record(true, task.wait_ns.load(Ordering::Relaxed));
                     return outcome.ok_or(JoinError::Panicked);
                 }
-                TaskState::Running(_) => {
+                TaskState::Running => {
+                    *state = TaskState::Running;
                     let now = Instant::now();
                     if deadline.is_some_and(|d| now >= d) {
-                        // Abandon the job: the worker stays written off
-                        // until it finishes and settles this account.
-                        let loss = LossAccount::new();
-                        loss.debit();
-                        *state = TaskState::Running(Some(loss));
+                        // Abandon the job to its worker.
                         tally.record(true, task.wait_ns.load(Ordering::Relaxed));
                         return Err(JoinError::TimedOut);
                     }
-                    *state = TaskState::Running(None);
                     state = match deadline {
                         None => task
                             .done
@@ -457,14 +366,6 @@ impl<T> TaskHandle<T> {
             }
         }
     }
-}
-
-/// Serializes tests that touch the process-global worker-loss
-/// accounting (tests in one binary run concurrently).
-#[cfg(test)]
-pub(crate) fn workers_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -601,48 +502,6 @@ mod tests {
         assert_eq!(Pool::<()>::default_workers(), cores - 1);
     }
 
-    #[test]
-    fn concurrent_session_watchdogs_settle_without_cross_debit() {
-        let _serial = workers_lock();
-        let before = lost_workers();
-        // Two abandoned jobs race to finish: each holds its own ledger.
-        // While both hangs are live the shared count reflects both (a
-        // hung thread occupies a core no matter whose it is); once each
-        // job finishes and settles, the count returns to baseline — no
-        // transient loss may permanently debit another session.
-        let phase = std::sync::Barrier::new(3);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let account = LossAccount::new();
-                account.debit();
-                assert_eq!(account.outstanding(), 1);
-                phase.wait(); // both debits live
-                phase.wait(); // main thread observed the dip
-                account.settle();
-                assert_eq!(account.outstanding(), 0);
-            });
-            scope.spawn(|| {
-                let account = LossAccount::new();
-                account.debit();
-                phase.wait();
-                phase.wait();
-                drop(account); // settle-on-drop covers panicky exits
-            });
-            phase.wait();
-            assert_eq!(
-                lost_workers(),
-                before + 2,
-                "both live hangs must show in the shared count"
-            );
-            phase.wait();
-        });
-        assert_eq!(
-            lost_workers(),
-            before,
-            "settled ledgers must restore the count exactly"
-        );
-    }
-
     /// Submits a job that flags its start, sleeps `hang`, then records
     /// and returns `value` — a partial whose kernel hangs on its worker.
     /// Returns once a worker holds the job, so the help-first inline
@@ -669,8 +528,6 @@ mod tests {
 
     #[test]
     fn join_deadline_returns_at_its_deadline_and_credits_back_when_the_job_ends() {
-        let _serial = workers_lock();
-        let before = lost_workers();
         let pool: &'static Pool<u64> = Box::leak(Box::new(Pool::new()));
         let worker = std::thread::spawn(move || pool.run_worker());
         let tally = Tally::default();
@@ -686,17 +543,11 @@ mod tests {
             waited < hang / 2,
             "a timed-out join returns at its deadline, not when the hang ends: {waited:?}"
         );
-        assert_eq!(lost_workers(), before + 1, "the hung worker is written off");
         assert_eq!(tally.stats().worker_tasks, 1);
         let deadline = Instant::now() + Duration::from_secs(10);
-        while lost_workers() != before && Instant::now() < deadline {
+        while finished.lock().unwrap().is_none() && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(
-            lost_workers(),
-            before,
-            "the write-off is credited back once the abandoned job ends"
-        );
         assert_eq!(
             *finished.lock().unwrap(),
             Some(0x5EED),

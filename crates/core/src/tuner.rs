@@ -19,7 +19,6 @@
 
 use edgenn_nn::graph::{Graph, NodeId, Segment};
 use edgenn_nn::layer::LayerClass;
-use edgenn_obs::SinkEvent;
 use edgenn_sim::AllocStrategy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -241,21 +240,13 @@ impl Tuner {
             }
             s.samples += 1;
             let (ema_cpu, ema_gpu, round) = (s.t_cpu_us, s.t_gpu_us, s.samples);
-            if let Some(sink) = runtime.observer() {
+            if let Some(rec) = runtime.observer() {
                 let node = graph.node(id)?;
                 if node.layer().class() != LayerClass::Input {
                     let name = node.layer().name();
-                    sink.emit(SinkEvent::Counter {
-                        track: format!("ema_cpu_us/{name}"),
-                        t_us: f64::from(round),
-                        value: ema_cpu,
-                    });
+                    rec.sample(format!("ema_cpu_us/{name}"), f64::from(round), ema_cpu);
                     if ema_gpu.is_finite() {
-                        sink.emit(SinkEvent::Counter {
-                            track: format!("ema_gpu_us/{name}"),
-                            t_us: f64::from(round),
-                            value: ema_gpu,
-                        });
+                        rec.sample(format!("ema_gpu_us/{name}"), f64::from(round), ema_gpu);
                     }
                 }
             }
@@ -475,17 +466,8 @@ impl Tuner {
             history.push(report.total_us);
             self.observe(graph, runtime, jitter, round as u64 + 1)?;
             plan = self.plan(graph, runtime, config)?;
-            if let Some(sink) = runtime.observer() {
-                sink.emit(SinkEvent::Instant {
-                    category: "plan",
-                    label: format!(
-                        "plan regenerated after round {} ({} co-run layers, {} zero-copy arrays)",
-                        round + 1,
-                        plan.corun_count(),
-                        plan.managed_count()
-                    ),
-                    t_us: (round + 1) as f64,
-                });
+            if let Some(rec) = runtime.observer() {
+                rec.instant("plan");
             }
         }
         Ok((plan, history))
@@ -1217,11 +1199,10 @@ mod tests {
     #[test]
     fn observe_and_adapt_emit_provenance_events() {
         use edgenn_obs::Recorder;
-        use std::sync::Arc;
 
         let (graph, platform) = setup(ModelKind::AlexNet);
         let recorder = Recorder::new();
-        let runtime = Runtime::with_observer(&platform, Arc::new(recorder.clone()));
+        let runtime = Runtime::with_observer(&platform, recorder.clone());
         let mut tuner = Tuner::new(&graph, &runtime).unwrap();
         tuner
             .adapt(&graph, &runtime, ExecutionConfig::edgenn(), 3, 0.1)

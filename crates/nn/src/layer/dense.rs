@@ -4,6 +4,7 @@ use std::sync::OnceLock;
 
 use edgenn_tensor::{
     dot, dot_i8, min_max, quantize_into, with_scratch, QuantParams, Requant, Shape, Tensor,
+    MAX_DEPTH,
 };
 
 use crate::layer::params::{LazyParam, QuantizedWeights};
@@ -151,6 +152,13 @@ impl Layer for Dense {
         validate_range(&self.name, &range, self.out_features)?;
         check_out(out, range.len())?;
         if int8 {
+            // The requant's i32 difference is exact only below this depth.
+            if k >= MAX_DEPTH {
+                return Err(NnError::BadInputShape {
+                    layer: self.name.clone(),
+                    reason: format!("int8 reduction of {k} codes reaches {MAX_DEPTH}"),
+                });
+            }
             let qw = self.quantized();
             let act = self.act_quant.get().copied().unwrap_or_else(|| {
                 let (lo, hi) = min_max(x);
@@ -360,6 +368,22 @@ mod tests {
         assert!(q.as_slice().iter().all(|&v| v >= 0.0));
         let f = compute(&dense, &[&x], units(0..8, false, true)).unwrap();
         assert!(q.approx_eq(&Tensor::from_vec(f, q.dims()).unwrap(), 0.05));
+    }
+
+    #[test]
+    fn int8_depth_stays_below_the_requant_bound() {
+        // 65,535 inputs run in int8; 65,536, the first depth rejected, fail.
+        let below = Dense::new("fc", MAX_DEPTH - 1, 1, 7);
+        let x = Tensor::random(&[MAX_DEPTH - 1], 1.0, 8);
+        let q = below.forward_partial_int8(&[&x], 0..1, false).unwrap();
+        let f = below.forward(&[&x]).unwrap();
+        assert!(q.approx_eq(&f, 0.05), "{q:?} against {f:?}");
+        let at = Dense::new("fc", MAX_DEPTH, 1, 7);
+        let x = Tensor::random(&[MAX_DEPTH], 1.0, 8);
+        assert!(matches!(
+            at.forward_partial_int8(&[&x], 0..1, false),
+            Err(NnError::BadInputShape { .. })
+        ));
     }
 
     #[test]

@@ -5,37 +5,37 @@
 //! ran, where, for how long, moving how many bytes — and why did the
 //! tuner decide that?*
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! 1. [`MetricsRegistry`] — counters, gauges, and log-bucketed
 //!    histograms (p50/p95/p99), labeled by model/platform/policy, with
 //!    JSON and Prometheus-text exposition.
-//! 2. [`EventSink`] — the span/event sink trait that `edgenn-sim`'s
-//!    `Timeline` and `edgenn-core`'s `Runtime`/`Tuner`/`pipeline` emit
-//!    into: kernel launches, copies/migrations with byte counts,
-//!    contention stalls, EMA updates, plan regenerations, per-request
-//!    latencies, and accounting warnings.
-//! 3. [`Recorder`] — the standard sink: cheaply clonable, thread-safe,
-//!    feeds every event into its registry and keeps the raw stream for
-//!    trace export (counter samples become Chrome-trace `"ph":"C"`
-//!    tracks).
-//! 4. [`flight`] — the flight recorder: lock-free per-worker rings of
+//! 2. [`Recorder`] — what `edgenn-sim`'s `Timeline`, `edgenn-core`'s
+//!    `Runtime`/`Tuner`/`pipeline`, the serving dispatcher and the CLI's
+//!    compile report record into, one method per kind of observation:
+//!    kernel launches, copies/migrations with byte counts, contention
+//!    stalls, EMA updates, plan regenerations, per-request latencies,
+//!    faults and recoveries, compiler passes, serving decisions, and
+//!    accounting warnings. Each folds straight into its registry; the
+//!    recorder keeps only the counter samples (Chrome-trace `"ph":"C"`
+//!    tracks) and the warnings. Cheaply clonable and thread-safe.
+//! 3. [`flight`] — the flight recorder: lock-free per-worker rings of
 //!    fixed-size span records written from the functional engine's hot
 //!    paths, with drain/merge into per-request profiles, fault black
 //!    boxes, and Perfetto export (see `docs/profiling.md`).
-//! 5. [`chrome`] — the Chrome trace-event entries every trace export
+//! 4. [`chrome`] — the Chrome trace-event entries every trace export
 //!    above is built from.
 //!
 //! Zero external dependencies: std plus the workspace's vendored
 //! `serde`/`serde_json` only, so offline builds keep working.
 //!
 //! ```
-//! use edgenn_obs::{EventSink, Labels, Recorder, SinkEvent};
+//! use edgenn_obs::{Labels, Recorder};
 //!
 //! let recorder = Recorder::with_labels(Labels::new().with("model", "alexnet"));
-//! recorder.emit(SinkEvent::span("kernel", "gpu", "conv1", 0.0, 42.0, 0));
-//! recorder.emit(SinkEvent::Counter { track: "ema/conv1".into(), t_us: 1.0, value: 42.0 });
-//! assert_eq!(recorder.events().len(), 2);
+//! recorder.span("kernel", 0.0, 42.0, 0);
+//! recorder.sample("ema/conv1", 1.0, 42.0);
+//! assert_eq!(recorder.counter_samples().len(), 1);
 //! let json = recorder.metrics().to_json();
 //! assert!(json["counters"].as_array().is_some());
 //! ```
@@ -52,4 +52,4 @@ pub use flight::{
     BlackBox, NodeProfile, OpenSpan, ProfileSummary, ProfileWindow, SpanKind, SpanRecord, StageStat,
 };
 pub use metrics::{percentile, HistogramSnapshot, Labels, MetricsRegistry};
-pub use sink::{CounterSample, EventSink, NullSink, Recorder, SinkEvent};
+pub use sink::{CounterSample, Recorder};

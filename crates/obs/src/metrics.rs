@@ -29,15 +29,6 @@ impl Labels {
         self
     }
 
-    /// Merges `other` over `self` (other wins on key collisions).
-    pub fn merged_with(&self, other: &Labels) -> Labels {
-        let mut out = self.clone();
-        for (k, v) in &other.pairs {
-            out = out.with(k.clone(), v);
-        }
-        out
-    }
-
     /// True when no labels are set.
     pub fn is_empty(&self) -> bool {
         self.pairs.is_empty()
@@ -186,17 +177,16 @@ pub struct HistogramSnapshot {
     pub p99: f64,
 }
 
-type SeriesKey = (String, Labels);
-
 #[derive(Debug, Default)]
 struct RegistryInner {
-    counters: BTreeMap<SeriesKey, f64>,
-    gauges: BTreeMap<SeriesKey, f64>,
-    histograms: BTreeMap<SeriesKey, Histogram>,
+    counters: BTreeMap<String, f64>,
+    gauges: BTreeMap<String, f64>,
+    histograms: BTreeMap<String, Histogram>,
 }
 
-/// A thread-safe metrics registry with base labels applied to every
-/// series (typically `model`/`platform`/`policy`).
+/// A thread-safe metrics registry whose series all carry one set of base
+/// labels (typically `model`/`platform`/`policy`), so each series is
+/// keyed by its name alone.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     base: Labels,
@@ -217,11 +207,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// The base labels.
-    pub fn base_labels(&self) -> &Labels {
-        &self.base
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
         // A poisoned lock only happens if a panicking thread died mid-
         // update; metrics are best-effort, so keep serving.
@@ -232,57 +217,36 @@ impl MetricsRegistry {
 
     /// Adds `by` to a counter (creates it at 0 first).
     pub fn inc_counter(&self, name: &str, by: f64) {
-        self.inc_counter_with(name, &Labels::new(), by);
-    }
-
-    /// Adds `by` to a counter with extra labels on top of the base set.
-    pub fn inc_counter_with(&self, name: &str, extra: &Labels, by: f64) {
-        let key = (name.to_string(), self.base.merged_with(extra));
-        *self.lock().counters.entry(key).or_insert(0.0) += by;
+        *self.lock().counters.entry(name.to_string()).or_insert(0.0) += by;
     }
 
     /// Sets a gauge.
     pub fn set_gauge(&self, name: &str, value: f64) {
-        self.set_gauge_with(name, &Labels::new(), value);
-    }
-
-    /// Sets a gauge with extra labels on top of the base set.
-    pub fn set_gauge_with(&self, name: &str, extra: &Labels, value: f64) {
-        let key = (name.to_string(), self.base.merged_with(extra));
-        self.lock().gauges.insert(key, value);
+        self.lock().gauges.insert(name.to_string(), value);
     }
 
     /// Records one histogram observation.
     pub fn observe(&self, name: &str, value: f64) {
-        self.observe_with(name, &Labels::new(), value);
-    }
-
-    /// Records one histogram observation with extra labels.
-    pub fn observe_with(&self, name: &str, extra: &Labels, value: f64) {
-        let key = (name.to_string(), self.base.merged_with(extra));
         self.lock()
             .histograms
-            .entry(key)
+            .entry(name.to_string())
             .or_default()
             .observe(value);
     }
 
     /// Reads a counter back (None when never incremented).
     pub fn counter_value(&self, name: &str) -> Option<f64> {
-        let key = (name.to_string(), self.base.clone());
-        self.lock().counters.get(&key).copied()
+        self.lock().counters.get(name).copied()
     }
 
     /// Reads a gauge back.
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        let key = (name.to_string(), self.base.clone());
-        self.lock().gauges.get(&key).copied()
+        self.lock().gauges.get(name).copied()
     }
 
     /// Summarizes a histogram (None when it has no observations).
     pub fn histogram_snapshot(&self, name: &str) -> Option<HistogramSnapshot> {
-        let key = (name.to_string(), self.base.clone());
-        self.lock().histograms.get(&key).map(Histogram::snapshot)
+        self.lock().histograms.get(name).map(Histogram::snapshot)
     }
 
     /// Full JSON exposition: base labels plus every series.
@@ -291,35 +255,27 @@ impl MetricsRegistry {
     /// non-empty log buckets as `{le, count}` pairs.
     pub fn to_json(&self) -> Value {
         let inner = self.lock();
+        let labels = self.base.to_json();
         let mut root = Map::new();
-        root.insert("labels".to_string(), self.base.to_json());
-
-        let mut counters = Vec::new();
-        for ((name, labels), value) in &inner.counters {
+        root.insert("labels".to_string(), labels.clone());
+        let series = |name: &String, value: &f64| {
             let mut entry = Map::new();
             entry.insert("name".to_string(), Value::String(name.clone()));
-            entry.insert("labels".to_string(), labels.to_json());
+            entry.insert("labels".to_string(), labels.clone());
             entry.insert("value".to_string(), Value::Number(*value));
-            counters.push(Value::Object(entry));
-        }
+            Value::Object(entry)
+        };
+        let counters = inner.counters.iter().map(|(n, v)| series(n, v)).collect();
         root.insert("counters".to_string(), Value::Array(counters));
-
-        let mut gauges = Vec::new();
-        for ((name, labels), value) in &inner.gauges {
-            let mut entry = Map::new();
-            entry.insert("name".to_string(), Value::String(name.clone()));
-            entry.insert("labels".to_string(), labels.to_json());
-            entry.insert("value".to_string(), Value::Number(*value));
-            gauges.push(Value::Object(entry));
-        }
+        let gauges = inner.gauges.iter().map(|(n, v)| series(n, v)).collect();
         root.insert("gauges".to_string(), Value::Array(gauges));
 
         let mut histograms = Vec::new();
-        for ((name, labels), hist) in &inner.histograms {
+        for (name, hist) in &inner.histograms {
             let snap = hist.snapshot();
             let mut entry = Map::new();
             entry.insert("name".to_string(), Value::String(name.clone()));
-            entry.insert("labels".to_string(), labels.to_json());
+            entry.insert("labels".to_string(), labels.clone());
             entry.insert("count".to_string(), Value::Number(snap.count as f64));
             entry.insert("sum".to_string(), Value::Number(snap.sum));
             entry.insert("min".to_string(), Value::Number(snap.min));
@@ -348,42 +304,29 @@ impl MetricsRegistry {
     pub fn to_prometheus_text(&self) -> String {
         use std::fmt::Write as _;
         let inner = self.lock();
+        let labels = self.base.prometheus();
         let mut out = String::new();
-        let mut last_name = String::new();
-        for ((name, labels), value) in &inner.counters {
-            if *name != last_name {
-                let _ = writeln!(out, "# TYPE {name} counter");
-                last_name = name.clone();
-            }
-            let _ = writeln!(out, "{name}{} {value}", labels.prometheus());
+        for (name, value) in &inner.counters {
+            let _ = writeln!(out, "# TYPE {name} counter\n{name}{labels} {value}");
         }
-        last_name.clear();
-        for ((name, labels), value) in &inner.gauges {
-            if *name != last_name {
-                let _ = writeln!(out, "# TYPE {name} gauge");
-                last_name = name.clone();
-            }
-            let _ = writeln!(out, "{name}{} {value}", labels.prometheus());
+        for (name, value) in &inner.gauges {
+            let _ = writeln!(out, "# TYPE {name} gauge\n{name}{labels} {value}");
         }
-        last_name.clear();
-        for ((name, labels), hist) in &inner.histograms {
-            if *name != last_name {
-                let _ = writeln!(out, "# TYPE {name} histogram");
-                last_name = name.clone();
-            }
+        for (name, hist) in &inner.histograms {
+            let _ = writeln!(out, "# TYPE {name} histogram");
             let mut cumulative = 0u64;
             for (i, &count) in hist.counts.iter().enumerate() {
                 if count == 0 {
                     continue;
                 }
                 cumulative += count;
-                let le = labels.merged_with(&Labels::new().with("le", bucket_upper(i)));
+                let le = self.base.clone().with("le", bucket_upper(i));
                 let _ = writeln!(out, "{name}_bucket{} {cumulative}", le.prometheus());
             }
-            let inf = labels.merged_with(&Labels::new().with("le", "+Inf"));
+            let inf = self.base.clone().with("le", "+Inf");
             let _ = writeln!(out, "{name}_bucket{} {}", inf.prometheus(), hist.count);
-            let _ = writeln!(out, "{name}_sum{} {}", labels.prometheus(), hist.sum);
-            let _ = writeln!(out, "{name}_count{} {}", labels.prometheus(), hist.count);
+            let _ = writeln!(out, "{name}_sum{labels} {}", hist.sum);
+            let _ = writeln!(out, "{name}_count{labels} {}", hist.count);
         }
         out
     }

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use edgenn_core::plan::ExecutionConfig;
 use edgenn_core::runtime::Runtime;
 use edgenn_nn::models::ModelKind;
-use edgenn_obs::{percentile, EventSink, Recorder, SinkEvent};
+use edgenn_obs::{percentile, Recorder};
 use edgenn_sim::Platform;
 
 use crate::admission::{AdmissionController, TenantConfig};
@@ -245,13 +245,9 @@ impl<'a> Dispatcher<'a> {
         self.batcher.next_expiry()
     }
 
-    fn sink(&self, decision: &'static str, tenant: usize, t_us: f64) {
+    fn sink(&self, decision: &str) {
         if let Some(obs) = self.observer {
-            obs.emit(SinkEvent::Serve {
-                decision,
-                tenant: tenant as u32,
-                t_us,
-            });
+            obs.serve(decision);
         }
     }
 
@@ -295,12 +291,12 @@ impl<'a> Dispatcher<'a> {
                     retry_after_us,
                 },
             );
-            self.sink("rejected", tenant, now_us);
+            self.sink("rejected");
             return Err(retry_after_us);
         }
         self.log
             .push(now_us, ServeEventKind::Admitted { req: id, tenant });
-        self.sink("admitted", tenant, now_us);
+        self.sink("admitted");
         let req = Request {
             id,
             tenant,
@@ -363,7 +359,7 @@ impl<'a> Dispatcher<'a> {
                         to: variant,
                     },
                 );
-                self.sink("degraded", m.tenant, now_us);
+                self.sink("degraded");
             }
         }
         for m in &shed {
@@ -375,13 +371,13 @@ impl<'a> Dispatcher<'a> {
                     reason: RejectReason::DeadlineUnmeetable,
                 },
             );
-            self.sink("shed", m.tenant, now_us);
+            self.sink("shed");
             self.admission.release(m.tenant);
         }
         let done_us = now_us + self.est[model][chosen] * keep.len() as f64;
-        if let Some(first) = keep.first() {
+        if !keep.is_empty() {
             self.busy_until = done_us;
-            self.sink("batch_dispatched", first.tenant, now_us);
+            self.sink("batch_dispatched");
         }
         Some(Job {
             batch: id,
@@ -417,7 +413,7 @@ impl<'a> Dispatcher<'a> {
                             degraded: job.rung != 0,
                         },
                     );
-                    self.sink("completed", m.tenant, now_us);
+                    self.sink("completed");
                 }
                 Some(false) => self.bitwise_failures.push(format!(
                     "{} batch {} req {}: output diverged from the fault-free {} reference",

@@ -375,8 +375,8 @@ fn poisson_gap(rng: &mut StdRng, rate_rps: f64) -> f64 {
 /// Runs one deterministic siege. Same config (including seed), same
 /// admission log — bit for bit.
 ///
-/// Decisions stream into `observer` (when given) as
-/// `SinkEvent::Serve` counters.
+/// Decisions are counted into `observer` (when given) as
+/// `edgenn_serve_<decision>_total` counters.
 ///
 /// # Errors
 /// Fails on scenario construction problems (empty tenant/model lists,

@@ -3,13 +3,11 @@
 //! The runtime in `edgenn-core` decides *what* happens (which kernels on
 //! which processor, which copies, which syncs); this timeline tracks
 //! *when*: per-processor clocks, busy-time accounting (for utilization and
-//! power), and the full event trace. When an observer sink is attached,
-//! every scheduled activity — and every contention stall in front of one —
-//! is mirrored into it as a span.
+//! power), and the full event trace. When a recorder is attached, every
+//! scheduled activity — and every contention stall in front of one — is
+//! counted into it as a span.
 
-use std::sync::Arc;
-
-use edgenn_obs::{EventSink, SinkEvent};
+use edgenn_obs::Recorder;
 
 use crate::processor::ProcessorKind;
 use crate::trace::{TraceEvent, TraceKind, TraceSummary};
@@ -26,13 +24,6 @@ struct ProcState {
 /// Stalls shorter than this are scheduling noise, not contention worth
 /// reporting (us).
 const STALL_EPSILON_US: f64 = 1e-9;
-
-fn track_name(proc: ProcessorKind) -> &'static str {
-    match proc {
-        ProcessorKind::Cpu => "cpu",
-        ProcessorKind::Gpu => "gpu",
-    }
-}
 
 fn category_name(kind: TraceKind) -> &'static str {
     match kind {
@@ -53,23 +44,12 @@ fn category_name(kind: TraceKind) -> &'static str {
 /// data-dependency `ready_at` time; `schedule_bus` places interconnect
 /// work (copies/migrations) that occupies *both* processors' memory path
 /// logically but is attributed to the bus.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Timeline {
     cpu: ProcState,
     gpu: ProcState,
     events: Vec<TraceEvent>,
-    sink: Option<Arc<dyn EventSink>>,
-}
-
-impl std::fmt::Debug for Timeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Timeline")
-            .field("cpu", &self.cpu)
-            .field("gpu", &self.gpu)
-            .field("events", &self.events)
-            .field("sink", &self.sink.as_ref().map(|_| "<EventSink>"))
-            .finish()
-    }
+    recorder: Option<Recorder>,
 }
 
 impl Timeline {
@@ -78,17 +58,17 @@ impl Timeline {
         Self::default()
     }
 
-    /// Fresh timeline mirroring every activity into `sink`.
-    pub fn with_sink(sink: Arc<dyn EventSink>) -> Self {
+    /// Fresh timeline counting every activity and stall into `recorder`.
+    pub fn with_recorder(recorder: Recorder) -> Self {
         Self {
-            sink: Some(sink),
+            recorder: Some(recorder),
             ..Self::default()
         }
     }
 
-    fn emit(&self, event: SinkEvent) {
-        if let Some(sink) = &self.sink {
-            sink.emit(event);
+    fn span(&self, category: &str, start_us: f64, end_us: f64, bytes: u64) {
+        if let Some(rec) = &self.recorder {
+            rec.span(category, start_us, end_us, bytes);
         }
     }
 
@@ -132,27 +112,13 @@ impl Timeline {
         let start = free_at.max(ready_at);
         // Data was ready but the processor was occupied: contention stall.
         if free_at > ready_at + STALL_EPSILON_US {
-            self.emit(SinkEvent::span(
-                "stall",
-                track_name(proc),
-                format!("{label} (wait)"),
-                ready_at,
-                free_at,
-                0,
-            ));
+            self.span("stall", ready_at, free_at, 0);
         }
         let end = start + duration_us;
         let state = self.state_mut(proc);
         state.free_at = end;
         state.busy += duration_us;
-        self.emit(SinkEvent::span(
-            category_name(kind),
-            track_name(proc),
-            label.clone(),
-            start,
-            end,
-            0,
-        ));
+        self.span(category_name(kind), start, end, 0);
         self.events.push(TraceEvent {
             kind,
             processor: Some(proc),
@@ -188,14 +154,7 @@ impl Timeline {
             state.free_at = state.free_at.max(end);
             state.busy += duration_us;
         }
-        self.emit(SinkEvent::span(
-            category_name(kind),
-            "bus",
-            label.clone(),
-            start,
-            end,
-            bytes,
-        ));
+        self.span(category_name(kind), start, end, bytes);
         self.events.push(TraceEvent {
             kind,
             processor: attributed_to,
@@ -214,7 +173,7 @@ impl Timeline {
         if (self.cpu.free_at - self.gpu.free_at).abs() > f64::EPSILON {
             let label = label.into();
             let start = self.cpu.free_at.min(self.gpu.free_at);
-            self.emit(SinkEvent::span("sync", "bus", label.clone(), start, t, 0));
+            self.span("sync", start, t, 0);
             self.events.push(TraceEvent {
                 kind: TraceKind::Sync,
                 processor: None,
@@ -265,7 +224,6 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edgenn_obs::Recorder;
 
     #[test]
     fn sequential_scheduling_advances_one_clock() {
@@ -362,7 +320,7 @@ mod tests {
     #[test]
     fn sink_mirrors_activities_and_reports_stalls() {
         let recorder = Recorder::new();
-        let mut t = Timeline::with_sink(Arc::new(recorder.clone()));
+        let mut t = Timeline::with_recorder(recorder.clone());
         t.schedule(ProcessorKind::Gpu, TraceKind::Kernel, 0.0, 10.0, "k1");
         // Ready at t=2 but the GPU is busy until t=10: an 8us stall.
         t.schedule(ProcessorKind::Gpu, TraceKind::Kernel, 2.0, 5.0, "k2");

@@ -48,7 +48,7 @@ pub use im2col::{
 };
 pub use quant::{
     dot_i8, min_max, qgemm_pack_a, qgemm_pack_a_words, qgemm_pack_bytes, qgemm_requant_into,
-    quantize_into, row_sums, QTensor, QuantParams, Quantization, Requant,
+    quantize_into, row_sums, QTensor, QuantParams, Quantization, Requant, MAX_DEPTH,
 };
 pub use scratch::{scratch_stats, with_scratch, ScratchElem, ScratchStats};
 pub use shape::Shape;

@@ -67,9 +67,10 @@ pub(crate) const GROUP: usize = 4;
 /// Bound on the codes one int8 reduction sums. Below it, with i8 codes
 /// on both sides and a zero-point in `[-128, 128]`, the requant's
 /// difference `acc − z_x·Σ_p Wq[i][p] = Σ_p Wq·(Xq − z_x)` stays within
-/// `128·256·k < 2^31`, so it is exact in i32, where the AVX-512 block
-/// kernel takes it.
-pub(crate) const MAX_DEPTH: usize = 1 << 16;
+/// `128·256·k < 2^31`, so it is exact in i32, where every write-back
+/// (the int8 GEMM's on each kernel variant, and the dense mat-vec's)
+/// takes it.
+pub const MAX_DEPTH: usize = 1 << 16;
 
 /// Packs two int8 codes into one pair word: `lo` in the low 16 bits,
 /// `hi` in the high 16, each sign-extended to i16 — in memory (little
@@ -328,10 +329,10 @@ pub fn row_sums(w: &[i8], m: usize, k: usize) -> Vec<i32> {
 /// output element `(i, j)` to
 /// `f(w_scales[i] * act.scale * (acc - act.zero_point * row_sums[i]) + bias[i])`
 /// where `f` is ReLU when `relu` is set. All slices are indexed by the
-/// *local* row of the call (callers slice them alongside `a`). The
-/// int8 GEMMs take `row_sums` to be the sums of `a`'s rows, as
-/// [`row_sums`] computes them: the AVX-512 kernel forms the difference in
-/// i32, which is exact only for the true sums.
+/// *local* row of the call (callers slice them alongside `a`). Callers
+/// take `row_sums` to be the sums of `a`'s rows, as [`row_sums`] computes
+/// them, over fewer than [`MAX_DEPTH`] codes: the write-back forms the
+/// difference in i32, which is exact only for the true sums.
 #[derive(Debug, Clone, Copy)]
 pub struct Requant<'a> {
     /// Per-row (symmetric) weight scales, `len == m`.
@@ -361,7 +362,7 @@ impl Requant<'_> {
     fn row(&self, i: usize) -> RowRequant {
         RowRequant {
             scale: self.w_scales[i] * self.act.scale,
-            corr: i64::from(self.act.zero_point) * i64::from(self.row_sums[i]),
+            corr: self.act.zero_point.wrapping_mul(self.row_sums[i]),
             bias: self.bias.map_or(0.0, |b| b[i]),
             relu: self.relu,
         }
@@ -381,19 +382,21 @@ impl Requant<'_> {
 #[derive(Clone, Copy, Default)]
 pub(crate) struct RowRequant {
     pub(crate) scale: f32,
-    pub(crate) corr: i64,
+    pub(crate) corr: i32,
     pub(crate) bias: f32,
     pub(crate) relu: bool,
 }
 
 impl RowRequant {
-    /// The ReLU is `v > 0 ? v : +0.0`, which maps NaN and `-0.0` to
-    /// `+0.0`, as x86's `maxps(v, 0)` does. `f32::max` leaves the sign of
-    /// a zero unspecified: inlined against the constant it compiled to
-    /// that `maxps`, but a debug build's call kept `-0.0`.
+    /// The difference `acc − corr` is exact in i32 below [`MAX_DEPTH`]
+    /// codes, where the wrapped correction gives it, as in the AVX-512
+    /// block kernel. The ReLU is `v > 0 ? v : +0.0`, which maps NaN and
+    /// `-0.0` to `+0.0`, as x86's `maxps(v, 0)` does. `f32::max` leaves
+    /// the sign of a zero unspecified: inlined against the constant it
+    /// compiled to that `maxps`, but a debug build's call kept `-0.0`.
     #[inline(always)]
     fn apply(self, acc: i32) -> f32 {
-        let v = self.scale * ((i64::from(acc) - self.corr) as f32) + self.bias;
+        let v = self.scale * (acc.wrapping_sub(self.corr) as f32) + self.bias;
         if !self.relu || v > 0.0 {
             v
         } else {

@@ -460,7 +460,7 @@ fn qgemm_block_avx512<const G: usize>(blk: Block<'_>, panels: &[Panel; G], out: 
             if let Some(row) = blk.rq.get($r) {
                 let out_row = &mut out[$r * n..][..n];
                 // The difference fits in i32, so the wrapped correction gives it.
-                let corr = _mm512_set1_epi32(row.corr as i32);
+                let corr = _mm512_set1_epi32(row.corr);
                 let (scale, bias) = (_mm512_set1_ps(row.scale), _mm512_set1_ps(row.bias));
                 $(if let (Some(&acc), Some(panel)) = (acc[$r].get($g), panels.get($g)) {
                     let d = _mm512_cvtepi32_ps(_mm512_sub_epi32(acc, corr));

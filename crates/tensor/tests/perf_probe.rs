@@ -13,12 +13,32 @@ use edgenn_tensor::{
     QTensor, QuantParams, Quantization, Requant, Tensor,
 };
 
-fn best_ns(mut f: impl FnMut(), iters: usize) -> u64 {
-    let mut best = u64::MAX;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_nanos() as u64);
+/// Rounds every probe is timed in.
+const ROUNDS: usize = 3;
+
+/// One timed kernel: how many timed calls a round makes of it, and the
+/// call.
+type Probe<'a> = (usize, Box<dyn FnMut() + 'a>);
+
+/// Each probe's fastest median µs over [`ROUNDS`] rounds. A round times
+/// every probe in turn (`samples / 10` untimed calls, then `samples`
+/// timed ones), so a slow spell of the host lands on one round of
+/// several probes rather than on every round of one.
+fn best_medians_us(probes: &mut [Probe<'_>]) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; probes.len()];
+    for _ in 0..ROUNDS {
+        for ((samples, call), best) in probes.iter_mut().zip(&mut best) {
+            let mut ns: Vec<u64> = Vec::with_capacity(*samples);
+            for i in 0..*samples + *samples / 10 {
+                let t0 = Instant::now();
+                call();
+                if i >= *samples / 10 {
+                    ns.push(t0.elapsed().as_nanos() as u64);
+                }
+            }
+            ns.sort_unstable();
+            *best = best.min(ns[ns.len() / 2] as f64 / 1e3);
+        }
     }
     best
 }
@@ -30,7 +50,7 @@ fn gemm_f32_vs_int8_throughput() {
     let (m, k, n) = (256, 2304, 196);
     let w = Tensor::random(&[m, k], 1.0, 1);
     let x = Tensor::random(&[k, n], 1.0, 2);
-    let mut out = vec![0.0f32; m * n];
+    let (mut f32_out, mut int8_out) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
 
     let qw = QTensor::quantize_per_channel(&w).unwrap();
     let Quantization::PerChannel(wp) = qw.quant().clone() else {
@@ -49,23 +69,28 @@ fn gemm_f32_vs_int8_throughput() {
         relu: false,
     };
 
-    let f32_ns = best_ns(
-        || gemm_into(w.as_slice(), x.as_slice(), &mut out, m, k, n),
-        12,
-    );
-    let int8_ns = best_ns(
-        || qgemm_requant_into(qw.as_slice(), &qx, &mut out, m, k, n, &rq),
-        12,
-    );
+    const SAMPLES: usize = 12;
+    let us = best_medians_us(&mut [
+        (
+            SAMPLES,
+            Box::new(|| gemm_into(w.as_slice(), x.as_slice(), &mut f32_out, m, k, n)),
+        ),
+        (
+            SAMPLES,
+            Box::new(|| qgemm_requant_into(qw.as_slice(), &qx, &mut int8_out, m, k, n, &rq)),
+        ),
+    ]);
+    let (f32_us, int8_us) = (us[0], us[1]);
     let flops = 2.0 * (m * k * n) as f64;
     println!(
-        "arch={} ({m}x{k}x{n}) f32 {:.2} ms ({:.2} GFLOP/s) | int8 {:.2} ms ({:.2} Gop/s) | int8/f32 {:.2}x",
+        "arch={} ({m}x{k}x{n}), fastest of {ROUNDS} rounds' medians of {SAMPLES} calls: \
+         f32 {:.2} ms ({:.2} GFLOP/s) | int8 {:.2} ms ({:.2} Gop/s) | int8/f32 {:.2}x",
         kernel_arch().name(),
-        f32_ns as f64 / 1e6,
-        flops / f32_ns as f64,
-        int8_ns as f64 / 1e6,
-        flops / int8_ns as f64,
-        f32_ns as f64 / int8_ns as f64,
+        f32_us / 1e3,
+        flops / (f32_us * 1e3),
+        int8_us / 1e3,
+        flops / (int8_us * 1e3),
+        f32_us / int8_us,
     );
 }
 
@@ -104,19 +129,20 @@ const SQUEEZENET: [ConvLayer; 9] = [
     ("conv10", 32, 4, 1, 1, 0, 10),
 ];
 
-/// Median µs of `samples` timed calls of `f` on `out`, after
-/// `samples / 10` untimed ones; both kernels overwrite `out`.
-fn median_us(samples: usize, out: &mut [f32], mut f: impl FnMut(&mut [f32])) -> f64 {
-    let mut ns: Vec<u64> = Vec::with_capacity(samples);
-    for i in 0..samples + samples / 10 {
-        let t0 = Instant::now();
-        f(out);
-        if i >= samples / 10 {
-            ns.push(t0.elapsed().as_nanos() as u64);
-        }
+/// A square window's geometry: channels, input side, kernel, stride,
+/// padding.
+fn geometry(c: usize, hw: usize, k: usize, s: usize, p: usize) -> Conv2dGeometry {
+    Conv2dGeometry {
+        in_channels: c,
+        in_h: hw,
+        in_w: hw,
+        kernel_h: k,
+        kernel_w: k,
+        stride_h: s,
+        stride_w: s,
+        pad_h: p,
+        pad_w: p,
     }
-    ns.sort_unstable();
-    ns[ns.len() / 2] as f64 / 1e3
 }
 
 #[test]
@@ -126,32 +152,30 @@ fn conv_layers_of_the_tiny_models() {
     // in the epilogue, every output channel, the activation parameters
     // calibrated beforehand.
     const SAMPLES: usize = 20_000;
-    println!("arch={}, median of {SAMPLES} calls", kernel_arch().name());
+    println!(
+        "arch={}, fastest of {ROUNDS} rounds' medians of {SAMPLES} calls",
+        kernel_arch().name()
+    );
     for (model, layers) in [("VGG-16", &VGG[..]), ("SqueezeNet", &SQUEEZENET[..])] {
-        let (mut f32_sum, mut int8_sum) = (0.0, 0.0);
-        for &(names, c, hw, k, s, p, m) in layers {
-            let g = Conv2dGeometry {
-                in_channels: c,
-                in_h: hw,
-                in_w: hw,
-                kernel_h: k,
-                kernel_w: k,
-                stride_h: s,
-                stride_w: s,
-                pad_h: p,
-                pad_w: p,
-            };
+        let mut probes: Vec<Probe<'_>> = Vec::new();
+        for &(_, c, hw, k, s, p, m) in layers {
+            let g = geometry(c, hw, k, s, p);
             let depth = c * k * k;
             let x = Tensor::random(&[c, hw, hw], 1.0, 1);
             let w = Tensor::random(&[m, depth], 0.5, 2);
             let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.01).collect();
-            let mut out = vec![0.0f32; m * g.out_h() * g.out_w()];
+            let len = m * g.out_h() * g.out_w();
 
             let packed = gemm_pack_a(w.as_slice(), m, depth);
-            let ep = Epilogue::BiasRelu { bias: &bias };
-            let f32_us = median_us(SAMPLES, &mut out, |out| {
-                conv_gemm_into(black_box(x.as_slice()), &g, &packed, depth, out, ep).unwrap();
-            });
+            let (x32, bias32, mut out) = (x.clone(), bias.clone(), vec![0.0f32; len]);
+            probes.push((
+                SAMPLES,
+                Box::new(move || {
+                    let ep = Epilogue::BiasRelu { bias: &bias32 };
+                    let x = black_box(x32.as_slice());
+                    conv_gemm_into(x, &g, &packed, depth, &mut out, ep).unwrap();
+                }),
+            ));
 
             let qw = QTensor::quantize_per_channel(&w).unwrap();
             let Quantization::PerChannel(params) = qw.quant() else {
@@ -161,16 +185,27 @@ fn conv_layers_of_the_tiny_models() {
             let sums = row_sums(qw.as_slice(), m, depth);
             let awide = qgemm_pack_a(qw.as_slice(), m, depth, k * k);
             let (lo, hi) = min_max(x.as_slice());
-            let rq = Requant {
-                w_scales: &scales,
-                act: QuantParams::from_min_max(lo, hi),
-                row_sums: &sums,
-                bias: Some(&bias),
-                relu: true,
-            };
-            let int8_us = median_us(SAMPLES, &mut out, |out| {
-                conv_qgemm_into(black_box(x.as_slice()), &g, &awide, 0..m, out, &rq).unwrap();
-            });
+            let act = QuantParams::from_min_max(lo, hi);
+            let mut out = vec![0.0f32; len];
+            probes.push((
+                SAMPLES,
+                Box::new(move || {
+                    let rq = Requant {
+                        w_scales: &scales,
+                        act,
+                        row_sums: &sums,
+                        bias: Some(&bias),
+                        relu: true,
+                    };
+                    let x = black_box(x.as_slice());
+                    conv_qgemm_into(x, &g, &awide, 0..m, &mut out, &rq).unwrap();
+                }),
+            ));
+        }
+        let us = best_medians_us(&mut probes);
+        let (mut f32_sum, mut int8_sum) = (0.0, 0.0);
+        for (&(names, ..), us) in layers.iter().zip(us.chunks(2)) {
+            let (f32_us, int8_us) = (us[0], us[1]);
             let runs = names.split(' ').count();
             println!("{model:<10} {names:<18} f32 {f32_us:7.2} us   int8 {int8_us:7.2} us");
             f32_sum += runs as f64 * f32_us;
@@ -223,25 +258,25 @@ const POOLS: [PoolLayer; 17] = [
 fn pool_layers_of_the_models() {
     // Each max pool as the engine runs it: every channel, `out`
     // overwritten. The paper-scale shapes take fewer samples.
-    println!("arch={}, median µs", kernel_arch().name());
-    for &(model, name, c, hw, k, s, p) in &POOLS {
-        let g = Conv2dGeometry {
-            in_channels: c,
-            in_h: hw,
-            in_w: hw,
-            kernel_h: k,
-            kernel_w: k,
-            stride_h: s,
-            stride_w: s,
-            pad_h: p,
-            pad_w: p,
-        };
-        let x = Tensor::random(&[c, hw, hw], 1.0, 1);
-        let mut out = vec![0.0f32; c * g.out_h() * g.out_w()];
-        let samples = if c * hw * hw > 50_000 { 500 } else { 20_000 };
-        let us = median_us(samples, &mut out, |out| {
-            pool_into(black_box(x.as_slice()), &g, PoolKind::Max, out).unwrap();
-        });
+    println!(
+        "arch={}, fastest of {ROUNDS} rounds' median µs",
+        kernel_arch().name()
+    );
+    let mut probes: Vec<Probe<'_>> = POOLS
+        .iter()
+        .map(|&(_, _, c, hw, k, s, p)| -> Probe<'_> {
+            let g = geometry(c, hw, k, s, p);
+            let x = Tensor::random(&[c, hw, hw], 1.0, 1);
+            let mut out = vec![0.0f32; c * g.out_h() * g.out_w()];
+            let samples = if c * hw * hw > 50_000 { 500 } else { 20_000 };
+            let pool = move || {
+                pool_into(black_box(x.as_slice()), &g, PoolKind::Max, &mut out).unwrap();
+            };
+            (samples, Box::new(pool))
+        })
+        .collect();
+    let us = best_medians_us(&mut probes);
+    for (&(model, name, c, hw, k, s, p), us) in POOLS.iter().zip(us) {
         println!("{model:<10} {name:<12} {c:>3}x{hw}x{hw} {k}/{s}/{p}  {us:8.3} us");
     }
 }

@@ -193,18 +193,17 @@ fn extreme_split_fractions_stay_correct() {
     }
 }
 
-/// The observability stack end to end: an observed run mirrors every
-/// activity into the sink, decision provenance rides in the report (and
+/// The observability stack end to end: an observed run records every
+/// activity into the recorder, decision provenance rides in the report (and
 /// its JSON), and the exported chrome trace carries counter tracks.
 #[test]
 fn observability_spans_the_stack() {
     use edgenn_obs::Recorder;
-    use std::sync::Arc;
 
     let jetson = platforms::jetson_agx_xavier();
     let graph = build(ModelKind::AlexNet, ModelScale::Paper);
     let recorder = Recorder::new();
-    let runtime = Runtime::with_observer(&jetson, Arc::new(recorder.clone()));
+    let runtime = Runtime::with_observer(&jetson, recorder.clone());
     let mut tuner = Tuner::new(&graph, &runtime).unwrap();
     let (plan, _) = tuner
         .adapt(&graph, &runtime, ExecutionConfig::edgenn(), 2, 0.1)
@@ -228,7 +227,7 @@ fn observability_spans_the_stack() {
         report.decisions[0].candidates.len()
     );
 
-    // The sink saw kernels, requests, and the tuner's EMA evolution.
+    // The recorder saw kernels, requests, and the tuner's EMA evolution.
     let metrics = recorder.metrics();
     assert!(metrics.counter_value("edgenn_kernel_total").unwrap_or(0.0) > 0.0);
     assert!(

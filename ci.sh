@@ -157,8 +157,9 @@ echo "==> functional bench: one-core and two-core smoke runs, schema check, regr
 # run is pinned to cores 0-1: the gate stays machine-portable, and a
 # >25% relative regression of the engine over the raw kernels fails CI
 # in either precision on either core count. The drops gate requires
-# flight_dropped == 0 on every row — the executor sizes the recorder's
-# rings from the node count, and any drop means that estimate regressed.
+# flight_dropped == 0 on every row — a request writes a small share of
+# one of the recorder's fixed rings, and any drop means a request now
+# writes more records than a ring holds.
 cargo build --release -p edgenn-bench
 if ! command -v taskset >/dev/null 2>&1; then
     echo "taskset (util-linux) is required for the pinned bench run"
@@ -252,8 +253,8 @@ done
 # The recorder-overhead gate bounds sum(recorder on)/sum(recorder off)
 # at 5% across all bundled models, measured in one interleaved loop.
 # The same run applies the drops gate to its 12 rows: every recorder-on
-# request must keep every record of its own window (a drop means the
-# executor's ring reservation fell behind the records a request writes).
+# request must keep every record of its own window (a drop means one
+# request wrote more records than a fixed ring holds).
 # Perf gates on shared hardware are probabilistic: a fresh process
 # re-rolls memory placement, so retry up to three times and fail only
 # if every attempt exceeds the budget (docs/profiling.md).

@@ -537,9 +537,8 @@ pub fn overhead_gate(report: &BenchReport, budget: f64) -> Result<(), String> {
 }
 
 /// Gates flight-recorder ring sizing: no measured row may have dropped
-/// records — the executor reserves ring capacity from the node count at
-/// construction, so any drop means the estimate fell behind reality
-/// (the old fixed rings lost ~5k records per VGG request).
+/// records — one request writes a small share of one fixed ring, so any
+/// drop means a request now writes more records than a ring holds.
 ///
 /// # Errors
 /// Returns a description of every overflowing row.

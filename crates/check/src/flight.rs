@@ -383,19 +383,24 @@ mod tests {
             .plan(&graph, &runtime, ExecutionConfig::edgenn())
             .unwrap();
         let input = Tensor::random(graph.input_shape().dims(), 1.0, 11);
-        let marker = flight::mark();
         let outcome = edgenn_core::runtime::functional::execute(&graph, &plan, &input).unwrap();
-        assert!(outcome.engine.profile.is_some());
-        let records = flight::drain_since(&marker);
         // Other tests' runs record into the same process-wide rings; the
-        // root this thread recorded is this run's.
-        let root = records
-            .iter()
-            .find(|r| r.kind == SpanKind::Request && r.worker == flight::worker_ordinal())
-            .expect("the run records a request root span");
-        let slice = flight::causal_slice(&records, root.id);
-        assert!(slice.len() > 10, "real run produced {} spans", slice.len());
-        let diags = check_flight_records(&slice);
+        // run's own window keeps only its causal tree.
+        let records = outcome
+            .engine
+            .profile
+            .expect("flight enabled => profile present")
+            .records();
+        assert!(
+            records.iter().any(|r| r.kind == SpanKind::Request),
+            "the run records a request root span"
+        );
+        assert!(
+            records.len() > 10,
+            "real run produced {} spans",
+            records.len()
+        );
+        let diags = check_flight_records(&records);
         assert!(diags.is_empty(), "measured timeline must verify: {diags:?}");
     }
 }

@@ -1205,13 +1205,15 @@ fn cmd_profile(options: &Options) -> Result<(), String> {
     executor.execute(&plan, &input).map_err(|e| e.to_string())?;
     let mut kept: Option<(Vec<flight::SpanRecord>, flight::SpanRecord, ProfileSummary)> = None;
     for _ in 0..runs {
-        let marker = flight::mark();
         let outcome = executor.execute(&plan, &input).map_err(|e| e.to_string())?;
-        let records = flight::drain_since(&marker);
+        let window = outcome
+            .engine
+            .profile
+            .ok_or("the recorder opened no request window")?;
+        let records = window.records();
         let root = records
             .iter()
-            .filter(|r| r.kind == flight::SpanKind::Request)
-            .max_by_key(|r| r.id)
+            .find(|r| r.kind == flight::SpanKind::Request)
             .copied()
             .ok_or("the recorder captured no request span (ring overflow?)")?;
         let wall = root.end_ns - root.start_ns;
@@ -1219,13 +1221,7 @@ fn cmd_profile(options: &Options) -> Result<(), String> {
             .as_ref()
             .is_none_or(|(_, best, _)| wall < best.end_ns - best.start_ns)
         {
-            let slice = flight::causal_slice(&records, root.id);
-            let profile = outcome
-                .engine
-                .profile
-                .map(|window| window.summary())
-                .unwrap_or_default();
-            kept = Some((slice, root, profile));
+            kept = Some((records, root, window.summary()));
         }
     }
     let (slice, root, profile) = kept.expect("runs >= 1 always keeps a request");

@@ -187,8 +187,13 @@ fn metrics_out_snapshots_the_labelled_counters_and_trace_tracks() {
         for kind in ["counters", "gauges", "histograms"] {
             for entry in series(kind) {
                 assert_eq!(&entry["labels"], labels, "{tag}: {entry:?}");
+                let name = entry["name"].as_str().unwrap();
+                assert!(
+                    is_prometheus_name(name),
+                    "{tag}: {kind} name {name:?} is not a Prometheus metric name"
+                );
                 if kind == "counters" {
-                    names.push(entry["name"].as_str().unwrap().to_string());
+                    names.push(name.to_string());
                 }
             }
         }
@@ -225,7 +230,31 @@ fn metrics_out_snapshots_the_labelled_counters_and_trace_tracks() {
         for name in ["bandwidth_gbps", "managed_pages_outstanding"] {
             assert!(tracks.contains(&name), "{tag}: no {name} counter track");
         }
+        // Each sampled (tuner) track sets a gauge of its own.
+        let sampled: std::collections::BTreeSet<&str> = tracks
+            .iter()
+            .copied()
+            .filter(|t| t.starts_with("ema_"))
+            .collect();
+        let track_gauges = series("gauges")
+            .iter()
+            .filter(|g| g["name"].as_str().unwrap().starts_with("edgenn_track_"))
+            .count();
+        assert_eq!(
+            track_gauges,
+            sampled.len(),
+            "{tag}: two tracks share a gauge"
+        );
     }
+}
+
+/// Whether `name` matches Prometheus's `[a-zA-Z_:][a-zA-Z0-9_:]*`.
+fn is_prometheus_name(name: &str) -> bool {
+    let mut chars = name.chars();
+    chars
+        .next()
+        .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
+        && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
 #[test]

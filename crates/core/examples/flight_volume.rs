@@ -1,82 +1,104 @@
-//! Diagnostic: prints flight-record volume per model run, broken down by
-//! kind, plus the cost of the per-request summarization (drain + causal
-//! slice + profile build).
+//! Diagnostic: prints how many flight records one request writes, per
+//! model, scale, precision and plan (tuned for the Jetson, or every
+//! partitionable layer split), beside the fixed ring size
+//! `flight::RING_RECORDS`. Re-run it after any change that adds records:
+//!
+//! ```text
+//! cargo run --release -p edgenn-core --example flight_volume
+//! ```
+//!
+//! Each request is read through its own `ProfileWindow`, the engine's
+//! record of what that request wrote.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
-use edgenn_core::plan::ExecutionConfig;
+use edgenn_core::plan::{Assignment, ExecutionConfig, ExecutionPlan, NodePlan, Precision};
 use edgenn_core::prelude::*;
-use edgenn_obs::{flight, ProfileSummary};
+use edgenn_core::runtime::functional::Executor;
+use edgenn_nn::graph::{compile, CompileOptions, Graph};
+use edgenn_obs::flight;
 use edgenn_sim::platforms::jetson_agx_xavier;
+use edgenn_sim::AllocStrategy;
 use edgenn_tensor::Tensor;
+
+/// Splits every layer with at least two output units half and half.
+fn split_every_layer(graph: &Graph) -> Vec<NodePlan> {
+    let mut nodes = vec![NodePlan::gpu_explicit(); graph.len()];
+    for id in graph.topo_order() {
+        let shapes = graph.input_shapes(id).unwrap();
+        let layer = graph.node(id).unwrap().layer();
+        if layer.partition_units(&shapes).unwrap_or(1) >= 2 {
+            nodes[id.index()] = NodePlan {
+                assignment: Assignment::Split { cpu_fraction: 0.5 },
+                output_alloc: AllocStrategy::Explicit,
+                prefetch_inputs: false,
+            };
+        }
+    }
+    nodes
+}
 
 fn main() {
     let platform = jetson_agx_xavier();
     let runtime = Runtime::new(&platform);
-    for kind in [
-        ModelKind::Fcnn,
-        ModelKind::LeNet,
-        ModelKind::AlexNet,
-        ModelKind::Vgg16,
-        ModelKind::SqueezeNet,
-        ModelKind::ResNet18,
-    ] {
-        let graph = build(kind, ModelScale::Tiny);
-        let tuner = Tuner::new(&graph, &runtime).unwrap();
-        let plan = tuner
-            .plan(&graph, &runtime, ExecutionConfig::edgenn())
-            .unwrap();
-        let input = Tensor::random(graph.input_shape().dims(), 1.0, 7);
-        edgenn_core::runtime::functional::execute(&graph, &plan, &input).unwrap();
-        flight::enable();
-        let marker = flight::mark();
-        edgenn_core::runtime::functional::execute(&graph, &plan, &input).unwrap();
-        let records = flight::drain_since(&marker);
-        flight::disable();
-        let mut by_kind: BTreeMap<String, usize> = BTreeMap::new();
-        for r in &records {
-            *by_kind.entry(format!("{:?}", r.kind)).or_default() += 1;
+    flight::enable();
+    let ring = flight::RING_RECORDS;
+    let mut most = (0, 0.0);
+    for scale in [ModelScale::Tiny, ModelScale::Paper] {
+        for kind in ModelKind::ALL {
+            for precision in [Precision::F32, Precision::Int8] {
+                let options = match precision {
+                    Precision::F32 => CompileOptions::default(),
+                    Precision::Int8 => CompileOptions::int8(),
+                };
+                let graph = compile(&build(kind, scale), &options).unwrap().0;
+                let config = ExecutionConfig {
+                    precision,
+                    ..ExecutionConfig::edgenn()
+                };
+                let tuned = Tuner::new(&graph, &runtime)
+                    .unwrap()
+                    .plan(&graph, &runtime, config)
+                    .unwrap();
+                let split = ExecutionPlan {
+                    config,
+                    nodes: split_every_layer(&graph),
+                };
+                let executor = Executor::new(&graph).unwrap();
+                let input = Tensor::random(graph.input_shape().dims(), 1.0, 7);
+                for (name, plan) in [("tuned", &tuned), ("all-split", &split)] {
+                    // The first request of a plan also records the scratch
+                    // arena growing; report the larger of two.
+                    let mut heaviest: Option<(u64, BTreeMap<&str, usize>)> = None;
+                    for _ in 0..2 {
+                        let outcome = executor.execute(plan, &input).unwrap();
+                        let window = outcome.engine.profile.expect("recording is on");
+                        let records = window.records();
+                        let written = records.len() as u64 + window.dropped;
+                        if heaviest.as_ref().is_none_or(|(most, _)| written > *most) {
+                            let mut by_kind = BTreeMap::new();
+                            for r in &records {
+                                *by_kind.entry(r.kind.name()).or_default() += 1;
+                            }
+                            heaviest = Some((written, by_kind));
+                        }
+                    }
+                    let (written, by_kind) = heaviest.expect("two requests ran");
+                    let per_node = written as f64 / graph.len() as f64;
+                    most = (most.0.max(written), f64::max(most.1, per_node));
+                    println!(
+                        "{scale:?} {kind} {precision} {name}: {written} records per request \
+                         ({per_node:.1} per node over {} nodes, {:.1}% of a {ring}-record ring) \
+                         {by_kind:?}",
+                        graph.len(),
+                        100.0 * written as f64 / ring as f64,
+                    );
+                }
+            }
         }
-        let root = records
-            .iter()
-            .find(|r| r.kind == flight::SpanKind::Request)
-            .map_or(0, |r| r.id);
-        let n = 2000;
-        let t = Instant::now();
-        for _ in 0..n {
-            let slice = flight::causal_slice(&records, root);
-            let p = ProfileSummary::build(&slice, 0);
-            std::hint::black_box(p);
-        }
-        let slice_build_ns = t.elapsed().as_nanos() as f64 / f64::from(n);
-        flight::enable();
-        let t = Instant::now();
-        for _ in 0..n {
-            let marker = flight::mark();
-            std::hint::black_box(flight::drain_since(&marker).len());
-        }
-        let drain_ns = t.elapsed().as_nanos() as f64 / f64::from(n);
-        flight::disable();
-        let iters = 60;
-        let mut off = f64::INFINITY;
-        let mut on = f64::INFINITY;
-        for _ in 0..iters {
-            let t = Instant::now();
-            edgenn_core::runtime::functional::execute(&graph, &plan, &input).unwrap();
-            off = off.min(t.elapsed().as_secs_f64() * 1e9);
-            flight::enable();
-            let t = Instant::now();
-            edgenn_core::runtime::functional::execute(&graph, &plan, &input).unwrap();
-            on = on.min(t.elapsed().as_secs_f64() * 1e9);
-            flight::disable();
-        }
-        println!(
-            "{kind:?}: total {} records  drain(empty) {drain_ns:.0} ns  slice+build {slice_build_ns:.0} ns  off {off:.0} on {on:.0} tax {:.0} ns ({:.1}%)  {:?}",
-            records.len(),
-            on - off,
-            (on / off - 1.0) * 100.0,
-            by_kind
-        );
     }
+    println!(
+        "most: {} records per request, {:.1} per node; RING_RECORDS = {ring}",
+        most.0, most.1
+    );
 }

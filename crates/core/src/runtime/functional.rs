@@ -68,16 +68,6 @@ type TaskResult = Result<Option<Vec<f32>>>;
 /// The network input pseudo-node (see [`Graph::input_id`]).
 const INPUT: NodeId = NodeId(0);
 
-/// Flight-recorder capacity reserved per graph node at executor
-/// construction. VGG-16 (41 raw nodes) measured ~225 records per node
-/// in one request window. Compiled graphs raise the *density*: a fused
-/// `conv+relu` node emits the spans of both constituent ops but counts
-/// as one node (ResNet-18 drops ~24% of its nodes), so the budget
-/// carries the pre-compile density times that shrinkage on top of the
-/// 2x headroom for int8 plans (extra quantize pack spans) and
-/// fault-injected reruns.
-const FLIGHT_RECORDS_PER_NODE: usize = 768;
-
 /// The process-wide pool every [`Executor`] submits to. Its
 /// [`Pool::default_workers`] workers are spawned on first use and park
 /// between sessions for the life of the process, so a session pays a
@@ -387,13 +377,6 @@ impl<'g> Executor<'g> {
     /// # Errors
     /// Fails when the graph has no valid fork-join decomposition.
     pub fn new(graph: &'g Graph) -> Result<Self> {
-        // Size the flight-recorder rings so one request's window fits
-        // even on the deepest model: VGG-16 overflowed the old fixed
-        // 4096-record rings by ~5k records per request (~225 records
-        // per node between node/merge spans, kernel pack/compute pairs,
-        // scratch instants and pool queue/task spans). Rings only grow,
-        // so an oversized estimate costs memory, never records.
-        flight::reserve(graph.len() * FLIGHT_RECORDS_PER_NODE);
         Ok(Self {
             graph,
             program: Arc::new(Program::new(graph)?),
@@ -1294,27 +1277,33 @@ mod tests {
         }
     }
 
-    #[test]
-    fn forced_splits_on_every_partitionable_layer_stay_correct() {
+    /// A plan that splits every layer with at least two output units
+    /// half and half, and runs every other layer in the GPU role.
+    fn split_every_layer(graph: &Graph) -> Vec<crate::plan::NodePlan> {
         use crate::plan::{Assignment, NodePlan};
         use edgenn_sim::AllocStrategy;
+        let mut nodes = vec![NodePlan::gpu_explicit(); graph.len()];
+        for id in graph.topo_order() {
+            let node = graph.node(id).unwrap();
+            let shapes = graph.input_shapes(id).unwrap();
+            if node.layer().partition_units(&shapes).unwrap_or(1) >= 2 {
+                nodes[id.index()] = NodePlan {
+                    assignment: Assignment::Split { cpu_fraction: 0.5 },
+                    output_alloc: AllocStrategy::Explicit,
+                    prefetch_inputs: false,
+                };
+            }
+        }
+        nodes
+    }
+
+    #[test]
+    fn forced_splits_on_every_partitionable_layer_stay_correct() {
         for kind in ModelKind::ALL {
             let graph = build(kind, ModelScale::Tiny);
-            let mut nodes = vec![NodePlan::gpu_explicit(); graph.len()];
-            for id in graph.topo_order() {
-                let node = graph.node(id).unwrap();
-                let shapes = graph.input_shapes(id).unwrap();
-                if node.layer().partition_units(&shapes).unwrap_or(1) >= 2 {
-                    nodes[id.index()] = NodePlan {
-                        assignment: Assignment::Split { cpu_fraction: 0.5 },
-                        output_alloc: AllocStrategy::Explicit,
-                        prefetch_inputs: false,
-                    };
-                }
-            }
             let plan = ExecutionPlan {
                 config: ExecutionConfig::edgenn(),
-                nodes,
+                nodes: split_every_layer(&graph),
             };
             let input = Tensor::random(graph.input_shape().dims(), 1.0, 11);
             let reference = graph.forward(&input).unwrap();
@@ -1771,36 +1760,55 @@ mod tests {
     }
 
     #[test]
-    fn deep_graphs_reserve_flight_capacity_and_drop_nothing() {
+    fn one_request_fills_at_most_an_eighth_of_a_flight_ring() {
+        // The rings are a fixed size, so this pins the records a request
+        // writes: every Tiny model, tuned for the Jetson and with every
+        // partitionable layer split, in both precisions, must keep its
+        // whole window and leave the ring to the requests around it.
+        use edgenn_nn::graph::{compile, CompileOptions};
         flight::enable();
-        // The regression: VGG's 41-node chain overflowed the old fixed
-        // 4096-record rings by ~5k records per paper-scale request, so
-        // its profiles reported flight_dropped > 0 and lost the early
-        // conv spans. Executor construction now reserves capacity from
-        // the node count before the first record lands.
-        let graph = build(ModelKind::Vgg16, ModelScale::Tiny);
-        let executor = Executor::new(&graph).unwrap();
-        assert!(
-            flight::retained_records_per_ring() >= graph.len() * FLIGHT_RECORDS_PER_NODE,
-            "executor construction must size the rings from the node count"
-        );
-        let plan = edgenn_plan(&graph);
-        let inputs: Vec<Tensor> = (0..2)
-            .map(|i| Tensor::random(graph.input_shape().dims(), 1.0, 90 + i))
-            .collect();
-        let outcomes = executor.batch_execute(&plan, &inputs).unwrap();
-        for outcome in &outcomes {
-            let window = outcome
-                .engine
-                .profile
-                .expect("flight enabled => profile present");
-            assert_eq!(window.dropped, 0);
-            let profile = window.summary();
-            assert!(profile.span_count > 0);
-            assert_eq!(
-                profile.dropped, 0,
-                "sized rings must hold a full request window"
-            );
+        let platform = jetson_agx_xavier();
+        let runtime = Runtime::new(&platform);
+        for kind in ModelKind::ALL {
+            for precision in [Precision::F32, Precision::Int8] {
+                let options = match precision {
+                    Precision::F32 => CompileOptions::default(),
+                    Precision::Int8 => CompileOptions::int8(),
+                };
+                let graph = compile(&build(kind, ModelScale::Tiny), &options).unwrap().0;
+                let config = ExecutionConfig {
+                    precision,
+                    ..ExecutionConfig::edgenn()
+                };
+                let tuned = Tuner::new(&graph, &runtime)
+                    .unwrap()
+                    .plan(&graph, &runtime, config)
+                    .unwrap();
+                let split = ExecutionPlan {
+                    config,
+                    nodes: split_every_layer(&graph),
+                };
+                let executor = Executor::new(&graph).unwrap();
+                let inputs: Vec<Tensor> = (0..2)
+                    .map(|i| Tensor::random(graph.input_shape().dims(), 1.0, 90 + i))
+                    .collect();
+                for (name, plan) in [("tuned", &tuned), ("all-split", &split)] {
+                    for outcome in executor.batch_execute(plan, &inputs).unwrap() {
+                        let window = outcome
+                            .engine
+                            .profile
+                            .expect("flight enabled => profile present");
+                        assert_eq!(window.dropped, 0, "{kind} {precision} {name}");
+                        let profile = window.summary();
+                        assert_eq!(profile.dropped, 0, "{kind} {precision} {name}");
+                        let written = profile.span_count;
+                        assert!(
+                            (1..=(flight::RING_RECORDS / 8) as u64).contains(&written),
+                            "{kind} {precision} {name}: one request wrote {written} records"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -17,9 +17,8 @@
 //!   a single `fetch_add`; wrap-around silently overwrites the oldest
 //!   record and counts it as dropped — flight-recorder semantics: the
 //!   last *N* records always survive, and loss is observable, never
-//!   silent. Ring capacity is sized from the workload via [`reserve`]
-//!   (the engine passes a node-count-derived estimate at executor
-//!   construction), so one request's window fits even on deep models.
+//!   silent. The ring set is fixed: eight rings of [`RING_RECORDS`]
+//!   records each, an order of magnitude more than one request writes.
 //! * **Seqlock slots.** Every slot carries a sequence word so the
 //!   drain-side reader can detect a record that was overwritten while
 //!   being read and skip it instead of reporting a torn span. All slot
@@ -30,16 +29,18 @@
 //!   the worker. The drain side can therefore rebuild a per-request tree
 //!   even when several requests interleave on the same pool.
 //!
-//! On top of the raw rings sit the drain/merge layer
-//! ([`mark`]/[`drain_since`]/[`causal_slice`]), the per-request
-//! [`ProfileWindow`] and its [`ProfileSummary`], per-node attribution
-//! ([`node_profiles`]), the fault black box ([`blackbox_dump`]), and
-//! Chrome/Perfetto trace export ([`chrome_entries`]).
+//! On top of the raw rings sit the per-request [`ProfileWindow`]
+//! ([`mark`]/[`close_window`]), which reads back as the request's causal
+//! tree ([`ProfileWindow::records`]) or its [`ProfileSummary`], per-node
+//! attribution ([`node_profiles`]), the fault black box
+//! ([`blackbox_dump`]), and Chrome/Perfetto trace export
+//! ([`chrome_entries`]).
 //!
 //! The recorder is process-global and disabled by default; when
 //! disabled, an instrumentation site costs one relaxed atomic load.
 
 use std::cell::Cell;
+use std::collections::HashSet;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -52,21 +53,12 @@ use serde_json::{Map, Value};
 /// slot claims are atomic — just occasionally contended).
 const RINGS: usize = 8;
 
-/// Base records retained per ring (generation 0). Each ring generation
-/// doubles this, so capacity adapts to the graph being profiled (see
-/// [`reserve`]) instead of silently dropping most of a deep model's
-/// request window.
-const BASE_RING_RECORDS: usize = 4096;
-
-/// Maximum number of ring generations. Capacity doubles per generation,
-/// so the deepest configuration retains `4096 << 7` = 512 Ki records
-/// per ring — far beyond any single request.
-const GENERATIONS: usize = 8;
-
-/// Records retained per ring in generation `gen`.
-fn ring_capacity(gen: usize) -> usize {
-    BASE_RING_RECORDS << gen
-}
+/// Records each ring retains. One request through the engine writes at
+/// most about 6 records per graph node: 6–116 records at Tiny scale and
+/// 15–244 at paper scale over the bundled models, so one ring holds more
+/// than a dozen of the largest requests (the `flight_volume` example of
+/// `edgenn-core` prints the figures).
+pub const RING_RECORDS: usize = 4096;
 
 /// `u64` words per slot: seq + start + end + id + parent + meta + arg.
 const WORDS: usize = 7;
@@ -203,8 +195,8 @@ impl SpanRecord {
 struct Ring {
     /// Claim cursor: total records ever claimed in this ring.
     cursor: AtomicU64,
-    /// Records this ring retains (fixed for the ring's lifetime; a
-    /// power of two, so a claim's slot is `claim & (records - 1)`).
+    /// Records this ring retains (a power of two, so a claim's slot is
+    /// `claim & (records - 1)`).
     records: usize,
     /// `records * WORDS` atomic words.
     slots: Vec<AtomicU64>,
@@ -212,10 +204,7 @@ struct Ring {
 
 impl Ring {
     fn new(records: usize) -> Ring {
-        assert!(
-            records.is_power_of_two(),
-            "ring sizes double from a power of two"
-        );
+        assert!(records.is_power_of_two(), "ring sizes are powers of two");
         let mut slots = Vec::with_capacity(records * WORDS);
         slots.resize_with(records * WORDS, || AtomicU64::new(0));
         Ring {
@@ -332,20 +321,10 @@ impl BlackBox {
     }
 }
 
-/// The process-global recorder state.
-///
-/// Rings live in **generations**: fixed-size ring sets whose capacity
-/// doubles per generation. [`reserve`] publishes a larger generation
-/// when a caller (the execution engine, sized from its graph) needs a
-/// bigger retained window; writers pick up the current generation with
-/// one extra atomic load, so the record path stays lock-free. Old
-/// generations stop receiving writes but stay drainable, so markers
-/// taken before a growth still resolve.
+/// The process-global recorder state, built on first use (in practice
+/// by [`enable`]) and kept for the life of the process.
 struct Flight {
-    generations: [OnceLock<Vec<Ring>>; GENERATIONS],
-    current_gen: AtomicUsize,
-    /// Serializes [`reserve`] growth decisions (not the record path).
-    grow: Mutex<()>,
+    rings: [Ring; RINGS],
     next_id: AtomicU64,
     epoch: Instant,
     blackbox: Mutex<Option<BlackBox>>,
@@ -396,66 +375,11 @@ fn next_span_id() -> u64 {
 
 fn flight() -> &'static Flight {
     FLIGHT.get_or_init(|| Flight {
-        generations: std::array::from_fn(|_| OnceLock::new()),
-        current_gen: AtomicUsize::new(0),
-        grow: Mutex::new(()),
+        rings: std::array::from_fn(|_| Ring::new(RING_RECORDS)),
         next_id: AtomicU64::new(1),
         epoch: Instant::now(),
         blackbox: Mutex::new(None),
     })
-}
-
-/// Builds the ring set of one generation.
-fn make_rings(gen: usize) -> Vec<Ring> {
-    (0..RINGS).map(|_| Ring::new(ring_capacity(gen))).collect()
-}
-
-/// The currently published generation and its rings.
-fn current_rings(f: &'static Flight) -> (usize, &'static [Ring]) {
-    let gen = f.current_gen.load(Ordering::Acquire);
-    (gen, f.generations[gen].get_or_init(|| make_rings(gen)))
-}
-
-/// Rings of generation `gen`, if that generation was ever allocated.
-fn gen_rings(f: &'static Flight, gen: usize) -> Option<&'static [Ring]> {
-    f.generations.get(gen)?.get().map(Vec::as_slice)
-}
-
-/// Records retained per ring in the currently published generation.
-/// Each thread's records land in one ring, so this is also the longest
-/// single-threaded record window guaranteed to survive a drain.
-pub fn retained_records_per_ring() -> usize {
-    ring_capacity(flight().current_gen.load(Ordering::Acquire))
-}
-
-/// Ensures every ring retains at least `min_records` records, growing
-/// to a larger ring generation when needed. The engine calls this once
-/// per executor with an estimate derived from its graph's node count,
-/// so a deep model's per-request profile window survives intact
-/// instead of losing its oldest spans to wrap-around.
-///
-/// Growth publishes a fresh (empty) ring set: records already written
-/// stay drainable through markers taken before the growth, but a
-/// marker taken afterwards only sees post-growth records. Callers
-/// should therefore reserve *before* the window they care about —
-/// which is exactly what sizing at executor construction does.
-pub fn reserve(min_records: usize) {
-    let f = flight();
-    let _guard = f
-        .grow
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let current = f.current_gen.load(Ordering::Acquire);
-    if ring_capacity(current) >= min_records {
-        return;
-    }
-    let mut target = current;
-    while target + 1 < GENERATIONS && ring_capacity(target) < min_records {
-        target += 1;
-    }
-    // Allocate before publishing so writers never observe an empty slot.
-    f.generations[target].get_or_init(|| make_rings(target));
-    f.current_gen.store(target, Ordering::Release);
 }
 
 fn ordinal() -> usize {
@@ -692,8 +616,7 @@ pub fn record_phases(start_ns: u64, boundary_ns: u64, pack_arg: u64) {
     let end_ns = now_ns();
     let parent = current_parent();
     let worker = worker_ordinal();
-    let (_, rings) = current_rings(flight());
-    let ring = &rings[usize::from(worker) % RINGS];
+    let ring = &flight().rings[usize::from(worker) % RINGS];
     let boundary_ns = boundary_ns.max(start_ns);
     ring.write(&SpanRecord {
         id: next_span_id(),
@@ -720,84 +643,73 @@ pub fn record_phases(start_ns: u64, boundary_ns: u64, pack_arg: u64) {
 /// Routes by `rec.worker` (already the thread's ordinal, resolved once
 /// by the caller) instead of re-reading the thread-local.
 fn write_record(rec: &SpanRecord) {
-    let (_, rings) = current_rings(flight());
-    rings[usize::from(rec.worker) % RINGS].write(rec);
+    flight().rings[usize::from(rec.worker) % RINGS].write(rec);
 }
 
 /// The calling thread's worker ordinal (assigned on first record).
-pub fn worker_ordinal() -> u16 {
+fn worker_ordinal() -> u16 {
     (ordinal() % usize::from(u16::MAX)) as u16
 }
 
-/// A drain position: the ring generation and its per-ring cursors at
-/// the time of [`mark`]. A marker taken before a [`reserve`] growth
-/// still drains correctly — the drain walks every generation from the
-/// marker's up to the current one.
+/// A drain position: the per-ring cursors at the time of [`mark`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Marker {
-    gen: usize,
     cursors: [u64; RINGS],
 }
 
-/// Snapshots the current ring cursors so a later [`drain_since`] returns
-/// only records written after this point. Allocation-free: the engine
-/// calls this twice per request, to open and to close its window.
+/// Snapshots the current ring cursors. Allocation-free: the engine calls
+/// this twice per request, to open and to close its window.
 pub fn mark() -> Marker {
-    let (gen, rings) = current_rings(flight());
-    let mut cursors = [0u64; RINGS];
-    for (slot, ring) in cursors.iter_mut().zip(rings.iter()) {
-        *slot = ring.claimed();
+    let rings = &flight().rings;
+    Marker {
+        cursors: std::array::from_fn(|i| rings[i].claimed()),
     }
-    Marker { gen, cursors }
 }
 
-/// Drains every intact record written since `marker`, across all rings,
-/// sorted by start time (ties broken by span id). Records overwritten by
-/// ring wrap-around are skipped — a [`ProfileWindow`] counts them as its
-/// `dropped`, so they are never silently absent.
-pub fn drain_since(marker: &Marker) -> Vec<SpanRecord> {
-    let mut out = Vec::new();
-    fold_window(marker, &mark(), |ring, since, until| {
-        ring.drain(since, until, &mut out)
-    });
-    out.sort_by_key(|r| (r.start_ns, r.id));
-    out
-}
-
-/// Sums `f(ring, since, until)` over every ring of every generation from
-/// `from`'s to `to`'s, where `since..until` are the ring's claims
-/// between the two markers: `from`'s cursors gate only its own
-/// generation and `to`'s only its own; generations between them drain
-/// whole (a later generation starts empty, so it drains from zero).
+/// Sums `f(ring, since, until)` over the rings, where `since..until`
+/// are the ring's claims between the two markers.
 fn fold_window(from: &Marker, to: &Marker, mut f: impl FnMut(&Ring, u64, u64) -> u64) -> u64 {
-    let flight = flight();
-    let mut total = 0;
-    for gen in from.gen..=to.gen {
-        let Some(rings) = gen_rings(flight, gen) else {
-            continue;
-        };
-        for (idx, ring) in rings.iter().enumerate() {
-            let since = if gen == from.gen {
-                from.cursors[idx]
-            } else {
-                0
-            };
-            let until = if gen == to.gen {
-                to.cursors[idx]
-            } else {
-                ring.claimed()
-            };
-            total += f(ring, since, until.max(since));
-        }
-    }
-    total
+    let bounds = from.cursors.iter().zip(&to.cursors);
+    flight()
+        .rings
+        .iter()
+        .zip(bounds)
+        .map(|(ring, (&since, &until))| f(ring, since, until.max(since)))
+        .sum()
+}
+
+/// Every intact record claimed between `from` and `to`, across all
+/// rings, and how many of those claims it could not read: overwritten
+/// by ring wrap-around or torn by a concurrent write.
+fn drain(from: &Marker, to: &Marker) -> (Vec<SpanRecord>, u64) {
+    let mut records = Vec::new();
+    let lost = fold_window(from, to, |ring, since, until| {
+        ring.drain(since, until, &mut records)
+    });
+    (records, lost)
+}
+
+/// Every intact record written since `marker`, sorted by start time
+/// (ties broken by span id).
+fn drain_since(marker: &Marker) -> Vec<SpanRecord> {
+    let mut records = drain(marker, &mark()).0;
+    records.sort_by_key(|r| (r.start_ns, r.id));
+    records
+}
+
+/// The most recent surviving records from every ring (the "last N" view
+/// the black box snapshots).
+fn drain_all() -> Vec<SpanRecord> {
+    drain_since(&Marker {
+        cursors: [0; RINGS],
+    })
 }
 
 /// One request's record window: the ring positions when the request
 /// opened ([`mark`]) and closed ([`close_window`]), and its root span.
 /// Closing reads no record, so the request path pays only the two
-/// cursor snapshots; [`ProfileWindow::summary`] drains and summarizes
-/// the window when something asks for it.
+/// cursor snapshots; [`ProfileWindow::records`] and
+/// [`ProfileWindow::summary`] drain the window when something reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfileWindow {
     from: Marker,
@@ -825,125 +737,49 @@ pub fn close_window(from: Marker, root: u64) -> ProfileWindow {
 }
 
 impl ProfileWindow {
-    /// Drains the window and summarizes the request's causal tree in one
-    /// pass, without the start-time sort or a materialized causal slice
-    /// (both only matter for trace export). The summary's `dropped` is
-    /// what this drain could not read: the window's own overflow, plus
-    /// whatever later records have wrapped over since it closed, so
-    /// summarize before the rings wrap again.
-    pub fn summary(&self) -> ProfileSummary {
-        let mut records = Vec::new();
-        let dropped = fold_window(&self.from, &self.to, |ring, since, until| {
-            ring.drain(since, until, &mut records)
-        });
-        let mut mask = CausalMask::default();
-        let keep = mask.build(&records, self.root);
-        ProfileSummary::summarize(&records, Some(keep), dropped)
+    /// The request's causal tree: its root span and every record whose
+    /// parent chain reaches it, sorted by start time (ties broken by span
+    /// id). Records of other requests or threads that interleaved on the
+    /// same rings are left out.
+    pub fn records(&self) -> Vec<SpanRecord> {
+        let mut records = self.tree().0;
+        records.sort_by_key(|r| (r.start_ns, r.id));
+        records
     }
-}
 
-/// Drains the most recent surviving records from every ring (the "last
-/// N" view the black box snapshots), across all generations.
-pub fn drain_all() -> Vec<SpanRecord> {
-    drain_since(&Marker {
-        gen: 0,
-        cursors: [0; RINGS],
-    })
-}
+    /// Per-stage statistics of the request's causal tree. The summary's
+    /// `dropped` is what this drain could not read: the window's own
+    /// overflow, plus whatever later records have wrapped over since it
+    /// closed, so summarize before the rings wrap again.
+    pub fn summary(&self) -> ProfileSummary {
+        let (records, dropped) = self.tree();
+        ProfileSummary::build(&records, dropped)
+    }
 
-/// Folds `f` over every ring of every allocated generation.
-fn fold_rings(f: impl Fn(&Ring) -> u64) -> u64 {
-    let flight = flight();
-    (0..GENERATIONS)
-        .filter_map(|gen| gen_rings(flight, gen))
-        .flat_map(|rings| rings.iter().map(&f))
-        .sum()
-}
-
-/// Total records ever written since process start.
-pub fn total_records() -> u64 {
-    fold_rings(|r| r.cursor.load(Ordering::Relaxed))
-}
-
-/// Restricts `records` to the causal tree rooted at span `root`: the
-/// root itself plus every record whose parent chain reaches it. This is
-/// how a per-request profile stays clean when several requests (or
-/// other test threads) interleave on the same rings.
-pub fn causal_slice(records: &[SpanRecord], root: u64) -> Vec<SpanRecord> {
-    let mut mask = CausalMask::default();
-    let keep = mask.build(records, root);
-    records
-        .iter()
-        .zip(keep)
-        .filter_map(|(r, &kept)| kept.then_some(*r))
-        .collect()
-}
-
-/// Membership mask for [`causal_slice`] and [`ProfileWindow::summary`].
-///
-/// A span is written when it *ends*, so within one thread's ring every
-/// child precedes its parent; walking the window backwards meets parents
-/// first, and one pass marks a single-threaded request tree whole. Spans
-/// whose parent was written on another thread's ring may come before it,
-/// so passes repeat until one marks nothing new (the depth of such
-/// cross-thread nesting bounds the count). Kept ids live in an
-/// open-addressed table sized from the window.
-#[derive(Default)]
-struct CausalMask {
-    kept_ids: Vec<u64>,
-    keep: Vec<bool>,
-}
-
-impl CausalMask {
-    /// `mask[i]` is true when `records[i]` is the root or transitively
-    /// parented to it.
-    fn build(&mut self, records: &[SpanRecord], root: u64) -> &[bool] {
-        let slots = (2 * records.len() + 2).next_power_of_two();
-        self.kept_ids.clear();
-        self.kept_ids.resize(slots, 0);
-        self.keep.clear();
-        self.keep.resize(records.len(), false);
-        self.insert(root);
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (i, r) in records.iter().enumerate().rev() {
-                if !self.keep[i] && (r.id == root || self.contains(r.parent)) {
-                    self.keep[i] = true;
-                    self.insert(r.id);
-                    changed = true;
+    /// Drains the window and keeps the request's causal tree, in ring
+    /// order, with the number of the window's claims the drain lost.
+    ///
+    /// A span is written when it *ends*, so within one thread's ring
+    /// every child precedes its parent: walking the window backwards
+    /// meets parents first, and one pass finds a single-threaded tree
+    /// whole. A span whose parent sits on another thread's ring may be
+    /// met before it, so passes repeat until one finds nothing new.
+    fn tree(&self) -> (Vec<SpanRecord>, u64) {
+        let (mut records, dropped) = drain(&self.from, &self.to);
+        let mut tree = HashSet::from([self.root]);
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for r in records.iter().rev() {
+                // Parent 0 names no span: a parentless record roots a
+                // tree of its own.
+                if r.parent != 0 && tree.contains(&r.parent) && tree.insert(r.id) {
+                    grew = true;
                 }
             }
         }
-        &self.keep
-    }
-
-    /// First table slot to probe for `id` (ids are never 0, the empty
-    /// marker).
-    fn slot(&self, id: u64) -> usize {
-        let mask = self.kept_ids.len() - 1;
-        (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
-    }
-
-    fn insert(&mut self, id: u64) {
-        let mask = self.kept_ids.len() - 1;
-        let mut i = self.slot(id);
-        while self.kept_ids[i] != 0 && self.kept_ids[i] != id {
-            i = (i + 1) & mask;
-        }
-        self.kept_ids[i] = id;
-    }
-
-    fn contains(&self, id: u64) -> bool {
-        let mask = self.kept_ids.len() - 1;
-        let mut i = self.slot(id);
-        loop {
-            match self.kept_ids[i] {
-                0 => return false,
-                found if found == id => return true,
-                _ => i = (i + 1) & mask,
-            }
-        }
+        records.retain(|r| tree.contains(&r.id));
+        (records, dropped)
     }
 }
 
@@ -972,14 +808,6 @@ pub fn last_blackbox() -> Option<BlackBox> {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .clone()
-}
-
-/// Clears the stored black-box dump (tests and multi-run CLI sessions).
-pub fn clear_blackbox() {
-    *flight()
-        .blackbox
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
 }
 
 /// Per-stage latency summary over one set of records.
@@ -1028,23 +856,11 @@ pub struct ProfileSummary {
 impl ProfileSummary {
     /// Builds the summary from drained records. `dropped` is the number
     /// of the window's records the drain lost.
-    pub fn build(records: &[SpanRecord], dropped: u64) -> ProfileSummary {
-        Self::summarize(records, None, dropped)
-    }
-
-    /// [`build`] restricted to records whose mask entry is true (the
-    /// fused path of [`ProfileWindow::summary`], which avoids
-    /// materializing a causal slice just to summarize it).
-    fn summarize(records: &[SpanRecord], keep: Option<&[bool]>, dropped: u64) -> ProfileSummary {
+    fn build(records: &[SpanRecord], dropped: u64) -> ProfileSummary {
         // One pass to bucket durations by kind, indexed by `SpanKind as
         // usize` (instead of one scan per kind).
         let mut buckets: [Vec<u64>; SpanKind::ALL.len()] = Default::default();
-        let mut span_count = 0u64;
-        for (i, r) in records.iter().enumerate() {
-            if keep.is_some_and(|k| !k[i]) {
-                continue;
-            }
-            span_count += 1;
+        for r in records {
             buckets[r.kind as usize].push(r.end_ns.saturating_sub(r.start_ns));
         }
         // Durations stay integer nanoseconds until each statistic is
@@ -1071,7 +887,7 @@ impl ProfileSummary {
             });
         }
         ProfileSummary {
-            span_count,
+            span_count: records.len() as u64,
             dropped,
             stages,
         }
@@ -1297,7 +1113,7 @@ mod tests {
                 root.id()
             });
             end(root);
-            let records = causal_slice(&drain_since(&marker), root_id);
+            let records = close_window(marker, root_id).records();
             let node = records
                 .iter()
                 .find(|r| r.kind == SpanKind::Node)
@@ -1325,7 +1141,7 @@ mod tests {
             });
             let root_id = root.id();
             end(root);
-            let records = causal_slice(&drain_since(&marker), root_id);
+            let records = close_window(marker, root_id).records();
             let miss = records
                 .iter()
                 .find(|r| r.kind == SpanKind::ArenaMiss)
@@ -1336,11 +1152,6 @@ mod tests {
             assert_eq!(miss.arg, 4096);
         });
     }
-
-    /// Capacity target shared by the tests that exercise wrap and
-    /// growth: reserving first pins the generation, so the two tests
-    /// cannot race each other's capacity observations.
-    const TEST_RING_RECORDS: usize = 2 * BASE_RING_RECORDS;
 
     /// Held by the tests that fill rings or assert on a window's drop
     /// count: threads share ring ordinals, so one test overfilling a
@@ -1358,65 +1169,23 @@ mod tests {
     #[test]
     fn ring_wrap_counts_drops_instead_of_failing() {
         recording_exclusive(|| {
-            reserve(TEST_RING_RECORDS);
-            let capacity = retained_records_per_ring() as u64;
             let marker = mark();
-            let total_before = total_records();
             // One thread writes to one ring; exceed its capacity.
-            let writes = capacity + 500;
+            let writes = RING_RECORDS as u64 + 500;
             let root = begin(SpanKind::Request, NO_NODE);
             let root_id = root.id();
             for i in 0..writes {
                 instant(SpanKind::Retry, 1, i);
             }
             end(root);
-            assert!(total_records() - total_before >= writes);
+            let claimed = |m: &Marker| m.cursors.iter().sum::<u64>();
+            assert!(claimed(&mark()) - claimed(&marker) >= writes);
             let window = close_window(marker, root_id);
             assert!(
                 window.dropped >= 500,
                 "wrap must surface as dropped records"
             );
             assert_eq!(window.summary().dropped, window.dropped);
-        });
-    }
-
-    #[test]
-    fn reserve_grows_rings_and_keeps_marker_windows_intact() {
-        recording_exclusive(|| {
-            reserve(TEST_RING_RECORDS);
-            assert!(retained_records_per_ring() >= TEST_RING_RECORDS);
-            // Growth is monotone: asking for less never shrinks.
-            let before = retained_records_per_ring();
-            reserve(1);
-            assert_eq!(retained_records_per_ring(), before);
-            // Growing publishes empty rings, so the window below cannot
-            // land on a ring an earlier test already wrapped.
-            reserve(2 * before);
-            assert_eq!(retained_records_per_ring(), 2 * before);
-            // A window larger than the base capacity survives a drain
-            // whole: the VGG regression this sizing fixes showed up as
-            // thousands of dropped records per request.
-            let marker = mark();
-            let writes = (BASE_RING_RECORDS + 512) as u64;
-            let first = instant(SpanKind::Retry, 42, 0);
-            for i in 1..writes {
-                instant(SpanKind::Retry, 42, i);
-            }
-            let window = close_window(marker, first);
-            assert_eq!(
-                window.dropped, 0,
-                "reserved rings must hold the whole window"
-            );
-            assert_eq!(window.summary().dropped, 0);
-            let drained = drain_since(&marker);
-            assert!(
-                drained.iter().any(|r| r.id == first),
-                "oldest record of the window survives"
-            );
-            assert!(
-                drained.iter().filter(|r| r.node == 42).count() as u64 >= writes,
-                "every record of the window survives"
-            );
         });
     }
 
@@ -1449,8 +1218,7 @@ mod tests {
         // The same through the process rings: wrap this thread's ring
         // before the marker, then profile a short window.
         recording_exclusive(|| {
-            reserve(TEST_RING_RECORDS);
-            for i in 0..retained_records_per_ring() as u64 + 100 {
+            for i in 0..RING_RECORDS as u64 + 100 {
                 instant(SpanKind::Retry, 3, i);
             }
             let marker = mark();
@@ -1495,7 +1263,6 @@ mod tests {
     #[test]
     fn a_window_summarized_after_the_rings_wrap_counts_the_later_loss() {
         recording_exclusive(|| {
-            reserve(TEST_RING_RECORDS);
             let marker = mark();
             let root = begin(SpanKind::Request, NO_NODE);
             let root_id = root.id();
@@ -1506,7 +1273,7 @@ mod tests {
             // Later records wrap this thread's ring over the window: it
             // lost nothing when it closed, but a drain now reads none of
             // its two records, and says so.
-            for i in 0..retained_records_per_ring() as u64 {
+            for i in 0..RING_RECORDS as u64 {
                 instant(SpanKind::Retry, 5, i);
             }
             assert_eq!(window.dropped, 0);
@@ -1528,7 +1295,7 @@ mod tests {
     }
 
     #[test]
-    fn causal_slice_follows_parent_chains_not_interleavings() {
+    fn window_records_follow_parent_chains_not_interleavings() {
         recording(|| {
             let marker = mark();
             let mine = begin(SpanKind::Request, NO_NODE);
@@ -1546,7 +1313,7 @@ mod tests {
             });
             end(stranger);
             end(mine);
-            let slice = causal_slice(&drain_since(&marker), mine_id);
+            let slice = close_window(marker, mine_id).records();
             assert_eq!(
                 slice.iter().filter(|r| r.kind == SpanKind::Retry).count(),
                 1

@@ -21,8 +21,9 @@
 //!    tracks) and the warnings. Cheaply clonable and thread-safe.
 //! 3. [`flight`] — the flight recorder: lock-free per-worker rings of
 //!    fixed-size span records written from the functional engine's hot
-//!    paths, with drain/merge into per-request profiles, fault black
-//!    boxes, and Perfetto export (see `docs/profiling.md`).
+//!    paths, read back per request through its `ProfileWindow` (the
+//!    request's causal record tree, or a per-stage summary), with fault
+//!    black boxes and Perfetto export (see `docs/profiling.md`).
 //! 4. [`chrome`] — the Chrome trace-event entries every trace export
 //!    above is built from.
 //!

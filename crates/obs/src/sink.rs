@@ -88,11 +88,24 @@ impl Recorder {
     /// One sample of the numeric counter track `track` ("ema_cpu_us/conv1",
     /// ...) at `t_us` (us, or a round index for tuner-side tracks):
     /// consecutive samples of one track form a `"ph":"C"` series, and the
-    /// track's gauge holds the latest value.
+    /// track's gauge holds the latest value. The gauge is named after the
+    /// track with every character a Prometheus metric name cannot hold
+    /// (outside `[A-Za-z0-9_:]`) replaced by `_`: `ema_cpu_us/conv1+relu`
+    /// sets `edgenn_track_ema_cpu_us_conv1_relu`.
     pub fn sample(&self, track: impl Into<String>, t_us: f64, value: f64) {
         let track = track.into();
+        let gauge: String = track
+            .chars()
+            .map(|c| {
+                if c.is_ascii_alphanumeric() || c == ':' {
+                    c
+                } else {
+                    '_'
+                }
+            })
+            .collect();
         self.metrics
-            .set_gauge(&format!("edgenn_track_{track}"), value);
+            .set_gauge(&format!("edgenn_track_{gauge}"), value);
         lock(&self.samples).push(CounterSample { track, t_us, value });
     }
 
@@ -184,6 +197,34 @@ mod tests {
         let samples = rec.counter_samples();
         assert_eq!(samples.len(), 2);
         assert_eq!(samples[1].value, 8.0);
+    }
+
+    #[test]
+    fn prometheus_text_holds_only_valid_metric_names() {
+        let valid = |name: &str| {
+            let mut chars = name.chars();
+            chars
+                .next()
+                .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
+                && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+        };
+        let rec = Recorder::with_labels(Labels::new().with("model", "lenet"));
+        rec.span("kernel", 0.0, 4.0, 64);
+        rec.sample("ema_cpu_us/conv1+relu", 0.0, 3.0);
+        rec.sample("bandwidth_gbps", 1.0, 2.0);
+        rec.request(10.0);
+        let text = rec.metrics().to_prometheus_text();
+        for line in text.lines() {
+            let name = match line.strip_prefix("# TYPE ") {
+                Some(declaration) => declaration.split(' ').next(),
+                None => line.split(['{', ' ']).next(),
+            };
+            let name = name.unwrap_or_default();
+            assert!(valid(name), "invalid metric name {name:?} in {line:?}");
+        }
+        assert!(text.contains("edgenn_track_ema_cpu_us_conv1_relu{"));
+        // The counter track keeps its name.
+        assert_eq!(rec.counter_samples()[0].track, "ema_cpu_us/conv1+relu");
     }
 
     #[test]

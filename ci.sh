@@ -7,8 +7,9 @@
 # 3. tier-1            (release build + root-package tests)
 # 4. full test suite   (every workspace crate, then the kernel crates and
 #                       the engine's tests again pinned to the portable and
-#                       AVX2 kernel variants, then the benchmark's
-#                       self-tests in perfbench/)
+#                       AVX2 kernel variants, the output-bit hashes under
+#                       every variant against examples/output_bits.txt,
+#                       then the benchmark's self-tests in perfbench/)
 # 5. graph compiler    (edgenn compile over every model x platform:
 #                       per-pass deltas, EC06x rewrite legality, tier A+B)
 # 6. static checker    (edgenn check over every bundled model x platform)
@@ -53,6 +54,22 @@ cargo test --workspace -q
 for simd in portable avx2; do
     EDGENN_SIMD=$simd cargo test -q -p edgenn-tensor -p edgenn-nn
     EDGENN_SIMD=$simd cargo test -q -p edgenn-core --lib runtime::functional
+done
+# Every output bit is gated: the example hashes 16 inputs' outputs per
+# Tiny model and precision, and each kernel variant must print the
+# committed hashes. A change that moves an output bit on purpose updates
+# examples/output_bits.txt, where it shows as a diff.
+cargo build --release --example output_bits
+for simd in portable avx2 widest; do
+    if [ "$simd" = widest ]; then
+        ./target/release/examples/output_bits > target/output_bits.txt
+    else
+        EDGENN_SIMD=$simd ./target/release/examples/output_bits > target/output_bits.txt
+    fi
+    if ! diff examples/output_bits.txt target/output_bits.txt; then
+        echo "output bits differ from examples/output_bits.txt under the $simd kernel variant"
+        exit 1
+    fi
 done
 # perfbench/ is a workspace of its own, built against the crates through
 # path dependencies, so the workspace build above never compiles it. Its

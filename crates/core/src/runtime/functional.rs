@@ -22,15 +22,22 @@
 //!   Pooled jobs are `'static` closures over an `Arc`-shared session
 //!   (the graph's [`Program`], plan assignments, output slots, counters
 //!   and fault injector), so no `unsafe` is needed.
-//! - **One session per input**: [`Executor::execute`] and each input of
-//!   [`Executor::batch_execute`] run in a session of their own, with one
-//!   output slot per node and their own task, slot and recovery counts.
-//!   A batch saves nothing over calling `execute` per input: the pool's
-//!   workers persist across calls, and scratch arenas are per thread and
-//!   stay warm across calls either way.
+//! - **One session per executor, renewed per input**: [`Executor::execute`]
+//!   and each input of [`Executor::batch_execute`] run in a session with
+//!   one output slot per node and its own task, slot and recovery counts.
+//!   The executor keeps its last session idle and renews it for the next
+//!   input: it re-derives the per-node decisions only when the plan
+//!   differs, zeroes the counts, and hands each node the output buffer
+//!   it filled last time, so a steady-state request allocates only the
+//!   network output, which leaves with the caller. A thread that finds
+//!   the idle session taken builds a session of its own. A batch saves
+//!   nothing over calling `execute` per input: the pool's workers, the
+//!   idle session and the per-thread scratch arenas stay warm across
+//!   calls either way.
 //! - **Zero-copy dataflow**: the engine allocates each node's output
-//!   once, from the program's dims, and every layer computes into the
-//!   buffer it is handed ([`Layer::forward_into`]); the two shares of an
+//!   once per session, from the program's dims, and every layer computes
+//!   into the buffer it is handed ([`Layer::forward_into`]), overwriting
+//!   whatever the previous request left there; the two shares of an
 //!   output-channel split write disjoint sub-slices of that one buffer,
 //!   so a split whose shares run on the computing thread merges nothing.
 //!   A share that runs as a pooled job computes into a buffer it owns,
@@ -45,7 +52,7 @@
 //!   recorder when it is enabled.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::ThreadId;
 use std::time::Duration;
 
@@ -106,11 +113,12 @@ pub struct EngineStats {
     pub arena_fresh_bytes: u64,
     /// Scratch-arena bytes served without allocating (steady state).
     pub arena_reused_bytes: u64,
-    /// Bytes moved into node output slots. The engine holds every slot
-    /// to session end, so this is also the run's slot high-water mark —
-    /// the measured quantity the tier-D checker's certified bound must
-    /// dominate. The copy of the network input that pooled jobs read
-    /// (see [`Executor`]) is not a node output and is not counted.
+    /// Bytes moved into node output slots during the run. The engine
+    /// holds every slot to the run's end, so this is also the run's slot
+    /// high-water mark — the measured quantity the tier-D checker's
+    /// certified bound must dominate. The copy of the network input that
+    /// pooled jobs read (see [`Executor`]) is not a node output and is
+    /// not counted.
     pub slot_bytes: u64,
     /// Flight-recorder window of this run, present when the flight
     /// recorder was enabled during the run: its `dropped` count, and
@@ -251,9 +259,15 @@ pub struct FunctionalOutcome {
 const CORUN_CUTOFF: u64 = 1 << 16;
 
 /// One input's run state, shared by `Arc` with its pooled jobs. A job
-/// the watchdog abandoned may hold it past the session's end.
+/// the watchdog abandoned may hold it past the run's end; otherwise the
+/// executor keeps it, with every node's output buffer, for its next
+/// input ([`Session::renew`]).
 struct Session {
     program: Arc<Program>,
+    /// The plan precision and per-node assignments the decisions below
+    /// were derived for.
+    precision: Precision,
+    planned: Vec<Assignment>,
     /// Per node, how it runs ([`Program::run_as`]).
     assignments: Vec<Assignment>,
     /// Per node, whether it computes with the int8 kernels.
@@ -265,19 +279,28 @@ struct Session {
     int8_gated: usize,
     /// Node output slots, one per program node.
     slots: Vec<OnceLock<Tensor>>,
-    slot_bytes: AtomicU64,
+    /// Per node, the output buffer it filled on the previous run, taken
+    /// back when it computes again. One thread computes a given node per
+    /// run, so each lock is taken once, uncontended.
+    buffers: Vec<Mutex<Option<Tensor>>>,
     faults: Option<Arc<FaultInjector>>,
     corun_cutoff: u64,
     /// The thread that runs the session and submits its jobs.
     driver: ThreadId,
-    /// This session's pool tasks (the workers are shared).
+    counts: Counts,
+}
+
+/// The counts of a session's current run, zeroed when it is renewed.
+#[derive(Default)]
+struct Counts {
+    /// This run's pool tasks (the workers are shared).
     tally: Tally,
+    slot_bytes: AtomicU64,
     /// Scratch bytes the jobs that pool workers ran drew from their
     /// arenas ([`count_scratch`]).
     arena_fresh_bytes: AtomicU64,
     arena_reused_bytes: AtomicU64,
-    /// This session's [`FaultCounts`], counted by whichever thread
-    /// recovers.
+    /// This run's [`FaultCounts`], counted by whichever thread recovers.
     faults_injected: AtomicU64,
     retries: AtomicU64,
     fallbacks: AtomicU64,
@@ -285,18 +308,66 @@ struct Session {
 }
 
 impl Session {
-    /// Decides how each node of `program` runs under `plan` and which
-    /// fork-join segments fork.
+    /// A session of `program` for `plan`, run by the calling thread.
     fn new(
         program: &Arc<Program>,
         plan: &ExecutionPlan,
         faults: Option<Arc<FaultInjector>>,
         corun_cutoff: u64,
     ) -> Self {
+        let nodes = plan.nodes.len();
+        let mut session = Self {
+            program: Arc::clone(program),
+            precision: plan.config.precision,
+            planned: vec![Assignment::Cpu; nodes],
+            assignments: vec![Assignment::Cpu; nodes],
+            int8: vec![false; nodes],
+            forks: vec![false; program.segments().len()],
+            int8_gated: 0,
+            slots: (0..nodes).map(|_| OnceLock::new()).collect(),
+            buffers: (0..nodes).map(|_| Mutex::new(None)).collect(),
+            faults,
+            corun_cutoff,
+            driver: std::thread::current().id(),
+            counts: Counts::default(),
+        };
+        session.decide(plan);
+        session
+    }
+
+    /// Readies an idle session for the next run on the calling thread:
+    /// re-derives its decisions only when `plan` or the cutoff differs
+    /// from what it decided for, takes the executor's current injector,
+    /// and zeroes its counts. Its node buffers stay for the nodes to
+    /// take back.
+    fn renew(
+        &mut self,
+        plan: &ExecutionPlan,
+        faults: Option<Arc<FaultInjector>>,
+        corun_cutoff: u64,
+    ) {
+        let planned = plan.nodes.iter().map(|node| &node.assignment);
+        if self.precision != plan.config.precision
+            || self.corun_cutoff != corun_cutoff
+            || !self.planned.iter().eq(planned)
+        {
+            self.corun_cutoff = corun_cutoff;
+            self.decide(plan);
+        }
+        self.faults = faults;
+        self.driver = std::thread::current().id();
+        self.counts = Counts::default();
+    }
+
+    /// Decides, in place, how each node runs under `plan` and which
+    /// fork-join segments fork.
+    fn decide(&mut self, plan: &ExecutionPlan) {
+        let program = &self.program;
         let int8_plan = plan.config.precision == Precision::Int8;
-        let (mut assignments, mut int8, mut int8_gated) = (Vec::new(), Vec::new(), 0);
-        for (id, node) in (0..).map(NodeId).zip(&plan.nodes) {
-            let layer = program.layer(id);
+        self.precision = plan.config.precision;
+        self.int8_gated = 0;
+        for (i, node) in plan.nodes.iter().enumerate() {
+            let layer = program.layer(NodeId(i));
             // Input-channel splits stay f32 regardless of the plan's
             // precision: their partial *sums* need f32 accumulation, and
             // requantizing each partial would double the rounding error.
@@ -306,48 +377,44 @@ impl Session {
             let quantizable = int8_plan
                 && layer.int8_ready()
                 && !matches!(node.assignment, Assignment::SplitInput { .. });
-            int8.push(quantizable && layer.int8_worthwhile());
-            int8_gated += usize::from(quantizable && !layer.int8_worthwhile());
-            assignments.push(program.run_as(id, node.assignment));
+            self.int8[i] = quantizable && layer.int8_worthwhile();
+            self.int8_gated += usize::from(quantizable && !layer.int8_worthwhile());
+            self.planned[i] = node.assignment;
+            self.assignments[i] = program.run_as(NodeId(i), node.assignment);
         }
         // Like a split, a fork co-runs only when the work it hands off
         // clears the cutoff.
-        let forks = (0..program.segments().len())
-            .map(|seg| {
-                let real = program.branches(seg).iter().filter(|b| !b.is_empty());
-                real.count() >= 2 && program.fork_flops(seg) >= corun_cutoff
-            })
-            .collect();
-        Self {
-            program: Arc::clone(program),
-            assignments,
-            int8,
-            forks,
-            int8_gated,
-            slots: plan.nodes.iter().map(|_| OnceLock::new()).collect(),
-            slot_bytes: AtomicU64::new(0),
-            faults,
-            corun_cutoff,
-            driver: std::thread::current().id(),
-            tally: Tally::default(),
-            arena_fresh_bytes: AtomicU64::new(0),
-            arena_reused_bytes: AtomicU64::new(0),
-            faults_injected: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
-            worker_losses: AtomicU64::new(0),
+        for (seg, fork) in self.forks.iter_mut().enumerate() {
+            let real = program.branches(seg).iter().filter(|b| !b.is_empty());
+            *fork = real.count() >= 2 && program.fork_flops(seg) >= self.corun_cutoff;
         }
+    }
+
+    /// Ends a run the session owns outright: moves every node's output
+    /// back to its buffer for the next run and returns the network
+    /// output, which leaves with the caller. The copy of the network
+    /// input that pooled jobs read, if any, is dropped.
+    fn recycle(&mut self, output: NodeId) -> Option<Tensor> {
+        let output = self.slots[output.index()].take();
+        self.slots[INPUT.index()].take();
+        for (slot, buffer) in self.slots.iter_mut().zip(&mut self.buffers) {
+            *buffer.get_mut().unwrap_or_else(PoisonError::into_inner) = slot.take();
+        }
+        output
     }
 }
 
 /// A reusable functional execution session for one graph.
 ///
 /// Construction lowers the graph once into its [`Program`];
-/// [`Executor::execute`] then runs any plan/input against it, each input
-/// in a session of its own, and [`Executor::batch_execute`] runs a batch
-/// the same way, one input after another. Every executor submits to the
-/// one process-wide worker pool, so building one per batch spawns
-/// nothing.
+/// [`Executor::execute`] then runs any plan/input against it, and
+/// [`Executor::batch_execute`] runs a batch the same way, one input
+/// after another. Each input runs in a session; the executor keeps one
+/// idle session between inputs and renews it for the next, so a
+/// steady-state input allocates only its network output. A thread that
+/// finds the idle session taken by another runs in a new one. Every
+/// executor submits to the one process-wide worker pool, so building one
+/// per batch spawns nothing.
 ///
 /// Pooled jobs cannot borrow the caller's input; a session copies it
 /// (once per input) only when it submits a job that reads it.
@@ -359,6 +426,8 @@ pub struct Executor<'g> {
     /// One-shot guard for the int8 calibration pass (see `prepare`).
     calibrated: std::sync::Once,
     pool: &'static Pool<TaskResult>,
+    /// The last session, with its node buffers, until the next input.
+    idle: Mutex<Option<Arc<Session>>>,
 }
 
 impl std::fmt::Debug for Executor<'_> {
@@ -384,6 +453,7 @@ impl<'g> Executor<'g> {
             corun_cutoff: CORUN_CUTOFF,
             calibrated: std::sync::Once::new(),
             pool: shared_pool(),
+            idle: Mutex::new(None),
         })
     }
 
@@ -473,16 +543,35 @@ impl<'g> Executor<'g> {
         Ok(())
     }
 
-    /// Runs `input` through every segment in a session of its own, on the
-    /// calling thread, delegating branch bodies and split partials to the
-    /// pool.
-    fn run_session(&self, plan: &ExecutionPlan, input: &Tensor) -> Result<FunctionalOutcome> {
-        let mut session = Arc::new(Session::new(
+    /// The idle session slot.
+    fn idle_slot(&self) -> MutexGuard<'_, Option<Arc<Session>>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A session for `plan` on the calling thread: the idle one renewed,
+    /// or a new one when there is none (the first input, or another
+    /// thread is running the idle one).
+    fn session(&self, plan: &ExecutionPlan) -> Arc<Session> {
+        let idle = self.idle_slot().take();
+        if let Some(mut session) = idle {
+            // Only a session no job holds is ever made idle.
+            if let Some(owned) = Arc::get_mut(&mut session) {
+                owned.renew(plan, self.faults.clone(), self.corun_cutoff);
+                return session;
+            }
+        }
+        Arc::new(Session::new(
             &self.program,
             plan,
             self.faults.clone(),
             self.corun_cutoff,
-        ));
+        ))
+    }
+
+    /// Runs `input` through every segment in a session, on the calling
+    /// thread, delegating branch bodies and split partials to the pool.
+    fn run_session(&self, plan: &ExecutionPlan, input: &Tensor) -> Result<FunctionalOutcome> {
+        let mut session = self.session(plan);
         let ctx = Ctx {
             session: &session,
             input: Some(input),
@@ -520,19 +609,22 @@ impl<'g> Executor<'g> {
 
         // Every job this session joined has dropped its share of the
         // session by now; only one the watchdog abandoned can still hold
-        // it, and then the output is copied out instead of moved.
-        let slot = self.graph.output_id().index();
-        let output = match Arc::get_mut(&mut session) {
-            Some(owned) => owned.slots[slot].take(),
-            None => session.slots[slot].get().cloned(),
+        // it, and then the output is copied out instead of moved and the
+        // session is left to that job.
+        let owned = Arc::get_mut(&mut session);
+        let reusable = owned.is_some();
+        let output = match owned {
+            Some(owned) => owned.recycle(self.graph.output_id()),
+            None => session.slots[self.graph.output_id().index()].get().cloned(),
         }
         .ok_or_else(|| CoreError::Internal {
             reason: "output never computed".to_string(),
         })?;
-        let pool = session.tally.stats();
+        let counts = &session.counts;
+        let pool = counts.tally.stats();
         let count = |flags: &[bool]| flags.iter().filter(|&&flag| flag).count();
         let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        Ok(FunctionalOutcome {
+        let outcome = FunctionalOutcome {
             output,
             corun_layers: session.assignments.iter().filter(|a| a.is_corun()).count(),
             int8_layers: count(&session.int8),
@@ -542,18 +634,22 @@ impl<'g> Executor<'g> {
                 pool_tasks: pool.worker_tasks,
                 inline_tasks: pool.inline_tasks,
                 queue_wait_ns: pool.queue_wait_ns,
-                arena_fresh_bytes: driver_scratch.fresh_bytes + load(&session.arena_fresh_bytes),
-                arena_reused_bytes: driver_scratch.reused_bytes + load(&session.arena_reused_bytes),
-                slot_bytes: load(&session.slot_bytes),
+                arena_fresh_bytes: driver_scratch.fresh_bytes + load(&counts.arena_fresh_bytes),
+                arena_reused_bytes: driver_scratch.reused_bytes + load(&counts.arena_reused_bytes),
+                slot_bytes: load(&counts.slot_bytes),
                 profile,
             },
             recovery: FaultCounts {
-                faults_injected: load(&session.faults_injected),
-                retries: load(&session.retries),
-                fallbacks: load(&session.fallbacks),
-                worker_losses: load(&session.worker_losses),
+                faults_injected: load(&counts.faults_injected),
+                retries: load(&counts.retries),
+                fallbacks: load(&counts.fallbacks),
+                worker_losses: load(&counts.worker_losses),
             },
-        })
+        };
+        if reusable {
+            self.idle_slot().get_or_insert(session);
+        }
+        Ok(outcome)
     }
 }
 
@@ -646,7 +742,7 @@ fn exec_branches(ctx: Ctx<'_>, pool: &Pool<TaskResult>, seg: usize) -> Result<()
         .collect();
     let mut first_err = run_branch(ctx, last).err();
     for handle in handles {
-        match handle.join(pool, &ctx.session.tally) {
+        match handle.join(pool, &ctx.session.counts.tally) {
             Ok(Ok(_)) => {}
             Ok(Err(e)) => first_err = first_err.or(Some(e)),
             Err(_) => {
@@ -711,9 +807,11 @@ fn count_scratch<R>(session: &Session, body: impl FnOnce() -> R) -> R {
     if std::thread::current().id() != session.driver {
         let used = before.delta(&scratch_stats());
         session
+            .counts
             .arena_fresh_bytes
             .fetch_add(used.fresh_bytes, Ordering::Relaxed);
         session
+            .counts
             .arena_reused_bytes
             .fetch_add(used.reused_bytes, Ordering::Relaxed);
     }
@@ -766,6 +864,7 @@ fn exec_node(ctx: Ctx<'_>, id: NodeId, start_ns: u64) -> Result<u64> {
     let end_ns = flight::end_at(span);
     let tensor = result?;
     ctx.session
+        .counts
         .slot_bytes
         .fetch_add((tensor.as_slice().len() * 4) as u64, Ordering::Relaxed);
     ctx.slot(id).set(tensor).map_err(|_| CoreError::Internal {
@@ -774,17 +873,22 @@ fn exec_node(ctx: Ctx<'_>, id: NodeId, start_ns: u64) -> Result<u64> {
     Ok(end_ns)
 }
 
-/// Computes one node per its session assignment into its output,
-/// allocated once here from the program's dims: a whole node writes all
-/// of it, and the two shares of an output-channel split write its
-/// disjoint sub-slices.
+/// Computes one node per its session assignment into its output: the
+/// buffer the node filled on the session's previous run, or one
+/// allocated here from the program's dims on its first. A whole node
+/// overwrites all of it, and the two shares of an output-channel split
+/// its disjoint sub-slices.
 fn forward_assigned(ctx: Ctx<'_>, id: NodeId, inputs: &[&Tensor]) -> Result<Tensor> {
     let layer = ctx.layer(id);
     let session = &**ctx.session;
     let facts = session.program.facts(id);
     let units = facts.units;
-    let dims = session.program.dims(id);
-    let mut out = vec![0.0f32; dims.iter().product()];
+    let buffer = session.buffers[id.index()]
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .take();
+    let mut tensor = buffer.unwrap_or_else(|| Tensor::zeros(session.program.dims(id)));
+    let out = tensor.as_mut_slice();
     let part = |range| Part::Units {
         range,
         int8: session.int8[id.index()],
@@ -792,8 +896,8 @@ fn forward_assigned(ctx: Ctx<'_>, id: NodeId, inputs: &[&Tensor]) -> Result<Tens
     };
     let whole = |out: &mut [f32]| Ok(layer.forward_into(inputs, part(0..units), out)?);
     match session.assignments[id.index()] {
-        Assignment::Gpu => recovering_forward(ctx, id, || whole(&mut out))?,
-        Assignment::Cpu => whole(&mut out)?,
+        Assignment::Gpu => recovering_forward(ctx, id, || whole(out))?,
+        Assignment::Cpu => whole(out)?,
         Assignment::SplitInput { cpu_fraction } => {
             let channels = facts.channels;
             let cpu_channels =
@@ -807,7 +911,7 @@ fn forward_assigned(ctx: Ctx<'_>, id: NodeId, inputs: &[&Tensor]) -> Result<Tens
                 ctx,
                 id,
                 inputs,
-                (Part::Inputs(0..gpu_channels), &mut out),
+                (Part::Inputs(0..gpu_channels), &mut *out),
                 (Part::Inputs(gpu_channels..channels), &mut cpu_part),
             )?;
             // In-place partial-sum merge into the node's output.
@@ -819,7 +923,7 @@ fn forward_assigned(ctx: Ctx<'_>, id: NodeId, inputs: &[&Tensor]) -> Result<Tens
             // input split (relu(a) + relu(b) != relu(a + b)); its folded
             // activation applies exactly once, here, after the merge.
             if layer.deferred_epilogue_relu() {
-                edgenn_tensor::ops::relu_in_place(&mut out);
+                edgenn_tensor::ops::relu_in_place(out);
             }
             flight::end(merge_span);
         }
@@ -840,7 +944,7 @@ fn forward_assigned(ctx: Ctx<'_>, id: NodeId, inputs: &[&Tensor]) -> Result<Tens
             )?;
         }
     }
-    Ok(Tensor::from_vec(out, dims)?)
+    Ok(tensor)
 }
 
 /// Computes a split node's GPU share into `gpu.1` on this thread and its
@@ -926,10 +1030,10 @@ fn recovering_forward(
     let Some(injector) = ctx.faults() else {
         return compute();
     };
-    let session = &**ctx.session;
+    let counts = &ctx.session.counts;
     let fails = || {
         let fails = injector.should_fail(id.index());
-        session
+        counts
             .faults_injected
             .fetch_add(u64::from(fails), Ordering::Relaxed);
         fails
@@ -941,11 +1045,11 @@ fn recovering_forward(
     let recovered = loop {
         if failed_attempts > injector.max_retries {
             // Retry budget exhausted: re-place the work in the CPU role.
-            session.fallbacks.fetch_add(1, Ordering::Relaxed);
+            counts.fallbacks.fetch_add(1, Ordering::Relaxed);
             flight::instant(flight::SpanKind::Fallback, flight_node(id), 0);
             break compute();
         }
-        session.retries.fetch_add(1, Ordering::Relaxed);
+        counts.retries.fetch_add(1, Ordering::Relaxed);
         flight::instant(
             flight::SpanKind::Retry,
             flight_node(id),
@@ -979,7 +1083,7 @@ fn join_partial(
     out: &mut [f32],
     recompute: impl FnOnce(&mut [f32]) -> Result<()>,
 ) -> Result<()> {
-    let tally = &ctx.session.tally;
+    let tally = &ctx.session.counts.tally;
     let joined = match ctx.faults().and_then(|f| f.join_timeout) {
         Some(timeout) => task.join_deadline(pool, tally, timeout),
         None => task.join(pool, tally),
@@ -1001,7 +1105,10 @@ fn join_partial(
                 });
             }
             flight::instant(flight::SpanKind::WorkerLoss, flight::NO_NODE, 0);
-            ctx.session.worker_losses.fetch_add(1, Ordering::Relaxed);
+            ctx.session
+                .counts
+                .worker_losses
+                .fetch_add(1, Ordering::Relaxed);
             flight::blackbox_dump(match err {
                 JoinError::TimedOut => "deadline-miss: worker held a partial past the watchdog",
                 JoinError::Panicked => "worker-panic: split partial lost",
@@ -1029,6 +1136,26 @@ mod tests {
             .unwrap()
     }
 
+    /// Every output bit, for bitwise comparisons.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// An outcome's decision, slot, task and recovery counts.
+    fn counts(o: &FunctionalOutcome) -> ([usize; 4], u64, u64, FaultCounts) {
+        (
+            [
+                o.corun_layers,
+                o.int8_layers,
+                o.int8_gated,
+                o.parallel_regions,
+            ],
+            o.engine.slot_bytes,
+            o.engine.pool_tasks + o.engine.inline_tasks,
+            o.recovery,
+        )
+    }
+
     #[test]
     fn functional_execution_matches_reference_for_all_models() {
         for kind in ModelKind::ALL {
@@ -1050,20 +1177,6 @@ mod tests {
         // A batch runs each input the way `execute` does: every outcome
         // matches the reference and, bit for bit and count for count,
         // `execute` of the same input, in both precisions.
-        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let counts = |o: &FunctionalOutcome| {
-            (
-                [
-                    o.corun_layers,
-                    o.int8_layers,
-                    o.int8_gated,
-                    o.parallel_regions,
-                ],
-                o.engine.slot_bytes,
-                o.engine.pool_tasks + o.engine.inline_tasks,
-                o.recovery,
-            )
-        };
         let platform = jetson_agx_xavier();
         let runtime = Runtime::new(&platform);
         for kind in ModelKind::ALL {
@@ -1126,6 +1239,99 @@ mod tests {
             "second run must reuse scratch: {:?}",
             b.engine
         );
+    }
+
+    #[test]
+    fn renewed_sessions_match_fresh_executors_across_plan_switches() {
+        // One executor runs inputs a, b, a under six plans in turn, so
+        // every run renews the previous run's session for another plan
+        // and computes into the buffers that run filled. Each outcome
+        // must equal a fresh executor's, bit for bit and count for count.
+        // Cutoff 0 also hands the first layer's shares to the pool, whose
+        // jobs read a copy of the current input.
+        let platform = jetson_agx_xavier();
+        let runtime = Runtime::new(&platform);
+        for kind in ModelKind::ALL {
+            let graph = build(kind, ModelScale::Tiny);
+            let tuner = Tuner::new(&graph, &runtime).unwrap();
+            let [a, b] = [71, 72].map(|seed| Tensor::random(graph.input_shape().dims(), 1.0, seed));
+            edgenn_nn::graph::calibrate(&graph, std::slice::from_ref(&a)).unwrap();
+            let mut plans = Vec::new();
+            for config in [ExecutionConfig::edgenn(), ExecutionConfig::edgenn_int8()] {
+                let tuned = tuner.plan(&graph, &runtime, config).unwrap();
+                let forced = |split| ExecutionPlan {
+                    config,
+                    nodes: split_every_layer(&graph, split),
+                };
+                plans.push(("tuned", tuned));
+                plans.push(("all-split", forced(HALVES)));
+                let inputs = Assignment::SplitInput { cpu_fraction: 0.4 };
+                plans.push(("input-split", forced(inputs)));
+            }
+            for cutoff in [CORUN_CUTOFF, 0] {
+                let executor = || Executor::new(&graph).unwrap().with_corun_cutoff(cutoff);
+                let renewed = executor();
+                for input in [&a, &b, &a] {
+                    for (name, plan) in &plans {
+                        let what =
+                            format!("{kind} {} {name} cutoff {cutoff}", plan.config.precision);
+                        let fresh = executor().execute(plan, input).unwrap();
+                        let outcome = renewed.execute(plan, input).unwrap();
+                        assert_eq!(bits(&outcome.output), bits(&fresh.output), "{what}");
+                        assert_eq!(counts(&outcome), counts(&fresh), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_renewed_session_allocates_no_node_buffer() {
+        // The second request on an executor runs in the first one's
+        // session, and every node but the output computes into the very
+        // buffer it filled the first time: only the output is allocated.
+        use edgenn_nn::graph::{compile, CompileOptions};
+        let platform = jetson_agx_xavier();
+        let runtime = Runtime::new(&platform);
+        for (kind, config, options) in [
+            (
+                ModelKind::SqueezeNet,
+                ExecutionConfig::edgenn(),
+                CompileOptions::default(),
+            ),
+            (
+                ModelKind::Vgg16,
+                ExecutionConfig::edgenn_int8(),
+                CompileOptions::int8(),
+            ),
+        ] {
+            let graph = compile(&build(kind, ModelScale::Tiny), &options).unwrap().0;
+            let plan = Tuner::new(&graph, &runtime)
+                .unwrap()
+                .plan(&graph, &runtime, config)
+                .unwrap();
+            let input = Tensor::random(graph.input_shape().dims(), 1.0, 5);
+            let executor = Executor::new(&graph).unwrap();
+            let idle = || {
+                let idle = executor.idle_slot();
+                let session = idle.as_ref().expect("the run left its session idle");
+                let buffers: Vec<Option<*const f32>> = session
+                    .buffers
+                    .iter()
+                    .map(|b| b.lock().unwrap().as_ref().map(|t| t.as_slice().as_ptr()))
+                    .collect();
+                (Arc::as_ptr(session), buffers)
+            };
+            executor.execute(&plan, &input).unwrap();
+            let first = idle();
+            let output = graph.output_id().index();
+            for (i, buffer) in first.1.iter().enumerate() {
+                let held = i != INPUT.index() && i != output;
+                assert_eq!(buffer.is_some(), held, "{kind} node {i}");
+            }
+            executor.execute(&plan, &input).unwrap();
+            assert_eq!(idle(), first, "{kind}: same session, same node buffers");
+        }
     }
 
     #[test]
@@ -1277,18 +1483,27 @@ mod tests {
         }
     }
 
-    /// A plan that splits every layer with at least two output units
-    /// half and half, and runs every other layer in the GPU role.
-    fn split_every_layer(graph: &Graph) -> Vec<crate::plan::NodePlan> {
-        use crate::plan::{Assignment, NodePlan};
+    /// Splits every layer with at least two output units half and half.
+    const HALVES: Assignment = Assignment::Split { cpu_fraction: 0.5 };
+
+    /// A plan that runs every layer with at least two units to share by
+    /// `split` (output units for [`Assignment::Split`], input channels
+    /// for [`Assignment::SplitInput`]) as `split`, and every other layer
+    /// in the GPU role.
+    fn split_every_layer(graph: &Graph, split: Assignment) -> Vec<crate::plan::NodePlan> {
+        use crate::plan::NodePlan;
         use edgenn_sim::AllocStrategy;
         let mut nodes = vec![NodePlan::gpu_explicit(); graph.len()];
         for id in graph.topo_order() {
-            let node = graph.node(id).unwrap();
+            let layer = graph.node(id).unwrap().layer();
             let shapes = graph.input_shapes(id).unwrap();
-            if node.layer().partition_units(&shapes).unwrap_or(1) >= 2 {
+            let shares = match split {
+                Assignment::SplitInput { .. } => layer.input_channels(&shapes),
+                _ => layer.partition_units(&shapes),
+            };
+            if shares.unwrap_or(1) >= 2 {
                 nodes[id.index()] = NodePlan {
-                    assignment: Assignment::Split { cpu_fraction: 0.5 },
+                    assignment: split,
                     output_alloc: AllocStrategy::Explicit,
                     prefetch_inputs: false,
                 };
@@ -1303,7 +1518,7 @@ mod tests {
             let graph = build(kind, ModelScale::Tiny);
             let plan = ExecutionPlan {
                 config: ExecutionConfig::edgenn(),
-                nodes: split_every_layer(&graph),
+                nodes: split_every_layer(&graph, HALVES),
             };
             let input = Tensor::random(graph.input_shape().dims(), 1.0, 11);
             let reference = graph.forward(&input).unwrap();
@@ -1330,25 +1545,10 @@ mod tests {
 
     #[test]
     fn forced_input_splits_stay_correct() {
-        use crate::plan::{Assignment, NodePlan};
-        use edgenn_sim::AllocStrategy;
         for kind in ModelKind::ALL {
             let graph = build(kind, ModelScale::Tiny);
-            let mut nodes = vec![NodePlan::gpu_explicit(); graph.len()];
-            let mut forced = 0;
-            for id in graph.topo_order() {
-                let node = graph.node(id).unwrap();
-                let shapes = graph.input_shapes(id).unwrap();
-                if node.layer().input_channels(&shapes).unwrap_or(1) >= 2 {
-                    nodes[id.index()] = NodePlan {
-                        assignment: Assignment::SplitInput { cpu_fraction: 0.4 },
-                        output_alloc: AllocStrategy::Explicit,
-                        prefetch_inputs: false,
-                    };
-                    forced += 1;
-                }
-            }
-            if forced == 0 {
+            let nodes = split_every_layer(&graph, Assignment::SplitInput { cpu_fraction: 0.4 });
+            if !nodes.iter().any(|node| node.assignment.is_corun()) {
                 continue;
             }
             let plan = ExecutionPlan {
@@ -1619,6 +1819,11 @@ mod tests {
             outcome.output.approx_eq(&clean.output, 0.0),
             "the recomputed share is bitwise identical"
         );
+        // The abandoned job still holds that run's session, so the next
+        // run builds one of its own; the hung worker leaves its partial
+        // to the driver.
+        let next = executor.execute(&plan, &input).unwrap();
+        assert_eq!(bits(&next.output), bits(&clean.output));
         private.shutdown();
         worker.join().unwrap();
     }
@@ -1786,7 +1991,7 @@ mod tests {
                     .unwrap();
                 let split = ExecutionPlan {
                     config,
-                    nodes: split_every_layer(&graph),
+                    nodes: split_every_layer(&graph, HALVES),
                 };
                 let executor = Executor::new(&graph).unwrap();
                 let inputs: Vec<Tensor> = (0..2)
@@ -1889,8 +2094,6 @@ mod tests {
         // with the CPU share computed by a pooled job.
         use crate::plan::NodePlan;
         use edgenn_nn::graph::{compile, CompileOptions};
-        use edgenn_sim::AllocStrategy;
-        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for kind in ModelKind::ALL {
             let raw = build(kind, ModelScale::Tiny);
             let (compiled, _) = compile(&raw, &CompileOptions::default()).unwrap();
@@ -1903,19 +2106,10 @@ mod tests {
                     };
                     let a = execute(graph, &unsplit, &input).unwrap();
                     for cpu_fraction in [0.5, 0.37] {
-                        let mut nodes = vec![NodePlan::gpu_explicit(); graph.len()];
-                        for id in graph.topo_order() {
-                            let node = graph.node(id).unwrap();
-                            let shapes = graph.input_shapes(id).unwrap();
-                            if node.layer().partition_units(&shapes).unwrap_or(1) >= 2 {
-                                nodes[id.index()] = NodePlan {
-                                    assignment: Assignment::Split { cpu_fraction },
-                                    output_alloc: AllocStrategy::Explicit,
-                                    prefetch_inputs: false,
-                                };
-                            }
-                        }
-                        let split = ExecutionPlan { config, nodes };
+                        let split = ExecutionPlan {
+                            config,
+                            nodes: split_every_layer(graph, Assignment::Split { cpu_fraction }),
+                        };
                         let inline = execute(graph, &split, &input).unwrap();
                         let pooled = Executor::new(graph)
                             .unwrap()

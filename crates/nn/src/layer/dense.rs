@@ -3,8 +3,7 @@
 use std::sync::OnceLock;
 
 use edgenn_tensor::{
-    dot, dot_i8, min_max, quantize_into, with_scratch, QuantParams, Requant, Shape, Tensor,
-    MAX_DEPTH,
+    matvec_into, min_max, qmatvec_into, QuantParams, Requant, Shape, Tensor, MAX_DEPTH,
 };
 
 use crate::layer::params::{LazyParam, QuantizedWeights};
@@ -135,17 +134,10 @@ impl Layer for Dense {
             Part::Inputs(range) => {
                 validate_range(&self.name, &range, k)?;
                 check_out(out, self.out_features)?;
-                let x = &x[range.clone()];
-                for (o, dst) in out.iter_mut().enumerate() {
-                    let partial = dot(&w[o * k + range.start..o * k + range.end], x);
-                    // The bias is contributed exactly once, by the first
-                    // partial.
-                    *dst = if range.start == 0 {
-                        partial + bias[o]
-                    } else {
-                        partial
-                    };
-                }
+                // Each row's window of columns, read in place; the bias is
+                // contributed exactly once, by the first partial.
+                let bias = (range.start == 0).then_some(bias);
+                matvec_into(&w[range.start..], k, &x[range], bias, false, out);
                 return Ok(());
             }
         };
@@ -171,27 +163,18 @@ impl Layer for Dense {
                 bias: Some(&bias[range.clone()]),
                 relu,
             };
-            let codes = &qw.a;
             // Quantize the input vector once; each neuron is then one
             // int8 dot requantized through the shared epilogue math. This
             // is where int8 pays at the model level: the dominant traffic
             // here is the weight matrix, read at a quarter of the f32
             // width.
-            with_scratch(k, |qx: &mut [i8]| {
-                quantize_into(x, qx, act);
-                for (i, (o, dst)) in range.clone().zip(out.iter_mut()).enumerate() {
-                    *dst = rq.apply(dot_i8(&codes[o * k..(o + 1) * k], qx), i);
-                }
-            });
+            qmatvec_into(&qw.a[range.start * k..], k, x, &rq, out);
             return Ok(());
         }
         // Weight rows for an output range are contiguous — dot against
         // them directly instead of copying a sub-matrix out. The optional
         // ReLU clamps each neuron as it is produced.
-        for (o, dst) in range.zip(out.iter_mut()) {
-            let v = dot(&w[o * k..(o + 1) * k], x) + bias[o];
-            *dst = if relu { v.max(0.0) } else { v };
-        }
+        matvec_into(&w[range.start * k..], k, x, Some(&bias[range]), relu, out);
         Ok(())
     }
 

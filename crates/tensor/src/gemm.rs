@@ -694,13 +694,38 @@ pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor> {
             right: (x.dims()[0], 1),
         });
     }
-    let span = flight::begin(flight::SpanKind::Compute, flight::NO_NODE);
-    let xs = x.as_slice();
-    let data: Vec<f32> = (0..m)
-        .map(|i| dot(&a.as_slice()[i * k..(i + 1) * k], xs))
-        .collect();
-    flight::end(span);
+    let mut data = vec![0.0; m];
+    matvec_into(a.as_slice(), k, x.as_slice(), None, false, &mut data);
     Tensor::from_vec(data, &[m])
+}
+
+/// Mat-vec rows into `out`: `out[i]` is the [`dot`] of `x` with row `i`
+/// of `a`, the `x.len()` values from `a[i * lda]` (a window of a wider
+/// matrix's columns when `x.len() < lda`), plus `bias[i]` when given,
+/// clamped at zero under `relu`. Records one compute phase.
+///
+/// # Panics
+/// When `a` holds fewer than `out.len()` such rows, or `bias` fewer than
+/// `out.len()` values.
+pub fn matvec_into(
+    a: &[f32],
+    lda: usize,
+    x: &[f32],
+    bias: Option<&[f32]>,
+    relu: bool,
+    out: &mut [f32],
+) {
+    let phases = Phases::start();
+    let k = x.len();
+    for (i, dst) in out.iter_mut().enumerate() {
+        let d = dot(&a[i * lda..i * lda + k], x);
+        let v = match bias {
+            Some(bias) => d + bias[i],
+            None => d,
+        };
+        *dst = if relu { v.max(0.0) } else { v };
+    }
+    phases.finish_compute();
 }
 
 /// Vectorizable dot product: eight parallel partial sums plus a scalar

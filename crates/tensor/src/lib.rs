@@ -40,7 +40,7 @@ mod tensor;
 pub use error::TensorError;
 pub use gemm::{
     dot, gemm, gemm_into, gemm_into_fused, gemm_pack_a, gemm_pack_elems, gemm_packed_a_len, matvec,
-    naive_gemm, Epilogue,
+    matvec_into, naive_gemm, Epilogue,
 };
 pub use im2col::{
     col2im_shape, conv_gemm_into, conv_gemm_scratch_elems, conv_qgemm_into,
@@ -48,7 +48,7 @@ pub use im2col::{
 };
 pub use quant::{
     dot_i8, min_max, qgemm_pack_a, qgemm_pack_a_words, qgemm_pack_bytes, qgemm_requant_into,
-    quantize_into, row_sums, QTensor, QuantParams, Quantization, Requant, MAX_DEPTH,
+    qmatvec_into, quantize_into, row_sums, QTensor, QuantParams, Quantization, Requant, MAX_DEPTH,
 };
 pub use scratch::{scratch_stats, with_scratch, ScratchElem, ScratchStats};
 pub use shape::Shape;

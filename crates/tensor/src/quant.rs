@@ -486,6 +486,32 @@ pub fn qgemm_requant_into(
     });
 }
 
+/// Int8 mat-vec rows into `out`: quantizes `x` under `rq.act` once (the
+/// pack phase), then maps the int8 dot product of those codes with row
+/// `i` of `a`, the `x.len()` codes from `a[i * lda]`, through `rq`'s row
+/// `i` (the compute phase).
+///
+/// # Panics
+/// When `x` holds [`MAX_DEPTH`] or more values, or `a` fewer than
+/// `out.len()` rows.
+pub fn qmatvec_into(a: &[i8], lda: usize, x: &[f32], rq: &Requant<'_>, out: &mut [f32]) {
+    let k = x.len();
+    assert!(
+        k < MAX_DEPTH,
+        "int8 reduction of {k} codes reaches {MAX_DEPTH}"
+    );
+    rq.debug_check(out.len());
+    let phases = Phases::start();
+    with_scratch(k, |qx: &mut [i8]| {
+        quantize_into(x, qx, rq.act);
+        let phases = phases.packed();
+        for (i, dst) in out.iter_mut().enumerate() {
+            *dst = rq.apply(dot_i8(&a[i * lda..i * lda + k], qx), i);
+        }
+        phases.finish(k as u64);
+    });
+}
+
 /// One block-kernel call of [`qgemm_sweep`]: output rows `i0..i0 +
 /// rq.len()` (at most `MR`) over a group of up to [`GROUP`] panels. The
 /// kernel computes and requantizes the group's lanes and writes every

@@ -4,11 +4,16 @@
 //!
 //! Each model is compiled, tuned for the Jetson AGX Xavier (the int8
 //! plans calibrated on the first input) and run by `batch_execute` over
-//! the same 16 seeded inputs.
+//! the same 16 seeded inputs, so inputs 2-16 run in the session and node
+//! buffers the first one left.
 //!
 //! ```bash
 //! cargo run --release --example output_bits
 //! ```
+//!
+//! `examples/output_bits.txt` holds the hashes every kernel variant must
+//! print; CI diffs the output against it under each, so a change that
+//! moves an output bit shows as a diff of that file.
 
 use edgenn_core::plan::{ExecutionConfig, Precision};
 use edgenn_core::runtime::functional::Executor;
